@@ -6799,7 +6799,7 @@ static void __pyx_f_9normortho_8_kernels_7Program__derivs(struct __pyx_obj_9norm
  *                 a = vals[lc]
  *                 b = vals[rc]             # <<<<<<<<<<<<<<
  *                 m = a if a >= b else b
- *                 ref = m if m > 1.0 else 1.0
+ *                 ref = m
 */
       __pyx_v_b = (__pyx_v_vals[__pyx_v_rc]);
 
@@ -6807,7 +6807,7 @@ static void __pyx_f_9normortho_8_kernels_7Program__derivs(struct __pyx_obj_9norm
  *                 a = vals[lc]
  *                 b = vals[rc]
  *                 m = a if a >= b else b             # <<<<<<<<<<<<<<
- *                 ref = m if m > 1.0 else 1.0
+ *                 ref = m
  *                 if fabs(a - b) <= TIE * ref:
 */
       __pyx_t_7 = (__pyx_v_a >= __pyx_v_b);
@@ -6821,21 +6821,15 @@ static void __pyx_f_9normortho_8_kernels_7Program__derivs(struct __pyx_obj_9norm
       /* "normortho/_kernels.pyx":375
  *                 b = vals[rc]
  *                 m = a if a >= b else b
- *                 ref = m if m > 1.0 else 1.0             # <<<<<<<<<<<<<<
+ *                 ref = m             # <<<<<<<<<<<<<<
  *                 if fabs(a - b) <= TIE * ref:
  *                     # tied children: one-sided derivative of a max of two
 */
-      __pyx_t_7 = (__pyx_v_m > 1.0);
-      if (__pyx_t_7) {
-        __pyx_t_8 = __pyx_v_m;
-      } else {
-        __pyx_t_8 = 1.0;
-      }
-      __pyx_v_ref = __pyx_t_8;
+      __pyx_v_ref = __pyx_v_m;
 
       /* "normortho/_kernels.pyx":376
  *                 m = a if a >= b else b
- *                 ref = m if m > 1.0 else 1.0
+ *                 ref = m
  *                 if fabs(a - b) <= TIE * ref:             # <<<<<<<<<<<<<<
  *                     # tied children: one-sided derivative of a max of two
  *                     # functions equal at 0 is max of D+ and min of D-
@@ -6875,7 +6869,7 @@ static void __pyx_f_9normortho_8_kernels_7Program__derivs(struct __pyx_obj_9norm
 
         /* "normortho/_kernels.pyx":376
  *                 m = a if a >= b else b
- *                 ref = m if m > 1.0 else 1.0
+ *                 ref = m
  *                 if fabs(a - b) <= TIE * ref:             # <<<<<<<<<<<<<<
  *                     # tied children: one-sided derivative of a max of two
  *                     # functions equal at 0 is max of D+ and min of D-

@@ -372,7 +372,7 @@ cdef class Program:
                 a = vals[lc]
                 b = vals[rc]
                 m = a if a >= b else b
-                ref = m if m > 1.0 else 1.0
+                ref = m
                 if fabs(a - b) <= TIE * ref:
                     # tied children: one-sided derivative of a max of two
                     # functions equal at 0 is max of D+ and min of D-

@@ -282,7 +282,7 @@ class Program:
                 a = vals[lc]
                 b = vals[rc]
                 m = a if a >= b else b
-                ref = m if m > 1.0 else 1.0
+                ref = m
                 if abs(a - b) <= _TIE * ref:
                     # tied children: one-sided derivative of a max of two
                     # functions equal at 0 is max of D+ and min of D-

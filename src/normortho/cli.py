@@ -109,7 +109,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="dimension (default: inferred from --u, else 2)")
     g.add_argument("--u", type=_vec_arg, default=None, help="vector, e.g. 1,2")
     g.add_argument("--v", type=_vec_arg, default=None, help="vector, e.g. 3,-1")
-    g.add_argument("--w", type=_vec_arg, default=None, help="vector")
     g.add_argument("--alpha", type=float, default=None, help="rho_ab weight on rho_minus")
     g.add_argument("--beta", type=float, default=None, help="rho_ab weight on rho_plus")
     g.add_argument("--lambda", dest="lam", type=float, default=None,
@@ -136,8 +135,6 @@ def _build_parser() -> argparse.ArgumentParser:
     o = common.add_argument_group("output")
     o.add_argument("--out", default=None, help="write output to this file")
     o.add_argument("--format", default="json", choices=("json", "table", "csv"))
-    o.add_argument("--threads", type=int, default=1,
-                   help="reserved; evaluation is sequential regardless")
 
     parser = argparse.ArgumentParser(
         prog="normortho",
@@ -262,7 +259,7 @@ def _infer_dim(args) -> int:
         if args.dim < 2:
             raise _Usage("--dim must be at least 2")
         return args.dim
-    for vec in (args.u, args.v, args.w):
+    for vec in (args.u, args.v):
         if vec is not None:
             return len(vec)
     return 2
@@ -563,8 +560,6 @@ def run(argv=None) -> int:
             return 0
         return code if isinstance(code, int) else 2
     try:
-        if args.threads < 1:
-            raise _Usage("--threads must be positive")
         result = _HANDLERS[args.command](args)
         summary = None
         if isinstance(result, list):

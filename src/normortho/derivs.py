@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from .errors import NonSmoothPointError, ZeroVectorError
 from .kernels import get_program
 from .normast import NormAst
-from .space import as_vector, _check_dim
+from .space import Vector, _vectors
 
 __all__ = [
     "AlphaBeta",
@@ -122,20 +122,38 @@ def dir_deriv_exact(ast: NormAst, u, v, side: str) -> float:
     +norm(v) on the plus side and -norm(v) on the minus side.
     """
     _side_sign(side)
-    uu = as_vector(u)
-    vv = as_vector(v)
-    _check_dim(ast, uu, vv)
+    uu, vv = _vectors(ast, u, v)
     _, dp, dm = get_program(ast).derivs(uu, vv)
     return dp if side == "plus" else dm
 
 
+def _rho_pair(prog, u: Vector, v: Vector) -> tuple[float, float]:
+    val, dp, dm = prog.derivs(u, v)
+    return val * dm, val * dp
+
+
+def _rho_ab(prog, u: Vector, v: Vector, ab: AlphaBeta) -> float:
+    rm, rp = _rho_pair(prog, u, v)
+    return ab.alpha * rm + ab.beta * rp
+
+
+def _sip(prog, v: Vector, u: Vector) -> float:
+    val, dp, dm = prog.derivs(u, v)
+    if val == 0.0:
+        raise ZeroVectorError("semi-inner product needs a nonzero second argument")
+    rm, rp = val * dm, val * dp
+    scale = max(1.0, abs(rm), abs(rp))
+    if abs(rp - rm) > _SMOOTH_TOL * scale:
+        raise NonSmoothPointError(
+            f"norm is not smooth at this point: rho_+ = {rp!r} differs from rho_- = {rm!r}"
+        )
+    return rp
+
+
 def rho_pair(ast: NormAst, u, v) -> tuple[float, float]:
     """(rho_-, rho_+) in one tape pass."""
-    uu = as_vector(u)
-    vv = as_vector(v)
-    _check_dim(ast, uu, vv)
-    val, dp, dm = get_program(ast).derivs(uu, vv)
-    return val * dm, val * dp
+    uu, vv = _vectors(ast, u, v)
+    return _rho_pair(get_program(ast), uu, vv)
 
 
 def rho_pm(ast: NormAst, u, v, side: str) -> DerivResult:
@@ -164,9 +182,7 @@ def rho_pm_numeric(ast: NormAst, u, v, side: str, tol: float) -> DerivResult:
     sign = _side_sign(side)
     if not (isinstance(tol, (int, float)) and tol > 0):
         raise ValueError(f"tol must be positive, got {tol!r}")
-    uu = as_vector(u)
-    vv = as_vector(v)
-    _check_dim(ast, uu, vv)
+    uu, vv = _vectors(ast, u, v)
     prog = get_program(ast)
     nu = prog.value(uu)
     nv = prog.value(vv)
@@ -209,8 +225,8 @@ def rho_lambda(ast: NormAst, u, v, lam: Lambda) -> float:
 
 def rho_ab(ast: NormAst, u, v, ab: AlphaBeta) -> float:
     """alpha rho_- + beta rho_+."""
-    rm, rp = rho_pair(ast, u, v)
-    return ab.alpha * rm + ab.beta * rp
+    uu, vv = _vectors(ast, u, v)
+    return _rho_ab(get_program(ast), uu, vv, ab)
 
 
 def sip(ast: NormAst, v, u) -> float:
@@ -221,16 +237,5 @@ def sip(ast: NormAst, v, u) -> float:
     NonSmoothPointError is raised.  Satisfies [u, u] = norm(u)^2 and
     |[v, u]| <= norm(v) norm(u).
     """
-    uu = as_vector(u)
-    vv = as_vector(v)
-    _check_dim(ast, uu, vv)
-    val, dp, dm = get_program(ast).derivs(uu, vv)
-    if val == 0.0:
-        raise ZeroVectorError("semi-inner product needs a nonzero second argument")
-    rm, rp = val * dm, val * dp
-    scale = max(1.0, abs(rm), abs(rp))
-    if abs(rp - rm) > _SMOOTH_TOL * scale:
-        raise NonSmoothPointError(
-            f"norm is not smooth at this point: rho_+ = {rp!r} differs from rho_- = {rm!r}"
-        )
-    return rp
+    uu, vv = _vectors(ast, u, v)
+    return _sip(get_program(ast), vv, uu)

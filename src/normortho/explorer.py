@@ -13,11 +13,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .derivs import AlphaBeta, rho_ab
+from .derivs import AlphaBeta, _rho_ab
 from .errors import DimensionMismatchError
 from .kernels import get_program
 from .normast import NormAst
-from .ortho import Relation, ab_orthogonalizer, is_orthogonal, relation_residual
+from .ortho import (
+    Relation,
+    _bisect_crossing,
+    _circle_point,
+    _golden_min,
+    _orthogonalize,
+    _residual,
+    _verdict,
+)
 from .rng import SplitMix64
 from .space import (
     SampleConfig,
@@ -39,9 +47,6 @@ __all__ = [
     "preserver_check",
     "mine_incomparability",
 ]
-
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
 
 @dataclass(frozen=True)
 class LinearMap:
@@ -126,41 +131,17 @@ class IncomparabilityReport:
     discarded: int
 
 
+def _apply(lin: LinearMap, x: Vector) -> Vector:
+    return tuple(math.fsum(r * c for r, c in zip(row, x)) for row in lin.matrix)
+
+
 def apply_map(lin: LinearMap, u) -> Vector:
     x = as_vector(u)
     if len(x) != lin.domain_norm.dim:
         raise DimensionMismatchError(
             f"map consumes {lin.domain_norm.dim} coordinates but vector has {len(x)}"
         )
-    return tuple(math.fsum(r * c for r, c in zip(row, x)) for row in lin.matrix)
-
-
-def _golden_max(f, lo: float, hi: float, iters: int) -> tuple[float, float]:
-    """(argmax, max) of f over [lo, hi] for unimodal f; tracks the best
-    evaluated point so the result is a valid lower bound regardless."""
-    a, b = lo, hi
-    h = b - a
-    c = b - _INVPHI * h
-    d = a + _INVPHI * h
-    fc = f(c)
-    fd = f(d)
-    best_x, best_f = (c, fc) if fc >= fd else (d, fd)
-    for _ in range(iters):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            h = b - a
-            c = b - _INVPHI * h
-            fc = f(c)
-            if fc > best_f:
-                best_x, best_f = c, fc
-        else:
-            a, c, fc = c, d, fd
-            h = b - a
-            d = a + _INVPHI * h
-            fd = f(d)
-            if fd > best_f:
-                best_x, best_f = d, fd
-    return best_x, best_f
+    return _apply(lin, x)
 
 
 def operator_norm(lin: LinearMap, cfg: SampleConfig) -> OperatorNormEstimate:
@@ -182,14 +163,14 @@ def operator_norm(lin: LinearMap, cfg: SampleConfig) -> OperatorNormEstimate:
         return tuple(c / r for c in x)
 
     def gain(x: Vector) -> float:
-        return cod.value(apply_map(lin, x))
+        return cod.value(_apply(lin, x))
 
     if dim == 2:
         grid = 1024
         step = 2.0 * math.pi / grid
 
         def f(theta: float) -> float:
-            return gain(unit((math.cos(theta), math.sin(theta))))
+            return gain(_circle_point(dom, theta))
 
         best_j = 0
         best = -1.0
@@ -198,14 +179,11 @@ def operator_norm(lin: LinearMap, cfg: SampleConfig) -> OperatorNormEstimate:
             if v > best:
                 best, best_j = v, j
         theta0 = best_j * step
-        theta, refined = _golden_max(f, theta0 - step, theta0 + step, 80)
-        if refined >= best:
-            return OperatorNormEstimate(
-                refined, unit((math.cos(theta), math.sin(theta))), "fine"
-            )
-        return OperatorNormEstimate(
-            best, unit((math.cos(theta0), math.sin(theta0))), "fine"
-        )
+        # negation is exact, so minimizing -f takes the branches maximizing f would
+        theta, lowest = _golden_min(lambda t: -f(t), theta0 - step, theta0 + step, 80)
+        if -lowest >= best:
+            return OperatorNormEstimate(-lowest, _circle_point(dom, theta), "fine")
+        return OperatorNormEstimate(best, _circle_point(dom, theta0), "fine")
 
     rng = SplitMix64(cfg.seed)
     best_x: Vector | None = None
@@ -256,9 +234,8 @@ def preserver_check(lin: LinearMap, ab: AlphaBeta, cfg: SampleConfig) -> Preserv
     opn = operator_norm(lin, cfg)
     tol = 1e-6 if opn.grade == "fine" else 1e-5
     dom_ast = lin.domain_norm
-    cod_ast = lin.codomain_norm
     dom = get_program(dom_ast)
-    cod = get_program(cod_ast)
+    cod = get_program(lin.codomain_norm)
     dim = dom_ast.dim
     root = SplitMix64(cfg.seed)
 
@@ -272,14 +249,14 @@ def preserver_check(lin: LinearMap, ab: AlphaBeta, cfg: SampleConfig) -> Preserv
         v = random_vector(rng, dim, cfg.scale)
         if dom.value(u) == 0.0:
             continue
-        _, w = ab_orthogonalizer(dom_ast, u, v, ab)
+        _, w = _orthogonalize(dom, u, v, ab)
         built += 1
-        tu = apply_map(lin, u)
-        tw = apply_map(lin, w)
+        tu = _apply(lin, u)
+        tw = _apply(lin, w)
         denom = cod.value(tu) * cod.value(tw)
         if denom < 1e-12:
             continue
-        ratio = abs(rho_ab(cod_ast, tu, tw, ab)) / denom
+        ratio = abs(_rho_ab(cod, tu, tw, ab)) / denom
         if ratio > worst1:
             worst1, wit1 = ratio, (u, w)
 
@@ -289,7 +266,7 @@ def preserver_check(lin: LinearMap, ab: AlphaBeta, cfg: SampleConfig) -> Preserv
     worst2 = 0.0
     wit2: Vector | None = None
     for x in sphere_sample(dom_ast, spread_cfg):
-        dev = abs(cod.value(apply_map(lin, x)) - opn.value) / opn.value
+        dev = abs(cod.value(_apply(lin, x)) - opn.value) / opn.value
         if dev > worst2:
             worst2, wit2 = dev, x
 
@@ -305,8 +282,8 @@ def preserver_check(lin: LinearMap, ab: AlphaBeta, cfg: SampleConfig) -> Preserv
         nv = dom.value(v)
         if nu * nv < 1e-12:
             continue
-        gap = abs(rho_ab(cod_ast, apply_map(lin, u), apply_map(lin, v), ab)
-                  - tsq * rho_ab(dom_ast, u, v, ab))
+        gap = abs(_rho_ab(cod, _apply(lin, u), _apply(lin, v), ab)
+                  - tsq * _rho_ab(dom, u, v, ab))
         ratio = gap / (ab.total * tsq * nu * nv)
         if ratio > worst3:
             worst3, wit3 = ratio, (u, v)
@@ -321,13 +298,7 @@ def preserver_check(lin: LinearMap, ab: AlphaBeta, cfg: SampleConfig) -> Preserv
     )
 
 
-def _circle_point(prog, theta: float) -> Vector:
-    d = (math.cos(theta), math.sin(theta))
-    r = prog.value(d)
-    return (d[0] / r, d[1] / r)
-
-
-def _search_direction(ast: NormAst, rel_hold: Relation, rel_test: Relation,
+def _search_direction(prog, rel_hold: Relation, rel_test: Relation,
                       rng: SplitMix64, budget: int, tol: float,
                       fail_margin: float):
     """Look for a pair where rel_hold holds and rel_test fails.
@@ -337,7 +308,6 @@ def _search_direction(ast: NormAst, rel_hold: Relation, rel_test: Relation,
     circles around random base vectors; each candidate costs one unit of
     budget and is re-verified with is_orthogonal before being reported.
     """
-    prog = get_program(ast)
     used = 0
     discarded = 0
     scan = 64
@@ -353,13 +323,16 @@ def _search_direction(ast: NormAst, rel_hold: Relation, rel_test: Relation,
     for base in bases():
         if used >= budget:
             break
-        if prog.value(base) == 0.0:
+        r = prog.value(base)
+        if r == 0.0:
             continue
-        u = tuple(c / prog.value(base) for c in base)
+        u = tuple(c / r for c in base)
+
+        def residual_at(theta: float) -> float:
+            return _residual(rel_hold, prog, u, _circle_point(prog, theta))
 
         thetas = [j * step for j in range(scan)]
-        residuals = [relation_residual(rel_hold, ast, u, _circle_point(prog, th))
-                     for th in thetas]
+        residuals = [residual_at(th) for th in thetas]
         found_candidate = False
         for j in range(scan):
             if used >= budget:
@@ -368,24 +341,14 @@ def _search_direction(ast: NormAst, rel_hold: Relation, rel_test: Relation,
             r1 = residuals[(j + 1) % scan]
             if r0 != 0.0 and r1 != 0.0 and (r0 > 0.0) == (r1 > 0.0):
                 continue
-            lo, f_lo = thetas[j], r0
-            hi = thetas[j] + step
-            for _ in range(60):
-                if hi - lo <= 1e-12:
-                    break
-                mid = 0.5 * (lo + hi)
-                fm = relation_residual(rel_hold, ast, u, _circle_point(prog, mid))
-                if fm == 0.0 or (fm > 0.0) == (f_lo > 0.0):
-                    lo, f_lo = mid, fm
-                else:
-                    hi = mid
-            v = _circle_point(prog, 0.5 * (lo + hi))
+            theta = _bisect_crossing(residual_at, thetas[j], r0, thetas[j] + step, 1e-12)
+            v = _circle_point(prog, theta)
             found_candidate = True
             used += 1
-            if not is_orthogonal(rel_hold, ast, u, v, tol).holds:
+            if not _verdict(rel_hold, prog, u, v, tol).holds:
                 discarded += 1
                 continue
-            verdict = is_orthogonal(rel_test, ast, u, v, tol)
+            verdict = _verdict(rel_test, prog, u, v, tol)
             if verdict.holds:
                 continue
             clear = (verdict.residual > fail_margin if rel_test.tag == "birkhoff"
@@ -410,12 +373,13 @@ def mine_incomparability(ast: NormAst, rel_a: Relation, rel_b: Relation,
     if ast.dim != 2:
         raise DimensionMismatchError("mining traces planar loci; dimension must be 2")
     fail_margin = 100.0 * tol
+    prog = get_program(ast)
     root = SplitMix64(cfg.seed)
     half = (cfg.count + 1) // 2
     w_ab, used_ab, disc_ab = _search_direction(
-        ast, rel_a, rel_b, root.substream(1), half, tol, fail_margin)
+        prog, rel_a, rel_b, root.substream(1), half, tol, fail_margin)
     w_ba, used_ba, disc_ba = _search_direction(
-        ast, rel_b, rel_a, root.substream(2), cfg.count - used_ab, tol, fail_margin)
+        prog, rel_b, rel_a, root.substream(2), cfg.count - used_ab, tol, fail_margin)
     return IncomparabilityReport(
         rel_a, rel_b, w_ab, w_ba, cfg.seed, cfg.count,
         used_ab + used_ba, disc_ab + disc_ba,

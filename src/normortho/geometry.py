@@ -9,18 +9,18 @@ asymmetry of rho_ab, and quartic-identity violations.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
-from .derivs import AlphaBeta, rho_ab, rho_pair
+from .derivs import AlphaBeta, _rho_ab, _rho_pair
 from .errors import EngineError, ZeroVectorError
 from .kernels import get_program
 from .normast import NormAst
 from .space import (
     SampleConfig,
     Vector,
-    as_vector,
-    _check_dim,
+    _vectors,
     corner_vectors,
     random_vector,
 )
@@ -77,19 +77,9 @@ class ExtremeEstimate:
     unbounded: bool = False
 
 
-def angle_ab(ast: NormAst, u, v, ab: AlphaBeta) -> AngleResult:
-    """The rho_ab angle between nonzero u and v, in [0, pi].
-
-    The argument rho_ab(u,v)/((alpha+beta) norm(u) norm(v)) lies in
-    [-1, 1] mathematically; values beyond the 1e-9 roundoff band raise
-    EngineError since they can only come from a defective derivative.
-    """
-    uu = as_vector(u)
-    vv = as_vector(v)
-    _check_dim(ast, uu, vv)
-    prog = get_program(ast)
-    val, dp, dm = prog.derivs(uu, vv)
-    nv = prog.value(vv)
+def _angle(prog, u: Vector, v: Vector, ab: AlphaBeta) -> AngleResult:
+    val, dp, dm = prog.derivs(u, v)
+    nv = prog.value(v)
     if val == 0.0 or nv == 0.0:
         raise ZeroVectorError("angle needs nonzero u and v")
     r_ab = ab.alpha * (val * dm) + ab.beta * (val * dp)
@@ -98,6 +88,17 @@ def angle_ab(ast: NormAst, u, v, ab: AlphaBeta) -> AngleResult:
         raise EngineError(f"cosine argument {raw!r} is out of range beyond roundoff")
     clamped = min(1.0, max(-1.0, raw))
     return AngleResult(math.acos(clamped), raw)
+
+
+def angle_ab(ast: NormAst, u, v, ab: AlphaBeta) -> AngleResult:
+    """The rho_ab angle between nonzero u and v, in [0, pi].
+
+    The argument rho_ab(u,v)/((alpha+beta) norm(u) norm(v)) lies in
+    [-1, 1] mathematically; values beyond the 1e-9 roundoff band raise
+    EngineError since they can only come from a defective derivative.
+    """
+    uu, vv = _vectors(ast, u, v)
+    return _angle(get_program(ast), uu, vv, ab)
 
 
 def angle_homogeneity_check(ast: NormAst, u, v, a: float, b: float,
@@ -110,14 +111,14 @@ def angle_homogeneity_check(ast: NormAst, u, v, a: float, b: float,
     """
     if a == 0.0 or b == 0.0:
         raise ValueError("scale factors must be nonzero")
-    uu = as_vector(u)
-    vv = as_vector(v)
+    uu, vv = _vectors(ast, u, v)
+    prog = get_program(ast)
     scaled_u = tuple(a * c for c in uu)
     scaled_v = tuple(b * c for c in vv)
-    lhs = angle_ab(ast, scaled_u, scaled_v, ab).theta
+    lhs = _angle(prog, scaled_u, scaled_v, ab).theta
     if a * b > 0.0:
-        return abs(lhs - angle_ab(ast, uu, vv, ab).theta)
-    return abs(lhs - (math.pi - angle_ab(ast, uu, vv, ab.swapped).theta))
+        return abs(lhs - _angle(prog, uu, vv, ab).theta)
+    return abs(lhs - (math.pi - _angle(prog, uu, vv, ab.swapped).theta))
 
 
 def _nonzero_vector(rng: SplitMix64, prog, dim: int, scale: float) -> Vector:
@@ -142,6 +143,7 @@ def angular_constant(ast1: NormAst, ast2: NormAst, ab: AlphaBeta,
     if ast1.dim != ast2.dim:
         raise ValueError("both norms must share the ambient dimension")
     prog1 = get_program(ast1)
+    prog2 = get_program(ast2)
     rng = SplitMix64(cfg.seed)
     dim = ast1.dim
     best = 0.0
@@ -152,8 +154,8 @@ def angular_constant(ast1: NormAst, ast2: NormAst, ab: AlphaBeta,
         u = _nonzero_vector(rng, prog1, dim, cfg.scale)
         v = _nonzero_vector(rng, prog1, dim, cfg.scale)
         used += 1
-        t1 = angle_ab(ast1, u, v, ab).theta
-        t2 = angle_ab(ast2, u, v, ab).theta
+        t1 = _angle(prog1, u, v, ab).theta
+        t2 = _angle(prog2, u, v, ab).theta
         if t1 < 1e-9:
             if t2 >= 1e-6:
                 return ExtremeEstimate(math.inf, u, v, used, skipped, unbounded=True)
@@ -172,11 +174,15 @@ def angular_constant(ast1: NormAst, ast2: NormAst, ab: AlphaBeta,
     return ExtremeEstimate(best, wu, wv, used, skipped)
 
 
-def _corner_pairs(dim: int):
+def _probe_pairs(prog, dim: int, cfg: SampleConfig):
+    """cfg.count pairs: every ordered pair of corner vectors, then random
+    pairs of nonzero vectors."""
     corners = corner_vectors(dim)
-    for u in corners:
-        for v in corners:
-            yield u, v
+    yield from itertools.islice(itertools.product(corners, repeat=2), cfg.count)
+    rng = SplitMix64(cfg.seed)
+    for _ in range(cfg.count - len(corners) ** 2):
+        u = _nonzero_vector(rng, prog, dim, cfg.scale)
+        yield u, _nonzero_vector(rng, prog, dim, cfg.scale)
 
 
 def smoothness_probe(ast: NormAst, cfg: SampleConfig) -> ProbeReport:
@@ -188,32 +194,12 @@ def smoothness_probe(ast: NormAst, cfg: SampleConfig) -> ProbeReport:
     rho_+ - rho_- > 1e-7 norm(u) norm(v).
     """
     prog = get_program(ast)
-    rng = SplitMix64(cfg.seed)
-    dim = ast.dim
-    used = 0
-
-    def check(u: Vector, v: Vector):
-        rm, rp = rho_pair(ast, u, v)
+    for used, (u, v) in enumerate(_probe_pairs(prog, ast.dim, cfg), 1):
+        rm, rp = _rho_pair(prog, u, v)
         gap = rp - rm
         if gap > 1e-7 * prog.value(u) * prog.value(v):
-            return gap
-        return None
-
-    for u, v in _corner_pairs(dim):
-        if used >= cfg.count:
-            break
-        used += 1
-        gap = check(u, v)
-        if gap is not None:
             return ProbeReport("witness-found", u, v, gap, used)
-    while used < cfg.count:
-        u = _nonzero_vector(rng, prog, dim, cfg.scale)
-        v = _nonzero_vector(rng, prog, dim, cfg.scale)
-        used += 1
-        gap = check(u, v)
-        if gap is not None:
-            return ProbeReport("witness-found", u, v, gap, used)
-    return ProbeReport("pass", None, None, None, used)
+    return ProbeReport("pass", None, None, None, cfg.count)
 
 
 def strict_convexity_probe(ast: NormAst, cfg: SampleConfig,
@@ -274,26 +260,26 @@ def quartic_identity_residual(ast: NormAst, u, v, ab: AlphaBeta) -> float:
     which holds for all u, v exactly when the norm is induced by an inner
     product.  Returns left side minus right side.
     """
-    uu = as_vector(u)
-    vv = as_vector(v)
-    _check_dim(ast, uu, vv)
+    uu, vv = _vectors(ast, u, v)
     prog = get_program(ast)
     plus = prog.value(tuple(a + b for a, b in zip(uu, vv)))
     minus = prog.value(tuple(a - b for a, b in zip(uu, vv)))
     nu = prog.value(uu)
     nv = prog.value(vv)
     lhs = ab.total * (plus**4 - minus**4)
-    rhs = 8.0 * (nu * nu * rho_ab(ast, uu, vv, ab) + nv * nv * rho_ab(ast, vv, uu, ab))
+    rhs = 8.0 * (nu * nu * _rho_ab(prog, uu, vv, ab) + nv * nv * _rho_ab(prog, vv, uu, ab))
     return lhs - rhs
+
+
+def _symmetry(prog, u: Vector, v: Vector, ab: AlphaBeta) -> float:
+    return _rho_ab(prog, u, v, ab) - _rho_ab(prog, v, u, ab)
 
 
 def symmetry_residual(ast: NormAst, u, v, ab: AlphaBeta) -> float:
     """rho_ab(u, v) - rho_ab(v, u); identically zero iff the norm comes
     from an inner product."""
-    uu = as_vector(u)
-    vv = as_vector(v)
-    _check_dim(ast, uu, vv)
-    return rho_ab(ast, uu, vv, ab) - rho_ab(ast, vv, uu, ab)
+    uu, vv = _vectors(ast, u, v)
+    return _symmetry(get_program(ast), uu, vv, ab)
 
 
 def symmetry_search(ast: NormAst, ab: AlphaBeta, cfg: SampleConfig,
@@ -304,32 +290,16 @@ def symmetry_search(ast: NormAst, ab: AlphaBeta, cfg: SampleConfig,
     "witness-found" when it exceeds threshold.
     """
     prog = get_program(ast)
-    rng = SplitMix64(cfg.seed)
-    dim = ast.dim
-    used = 0
     worst = 0.0
     witness: tuple[Vector, Vector] | None = None
-
-    def consider(u: Vector, v: Vector):
-        nonlocal worst, witness
-        res = abs(symmetry_residual(ast, u, v, ab))
+    for u, v in _probe_pairs(prog, ast.dim, cfg):
+        res = abs(_symmetry(prog, u, v, ab))
         if res > worst:
             worst = res
             witness = (u, v)
-
-    for u, v in _corner_pairs(dim):
-        if used >= cfg.count:
-            break
-        used += 1
-        consider(u, v)
-    while used < cfg.count:
-        u = _nonzero_vector(rng, prog, dim, cfg.scale)
-        v = _nonzero_vector(rng, prog, dim, cfg.scale)
-        used += 1
-        consider(u, v)
     if worst > threshold:
-        return ProbeReport("witness-found", witness[0], witness[1], worst, used)
-    return ProbeReport("pass", None, None, worst, used)
+        return ProbeReport("witness-found", witness[0], witness[1], worst, cfg.count)
+    return ProbeReport("pass", None, None, worst, cfg.count)
 
 
 def norm_equiv_constant(ast1: NormAst, ast2: NormAst, ab: AlphaBeta,
@@ -353,7 +323,7 @@ def norm_equiv_constant(ast1: NormAst, ast2: NormAst, ab: AlphaBeta,
         if denom < 1e-12:
             skipped += 1
             continue
-        gap = abs(rho_ab(ast1, u, v, ab) - rho_ab(ast2, u, v, ab))
+        gap = abs(_rho_ab(prog1, u, v, ab) - _rho_ab(prog2, u, v, ab))
         ratio = gap / denom
         if ratio > best:
             best = ratio

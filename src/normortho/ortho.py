@@ -12,11 +12,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .derivs import AlphaBeta, Lambda, rho_pair, sip
+from .derivs import AlphaBeta, Lambda, _rho_pair, _sip
 from .errors import DimensionMismatchError, ZeroVectorError
 from .kernels import get_program
 from .normast import NormAst
-from .space import Vector, as_vector, _check_dim
+from .space import Vector, _vectors
 
 __all__ = [
     "RELATION_TAGS",
@@ -83,28 +83,18 @@ class LocusPoint:
     is_zero_crossing: bool
 
 
-def relation_residual(rel: Relation, ast: NormAst, u: Vector, v: Vector) -> float:
-    """The defining quantity of the relation; zero (or <= 0 for Birkhoff)
-    means the relation holds.
-
-    Per tag: birkhoff -> max(rho_-, -rho_+); rho family -> the functional
-    value; isosceles -> norm(u+v) - norm(u-v); pythagorean ->
-    norm(u-v)^2 - norm(u)^2 - norm(v)^2; semi -> [v, u] (raises at
-    non-smooth points).
-    """
+def _residual(rel: Relation, prog, u: Vector, v: Vector) -> float:
     tag = rel.tag
     if tag == "isosceles":
-        prog = get_program(ast)
         plus = prog.value(tuple(a + b for a, b in zip(u, v)))
         minus = prog.value(tuple(a - b for a, b in zip(u, v)))
         return plus - minus
     if tag == "pythagorean":
-        prog = get_program(ast)
         diff = prog.value(tuple(a - b for a, b in zip(u, v)))
         return diff * diff - (prog.value(u) ** 2 + prog.value(v) ** 2)
     if tag == "semi":
-        return sip(ast, v, u)
-    rm, rp = rho_pair(ast, u, v)
+        return _sip(prog, v, u)
+    rm, rp = _rho_pair(prog, u, v)
     if tag == "birkhoff":
         return max(rm, -rp)
     if tag == "rho_plus":
@@ -120,17 +110,21 @@ def relation_residual(rel: Relation, ast: NormAst, u: Vector, v: Vector) -> floa
     return rel.ab.alpha * rm + rel.ab.beta * rp
 
 
-def is_orthogonal(rel: Relation, ast: NormAst, u, v, tol: float = 1e-9) -> OrthoVerdict:
-    """Decide the relation at tolerance tol.
+def relation_residual(rel: Relation, ast: NormAst, u, v) -> float:
+    """The defining quantity of the relation; zero (or <= 0 for Birkhoff)
+    means the relation holds.
 
-    Equational relations hold when |residual| <= tol; Birkhoff holds when
-    the one-sided chain rho_- <= tol and rho_+ >= -tol does, i.e. when
-    its residual max(rho_-, -rho_+) <= tol.
+    Per tag: birkhoff -> max(rho_-, -rho_+); rho family -> the functional
+    value; isosceles -> norm(u+v) - norm(u-v); pythagorean ->
+    norm(u-v)^2 - norm(u)^2 - norm(v)^2; semi -> [v, u] (raises at
+    non-smooth points).
     """
-    uu = as_vector(u)
-    vv = as_vector(v)
-    _check_dim(ast, uu, vv)
-    residual = relation_residual(rel, ast, uu, vv)
+    uu, vv = _vectors(ast, u, v)
+    return _residual(rel, get_program(ast), uu, vv)
+
+
+def _verdict(rel: Relation, prog, u: Vector, v: Vector, tol: float) -> OrthoVerdict:
+    residual = _residual(rel, prog, u, v)
     if rel.tag == "birkhoff":
         holds = residual <= tol
     else:
@@ -138,26 +132,69 @@ def is_orthogonal(rel: Relation, ast: NormAst, u, v, tol: float = 1e-9) -> Ortho
     return OrthoVerdict(holds, residual, tol)
 
 
-def _golden_min(f, lo: float, hi: float, iters: int) -> float:
-    """Minimum value of a unimodal f over [lo, hi]."""
+def is_orthogonal(rel: Relation, ast: NormAst, u, v, tol: float = 1e-9) -> OrthoVerdict:
+    """Decide the relation at tolerance tol.
+
+    Equational relations hold when |residual| <= tol; Birkhoff holds when
+    the one-sided chain rho_- <= tol and rho_+ >= -tol does, i.e. when
+    its residual max(rho_-, -rho_+) <= tol.
+    """
+    uu, vv = _vectors(ast, u, v)
+    return _verdict(rel, get_program(ast), uu, vv, tol)
+
+
+def _golden_min(f, lo: float, hi: float, iters: int) -> tuple[float, float]:
+    """(argmin, min) of f over [lo, hi] for unimodal f; tracks the best
+    evaluated point so the result is a valid upper bound regardless."""
     a, b = lo, hi
     h = b - a
     c = b - _INVPHI * h
     d = a + _INVPHI * h
     fc = f(c)
     fd = f(d)
+    best_x, best_f = (c, fc) if fc <= fd else (d, fd)
     for _ in range(iters):
         if fc < fd:
             b, d, fd = d, c, fc
             h = b - a
             c = b - _INVPHI * h
             fc = f(c)
+            if fc < best_f:
+                best_x, best_f = c, fc
         else:
             a, c, fc = c, d, fd
             h = b - a
             d = a + _INVPHI * h
             fd = f(d)
-    return fc if fc < fd else fd
+            if fd < best_f:
+                best_x, best_f = d, fd
+    return best_x, best_f
+
+
+def _bisect_crossing(f, lo: float, f_lo: float, hi: float, width: float) -> float:
+    """A point within width of a sign change of f inside [lo, hi].
+
+    f(lo) = f_lo and f(hi) must not share a strict sign; an exact zero at a
+    midpoint ends the search there.
+    """
+    while hi - lo > width:
+        mid = 0.5 * (lo + hi)
+        f_mid = f(mid)
+        if f_mid == 0.0:
+            return mid
+        if (f_mid > 0.0) == (f_lo > 0.0):
+            lo, f_lo = mid, f_mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _circle_point(prog, theta: float) -> Vector:
+    """(cos theta, sin theta) scaled onto the unit sphere of the norm."""
+    d0 = math.cos(theta)
+    d1 = math.sin(theta)
+    r = prog.value((d0, d1))
+    return (d0 / r, d1 / r)
 
 
 def birkhoff_oracle(ast: NormAst, u, v, tol: float = 1e-9, iters: int = 200) -> OrthoVerdict:
@@ -169,9 +206,7 @@ def birkhoff_oracle(ast: NormAst, u, v, tol: float = 1e-9, iters: int = 200) -> 
     the bracket T = 4 norm(u)/norm(v) is rigorous with slack.  Holds iff
     min_t norm(u + t v) >= norm(u) - tol.
     """
-    uu = as_vector(u)
-    vv = as_vector(v)
-    _check_dim(ast, uu, vv)
+    uu, vv = _vectors(ast, u, v)
     prog = get_program(ast)
     nu = prog.value(uu)
     nv = prog.value(vv)
@@ -179,9 +214,19 @@ def birkhoff_oracle(ast: NormAst, u, v, tol: float = 1e-9, iters: int = 200) -> 
         raise ZeroVectorError("birkhoff oracle needs nonzero u and v")
     phi = prog.line_evaluator(uu, vv)
     big_t = 4.0 * nu / nv
-    lowest = _golden_min(phi, -big_t, big_t, iters)
+    _, lowest = _golden_min(phi, -big_t, big_t, iters)
     residual = nu - lowest
     return OrthoVerdict(residual <= tol, residual, tol)
+
+
+def _orthogonalize(prog, u: Vector, v: Vector, ab: AlphaBeta) -> tuple[float, Vector]:
+    val, dp, dm = prog.derivs(u, v)
+    if val == 0.0:
+        raise ZeroVectorError("orthogonalizer needs a nonzero u")
+    r_ab = ab.alpha * (val * dm) + ab.beta * (val * dp)
+    s = -r_ab / (ab.total * val * val)
+    w = tuple(s * a + b for a, b in zip(u, v))
+    return s, w
 
 
 def ab_orthogonalizer(ast: NormAst, u, v, ab: AlphaBeta) -> tuple[float, Vector]:
@@ -192,16 +237,8 @@ def ab_orthogonalizer(ast: NormAst, u, v, ab: AlphaBeta) -> tuple[float, Vector]
 
         s = -rho_ab(u, v) / ((alpha+beta) norm(u)^2)
     """
-    uu = as_vector(u)
-    vv = as_vector(v)
-    _check_dim(ast, uu, vv)
-    val, dp, dm = get_program(ast).derivs(uu, vv)
-    if val == 0.0:
-        raise ZeroVectorError("orthogonalizer needs a nonzero u")
-    r_ab = ab.alpha * (val * dm) + ab.beta * (val * dp)
-    s = -r_ab / (ab.total * val * val)
-    w = tuple(s * a + b for a, b in zip(uu, vv))
-    return s, w
+    uu, vv = _vectors(ast, u, v)
+    return _orthogonalize(get_program(ast), uu, vv, ab)
 
 
 def birkhoff_t_interval(ast: NormAst, u, v) -> tuple[float, float]:
@@ -212,21 +249,12 @@ def birkhoff_t_interval(ast: NormAst, u, v) -> tuple[float, float]:
     t in [-rho_+(u,v)/norm(u)^2, -rho_-(u,v)/norm(u)^2]; nonempty since
     rho_- <= rho_+.
     """
-    uu = as_vector(u)
-    vv = as_vector(v)
-    _check_dim(ast, uu, vv)
+    uu, vv = _vectors(ast, u, v)
     val, dp, dm = get_program(ast).derivs(uu, vv)
     if val == 0.0:
         raise ZeroVectorError("interval needs a nonzero u")
     nsq = val * val
     return (-(val * dp) / nsq, -(val * dm) / nsq)
-
-
-def _unit_direction(prog, theta: float) -> tuple[float, float]:
-    d0 = math.cos(theta)
-    d1 = math.sin(theta)
-    r = prog.value((d0, d1))
-    return (d0 / r, d1 / r)
 
 
 def ortho_locus(ast: NormAst, u, rel: Relation, resolution: int = 720) -> list[LocusPoint]:
@@ -243,37 +271,28 @@ def ortho_locus(ast: NormAst, u, rel: Relation, resolution: int = 720) -> list[L
         raise DimensionMismatchError("locus tracing is defined for 2-dimensional spaces only")
     if resolution < 8:
         raise ValueError(f"resolution must be >= 8, got {resolution}")
-    uu = as_vector(u)
-    _check_dim(ast, uu)
+    (uu,) = _vectors(ast, u)
     prog = get_program(ast)
     if prog.value(uu) == 0.0:
         raise ZeroVectorError("locus needs a nonzero base vector")
 
-    def residual_at(theta: float) -> tuple[float, float, float]:
-        x = _unit_direction(prog, theta)
-        return x[0], x[1], relation_residual(rel, ast, uu, x)
+    def residual_at(theta: float) -> float:
+        return _residual(rel, prog, uu, _circle_point(prog, theta))
+
+    def point(theta: float, crossing: bool) -> LocusPoint:
+        x = _circle_point(prog, theta)
+        res = _residual(rel, prog, uu, x)
+        return LocusPoint(theta, x[0], x[1], res, crossing or res == 0.0)
 
     step = 2.0 * math.pi / resolution
-    samples = [residual_at(j * step) for j in range(resolution)]
+    samples = [point(j * step, False) for j in range(resolution)]
     points: list[LocusPoint] = []
-    for j in range(resolution):
-        x, y, res = samples[j]
-        theta = j * step
-        points.append(LocusPoint(theta, x, y, res, res == 0.0))
-        nxt = samples[(j + 1) % resolution]
-        if res == 0.0 or nxt[2] == 0.0 or (res > 0.0) == (nxt[2] > 0.0):
+    for j, p in enumerate(samples):
+        points.append(p)
+        res = p.residual
+        nxt = samples[(j + 1) % resolution].residual
+        if res == 0.0 or nxt == 0.0 or (res > 0.0) == (nxt > 0.0):
             continue
-        lo, f_lo = theta, res
-        hi = theta + step
-        while hi - lo > 1e-10:
-            mid = 0.5 * (lo + hi)
-            fx, fy, f_mid = residual_at(mid)
-            if f_mid == 0.0 or (f_mid > 0.0) == (f_lo > 0.0):
-                lo, f_lo = mid, f_mid
-            else:
-                hi = mid
-            if f_mid == 0.0:
-                lo = hi = mid
-        zx, zy, zres = residual_at(0.5 * (lo + hi))
-        points.append(LocusPoint(0.5 * (lo + hi), zx, zy, zres, True))
+        theta = _bisect_crossing(residual_at, p.theta, res, p.theta + step, 1e-10)
+        points.append(point(theta, True))
     return points

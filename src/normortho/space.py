@@ -67,33 +67,37 @@ def as_vector(coords) -> Vector:
     Rejects NaN and infinite entries; anything convertible to float is
     accepted.
     """
-    vec = tuple(float(c) for c in coords)
+    vec = tuple(map(float, coords))
     for c in vec:
         if not math.isfinite(c):
             raise ValueError(f"vector coordinates must be finite, got {c!r}")
     return vec
 
 
-def _check_dim(ast: NormAst, *vectors: Vector) -> None:
-    for vec in vectors:
+def _vectors(ast: NormAst, *coords) -> tuple[Vector, ...]:
+    """as_vector of each argument, checked against the norm's dimension.
+
+    Public entries call this once; the loops behind them run on the
+    returned tuples without validating again.
+    """
+    vecs = tuple(map(as_vector, coords))
+    for vec in vecs:
         if len(vec) != ast.dim:
             raise DimensionMismatchError(
                 f"norm consumes {ast.dim} coordinates but vector has {len(vec)}"
             )
+    return vecs
 
 
 def eval_norm(ast: NormAst, u) -> float:
     """The norm of u under the given expression."""
-    vec = as_vector(u)
-    _check_dim(ast, vec)
+    (vec,) = _vectors(ast, u)
     return get_program(ast).value(vec)
 
 
 def norm_on_line(ast: NormAst, u, v):
     """Callable phi with phi(t) = norm(u + t v), cheap to call repeatedly."""
-    uu = as_vector(u)
-    vv = as_vector(v)
-    _check_dim(ast, uu, vv)
+    uu, vv = _vectors(ast, u, v)
     return get_program(ast).line_evaluator(uu, vv)
 
 

@@ -1,6 +1,7 @@
 """Agreement and selection tests for the two evaluation backends."""
 
 import os
+import re
 import subprocess
 import sys
 
@@ -111,3 +112,46 @@ def test_pure_python_results_reachable_through_api():
     )
     want = 2.0 ** (-1.0 / 3.0)
     assert abs(float(out.stdout.strip()) - want) < 1e-12
+
+
+BACKENDS = [_kernels_py] + ([_kernels] if _kernels is not None else [])
+
+
+@pytest.mark.parametrize("backend", BACKENDS, ids=lambda m: m.__name__.rsplit(".", 1)[1])
+@pytest.mark.parametrize("family", ["max(l1, scale(0.5, l2))", "max(lp(3), linf)"])
+def test_max_derivative_is_scale_free(backend, family):
+    # D+- of a norm is homogeneous of degree 0 in u, so a max node must
+    # call a tie on the relative gap of its children at every magnitude.
+    prog = backend.Program(*compile_ast(parse_norm(family, 2)))
+    u, v = (1.0, 0.2), (0.0, 1.0)
+    _, dp1, dm1 = prog.derivs(u, v)
+    for s in (1e-300, 1e-13, 1.0, 1e300):
+        _, dp, dm = prog.derivs((s * u[0], s * u[1]), v)
+        assert abs(dp - dp1) <= 1e-12 * abs(dp1), (s, dp, dp1)
+        assert abs(dm - dm1) <= 1e-12 * abs(dm1), (s, dm, dm1)
+
+
+_MARKER = "             # <<<<<<<<<<<<<<"
+
+
+def test_generated_c_quotes_current_pyx():
+    # Cython heads every block of _kernels.c with the .pyx line it came
+    # from; a hand edit of one file without the other breaks the match.
+    here = os.path.join(os.path.dirname(__file__), os.pardir, "src", "normortho")
+    with open(os.path.join(here, "_kernels.pyx"), encoding="utf-8") as fh:
+        pyx = fh.read().splitlines()
+    with open(os.path.join(here, "_kernels.c"), encoding="utf-8") as fh:
+        c_lines = fh.read().splitlines()
+    header = re.compile(r'\s*/\* "normortho/_kernels\.pyx":(\d+)$')
+    blocks = 0
+    for i, line in enumerate(c_lines):
+        m = header.match(line)
+        if m is None:
+            continue
+        blocks += 1
+        end = c_lines.index("*/", i)
+        marked = [q for q in c_lines[i + 1:end] if q.endswith(_MARKER)]
+        assert len(marked) == 1, f"_kernels.c:{i + 1}: expected one marked line"
+        quoted = marked[0][len(" * "):-len(_MARKER)]
+        assert quoted == pyx[int(m.group(1)) - 1], f"_kernels.c:{i + 1} is out of sync"
+    assert blocks > 400

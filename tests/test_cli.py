@@ -93,12 +93,12 @@ class TestExitCodes:
         )
         assert code == 2
 
-    def test_threads_reserved_flag_validated(self, capsys):
-        code, _, _ = _run(
-            capsys, "rho", "--norm", "l2", "--u", "1,0", "--v", "0,1",
-            "--threads", "0",
-        )
-        assert code == 2
+    def test_removed_flags_are_usage_errors(self, capsys):
+        for flag in (("--threads", "1"), ("--w", "1,0")):
+            code, _, _ = _run(
+                capsys, "rho", "--norm", "l2", "--u", "1,0", "--v", "0,1", *flag,
+            )
+            assert code == 2, flag
 
 
 class TestRhoCommand:
@@ -410,6 +410,16 @@ class TestEntryPoint:
             text=True,
         )
         assert out.returncode == 0
+
+    def test_module_entry_point(self):
+        out = subprocess.run(
+            [sys.executable, "-m", "normortho", "rho", "--norm", "l2", "--u", "1,0", "--v", "0,1"],
+            capture_output=True,
+            text=True,
+        )
+        assert out.returncode == 0, out.stderr
+        got = json.loads(out.stdout)
+        assert (got["rho_minus"], got["rho_plus"], got["rho"]) == (0.0, 0.0, 0.0)
 
     def test_installed_script(self):
         out = subprocess.run(

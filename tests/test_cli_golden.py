@@ -1,0 +1,21 @@
+"""Fixed-seed CLI golden corpus: every command's exit code and stdout bytes.
+
+Any entry that moves is a change in what users see; make_cli_golden.py
+says how to regenerate cli_golden.jsonl when such a change is intended.
+"""
+
+import json
+import os
+
+from make_cli_golden import run_one
+
+_CORPUS = os.path.join(os.path.dirname(__file__), "cli_golden.jsonl")
+
+
+def test_cli_output_matches_golden_corpus():
+    with open(_CORPUS, encoding="utf-8") as fh:
+        entries = [json.loads(line) for line in fh]
+    assert len({e["argv"][0] for e in entries}) == 12
+    changed = [e["argv"] for e in entries
+               if run_one(e["argv"]) != (e["exit"], e["stdout_sha256"])]
+    assert not changed, f"{len(changed)} of {len(entries)} commands changed, first: {changed[0]}"

@@ -16,6 +16,7 @@ from normortho import (
     SplitMix64,
     Sum,
     WLp,
+    eval_norm,
     parse_norm,
     print_norm,
 )
@@ -40,6 +41,12 @@ class TestParseExamples:
     def test_weighted_lp(self):
         ast = parse_norm("wlp(2; 1, 4)", 2)
         assert ast == WLp(2.0, (1.0, 4.0))
+
+    def test_weighted_l1(self):
+        ast = parse_norm("wlp(1; 2, 3)", 2)
+        assert ast == WLp(1.0, (2.0, 3.0))
+        for x, y in ((1.5, -2.0), (-0.25, 0.0), (0.0, 7.0)):
+            assert eval_norm(ast, (x, y)) == 2 * abs(x) + 3 * abs(y)
 
     def test_weighted_sup(self):
         ast = parse_norm("wlp(inf; 1, 2)", 2)

@@ -1,15 +1,5 @@
 from setuptools import Extension, setup
 
-try:
-    from Cython.Build import cythonize
-
-    extensions = cythonize(
-        [Extension("normortho._kernels", ["src/normortho/_kernels.pyx"])],
-        compiler_directives={"language_level": "3"},
-    )
-except ImportError:
-    # No Cython at build time: ship pure Python, the fallback backend is
-    # selected at import.
-    extensions = []
-
-setup(ext_modules=extensions)
+# The committed C is generated from _kernels.pyx by Cython 3.2.8 (see the
+# README); building it needs only a C compiler.
+setup(ext_modules=[Extension("normortho._kernels", ["src/normortho/_kernels.c"])])

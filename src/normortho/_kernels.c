@@ -1530,27 +1530,24 @@ static const char* const __pyx_f[] = {
 struct __pyx_obj_9normortho_8_kernels_Program;
 struct __pyx_obj_9normortho_8_kernels_LineEvaluator;
 
-/* "normortho/_kernels.pyx":12
+/* "normortho/_kernels.pyx":14
  * from libc.stdlib cimport malloc, free
  * 
  * cdef enum:             # <<<<<<<<<<<<<<
- *     K_L1 = 0
- *     K_L2 = 1
+ *     K_L2 = 0
+ *     K_WLP1 = 1
 */
 enum  {
-  __pyx_e_9normortho_8_kernels_K_L1 = 0,
-  __pyx_e_9normortho_8_kernels_K_L2 = 1,
-  __pyx_e_9normortho_8_kernels_K_LINF = 2,
-  __pyx_e_9normortho_8_kernels_K_LP = 3,
-  __pyx_e_9normortho_8_kernels_K_WLP1 = 4,
-  __pyx_e_9normortho_8_kernels_K_WLPINF = 5,
-  __pyx_e_9normortho_8_kernels_K_WLPP = 6,
-  __pyx_e_9normortho_8_kernels_K_MAX = 7,
-  __pyx_e_9normortho_8_kernels_K_SUM = 8,
-  __pyx_e_9normortho_8_kernels_K_SCALE = 9
+  __pyx_e_9normortho_8_kernels_K_L2 = 0,
+  __pyx_e_9normortho_8_kernels_K_WLP1 = 1,
+  __pyx_e_9normortho_8_kernels_K_WLPINF = 2,
+  __pyx_e_9normortho_8_kernels_K_WLPP = 3,
+  __pyx_e_9normortho_8_kernels_K_MAX = 4,
+  __pyx_e_9normortho_8_kernels_K_SUM = 5,
+  __pyx_e_9normortho_8_kernels_K_SCALE = 6
 };
 
-/* "normortho/_kernels.pyx":28
+/* "normortho/_kernels.pyx":27
  * 
  * # per-call buffers live on the stack up to this many slots
  * cdef enum:             # <<<<<<<<<<<<<<
@@ -1561,7 +1558,7 @@ enum  {
   __pyx_e_9normortho_8_kernels_STACK_CAP = 64
 };
 
-/* "normortho/_kernels.pyx":46
+/* "normortho/_kernels.pyx":45
  * 
  * 
  * cdef class Program:             # <<<<<<<<<<<<<<
@@ -1576,14 +1573,13 @@ struct __pyx_obj_9normortho_8_kernels_Program {
   int *kinds;
   double *params;
   int *woff;
-  int *wlen;
   double *weights;
   int *left;
   int *right;
 };
 
 
-/* "normortho/_kernels.pyx":478
+/* "normortho/_kernels.pyx":338
  * 
  * 
  * cdef class LineEvaluator:             # <<<<<<<<<<<<<<
@@ -1602,7 +1598,7 @@ struct __pyx_obj_9normortho_8_kernels_LineEvaluator {
 
 
 
-/* "normortho/_kernels.pyx":46
+/* "normortho/_kernels.pyx":45
  * 
  * 
  * cdef class Program:             # <<<<<<<<<<<<<<
@@ -1613,7 +1609,6 @@ struct __pyx_obj_9normortho_8_kernels_LineEvaluator {
 struct __pyx_vtabstruct_9normortho_8_kernels_Program {
   double (*_value)(struct __pyx_obj_9normortho_8_kernels_Program *, double *, double *);
   void (*_derivs)(struct __pyx_obj_9normortho_8_kernels_Program *, double *, double *, double *, double *, double *);
-  double (*_leaf_norm)(struct __pyx_obj_9normortho_8_kernels_Program *, int, int, double *);
 };
 static struct __pyx_vtabstruct_9normortho_8_kernels_Program *__pyx_vtabptr_9normortho_8_kernels_Program;
 /* #### Code section: utility_code_proto ### */
@@ -2449,7 +2444,6 @@ static int __Pyx_State_RemoveModule(void*);
 
 static double __pyx_f_9normortho_8_kernels_7Program__value(struct __pyx_obj_9normortho_8_kernels_Program *__pyx_v_self, double *__pyx_v_u, double *__pyx_v_vals); /* proto*/
 static void __pyx_f_9normortho_8_kernels_7Program__derivs(struct __pyx_obj_9normortho_8_kernels_Program *__pyx_v_self, double *__pyx_v_u, double *__pyx_v_v, double *__pyx_v_vals, double *__pyx_v_dps, double *__pyx_v_dms); /* proto*/
-static double __pyx_f_9normortho_8_kernels_7Program__leaf_norm(struct __pyx_obj_9normortho_8_kernels_Program *__pyx_v_self, int __pyx_v_i, int __pyx_v_k, double *__pyx_v_x); /* proto*/
 
 /* Module declarations from "libc.math" */
 
@@ -2470,9 +2464,9 @@ int __pyx_module_is_main_normortho___kernels = 0;
 /* Implementation of "normortho._kernels" */
 /* #### Code section: global_var ### */
 /* #### Code section: string_decls ### */
-static const char __pyx_k_Compiled_tape_interpreter_Mirror[] = "Compiled tape interpreter.\n\nMirrors `_kernels_py` instruction for instruction; when touching a formula\nhere, change the pure Python twin identically.  Both use libm pow/sqrt and\nthe same accumulation order, so results agree to rounding.\n";
+static const char __pyx_k_Compiled_tape_interpreter_Mirror[] = "Compiled tape interpreter.\n\nMirrors `_kernels_py` instruction for instruction; when touching a formula\nhere, change the pure Python twin identically.  Both use libm pow/sqrt and\nthe same accumulation order, so results agree to rounding.  The tape has\nfour leaf kinds, l2 and wlp with p = 1, inf or finite p; `_value` holds\nthe only copy of each leaf formula.\n";
 /* #### Code section: decls ### */
-static int __pyx_pf_9normortho_8_kernels_7Program___cinit__(struct __pyx_obj_9normortho_8_kernels_Program *__pyx_v_self, PyObject *__pyx_v_kinds, PyObject *__pyx_v_params, PyObject *__pyx_v_woff, PyObject *__pyx_v_wlen, PyObject *__pyx_v_weights, PyObject *__pyx_v_left, PyObject *__pyx_v_right, PyObject *__pyx_v_dim); /* proto */
+static int __pyx_pf_9normortho_8_kernels_7Program___cinit__(struct __pyx_obj_9normortho_8_kernels_Program *__pyx_v_self, PyObject *__pyx_v_kinds, PyObject *__pyx_v_params, PyObject *__pyx_v_woff, PyObject *__pyx_v_weights, PyObject *__pyx_v_left, PyObject *__pyx_v_right, PyObject *__pyx_v_dim); /* proto */
 static void __pyx_pf_9normortho_8_kernels_7Program_2__dealloc__(struct __pyx_obj_9normortho_8_kernels_Program *__pyx_v_self); /* proto */
 static PyObject *__pyx_pf_9normortho_8_kernels_7Program_4value(struct __pyx_obj_9normortho_8_kernels_Program *__pyx_v_self, PyObject *__pyx_v_u); /* proto */
 static PyObject *__pyx_pf_9normortho_8_kernels_7Program_6derivs(struct __pyx_obj_9normortho_8_kernels_Program *__pyx_v_self, PyObject *__pyx_v_u, PyObject *__pyx_v_v); /* proto */
@@ -2514,7 +2508,7 @@ typedef struct {
   __Pyx_CachedCFunction __pyx_umethod_PyDict_Type_pop;
   __Pyx_CachedCFunction __pyx_umethod_PyDict_Type_values;
   PyObject *__pyx_codeobj_tab[7];
-  PyObject *__pyx_string_tab[83];
+  PyObject *__pyx_string_tab[82];
 /* #### Code section: module_state_contents ### */
 /* CommonTypesMetaclass.module_state_decls */
 PyTypeObject *__pyx_CommonTypesMetaclassType;
@@ -2632,12 +2626,11 @@ static __pyx_mstatetype * const __pyx_mstate_global = &__pyx_mstate_global_stati
 #define __pyx_n_u_values __pyx_string_tab[74]
 #define __pyx_n_u_vbuf __pyx_string_tab[75]
 #define __pyx_n_u_weights __pyx_string_tab[76]
-#define __pyx_n_u_wlen __pyx_string_tab[77]
-#define __pyx_n_u_woff __pyx_string_tab[78]
-#define __pyx_kp_b_iso88591_A_3as_T_A_DAS_Q_4uBa_4s_A_1_at1 __pyx_string_tab[79]
-#define __pyx_kp_b_iso88591_A_3as_T_c_AS_4q_A_1D_7q_1HAS_AV3 __pyx_string_tab[80]
-#define __pyx_kp_b_iso88591_A_3as_T_c_AS_4q_A_1D_7q_1HAS_Q_A __pyx_string_tab[81]
-#define __pyx_kp_b_iso88591_Q __pyx_string_tab[82]
+#define __pyx_n_u_woff __pyx_string_tab[77]
+#define __pyx_kp_b_iso88591_A_3as_T_A_DAS_Q_4uBa_4s_A_1_at1 __pyx_string_tab[78]
+#define __pyx_kp_b_iso88591_A_3as_T_c_AS_4q_A_1D_7q_1HAS_AV3 __pyx_string_tab[79]
+#define __pyx_kp_b_iso88591_A_3as_T_c_AS_4q_A_1D_7q_1HAS_Q_A __pyx_string_tab[80]
+#define __pyx_kp_b_iso88591_Q __pyx_string_tab[81]
 /* #### Code section: module_state_clear ### */
 #if CYTHON_USE_MODULE_STATE
 static CYTHON_SMALL_CODE int __pyx_m_clear(PyObject *m) {
@@ -2657,7 +2650,7 @@ static CYTHON_SMALL_CODE int __pyx_m_clear(PyObject *m) {
   Py_CLEAR(clear_module_state->__pyx_ptype_9normortho_8_kernels_LineEvaluator);
   Py_CLEAR(clear_module_state->__pyx_type_9normortho_8_kernels_LineEvaluator);
   for (int i=0; i<7; ++i) { Py_CLEAR(clear_module_state->__pyx_codeobj_tab[i]); }
-  for (int i=0; i<83; ++i) { Py_CLEAR(clear_module_state->__pyx_string_tab[i]); }
+  for (int i=0; i<82; ++i) { Py_CLEAR(clear_module_state->__pyx_string_tab[i]); }
 /* #### Code section: module_state_clear_contents ### */
 /* CommonTypesMetaclass.module_state_clear */
 Py_CLEAR(clear_module_state->__pyx_CommonTypesMetaclassType);
@@ -2685,7 +2678,7 @@ static CYTHON_SMALL_CODE int __pyx_m_traverse(PyObject *m, visitproc visit, void
   Py_VISIT(traverse_module_state->__pyx_ptype_9normortho_8_kernels_LineEvaluator);
   Py_VISIT(traverse_module_state->__pyx_type_9normortho_8_kernels_LineEvaluator);
   for (int i=0; i<7; ++i) { __Pyx_VISIT_CONST(traverse_module_state->__pyx_codeobj_tab[i]); }
-  for (int i=0; i<83; ++i) { __Pyx_VISIT_CONST(traverse_module_state->__pyx_string_tab[i]); }
+  for (int i=0; i<82; ++i) { __Pyx_VISIT_CONST(traverse_module_state->__pyx_string_tab[i]); }
 /* #### Code section: module_state_traverse_contents ### */
 /* CommonTypesMetaclass.module_state_traverse */
 Py_VISIT(traverse_module_state->__pyx_CommonTypesMetaclassType);
@@ -2699,7 +2692,7 @@ return 0;
 #endif
 /* #### Code section: module_code ### */
 
-/* "normortho/_kernels.pyx":32
+/* "normortho/_kernels.pyx":31
  * 
  * 
  * cdef int* _alloc_int(Py_ssize_t n) except NULL:             # <<<<<<<<<<<<<<
@@ -2716,7 +2709,7 @@ static int *__pyx_f_9normortho_8_kernels__alloc_int(Py_ssize_t __pyx_v_n) {
   const char *__pyx_filename = NULL;
   int __pyx_clineno = 0;
 
-  /* "normortho/_kernels.pyx":33
+  /* "normortho/_kernels.pyx":32
  * 
  * cdef int* _alloc_int(Py_ssize_t n) except NULL:
  *     cdef int* p = <int*> malloc((n if n > 0 else 1) * sizeof(int))             # <<<<<<<<<<<<<<
@@ -2731,7 +2724,7 @@ static int *__pyx_f_9normortho_8_kernels__alloc_int(Py_ssize_t __pyx_v_n) {
   }
   __pyx_v_p = ((int *)malloc((__pyx_t_1 * (sizeof(int)))));
 
-  /* "normortho/_kernels.pyx":34
+  /* "normortho/_kernels.pyx":33
  * cdef int* _alloc_int(Py_ssize_t n) except NULL:
  *     cdef int* p = <int*> malloc((n if n > 0 else 1) * sizeof(int))
  *     if p == NULL:             # <<<<<<<<<<<<<<
@@ -2741,16 +2734,16 @@ static int *__pyx_f_9normortho_8_kernels__alloc_int(Py_ssize_t __pyx_v_n) {
   __pyx_t_2 = (__pyx_v_p == NULL);
   if (unlikely(__pyx_t_2)) {
 
-    /* "normortho/_kernels.pyx":35
+    /* "normortho/_kernels.pyx":34
  *     cdef int* p = <int*> malloc((n if n > 0 else 1) * sizeof(int))
  *     if p == NULL:
  *         raise MemoryError()             # <<<<<<<<<<<<<<
  *     return p
  * 
 */
-    PyErr_NoMemory(); __PYX_ERR(0, 35, __pyx_L1_error)
+    PyErr_NoMemory(); __PYX_ERR(0, 34, __pyx_L1_error)
 
-    /* "normortho/_kernels.pyx":34
+    /* "normortho/_kernels.pyx":33
  * cdef int* _alloc_int(Py_ssize_t n) except NULL:
  *     cdef int* p = <int*> malloc((n if n > 0 else 1) * sizeof(int))
  *     if p == NULL:             # <<<<<<<<<<<<<<
@@ -2759,7 +2752,7 @@ static int *__pyx_f_9normortho_8_kernels__alloc_int(Py_ssize_t __pyx_v_n) {
 */
   }
 
-  /* "normortho/_kernels.pyx":36
+  /* "normortho/_kernels.pyx":35
  *     if p == NULL:
  *         raise MemoryError()
  *     return p             # <<<<<<<<<<<<<<
@@ -2769,7 +2762,7 @@ static int *__pyx_f_9normortho_8_kernels__alloc_int(Py_ssize_t __pyx_v_n) {
   __pyx_r = __pyx_v_p;
   goto __pyx_L0;
 
-  /* "normortho/_kernels.pyx":32
+  /* "normortho/_kernels.pyx":31
  * 
  * 
  * cdef int* _alloc_int(Py_ssize_t n) except NULL:             # <<<<<<<<<<<<<<
@@ -2785,7 +2778,7 @@ static int *__pyx_f_9normortho_8_kernels__alloc_int(Py_ssize_t __pyx_v_n) {
   return __pyx_r;
 }
 
-/* "normortho/_kernels.pyx":39
+/* "normortho/_kernels.pyx":38
  * 
  * 
  * cdef double* _alloc_double(Py_ssize_t n) except NULL:             # <<<<<<<<<<<<<<
@@ -2802,7 +2795,7 @@ static double *__pyx_f_9normortho_8_kernels__alloc_double(Py_ssize_t __pyx_v_n) 
   const char *__pyx_filename = NULL;
   int __pyx_clineno = 0;
 
-  /* "normortho/_kernels.pyx":40
+  /* "normortho/_kernels.pyx":39
  * 
  * cdef double* _alloc_double(Py_ssize_t n) except NULL:
  *     cdef double* p = <double*> malloc((n if n > 0 else 1) * sizeof(double))             # <<<<<<<<<<<<<<
@@ -2817,7 +2810,7 @@ static double *__pyx_f_9normortho_8_kernels__alloc_double(Py_ssize_t __pyx_v_n) 
   }
   __pyx_v_p = ((double *)malloc((__pyx_t_1 * (sizeof(double)))));
 
-  /* "normortho/_kernels.pyx":41
+  /* "normortho/_kernels.pyx":40
  * cdef double* _alloc_double(Py_ssize_t n) except NULL:
  *     cdef double* p = <double*> malloc((n if n > 0 else 1) * sizeof(double))
  *     if p == NULL:             # <<<<<<<<<<<<<<
@@ -2827,16 +2820,16 @@ static double *__pyx_f_9normortho_8_kernels__alloc_double(Py_ssize_t __pyx_v_n) 
   __pyx_t_2 = (__pyx_v_p == NULL);
   if (unlikely(__pyx_t_2)) {
 
-    /* "normortho/_kernels.pyx":42
+    /* "normortho/_kernels.pyx":41
  *     cdef double* p = <double*> malloc((n if n > 0 else 1) * sizeof(double))
  *     if p == NULL:
  *         raise MemoryError()             # <<<<<<<<<<<<<<
  *     return p
  * 
 */
-    PyErr_NoMemory(); __PYX_ERR(0, 42, __pyx_L1_error)
+    PyErr_NoMemory(); __PYX_ERR(0, 41, __pyx_L1_error)
 
-    /* "normortho/_kernels.pyx":41
+    /* "normortho/_kernels.pyx":40
  * cdef double* _alloc_double(Py_ssize_t n) except NULL:
  *     cdef double* p = <double*> malloc((n if n > 0 else 1) * sizeof(double))
  *     if p == NULL:             # <<<<<<<<<<<<<<
@@ -2845,7 +2838,7 @@ static double *__pyx_f_9normortho_8_kernels__alloc_double(Py_ssize_t __pyx_v_n) 
 */
   }
 
-  /* "normortho/_kernels.pyx":43
+  /* "normortho/_kernels.pyx":42
  *     if p == NULL:
  *         raise MemoryError()
  *     return p             # <<<<<<<<<<<<<<
@@ -2855,7 +2848,7 @@ static double *__pyx_f_9normortho_8_kernels__alloc_double(Py_ssize_t __pyx_v_n) 
   __pyx_r = __pyx_v_p;
   goto __pyx_L0;
 
-  /* "normortho/_kernels.pyx":39
+  /* "normortho/_kernels.pyx":38
  * 
  * 
  * cdef double* _alloc_double(Py_ssize_t n) except NULL:             # <<<<<<<<<<<<<<
@@ -2871,10 +2864,10 @@ static double *__pyx_f_9normortho_8_kernels__alloc_double(Py_ssize_t __pyx_v_n) 
   return __pyx_r;
 }
 
-/* "normortho/_kernels.pyx":56
+/* "normortho/_kernels.pyx":54
  *     cdef int* right
  * 
- *     def __cinit__(self, kinds, params, woff, wlen, weights, left, right, dim):             # <<<<<<<<<<<<<<
+ *     def __cinit__(self, kinds, params, woff, weights, left, right, dim):             # <<<<<<<<<<<<<<
  *         cdef Py_ssize_t i
  *         self.n = len(kinds)
 */
@@ -2885,14 +2878,13 @@ static int __pyx_pw_9normortho_8_kernels_7Program_1__cinit__(PyObject *__pyx_v_s
   PyObject *__pyx_v_kinds = 0;
   PyObject *__pyx_v_params = 0;
   PyObject *__pyx_v_woff = 0;
-  PyObject *__pyx_v_wlen = 0;
   PyObject *__pyx_v_weights = 0;
   PyObject *__pyx_v_left = 0;
   PyObject *__pyx_v_right = 0;
   PyObject *__pyx_v_dim = 0;
   CYTHON_UNUSED Py_ssize_t __pyx_nargs;
   CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[8] = {0,0,0,0,0,0,0,0};
+  PyObject* values[7] = {0,0,0,0,0,0,0};
   int __pyx_lineno = 0;
   const char *__pyx_filename = NULL;
   int __pyx_clineno = 0;
@@ -2906,83 +2898,76 @@ static int __pyx_pw_9normortho_8_kernels_7Program_1__cinit__(PyObject *__pyx_v_s
   #endif
   __pyx_kwvalues = __Pyx_KwValues_VARARGS(__pyx_args, __pyx_nargs);
   {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_kinds,&__pyx_mstate_global->__pyx_n_u_params,&__pyx_mstate_global->__pyx_n_u_woff,&__pyx_mstate_global->__pyx_n_u_wlen,&__pyx_mstate_global->__pyx_n_u_weights,&__pyx_mstate_global->__pyx_n_u_left,&__pyx_mstate_global->__pyx_n_u_right,&__pyx_mstate_global->__pyx_n_u_dim,0};
+    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_kinds,&__pyx_mstate_global->__pyx_n_u_params,&__pyx_mstate_global->__pyx_n_u_woff,&__pyx_mstate_global->__pyx_n_u_weights,&__pyx_mstate_global->__pyx_n_u_left,&__pyx_mstate_global->__pyx_n_u_right,&__pyx_mstate_global->__pyx_n_u_dim,0};
     const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_VARARGS(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 56, __pyx_L3_error)
+    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 54, __pyx_L3_error)
     if (__pyx_kwds_len > 0) {
       switch (__pyx_nargs) {
-        case  8:
-        values[7] = __Pyx_ArgRef_VARARGS(__pyx_args, 7);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[7])) __PYX_ERR(0, 56, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
         case  7:
         values[6] = __Pyx_ArgRef_VARARGS(__pyx_args, 6);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[6])) __PYX_ERR(0, 56, __pyx_L3_error)
+        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[6])) __PYX_ERR(0, 54, __pyx_L3_error)
         CYTHON_FALLTHROUGH;
         case  6:
         values[5] = __Pyx_ArgRef_VARARGS(__pyx_args, 5);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[5])) __PYX_ERR(0, 56, __pyx_L3_error)
+        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[5])) __PYX_ERR(0, 54, __pyx_L3_error)
         CYTHON_FALLTHROUGH;
         case  5:
         values[4] = __Pyx_ArgRef_VARARGS(__pyx_args, 4);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[4])) __PYX_ERR(0, 56, __pyx_L3_error)
+        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[4])) __PYX_ERR(0, 54, __pyx_L3_error)
         CYTHON_FALLTHROUGH;
         case  4:
         values[3] = __Pyx_ArgRef_VARARGS(__pyx_args, 3);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[3])) __PYX_ERR(0, 56, __pyx_L3_error)
+        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[3])) __PYX_ERR(0, 54, __pyx_L3_error)
         CYTHON_FALLTHROUGH;
         case  3:
         values[2] = __Pyx_ArgRef_VARARGS(__pyx_args, 2);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 56, __pyx_L3_error)
+        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 54, __pyx_L3_error)
         CYTHON_FALLTHROUGH;
         case  2:
         values[1] = __Pyx_ArgRef_VARARGS(__pyx_args, 1);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 56, __pyx_L3_error)
+        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 54, __pyx_L3_error)
         CYTHON_FALLTHROUGH;
         case  1:
         values[0] = __Pyx_ArgRef_VARARGS(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 56, __pyx_L3_error)
+        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 54, __pyx_L3_error)
         CYTHON_FALLTHROUGH;
         case  0: break;
         default: goto __pyx_L5_argtuple_error;
       }
       const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "__cinit__", 0) < (0)) __PYX_ERR(0, 56, __pyx_L3_error)
-      for (Py_ssize_t i = __pyx_nargs; i < 8; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("__cinit__", 1, 8, 8, i); __PYX_ERR(0, 56, __pyx_L3_error) }
+      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "__cinit__", 0) < (0)) __PYX_ERR(0, 54, __pyx_L3_error)
+      for (Py_ssize_t i = __pyx_nargs; i < 7; i++) {
+        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("__cinit__", 1, 7, 7, i); __PYX_ERR(0, 54, __pyx_L3_error) }
       }
-    } else if (unlikely(__pyx_nargs != 8)) {
+    } else if (unlikely(__pyx_nargs != 7)) {
       goto __pyx_L5_argtuple_error;
     } else {
       values[0] = __Pyx_ArgRef_VARARGS(__pyx_args, 0);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 56, __pyx_L3_error)
+      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 54, __pyx_L3_error)
       values[1] = __Pyx_ArgRef_VARARGS(__pyx_args, 1);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 56, __pyx_L3_error)
+      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 54, __pyx_L3_error)
       values[2] = __Pyx_ArgRef_VARARGS(__pyx_args, 2);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 56, __pyx_L3_error)
+      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 54, __pyx_L3_error)
       values[3] = __Pyx_ArgRef_VARARGS(__pyx_args, 3);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[3])) __PYX_ERR(0, 56, __pyx_L3_error)
+      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[3])) __PYX_ERR(0, 54, __pyx_L3_error)
       values[4] = __Pyx_ArgRef_VARARGS(__pyx_args, 4);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[4])) __PYX_ERR(0, 56, __pyx_L3_error)
+      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[4])) __PYX_ERR(0, 54, __pyx_L3_error)
       values[5] = __Pyx_ArgRef_VARARGS(__pyx_args, 5);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[5])) __PYX_ERR(0, 56, __pyx_L3_error)
+      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[5])) __PYX_ERR(0, 54, __pyx_L3_error)
       values[6] = __Pyx_ArgRef_VARARGS(__pyx_args, 6);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[6])) __PYX_ERR(0, 56, __pyx_L3_error)
-      values[7] = __Pyx_ArgRef_VARARGS(__pyx_args, 7);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[7])) __PYX_ERR(0, 56, __pyx_L3_error)
+      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[6])) __PYX_ERR(0, 54, __pyx_L3_error)
     }
     __pyx_v_kinds = values[0];
     __pyx_v_params = values[1];
     __pyx_v_woff = values[2];
-    __pyx_v_wlen = values[3];
-    __pyx_v_weights = values[4];
-    __pyx_v_left = values[5];
-    __pyx_v_right = values[6];
-    __pyx_v_dim = values[7];
+    __pyx_v_weights = values[3];
+    __pyx_v_left = values[4];
+    __pyx_v_right = values[5];
+    __pyx_v_dim = values[6];
   }
   goto __pyx_L6_skip;
   __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("__cinit__", 1, 8, 8, __pyx_nargs); __PYX_ERR(0, 56, __pyx_L3_error)
+  __Pyx_RaiseArgtupleInvalid("__cinit__", 1, 7, 7, __pyx_nargs); __PYX_ERR(0, 54, __pyx_L3_error)
   __pyx_L6_skip:;
   goto __pyx_L4_argument_unpacking_done;
   __pyx_L3_error:;
@@ -2993,7 +2978,7 @@ static int __pyx_pw_9normortho_8_kernels_7Program_1__cinit__(PyObject *__pyx_v_s
   __Pyx_RefNannyFinishContext();
   return -1;
   __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_pf_9normortho_8_kernels_7Program___cinit__(((struct __pyx_obj_9normortho_8_kernels_Program *)__pyx_v_self), __pyx_v_kinds, __pyx_v_params, __pyx_v_woff, __pyx_v_wlen, __pyx_v_weights, __pyx_v_left, __pyx_v_right, __pyx_v_dim);
+  __pyx_r = __pyx_pf_9normortho_8_kernels_7Program___cinit__(((struct __pyx_obj_9normortho_8_kernels_Program *)__pyx_v_self), __pyx_v_kinds, __pyx_v_params, __pyx_v_woff, __pyx_v_weights, __pyx_v_left, __pyx_v_right, __pyx_v_dim);
 
   /* function exit code */
   for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
@@ -3003,7 +2988,7 @@ static int __pyx_pw_9normortho_8_kernels_7Program_1__cinit__(PyObject *__pyx_v_s
   return __pyx_r;
 }
 
-static int __pyx_pf_9normortho_8_kernels_7Program___cinit__(struct __pyx_obj_9normortho_8_kernels_Program *__pyx_v_self, PyObject *__pyx_v_kinds, PyObject *__pyx_v_params, PyObject *__pyx_v_woff, PyObject *__pyx_v_wlen, PyObject *__pyx_v_weights, PyObject *__pyx_v_left, PyObject *__pyx_v_right, PyObject *__pyx_v_dim) {
+static int __pyx_pf_9normortho_8_kernels_7Program___cinit__(struct __pyx_obj_9normortho_8_kernels_Program *__pyx_v_self, PyObject *__pyx_v_kinds, PyObject *__pyx_v_params, PyObject *__pyx_v_woff, PyObject *__pyx_v_weights, PyObject *__pyx_v_left, PyObject *__pyx_v_right, PyObject *__pyx_v_dim) {
   Py_ssize_t __pyx_v_i;
   int __pyx_r;
   __Pyx_RefNannyDeclarations
@@ -3022,98 +3007,88 @@ static int __pyx_pf_9normortho_8_kernels_7Program___cinit__(struct __pyx_obj_9no
   int __pyx_clineno = 0;
   __Pyx_RefNannySetupContext("__cinit__", 0);
 
-  /* "normortho/_kernels.pyx":58
- *     def __cinit__(self, kinds, params, woff, wlen, weights, left, right, dim):
+  /* "normortho/_kernels.pyx":56
+ *     def __cinit__(self, kinds, params, woff, weights, left, right, dim):
  *         cdef Py_ssize_t i
  *         self.n = len(kinds)             # <<<<<<<<<<<<<<
  *         self.dim = dim
  *         self.kinds = _alloc_int(self.n)
 */
-  __pyx_t_1 = PyObject_Length(__pyx_v_kinds); if (unlikely(__pyx_t_1 == ((Py_ssize_t)-1))) __PYX_ERR(0, 58, __pyx_L1_error)
+  __pyx_t_1 = PyObject_Length(__pyx_v_kinds); if (unlikely(__pyx_t_1 == ((Py_ssize_t)-1))) __PYX_ERR(0, 56, __pyx_L1_error)
   __pyx_v_self->n = __pyx_t_1;
 
-  /* "normortho/_kernels.pyx":59
+  /* "normortho/_kernels.pyx":57
  *         cdef Py_ssize_t i
  *         self.n = len(kinds)
  *         self.dim = dim             # <<<<<<<<<<<<<<
  *         self.kinds = _alloc_int(self.n)
  *         self.params = _alloc_double(self.n)
 */
-  __pyx_t_2 = __Pyx_PyLong_As_int(__pyx_v_dim); if (unlikely((__pyx_t_2 == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 59, __pyx_L1_error)
+  __pyx_t_2 = __Pyx_PyLong_As_int(__pyx_v_dim); if (unlikely((__pyx_t_2 == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 57, __pyx_L1_error)
   __pyx_v_self->dim = __pyx_t_2;
 
-  /* "normortho/_kernels.pyx":60
+  /* "normortho/_kernels.pyx":58
  *         self.n = len(kinds)
  *         self.dim = dim
  *         self.kinds = _alloc_int(self.n)             # <<<<<<<<<<<<<<
  *         self.params = _alloc_double(self.n)
  *         self.woff = _alloc_int(self.n)
 */
-  __pyx_t_3 = __pyx_f_9normortho_8_kernels__alloc_int(__pyx_v_self->n); if (unlikely(__pyx_t_3 == ((void *)NULL))) __PYX_ERR(0, 60, __pyx_L1_error)
+  __pyx_t_3 = __pyx_f_9normortho_8_kernels__alloc_int(__pyx_v_self->n); if (unlikely(__pyx_t_3 == ((void *)NULL))) __PYX_ERR(0, 58, __pyx_L1_error)
   __pyx_v_self->kinds = __pyx_t_3;
 
-  /* "normortho/_kernels.pyx":61
+  /* "normortho/_kernels.pyx":59
  *         self.dim = dim
  *         self.kinds = _alloc_int(self.n)
  *         self.params = _alloc_double(self.n)             # <<<<<<<<<<<<<<
  *         self.woff = _alloc_int(self.n)
- *         self.wlen = _alloc_int(self.n)
+ *         self.weights = _alloc_double(len(weights))
 */
-  __pyx_t_4 = __pyx_f_9normortho_8_kernels__alloc_double(__pyx_v_self->n); if (unlikely(__pyx_t_4 == ((void *)NULL))) __PYX_ERR(0, 61, __pyx_L1_error)
+  __pyx_t_4 = __pyx_f_9normortho_8_kernels__alloc_double(__pyx_v_self->n); if (unlikely(__pyx_t_4 == ((void *)NULL))) __PYX_ERR(0, 59, __pyx_L1_error)
   __pyx_v_self->params = __pyx_t_4;
 
-  /* "normortho/_kernels.pyx":62
+  /* "normortho/_kernels.pyx":60
  *         self.kinds = _alloc_int(self.n)
  *         self.params = _alloc_double(self.n)
  *         self.woff = _alloc_int(self.n)             # <<<<<<<<<<<<<<
- *         self.wlen = _alloc_int(self.n)
- *         self.weights = _alloc_double(len(weights))
-*/
-  __pyx_t_3 = __pyx_f_9normortho_8_kernels__alloc_int(__pyx_v_self->n); if (unlikely(__pyx_t_3 == ((void *)NULL))) __PYX_ERR(0, 62, __pyx_L1_error)
-  __pyx_v_self->woff = __pyx_t_3;
-
-  /* "normortho/_kernels.pyx":63
- *         self.params = _alloc_double(self.n)
- *         self.woff = _alloc_int(self.n)
- *         self.wlen = _alloc_int(self.n)             # <<<<<<<<<<<<<<
  *         self.weights = _alloc_double(len(weights))
  *         self.left = _alloc_int(self.n)
 */
-  __pyx_t_3 = __pyx_f_9normortho_8_kernels__alloc_int(__pyx_v_self->n); if (unlikely(__pyx_t_3 == ((void *)NULL))) __PYX_ERR(0, 63, __pyx_L1_error)
-  __pyx_v_self->wlen = __pyx_t_3;
+  __pyx_t_3 = __pyx_f_9normortho_8_kernels__alloc_int(__pyx_v_self->n); if (unlikely(__pyx_t_3 == ((void *)NULL))) __PYX_ERR(0, 60, __pyx_L1_error)
+  __pyx_v_self->woff = __pyx_t_3;
 
-  /* "normortho/_kernels.pyx":64
+  /* "normortho/_kernels.pyx":61
+ *         self.params = _alloc_double(self.n)
  *         self.woff = _alloc_int(self.n)
- *         self.wlen = _alloc_int(self.n)
  *         self.weights = _alloc_double(len(weights))             # <<<<<<<<<<<<<<
  *         self.left = _alloc_int(self.n)
  *         self.right = _alloc_int(self.n)
 */
-  __pyx_t_1 = PyObject_Length(__pyx_v_weights); if (unlikely(__pyx_t_1 == ((Py_ssize_t)-1))) __PYX_ERR(0, 64, __pyx_L1_error)
-  __pyx_t_4 = __pyx_f_9normortho_8_kernels__alloc_double(__pyx_t_1); if (unlikely(__pyx_t_4 == ((void *)NULL))) __PYX_ERR(0, 64, __pyx_L1_error)
+  __pyx_t_1 = PyObject_Length(__pyx_v_weights); if (unlikely(__pyx_t_1 == ((Py_ssize_t)-1))) __PYX_ERR(0, 61, __pyx_L1_error)
+  __pyx_t_4 = __pyx_f_9normortho_8_kernels__alloc_double(__pyx_t_1); if (unlikely(__pyx_t_4 == ((void *)NULL))) __PYX_ERR(0, 61, __pyx_L1_error)
   __pyx_v_self->weights = __pyx_t_4;
 
-  /* "normortho/_kernels.pyx":65
- *         self.wlen = _alloc_int(self.n)
+  /* "normortho/_kernels.pyx":62
+ *         self.woff = _alloc_int(self.n)
  *         self.weights = _alloc_double(len(weights))
  *         self.left = _alloc_int(self.n)             # <<<<<<<<<<<<<<
  *         self.right = _alloc_int(self.n)
  *         for i in range(self.n):
 */
-  __pyx_t_3 = __pyx_f_9normortho_8_kernels__alloc_int(__pyx_v_self->n); if (unlikely(__pyx_t_3 == ((void *)NULL))) __PYX_ERR(0, 65, __pyx_L1_error)
+  __pyx_t_3 = __pyx_f_9normortho_8_kernels__alloc_int(__pyx_v_self->n); if (unlikely(__pyx_t_3 == ((void *)NULL))) __PYX_ERR(0, 62, __pyx_L1_error)
   __pyx_v_self->left = __pyx_t_3;
 
-  /* "normortho/_kernels.pyx":66
+  /* "normortho/_kernels.pyx":63
  *         self.weights = _alloc_double(len(weights))
  *         self.left = _alloc_int(self.n)
  *         self.right = _alloc_int(self.n)             # <<<<<<<<<<<<<<
  *         for i in range(self.n):
  *             self.kinds[i] = kinds[i]
 */
-  __pyx_t_3 = __pyx_f_9normortho_8_kernels__alloc_int(__pyx_v_self->n); if (unlikely(__pyx_t_3 == ((void *)NULL))) __PYX_ERR(0, 66, __pyx_L1_error)
+  __pyx_t_3 = __pyx_f_9normortho_8_kernels__alloc_int(__pyx_v_self->n); if (unlikely(__pyx_t_3 == ((void *)NULL))) __PYX_ERR(0, 63, __pyx_L1_error)
   __pyx_v_self->right = __pyx_t_3;
 
-  /* "normortho/_kernels.pyx":67
+  /* "normortho/_kernels.pyx":64
  *         self.left = _alloc_int(self.n)
  *         self.right = _alloc_int(self.n)
  *         for i in range(self.n):             # <<<<<<<<<<<<<<
@@ -3125,115 +3100,102 @@ static int __pyx_pf_9normortho_8_kernels_7Program___cinit__(struct __pyx_obj_9no
   for (__pyx_t_1 = 0; __pyx_t_1 < __pyx_t_5; __pyx_t_1+=1) {
     __pyx_v_i = __pyx_t_1;
 
-    /* "normortho/_kernels.pyx":68
+    /* "normortho/_kernels.pyx":65
  *         self.right = _alloc_int(self.n)
  *         for i in range(self.n):
  *             self.kinds[i] = kinds[i]             # <<<<<<<<<<<<<<
  *             self.params[i] = params[i]
  *             self.woff[i] = woff[i]
 */
-    __pyx_t_6 = __Pyx_GetItemInt(__pyx_v_kinds, __pyx_v_i, Py_ssize_t, 1, PyLong_FromSsize_t, 0, 0, 0, 1, __Pyx_ReferenceSharing_FunctionArgument); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 68, __pyx_L1_error)
+    __pyx_t_6 = __Pyx_GetItemInt(__pyx_v_kinds, __pyx_v_i, Py_ssize_t, 1, PyLong_FromSsize_t, 0, 0, 0, 1, __Pyx_ReferenceSharing_FunctionArgument); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 65, __pyx_L1_error)
     __Pyx_GOTREF(__pyx_t_6);
-    __pyx_t_7 = __Pyx_PyLong_As_int(__pyx_t_6); if (unlikely((__pyx_t_7 == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 68, __pyx_L1_error)
+    __pyx_t_7 = __Pyx_PyLong_As_int(__pyx_t_6); if (unlikely((__pyx_t_7 == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 65, __pyx_L1_error)
     __Pyx_DECREF(__pyx_t_6); __pyx_t_6 = 0;
     (__pyx_v_self->kinds[__pyx_v_i]) = __pyx_t_7;
 
-    /* "normortho/_kernels.pyx":69
+    /* "normortho/_kernels.pyx":66
  *         for i in range(self.n):
  *             self.kinds[i] = kinds[i]
  *             self.params[i] = params[i]             # <<<<<<<<<<<<<<
  *             self.woff[i] = woff[i]
- *             self.wlen[i] = wlen[i]
+ *             self.left[i] = left[i]
 */
-    __pyx_t_6 = __Pyx_GetItemInt(__pyx_v_params, __pyx_v_i, Py_ssize_t, 1, PyLong_FromSsize_t, 0, 0, 0, 1, __Pyx_ReferenceSharing_FunctionArgument); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 69, __pyx_L1_error)
+    __pyx_t_6 = __Pyx_GetItemInt(__pyx_v_params, __pyx_v_i, Py_ssize_t, 1, PyLong_FromSsize_t, 0, 0, 0, 1, __Pyx_ReferenceSharing_FunctionArgument); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 66, __pyx_L1_error)
     __Pyx_GOTREF(__pyx_t_6);
-    __pyx_t_8 = __Pyx_PyFloat_AsDouble(__pyx_t_6); if (unlikely((__pyx_t_8 == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 69, __pyx_L1_error)
+    __pyx_t_8 = __Pyx_PyFloat_AsDouble(__pyx_t_6); if (unlikely((__pyx_t_8 == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 66, __pyx_L1_error)
     __Pyx_DECREF(__pyx_t_6); __pyx_t_6 = 0;
     (__pyx_v_self->params[__pyx_v_i]) = __pyx_t_8;
 
-    /* "normortho/_kernels.pyx":70
+    /* "normortho/_kernels.pyx":67
  *             self.kinds[i] = kinds[i]
  *             self.params[i] = params[i]
  *             self.woff[i] = woff[i]             # <<<<<<<<<<<<<<
- *             self.wlen[i] = wlen[i]
- *             self.left[i] = left[i]
-*/
-    __pyx_t_6 = __Pyx_GetItemInt(__pyx_v_woff, __pyx_v_i, Py_ssize_t, 1, PyLong_FromSsize_t, 0, 0, 0, 1, __Pyx_ReferenceSharing_FunctionArgument); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 70, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_6);
-    __pyx_t_7 = __Pyx_PyLong_As_int(__pyx_t_6); if (unlikely((__pyx_t_7 == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 70, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_6); __pyx_t_6 = 0;
-    (__pyx_v_self->woff[__pyx_v_i]) = __pyx_t_7;
-
-    /* "normortho/_kernels.pyx":71
- *             self.params[i] = params[i]
- *             self.woff[i] = woff[i]
- *             self.wlen[i] = wlen[i]             # <<<<<<<<<<<<<<
  *             self.left[i] = left[i]
  *             self.right[i] = right[i]
 */
-    __pyx_t_6 = __Pyx_GetItemInt(__pyx_v_wlen, __pyx_v_i, Py_ssize_t, 1, PyLong_FromSsize_t, 0, 0, 0, 1, __Pyx_ReferenceSharing_FunctionArgument); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 71, __pyx_L1_error)
+    __pyx_t_6 = __Pyx_GetItemInt(__pyx_v_woff, __pyx_v_i, Py_ssize_t, 1, PyLong_FromSsize_t, 0, 0, 0, 1, __Pyx_ReferenceSharing_FunctionArgument); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 67, __pyx_L1_error)
     __Pyx_GOTREF(__pyx_t_6);
-    __pyx_t_7 = __Pyx_PyLong_As_int(__pyx_t_6); if (unlikely((__pyx_t_7 == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 71, __pyx_L1_error)
+    __pyx_t_7 = __Pyx_PyLong_As_int(__pyx_t_6); if (unlikely((__pyx_t_7 == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 67, __pyx_L1_error)
     __Pyx_DECREF(__pyx_t_6); __pyx_t_6 = 0;
-    (__pyx_v_self->wlen[__pyx_v_i]) = __pyx_t_7;
+    (__pyx_v_self->woff[__pyx_v_i]) = __pyx_t_7;
 
-    /* "normortho/_kernels.pyx":72
+    /* "normortho/_kernels.pyx":68
+ *             self.params[i] = params[i]
  *             self.woff[i] = woff[i]
- *             self.wlen[i] = wlen[i]
  *             self.left[i] = left[i]             # <<<<<<<<<<<<<<
  *             self.right[i] = right[i]
  *         for i in range(len(weights)):
 */
-    __pyx_t_6 = __Pyx_GetItemInt(__pyx_v_left, __pyx_v_i, Py_ssize_t, 1, PyLong_FromSsize_t, 0, 0, 0, 1, __Pyx_ReferenceSharing_FunctionArgument); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 72, __pyx_L1_error)
+    __pyx_t_6 = __Pyx_GetItemInt(__pyx_v_left, __pyx_v_i, Py_ssize_t, 1, PyLong_FromSsize_t, 0, 0, 0, 1, __Pyx_ReferenceSharing_FunctionArgument); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 68, __pyx_L1_error)
     __Pyx_GOTREF(__pyx_t_6);
-    __pyx_t_7 = __Pyx_PyLong_As_int(__pyx_t_6); if (unlikely((__pyx_t_7 == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 72, __pyx_L1_error)
+    __pyx_t_7 = __Pyx_PyLong_As_int(__pyx_t_6); if (unlikely((__pyx_t_7 == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 68, __pyx_L1_error)
     __Pyx_DECREF(__pyx_t_6); __pyx_t_6 = 0;
     (__pyx_v_self->left[__pyx_v_i]) = __pyx_t_7;
 
-    /* "normortho/_kernels.pyx":73
- *             self.wlen[i] = wlen[i]
+    /* "normortho/_kernels.pyx":69
+ *             self.woff[i] = woff[i]
  *             self.left[i] = left[i]
  *             self.right[i] = right[i]             # <<<<<<<<<<<<<<
  *         for i in range(len(weights)):
  *             self.weights[i] = weights[i]
 */
-    __pyx_t_6 = __Pyx_GetItemInt(__pyx_v_right, __pyx_v_i, Py_ssize_t, 1, PyLong_FromSsize_t, 0, 0, 0, 1, __Pyx_ReferenceSharing_FunctionArgument); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 73, __pyx_L1_error)
+    __pyx_t_6 = __Pyx_GetItemInt(__pyx_v_right, __pyx_v_i, Py_ssize_t, 1, PyLong_FromSsize_t, 0, 0, 0, 1, __Pyx_ReferenceSharing_FunctionArgument); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 69, __pyx_L1_error)
     __Pyx_GOTREF(__pyx_t_6);
-    __pyx_t_7 = __Pyx_PyLong_As_int(__pyx_t_6); if (unlikely((__pyx_t_7 == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 73, __pyx_L1_error)
+    __pyx_t_7 = __Pyx_PyLong_As_int(__pyx_t_6); if (unlikely((__pyx_t_7 == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 69, __pyx_L1_error)
     __Pyx_DECREF(__pyx_t_6); __pyx_t_6 = 0;
     (__pyx_v_self->right[__pyx_v_i]) = __pyx_t_7;
   }
 
-  /* "normortho/_kernels.pyx":74
+  /* "normortho/_kernels.pyx":70
  *             self.left[i] = left[i]
  *             self.right[i] = right[i]
  *         for i in range(len(weights)):             # <<<<<<<<<<<<<<
  *             self.weights[i] = weights[i]
  * 
 */
-  __pyx_t_1 = PyObject_Length(__pyx_v_weights); if (unlikely(__pyx_t_1 == ((Py_ssize_t)-1))) __PYX_ERR(0, 74, __pyx_L1_error)
+  __pyx_t_1 = PyObject_Length(__pyx_v_weights); if (unlikely(__pyx_t_1 == ((Py_ssize_t)-1))) __PYX_ERR(0, 70, __pyx_L1_error)
   __pyx_t_9 = __pyx_t_1;
   for (__pyx_t_10 = 0; __pyx_t_10 < __pyx_t_9; __pyx_t_10+=1) {
     __pyx_v_i = __pyx_t_10;
 
-    /* "normortho/_kernels.pyx":75
+    /* "normortho/_kernels.pyx":71
  *             self.right[i] = right[i]
  *         for i in range(len(weights)):
  *             self.weights[i] = weights[i]             # <<<<<<<<<<<<<<
  * 
  *     def __dealloc__(self):
 */
-    __pyx_t_6 = __Pyx_GetItemInt(__pyx_v_weights, __pyx_v_i, Py_ssize_t, 1, PyLong_FromSsize_t, 0, 0, 0, 1, __Pyx_ReferenceSharing_FunctionArgument); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 75, __pyx_L1_error)
+    __pyx_t_6 = __Pyx_GetItemInt(__pyx_v_weights, __pyx_v_i, Py_ssize_t, 1, PyLong_FromSsize_t, 0, 0, 0, 1, __Pyx_ReferenceSharing_FunctionArgument); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 71, __pyx_L1_error)
     __Pyx_GOTREF(__pyx_t_6);
-    __pyx_t_8 = __Pyx_PyFloat_AsDouble(__pyx_t_6); if (unlikely((__pyx_t_8 == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 75, __pyx_L1_error)
+    __pyx_t_8 = __Pyx_PyFloat_AsDouble(__pyx_t_6); if (unlikely((__pyx_t_8 == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 71, __pyx_L1_error)
     __Pyx_DECREF(__pyx_t_6); __pyx_t_6 = 0;
     (__pyx_v_self->weights[__pyx_v_i]) = __pyx_t_8;
   }
 
-  /* "normortho/_kernels.pyx":56
+  /* "normortho/_kernels.pyx":54
  *     cdef int* right
  * 
- *     def __cinit__(self, kinds, params, woff, wlen, weights, left, right, dim):             # <<<<<<<<<<<<<<
+ *     def __cinit__(self, kinds, params, woff, weights, left, right, dim):             # <<<<<<<<<<<<<<
  *         cdef Py_ssize_t i
  *         self.n = len(kinds)
 */
@@ -3250,7 +3212,7 @@ static int __pyx_pf_9normortho_8_kernels_7Program___cinit__(struct __pyx_obj_9no
   return __pyx_r;
 }
 
-/* "normortho/_kernels.pyx":77
+/* "normortho/_kernels.pyx":73
  *             self.weights[i] = weights[i]
  * 
  *     def __dealloc__(self):             # <<<<<<<<<<<<<<
@@ -3273,7 +3235,7 @@ static void __pyx_pw_9normortho_8_kernels_7Program_3__dealloc__(PyObject *__pyx_
 
 static void __pyx_pf_9normortho_8_kernels_7Program_2__dealloc__(struct __pyx_obj_9normortho_8_kernels_Program *__pyx_v_self) {
 
-  /* "normortho/_kernels.pyx":78
+  /* "normortho/_kernels.pyx":74
  * 
  *     def __dealloc__(self):
  *         free(self.kinds)             # <<<<<<<<<<<<<<
@@ -3282,44 +3244,35 @@ static void __pyx_pf_9normortho_8_kernels_7Program_2__dealloc__(struct __pyx_obj
 */
   free(__pyx_v_self->kinds);
 
-  /* "normortho/_kernels.pyx":79
+  /* "normortho/_kernels.pyx":75
  *     def __dealloc__(self):
  *         free(self.kinds)
  *         free(self.params)             # <<<<<<<<<<<<<<
  *         free(self.woff)
- *         free(self.wlen)
+ *         free(self.weights)
 */
   free(__pyx_v_self->params);
 
-  /* "normortho/_kernels.pyx":80
+  /* "normortho/_kernels.pyx":76
  *         free(self.kinds)
  *         free(self.params)
  *         free(self.woff)             # <<<<<<<<<<<<<<
- *         free(self.wlen)
- *         free(self.weights)
-*/
-  free(__pyx_v_self->woff);
-
-  /* "normortho/_kernels.pyx":81
- *         free(self.params)
- *         free(self.woff)
- *         free(self.wlen)             # <<<<<<<<<<<<<<
  *         free(self.weights)
  *         free(self.left)
 */
-  free(__pyx_v_self->wlen);
+  free(__pyx_v_self->woff);
 
-  /* "normortho/_kernels.pyx":82
+  /* "normortho/_kernels.pyx":77
+ *         free(self.params)
  *         free(self.woff)
- *         free(self.wlen)
  *         free(self.weights)             # <<<<<<<<<<<<<<
  *         free(self.left)
  *         free(self.right)
 */
   free(__pyx_v_self->weights);
 
-  /* "normortho/_kernels.pyx":83
- *         free(self.wlen)
+  /* "normortho/_kernels.pyx":78
+ *         free(self.woff)
  *         free(self.weights)
  *         free(self.left)             # <<<<<<<<<<<<<<
  *         free(self.right)
@@ -3327,7 +3280,7 @@ static void __pyx_pf_9normortho_8_kernels_7Program_2__dealloc__(struct __pyx_obj
 */
   free(__pyx_v_self->left);
 
-  /* "normortho/_kernels.pyx":84
+  /* "normortho/_kernels.pyx":79
  *         free(self.weights)
  *         free(self.left)
  *         free(self.right)             # <<<<<<<<<<<<<<
@@ -3336,7 +3289,7 @@ static void __pyx_pf_9normortho_8_kernels_7Program_2__dealloc__(struct __pyx_obj
 */
   free(__pyx_v_self->right);
 
-  /* "normortho/_kernels.pyx":77
+  /* "normortho/_kernels.pyx":73
  *             self.weights[i] = weights[i]
  * 
  *     def __dealloc__(self):             # <<<<<<<<<<<<<<
@@ -3347,7 +3300,7 @@ static void __pyx_pf_9normortho_8_kernels_7Program_2__dealloc__(struct __pyx_obj
   /* function exit code */
 }
 
-/* "normortho/_kernels.pyx":88
+/* "normortho/_kernels.pyx":83
  *     # -- evaluation ---------------------------------------------------------
  * 
  *     def value(self, u):             # <<<<<<<<<<<<<<
@@ -3395,32 +3348,32 @@ PyObject *__pyx_args, PyObject *__pyx_kwds
   {
     PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_u,0};
     const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 88, __pyx_L3_error)
+    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 83, __pyx_L3_error)
     if (__pyx_kwds_len > 0) {
       switch (__pyx_nargs) {
         case  1:
         values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 88, __pyx_L3_error)
+        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 83, __pyx_L3_error)
         CYTHON_FALLTHROUGH;
         case  0: break;
         default: goto __pyx_L5_argtuple_error;
       }
       const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "value", 0) < (0)) __PYX_ERR(0, 88, __pyx_L3_error)
+      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "value", 0) < (0)) __PYX_ERR(0, 83, __pyx_L3_error)
       for (Py_ssize_t i = __pyx_nargs; i < 1; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("value", 1, 1, 1, i); __PYX_ERR(0, 88, __pyx_L3_error) }
+        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("value", 1, 1, 1, i); __PYX_ERR(0, 83, __pyx_L3_error) }
       }
     } else if (unlikely(__pyx_nargs != 1)) {
       goto __pyx_L5_argtuple_error;
     } else {
       values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 88, __pyx_L3_error)
+      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 83, __pyx_L3_error)
     }
     __pyx_v_u = values[0];
   }
   goto __pyx_L6_skip;
   __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("value", 1, 1, 1, __pyx_nargs); __PYX_ERR(0, 88, __pyx_L3_error)
+  __Pyx_RaiseArgtupleInvalid("value", 1, 1, 1, __pyx_nargs); __PYX_ERR(0, 83, __pyx_L3_error)
   __pyx_L6_skip:;
   goto __pyx_L4_argument_unpacking_done;
   __pyx_L3_error:;
@@ -3477,18 +3430,18 @@ static PyObject *__pyx_pf_9normortho_8_kernels_7Program_4value(struct __pyx_obj_
   int __pyx_clineno = 0;
   __Pyx_RefNannySetupContext("value", 0);
 
-  /* "normortho/_kernels.pyx":90
+  /* "normortho/_kernels.pyx":85
  *     def value(self, u):
  *         """Norm of u."""
  *         if len(u) != self.dim:             # <<<<<<<<<<<<<<
  *             raise ValueError(f"expected {self.dim} coordinates, got {len(u)}")
  *         cdef double ubuf[STACK_CAP]
 */
-  __pyx_t_1 = PyObject_Length(__pyx_v_u); if (unlikely(__pyx_t_1 == ((Py_ssize_t)-1))) __PYX_ERR(0, 90, __pyx_L1_error)
+  __pyx_t_1 = PyObject_Length(__pyx_v_u); if (unlikely(__pyx_t_1 == ((Py_ssize_t)-1))) __PYX_ERR(0, 85, __pyx_L1_error)
   __pyx_t_2 = (__pyx_t_1 != __pyx_v_self->dim);
   if (unlikely(__pyx_t_2)) {
 
-    /* "normortho/_kernels.pyx":91
+    /* "normortho/_kernels.pyx":86
  *         """Norm of u."""
  *         if len(u) != self.dim:
  *             raise ValueError(f"expected {self.dim} coordinates, got {len(u)}")             # <<<<<<<<<<<<<<
@@ -3496,17 +3449,17 @@ static PyObject *__pyx_pf_9normortho_8_kernels_7Program_4value(struct __pyx_obj_
  *         cdef double vbuf[STACK_CAP]
 */
     __pyx_t_4 = NULL;
-    __pyx_t_5 = __Pyx_PyUnicode_From_int(__pyx_v_self->dim, 0, ' ', 'd'); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 91, __pyx_L1_error)
+    __pyx_t_5 = __Pyx_PyUnicode_From_int(__pyx_v_self->dim, 0, ' ', 'd'); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 86, __pyx_L1_error)
     __Pyx_GOTREF(__pyx_t_5);
-    __pyx_t_1 = PyObject_Length(__pyx_v_u); if (unlikely(__pyx_t_1 == ((Py_ssize_t)-1))) __PYX_ERR(0, 91, __pyx_L1_error)
-    __pyx_t_6 = __Pyx_PyUnicode_From_Py_ssize_t(__pyx_t_1, 0, ' ', 'd'); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 91, __pyx_L1_error)
+    __pyx_t_1 = PyObject_Length(__pyx_v_u); if (unlikely(__pyx_t_1 == ((Py_ssize_t)-1))) __PYX_ERR(0, 86, __pyx_L1_error)
+    __pyx_t_6 = __Pyx_PyUnicode_From_Py_ssize_t(__pyx_t_1, 0, ' ', 'd'); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 86, __pyx_L1_error)
     __Pyx_GOTREF(__pyx_t_6);
     __pyx_t_7[0] = __pyx_mstate_global->__pyx_kp_u_expected;
     __pyx_t_7[1] = __pyx_t_5;
     __pyx_t_7[2] = __pyx_mstate_global->__pyx_kp_u_coordinates_got;
     __pyx_t_7[3] = __pyx_t_6;
     __pyx_t_8 = __Pyx_PyUnicode_Join(__pyx_t_7, 4, 9 + __Pyx_PyUnicode_GET_LENGTH(__pyx_t_5) + 18 + __Pyx_PyUnicode_GET_LENGTH(__pyx_t_6), 127);
-    if (unlikely(!__pyx_t_8)) __PYX_ERR(0, 91, __pyx_L1_error)
+    if (unlikely(!__pyx_t_8)) __PYX_ERR(0, 86, __pyx_L1_error)
     __Pyx_GOTREF(__pyx_t_8);
     __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
     __Pyx_DECREF(__pyx_t_6); __pyx_t_6 = 0;
@@ -3516,14 +3469,14 @@ static PyObject *__pyx_pf_9normortho_8_kernels_7Program_4value(struct __pyx_obj_
       __pyx_t_3 = __Pyx_PyObject_FastCall((PyObject*)(((PyTypeObject*)PyExc_ValueError)), __pyx_callargs+__pyx_t_9, (2-__pyx_t_9) | (__pyx_t_9*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
       __Pyx_XDECREF(__pyx_t_4); __pyx_t_4 = 0;
       __Pyx_DECREF(__pyx_t_8); __pyx_t_8 = 0;
-      if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 91, __pyx_L1_error)
+      if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 86, __pyx_L1_error)
       __Pyx_GOTREF(__pyx_t_3);
     }
     __Pyx_Raise(__pyx_t_3, 0, 0, 0);
     __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-    __PYX_ERR(0, 91, __pyx_L1_error)
+    __PYX_ERR(0, 86, __pyx_L1_error)
 
-    /* "normortho/_kernels.pyx":90
+    /* "normortho/_kernels.pyx":85
  *     def value(self, u):
  *         """Norm of u."""
  *         if len(u) != self.dim:             # <<<<<<<<<<<<<<
@@ -3532,7 +3485,7 @@ static PyObject *__pyx_pf_9normortho_8_kernels_7Program_4value(struct __pyx_obj_
 */
   }
 
-  /* "normortho/_kernels.pyx":94
+  /* "normortho/_kernels.pyx":89
  *         cdef double ubuf[STACK_CAP]
  *         cdef double vbuf[STACK_CAP]
  *         cdef double* cu = ubuf             # <<<<<<<<<<<<<<
@@ -3541,7 +3494,7 @@ static PyObject *__pyx_pf_9normortho_8_kernels_7Program_4value(struct __pyx_obj_
 */
   __pyx_v_cu = __pyx_v_ubuf;
 
-  /* "normortho/_kernels.pyx":95
+  /* "normortho/_kernels.pyx":90
  *         cdef double vbuf[STACK_CAP]
  *         cdef double* cu = ubuf
  *         cdef double* cvals = vbuf             # <<<<<<<<<<<<<<
@@ -3550,7 +3503,7 @@ static PyObject *__pyx_pf_9normortho_8_kernels_7Program_4value(struct __pyx_obj_
 */
   __pyx_v_cvals = __pyx_v_vbuf;
 
-  /* "normortho/_kernels.pyx":96
+  /* "normortho/_kernels.pyx":91
  *         cdef double* cu = ubuf
  *         cdef double* cvals = vbuf
  *         cdef bint heap_u = self.dim > STACK_CAP             # <<<<<<<<<<<<<<
@@ -3559,7 +3512,7 @@ static PyObject *__pyx_pf_9normortho_8_kernels_7Program_4value(struct __pyx_obj_
 */
   __pyx_v_heap_u = (__pyx_v_self->dim > __pyx_e_9normortho_8_kernels_STACK_CAP);
 
-  /* "normortho/_kernels.pyx":97
+  /* "normortho/_kernels.pyx":92
  *         cdef double* cvals = vbuf
  *         cdef bint heap_u = self.dim > STACK_CAP
  *         cdef bint heap_v = self.n > STACK_CAP             # <<<<<<<<<<<<<<
@@ -3568,7 +3521,7 @@ static PyObject *__pyx_pf_9normortho_8_kernels_7Program_4value(struct __pyx_obj_
 */
   __pyx_v_heap_v = (__pyx_v_self->n > __pyx_e_9normortho_8_kernels_STACK_CAP);
 
-  /* "normortho/_kernels.pyx":100
+  /* "normortho/_kernels.pyx":95
  *         cdef Py_ssize_t j
  *         cdef double out
  *         if heap_u:             # <<<<<<<<<<<<<<
@@ -3577,17 +3530,17 @@ static PyObject *__pyx_pf_9normortho_8_kernels_7Program_4value(struct __pyx_obj_
 */
   if (__pyx_v_heap_u) {
 
-    /* "normortho/_kernels.pyx":101
+    /* "normortho/_kernels.pyx":96
  *         cdef double out
  *         if heap_u:
  *             cu = _alloc_double(self.dim)             # <<<<<<<<<<<<<<
  *         if heap_v:
  *             cvals = _alloc_double(self.n)
 */
-    __pyx_t_10 = __pyx_f_9normortho_8_kernels__alloc_double(__pyx_v_self->dim); if (unlikely(__pyx_t_10 == ((void *)NULL))) __PYX_ERR(0, 101, __pyx_L1_error)
+    __pyx_t_10 = __pyx_f_9normortho_8_kernels__alloc_double(__pyx_v_self->dim); if (unlikely(__pyx_t_10 == ((void *)NULL))) __PYX_ERR(0, 96, __pyx_L1_error)
     __pyx_v_cu = __pyx_t_10;
 
-    /* "normortho/_kernels.pyx":100
+    /* "normortho/_kernels.pyx":95
  *         cdef Py_ssize_t j
  *         cdef double out
  *         if heap_u:             # <<<<<<<<<<<<<<
@@ -3596,7 +3549,7 @@ static PyObject *__pyx_pf_9normortho_8_kernels_7Program_4value(struct __pyx_obj_
 */
   }
 
-  /* "normortho/_kernels.pyx":102
+  /* "normortho/_kernels.pyx":97
  *         if heap_u:
  *             cu = _alloc_double(self.dim)
  *         if heap_v:             # <<<<<<<<<<<<<<
@@ -3605,17 +3558,17 @@ static PyObject *__pyx_pf_9normortho_8_kernels_7Program_4value(struct __pyx_obj_
 */
   if (__pyx_v_heap_v) {
 
-    /* "normortho/_kernels.pyx":103
+    /* "normortho/_kernels.pyx":98
  *             cu = _alloc_double(self.dim)
  *         if heap_v:
  *             cvals = _alloc_double(self.n)             # <<<<<<<<<<<<<<
  *         try:
  *             for j in range(self.dim):
 */
-    __pyx_t_10 = __pyx_f_9normortho_8_kernels__alloc_double(__pyx_v_self->n); if (unlikely(__pyx_t_10 == ((void *)NULL))) __PYX_ERR(0, 103, __pyx_L1_error)
+    __pyx_t_10 = __pyx_f_9normortho_8_kernels__alloc_double(__pyx_v_self->n); if (unlikely(__pyx_t_10 == ((void *)NULL))) __PYX_ERR(0, 98, __pyx_L1_error)
     __pyx_v_cvals = __pyx_t_10;
 
-    /* "normortho/_kernels.pyx":102
+    /* "normortho/_kernels.pyx":97
  *         if heap_u:
  *             cu = _alloc_double(self.dim)
  *         if heap_v:             # <<<<<<<<<<<<<<
@@ -3624,7 +3577,7 @@ static PyObject *__pyx_pf_9normortho_8_kernels_7Program_4value(struct __pyx_obj_
 */
   }
 
-  /* "normortho/_kernels.pyx":104
+  /* "normortho/_kernels.pyx":99
  *         if heap_v:
  *             cvals = _alloc_double(self.n)
  *         try:             # <<<<<<<<<<<<<<
@@ -3633,7 +3586,7 @@ static PyObject *__pyx_pf_9normortho_8_kernels_7Program_4value(struct __pyx_obj_
 */
   /*try:*/ {
 
-    /* "normortho/_kernels.pyx":105
+    /* "normortho/_kernels.pyx":100
  *             cvals = _alloc_double(self.n)
  *         try:
  *             for j in range(self.dim):             # <<<<<<<<<<<<<<
@@ -3645,21 +3598,21 @@ static PyObject *__pyx_pf_9normortho_8_kernels_7Program_4value(struct __pyx_obj_
     for (__pyx_t_1 = 0; __pyx_t_1 < __pyx_t_12; __pyx_t_1+=1) {
       __pyx_v_j = __pyx_t_1;
 
-      /* "normortho/_kernels.pyx":106
+      /* "normortho/_kernels.pyx":101
  *         try:
  *             for j in range(self.dim):
  *                 cu[j] = u[j]             # <<<<<<<<<<<<<<
  *             out = self._value(cu, cvals)
  *         finally:
 */
-      __pyx_t_3 = __Pyx_GetItemInt(__pyx_v_u, __pyx_v_j, Py_ssize_t, 1, PyLong_FromSsize_t, 0, 0, 0, 1, __Pyx_ReferenceSharing_FunctionArgument); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 106, __pyx_L7_error)
+      __pyx_t_3 = __Pyx_GetItemInt(__pyx_v_u, __pyx_v_j, Py_ssize_t, 1, PyLong_FromSsize_t, 0, 0, 0, 1, __Pyx_ReferenceSharing_FunctionArgument); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 101, __pyx_L7_error)
       __Pyx_GOTREF(__pyx_t_3);
-      __pyx_t_13 = __Pyx_PyFloat_AsDouble(__pyx_t_3); if (unlikely((__pyx_t_13 == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 106, __pyx_L7_error)
+      __pyx_t_13 = __Pyx_PyFloat_AsDouble(__pyx_t_3); if (unlikely((__pyx_t_13 == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 101, __pyx_L7_error)
       __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
       (__pyx_v_cu[__pyx_v_j]) = __pyx_t_13;
     }
 
-    /* "normortho/_kernels.pyx":107
+    /* "normortho/_kernels.pyx":102
  *             for j in range(self.dim):
  *                 cu[j] = u[j]
  *             out = self._value(cu, cvals)             # <<<<<<<<<<<<<<
@@ -3669,7 +3622,7 @@ static PyObject *__pyx_pf_9normortho_8_kernels_7Program_4value(struct __pyx_obj_
     __pyx_v_out = ((struct __pyx_vtabstruct_9normortho_8_kernels_Program *)__pyx_v_self->__pyx_vtab)->_value(__pyx_v_self, __pyx_v_cu, __pyx_v_cvals);
   }
 
-  /* "normortho/_kernels.pyx":109
+  /* "normortho/_kernels.pyx":104
  *             out = self._value(cu, cvals)
  *         finally:
  *             if heap_u:             # <<<<<<<<<<<<<<
@@ -3680,7 +3633,7 @@ static PyObject *__pyx_pf_9normortho_8_kernels_7Program_4value(struct __pyx_obj_
     /*normal exit:*/{
       if (__pyx_v_heap_u) {
 
-        /* "normortho/_kernels.pyx":110
+        /* "normortho/_kernels.pyx":105
  *         finally:
  *             if heap_u:
  *                 free(cu)             # <<<<<<<<<<<<<<
@@ -3689,7 +3642,7 @@ static PyObject *__pyx_pf_9normortho_8_kernels_7Program_4value(struct __pyx_obj_
 */
         free(__pyx_v_cu);
 
-        /* "normortho/_kernels.pyx":109
+        /* "normortho/_kernels.pyx":104
  *             out = self._value(cu, cvals)
  *         finally:
  *             if heap_u:             # <<<<<<<<<<<<<<
@@ -3698,7 +3651,7 @@ static PyObject *__pyx_pf_9normortho_8_kernels_7Program_4value(struct __pyx_obj_
 */
       }
 
-      /* "normortho/_kernels.pyx":111
+      /* "normortho/_kernels.pyx":106
  *             if heap_u:
  *                 free(cu)
  *             if heap_v:             # <<<<<<<<<<<<<<
@@ -3707,7 +3660,7 @@ static PyObject *__pyx_pf_9normortho_8_kernels_7Program_4value(struct __pyx_obj_
 */
       if (__pyx_v_heap_v) {
 
-        /* "normortho/_kernels.pyx":112
+        /* "normortho/_kernels.pyx":107
  *                 free(cu)
  *             if heap_v:
  *                 free(cvals)             # <<<<<<<<<<<<<<
@@ -3716,7 +3669,7 @@ static PyObject *__pyx_pf_9normortho_8_kernels_7Program_4value(struct __pyx_obj_
 */
         free(__pyx_v_cvals);
 
-        /* "normortho/_kernels.pyx":111
+        /* "normortho/_kernels.pyx":106
  *             if heap_u:
  *                 free(cu)
  *             if heap_v:             # <<<<<<<<<<<<<<
@@ -3747,7 +3700,7 @@ static PyObject *__pyx_pf_9normortho_8_kernels_7Program_4value(struct __pyx_obj_
       __pyx_t_11 = __pyx_lineno; __pyx_t_12 = __pyx_clineno; __pyx_t_14 = __pyx_filename;
       {
 
-        /* "normortho/_kernels.pyx":109
+        /* "normortho/_kernels.pyx":104
  *             out = self._value(cu, cvals)
  *         finally:
  *             if heap_u:             # <<<<<<<<<<<<<<
@@ -3756,7 +3709,7 @@ static PyObject *__pyx_pf_9normortho_8_kernels_7Program_4value(struct __pyx_obj_
 */
         if (__pyx_v_heap_u) {
 
-          /* "normortho/_kernels.pyx":110
+          /* "normortho/_kernels.pyx":105
  *         finally:
  *             if heap_u:
  *                 free(cu)             # <<<<<<<<<<<<<<
@@ -3765,7 +3718,7 @@ static PyObject *__pyx_pf_9normortho_8_kernels_7Program_4value(struct __pyx_obj_
 */
           free(__pyx_v_cu);
 
-          /* "normortho/_kernels.pyx":109
+          /* "normortho/_kernels.pyx":104
  *             out = self._value(cu, cvals)
  *         finally:
  *             if heap_u:             # <<<<<<<<<<<<<<
@@ -3774,7 +3727,7 @@ static PyObject *__pyx_pf_9normortho_8_kernels_7Program_4value(struct __pyx_obj_
 */
         }
 
-        /* "normortho/_kernels.pyx":111
+        /* "normortho/_kernels.pyx":106
  *             if heap_u:
  *                 free(cu)
  *             if heap_v:             # <<<<<<<<<<<<<<
@@ -3783,7 +3736,7 @@ static PyObject *__pyx_pf_9normortho_8_kernels_7Program_4value(struct __pyx_obj_
 */
         if (__pyx_v_heap_v) {
 
-          /* "normortho/_kernels.pyx":112
+          /* "normortho/_kernels.pyx":107
  *                 free(cu)
  *             if heap_v:
  *                 free(cvals)             # <<<<<<<<<<<<<<
@@ -3792,7 +3745,7 @@ static PyObject *__pyx_pf_9normortho_8_kernels_7Program_4value(struct __pyx_obj_
 */
           free(__pyx_v_cvals);
 
-          /* "normortho/_kernels.pyx":111
+          /* "normortho/_kernels.pyx":106
  *             if heap_u:
  *                 free(cu)
  *             if heap_v:             # <<<<<<<<<<<<<<
@@ -3816,7 +3769,7 @@ static PyObject *__pyx_pf_9normortho_8_kernels_7Program_4value(struct __pyx_obj_
     __pyx_L8:;
   }
 
-  /* "normortho/_kernels.pyx":113
+  /* "normortho/_kernels.pyx":108
  *             if heap_v:
  *                 free(cvals)
  *         return out             # <<<<<<<<<<<<<<
@@ -3824,13 +3777,13 @@ static PyObject *__pyx_pf_9normortho_8_kernels_7Program_4value(struct __pyx_obj_
  *     cdef double _value(self, double* u, double* vals) noexcept nogil:
 */
   __Pyx_XDECREF(__pyx_r);
-  __pyx_t_3 = PyFloat_FromDouble(__pyx_v_out); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 113, __pyx_L1_error)
+  __pyx_t_3 = PyFloat_FromDouble(__pyx_v_out); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 108, __pyx_L1_error)
   __Pyx_GOTREF(__pyx_t_3);
   __pyx_r = __pyx_t_3;
   __pyx_t_3 = 0;
   goto __pyx_L0;
 
-  /* "normortho/_kernels.pyx":88
+  /* "normortho/_kernels.pyx":83
  *     # -- evaluation ---------------------------------------------------------
  * 
  *     def value(self, u):             # <<<<<<<<<<<<<<
@@ -3853,7 +3806,7 @@ static PyObject *__pyx_pf_9normortho_8_kernels_7Program_4value(struct __pyx_obj_
   return __pyx_r;
 }
 
-/* "normortho/_kernels.pyx":115
+/* "normortho/_kernels.pyx":110
  *         return out
  * 
  *     cdef double _value(self, double* u, double* vals) noexcept nogil:             # <<<<<<<<<<<<<<
@@ -3881,7 +3834,7 @@ static double __pyx_f_9normortho_8_kernels_7Program__value(struct __pyx_obj_9nor
   int __pyx_t_7;
   double __pyx_t_8;
 
-  /* "normortho/_kernels.pyx":117
+  /* "normortho/_kernels.pyx":112
  *     cdef double _value(self, double* u, double* vals) noexcept nogil:
  *         cdef int i, j, k
  *         cdef int dim = self.dim             # <<<<<<<<<<<<<<
@@ -3891,98 +3844,48 @@ static double __pyx_f_9normortho_8_kernels_7Program__value(struct __pyx_obj_9nor
   __pyx_t_1 = __pyx_v_self->dim;
   __pyx_v_dim = __pyx_t_1;
 
-  /* "normortho/_kernels.pyx":119
+  /* "normortho/_kernels.pyx":114
  *         cdef int dim = self.dim
  *         cdef double s, m, a, r, p
  *         for i in range(self.n):             # <<<<<<<<<<<<<<
  *             k = self.kinds[i]
- *             if k == K_L1:
+ *             if k == K_L2:
 */
   __pyx_t_1 = __pyx_v_self->n;
   __pyx_t_2 = __pyx_t_1;
   for (__pyx_t_3 = 0; __pyx_t_3 < __pyx_t_2; __pyx_t_3+=1) {
     __pyx_v_i = __pyx_t_3;
 
-    /* "normortho/_kernels.pyx":120
+    /* "normortho/_kernels.pyx":115
  *         cdef double s, m, a, r, p
  *         for i in range(self.n):
  *             k = self.kinds[i]             # <<<<<<<<<<<<<<
- *             if k == K_L1:
- *                 s = 0.0
+ *             if k == K_L2:
+ *                 m = 0.0
 */
     __pyx_v_k = (__pyx_v_self->kinds[__pyx_v_i]);
 
-    /* "normortho/_kernels.pyx":121
+    /* "normortho/_kernels.pyx":116
  *         for i in range(self.n):
  *             k = self.kinds[i]
- *             if k == K_L1:             # <<<<<<<<<<<<<<
- *                 s = 0.0
+ *             if k == K_L2:             # <<<<<<<<<<<<<<
+ *                 m = 0.0
  *                 for j in range(dim):
 */
     switch (__pyx_v_k) {
-      case __pyx_e_9normortho_8_kernels_K_L1:
-
-      /* "normortho/_kernels.pyx":122
- *             k = self.kinds[i]
- *             if k == K_L1:
- *                 s = 0.0             # <<<<<<<<<<<<<<
- *                 for j in range(dim):
- *                     s += fabs(u[j])
-*/
-      __pyx_v_s = 0.0;
-
-      /* "normortho/_kernels.pyx":123
- *             if k == K_L1:
- *                 s = 0.0
- *                 for j in range(dim):             # <<<<<<<<<<<<<<
- *                     s += fabs(u[j])
- *                 vals[i] = s
-*/
-      __pyx_t_4 = __pyx_v_dim;
-      __pyx_t_5 = __pyx_t_4;
-      for (__pyx_t_6 = 0; __pyx_t_6 < __pyx_t_5; __pyx_t_6+=1) {
-        __pyx_v_j = __pyx_t_6;
-
-        /* "normortho/_kernels.pyx":124
- *                 s = 0.0
- *                 for j in range(dim):
- *                     s += fabs(u[j])             # <<<<<<<<<<<<<<
- *                 vals[i] = s
- *             elif k == K_L2:
-*/
-        __pyx_v_s = (__pyx_v_s + fabs((__pyx_v_u[__pyx_v_j])));
-      }
-
-      /* "normortho/_kernels.pyx":125
- *                 for j in range(dim):
- *                     s += fabs(u[j])
- *                 vals[i] = s             # <<<<<<<<<<<<<<
- *             elif k == K_L2:
- *                 m = 0.0
-*/
-      (__pyx_v_vals[__pyx_v_i]) = __pyx_v_s;
-
-      /* "normortho/_kernels.pyx":121
- *         for i in range(self.n):
- *             k = self.kinds[i]
- *             if k == K_L1:             # <<<<<<<<<<<<<<
- *                 s = 0.0
- *                 for j in range(dim):
-*/
-      break;
       case __pyx_e_9normortho_8_kernels_K_L2:
 
-      /* "normortho/_kernels.pyx":127
- *                 vals[i] = s
- *             elif k == K_L2:
+      /* "normortho/_kernels.pyx":117
+ *             k = self.kinds[i]
+ *             if k == K_L2:
  *                 m = 0.0             # <<<<<<<<<<<<<<
  *                 for j in range(dim):
  *                     a = fabs(u[j])
 */
       __pyx_v_m = 0.0;
 
-      /* "normortho/_kernels.pyx":128
- *             elif k == K_L2:
+      /* "normortho/_kernels.pyx":118
+ *             if k == K_L2:
  *                 m = 0.0
  *                 for j in range(dim):             # <<<<<<<<<<<<<<
  *                     a = fabs(u[j])
@@ -3993,7 +3896,7 @@ static double __pyx_f_9normortho_8_kernels_7Program__value(struct __pyx_obj_9nor
       for (__pyx_t_6 = 0; __pyx_t_6 < __pyx_t_5; __pyx_t_6+=1) {
         __pyx_v_j = __pyx_t_6;
 
-        /* "normortho/_kernels.pyx":129
+        /* "normortho/_kernels.pyx":119
  *                 m = 0.0
  *                 for j in range(dim):
  *                     a = fabs(u[j])             # <<<<<<<<<<<<<<
@@ -4002,7 +3905,7 @@ static double __pyx_f_9normortho_8_kernels_7Program__value(struct __pyx_obj_9nor
 */
         __pyx_v_a = fabs((__pyx_v_u[__pyx_v_j]));
 
-        /* "normortho/_kernels.pyx":130
+        /* "normortho/_kernels.pyx":120
  *                 for j in range(dim):
  *                     a = fabs(u[j])
  *                     if a > m:             # <<<<<<<<<<<<<<
@@ -4012,7 +3915,7 @@ static double __pyx_f_9normortho_8_kernels_7Program__value(struct __pyx_obj_9nor
         __pyx_t_7 = (__pyx_v_a > __pyx_v_m);
         if (__pyx_t_7) {
 
-          /* "normortho/_kernels.pyx":131
+          /* "normortho/_kernels.pyx":121
  *                     a = fabs(u[j])
  *                     if a > m:
  *                         m = a             # <<<<<<<<<<<<<<
@@ -4021,7 +3924,7 @@ static double __pyx_f_9normortho_8_kernels_7Program__value(struct __pyx_obj_9nor
 */
           __pyx_v_m = __pyx_v_a;
 
-          /* "normortho/_kernels.pyx":130
+          /* "normortho/_kernels.pyx":120
  *                 for j in range(dim):
  *                     a = fabs(u[j])
  *                     if a > m:             # <<<<<<<<<<<<<<
@@ -4031,7 +3934,7 @@ static double __pyx_f_9normortho_8_kernels_7Program__value(struct __pyx_obj_9nor
         }
       }
 
-      /* "normortho/_kernels.pyx":132
+      /* "normortho/_kernels.pyx":122
  *                     if a > m:
  *                         m = a
  *                 if m == 0.0:             # <<<<<<<<<<<<<<
@@ -4041,7 +3944,7 @@ static double __pyx_f_9normortho_8_kernels_7Program__value(struct __pyx_obj_9nor
       __pyx_t_7 = (__pyx_v_m == 0.0);
       if (__pyx_t_7) {
 
-        /* "normortho/_kernels.pyx":133
+        /* "normortho/_kernels.pyx":123
  *                         m = a
  *                 if m == 0.0:
  *                     vals[i] = 0.0             # <<<<<<<<<<<<<<
@@ -4050,7 +3953,7 @@ static double __pyx_f_9normortho_8_kernels_7Program__value(struct __pyx_obj_9nor
 */
         (__pyx_v_vals[__pyx_v_i]) = 0.0;
 
-        /* "normortho/_kernels.pyx":132
+        /* "normortho/_kernels.pyx":122
  *                     if a > m:
  *                         m = a
  *                 if m == 0.0:             # <<<<<<<<<<<<<<
@@ -4060,7 +3963,7 @@ static double __pyx_f_9normortho_8_kernels_7Program__value(struct __pyx_obj_9nor
         goto __pyx_L10;
       }
 
-      /* "normortho/_kernels.pyx":135
+      /* "normortho/_kernels.pyx":125
  *                     vals[i] = 0.0
  *                 else:
  *                     s = 0.0             # <<<<<<<<<<<<<<
@@ -4070,7 +3973,7 @@ static double __pyx_f_9normortho_8_kernels_7Program__value(struct __pyx_obj_9nor
       /*else*/ {
         __pyx_v_s = 0.0;
 
-        /* "normortho/_kernels.pyx":136
+        /* "normortho/_kernels.pyx":126
  *                 else:
  *                     s = 0.0
  *                     for j in range(dim):             # <<<<<<<<<<<<<<
@@ -4082,7 +3985,7 @@ static double __pyx_f_9normortho_8_kernels_7Program__value(struct __pyx_obj_9nor
         for (__pyx_t_6 = 0; __pyx_t_6 < __pyx_t_5; __pyx_t_6+=1) {
           __pyx_v_j = __pyx_t_6;
 
-          /* "normortho/_kernels.pyx":137
+          /* "normortho/_kernels.pyx":127
  *                     s = 0.0
  *                     for j in range(dim):
  *                         r = u[j] / m             # <<<<<<<<<<<<<<
@@ -4091,267 +3994,39 @@ static double __pyx_f_9normortho_8_kernels_7Program__value(struct __pyx_obj_9nor
 */
           __pyx_v_r = ((__pyx_v_u[__pyx_v_j]) / __pyx_v_m);
 
-          /* "normortho/_kernels.pyx":138
+          /* "normortho/_kernels.pyx":128
  *                     for j in range(dim):
  *                         r = u[j] / m
  *                         s += r * r             # <<<<<<<<<<<<<<
  *                     vals[i] = m * sqrt(s)
- *             elif k == K_LINF:
+ *             elif k == K_WLP1:
 */
           __pyx_v_s = (__pyx_v_s + (__pyx_v_r * __pyx_v_r));
         }
 
-        /* "normortho/_kernels.pyx":139
+        /* "normortho/_kernels.pyx":129
  *                         r = u[j] / m
  *                         s += r * r
  *                     vals[i] = m * sqrt(s)             # <<<<<<<<<<<<<<
- *             elif k == K_LINF:
- *                 m = 0.0
+ *             elif k == K_WLP1:
+ *                 s = 0.0
 */
         (__pyx_v_vals[__pyx_v_i]) = (__pyx_v_m * sqrt(__pyx_v_s));
       }
       __pyx_L10:;
 
-      /* "normortho/_kernels.pyx":126
- *                     s += fabs(u[j])
- *                 vals[i] = s
- *             elif k == K_L2:             # <<<<<<<<<<<<<<
+      /* "normortho/_kernels.pyx":116
+ *         for i in range(self.n):
+ *             k = self.kinds[i]
+ *             if k == K_L2:             # <<<<<<<<<<<<<<
  *                 m = 0.0
  *                 for j in range(dim):
-*/
-      break;
-      case __pyx_e_9normortho_8_kernels_K_LINF:
-
-      /* "normortho/_kernels.pyx":141
- *                     vals[i] = m * sqrt(s)
- *             elif k == K_LINF:
- *                 m = 0.0             # <<<<<<<<<<<<<<
- *                 for j in range(dim):
- *                     a = fabs(u[j])
-*/
-      __pyx_v_m = 0.0;
-
-      /* "normortho/_kernels.pyx":142
- *             elif k == K_LINF:
- *                 m = 0.0
- *                 for j in range(dim):             # <<<<<<<<<<<<<<
- *                     a = fabs(u[j])
- *                     if a > m:
-*/
-      __pyx_t_4 = __pyx_v_dim;
-      __pyx_t_5 = __pyx_t_4;
-      for (__pyx_t_6 = 0; __pyx_t_6 < __pyx_t_5; __pyx_t_6+=1) {
-        __pyx_v_j = __pyx_t_6;
-
-        /* "normortho/_kernels.pyx":143
- *                 m = 0.0
- *                 for j in range(dim):
- *                     a = fabs(u[j])             # <<<<<<<<<<<<<<
- *                     if a > m:
- *                         m = a
-*/
-        __pyx_v_a = fabs((__pyx_v_u[__pyx_v_j]));
-
-        /* "normortho/_kernels.pyx":144
- *                 for j in range(dim):
- *                     a = fabs(u[j])
- *                     if a > m:             # <<<<<<<<<<<<<<
- *                         m = a
- *                 vals[i] = m
-*/
-        __pyx_t_7 = (__pyx_v_a > __pyx_v_m);
-        if (__pyx_t_7) {
-
-          /* "normortho/_kernels.pyx":145
- *                     a = fabs(u[j])
- *                     if a > m:
- *                         m = a             # <<<<<<<<<<<<<<
- *                 vals[i] = m
- *             elif k == K_LP:
-*/
-          __pyx_v_m = __pyx_v_a;
-
-          /* "normortho/_kernels.pyx":144
- *                 for j in range(dim):
- *                     a = fabs(u[j])
- *                     if a > m:             # <<<<<<<<<<<<<<
- *                         m = a
- *                 vals[i] = m
-*/
-        }
-      }
-
-      /* "normortho/_kernels.pyx":146
- *                     if a > m:
- *                         m = a
- *                 vals[i] = m             # <<<<<<<<<<<<<<
- *             elif k == K_LP:
- *                 # scaled by the max coordinate so u far from unit scale
-*/
-      (__pyx_v_vals[__pyx_v_i]) = __pyx_v_m;
-
-      /* "normortho/_kernels.pyx":140
- *                         s += r * r
- *                     vals[i] = m * sqrt(s)
- *             elif k == K_LINF:             # <<<<<<<<<<<<<<
- *                 m = 0.0
- *                 for j in range(dim):
-*/
-      break;
-      case __pyx_e_9normortho_8_kernels_K_LP:
-
-      /* "normortho/_kernels.pyx":150
- *                 # scaled by the max coordinate so u far from unit scale
- *                 # neither overflows nor underflows pow
- *                 p = self.params[i]             # <<<<<<<<<<<<<<
- *                 m = 0.0
- *                 for j in range(dim):
-*/
-      __pyx_v_p = (__pyx_v_self->params[__pyx_v_i]);
-
-      /* "normortho/_kernels.pyx":151
- *                 # neither overflows nor underflows pow
- *                 p = self.params[i]
- *                 m = 0.0             # <<<<<<<<<<<<<<
- *                 for j in range(dim):
- *                     a = fabs(u[j])
-*/
-      __pyx_v_m = 0.0;
-
-      /* "normortho/_kernels.pyx":152
- *                 p = self.params[i]
- *                 m = 0.0
- *                 for j in range(dim):             # <<<<<<<<<<<<<<
- *                     a = fabs(u[j])
- *                     if a > m:
-*/
-      __pyx_t_4 = __pyx_v_dim;
-      __pyx_t_5 = __pyx_t_4;
-      for (__pyx_t_6 = 0; __pyx_t_6 < __pyx_t_5; __pyx_t_6+=1) {
-        __pyx_v_j = __pyx_t_6;
-
-        /* "normortho/_kernels.pyx":153
- *                 m = 0.0
- *                 for j in range(dim):
- *                     a = fabs(u[j])             # <<<<<<<<<<<<<<
- *                     if a > m:
- *                         m = a
-*/
-        __pyx_v_a = fabs((__pyx_v_u[__pyx_v_j]));
-
-        /* "normortho/_kernels.pyx":154
- *                 for j in range(dim):
- *                     a = fabs(u[j])
- *                     if a > m:             # <<<<<<<<<<<<<<
- *                         m = a
- *                 if m == 0.0:
-*/
-        __pyx_t_7 = (__pyx_v_a > __pyx_v_m);
-        if (__pyx_t_7) {
-
-          /* "normortho/_kernels.pyx":155
- *                     a = fabs(u[j])
- *                     if a > m:
- *                         m = a             # <<<<<<<<<<<<<<
- *                 if m == 0.0:
- *                     vals[i] = 0.0
-*/
-          __pyx_v_m = __pyx_v_a;
-
-          /* "normortho/_kernels.pyx":154
- *                 for j in range(dim):
- *                     a = fabs(u[j])
- *                     if a > m:             # <<<<<<<<<<<<<<
- *                         m = a
- *                 if m == 0.0:
-*/
-        }
-      }
-
-      /* "normortho/_kernels.pyx":156
- *                     if a > m:
- *                         m = a
- *                 if m == 0.0:             # <<<<<<<<<<<<<<
- *                     vals[i] = 0.0
- *                 else:
-*/
-      __pyx_t_7 = (__pyx_v_m == 0.0);
-      if (__pyx_t_7) {
-
-        /* "normortho/_kernels.pyx":157
- *                         m = a
- *                 if m == 0.0:
- *                     vals[i] = 0.0             # <<<<<<<<<<<<<<
- *                 else:
- *                     s = 0.0
-*/
-        (__pyx_v_vals[__pyx_v_i]) = 0.0;
-
-        /* "normortho/_kernels.pyx":156
- *                     if a > m:
- *                         m = a
- *                 if m == 0.0:             # <<<<<<<<<<<<<<
- *                     vals[i] = 0.0
- *                 else:
-*/
-        goto __pyx_L19;
-      }
-
-      /* "normortho/_kernels.pyx":159
- *                     vals[i] = 0.0
- *                 else:
- *                     s = 0.0             # <<<<<<<<<<<<<<
- *                     for j in range(dim):
- *                         s += pow(fabs(u[j]) / m, p)
-*/
-      /*else*/ {
-        __pyx_v_s = 0.0;
-
-        /* "normortho/_kernels.pyx":160
- *                 else:
- *                     s = 0.0
- *                     for j in range(dim):             # <<<<<<<<<<<<<<
- *                         s += pow(fabs(u[j]) / m, p)
- *                     vals[i] = m * pow(s, 1.0 / p)
-*/
-        __pyx_t_4 = __pyx_v_dim;
-        __pyx_t_5 = __pyx_t_4;
-        for (__pyx_t_6 = 0; __pyx_t_6 < __pyx_t_5; __pyx_t_6+=1) {
-          __pyx_v_j = __pyx_t_6;
-
-          /* "normortho/_kernels.pyx":161
- *                     s = 0.0
- *                     for j in range(dim):
- *                         s += pow(fabs(u[j]) / m, p)             # <<<<<<<<<<<<<<
- *                     vals[i] = m * pow(s, 1.0 / p)
- *             elif k == K_WLP1:
-*/
-          __pyx_v_s = (__pyx_v_s + pow((fabs((__pyx_v_u[__pyx_v_j])) / __pyx_v_m), __pyx_v_p));
-        }
-
-        /* "normortho/_kernels.pyx":162
- *                     for j in range(dim):
- *                         s += pow(fabs(u[j]) / m, p)
- *                     vals[i] = m * pow(s, 1.0 / p)             # <<<<<<<<<<<<<<
- *             elif k == K_WLP1:
- *                 s = 0.0
-*/
-        (__pyx_v_vals[__pyx_v_i]) = (__pyx_v_m * pow(__pyx_v_s, (1.0 / __pyx_v_p)));
-      }
-      __pyx_L19:;
-
-      /* "normortho/_kernels.pyx":147
- *                         m = a
- *                 vals[i] = m
- *             elif k == K_LP:             # <<<<<<<<<<<<<<
- *                 # scaled by the max coordinate so u far from unit scale
- *                 # neither overflows nor underflows pow
 */
       break;
       case __pyx_e_9normortho_8_kernels_K_WLP1:
 
-      /* "normortho/_kernels.pyx":164
- *                     vals[i] = m * pow(s, 1.0 / p)
+      /* "normortho/_kernels.pyx":131
+ *                     vals[i] = m * sqrt(s)
  *             elif k == K_WLP1:
  *                 s = 0.0             # <<<<<<<<<<<<<<
  *                 for j in range(dim):
@@ -4359,7 +4034,7 @@ static double __pyx_f_9normortho_8_kernels_7Program__value(struct __pyx_obj_9nor
 */
       __pyx_v_s = 0.0;
 
-      /* "normortho/_kernels.pyx":165
+      /* "normortho/_kernels.pyx":132
  *             elif k == K_WLP1:
  *                 s = 0.0
  *                 for j in range(dim):             # <<<<<<<<<<<<<<
@@ -4371,7 +4046,7 @@ static double __pyx_f_9normortho_8_kernels_7Program__value(struct __pyx_obj_9nor
       for (__pyx_t_6 = 0; __pyx_t_6 < __pyx_t_5; __pyx_t_6+=1) {
         __pyx_v_j = __pyx_t_6;
 
-        /* "normortho/_kernels.pyx":166
+        /* "normortho/_kernels.pyx":133
  *                 s = 0.0
  *                 for j in range(dim):
  *                     s += self.weights[self.woff[i] + j] * fabs(u[j])             # <<<<<<<<<<<<<<
@@ -4381,7 +4056,7 @@ static double __pyx_f_9normortho_8_kernels_7Program__value(struct __pyx_obj_9nor
         __pyx_v_s = (__pyx_v_s + ((__pyx_v_self->weights[((__pyx_v_self->woff[__pyx_v_i]) + __pyx_v_j)]) * fabs((__pyx_v_u[__pyx_v_j]))));
       }
 
-      /* "normortho/_kernels.pyx":167
+      /* "normortho/_kernels.pyx":134
  *                 for j in range(dim):
  *                     s += self.weights[self.woff[i] + j] * fabs(u[j])
  *                 vals[i] = s             # <<<<<<<<<<<<<<
@@ -4390,9 +4065,9 @@ static double __pyx_f_9normortho_8_kernels_7Program__value(struct __pyx_obj_9nor
 */
       (__pyx_v_vals[__pyx_v_i]) = __pyx_v_s;
 
-      /* "normortho/_kernels.pyx":163
- *                         s += pow(fabs(u[j]) / m, p)
- *                     vals[i] = m * pow(s, 1.0 / p)
+      /* "normortho/_kernels.pyx":130
+ *                         s += r * r
+ *                     vals[i] = m * sqrt(s)
  *             elif k == K_WLP1:             # <<<<<<<<<<<<<<
  *                 s = 0.0
  *                 for j in range(dim):
@@ -4400,7 +4075,7 @@ static double __pyx_f_9normortho_8_kernels_7Program__value(struct __pyx_obj_9nor
       break;
       case __pyx_e_9normortho_8_kernels_K_WLPINF:
 
-      /* "normortho/_kernels.pyx":169
+      /* "normortho/_kernels.pyx":136
  *                 vals[i] = s
  *             elif k == K_WLPINF:
  *                 m = 0.0             # <<<<<<<<<<<<<<
@@ -4409,7 +4084,7 @@ static double __pyx_f_9normortho_8_kernels_7Program__value(struct __pyx_obj_9nor
 */
       __pyx_v_m = 0.0;
 
-      /* "normortho/_kernels.pyx":170
+      /* "normortho/_kernels.pyx":137
  *             elif k == K_WLPINF:
  *                 m = 0.0
  *                 for j in range(dim):             # <<<<<<<<<<<<<<
@@ -4421,7 +4096,7 @@ static double __pyx_f_9normortho_8_kernels_7Program__value(struct __pyx_obj_9nor
       for (__pyx_t_6 = 0; __pyx_t_6 < __pyx_t_5; __pyx_t_6+=1) {
         __pyx_v_j = __pyx_t_6;
 
-        /* "normortho/_kernels.pyx":171
+        /* "normortho/_kernels.pyx":138
  *                 m = 0.0
  *                 for j in range(dim):
  *                     a = self.weights[self.woff[i] + j] * fabs(u[j])             # <<<<<<<<<<<<<<
@@ -4430,7 +4105,7 @@ static double __pyx_f_9normortho_8_kernels_7Program__value(struct __pyx_obj_9nor
 */
         __pyx_v_a = ((__pyx_v_self->weights[((__pyx_v_self->woff[__pyx_v_i]) + __pyx_v_j)]) * fabs((__pyx_v_u[__pyx_v_j])));
 
-        /* "normortho/_kernels.pyx":172
+        /* "normortho/_kernels.pyx":139
  *                 for j in range(dim):
  *                     a = self.weights[self.woff[i] + j] * fabs(u[j])
  *                     if a > m:             # <<<<<<<<<<<<<<
@@ -4440,7 +4115,7 @@ static double __pyx_f_9normortho_8_kernels_7Program__value(struct __pyx_obj_9nor
         __pyx_t_7 = (__pyx_v_a > __pyx_v_m);
         if (__pyx_t_7) {
 
-          /* "normortho/_kernels.pyx":173
+          /* "normortho/_kernels.pyx":140
  *                     a = self.weights[self.woff[i] + j] * fabs(u[j])
  *                     if a > m:
  *                         m = a             # <<<<<<<<<<<<<<
@@ -4449,7 +4124,7 @@ static double __pyx_f_9normortho_8_kernels_7Program__value(struct __pyx_obj_9nor
 */
           __pyx_v_m = __pyx_v_a;
 
-          /* "normortho/_kernels.pyx":172
+          /* "normortho/_kernels.pyx":139
  *                 for j in range(dim):
  *                     a = self.weights[self.woff[i] + j] * fabs(u[j])
  *                     if a > m:             # <<<<<<<<<<<<<<
@@ -4459,16 +4134,16 @@ static double __pyx_f_9normortho_8_kernels_7Program__value(struct __pyx_obj_9nor
         }
       }
 
-      /* "normortho/_kernels.pyx":174
+      /* "normortho/_kernels.pyx":141
  *                     if a > m:
  *                         m = a
  *                 vals[i] = m             # <<<<<<<<<<<<<<
  *             elif k == K_WLPP:
- *                 p = self.params[i]
+ *                 # scaled by the max coordinate so u far from unit scale
 */
       (__pyx_v_vals[__pyx_v_i]) = __pyx_v_m;
 
-      /* "normortho/_kernels.pyx":168
+      /* "normortho/_kernels.pyx":135
  *                     s += self.weights[self.woff[i] + j] * fabs(u[j])
  *                 vals[i] = s
  *             elif k == K_WLPINF:             # <<<<<<<<<<<<<<
@@ -4478,17 +4153,17 @@ static double __pyx_f_9normortho_8_kernels_7Program__value(struct __pyx_obj_9nor
       break;
       case __pyx_e_9normortho_8_kernels_K_WLPP:
 
-      /* "normortho/_kernels.pyx":176
- *                 vals[i] = m
- *             elif k == K_WLPP:
+      /* "normortho/_kernels.pyx":145
+ *                 # scaled by the max coordinate so u far from unit scale
+ *                 # neither overflows nor underflows pow
  *                 p = self.params[i]             # <<<<<<<<<<<<<<
  *                 m = 0.0
  *                 for j in range(dim):
 */
       __pyx_v_p = (__pyx_v_self->params[__pyx_v_i]);
 
-      /* "normortho/_kernels.pyx":177
- *             elif k == K_WLPP:
+      /* "normortho/_kernels.pyx":146
+ *                 # neither overflows nor underflows pow
  *                 p = self.params[i]
  *                 m = 0.0             # <<<<<<<<<<<<<<
  *                 for j in range(dim):
@@ -4496,7 +4171,7 @@ static double __pyx_f_9normortho_8_kernels_7Program__value(struct __pyx_obj_9nor
 */
       __pyx_v_m = 0.0;
 
-      /* "normortho/_kernels.pyx":178
+      /* "normortho/_kernels.pyx":147
  *                 p = self.params[i]
  *                 m = 0.0
  *                 for j in range(dim):             # <<<<<<<<<<<<<<
@@ -4508,7 +4183,7 @@ static double __pyx_f_9normortho_8_kernels_7Program__value(struct __pyx_obj_9nor
       for (__pyx_t_6 = 0; __pyx_t_6 < __pyx_t_5; __pyx_t_6+=1) {
         __pyx_v_j = __pyx_t_6;
 
-        /* "normortho/_kernels.pyx":179
+        /* "normortho/_kernels.pyx":148
  *                 m = 0.0
  *                 for j in range(dim):
  *                     a = fabs(u[j])             # <<<<<<<<<<<<<<
@@ -4517,7 +4192,7 @@ static double __pyx_f_9normortho_8_kernels_7Program__value(struct __pyx_obj_9nor
 */
         __pyx_v_a = fabs((__pyx_v_u[__pyx_v_j]));
 
-        /* "normortho/_kernels.pyx":180
+        /* "normortho/_kernels.pyx":149
  *                 for j in range(dim):
  *                     a = fabs(u[j])
  *                     if a > m:             # <<<<<<<<<<<<<<
@@ -4527,7 +4202,7 @@ static double __pyx_f_9normortho_8_kernels_7Program__value(struct __pyx_obj_9nor
         __pyx_t_7 = (__pyx_v_a > __pyx_v_m);
         if (__pyx_t_7) {
 
-          /* "normortho/_kernels.pyx":181
+          /* "normortho/_kernels.pyx":150
  *                     a = fabs(u[j])
  *                     if a > m:
  *                         m = a             # <<<<<<<<<<<<<<
@@ -4536,7 +4211,7 @@ static double __pyx_f_9normortho_8_kernels_7Program__value(struct __pyx_obj_9nor
 */
           __pyx_v_m = __pyx_v_a;
 
-          /* "normortho/_kernels.pyx":180
+          /* "normortho/_kernels.pyx":149
  *                 for j in range(dim):
  *                     a = fabs(u[j])
  *                     if a > m:             # <<<<<<<<<<<<<<
@@ -4546,7 +4221,7 @@ static double __pyx_f_9normortho_8_kernels_7Program__value(struct __pyx_obj_9nor
         }
       }
 
-      /* "normortho/_kernels.pyx":182
+      /* "normortho/_kernels.pyx":151
  *                     if a > m:
  *                         m = a
  *                 if m == 0.0:             # <<<<<<<<<<<<<<
@@ -4556,7 +4231,7 @@ static double __pyx_f_9normortho_8_kernels_7Program__value(struct __pyx_obj_9nor
       __pyx_t_7 = (__pyx_v_m == 0.0);
       if (__pyx_t_7) {
 
-        /* "normortho/_kernels.pyx":183
+        /* "normortho/_kernels.pyx":152
  *                         m = a
  *                 if m == 0.0:
  *                     vals[i] = 0.0             # <<<<<<<<<<<<<<
@@ -4565,7 +4240,7 @@ static double __pyx_f_9normortho_8_kernels_7Program__value(struct __pyx_obj_9nor
 */
         (__pyx_v_vals[__pyx_v_i]) = 0.0;
 
-        /* "normortho/_kernels.pyx":182
+        /* "normortho/_kernels.pyx":151
  *                     if a > m:
  *                         m = a
  *                 if m == 0.0:             # <<<<<<<<<<<<<<
@@ -4575,7 +4250,7 @@ static double __pyx_f_9normortho_8_kernels_7Program__value(struct __pyx_obj_9nor
         goto __pyx_L30;
       }
 
-      /* "normortho/_kernels.pyx":185
+      /* "normortho/_kernels.pyx":154
  *                     vals[i] = 0.0
  *                 else:
  *                     s = 0.0             # <<<<<<<<<<<<<<
@@ -4585,7 +4260,7 @@ static double __pyx_f_9normortho_8_kernels_7Program__value(struct __pyx_obj_9nor
       /*else*/ {
         __pyx_v_s = 0.0;
 
-        /* "normortho/_kernels.pyx":186
+        /* "normortho/_kernels.pyx":155
  *                 else:
  *                     s = 0.0
  *                     for j in range(dim):             # <<<<<<<<<<<<<<
@@ -4597,7 +4272,7 @@ static double __pyx_f_9normortho_8_kernels_7Program__value(struct __pyx_obj_9nor
         for (__pyx_t_6 = 0; __pyx_t_6 < __pyx_t_5; __pyx_t_6+=1) {
           __pyx_v_j = __pyx_t_6;
 
-          /* "normortho/_kernels.pyx":187
+          /* "normortho/_kernels.pyx":156
  *                     s = 0.0
  *                     for j in range(dim):
  *                         s += self.weights[self.woff[i] + j] * pow(fabs(u[j]) / m, p)             # <<<<<<<<<<<<<<
@@ -4607,7 +4282,7 @@ static double __pyx_f_9normortho_8_kernels_7Program__value(struct __pyx_obj_9nor
           __pyx_v_s = (__pyx_v_s + ((__pyx_v_self->weights[((__pyx_v_self->woff[__pyx_v_i]) + __pyx_v_j)]) * pow((fabs((__pyx_v_u[__pyx_v_j])) / __pyx_v_m), __pyx_v_p)));
         }
 
-        /* "normortho/_kernels.pyx":188
+        /* "normortho/_kernels.pyx":157
  *                     for j in range(dim):
  *                         s += self.weights[self.woff[i] + j] * pow(fabs(u[j]) / m, p)
  *                     vals[i] = m * pow(s, 1.0 / p)             # <<<<<<<<<<<<<<
@@ -4618,17 +4293,17 @@ static double __pyx_f_9normortho_8_kernels_7Program__value(struct __pyx_obj_9nor
       }
       __pyx_L30:;
 
-      /* "normortho/_kernels.pyx":175
+      /* "normortho/_kernels.pyx":142
  *                         m = a
  *                 vals[i] = m
  *             elif k == K_WLPP:             # <<<<<<<<<<<<<<
- *                 p = self.params[i]
- *                 m = 0.0
+ *                 # scaled by the max coordinate so u far from unit scale
+ *                 # neither overflows nor underflows pow
 */
       break;
       case __pyx_e_9normortho_8_kernels_K_MAX:
 
-      /* "normortho/_kernels.pyx":190
+      /* "normortho/_kernels.pyx":159
  *                     vals[i] = m * pow(s, 1.0 / p)
  *             elif k == K_MAX:
  *                 a = vals[self.left[i]]             # <<<<<<<<<<<<<<
@@ -4637,7 +4312,7 @@ static double __pyx_f_9normortho_8_kernels_7Program__value(struct __pyx_obj_9nor
 */
       __pyx_v_a = (__pyx_v_vals[(__pyx_v_self->left[__pyx_v_i])]);
 
-      /* "normortho/_kernels.pyx":191
+      /* "normortho/_kernels.pyx":160
  *             elif k == K_MAX:
  *                 a = vals[self.left[i]]
  *                 s = vals[self.right[i]]             # <<<<<<<<<<<<<<
@@ -4646,7 +4321,7 @@ static double __pyx_f_9normortho_8_kernels_7Program__value(struct __pyx_obj_9nor
 */
       __pyx_v_s = (__pyx_v_vals[(__pyx_v_self->right[__pyx_v_i])]);
 
-      /* "normortho/_kernels.pyx":192
+      /* "normortho/_kernels.pyx":161
  *                 a = vals[self.left[i]]
  *                 s = vals[self.right[i]]
  *                 vals[i] = a if a >= s else s             # <<<<<<<<<<<<<<
@@ -4661,7 +4336,7 @@ static double __pyx_f_9normortho_8_kernels_7Program__value(struct __pyx_obj_9nor
       }
       (__pyx_v_vals[__pyx_v_i]) = __pyx_t_8;
 
-      /* "normortho/_kernels.pyx":189
+      /* "normortho/_kernels.pyx":158
  *                         s += self.weights[self.woff[i] + j] * pow(fabs(u[j]) / m, p)
  *                     vals[i] = m * pow(s, 1.0 / p)
  *             elif k == K_MAX:             # <<<<<<<<<<<<<<
@@ -4671,7 +4346,7 @@ static double __pyx_f_9normortho_8_kernels_7Program__value(struct __pyx_obj_9nor
       break;
       case __pyx_e_9normortho_8_kernels_K_SUM:
 
-      /* "normortho/_kernels.pyx":194
+      /* "normortho/_kernels.pyx":163
  *                 vals[i] = a if a >= s else s
  *             elif k == K_SUM:
  *                 vals[i] = vals[self.left[i]] + vals[self.right[i]]             # <<<<<<<<<<<<<<
@@ -4680,7 +4355,7 @@ static double __pyx_f_9normortho_8_kernels_7Program__value(struct __pyx_obj_9nor
 */
       (__pyx_v_vals[__pyx_v_i]) = ((__pyx_v_vals[(__pyx_v_self->left[__pyx_v_i])]) + (__pyx_v_vals[(__pyx_v_self->right[__pyx_v_i])]));
 
-      /* "normortho/_kernels.pyx":193
+      /* "normortho/_kernels.pyx":162
  *                 s = vals[self.right[i]]
  *                 vals[i] = a if a >= s else s
  *             elif k == K_SUM:             # <<<<<<<<<<<<<<
@@ -4690,7 +4365,7 @@ static double __pyx_f_9normortho_8_kernels_7Program__value(struct __pyx_obj_9nor
       break;
       default:
 
-      /* "normortho/_kernels.pyx":196
+      /* "normortho/_kernels.pyx":165
  *                 vals[i] = vals[self.left[i]] + vals[self.right[i]]
  *             else:  # K_SCALE
  *                 vals[i] = self.params[i] * vals[self.left[i]]             # <<<<<<<<<<<<<<
@@ -4702,7 +4377,7 @@ static double __pyx_f_9normortho_8_kernels_7Program__value(struct __pyx_obj_9nor
     }
   }
 
-  /* "normortho/_kernels.pyx":197
+  /* "normortho/_kernels.pyx":166
  *             else:  # K_SCALE
  *                 vals[i] = self.params[i] * vals[self.left[i]]
  *         return vals[self.n - 1]             # <<<<<<<<<<<<<<
@@ -4712,7 +4387,7 @@ static double __pyx_f_9normortho_8_kernels_7Program__value(struct __pyx_obj_9nor
   __pyx_r = (__pyx_v_vals[(__pyx_v_self->n - 1)]);
   goto __pyx_L0;
 
-  /* "normortho/_kernels.pyx":115
+  /* "normortho/_kernels.pyx":110
  *         return out
  * 
  *     cdef double _value(self, double* u, double* vals) noexcept nogil:             # <<<<<<<<<<<<<<
@@ -4725,7 +4400,7 @@ static double __pyx_f_9normortho_8_kernels_7Program__value(struct __pyx_obj_9nor
   return __pyx_r;
 }
 
-/* "normortho/_kernels.pyx":201
+/* "normortho/_kernels.pyx":170
  *     # -- one-sided derivatives ----------------------------------------------
  * 
  *     def derivs(self, u, v):             # <<<<<<<<<<<<<<
@@ -4774,39 +4449,39 @@ PyObject *__pyx_args, PyObject *__pyx_kwds
   {
     PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_u,&__pyx_mstate_global->__pyx_n_u_v,0};
     const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 201, __pyx_L3_error)
+    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 170, __pyx_L3_error)
     if (__pyx_kwds_len > 0) {
       switch (__pyx_nargs) {
         case  2:
         values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 201, __pyx_L3_error)
+        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 170, __pyx_L3_error)
         CYTHON_FALLTHROUGH;
         case  1:
         values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 201, __pyx_L3_error)
+        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 170, __pyx_L3_error)
         CYTHON_FALLTHROUGH;
         case  0: break;
         default: goto __pyx_L5_argtuple_error;
       }
       const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "derivs", 0) < (0)) __PYX_ERR(0, 201, __pyx_L3_error)
+      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "derivs", 0) < (0)) __PYX_ERR(0, 170, __pyx_L3_error)
       for (Py_ssize_t i = __pyx_nargs; i < 2; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("derivs", 1, 2, 2, i); __PYX_ERR(0, 201, __pyx_L3_error) }
+        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("derivs", 1, 2, 2, i); __PYX_ERR(0, 170, __pyx_L3_error) }
       }
     } else if (unlikely(__pyx_nargs != 2)) {
       goto __pyx_L5_argtuple_error;
     } else {
       values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 201, __pyx_L3_error)
+      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 170, __pyx_L3_error)
       values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 201, __pyx_L3_error)
+      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 170, __pyx_L3_error)
     }
     __pyx_v_u = values[0];
     __pyx_v_v = values[1];
   }
   goto __pyx_L6_skip;
   __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("derivs", 1, 2, 2, __pyx_nargs); __PYX_ERR(0, 201, __pyx_L3_error)
+  __Pyx_RaiseArgtupleInvalid("derivs", 1, 2, 2, __pyx_nargs); __PYX_ERR(0, 170, __pyx_L3_error)
   __pyx_L6_skip:;
   goto __pyx_L4_argument_unpacking_done;
   __pyx_L3_error:;
@@ -4830,7 +4505,7 @@ PyObject *__pyx_args, PyObject *__pyx_kwds
 static PyObject *__pyx_pf_9normortho_8_kernels_7Program_6derivs(struct __pyx_obj_9normortho_8_kernels_Program *__pyx_v_self, PyObject *__pyx_v_u, PyObject *__pyx_v_v) {
   double __pyx_v_ubuf[__pyx_e_9normortho_8_kernels_STACK_CAP];
   double __pyx_v_vbuf[__pyx_e_9normortho_8_kernels_STACK_CAP];
-  double __pyx_v_valbuf[__pyx_e_9normortho_8_kernels_STACK_CAP];
+  double __pyx_v_valbuf[(2 * __pyx_e_9normortho_8_kernels_STACK_CAP)];
   double __pyx_v_dpbuf[__pyx_e_9normortho_8_kernels_STACK_CAP];
   double __pyx_v_dmbuf[__pyx_e_9normortho_8_kernels_STACK_CAP];
   double *__pyx_v_cu;
@@ -4872,27 +4547,27 @@ static PyObject *__pyx_pf_9normortho_8_kernels_7Program_6derivs(struct __pyx_obj
   int __pyx_clineno = 0;
   __Pyx_RefNannySetupContext("derivs", 0);
 
-  /* "normortho/_kernels.pyx":203
+  /* "normortho/_kernels.pyx":172
  *     def derivs(self, u, v):
  *         """(N(u), D+, D-) of t -> N(u + t v) at t = 0."""
  *         if len(u) != self.dim or len(v) != self.dim:             # <<<<<<<<<<<<<<
  *             raise ValueError(
  *                 f"expected {self.dim} coordinates, got {len(u)} and {len(v)}"
 */
-  __pyx_t_2 = PyObject_Length(__pyx_v_u); if (unlikely(__pyx_t_2 == ((Py_ssize_t)-1))) __PYX_ERR(0, 203, __pyx_L1_error)
+  __pyx_t_2 = PyObject_Length(__pyx_v_u); if (unlikely(__pyx_t_2 == ((Py_ssize_t)-1))) __PYX_ERR(0, 172, __pyx_L1_error)
   __pyx_t_3 = (__pyx_t_2 != __pyx_v_self->dim);
   if (!__pyx_t_3) {
   } else {
     __pyx_t_1 = __pyx_t_3;
     goto __pyx_L4_bool_binop_done;
   }
-  __pyx_t_2 = PyObject_Length(__pyx_v_v); if (unlikely(__pyx_t_2 == ((Py_ssize_t)-1))) __PYX_ERR(0, 203, __pyx_L1_error)
+  __pyx_t_2 = PyObject_Length(__pyx_v_v); if (unlikely(__pyx_t_2 == ((Py_ssize_t)-1))) __PYX_ERR(0, 172, __pyx_L1_error)
   __pyx_t_3 = (__pyx_t_2 != __pyx_v_self->dim);
   __pyx_t_1 = __pyx_t_3;
   __pyx_L4_bool_binop_done:;
   if (unlikely(__pyx_t_1)) {
 
-    /* "normortho/_kernels.pyx":204
+    /* "normortho/_kernels.pyx":173
  *         """(N(u), D+, D-) of t -> N(u + t v) at t = 0."""
  *         if len(u) != self.dim or len(v) != self.dim:
  *             raise ValueError(             # <<<<<<<<<<<<<<
@@ -4901,20 +4576,20 @@ static PyObject *__pyx_pf_9normortho_8_kernels_7Program_6derivs(struct __pyx_obj
 */
     __pyx_t_5 = NULL;
 
-    /* "normortho/_kernels.pyx":205
+    /* "normortho/_kernels.pyx":174
  *         if len(u) != self.dim or len(v) != self.dim:
  *             raise ValueError(
  *                 f"expected {self.dim} coordinates, got {len(u)} and {len(v)}"             # <<<<<<<<<<<<<<
  *             )
  *         cdef double ubuf[STACK_CAP]
 */
-    __pyx_t_6 = __Pyx_PyUnicode_From_int(__pyx_v_self->dim, 0, ' ', 'd'); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 205, __pyx_L1_error)
+    __pyx_t_6 = __Pyx_PyUnicode_From_int(__pyx_v_self->dim, 0, ' ', 'd'); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 174, __pyx_L1_error)
     __Pyx_GOTREF(__pyx_t_6);
-    __pyx_t_2 = PyObject_Length(__pyx_v_u); if (unlikely(__pyx_t_2 == ((Py_ssize_t)-1))) __PYX_ERR(0, 205, __pyx_L1_error)
-    __pyx_t_7 = __Pyx_PyUnicode_From_Py_ssize_t(__pyx_t_2, 0, ' ', 'd'); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 205, __pyx_L1_error)
+    __pyx_t_2 = PyObject_Length(__pyx_v_u); if (unlikely(__pyx_t_2 == ((Py_ssize_t)-1))) __PYX_ERR(0, 174, __pyx_L1_error)
+    __pyx_t_7 = __Pyx_PyUnicode_From_Py_ssize_t(__pyx_t_2, 0, ' ', 'd'); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 174, __pyx_L1_error)
     __Pyx_GOTREF(__pyx_t_7);
-    __pyx_t_2 = PyObject_Length(__pyx_v_v); if (unlikely(__pyx_t_2 == ((Py_ssize_t)-1))) __PYX_ERR(0, 205, __pyx_L1_error)
-    __pyx_t_8 = __Pyx_PyUnicode_From_Py_ssize_t(__pyx_t_2, 0, ' ', 'd'); if (unlikely(!__pyx_t_8)) __PYX_ERR(0, 205, __pyx_L1_error)
+    __pyx_t_2 = PyObject_Length(__pyx_v_v); if (unlikely(__pyx_t_2 == ((Py_ssize_t)-1))) __PYX_ERR(0, 174, __pyx_L1_error)
+    __pyx_t_8 = __Pyx_PyUnicode_From_Py_ssize_t(__pyx_t_2, 0, ' ', 'd'); if (unlikely(!__pyx_t_8)) __PYX_ERR(0, 174, __pyx_L1_error)
     __Pyx_GOTREF(__pyx_t_8);
     __pyx_t_9[0] = __pyx_mstate_global->__pyx_kp_u_expected;
     __pyx_t_9[1] = __pyx_t_6;
@@ -4923,7 +4598,7 @@ static PyObject *__pyx_pf_9normortho_8_kernels_7Program_6derivs(struct __pyx_obj
     __pyx_t_9[4] = __pyx_mstate_global->__pyx_kp_u_and;
     __pyx_t_9[5] = __pyx_t_8;
     __pyx_t_10 = __Pyx_PyUnicode_Join(__pyx_t_9, 6, 9 + __Pyx_PyUnicode_GET_LENGTH(__pyx_t_6) + 18 + __Pyx_PyUnicode_GET_LENGTH(__pyx_t_7) + 5 + __Pyx_PyUnicode_GET_LENGTH(__pyx_t_8), 127);
-    if (unlikely(!__pyx_t_10)) __PYX_ERR(0, 205, __pyx_L1_error)
+    if (unlikely(!__pyx_t_10)) __PYX_ERR(0, 174, __pyx_L1_error)
     __Pyx_GOTREF(__pyx_t_10);
     __Pyx_DECREF(__pyx_t_6); __pyx_t_6 = 0;
     __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
@@ -4934,14 +4609,14 @@ static PyObject *__pyx_pf_9normortho_8_kernels_7Program_6derivs(struct __pyx_obj
       __pyx_t_4 = __Pyx_PyObject_FastCall((PyObject*)(((PyTypeObject*)PyExc_ValueError)), __pyx_callargs+__pyx_t_11, (2-__pyx_t_11) | (__pyx_t_11*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
       __Pyx_XDECREF(__pyx_t_5); __pyx_t_5 = 0;
       __Pyx_DECREF(__pyx_t_10); __pyx_t_10 = 0;
-      if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 204, __pyx_L1_error)
+      if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 173, __pyx_L1_error)
       __Pyx_GOTREF(__pyx_t_4);
     }
     __Pyx_Raise(__pyx_t_4, 0, 0, 0);
     __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-    __PYX_ERR(0, 204, __pyx_L1_error)
+    __PYX_ERR(0, 173, __pyx_L1_error)
 
-    /* "normortho/_kernels.pyx":203
+    /* "normortho/_kernels.pyx":172
  *     def derivs(self, u, v):
  *         """(N(u), D+, D-) of t -> N(u + t v) at t = 0."""
  *         if len(u) != self.dim or len(v) != self.dim:             # <<<<<<<<<<<<<<
@@ -4950,7 +4625,7 @@ static PyObject *__pyx_pf_9normortho_8_kernels_7Program_6derivs(struct __pyx_obj
 */
   }
 
-  /* "normortho/_kernels.pyx":212
+  /* "normortho/_kernels.pyx":181
  *         cdef double dpbuf[STACK_CAP]
  *         cdef double dmbuf[STACK_CAP]
  *         cdef double* cu = ubuf             # <<<<<<<<<<<<<<
@@ -4959,7 +4634,7 @@ static PyObject *__pyx_pf_9normortho_8_kernels_7Program_6derivs(struct __pyx_obj
 */
   __pyx_v_cu = __pyx_v_ubuf;
 
-  /* "normortho/_kernels.pyx":213
+  /* "normortho/_kernels.pyx":182
  *         cdef double dmbuf[STACK_CAP]
  *         cdef double* cu = ubuf
  *         cdef double* cv = vbuf             # <<<<<<<<<<<<<<
@@ -4968,7 +4643,7 @@ static PyObject *__pyx_pf_9normortho_8_kernels_7Program_6derivs(struct __pyx_obj
 */
   __pyx_v_cv = __pyx_v_vbuf;
 
-  /* "normortho/_kernels.pyx":214
+  /* "normortho/_kernels.pyx":183
  *         cdef double* cu = ubuf
  *         cdef double* cv = vbuf
  *         cdef double* cvals = valbuf             # <<<<<<<<<<<<<<
@@ -4977,7 +4652,7 @@ static PyObject *__pyx_pf_9normortho_8_kernels_7Program_6derivs(struct __pyx_obj
 */
   __pyx_v_cvals = __pyx_v_valbuf;
 
-  /* "normortho/_kernels.pyx":215
+  /* "normortho/_kernels.pyx":184
  *         cdef double* cv = vbuf
  *         cdef double* cvals = valbuf
  *         cdef double* cdps = dpbuf             # <<<<<<<<<<<<<<
@@ -4986,7 +4661,7 @@ static PyObject *__pyx_pf_9normortho_8_kernels_7Program_6derivs(struct __pyx_obj
 */
   __pyx_v_cdps = __pyx_v_dpbuf;
 
-  /* "normortho/_kernels.pyx":216
+  /* "normortho/_kernels.pyx":185
  *         cdef double* cvals = valbuf
  *         cdef double* cdps = dpbuf
  *         cdef double* cdms = dmbuf             # <<<<<<<<<<<<<<
@@ -4995,7 +4670,7 @@ static PyObject *__pyx_pf_9normortho_8_kernels_7Program_6derivs(struct __pyx_obj
 */
   __pyx_v_cdms = __pyx_v_dmbuf;
 
-  /* "normortho/_kernels.pyx":217
+  /* "normortho/_kernels.pyx":186
  *         cdef double* cdps = dpbuf
  *         cdef double* cdms = dmbuf
  *         cdef bint heap_u = self.dim > STACK_CAP             # <<<<<<<<<<<<<<
@@ -5004,7 +4679,7 @@ static PyObject *__pyx_pf_9normortho_8_kernels_7Program_6derivs(struct __pyx_obj
 */
   __pyx_v_heap_u = (__pyx_v_self->dim > __pyx_e_9normortho_8_kernels_STACK_CAP);
 
-  /* "normortho/_kernels.pyx":218
+  /* "normortho/_kernels.pyx":187
  *         cdef double* cdms = dmbuf
  *         cdef bint heap_u = self.dim > STACK_CAP
  *         cdef bint heap_n = self.n > STACK_CAP             # <<<<<<<<<<<<<<
@@ -5013,7 +4688,7 @@ static PyObject *__pyx_pf_9normortho_8_kernels_7Program_6derivs(struct __pyx_obj
 */
   __pyx_v_heap_n = (__pyx_v_self->n > __pyx_e_9normortho_8_kernels_STACK_CAP);
 
-  /* "normortho/_kernels.pyx":221
+  /* "normortho/_kernels.pyx":190
  *         cdef Py_ssize_t j
  *         cdef int last
  *         if heap_u:             # <<<<<<<<<<<<<<
@@ -5022,27 +4697,27 @@ static PyObject *__pyx_pf_9normortho_8_kernels_7Program_6derivs(struct __pyx_obj
 */
   if (__pyx_v_heap_u) {
 
-    /* "normortho/_kernels.pyx":222
+    /* "normortho/_kernels.pyx":191
  *         cdef int last
  *         if heap_u:
  *             cu = _alloc_double(self.dim)             # <<<<<<<<<<<<<<
  *             cv = _alloc_double(self.dim)
  *         if heap_n:
 */
-    __pyx_t_12 = __pyx_f_9normortho_8_kernels__alloc_double(__pyx_v_self->dim); if (unlikely(__pyx_t_12 == ((void *)NULL))) __PYX_ERR(0, 222, __pyx_L1_error)
+    __pyx_t_12 = __pyx_f_9normortho_8_kernels__alloc_double(__pyx_v_self->dim); if (unlikely(__pyx_t_12 == ((void *)NULL))) __PYX_ERR(0, 191, __pyx_L1_error)
     __pyx_v_cu = __pyx_t_12;
 
-    /* "normortho/_kernels.pyx":223
+    /* "normortho/_kernels.pyx":192
  *         if heap_u:
  *             cu = _alloc_double(self.dim)
  *             cv = _alloc_double(self.dim)             # <<<<<<<<<<<<<<
  *         if heap_n:
- *             cvals = _alloc_double(self.n)
+ *             cvals = _alloc_double(2 * self.n)
 */
-    __pyx_t_12 = __pyx_f_9normortho_8_kernels__alloc_double(__pyx_v_self->dim); if (unlikely(__pyx_t_12 == ((void *)NULL))) __PYX_ERR(0, 223, __pyx_L1_error)
+    __pyx_t_12 = __pyx_f_9normortho_8_kernels__alloc_double(__pyx_v_self->dim); if (unlikely(__pyx_t_12 == ((void *)NULL))) __PYX_ERR(0, 192, __pyx_L1_error)
     __pyx_v_cv = __pyx_t_12;
 
-    /* "normortho/_kernels.pyx":221
+    /* "normortho/_kernels.pyx":190
  *         cdef Py_ssize_t j
  *         cdef int last
  *         if heap_u:             # <<<<<<<<<<<<<<
@@ -5051,55 +4726,55 @@ static PyObject *__pyx_pf_9normortho_8_kernels_7Program_6derivs(struct __pyx_obj
 */
   }
 
-  /* "normortho/_kernels.pyx":224
+  /* "normortho/_kernels.pyx":193
  *             cu = _alloc_double(self.dim)
  *             cv = _alloc_double(self.dim)
  *         if heap_n:             # <<<<<<<<<<<<<<
- *             cvals = _alloc_double(self.n)
+ *             cvals = _alloc_double(2 * self.n)
  *             cdps = _alloc_double(self.n)
 */
   if (__pyx_v_heap_n) {
 
-    /* "normortho/_kernels.pyx":225
+    /* "normortho/_kernels.pyx":194
  *             cv = _alloc_double(self.dim)
  *         if heap_n:
- *             cvals = _alloc_double(self.n)             # <<<<<<<<<<<<<<
+ *             cvals = _alloc_double(2 * self.n)             # <<<<<<<<<<<<<<
  *             cdps = _alloc_double(self.n)
  *             cdms = _alloc_double(self.n)
 */
-    __pyx_t_12 = __pyx_f_9normortho_8_kernels__alloc_double(__pyx_v_self->n); if (unlikely(__pyx_t_12 == ((void *)NULL))) __PYX_ERR(0, 225, __pyx_L1_error)
+    __pyx_t_12 = __pyx_f_9normortho_8_kernels__alloc_double((2 * __pyx_v_self->n)); if (unlikely(__pyx_t_12 == ((void *)NULL))) __PYX_ERR(0, 194, __pyx_L1_error)
     __pyx_v_cvals = __pyx_t_12;
 
-    /* "normortho/_kernels.pyx":226
+    /* "normortho/_kernels.pyx":195
  *         if heap_n:
- *             cvals = _alloc_double(self.n)
+ *             cvals = _alloc_double(2 * self.n)
  *             cdps = _alloc_double(self.n)             # <<<<<<<<<<<<<<
  *             cdms = _alloc_double(self.n)
  *         try:
 */
-    __pyx_t_12 = __pyx_f_9normortho_8_kernels__alloc_double(__pyx_v_self->n); if (unlikely(__pyx_t_12 == ((void *)NULL))) __PYX_ERR(0, 226, __pyx_L1_error)
+    __pyx_t_12 = __pyx_f_9normortho_8_kernels__alloc_double(__pyx_v_self->n); if (unlikely(__pyx_t_12 == ((void *)NULL))) __PYX_ERR(0, 195, __pyx_L1_error)
     __pyx_v_cdps = __pyx_t_12;
 
-    /* "normortho/_kernels.pyx":227
- *             cvals = _alloc_double(self.n)
+    /* "normortho/_kernels.pyx":196
+ *             cvals = _alloc_double(2 * self.n)
  *             cdps = _alloc_double(self.n)
  *             cdms = _alloc_double(self.n)             # <<<<<<<<<<<<<<
  *         try:
  *             for j in range(self.dim):
 */
-    __pyx_t_12 = __pyx_f_9normortho_8_kernels__alloc_double(__pyx_v_self->n); if (unlikely(__pyx_t_12 == ((void *)NULL))) __PYX_ERR(0, 227, __pyx_L1_error)
+    __pyx_t_12 = __pyx_f_9normortho_8_kernels__alloc_double(__pyx_v_self->n); if (unlikely(__pyx_t_12 == ((void *)NULL))) __PYX_ERR(0, 196, __pyx_L1_error)
     __pyx_v_cdms = __pyx_t_12;
 
-    /* "normortho/_kernels.pyx":224
+    /* "normortho/_kernels.pyx":193
  *             cu = _alloc_double(self.dim)
  *             cv = _alloc_double(self.dim)
  *         if heap_n:             # <<<<<<<<<<<<<<
- *             cvals = _alloc_double(self.n)
+ *             cvals = _alloc_double(2 * self.n)
  *             cdps = _alloc_double(self.n)
 */
   }
 
-  /* "normortho/_kernels.pyx":228
+  /* "normortho/_kernels.pyx":197
  *             cdps = _alloc_double(self.n)
  *             cdms = _alloc_double(self.n)
  *         try:             # <<<<<<<<<<<<<<
@@ -5108,7 +4783,7 @@ static PyObject *__pyx_pf_9normortho_8_kernels_7Program_6derivs(struct __pyx_obj
 */
   /*try:*/ {
 
-    /* "normortho/_kernels.pyx":229
+    /* "normortho/_kernels.pyx":198
  *             cdms = _alloc_double(self.n)
  *         try:
  *             for j in range(self.dim):             # <<<<<<<<<<<<<<
@@ -5120,34 +4795,34 @@ static PyObject *__pyx_pf_9normortho_8_kernels_7Program_6derivs(struct __pyx_obj
     for (__pyx_t_2 = 0; __pyx_t_2 < __pyx_t_14; __pyx_t_2+=1) {
       __pyx_v_j = __pyx_t_2;
 
-      /* "normortho/_kernels.pyx":230
+      /* "normortho/_kernels.pyx":199
  *         try:
  *             for j in range(self.dim):
  *                 cu[j] = u[j]             # <<<<<<<<<<<<<<
  *                 cv[j] = v[j]
  *             self._value(cu, cvals)
 */
-      __pyx_t_4 = __Pyx_GetItemInt(__pyx_v_u, __pyx_v_j, Py_ssize_t, 1, PyLong_FromSsize_t, 0, 0, 0, 1, __Pyx_ReferenceSharing_FunctionArgument); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 230, __pyx_L9_error)
+      __pyx_t_4 = __Pyx_GetItemInt(__pyx_v_u, __pyx_v_j, Py_ssize_t, 1, PyLong_FromSsize_t, 0, 0, 0, 1, __Pyx_ReferenceSharing_FunctionArgument); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 199, __pyx_L9_error)
       __Pyx_GOTREF(__pyx_t_4);
-      __pyx_t_15 = __Pyx_PyFloat_AsDouble(__pyx_t_4); if (unlikely((__pyx_t_15 == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 230, __pyx_L9_error)
+      __pyx_t_15 = __Pyx_PyFloat_AsDouble(__pyx_t_4); if (unlikely((__pyx_t_15 == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 199, __pyx_L9_error)
       __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
       (__pyx_v_cu[__pyx_v_j]) = __pyx_t_15;
 
-      /* "normortho/_kernels.pyx":231
+      /* "normortho/_kernels.pyx":200
  *             for j in range(self.dim):
  *                 cu[j] = u[j]
  *                 cv[j] = v[j]             # <<<<<<<<<<<<<<
  *             self._value(cu, cvals)
  *             self._derivs(cu, cv, cvals, cdps, cdms)
 */
-      __pyx_t_4 = __Pyx_GetItemInt(__pyx_v_v, __pyx_v_j, Py_ssize_t, 1, PyLong_FromSsize_t, 0, 0, 0, 1, __Pyx_ReferenceSharing_FunctionArgument); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 231, __pyx_L9_error)
+      __pyx_t_4 = __Pyx_GetItemInt(__pyx_v_v, __pyx_v_j, Py_ssize_t, 1, PyLong_FromSsize_t, 0, 0, 0, 1, __Pyx_ReferenceSharing_FunctionArgument); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 200, __pyx_L9_error)
       __Pyx_GOTREF(__pyx_t_4);
-      __pyx_t_15 = __Pyx_PyFloat_AsDouble(__pyx_t_4); if (unlikely((__pyx_t_15 == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 231, __pyx_L9_error)
+      __pyx_t_15 = __Pyx_PyFloat_AsDouble(__pyx_t_4); if (unlikely((__pyx_t_15 == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 200, __pyx_L9_error)
       __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
       (__pyx_v_cv[__pyx_v_j]) = __pyx_t_15;
     }
 
-    /* "normortho/_kernels.pyx":232
+    /* "normortho/_kernels.pyx":201
  *                 cu[j] = u[j]
  *                 cv[j] = v[j]
  *             self._value(cu, cvals)             # <<<<<<<<<<<<<<
@@ -5156,7 +4831,7 @@ static PyObject *__pyx_pf_9normortho_8_kernels_7Program_6derivs(struct __pyx_obj
 */
     (void)(((struct __pyx_vtabstruct_9normortho_8_kernels_Program *)__pyx_v_self->__pyx_vtab)->_value(__pyx_v_self, __pyx_v_cu, __pyx_v_cvals));
 
-    /* "normortho/_kernels.pyx":233
+    /* "normortho/_kernels.pyx":202
  *                 cv[j] = v[j]
  *             self._value(cu, cvals)
  *             self._derivs(cu, cv, cvals, cdps, cdms)             # <<<<<<<<<<<<<<
@@ -5165,7 +4840,7 @@ static PyObject *__pyx_pf_9normortho_8_kernels_7Program_6derivs(struct __pyx_obj
 */
     ((struct __pyx_vtabstruct_9normortho_8_kernels_Program *)__pyx_v_self->__pyx_vtab)->_derivs(__pyx_v_self, __pyx_v_cu, __pyx_v_cv, __pyx_v_cvals, __pyx_v_cdps, __pyx_v_cdms);
 
-    /* "normortho/_kernels.pyx":234
+    /* "normortho/_kernels.pyx":203
  *             self._value(cu, cvals)
  *             self._derivs(cu, cv, cvals, cdps, cdms)
  *             last = self.n - 1             # <<<<<<<<<<<<<<
@@ -5174,27 +4849,27 @@ static PyObject *__pyx_pf_9normortho_8_kernels_7Program_6derivs(struct __pyx_obj
 */
     __pyx_v_last = (__pyx_v_self->n - 1);
 
-    /* "normortho/_kernels.pyx":235
+    /* "normortho/_kernels.pyx":204
  *             self._derivs(cu, cv, cvals, cdps, cdms)
  *             last = self.n - 1
  *             out = (cvals[last], cdps[last], cdms[last])             # <<<<<<<<<<<<<<
  *         finally:
  *             if heap_u:
 */
-    __pyx_t_4 = PyFloat_FromDouble((__pyx_v_cvals[__pyx_v_last])); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 235, __pyx_L9_error)
+    __pyx_t_4 = PyFloat_FromDouble((__pyx_v_cvals[__pyx_v_last])); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 204, __pyx_L9_error)
     __Pyx_GOTREF(__pyx_t_4);
-    __pyx_t_10 = PyFloat_FromDouble((__pyx_v_cdps[__pyx_v_last])); if (unlikely(!__pyx_t_10)) __PYX_ERR(0, 235, __pyx_L9_error)
+    __pyx_t_10 = PyFloat_FromDouble((__pyx_v_cdps[__pyx_v_last])); if (unlikely(!__pyx_t_10)) __PYX_ERR(0, 204, __pyx_L9_error)
     __Pyx_GOTREF(__pyx_t_10);
-    __pyx_t_5 = PyFloat_FromDouble((__pyx_v_cdms[__pyx_v_last])); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 235, __pyx_L9_error)
+    __pyx_t_5 = PyFloat_FromDouble((__pyx_v_cdms[__pyx_v_last])); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 204, __pyx_L9_error)
     __Pyx_GOTREF(__pyx_t_5);
-    __pyx_t_8 = PyTuple_New(3); if (unlikely(!__pyx_t_8)) __PYX_ERR(0, 235, __pyx_L9_error)
+    __pyx_t_8 = PyTuple_New(3); if (unlikely(!__pyx_t_8)) __PYX_ERR(0, 204, __pyx_L9_error)
     __Pyx_GOTREF(__pyx_t_8);
     __Pyx_GIVEREF(__pyx_t_4);
-    if (__Pyx_PyTuple_SET_ITEM(__pyx_t_8, 0, __pyx_t_4) != (0)) __PYX_ERR(0, 235, __pyx_L9_error);
+    if (__Pyx_PyTuple_SET_ITEM(__pyx_t_8, 0, __pyx_t_4) != (0)) __PYX_ERR(0, 204, __pyx_L9_error);
     __Pyx_GIVEREF(__pyx_t_10);
-    if (__Pyx_PyTuple_SET_ITEM(__pyx_t_8, 1, __pyx_t_10) != (0)) __PYX_ERR(0, 235, __pyx_L9_error);
+    if (__Pyx_PyTuple_SET_ITEM(__pyx_t_8, 1, __pyx_t_10) != (0)) __PYX_ERR(0, 204, __pyx_L9_error);
     __Pyx_GIVEREF(__pyx_t_5);
-    if (__Pyx_PyTuple_SET_ITEM(__pyx_t_8, 2, __pyx_t_5) != (0)) __PYX_ERR(0, 235, __pyx_L9_error);
+    if (__Pyx_PyTuple_SET_ITEM(__pyx_t_8, 2, __pyx_t_5) != (0)) __PYX_ERR(0, 204, __pyx_L9_error);
     __pyx_t_4 = 0;
     __pyx_t_10 = 0;
     __pyx_t_5 = 0;
@@ -5202,7 +4877,7 @@ static PyObject *__pyx_pf_9normortho_8_kernels_7Program_6derivs(struct __pyx_obj
     __pyx_t_8 = 0;
   }
 
-  /* "normortho/_kernels.pyx":237
+  /* "normortho/_kernels.pyx":206
  *             out = (cvals[last], cdps[last], cdms[last])
  *         finally:
  *             if heap_u:             # <<<<<<<<<<<<<<
@@ -5213,7 +4888,7 @@ static PyObject *__pyx_pf_9normortho_8_kernels_7Program_6derivs(struct __pyx_obj
     /*normal exit:*/{
       if (__pyx_v_heap_u) {
 
-        /* "normortho/_kernels.pyx":238
+        /* "normortho/_kernels.pyx":207
  *         finally:
  *             if heap_u:
  *                 free(cu)             # <<<<<<<<<<<<<<
@@ -5222,7 +4897,7 @@ static PyObject *__pyx_pf_9normortho_8_kernels_7Program_6derivs(struct __pyx_obj
 */
         free(__pyx_v_cu);
 
-        /* "normortho/_kernels.pyx":239
+        /* "normortho/_kernels.pyx":208
  *             if heap_u:
  *                 free(cu)
  *                 free(cv)             # <<<<<<<<<<<<<<
@@ -5231,7 +4906,7 @@ static PyObject *__pyx_pf_9normortho_8_kernels_7Program_6derivs(struct __pyx_obj
 */
         free(__pyx_v_cv);
 
-        /* "normortho/_kernels.pyx":237
+        /* "normortho/_kernels.pyx":206
  *             out = (cvals[last], cdps[last], cdms[last])
  *         finally:
  *             if heap_u:             # <<<<<<<<<<<<<<
@@ -5240,7 +4915,7 @@ static PyObject *__pyx_pf_9normortho_8_kernels_7Program_6derivs(struct __pyx_obj
 */
       }
 
-      /* "normortho/_kernels.pyx":240
+      /* "normortho/_kernels.pyx":209
  *                 free(cu)
  *                 free(cv)
  *             if heap_n:             # <<<<<<<<<<<<<<
@@ -5249,7 +4924,7 @@ static PyObject *__pyx_pf_9normortho_8_kernels_7Program_6derivs(struct __pyx_obj
 */
       if (__pyx_v_heap_n) {
 
-        /* "normortho/_kernels.pyx":241
+        /* "normortho/_kernels.pyx":210
  *                 free(cv)
  *             if heap_n:
  *                 free(cvals)             # <<<<<<<<<<<<<<
@@ -5258,7 +4933,7 @@ static PyObject *__pyx_pf_9normortho_8_kernels_7Program_6derivs(struct __pyx_obj
 */
         free(__pyx_v_cvals);
 
-        /* "normortho/_kernels.pyx":242
+        /* "normortho/_kernels.pyx":211
  *             if heap_n:
  *                 free(cvals)
  *                 free(cdps)             # <<<<<<<<<<<<<<
@@ -5267,7 +4942,7 @@ static PyObject *__pyx_pf_9normortho_8_kernels_7Program_6derivs(struct __pyx_obj
 */
         free(__pyx_v_cdps);
 
-        /* "normortho/_kernels.pyx":243
+        /* "normortho/_kernels.pyx":212
  *                 free(cvals)
  *                 free(cdps)
  *                 free(cdms)             # <<<<<<<<<<<<<<
@@ -5276,7 +4951,7 @@ static PyObject *__pyx_pf_9normortho_8_kernels_7Program_6derivs(struct __pyx_obj
 */
         free(__pyx_v_cdms);
 
-        /* "normortho/_kernels.pyx":240
+        /* "normortho/_kernels.pyx":209
  *                 free(cu)
  *                 free(cv)
  *             if heap_n:             # <<<<<<<<<<<<<<
@@ -5308,7 +4983,7 @@ static PyObject *__pyx_pf_9normortho_8_kernels_7Program_6derivs(struct __pyx_obj
       __pyx_t_13 = __pyx_lineno; __pyx_t_14 = __pyx_clineno; __pyx_t_16 = __pyx_filename;
       {
 
-        /* "normortho/_kernels.pyx":237
+        /* "normortho/_kernels.pyx":206
  *             out = (cvals[last], cdps[last], cdms[last])
  *         finally:
  *             if heap_u:             # <<<<<<<<<<<<<<
@@ -5317,7 +4992,7 @@ static PyObject *__pyx_pf_9normortho_8_kernels_7Program_6derivs(struct __pyx_obj
 */
         if (__pyx_v_heap_u) {
 
-          /* "normortho/_kernels.pyx":238
+          /* "normortho/_kernels.pyx":207
  *         finally:
  *             if heap_u:
  *                 free(cu)             # <<<<<<<<<<<<<<
@@ -5326,7 +5001,7 @@ static PyObject *__pyx_pf_9normortho_8_kernels_7Program_6derivs(struct __pyx_obj
 */
           free(__pyx_v_cu);
 
-          /* "normortho/_kernels.pyx":239
+          /* "normortho/_kernels.pyx":208
  *             if heap_u:
  *                 free(cu)
  *                 free(cv)             # <<<<<<<<<<<<<<
@@ -5335,7 +5010,7 @@ static PyObject *__pyx_pf_9normortho_8_kernels_7Program_6derivs(struct __pyx_obj
 */
           free(__pyx_v_cv);
 
-          /* "normortho/_kernels.pyx":237
+          /* "normortho/_kernels.pyx":206
  *             out = (cvals[last], cdps[last], cdms[last])
  *         finally:
  *             if heap_u:             # <<<<<<<<<<<<<<
@@ -5344,7 +5019,7 @@ static PyObject *__pyx_pf_9normortho_8_kernels_7Program_6derivs(struct __pyx_obj
 */
         }
 
-        /* "normortho/_kernels.pyx":240
+        /* "normortho/_kernels.pyx":209
  *                 free(cu)
  *                 free(cv)
  *             if heap_n:             # <<<<<<<<<<<<<<
@@ -5353,7 +5028,7 @@ static PyObject *__pyx_pf_9normortho_8_kernels_7Program_6derivs(struct __pyx_obj
 */
         if (__pyx_v_heap_n) {
 
-          /* "normortho/_kernels.pyx":241
+          /* "normortho/_kernels.pyx":210
  *                 free(cv)
  *             if heap_n:
  *                 free(cvals)             # <<<<<<<<<<<<<<
@@ -5362,7 +5037,7 @@ static PyObject *__pyx_pf_9normortho_8_kernels_7Program_6derivs(struct __pyx_obj
 */
           free(__pyx_v_cvals);
 
-          /* "normortho/_kernels.pyx":242
+          /* "normortho/_kernels.pyx":211
  *             if heap_n:
  *                 free(cvals)
  *                 free(cdps)             # <<<<<<<<<<<<<<
@@ -5371,7 +5046,7 @@ static PyObject *__pyx_pf_9normortho_8_kernels_7Program_6derivs(struct __pyx_obj
 */
           free(__pyx_v_cdps);
 
-          /* "normortho/_kernels.pyx":243
+          /* "normortho/_kernels.pyx":212
  *                 free(cvals)
  *                 free(cdps)
  *                 free(cdms)             # <<<<<<<<<<<<<<
@@ -5380,7 +5055,7 @@ static PyObject *__pyx_pf_9normortho_8_kernels_7Program_6derivs(struct __pyx_obj
 */
           free(__pyx_v_cdms);
 
-          /* "normortho/_kernels.pyx":240
+          /* "normortho/_kernels.pyx":209
  *                 free(cu)
  *                 free(cv)
  *             if heap_n:             # <<<<<<<<<<<<<<
@@ -5404,7 +5079,7 @@ static PyObject *__pyx_pf_9normortho_8_kernels_7Program_6derivs(struct __pyx_obj
     __pyx_L10:;
   }
 
-  /* "normortho/_kernels.pyx":244
+  /* "normortho/_kernels.pyx":213
  *                 free(cdps)
  *                 free(cdms)
  *         return out             # <<<<<<<<<<<<<<
@@ -5416,7 +5091,7 @@ static PyObject *__pyx_pf_9normortho_8_kernels_7Program_6derivs(struct __pyx_obj
   __pyx_r = __pyx_v_out;
   goto __pyx_L0;
 
-  /* "normortho/_kernels.pyx":201
+  /* "normortho/_kernels.pyx":170
  *     # -- one-sided derivatives ----------------------------------------------
  * 
  *     def derivs(self, u, v):             # <<<<<<<<<<<<<<
@@ -5441,12 +5116,12 @@ static PyObject *__pyx_pf_9normortho_8_kernels_7Program_6derivs(struct __pyx_obj
   return __pyx_r;
 }
 
-/* "normortho/_kernels.pyx":246
+/* "normortho/_kernels.pyx":215
  *         return out
  * 
  *     cdef void _derivs(self, double* u, double* v, double* vals,             # <<<<<<<<<<<<<<
  *                       double* dps, double* dms) noexcept nogil:
- *         cdef int i, j, k, lc, rc
+ *         # A leaf that is 0 at u has N(u + t v) = |t| N(v), so D+- = +-N(v);
 */
 
 static void __pyx_f_9normortho_8_kernels_7Program__derivs(struct __pyx_obj_9normortho_8_kernels_Program *__pyx_v_self, double *__pyx_v_u, double *__pyx_v_v, double *__pyx_v_vals, double *__pyx_v_dps, double *__pyx_v_dms) {
@@ -5470,10 +5145,10 @@ static void __pyx_f_9normortho_8_kernels_7Program__derivs(struct __pyx_obj_9norm
   double __pyx_v_thr;
   double __pyx_v_pm1;
   double __pyx_v_ref;
-  double __pyx_v_nv;
   double __pyx_v_c;
   double __pyx_v_dp;
   double __pyx_v_dm;
+  double *__pyx_v_vvals;
   int __pyx_t_1;
   int __pyx_t_2;
   int __pyx_t_3;
@@ -5483,243 +5158,142 @@ static void __pyx_f_9normortho_8_kernels_7Program__derivs(struct __pyx_obj_9norm
   int __pyx_t_7;
   double __pyx_t_8;
 
-  /* "normortho/_kernels.pyx":249
- *                       double* dps, double* dms) noexcept nogil:
+  /* "normortho/_kernels.pyx":221
+ *         # node, filled at the first such leaf.
  *         cdef int i, j, k, lc, rc
  *         cdef int dim = self.dim             # <<<<<<<<<<<<<<
- *         cdef double sp, sa, s, m, a, b, d, g, w, uj, val, thr, pm1, ref, nv, c
+ *         cdef double sp, sa, s, m, a, b, d, g, w, uj, val, thr, pm1, ref, c
  *         cdef double dp, dm
 */
   __pyx_t_1 = __pyx_v_self->dim;
   __pyx_v_dim = __pyx_t_1;
 
-  /* "normortho/_kernels.pyx":252
- *         cdef double sp, sa, s, m, a, b, d, g, w, uj, val, thr, pm1, ref, nv, c
+  /* "normortho/_kernels.pyx":224
+ *         cdef double sp, sa, s, m, a, b, d, g, w, uj, val, thr, pm1, ref, c
  *         cdef double dp, dm
+ *         cdef double* vvals = NULL             # <<<<<<<<<<<<<<
+ *         for i in range(self.n):
+ *             k = self.kinds[i]
+*/
+  __pyx_v_vvals = NULL;
+
+  /* "normortho/_kernels.pyx":225
+ *         cdef double dp, dm
+ *         cdef double* vvals = NULL
  *         for i in range(self.n):             # <<<<<<<<<<<<<<
  *             k = self.kinds[i]
- *             if k == K_L1:
+ *             if k == K_L2:
 */
   __pyx_t_1 = __pyx_v_self->n;
   __pyx_t_2 = __pyx_t_1;
   for (__pyx_t_3 = 0; __pyx_t_3 < __pyx_t_2; __pyx_t_3+=1) {
     __pyx_v_i = __pyx_t_3;
 
-    /* "normortho/_kernels.pyx":253
- *         cdef double dp, dm
+    /* "normortho/_kernels.pyx":226
+ *         cdef double* vvals = NULL
  *         for i in range(self.n):
  *             k = self.kinds[i]             # <<<<<<<<<<<<<<
- *             if k == K_L1:
- *                 sp = 0.0
+ *             if k == K_L2:
+ *                 val = vals[i]
 */
     __pyx_v_k = (__pyx_v_self->kinds[__pyx_v_i]);
 
-    /* "normortho/_kernels.pyx":254
+    /* "normortho/_kernels.pyx":227
  *         for i in range(self.n):
  *             k = self.kinds[i]
- *             if k == K_L1:             # <<<<<<<<<<<<<<
- *                 sp = 0.0
- *                 sa = 0.0
+ *             if k == K_L2:             # <<<<<<<<<<<<<<
+ *                 val = vals[i]
+ *                 if val == 0.0:
 */
     switch (__pyx_v_k) {
-      case __pyx_e_9normortho_8_kernels_K_L1:
-
-      /* "normortho/_kernels.pyx":255
- *             k = self.kinds[i]
- *             if k == K_L1:
- *                 sp = 0.0             # <<<<<<<<<<<<<<
- *                 sa = 0.0
- *                 for j in range(dim):
-*/
-      __pyx_v_sp = 0.0;
-
-      /* "normortho/_kernels.pyx":256
- *             if k == K_L1:
- *                 sp = 0.0
- *                 sa = 0.0             # <<<<<<<<<<<<<<
- *                 for j in range(dim):
- *                     uj = u[j]
-*/
-      __pyx_v_sa = 0.0;
-
-      /* "normortho/_kernels.pyx":257
- *                 sp = 0.0
- *                 sa = 0.0
- *                 for j in range(dim):             # <<<<<<<<<<<<<<
- *                     uj = u[j]
- *                     if uj > 0.0:
-*/
-      __pyx_t_4 = __pyx_v_dim;
-      __pyx_t_5 = __pyx_t_4;
-      for (__pyx_t_6 = 0; __pyx_t_6 < __pyx_t_5; __pyx_t_6+=1) {
-        __pyx_v_j = __pyx_t_6;
-
-        /* "normortho/_kernels.pyx":258
- *                 sa = 0.0
- *                 for j in range(dim):
- *                     uj = u[j]             # <<<<<<<<<<<<<<
- *                     if uj > 0.0:
- *                         sp += v[j]
-*/
-        __pyx_v_uj = (__pyx_v_u[__pyx_v_j]);
-
-        /* "normortho/_kernels.pyx":259
- *                 for j in range(dim):
- *                     uj = u[j]
- *                     if uj > 0.0:             # <<<<<<<<<<<<<<
- *                         sp += v[j]
- *                     elif uj < 0.0:
-*/
-        __pyx_t_7 = (__pyx_v_uj > 0.0);
-        if (__pyx_t_7) {
-
-          /* "normortho/_kernels.pyx":260
- *                     uj = u[j]
- *                     if uj > 0.0:
- *                         sp += v[j]             # <<<<<<<<<<<<<<
- *                     elif uj < 0.0:
- *                         sp -= v[j]
-*/
-          __pyx_v_sp = (__pyx_v_sp + (__pyx_v_v[__pyx_v_j]));
-
-          /* "normortho/_kernels.pyx":259
- *                 for j in range(dim):
- *                     uj = u[j]
- *                     if uj > 0.0:             # <<<<<<<<<<<<<<
- *                         sp += v[j]
- *                     elif uj < 0.0:
-*/
-          goto __pyx_L7;
-        }
-
-        /* "normortho/_kernels.pyx":261
- *                     if uj > 0.0:
- *                         sp += v[j]
- *                     elif uj < 0.0:             # <<<<<<<<<<<<<<
- *                         sp -= v[j]
- *                     else:
-*/
-        __pyx_t_7 = (__pyx_v_uj < 0.0);
-        if (__pyx_t_7) {
-
-          /* "normortho/_kernels.pyx":262
- *                         sp += v[j]
- *                     elif uj < 0.0:
- *                         sp -= v[j]             # <<<<<<<<<<<<<<
- *                     else:
- *                         sa += fabs(v[j])
-*/
-          __pyx_v_sp = (__pyx_v_sp - (__pyx_v_v[__pyx_v_j]));
-
-          /* "normortho/_kernels.pyx":261
- *                     if uj > 0.0:
- *                         sp += v[j]
- *                     elif uj < 0.0:             # <<<<<<<<<<<<<<
- *                         sp -= v[j]
- *                     else:
-*/
-          goto __pyx_L7;
-        }
-
-        /* "normortho/_kernels.pyx":264
- *                         sp -= v[j]
- *                     else:
- *                         sa += fabs(v[j])             # <<<<<<<<<<<<<<
- *                 dps[i] = sp + sa
- *                 dms[i] = sp - sa
-*/
-        /*else*/ {
-          __pyx_v_sa = (__pyx_v_sa + fabs((__pyx_v_v[__pyx_v_j])));
-        }
-        __pyx_L7:;
-      }
-
-      /* "normortho/_kernels.pyx":265
- *                     else:
- *                         sa += fabs(v[j])
- *                 dps[i] = sp + sa             # <<<<<<<<<<<<<<
- *                 dms[i] = sp - sa
- *             elif k == K_L2:
-*/
-      (__pyx_v_dps[__pyx_v_i]) = (__pyx_v_sp + __pyx_v_sa);
-
-      /* "normortho/_kernels.pyx":266
- *                         sa += fabs(v[j])
- *                 dps[i] = sp + sa
- *                 dms[i] = sp - sa             # <<<<<<<<<<<<<<
- *             elif k == K_L2:
- *                 val = vals[i]
-*/
-      (__pyx_v_dms[__pyx_v_i]) = (__pyx_v_sp - __pyx_v_sa);
-
-      /* "normortho/_kernels.pyx":254
- *         for i in range(self.n):
- *             k = self.kinds[i]
- *             if k == K_L1:             # <<<<<<<<<<<<<<
- *                 sp = 0.0
- *                 sa = 0.0
-*/
-      break;
       case __pyx_e_9normortho_8_kernels_K_L2:
 
-      /* "normortho/_kernels.pyx":268
- *                 dms[i] = sp - sa
- *             elif k == K_L2:
+      /* "normortho/_kernels.pyx":228
+ *             k = self.kinds[i]
+ *             if k == K_L2:
  *                 val = vals[i]             # <<<<<<<<<<<<<<
  *                 if val == 0.0:
- *                     nv = self._leaf_norm(i, k, v)
+ *                     if vvals == NULL:
 */
       __pyx_v_val = (__pyx_v_vals[__pyx_v_i]);
 
-      /* "normortho/_kernels.pyx":269
- *             elif k == K_L2:
+      /* "normortho/_kernels.pyx":229
+ *             if k == K_L2:
  *                 val = vals[i]
  *                 if val == 0.0:             # <<<<<<<<<<<<<<
- *                     nv = self._leaf_norm(i, k, v)
- *                     dps[i] = nv
+ *                     if vvals == NULL:
+ *                         vvals = vals + self.n
 */
       __pyx_t_7 = (__pyx_v_val == 0.0);
       if (__pyx_t_7) {
 
-        /* "normortho/_kernels.pyx":270
+        /* "normortho/_kernels.pyx":230
  *                 val = vals[i]
  *                 if val == 0.0:
- *                     nv = self._leaf_norm(i, k, v)             # <<<<<<<<<<<<<<
- *                     dps[i] = nv
- *                     dms[i] = -nv
+ *                     if vvals == NULL:             # <<<<<<<<<<<<<<
+ *                         vvals = vals + self.n
+ *                         self._value(v, vvals)
 */
-        __pyx_v_nv = ((struct __pyx_vtabstruct_9normortho_8_kernels_Program *)__pyx_v_self->__pyx_vtab)->_leaf_norm(__pyx_v_self, __pyx_v_i, __pyx_v_k, __pyx_v_v);
+        __pyx_t_7 = (__pyx_v_vvals == NULL);
+        if (__pyx_t_7) {
 
-        /* "normortho/_kernels.pyx":271
+          /* "normortho/_kernels.pyx":231
  *                 if val == 0.0:
- *                     nv = self._leaf_norm(i, k, v)
- *                     dps[i] = nv             # <<<<<<<<<<<<<<
- *                     dms[i] = -nv
+ *                     if vvals == NULL:
+ *                         vvals = vals + self.n             # <<<<<<<<<<<<<<
+ *                         self._value(v, vvals)
+ *                     dps[i] = vvals[i]
+*/
+          __pyx_v_vvals = (__pyx_v_vals + __pyx_v_self->n);
+
+          /* "normortho/_kernels.pyx":232
+ *                     if vvals == NULL:
+ *                         vvals = vals + self.n
+ *                         self._value(v, vvals)             # <<<<<<<<<<<<<<
+ *                     dps[i] = vvals[i]
+ *                     dms[i] = -vvals[i]
+*/
+          (void)(((struct __pyx_vtabstruct_9normortho_8_kernels_Program *)__pyx_v_self->__pyx_vtab)->_value(__pyx_v_self, __pyx_v_v, __pyx_v_vvals));
+
+          /* "normortho/_kernels.pyx":230
+ *                 val = vals[i]
+ *                 if val == 0.0:
+ *                     if vvals == NULL:             # <<<<<<<<<<<<<<
+ *                         vvals = vals + self.n
+ *                         self._value(v, vvals)
+*/
+        }
+
+        /* "normortho/_kernels.pyx":233
+ *                         vvals = vals + self.n
+ *                         self._value(v, vvals)
+ *                     dps[i] = vvals[i]             # <<<<<<<<<<<<<<
+ *                     dms[i] = -vvals[i]
  *                 else:
 */
-        (__pyx_v_dps[__pyx_v_i]) = __pyx_v_nv;
+        (__pyx_v_dps[__pyx_v_i]) = (__pyx_v_vvals[__pyx_v_i]);
 
-        /* "normortho/_kernels.pyx":272
- *                     nv = self._leaf_norm(i, k, v)
- *                     dps[i] = nv
- *                     dms[i] = -nv             # <<<<<<<<<<<<<<
+        /* "normortho/_kernels.pyx":234
+ *                         self._value(v, vvals)
+ *                     dps[i] = vvals[i]
+ *                     dms[i] = -vvals[i]             # <<<<<<<<<<<<<<
  *                 else:
  *                     s = 0.0
 */
-        (__pyx_v_dms[__pyx_v_i]) = (-__pyx_v_nv);
+        (__pyx_v_dms[__pyx_v_i]) = (-(__pyx_v_vvals[__pyx_v_i]));
 
-        /* "normortho/_kernels.pyx":269
- *             elif k == K_L2:
+        /* "normortho/_kernels.pyx":229
+ *             if k == K_L2:
  *                 val = vals[i]
  *                 if val == 0.0:             # <<<<<<<<<<<<<<
- *                     nv = self._leaf_norm(i, k, v)
- *                     dps[i] = nv
+ *                     if vvals == NULL:
+ *                         vvals = vals + self.n
 */
         goto __pyx_L8;
       }
 
-      /* "normortho/_kernels.pyx":274
- *                     dms[i] = -nv
+      /* "normortho/_kernels.pyx":236
+ *                     dms[i] = -vvals[i]
  *                 else:
  *                     s = 0.0             # <<<<<<<<<<<<<<
  *                     for j in range(dim):
@@ -5728,7 +5302,7 @@ static void __pyx_f_9normortho_8_kernels_7Program__derivs(struct __pyx_obj_9norm
       /*else*/ {
         __pyx_v_s = 0.0;
 
-        /* "normortho/_kernels.pyx":275
+        /* "normortho/_kernels.pyx":237
  *                 else:
  *                     s = 0.0
  *                     for j in range(dim):             # <<<<<<<<<<<<<<
@@ -5740,7 +5314,7 @@ static void __pyx_f_9normortho_8_kernels_7Program__derivs(struct __pyx_obj_9norm
         for (__pyx_t_6 = 0; __pyx_t_6 < __pyx_t_5; __pyx_t_6+=1) {
           __pyx_v_j = __pyx_t_6;
 
-          /* "normortho/_kernels.pyx":276
+          /* "normortho/_kernels.pyx":238
  *                     s = 0.0
  *                     for j in range(dim):
  *                         s += u[j] * v[j]             # <<<<<<<<<<<<<<
@@ -5750,7 +5324,7 @@ static void __pyx_f_9normortho_8_kernels_7Program__derivs(struct __pyx_obj_9norm
           __pyx_v_s = (__pyx_v_s + ((__pyx_v_u[__pyx_v_j]) * (__pyx_v_v[__pyx_v_j])));
         }
 
-        /* "normortho/_kernels.pyx":277
+        /* "normortho/_kernels.pyx":239
  *                     for j in range(dim):
  *                         s += u[j] * v[j]
  *                     d = s / val             # <<<<<<<<<<<<<<
@@ -5759,428 +5333,17 @@ static void __pyx_f_9normortho_8_kernels_7Program__derivs(struct __pyx_obj_9norm
 */
         __pyx_v_d = (__pyx_v_s / __pyx_v_val);
 
-        /* "normortho/_kernels.pyx":278
+        /* "normortho/_kernels.pyx":240
  *                         s += u[j] * v[j]
  *                     d = s / val
- *                     dps[i] = d             # <<<<<<<<<<<<<<
- *                     dms[i] = d
- *             elif k == K_LINF:
-*/
-        (__pyx_v_dps[__pyx_v_i]) = __pyx_v_d;
-
-        /* "normortho/_kernels.pyx":279
- *                     d = s / val
- *                     dps[i] = d
- *                     dms[i] = d             # <<<<<<<<<<<<<<
- *             elif k == K_LINF:
- *                 val = vals[i]
-*/
-        (__pyx_v_dms[__pyx_v_i]) = __pyx_v_d;
-      }
-      __pyx_L8:;
-
-      /* "normortho/_kernels.pyx":267
- *                 dps[i] = sp + sa
- *                 dms[i] = sp - sa
- *             elif k == K_L2:             # <<<<<<<<<<<<<<
- *                 val = vals[i]
- *                 if val == 0.0:
-*/
-      break;
-      case __pyx_e_9normortho_8_kernels_K_LINF:
-
-      /* "normortho/_kernels.pyx":281
- *                     dms[i] = d
- *             elif k == K_LINF:
- *                 val = vals[i]             # <<<<<<<<<<<<<<
- *                 if val == 0.0:
- *                     nv = self._leaf_norm(i, k, v)
-*/
-      __pyx_v_val = (__pyx_v_vals[__pyx_v_i]);
-
-      /* "normortho/_kernels.pyx":282
- *             elif k == K_LINF:
- *                 val = vals[i]
- *                 if val == 0.0:             # <<<<<<<<<<<<<<
- *                     nv = self._leaf_norm(i, k, v)
- *                     dps[i] = nv
-*/
-      __pyx_t_7 = (__pyx_v_val == 0.0);
-      if (__pyx_t_7) {
-
-        /* "normortho/_kernels.pyx":283
- *                 val = vals[i]
- *                 if val == 0.0:
- *                     nv = self._leaf_norm(i, k, v)             # <<<<<<<<<<<<<<
- *                     dps[i] = nv
- *                     dms[i] = -nv
-*/
-        __pyx_v_nv = ((struct __pyx_vtabstruct_9normortho_8_kernels_Program *)__pyx_v_self->__pyx_vtab)->_leaf_norm(__pyx_v_self, __pyx_v_i, __pyx_v_k, __pyx_v_v);
-
-        /* "normortho/_kernels.pyx":284
- *                 if val == 0.0:
- *                     nv = self._leaf_norm(i, k, v)
- *                     dps[i] = nv             # <<<<<<<<<<<<<<
- *                     dms[i] = -nv
- *                 else:
-*/
-        (__pyx_v_dps[__pyx_v_i]) = __pyx_v_nv;
-
-        /* "normortho/_kernels.pyx":285
- *                     nv = self._leaf_norm(i, k, v)
- *                     dps[i] = nv
- *                     dms[i] = -nv             # <<<<<<<<<<<<<<
- *                 else:
- *                     thr = (1.0 - TIE) * val
-*/
-        (__pyx_v_dms[__pyx_v_i]) = (-__pyx_v_nv);
-
-        /* "normortho/_kernels.pyx":282
- *             elif k == K_LINF:
- *                 val = vals[i]
- *                 if val == 0.0:             # <<<<<<<<<<<<<<
- *                     nv = self._leaf_norm(i, k, v)
- *                     dps[i] = nv
-*/
-        goto __pyx_L11;
-      }
-
-      /* "normortho/_kernels.pyx":287
- *                     dms[i] = -nv
- *                 else:
- *                     thr = (1.0 - TIE) * val             # <<<<<<<<<<<<<<
- *                     dp = -INFINITY
- *                     dm = INFINITY
-*/
-      /*else*/ {
-        __pyx_v_thr = ((1.0 - __pyx_v_9normortho_8_kernels_TIE) * __pyx_v_val);
-
-        /* "normortho/_kernels.pyx":288
- *                 else:
- *                     thr = (1.0 - TIE) * val
- *                     dp = -INFINITY             # <<<<<<<<<<<<<<
- *                     dm = INFINITY
- *                     for j in range(dim):
-*/
-        __pyx_v_dp = (-INFINITY);
-
-        /* "normortho/_kernels.pyx":289
- *                     thr = (1.0 - TIE) * val
- *                     dp = -INFINITY
- *                     dm = INFINITY             # <<<<<<<<<<<<<<
- *                     for j in range(dim):
- *                         uj = u[j]
-*/
-        __pyx_v_dm = INFINITY;
-
-        /* "normortho/_kernels.pyx":290
- *                     dp = -INFINITY
- *                     dm = INFINITY
- *                     for j in range(dim):             # <<<<<<<<<<<<<<
- *                         uj = u[j]
- *                         if fabs(uj) >= thr:
-*/
-        __pyx_t_4 = __pyx_v_dim;
-        __pyx_t_5 = __pyx_t_4;
-        for (__pyx_t_6 = 0; __pyx_t_6 < __pyx_t_5; __pyx_t_6+=1) {
-          __pyx_v_j = __pyx_t_6;
-
-          /* "normortho/_kernels.pyx":291
- *                     dm = INFINITY
- *                     for j in range(dim):
- *                         uj = u[j]             # <<<<<<<<<<<<<<
- *                         if fabs(uj) >= thr:
- *                             g = v[j] if uj > 0.0 else -v[j]
-*/
-          __pyx_v_uj = (__pyx_v_u[__pyx_v_j]);
-
-          /* "normortho/_kernels.pyx":292
- *                     for j in range(dim):
- *                         uj = u[j]
- *                         if fabs(uj) >= thr:             # <<<<<<<<<<<<<<
- *                             g = v[j] if uj > 0.0 else -v[j]
- *                             if g > dp:
-*/
-          __pyx_t_7 = (fabs(__pyx_v_uj) >= __pyx_v_thr);
-          if (__pyx_t_7) {
-
-            /* "normortho/_kernels.pyx":293
- *                         uj = u[j]
- *                         if fabs(uj) >= thr:
- *                             g = v[j] if uj > 0.0 else -v[j]             # <<<<<<<<<<<<<<
- *                             if g > dp:
- *                                 dp = g
-*/
-            __pyx_t_7 = (__pyx_v_uj > 0.0);
-            if (__pyx_t_7) {
-              __pyx_t_8 = (__pyx_v_v[__pyx_v_j]);
-            } else {
-              __pyx_t_8 = (-(__pyx_v_v[__pyx_v_j]));
-            }
-            __pyx_v_g = __pyx_t_8;
-
-            /* "normortho/_kernels.pyx":294
- *                         if fabs(uj) >= thr:
- *                             g = v[j] if uj > 0.0 else -v[j]
- *                             if g > dp:             # <<<<<<<<<<<<<<
- *                                 dp = g
- *                             if g < dm:
-*/
-            __pyx_t_7 = (__pyx_v_g > __pyx_v_dp);
-            if (__pyx_t_7) {
-
-              /* "normortho/_kernels.pyx":295
- *                             g = v[j] if uj > 0.0 else -v[j]
- *                             if g > dp:
- *                                 dp = g             # <<<<<<<<<<<<<<
- *                             if g < dm:
- *                                 dm = g
-*/
-              __pyx_v_dp = __pyx_v_g;
-
-              /* "normortho/_kernels.pyx":294
- *                         if fabs(uj) >= thr:
- *                             g = v[j] if uj > 0.0 else -v[j]
- *                             if g > dp:             # <<<<<<<<<<<<<<
- *                                 dp = g
- *                             if g < dm:
-*/
-            }
-
-            /* "normortho/_kernels.pyx":296
- *                             if g > dp:
- *                                 dp = g
- *                             if g < dm:             # <<<<<<<<<<<<<<
- *                                 dm = g
- *                     dps[i] = dp
-*/
-            __pyx_t_7 = (__pyx_v_g < __pyx_v_dm);
-            if (__pyx_t_7) {
-
-              /* "normortho/_kernels.pyx":297
- *                                 dp = g
- *                             if g < dm:
- *                                 dm = g             # <<<<<<<<<<<<<<
- *                     dps[i] = dp
- *                     dms[i] = dm
-*/
-              __pyx_v_dm = __pyx_v_g;
-
-              /* "normortho/_kernels.pyx":296
- *                             if g > dp:
- *                                 dp = g
- *                             if g < dm:             # <<<<<<<<<<<<<<
- *                                 dm = g
- *                     dps[i] = dp
-*/
-            }
-
-            /* "normortho/_kernels.pyx":292
- *                     for j in range(dim):
- *                         uj = u[j]
- *                         if fabs(uj) >= thr:             # <<<<<<<<<<<<<<
- *                             g = v[j] if uj > 0.0 else -v[j]
- *                             if g > dp:
-*/
-          }
-        }
-
-        /* "normortho/_kernels.pyx":298
- *                             if g < dm:
- *                                 dm = g
- *                     dps[i] = dp             # <<<<<<<<<<<<<<
- *                     dms[i] = dm
- *             elif k == K_LP:
-*/
-        (__pyx_v_dps[__pyx_v_i]) = __pyx_v_dp;
-
-        /* "normortho/_kernels.pyx":299
- *                                 dm = g
- *                     dps[i] = dp
- *                     dms[i] = dm             # <<<<<<<<<<<<<<
- *             elif k == K_LP:
- *                 val = vals[i]
-*/
-        (__pyx_v_dms[__pyx_v_i]) = __pyx_v_dm;
-      }
-      __pyx_L11:;
-
-      /* "normortho/_kernels.pyx":280
- *                     dps[i] = d
- *                     dms[i] = d
- *             elif k == K_LINF:             # <<<<<<<<<<<<<<
- *                 val = vals[i]
- *                 if val == 0.0:
-*/
-      break;
-      case __pyx_e_9normortho_8_kernels_K_LP:
-
-      /* "normortho/_kernels.pyx":301
- *                     dms[i] = dm
- *             elif k == K_LP:
- *                 val = vals[i]             # <<<<<<<<<<<<<<
- *                 if val == 0.0:
- *                     nv = self._leaf_norm(i, k, v)
-*/
-      __pyx_v_val = (__pyx_v_vals[__pyx_v_i]);
-
-      /* "normortho/_kernels.pyx":302
- *             elif k == K_LP:
- *                 val = vals[i]
- *                 if val == 0.0:             # <<<<<<<<<<<<<<
- *                     nv = self._leaf_norm(i, k, v)
- *                     dps[i] = nv
-*/
-      __pyx_t_7 = (__pyx_v_val == 0.0);
-      if (__pyx_t_7) {
-
-        /* "normortho/_kernels.pyx":303
- *                 val = vals[i]
- *                 if val == 0.0:
- *                     nv = self._leaf_norm(i, k, v)             # <<<<<<<<<<<<<<
- *                     dps[i] = nv
- *                     dms[i] = -nv
-*/
-        __pyx_v_nv = ((struct __pyx_vtabstruct_9normortho_8_kernels_Program *)__pyx_v_self->__pyx_vtab)->_leaf_norm(__pyx_v_self, __pyx_v_i, __pyx_v_k, __pyx_v_v);
-
-        /* "normortho/_kernels.pyx":304
- *                 if val == 0.0:
- *                     nv = self._leaf_norm(i, k, v)
- *                     dps[i] = nv             # <<<<<<<<<<<<<<
- *                     dms[i] = -nv
- *                 else:
-*/
-        (__pyx_v_dps[__pyx_v_i]) = __pyx_v_nv;
-
-        /* "normortho/_kernels.pyx":305
- *                     nv = self._leaf_norm(i, k, v)
- *                     dps[i] = nv
- *                     dms[i] = -nv             # <<<<<<<<<<<<<<
- *                 else:
- *                     pm1 = self.params[i] - 1.0
-*/
-        (__pyx_v_dms[__pyx_v_i]) = (-__pyx_v_nv);
-
-        /* "normortho/_kernels.pyx":302
- *             elif k == K_LP:
- *                 val = vals[i]
- *                 if val == 0.0:             # <<<<<<<<<<<<<<
- *                     nv = self._leaf_norm(i, k, v)
- *                     dps[i] = nv
-*/
-        goto __pyx_L17;
-      }
-
-      /* "normortho/_kernels.pyx":307
- *                     dms[i] = -nv
- *                 else:
- *                     pm1 = self.params[i] - 1.0             # <<<<<<<<<<<<<<
- *                     d = 0.0
- *                     for j in range(dim):
-*/
-      /*else*/ {
-        __pyx_v_pm1 = ((__pyx_v_self->params[__pyx_v_i]) - 1.0);
-
-        /* "normortho/_kernels.pyx":308
- *                 else:
- *                     pm1 = self.params[i] - 1.0
- *                     d = 0.0             # <<<<<<<<<<<<<<
- *                     for j in range(dim):
- *                         uj = u[j]
-*/
-        __pyx_v_d = 0.0;
-
-        /* "normortho/_kernels.pyx":309
- *                     pm1 = self.params[i] - 1.0
- *                     d = 0.0
- *                     for j in range(dim):             # <<<<<<<<<<<<<<
- *                         uj = u[j]
- *                         if uj > 0.0:
-*/
-        __pyx_t_4 = __pyx_v_dim;
-        __pyx_t_5 = __pyx_t_4;
-        for (__pyx_t_6 = 0; __pyx_t_6 < __pyx_t_5; __pyx_t_6+=1) {
-          __pyx_v_j = __pyx_t_6;
-
-          /* "normortho/_kernels.pyx":310
- *                     d = 0.0
- *                     for j in range(dim):
- *                         uj = u[j]             # <<<<<<<<<<<<<<
- *                         if uj > 0.0:
- *                             d += pow(uj / val, pm1) * v[j]
-*/
-          __pyx_v_uj = (__pyx_v_u[__pyx_v_j]);
-
-          /* "normortho/_kernels.pyx":311
- *                     for j in range(dim):
- *                         uj = u[j]
- *                         if uj > 0.0:             # <<<<<<<<<<<<<<
- *                             d += pow(uj / val, pm1) * v[j]
- *                         elif uj < 0.0:
-*/
-          __pyx_t_7 = (__pyx_v_uj > 0.0);
-          if (__pyx_t_7) {
-
-            /* "normortho/_kernels.pyx":312
- *                         uj = u[j]
- *                         if uj > 0.0:
- *                             d += pow(uj / val, pm1) * v[j]             # <<<<<<<<<<<<<<
- *                         elif uj < 0.0:
- *                             d -= pow(-uj / val, pm1) * v[j]
-*/
-            __pyx_v_d = (__pyx_v_d + (pow((__pyx_v_uj / __pyx_v_val), __pyx_v_pm1) * (__pyx_v_v[__pyx_v_j])));
-
-            /* "normortho/_kernels.pyx":311
- *                     for j in range(dim):
- *                         uj = u[j]
- *                         if uj > 0.0:             # <<<<<<<<<<<<<<
- *                             d += pow(uj / val, pm1) * v[j]
- *                         elif uj < 0.0:
-*/
-            goto __pyx_L20;
-          }
-
-          /* "normortho/_kernels.pyx":313
- *                         if uj > 0.0:
- *                             d += pow(uj / val, pm1) * v[j]
- *                         elif uj < 0.0:             # <<<<<<<<<<<<<<
- *                             d -= pow(-uj / val, pm1) * v[j]
- *                     dps[i] = d
-*/
-          __pyx_t_7 = (__pyx_v_uj < 0.0);
-          if (__pyx_t_7) {
-
-            /* "normortho/_kernels.pyx":314
- *                             d += pow(uj / val, pm1) * v[j]
- *                         elif uj < 0.0:
- *                             d -= pow(-uj / val, pm1) * v[j]             # <<<<<<<<<<<<<<
- *                     dps[i] = d
- *                     dms[i] = d
-*/
-            __pyx_v_d = (__pyx_v_d - (pow(((-__pyx_v_uj) / __pyx_v_val), __pyx_v_pm1) * (__pyx_v_v[__pyx_v_j])));
-
-            /* "normortho/_kernels.pyx":313
- *                         if uj > 0.0:
- *                             d += pow(uj / val, pm1) * v[j]
- *                         elif uj < 0.0:             # <<<<<<<<<<<<<<
- *                             d -= pow(-uj / val, pm1) * v[j]
- *                     dps[i] = d
-*/
-          }
-          __pyx_L20:;
-        }
-
-        /* "normortho/_kernels.pyx":315
- *                         elif uj < 0.0:
- *                             d -= pow(-uj / val, pm1) * v[j]
  *                     dps[i] = d             # <<<<<<<<<<<<<<
  *                     dms[i] = d
  *             elif k == K_WLP1:
 */
         (__pyx_v_dps[__pyx_v_i]) = __pyx_v_d;
 
-        /* "normortho/_kernels.pyx":316
- *                             d -= pow(-uj / val, pm1) * v[j]
+        /* "normortho/_kernels.pyx":241
+ *                     d = s / val
  *                     dps[i] = d
  *                     dms[i] = d             # <<<<<<<<<<<<<<
  *             elif k == K_WLP1:
@@ -6188,19 +5351,19 @@ static void __pyx_f_9normortho_8_kernels_7Program__derivs(struct __pyx_obj_9norm
 */
         (__pyx_v_dms[__pyx_v_i]) = __pyx_v_d;
       }
-      __pyx_L17:;
+      __pyx_L8:;
 
-      /* "normortho/_kernels.pyx":300
- *                     dps[i] = dp
- *                     dms[i] = dm
- *             elif k == K_LP:             # <<<<<<<<<<<<<<
+      /* "normortho/_kernels.pyx":227
+ *         for i in range(self.n):
+ *             k = self.kinds[i]
+ *             if k == K_L2:             # <<<<<<<<<<<<<<
  *                 val = vals[i]
  *                 if val == 0.0:
 */
       break;
       case __pyx_e_9normortho_8_kernels_K_WLP1:
 
-      /* "normortho/_kernels.pyx":318
+      /* "normortho/_kernels.pyx":243
  *                     dms[i] = d
  *             elif k == K_WLP1:
  *                 sp = 0.0             # <<<<<<<<<<<<<<
@@ -6209,7 +5372,7 @@ static void __pyx_f_9normortho_8_kernels_7Program__derivs(struct __pyx_obj_9norm
 */
       __pyx_v_sp = 0.0;
 
-      /* "normortho/_kernels.pyx":319
+      /* "normortho/_kernels.pyx":244
  *             elif k == K_WLP1:
  *                 sp = 0.0
  *                 sa = 0.0             # <<<<<<<<<<<<<<
@@ -6218,7 +5381,7 @@ static void __pyx_f_9normortho_8_kernels_7Program__derivs(struct __pyx_obj_9norm
 */
       __pyx_v_sa = 0.0;
 
-      /* "normortho/_kernels.pyx":320
+      /* "normortho/_kernels.pyx":245
  *                 sp = 0.0
  *                 sa = 0.0
  *                 for j in range(dim):             # <<<<<<<<<<<<<<
@@ -6230,7 +5393,7 @@ static void __pyx_f_9normortho_8_kernels_7Program__derivs(struct __pyx_obj_9norm
       for (__pyx_t_6 = 0; __pyx_t_6 < __pyx_t_5; __pyx_t_6+=1) {
         __pyx_v_j = __pyx_t_6;
 
-        /* "normortho/_kernels.pyx":321
+        /* "normortho/_kernels.pyx":246
  *                 sa = 0.0
  *                 for j in range(dim):
  *                     w = self.weights[self.woff[i] + j]             # <<<<<<<<<<<<<<
@@ -6239,7 +5402,7 @@ static void __pyx_f_9normortho_8_kernels_7Program__derivs(struct __pyx_obj_9norm
 */
         __pyx_v_w = (__pyx_v_self->weights[((__pyx_v_self->woff[__pyx_v_i]) + __pyx_v_j)]);
 
-        /* "normortho/_kernels.pyx":322
+        /* "normortho/_kernels.pyx":247
  *                 for j in range(dim):
  *                     w = self.weights[self.woff[i] + j]
  *                     uj = u[j]             # <<<<<<<<<<<<<<
@@ -6248,7 +5411,7 @@ static void __pyx_f_9normortho_8_kernels_7Program__derivs(struct __pyx_obj_9norm
 */
         __pyx_v_uj = (__pyx_v_u[__pyx_v_j]);
 
-        /* "normortho/_kernels.pyx":323
+        /* "normortho/_kernels.pyx":248
  *                     w = self.weights[self.woff[i] + j]
  *                     uj = u[j]
  *                     if uj > 0.0:             # <<<<<<<<<<<<<<
@@ -6258,7 +5421,7 @@ static void __pyx_f_9normortho_8_kernels_7Program__derivs(struct __pyx_obj_9norm
         __pyx_t_7 = (__pyx_v_uj > 0.0);
         if (__pyx_t_7) {
 
-          /* "normortho/_kernels.pyx":324
+          /* "normortho/_kernels.pyx":249
  *                     uj = u[j]
  *                     if uj > 0.0:
  *                         sp += w * v[j]             # <<<<<<<<<<<<<<
@@ -6267,7 +5430,7 @@ static void __pyx_f_9normortho_8_kernels_7Program__derivs(struct __pyx_obj_9norm
 */
           __pyx_v_sp = (__pyx_v_sp + (__pyx_v_w * (__pyx_v_v[__pyx_v_j])));
 
-          /* "normortho/_kernels.pyx":323
+          /* "normortho/_kernels.pyx":248
  *                     w = self.weights[self.woff[i] + j]
  *                     uj = u[j]
  *                     if uj > 0.0:             # <<<<<<<<<<<<<<
@@ -6277,7 +5440,7 @@ static void __pyx_f_9normortho_8_kernels_7Program__derivs(struct __pyx_obj_9norm
           goto __pyx_L23;
         }
 
-        /* "normortho/_kernels.pyx":325
+        /* "normortho/_kernels.pyx":250
  *                     if uj > 0.0:
  *                         sp += w * v[j]
  *                     elif uj < 0.0:             # <<<<<<<<<<<<<<
@@ -6287,7 +5450,7 @@ static void __pyx_f_9normortho_8_kernels_7Program__derivs(struct __pyx_obj_9norm
         __pyx_t_7 = (__pyx_v_uj < 0.0);
         if (__pyx_t_7) {
 
-          /* "normortho/_kernels.pyx":326
+          /* "normortho/_kernels.pyx":251
  *                         sp += w * v[j]
  *                     elif uj < 0.0:
  *                         sp -= w * v[j]             # <<<<<<<<<<<<<<
@@ -6296,7 +5459,7 @@ static void __pyx_f_9normortho_8_kernels_7Program__derivs(struct __pyx_obj_9norm
 */
           __pyx_v_sp = (__pyx_v_sp - (__pyx_v_w * (__pyx_v_v[__pyx_v_j])));
 
-          /* "normortho/_kernels.pyx":325
+          /* "normortho/_kernels.pyx":250
  *                     if uj > 0.0:
  *                         sp += w * v[j]
  *                     elif uj < 0.0:             # <<<<<<<<<<<<<<
@@ -6306,7 +5469,7 @@ static void __pyx_f_9normortho_8_kernels_7Program__derivs(struct __pyx_obj_9norm
           goto __pyx_L23;
         }
 
-        /* "normortho/_kernels.pyx":328
+        /* "normortho/_kernels.pyx":253
  *                         sp -= w * v[j]
  *                     else:
  *                         sa += w * fabs(v[j])             # <<<<<<<<<<<<<<
@@ -6319,7 +5482,7 @@ static void __pyx_f_9normortho_8_kernels_7Program__derivs(struct __pyx_obj_9norm
         __pyx_L23:;
       }
 
-      /* "normortho/_kernels.pyx":329
+      /* "normortho/_kernels.pyx":254
  *                     else:
  *                         sa += w * fabs(v[j])
  *                 dps[i] = sp + sa             # <<<<<<<<<<<<<<
@@ -6328,7 +5491,7 @@ static void __pyx_f_9normortho_8_kernels_7Program__derivs(struct __pyx_obj_9norm
 */
       (__pyx_v_dps[__pyx_v_i]) = (__pyx_v_sp + __pyx_v_sa);
 
-      /* "normortho/_kernels.pyx":330
+      /* "normortho/_kernels.pyx":255
  *                         sa += w * fabs(v[j])
  *                 dps[i] = sp + sa
  *                 dms[i] = sp - sa             # <<<<<<<<<<<<<<
@@ -6337,7 +5500,7 @@ static void __pyx_f_9normortho_8_kernels_7Program__derivs(struct __pyx_obj_9norm
 */
       (__pyx_v_dms[__pyx_v_i]) = (__pyx_v_sp - __pyx_v_sa);
 
-      /* "normortho/_kernels.pyx":317
+      /* "normortho/_kernels.pyx":242
  *                     dps[i] = d
  *                     dms[i] = d
  *             elif k == K_WLP1:             # <<<<<<<<<<<<<<
@@ -6347,64 +5510,92 @@ static void __pyx_f_9normortho_8_kernels_7Program__derivs(struct __pyx_obj_9norm
       break;
       case __pyx_e_9normortho_8_kernels_K_WLPINF:
 
-      /* "normortho/_kernels.pyx":332
+      /* "normortho/_kernels.pyx":257
  *                 dms[i] = sp - sa
  *             elif k == K_WLPINF:
  *                 val = vals[i]             # <<<<<<<<<<<<<<
  *                 if val == 0.0:
- *                     nv = self._leaf_norm(i, k, v)
+ *                     if vvals == NULL:
 */
       __pyx_v_val = (__pyx_v_vals[__pyx_v_i]);
 
-      /* "normortho/_kernels.pyx":333
+      /* "normortho/_kernels.pyx":258
  *             elif k == K_WLPINF:
  *                 val = vals[i]
  *                 if val == 0.0:             # <<<<<<<<<<<<<<
- *                     nv = self._leaf_norm(i, k, v)
- *                     dps[i] = nv
+ *                     if vvals == NULL:
+ *                         vvals = vals + self.n
 */
       __pyx_t_7 = (__pyx_v_val == 0.0);
       if (__pyx_t_7) {
 
-        /* "normortho/_kernels.pyx":334
+        /* "normortho/_kernels.pyx":259
  *                 val = vals[i]
  *                 if val == 0.0:
- *                     nv = self._leaf_norm(i, k, v)             # <<<<<<<<<<<<<<
- *                     dps[i] = nv
- *                     dms[i] = -nv
+ *                     if vvals == NULL:             # <<<<<<<<<<<<<<
+ *                         vvals = vals + self.n
+ *                         self._value(v, vvals)
 */
-        __pyx_v_nv = ((struct __pyx_vtabstruct_9normortho_8_kernels_Program *)__pyx_v_self->__pyx_vtab)->_leaf_norm(__pyx_v_self, __pyx_v_i, __pyx_v_k, __pyx_v_v);
+        __pyx_t_7 = (__pyx_v_vvals == NULL);
+        if (__pyx_t_7) {
 
-        /* "normortho/_kernels.pyx":335
+          /* "normortho/_kernels.pyx":260
  *                 if val == 0.0:
- *                     nv = self._leaf_norm(i, k, v)
- *                     dps[i] = nv             # <<<<<<<<<<<<<<
- *                     dms[i] = -nv
+ *                     if vvals == NULL:
+ *                         vvals = vals + self.n             # <<<<<<<<<<<<<<
+ *                         self._value(v, vvals)
+ *                     dps[i] = vvals[i]
+*/
+          __pyx_v_vvals = (__pyx_v_vals + __pyx_v_self->n);
+
+          /* "normortho/_kernels.pyx":261
+ *                     if vvals == NULL:
+ *                         vvals = vals + self.n
+ *                         self._value(v, vvals)             # <<<<<<<<<<<<<<
+ *                     dps[i] = vvals[i]
+ *                     dms[i] = -vvals[i]
+*/
+          (void)(((struct __pyx_vtabstruct_9normortho_8_kernels_Program *)__pyx_v_self->__pyx_vtab)->_value(__pyx_v_self, __pyx_v_v, __pyx_v_vvals));
+
+          /* "normortho/_kernels.pyx":259
+ *                 val = vals[i]
+ *                 if val == 0.0:
+ *                     if vvals == NULL:             # <<<<<<<<<<<<<<
+ *                         vvals = vals + self.n
+ *                         self._value(v, vvals)
+*/
+        }
+
+        /* "normortho/_kernels.pyx":262
+ *                         vvals = vals + self.n
+ *                         self._value(v, vvals)
+ *                     dps[i] = vvals[i]             # <<<<<<<<<<<<<<
+ *                     dms[i] = -vvals[i]
  *                 else:
 */
-        (__pyx_v_dps[__pyx_v_i]) = __pyx_v_nv;
+        (__pyx_v_dps[__pyx_v_i]) = (__pyx_v_vvals[__pyx_v_i]);
 
-        /* "normortho/_kernels.pyx":336
- *                     nv = self._leaf_norm(i, k, v)
- *                     dps[i] = nv
- *                     dms[i] = -nv             # <<<<<<<<<<<<<<
+        /* "normortho/_kernels.pyx":263
+ *                         self._value(v, vvals)
+ *                     dps[i] = vvals[i]
+ *                     dms[i] = -vvals[i]             # <<<<<<<<<<<<<<
  *                 else:
  *                     thr = (1.0 - TIE) * val
 */
-        (__pyx_v_dms[__pyx_v_i]) = (-__pyx_v_nv);
+        (__pyx_v_dms[__pyx_v_i]) = (-(__pyx_v_vvals[__pyx_v_i]));
 
-        /* "normortho/_kernels.pyx":333
+        /* "normortho/_kernels.pyx":258
  *             elif k == K_WLPINF:
  *                 val = vals[i]
  *                 if val == 0.0:             # <<<<<<<<<<<<<<
- *                     nv = self._leaf_norm(i, k, v)
- *                     dps[i] = nv
+ *                     if vvals == NULL:
+ *                         vvals = vals + self.n
 */
         goto __pyx_L24;
       }
 
-      /* "normortho/_kernels.pyx":338
- *                     dms[i] = -nv
+      /* "normortho/_kernels.pyx":265
+ *                     dms[i] = -vvals[i]
  *                 else:
  *                     thr = (1.0 - TIE) * val             # <<<<<<<<<<<<<<
  *                     dp = -INFINITY
@@ -6413,7 +5604,7 @@ static void __pyx_f_9normortho_8_kernels_7Program__derivs(struct __pyx_obj_9norm
       /*else*/ {
         __pyx_v_thr = ((1.0 - __pyx_v_9normortho_8_kernels_TIE) * __pyx_v_val);
 
-        /* "normortho/_kernels.pyx":339
+        /* "normortho/_kernels.pyx":266
  *                 else:
  *                     thr = (1.0 - TIE) * val
  *                     dp = -INFINITY             # <<<<<<<<<<<<<<
@@ -6422,7 +5613,7 @@ static void __pyx_f_9normortho_8_kernels_7Program__derivs(struct __pyx_obj_9norm
 */
         __pyx_v_dp = (-INFINITY);
 
-        /* "normortho/_kernels.pyx":340
+        /* "normortho/_kernels.pyx":267
  *                     thr = (1.0 - TIE) * val
  *                     dp = -INFINITY
  *                     dm = INFINITY             # <<<<<<<<<<<<<<
@@ -6431,7 +5622,7 @@ static void __pyx_f_9normortho_8_kernels_7Program__derivs(struct __pyx_obj_9norm
 */
         __pyx_v_dm = INFINITY;
 
-        /* "normortho/_kernels.pyx":341
+        /* "normortho/_kernels.pyx":268
  *                     dp = -INFINITY
  *                     dm = INFINITY
  *                     for j in range(dim):             # <<<<<<<<<<<<<<
@@ -6443,7 +5634,7 @@ static void __pyx_f_9normortho_8_kernels_7Program__derivs(struct __pyx_obj_9norm
         for (__pyx_t_6 = 0; __pyx_t_6 < __pyx_t_5; __pyx_t_6+=1) {
           __pyx_v_j = __pyx_t_6;
 
-          /* "normortho/_kernels.pyx":342
+          /* "normortho/_kernels.pyx":269
  *                     dm = INFINITY
  *                     for j in range(dim):
  *                         w = self.weights[self.woff[i] + j]             # <<<<<<<<<<<<<<
@@ -6452,7 +5643,7 @@ static void __pyx_f_9normortho_8_kernels_7Program__derivs(struct __pyx_obj_9norm
 */
           __pyx_v_w = (__pyx_v_self->weights[((__pyx_v_self->woff[__pyx_v_i]) + __pyx_v_j)]);
 
-          /* "normortho/_kernels.pyx":343
+          /* "normortho/_kernels.pyx":270
  *                     for j in range(dim):
  *                         w = self.weights[self.woff[i] + j]
  *                         uj = u[j]             # <<<<<<<<<<<<<<
@@ -6461,7 +5652,7 @@ static void __pyx_f_9normortho_8_kernels_7Program__derivs(struct __pyx_obj_9norm
 */
           __pyx_v_uj = (__pyx_v_u[__pyx_v_j]);
 
-          /* "normortho/_kernels.pyx":344
+          /* "normortho/_kernels.pyx":271
  *                         w = self.weights[self.woff[i] + j]
  *                         uj = u[j]
  *                         if w * fabs(uj) >= thr:             # <<<<<<<<<<<<<<
@@ -6471,7 +5662,7 @@ static void __pyx_f_9normortho_8_kernels_7Program__derivs(struct __pyx_obj_9norm
           __pyx_t_7 = ((__pyx_v_w * fabs(__pyx_v_uj)) >= __pyx_v_thr);
           if (__pyx_t_7) {
 
-            /* "normortho/_kernels.pyx":345
+            /* "normortho/_kernels.pyx":272
  *                         uj = u[j]
  *                         if w * fabs(uj) >= thr:
  *                             g = w * v[j] if uj > 0.0 else -w * v[j]             # <<<<<<<<<<<<<<
@@ -6486,7 +5677,7 @@ static void __pyx_f_9normortho_8_kernels_7Program__derivs(struct __pyx_obj_9norm
             }
             __pyx_v_g = __pyx_t_8;
 
-            /* "normortho/_kernels.pyx":346
+            /* "normortho/_kernels.pyx":273
  *                         if w * fabs(uj) >= thr:
  *                             g = w * v[j] if uj > 0.0 else -w * v[j]
  *                             if g > dp:             # <<<<<<<<<<<<<<
@@ -6496,7 +5687,7 @@ static void __pyx_f_9normortho_8_kernels_7Program__derivs(struct __pyx_obj_9norm
             __pyx_t_7 = (__pyx_v_g > __pyx_v_dp);
             if (__pyx_t_7) {
 
-              /* "normortho/_kernels.pyx":347
+              /* "normortho/_kernels.pyx":274
  *                             g = w * v[j] if uj > 0.0 else -w * v[j]
  *                             if g > dp:
  *                                 dp = g             # <<<<<<<<<<<<<<
@@ -6505,7 +5696,7 @@ static void __pyx_f_9normortho_8_kernels_7Program__derivs(struct __pyx_obj_9norm
 */
               __pyx_v_dp = __pyx_v_g;
 
-              /* "normortho/_kernels.pyx":346
+              /* "normortho/_kernels.pyx":273
  *                         if w * fabs(uj) >= thr:
  *                             g = w * v[j] if uj > 0.0 else -w * v[j]
  *                             if g > dp:             # <<<<<<<<<<<<<<
@@ -6514,7 +5705,7 @@ static void __pyx_f_9normortho_8_kernels_7Program__derivs(struct __pyx_obj_9norm
 */
             }
 
-            /* "normortho/_kernels.pyx":348
+            /* "normortho/_kernels.pyx":275
  *                             if g > dp:
  *                                 dp = g
  *                             if g < dm:             # <<<<<<<<<<<<<<
@@ -6524,7 +5715,7 @@ static void __pyx_f_9normortho_8_kernels_7Program__derivs(struct __pyx_obj_9norm
             __pyx_t_7 = (__pyx_v_g < __pyx_v_dm);
             if (__pyx_t_7) {
 
-              /* "normortho/_kernels.pyx":349
+              /* "normortho/_kernels.pyx":276
  *                                 dp = g
  *                             if g < dm:
  *                                 dm = g             # <<<<<<<<<<<<<<
@@ -6533,7 +5724,7 @@ static void __pyx_f_9normortho_8_kernels_7Program__derivs(struct __pyx_obj_9norm
 */
               __pyx_v_dm = __pyx_v_g;
 
-              /* "normortho/_kernels.pyx":348
+              /* "normortho/_kernels.pyx":275
  *                             if g > dp:
  *                                 dp = g
  *                             if g < dm:             # <<<<<<<<<<<<<<
@@ -6542,7 +5733,7 @@ static void __pyx_f_9normortho_8_kernels_7Program__derivs(struct __pyx_obj_9norm
 */
             }
 
-            /* "normortho/_kernels.pyx":344
+            /* "normortho/_kernels.pyx":271
  *                         w = self.weights[self.woff[i] + j]
  *                         uj = u[j]
  *                         if w * fabs(uj) >= thr:             # <<<<<<<<<<<<<<
@@ -6552,7 +5743,7 @@ static void __pyx_f_9normortho_8_kernels_7Program__derivs(struct __pyx_obj_9norm
           }
         }
 
-        /* "normortho/_kernels.pyx":350
+        /* "normortho/_kernels.pyx":277
  *                             if g < dm:
  *                                 dm = g
  *                     dps[i] = dp             # <<<<<<<<<<<<<<
@@ -6561,7 +5752,7 @@ static void __pyx_f_9normortho_8_kernels_7Program__derivs(struct __pyx_obj_9norm
 */
         (__pyx_v_dps[__pyx_v_i]) = __pyx_v_dp;
 
-        /* "normortho/_kernels.pyx":351
+        /* "normortho/_kernels.pyx":278
  *                                 dm = g
  *                     dps[i] = dp
  *                     dms[i] = dm             # <<<<<<<<<<<<<<
@@ -6572,7 +5763,7 @@ static void __pyx_f_9normortho_8_kernels_7Program__derivs(struct __pyx_obj_9norm
       }
       __pyx_L24:;
 
-      /* "normortho/_kernels.pyx":331
+      /* "normortho/_kernels.pyx":256
  *                 dps[i] = sp + sa
  *                 dms[i] = sp - sa
  *             elif k == K_WLPINF:             # <<<<<<<<<<<<<<
@@ -6582,64 +5773,92 @@ static void __pyx_f_9normortho_8_kernels_7Program__derivs(struct __pyx_obj_9norm
       break;
       case __pyx_e_9normortho_8_kernels_K_WLPP:
 
-      /* "normortho/_kernels.pyx":353
+      /* "normortho/_kernels.pyx":280
  *                     dms[i] = dm
  *             elif k == K_WLPP:
  *                 val = vals[i]             # <<<<<<<<<<<<<<
  *                 if val == 0.0:
- *                     nv = self._leaf_norm(i, k, v)
+ *                     if vvals == NULL:
 */
       __pyx_v_val = (__pyx_v_vals[__pyx_v_i]);
 
-      /* "normortho/_kernels.pyx":354
+      /* "normortho/_kernels.pyx":281
  *             elif k == K_WLPP:
  *                 val = vals[i]
  *                 if val == 0.0:             # <<<<<<<<<<<<<<
- *                     nv = self._leaf_norm(i, k, v)
- *                     dps[i] = nv
+ *                     if vvals == NULL:
+ *                         vvals = vals + self.n
 */
       __pyx_t_7 = (__pyx_v_val == 0.0);
       if (__pyx_t_7) {
 
-        /* "normortho/_kernels.pyx":355
+        /* "normortho/_kernels.pyx":282
  *                 val = vals[i]
  *                 if val == 0.0:
- *                     nv = self._leaf_norm(i, k, v)             # <<<<<<<<<<<<<<
- *                     dps[i] = nv
- *                     dms[i] = -nv
+ *                     if vvals == NULL:             # <<<<<<<<<<<<<<
+ *                         vvals = vals + self.n
+ *                         self._value(v, vvals)
 */
-        __pyx_v_nv = ((struct __pyx_vtabstruct_9normortho_8_kernels_Program *)__pyx_v_self->__pyx_vtab)->_leaf_norm(__pyx_v_self, __pyx_v_i, __pyx_v_k, __pyx_v_v);
+        __pyx_t_7 = (__pyx_v_vvals == NULL);
+        if (__pyx_t_7) {
 
-        /* "normortho/_kernels.pyx":356
+          /* "normortho/_kernels.pyx":283
  *                 if val == 0.0:
- *                     nv = self._leaf_norm(i, k, v)
- *                     dps[i] = nv             # <<<<<<<<<<<<<<
- *                     dms[i] = -nv
+ *                     if vvals == NULL:
+ *                         vvals = vals + self.n             # <<<<<<<<<<<<<<
+ *                         self._value(v, vvals)
+ *                     dps[i] = vvals[i]
+*/
+          __pyx_v_vvals = (__pyx_v_vals + __pyx_v_self->n);
+
+          /* "normortho/_kernels.pyx":284
+ *                     if vvals == NULL:
+ *                         vvals = vals + self.n
+ *                         self._value(v, vvals)             # <<<<<<<<<<<<<<
+ *                     dps[i] = vvals[i]
+ *                     dms[i] = -vvals[i]
+*/
+          (void)(((struct __pyx_vtabstruct_9normortho_8_kernels_Program *)__pyx_v_self->__pyx_vtab)->_value(__pyx_v_self, __pyx_v_v, __pyx_v_vvals));
+
+          /* "normortho/_kernels.pyx":282
+ *                 val = vals[i]
+ *                 if val == 0.0:
+ *                     if vvals == NULL:             # <<<<<<<<<<<<<<
+ *                         vvals = vals + self.n
+ *                         self._value(v, vvals)
+*/
+        }
+
+        /* "normortho/_kernels.pyx":285
+ *                         vvals = vals + self.n
+ *                         self._value(v, vvals)
+ *                     dps[i] = vvals[i]             # <<<<<<<<<<<<<<
+ *                     dms[i] = -vvals[i]
  *                 else:
 */
-        (__pyx_v_dps[__pyx_v_i]) = __pyx_v_nv;
+        (__pyx_v_dps[__pyx_v_i]) = (__pyx_v_vvals[__pyx_v_i]);
 
-        /* "normortho/_kernels.pyx":357
- *                     nv = self._leaf_norm(i, k, v)
- *                     dps[i] = nv
- *                     dms[i] = -nv             # <<<<<<<<<<<<<<
+        /* "normortho/_kernels.pyx":286
+ *                         self._value(v, vvals)
+ *                     dps[i] = vvals[i]
+ *                     dms[i] = -vvals[i]             # <<<<<<<<<<<<<<
  *                 else:
  *                     pm1 = self.params[i] - 1.0
 */
-        (__pyx_v_dms[__pyx_v_i]) = (-__pyx_v_nv);
+        (__pyx_v_dms[__pyx_v_i]) = (-(__pyx_v_vvals[__pyx_v_i]));
 
-        /* "normortho/_kernels.pyx":354
+        /* "normortho/_kernels.pyx":281
  *             elif k == K_WLPP:
  *                 val = vals[i]
  *                 if val == 0.0:             # <<<<<<<<<<<<<<
- *                     nv = self._leaf_norm(i, k, v)
- *                     dps[i] = nv
+ *                     if vvals == NULL:
+ *                         vvals = vals + self.n
 */
         goto __pyx_L30;
       }
 
-      /* "normortho/_kernels.pyx":359
- *                     dms[i] = -nv
+      /* "normortho/_kernels.pyx":288
+ *                     dms[i] = -vvals[i]
  *                 else:
  *                     pm1 = self.params[i] - 1.0             # <<<<<<<<<<<<<<
  *                     d = 0.0
@@ -6648,7 +5867,7 @@ static void __pyx_f_9normortho_8_kernels_7Program__derivs(struct __pyx_obj_9norm
       /*else*/ {
         __pyx_v_pm1 = ((__pyx_v_self->params[__pyx_v_i]) - 1.0);
 
-        /* "normortho/_kernels.pyx":360
+        /* "normortho/_kernels.pyx":289
  *                 else:
  *                     pm1 = self.params[i] - 1.0
  *                     d = 0.0             # <<<<<<<<<<<<<<
@@ -6657,7 +5876,7 @@ static void __pyx_f_9normortho_8_kernels_7Program__derivs(struct __pyx_obj_9norm
 */
         __pyx_v_d = 0.0;
 
-        /* "normortho/_kernels.pyx":361
+        /* "normortho/_kernels.pyx":290
  *                     pm1 = self.params[i] - 1.0
  *                     d = 0.0
  *                     for j in range(dim):             # <<<<<<<<<<<<<<
@@ -6669,7 +5888,7 @@ static void __pyx_f_9normortho_8_kernels_7Program__derivs(struct __pyx_obj_9norm
         for (__pyx_t_6 = 0; __pyx_t_6 < __pyx_t_5; __pyx_t_6+=1) {
           __pyx_v_j = __pyx_t_6;
 
-          /* "normortho/_kernels.pyx":362
+          /* "normortho/_kernels.pyx":291
  *                     d = 0.0
  *                     for j in range(dim):
  *                         uj = u[j]             # <<<<<<<<<<<<<<
@@ -6678,7 +5897,7 @@ static void __pyx_f_9normortho_8_kernels_7Program__derivs(struct __pyx_obj_9norm
 */
           __pyx_v_uj = (__pyx_v_u[__pyx_v_j]);
 
-          /* "normortho/_kernels.pyx":363
+          /* "normortho/_kernels.pyx":292
  *                     for j in range(dim):
  *                         uj = u[j]
  *                         if uj > 0.0:             # <<<<<<<<<<<<<<
@@ -6688,7 +5907,7 @@ static void __pyx_f_9normortho_8_kernels_7Program__derivs(struct __pyx_obj_9norm
           __pyx_t_7 = (__pyx_v_uj > 0.0);
           if (__pyx_t_7) {
 
-            /* "normortho/_kernels.pyx":364
+            /* "normortho/_kernels.pyx":293
  *                         uj = u[j]
  *                         if uj > 0.0:
  *                             d += self.weights[self.woff[i] + j] * pow(uj / val, pm1) * v[j]             # <<<<<<<<<<<<<<
@@ -6697,7 +5916,7 @@ static void __pyx_f_9normortho_8_kernels_7Program__derivs(struct __pyx_obj_9norm
 */
             __pyx_v_d = (__pyx_v_d + (((__pyx_v_self->weights[((__pyx_v_self->woff[__pyx_v_i]) + __pyx_v_j)]) * pow((__pyx_v_uj / __pyx_v_val), __pyx_v_pm1)) * (__pyx_v_v[__pyx_v_j])));
 
-            /* "normortho/_kernels.pyx":363
+            /* "normortho/_kernels.pyx":292
  *                     for j in range(dim):
  *                         uj = u[j]
  *                         if uj > 0.0:             # <<<<<<<<<<<<<<
@@ -6707,7 +5926,7 @@ static void __pyx_f_9normortho_8_kernels_7Program__derivs(struct __pyx_obj_9norm
             goto __pyx_L33;
           }
 
-          /* "normortho/_kernels.pyx":365
+          /* "normortho/_kernels.pyx":294
  *                         if uj > 0.0:
  *                             d += self.weights[self.woff[i] + j] * pow(uj / val, pm1) * v[j]
  *                         elif uj < 0.0:             # <<<<<<<<<<<<<<
@@ -6717,7 +5936,7 @@ static void __pyx_f_9normortho_8_kernels_7Program__derivs(struct __pyx_obj_9norm
           __pyx_t_7 = (__pyx_v_uj < 0.0);
           if (__pyx_t_7) {
 
-            /* "normortho/_kernels.pyx":366
+            /* "normortho/_kernels.pyx":295
  *                             d += self.weights[self.woff[i] + j] * pow(uj / val, pm1) * v[j]
  *                         elif uj < 0.0:
  *                             d -= self.weights[self.woff[i] + j] * pow(-uj / val, pm1) * v[j]             # <<<<<<<<<<<<<<
@@ -6726,7 +5945,7 @@ static void __pyx_f_9normortho_8_kernels_7Program__derivs(struct __pyx_obj_9norm
 */
             __pyx_v_d = (__pyx_v_d - (((__pyx_v_self->weights[((__pyx_v_self->woff[__pyx_v_i]) + __pyx_v_j)]) * pow(((-__pyx_v_uj) / __pyx_v_val), __pyx_v_pm1)) * (__pyx_v_v[__pyx_v_j])));
 
-            /* "normortho/_kernels.pyx":365
+            /* "normortho/_kernels.pyx":294
  *                         if uj > 0.0:
  *                             d += self.weights[self.woff[i] + j] * pow(uj / val, pm1) * v[j]
  *                         elif uj < 0.0:             # <<<<<<<<<<<<<<
@@ -6737,7 +5956,7 @@ static void __pyx_f_9normortho_8_kernels_7Program__derivs(struct __pyx_obj_9norm
           __pyx_L33:;
         }
 
-        /* "normortho/_kernels.pyx":367
+        /* "normortho/_kernels.pyx":296
  *                         elif uj < 0.0:
  *                             d -= self.weights[self.woff[i] + j] * pow(-uj / val, pm1) * v[j]
  *                     dps[i] = d             # <<<<<<<<<<<<<<
@@ -6746,7 +5965,7 @@ static void __pyx_f_9normortho_8_kernels_7Program__derivs(struct __pyx_obj_9norm
 */
         (__pyx_v_dps[__pyx_v_i]) = __pyx_v_d;
 
-        /* "normortho/_kernels.pyx":368
+        /* "normortho/_kernels.pyx":297
  *                             d -= self.weights[self.woff[i] + j] * pow(-uj / val, pm1) * v[j]
  *                     dps[i] = d
  *                     dms[i] = d             # <<<<<<<<<<<<<<
@@ -6757,7 +5976,7 @@ static void __pyx_f_9normortho_8_kernels_7Program__derivs(struct __pyx_obj_9norm
       }
       __pyx_L30:;
 
-      /* "normortho/_kernels.pyx":352
+      /* "normortho/_kernels.pyx":279
  *                     dps[i] = dp
  *                     dms[i] = dm
  *             elif k == K_WLPP:             # <<<<<<<<<<<<<<
@@ -6767,7 +5986,7 @@ static void __pyx_f_9normortho_8_kernels_7Program__derivs(struct __pyx_obj_9norm
       break;
       case __pyx_e_9normortho_8_kernels_K_MAX:
 
-      /* "normortho/_kernels.pyx":370
+      /* "normortho/_kernels.pyx":299
  *                     dms[i] = d
  *             elif k == K_MAX:
  *                 lc = self.left[i]             # <<<<<<<<<<<<<<
@@ -6776,7 +5995,7 @@ static void __pyx_f_9normortho_8_kernels_7Program__derivs(struct __pyx_obj_9norm
 */
       __pyx_v_lc = (__pyx_v_self->left[__pyx_v_i]);
 
-      /* "normortho/_kernels.pyx":371
+      /* "normortho/_kernels.pyx":300
  *             elif k == K_MAX:
  *                 lc = self.left[i]
  *                 rc = self.right[i]             # <<<<<<<<<<<<<<
@@ -6785,7 +6004,7 @@ static void __pyx_f_9normortho_8_kernels_7Program__derivs(struct __pyx_obj_9norm
 */
       __pyx_v_rc = (__pyx_v_self->right[__pyx_v_i]);
 
-      /* "normortho/_kernels.pyx":372
+      /* "normortho/_kernels.pyx":301
  *                 lc = self.left[i]
  *                 rc = self.right[i]
  *                 a = vals[lc]             # <<<<<<<<<<<<<<
@@ -6794,7 +6013,7 @@ static void __pyx_f_9normortho_8_kernels_7Program__derivs(struct __pyx_obj_9norm
 */
       __pyx_v_a = (__pyx_v_vals[__pyx_v_lc]);
 
-      /* "normortho/_kernels.pyx":373
+      /* "normortho/_kernels.pyx":302
  *                 rc = self.right[i]
  *                 a = vals[lc]
  *                 b = vals[rc]             # <<<<<<<<<<<<<<
@@ -6803,7 +6022,7 @@ static void __pyx_f_9normortho_8_kernels_7Program__derivs(struct __pyx_obj_9norm
 */
       __pyx_v_b = (__pyx_v_vals[__pyx_v_rc]);
 
-      /* "normortho/_kernels.pyx":374
+      /* "normortho/_kernels.pyx":303
  *                 a = vals[lc]
  *                 b = vals[rc]
  *                 m = a if a >= b else b             # <<<<<<<<<<<<<<
@@ -6818,7 +6037,7 @@ static void __pyx_f_9normortho_8_kernels_7Program__derivs(struct __pyx_obj_9norm
       }
       __pyx_v_m = __pyx_t_8;
 
-      /* "normortho/_kernels.pyx":375
+      /* "normortho/_kernels.pyx":304
  *                 b = vals[rc]
  *                 m = a if a >= b else b
  *                 ref = m             # <<<<<<<<<<<<<<
@@ -6827,7 +6046,7 @@ static void __pyx_f_9normortho_8_kernels_7Program__derivs(struct __pyx_obj_9norm
 */
       __pyx_v_ref = __pyx_v_m;
 
-      /* "normortho/_kernels.pyx":376
+      /* "normortho/_kernels.pyx":305
  *                 m = a if a >= b else b
  *                 ref = m
  *                 if fabs(a - b) <= TIE * ref:             # <<<<<<<<<<<<<<
@@ -6837,7 +6056,7 @@ static void __pyx_f_9normortho_8_kernels_7Program__derivs(struct __pyx_obj_9norm
       __pyx_t_7 = (fabs((__pyx_v_a - __pyx_v_b)) <= (__pyx_v_9normortho_8_kernels_TIE * __pyx_v_ref));
       if (__pyx_t_7) {
 
-        /* "normortho/_kernels.pyx":379
+        /* "normortho/_kernels.pyx":308
  *                     # tied children: one-sided derivative of a max of two
  *                     # functions equal at 0 is max of D+ and min of D-
  *                     dps[i] = dps[lc] if dps[lc] >= dps[rc] else dps[rc]             # <<<<<<<<<<<<<<
@@ -6852,7 +6071,7 @@ static void __pyx_f_9normortho_8_kernels_7Program__derivs(struct __pyx_obj_9norm
         }
         (__pyx_v_dps[__pyx_v_i]) = __pyx_t_8;
 
-        /* "normortho/_kernels.pyx":380
+        /* "normortho/_kernels.pyx":309
  *                     # functions equal at 0 is max of D+ and min of D-
  *                     dps[i] = dps[lc] if dps[lc] >= dps[rc] else dps[rc]
  *                     dms[i] = dms[lc] if dms[lc] <= dms[rc] else dms[rc]             # <<<<<<<<<<<<<<
@@ -6867,7 +6086,7 @@ static void __pyx_f_9normortho_8_kernels_7Program__derivs(struct __pyx_obj_9norm
         }
         (__pyx_v_dms[__pyx_v_i]) = __pyx_t_8;
 
-        /* "normortho/_kernels.pyx":376
+        /* "normortho/_kernels.pyx":305
  *                 m = a if a >= b else b
  *                 ref = m
  *                 if fabs(a - b) <= TIE * ref:             # <<<<<<<<<<<<<<
@@ -6877,7 +6096,7 @@ static void __pyx_f_9normortho_8_kernels_7Program__derivs(struct __pyx_obj_9norm
         goto __pyx_L34;
       }
 
-      /* "normortho/_kernels.pyx":381
+      /* "normortho/_kernels.pyx":310
  *                     dps[i] = dps[lc] if dps[lc] >= dps[rc] else dps[rc]
  *                     dms[i] = dms[lc] if dms[lc] <= dms[rc] else dms[rc]
  *                 elif a > b:             # <<<<<<<<<<<<<<
@@ -6887,7 +6106,7 @@ static void __pyx_f_9normortho_8_kernels_7Program__derivs(struct __pyx_obj_9norm
       __pyx_t_7 = (__pyx_v_a > __pyx_v_b);
       if (__pyx_t_7) {
 
-        /* "normortho/_kernels.pyx":382
+        /* "normortho/_kernels.pyx":311
  *                     dms[i] = dms[lc] if dms[lc] <= dms[rc] else dms[rc]
  *                 elif a > b:
  *                     dps[i] = dps[lc]             # <<<<<<<<<<<<<<
@@ -6896,7 +6115,7 @@ static void __pyx_f_9normortho_8_kernels_7Program__derivs(struct __pyx_obj_9norm
 */
         (__pyx_v_dps[__pyx_v_i]) = (__pyx_v_dps[__pyx_v_lc]);
 
-        /* "normortho/_kernels.pyx":383
+        /* "normortho/_kernels.pyx":312
  *                 elif a > b:
  *                     dps[i] = dps[lc]
  *                     dms[i] = dms[lc]             # <<<<<<<<<<<<<<
@@ -6905,7 +6124,7 @@ static void __pyx_f_9normortho_8_kernels_7Program__derivs(struct __pyx_obj_9norm
 */
         (__pyx_v_dms[__pyx_v_i]) = (__pyx_v_dms[__pyx_v_lc]);
 
-        /* "normortho/_kernels.pyx":381
+        /* "normortho/_kernels.pyx":310
  *                     dps[i] = dps[lc] if dps[lc] >= dps[rc] else dps[rc]
  *                     dms[i] = dms[lc] if dms[lc] <= dms[rc] else dms[rc]
  *                 elif a > b:             # <<<<<<<<<<<<<<
@@ -6915,7 +6134,7 @@ static void __pyx_f_9normortho_8_kernels_7Program__derivs(struct __pyx_obj_9norm
         goto __pyx_L34;
       }
 
-      /* "normortho/_kernels.pyx":385
+      /* "normortho/_kernels.pyx":314
  *                     dms[i] = dms[lc]
  *                 else:
  *                     dps[i] = dps[rc]             # <<<<<<<<<<<<<<
@@ -6925,7 +6144,7 @@ static void __pyx_f_9normortho_8_kernels_7Program__derivs(struct __pyx_obj_9norm
       /*else*/ {
         (__pyx_v_dps[__pyx_v_i]) = (__pyx_v_dps[__pyx_v_rc]);
 
-        /* "normortho/_kernels.pyx":386
+        /* "normortho/_kernels.pyx":315
  *                 else:
  *                     dps[i] = dps[rc]
  *                     dms[i] = dms[rc]             # <<<<<<<<<<<<<<
@@ -6936,7 +6155,7 @@ static void __pyx_f_9normortho_8_kernels_7Program__derivs(struct __pyx_obj_9norm
       }
       __pyx_L34:;
 
-      /* "normortho/_kernels.pyx":369
+      /* "normortho/_kernels.pyx":298
  *                     dps[i] = d
  *                     dms[i] = d
  *             elif k == K_MAX:             # <<<<<<<<<<<<<<
@@ -6946,7 +6165,7 @@ static void __pyx_f_9normortho_8_kernels_7Program__derivs(struct __pyx_obj_9norm
       break;
       case __pyx_e_9normortho_8_kernels_K_SUM:
 
-      /* "normortho/_kernels.pyx":388
+      /* "normortho/_kernels.pyx":317
  *                     dms[i] = dms[rc]
  *             elif k == K_SUM:
  *                 lc = self.left[i]             # <<<<<<<<<<<<<<
@@ -6955,7 +6174,7 @@ static void __pyx_f_9normortho_8_kernels_7Program__derivs(struct __pyx_obj_9norm
 */
       __pyx_v_lc = (__pyx_v_self->left[__pyx_v_i]);
 
-      /* "normortho/_kernels.pyx":389
+      /* "normortho/_kernels.pyx":318
  *             elif k == K_SUM:
  *                 lc = self.left[i]
  *                 rc = self.right[i]             # <<<<<<<<<<<<<<
@@ -6964,7 +6183,7 @@ static void __pyx_f_9normortho_8_kernels_7Program__derivs(struct __pyx_obj_9norm
 */
       __pyx_v_rc = (__pyx_v_self->right[__pyx_v_i]);
 
-      /* "normortho/_kernels.pyx":390
+      /* "normortho/_kernels.pyx":319
  *                 lc = self.left[i]
  *                 rc = self.right[i]
  *                 dps[i] = dps[lc] + dps[rc]             # <<<<<<<<<<<<<<
@@ -6973,7 +6192,7 @@ static void __pyx_f_9normortho_8_kernels_7Program__derivs(struct __pyx_obj_9norm
 */
       (__pyx_v_dps[__pyx_v_i]) = ((__pyx_v_dps[__pyx_v_lc]) + (__pyx_v_dps[__pyx_v_rc]));
 
-      /* "normortho/_kernels.pyx":391
+      /* "normortho/_kernels.pyx":320
  *                 rc = self.right[i]
  *                 dps[i] = dps[lc] + dps[rc]
  *                 dms[i] = dms[lc] + dms[rc]             # <<<<<<<<<<<<<<
@@ -6982,7 +6201,7 @@ static void __pyx_f_9normortho_8_kernels_7Program__derivs(struct __pyx_obj_9norm
 */
       (__pyx_v_dms[__pyx_v_i]) = ((__pyx_v_dms[__pyx_v_lc]) + (__pyx_v_dms[__pyx_v_rc]));
 
-      /* "normortho/_kernels.pyx":387
+      /* "normortho/_kernels.pyx":316
  *                     dps[i] = dps[rc]
  *                     dms[i] = dms[rc]
  *             elif k == K_SUM:             # <<<<<<<<<<<<<<
@@ -6992,7 +6211,7 @@ static void __pyx_f_9normortho_8_kernels_7Program__derivs(struct __pyx_obj_9norm
       break;
       default:
 
-      /* "normortho/_kernels.pyx":393
+      /* "normortho/_kernels.pyx":322
  *                 dms[i] = dms[lc] + dms[rc]
  *             else:  # K_SCALE
  *                 c = self.params[i]             # <<<<<<<<<<<<<<
@@ -7001,7 +6220,7 @@ static void __pyx_f_9normortho_8_kernels_7Program__derivs(struct __pyx_obj_9norm
 */
       __pyx_v_c = (__pyx_v_self->params[__pyx_v_i]);
 
-      /* "normortho/_kernels.pyx":394
+      /* "normortho/_kernels.pyx":323
  *             else:  # K_SCALE
  *                 c = self.params[i]
  *                 lc = self.left[i]             # <<<<<<<<<<<<<<
@@ -7010,7 +6229,7 @@ static void __pyx_f_9normortho_8_kernels_7Program__derivs(struct __pyx_obj_9norm
 */
       __pyx_v_lc = (__pyx_v_self->left[__pyx_v_i]);
 
-      /* "normortho/_kernels.pyx":395
+      /* "normortho/_kernels.pyx":324
  *                 c = self.params[i]
  *                 lc = self.left[i]
  *                 dps[i] = c * dps[lc]             # <<<<<<<<<<<<<<
@@ -7019,852 +6238,30 @@ static void __pyx_f_9normortho_8_kernels_7Program__derivs(struct __pyx_obj_9norm
 */
       (__pyx_v_dps[__pyx_v_i]) = (__pyx_v_c * (__pyx_v_dps[__pyx_v_lc]));
 
-      /* "normortho/_kernels.pyx":396
+      /* "normortho/_kernels.pyx":325
  *                 lc = self.left[i]
  *                 dps[i] = c * dps[lc]
  *                 dms[i] = c * dms[lc]             # <<<<<<<<<<<<<<
  * 
- *     cdef double _leaf_norm(self, int i, int k, double* x) noexcept nogil:
+ *     # -- line restriction ----------------------------------------------------
 */
       (__pyx_v_dms[__pyx_v_i]) = (__pyx_v_c * (__pyx_v_dms[__pyx_v_lc]));
       break;
     }
   }
 
-  /* "normortho/_kernels.pyx":246
+  /* "normortho/_kernels.pyx":215
  *         return out
  * 
  *     cdef void _derivs(self, double* u, double* v, double* vals,             # <<<<<<<<<<<<<<
  *                       double* dps, double* dms) noexcept nogil:
- *         cdef int i, j, k, lc, rc
+ *         # A leaf that is 0 at u has N(u + t v) = |t| N(v), so D+- = +-N(v);
 */
 
   /* function exit code */
 }
 
-/* "normortho/_kernels.pyx":398
- *                 dms[i] = c * dms[lc]
- * 
- *     cdef double _leaf_norm(self, int i, int k, double* x) noexcept nogil:             # <<<<<<<<<<<<<<
- *         cdef int j
- *         cdef int dim = self.dim
-*/
-
-static double __pyx_f_9normortho_8_kernels_7Program__leaf_norm(struct __pyx_obj_9normortho_8_kernels_Program *__pyx_v_self, int __pyx_v_i, int __pyx_v_k, double *__pyx_v_x) {
-  int __pyx_v_j;
-  int __pyx_v_dim;
-  double __pyx_v_s;
-  double __pyx_v_m;
-  double __pyx_v_a;
-  double __pyx_v_r;
-  double __pyx_v_p;
-  double __pyx_r;
-  int __pyx_t_1;
-  int __pyx_t_2;
-  int __pyx_t_3;
-  int __pyx_t_4;
-
-  /* "normortho/_kernels.pyx":400
- *     cdef double _leaf_norm(self, int i, int k, double* x) noexcept nogil:
- *         cdef int j
- *         cdef int dim = self.dim             # <<<<<<<<<<<<<<
- *         cdef double s, m, a, r, p
- *         if k == K_L1:
-*/
-  __pyx_t_1 = __pyx_v_self->dim;
-  __pyx_v_dim = __pyx_t_1;
-
-  /* "normortho/_kernels.pyx":402
- *         cdef int dim = self.dim
- *         cdef double s, m, a, r, p
- *         if k == K_L1:             # <<<<<<<<<<<<<<
- *             s = 0.0
- *             for j in range(dim):
-*/
-  __pyx_t_2 = (__pyx_v_k == __pyx_e_9normortho_8_kernels_K_L1);
-  if (__pyx_t_2) {
-
-    /* "normortho/_kernels.pyx":403
- *         cdef double s, m, a, r, p
- *         if k == K_L1:
- *             s = 0.0             # <<<<<<<<<<<<<<
- *             for j in range(dim):
- *                 s += fabs(x[j])
-*/
-    __pyx_v_s = 0.0;
-
-    /* "normortho/_kernels.pyx":404
- *         if k == K_L1:
- *             s = 0.0
- *             for j in range(dim):             # <<<<<<<<<<<<<<
- *                 s += fabs(x[j])
- *             return s
-*/
-    __pyx_t_1 = __pyx_v_dim;
-    __pyx_t_3 = __pyx_t_1;
-    for (__pyx_t_4 = 0; __pyx_t_4 < __pyx_t_3; __pyx_t_4+=1) {
-      __pyx_v_j = __pyx_t_4;
-
-      /* "normortho/_kernels.pyx":405
- *             s = 0.0
- *             for j in range(dim):
- *                 s += fabs(x[j])             # <<<<<<<<<<<<<<
- *             return s
- *         if k == K_L2:
-*/
-      __pyx_v_s = (__pyx_v_s + fabs((__pyx_v_x[__pyx_v_j])));
-    }
-
-    /* "normortho/_kernels.pyx":406
- *             for j in range(dim):
- *                 s += fabs(x[j])
- *             return s             # <<<<<<<<<<<<<<
- *         if k == K_L2:
- *             m = 0.0
-*/
-    __pyx_r = __pyx_v_s;
-    goto __pyx_L0;
-
-    /* "normortho/_kernels.pyx":402
- *         cdef int dim = self.dim
- *         cdef double s, m, a, r, p
- *         if k == K_L1:             # <<<<<<<<<<<<<<
- *             s = 0.0
- *             for j in range(dim):
-*/
-  }
-
-  /* "normortho/_kernels.pyx":407
- *                 s += fabs(x[j])
- *             return s
- *         if k == K_L2:             # <<<<<<<<<<<<<<
- *             m = 0.0
- *             for j in range(dim):
-*/
-  __pyx_t_2 = (__pyx_v_k == __pyx_e_9normortho_8_kernels_K_L2);
-  if (__pyx_t_2) {
-
-    /* "normortho/_kernels.pyx":408
- *             return s
- *         if k == K_L2:
- *             m = 0.0             # <<<<<<<<<<<<<<
- *             for j in range(dim):
- *                 a = fabs(x[j])
-*/
-    __pyx_v_m = 0.0;
-
-    /* "normortho/_kernels.pyx":409
- *         if k == K_L2:
- *             m = 0.0
- *             for j in range(dim):             # <<<<<<<<<<<<<<
- *                 a = fabs(x[j])
- *                 if a > m:
-*/
-    __pyx_t_1 = __pyx_v_dim;
-    __pyx_t_3 = __pyx_t_1;
-    for (__pyx_t_4 = 0; __pyx_t_4 < __pyx_t_3; __pyx_t_4+=1) {
-      __pyx_v_j = __pyx_t_4;
-
-      /* "normortho/_kernels.pyx":410
- *             m = 0.0
- *             for j in range(dim):
- *                 a = fabs(x[j])             # <<<<<<<<<<<<<<
- *                 if a > m:
- *                     m = a
-*/
-      __pyx_v_a = fabs((__pyx_v_x[__pyx_v_j]));
-
-      /* "normortho/_kernels.pyx":411
- *             for j in range(dim):
- *                 a = fabs(x[j])
- *                 if a > m:             # <<<<<<<<<<<<<<
- *                     m = a
- *             if m == 0.0:
-*/
-      __pyx_t_2 = (__pyx_v_a > __pyx_v_m);
-      if (__pyx_t_2) {
-
-        /* "normortho/_kernels.pyx":412
- *                 a = fabs(x[j])
- *                 if a > m:
- *                     m = a             # <<<<<<<<<<<<<<
- *             if m == 0.0:
- *                 return 0.0
-*/
-        __pyx_v_m = __pyx_v_a;
-
-        /* "normortho/_kernels.pyx":411
- *             for j in range(dim):
- *                 a = fabs(x[j])
- *                 if a > m:             # <<<<<<<<<<<<<<
- *                     m = a
- *             if m == 0.0:
-*/
-      }
-    }
-
-    /* "normortho/_kernels.pyx":413
- *                 if a > m:
- *                     m = a
- *             if m == 0.0:             # <<<<<<<<<<<<<<
- *                 return 0.0
- *             s = 0.0
-*/
-    __pyx_t_2 = (__pyx_v_m == 0.0);
-    if (__pyx_t_2) {
-
-      /* "normortho/_kernels.pyx":414
- *                     m = a
- *             if m == 0.0:
- *                 return 0.0             # <<<<<<<<<<<<<<
- *             s = 0.0
- *             for j in range(dim):
-*/
-      __pyx_r = 0.0;
-      goto __pyx_L0;
-
-      /* "normortho/_kernels.pyx":413
- *                 if a > m:
- *                     m = a
- *             if m == 0.0:             # <<<<<<<<<<<<<<
- *                 return 0.0
- *             s = 0.0
-*/
-    }
-
-    /* "normortho/_kernels.pyx":415
- *             if m == 0.0:
- *                 return 0.0
- *             s = 0.0             # <<<<<<<<<<<<<<
- *             for j in range(dim):
- *                 r = x[j] / m
-*/
-    __pyx_v_s = 0.0;
-
-    /* "normortho/_kernels.pyx":416
- *                 return 0.0
- *             s = 0.0
- *             for j in range(dim):             # <<<<<<<<<<<<<<
- *                 r = x[j] / m
- *                 s += r * r
-*/
-    __pyx_t_1 = __pyx_v_dim;
-    __pyx_t_3 = __pyx_t_1;
-    for (__pyx_t_4 = 0; __pyx_t_4 < __pyx_t_3; __pyx_t_4+=1) {
-      __pyx_v_j = __pyx_t_4;
-
-      /* "normortho/_kernels.pyx":417
- *             s = 0.0
- *             for j in range(dim):
- *                 r = x[j] / m             # <<<<<<<<<<<<<<
- *                 s += r * r
- *             return m * sqrt(s)
-*/
-      __pyx_v_r = ((__pyx_v_x[__pyx_v_j]) / __pyx_v_m);
-
-      /* "normortho/_kernels.pyx":418
- *             for j in range(dim):
- *                 r = x[j] / m
- *                 s += r * r             # <<<<<<<<<<<<<<
- *             return m * sqrt(s)
- *         if k == K_LINF:
-*/
-      __pyx_v_s = (__pyx_v_s + (__pyx_v_r * __pyx_v_r));
-    }
-
-    /* "normortho/_kernels.pyx":419
- *                 r = x[j] / m
- *                 s += r * r
- *             return m * sqrt(s)             # <<<<<<<<<<<<<<
- *         if k == K_LINF:
- *             m = 0.0
-*/
-    __pyx_r = (__pyx_v_m * sqrt(__pyx_v_s));
-    goto __pyx_L0;
-
-    /* "normortho/_kernels.pyx":407
- *                 s += fabs(x[j])
- *             return s
- *         if k == K_L2:             # <<<<<<<<<<<<<<
- *             m = 0.0
- *             for j in range(dim):
-*/
-  }
-
-  /* "normortho/_kernels.pyx":420
- *                 s += r * r
- *             return m * sqrt(s)
- *         if k == K_LINF:             # <<<<<<<<<<<<<<
- *             m = 0.0
- *             for j in range(dim):
-*/
-  __pyx_t_2 = (__pyx_v_k == __pyx_e_9normortho_8_kernels_K_LINF);
-  if (__pyx_t_2) {
-
-    /* "normortho/_kernels.pyx":421
- *             return m * sqrt(s)
- *         if k == K_LINF:
- *             m = 0.0             # <<<<<<<<<<<<<<
- *             for j in range(dim):
- *                 a = fabs(x[j])
-*/
-    __pyx_v_m = 0.0;
-
-    /* "normortho/_kernels.pyx":422
- *         if k == K_LINF:
- *             m = 0.0
- *             for j in range(dim):             # <<<<<<<<<<<<<<
- *                 a = fabs(x[j])
- *                 if a > m:
-*/
-    __pyx_t_1 = __pyx_v_dim;
-    __pyx_t_3 = __pyx_t_1;
-    for (__pyx_t_4 = 0; __pyx_t_4 < __pyx_t_3; __pyx_t_4+=1) {
-      __pyx_v_j = __pyx_t_4;
-
-      /* "normortho/_kernels.pyx":423
- *             m = 0.0
- *             for j in range(dim):
- *                 a = fabs(x[j])             # <<<<<<<<<<<<<<
- *                 if a > m:
- *                     m = a
-*/
-      __pyx_v_a = fabs((__pyx_v_x[__pyx_v_j]));
-
-      /* "normortho/_kernels.pyx":424
- *             for j in range(dim):
- *                 a = fabs(x[j])
- *                 if a > m:             # <<<<<<<<<<<<<<
- *                     m = a
- *             return m
-*/
-      __pyx_t_2 = (__pyx_v_a > __pyx_v_m);
-      if (__pyx_t_2) {
-
-        /* "normortho/_kernels.pyx":425
- *                 a = fabs(x[j])
- *                 if a > m:
- *                     m = a             # <<<<<<<<<<<<<<
- *             return m
- *         if k == K_LP:
-*/
-        __pyx_v_m = __pyx_v_a;
-
-        /* "normortho/_kernels.pyx":424
- *             for j in range(dim):
- *                 a = fabs(x[j])
- *                 if a > m:             # <<<<<<<<<<<<<<
- *                     m = a
- *             return m
-*/
-      }
-    }
-
-    /* "normortho/_kernels.pyx":426
- *                 if a > m:
- *                     m = a
- *             return m             # <<<<<<<<<<<<<<
- *         if k == K_LP:
- *             p = self.params[i]
-*/
-    __pyx_r = __pyx_v_m;
-    goto __pyx_L0;
-
-    /* "normortho/_kernels.pyx":420
- *                 s += r * r
- *             return m * sqrt(s)
- *         if k == K_LINF:             # <<<<<<<<<<<<<<
- *             m = 0.0
- *             for j in range(dim):
-*/
-  }
-
-  /* "normortho/_kernels.pyx":427
- *                     m = a
- *             return m
- *         if k == K_LP:             # <<<<<<<<<<<<<<
- *             p = self.params[i]
- *             m = 0.0
-*/
-  __pyx_t_2 = (__pyx_v_k == __pyx_e_9normortho_8_kernels_K_LP);
-  if (__pyx_t_2) {
-
-    /* "normortho/_kernels.pyx":428
- *             return m
- *         if k == K_LP:
- *             p = self.params[i]             # <<<<<<<<<<<<<<
- *             m = 0.0
- *             for j in range(dim):
-*/
-    __pyx_v_p = (__pyx_v_self->params[__pyx_v_i]);
-
-    /* "normortho/_kernels.pyx":429
- *         if k == K_LP:
- *             p = self.params[i]
- *             m = 0.0             # <<<<<<<<<<<<<<
- *             for j in range(dim):
- *                 a = fabs(x[j])
-*/
-    __pyx_v_m = 0.0;
-
-    /* "normortho/_kernels.pyx":430
- *             p = self.params[i]
- *             m = 0.0
- *             for j in range(dim):             # <<<<<<<<<<<<<<
- *                 a = fabs(x[j])
- *                 if a > m:
-*/
-    __pyx_t_1 = __pyx_v_dim;
-    __pyx_t_3 = __pyx_t_1;
-    for (__pyx_t_4 = 0; __pyx_t_4 < __pyx_t_3; __pyx_t_4+=1) {
-      __pyx_v_j = __pyx_t_4;
-
-      /* "normortho/_kernels.pyx":431
- *             m = 0.0
- *             for j in range(dim):
- *                 a = fabs(x[j])             # <<<<<<<<<<<<<<
- *                 if a > m:
- *                     m = a
-*/
-      __pyx_v_a = fabs((__pyx_v_x[__pyx_v_j]));
-
-      /* "normortho/_kernels.pyx":432
- *             for j in range(dim):
- *                 a = fabs(x[j])
- *                 if a > m:             # <<<<<<<<<<<<<<
- *                     m = a
- *             if m == 0.0:
-*/
-      __pyx_t_2 = (__pyx_v_a > __pyx_v_m);
-      if (__pyx_t_2) {
-
-        /* "normortho/_kernels.pyx":433
- *                 a = fabs(x[j])
- *                 if a > m:
- *                     m = a             # <<<<<<<<<<<<<<
- *             if m == 0.0:
- *                 return 0.0
-*/
-        __pyx_v_m = __pyx_v_a;
-
-        /* "normortho/_kernels.pyx":432
- *             for j in range(dim):
- *                 a = fabs(x[j])
- *                 if a > m:             # <<<<<<<<<<<<<<
- *                     m = a
- *             if m == 0.0:
-*/
-      }
-    }
-
-    /* "normortho/_kernels.pyx":434
- *                 if a > m:
- *                     m = a
- *             if m == 0.0:             # <<<<<<<<<<<<<<
- *                 return 0.0
- *             s = 0.0
-*/
-    __pyx_t_2 = (__pyx_v_m == 0.0);
-    if (__pyx_t_2) {
-
-      /* "normortho/_kernels.pyx":435
- *                     m = a
- *             if m == 0.0:
- *                 return 0.0             # <<<<<<<<<<<<<<
- *             s = 0.0
- *             for j in range(dim):
-*/
-      __pyx_r = 0.0;
-      goto __pyx_L0;
-
-      /* "normortho/_kernels.pyx":434
- *                 if a > m:
- *                     m = a
- *             if m == 0.0:             # <<<<<<<<<<<<<<
- *                 return 0.0
- *             s = 0.0
-*/
-    }
-
-    /* "normortho/_kernels.pyx":436
- *             if m == 0.0:
- *                 return 0.0
- *             s = 0.0             # <<<<<<<<<<<<<<
- *             for j in range(dim):
- *                 s += pow(fabs(x[j]) / m, p)
-*/
-    __pyx_v_s = 0.0;
-
-    /* "normortho/_kernels.pyx":437
- *                 return 0.0
- *             s = 0.0
- *             for j in range(dim):             # <<<<<<<<<<<<<<
- *                 s += pow(fabs(x[j]) / m, p)
- *             return m * pow(s, 1.0 / p)
-*/
-    __pyx_t_1 = __pyx_v_dim;
-    __pyx_t_3 = __pyx_t_1;
-    for (__pyx_t_4 = 0; __pyx_t_4 < __pyx_t_3; __pyx_t_4+=1) {
-      __pyx_v_j = __pyx_t_4;
-
-      /* "normortho/_kernels.pyx":438
- *             s = 0.0
- *             for j in range(dim):
- *                 s += pow(fabs(x[j]) / m, p)             # <<<<<<<<<<<<<<
- *             return m * pow(s, 1.0 / p)
- *         if k == K_WLP1:
-*/
-      __pyx_v_s = (__pyx_v_s + pow((fabs((__pyx_v_x[__pyx_v_j])) / __pyx_v_m), __pyx_v_p));
-    }
-
-    /* "normortho/_kernels.pyx":439
- *             for j in range(dim):
- *                 s += pow(fabs(x[j]) / m, p)
- *             return m * pow(s, 1.0 / p)             # <<<<<<<<<<<<<<
- *         if k == K_WLP1:
- *             s = 0.0
-*/
-    __pyx_r = (__pyx_v_m * pow(__pyx_v_s, (1.0 / __pyx_v_p)));
-    goto __pyx_L0;
-
-    /* "normortho/_kernels.pyx":427
- *                     m = a
- *             return m
- *         if k == K_LP:             # <<<<<<<<<<<<<<
- *             p = self.params[i]
- *             m = 0.0
-*/
-  }
-
-  /* "normortho/_kernels.pyx":440
- *                 s += pow(fabs(x[j]) / m, p)
- *             return m * pow(s, 1.0 / p)
- *         if k == K_WLP1:             # <<<<<<<<<<<<<<
- *             s = 0.0
- *             for j in range(dim):
-*/
-  __pyx_t_2 = (__pyx_v_k == __pyx_e_9normortho_8_kernels_K_WLP1);
-  if (__pyx_t_2) {
-
-    /* "normortho/_kernels.pyx":441
- *             return m * pow(s, 1.0 / p)
- *         if k == K_WLP1:
- *             s = 0.0             # <<<<<<<<<<<<<<
- *             for j in range(dim):
- *                 s += self.weights[self.woff[i] + j] * fabs(x[j])
-*/
-    __pyx_v_s = 0.0;
-
-    /* "normortho/_kernels.pyx":442
- *         if k == K_WLP1:
- *             s = 0.0
- *             for j in range(dim):             # <<<<<<<<<<<<<<
- *                 s += self.weights[self.woff[i] + j] * fabs(x[j])
- *             return s
-*/
-    __pyx_t_1 = __pyx_v_dim;
-    __pyx_t_3 = __pyx_t_1;
-    for (__pyx_t_4 = 0; __pyx_t_4 < __pyx_t_3; __pyx_t_4+=1) {
-      __pyx_v_j = __pyx_t_4;
-
-      /* "normortho/_kernels.pyx":443
- *             s = 0.0
- *             for j in range(dim):
- *                 s += self.weights[self.woff[i] + j] * fabs(x[j])             # <<<<<<<<<<<<<<
- *             return s
- *         if k == K_WLPINF:
-*/
-      __pyx_v_s = (__pyx_v_s + ((__pyx_v_self->weights[((__pyx_v_self->woff[__pyx_v_i]) + __pyx_v_j)]) * fabs((__pyx_v_x[__pyx_v_j]))));
-    }
-
-    /* "normortho/_kernels.pyx":444
- *             for j in range(dim):
- *                 s += self.weights[self.woff[i] + j] * fabs(x[j])
- *             return s             # <<<<<<<<<<<<<<
- *         if k == K_WLPINF:
- *             m = 0.0
-*/
-    __pyx_r = __pyx_v_s;
-    goto __pyx_L0;
-
-    /* "normortho/_kernels.pyx":440
- *                 s += pow(fabs(x[j]) / m, p)
- *             return m * pow(s, 1.0 / p)
- *         if k == K_WLP1:             # <<<<<<<<<<<<<<
- *             s = 0.0
- *             for j in range(dim):
-*/
-  }
-
-  /* "normortho/_kernels.pyx":445
- *                 s += self.weights[self.woff[i] + j] * fabs(x[j])
- *             return s
- *         if k == K_WLPINF:             # <<<<<<<<<<<<<<
- *             m = 0.0
- *             for j in range(dim):
-*/
-  __pyx_t_2 = (__pyx_v_k == __pyx_e_9normortho_8_kernels_K_WLPINF);
-  if (__pyx_t_2) {
-
-    /* "normortho/_kernels.pyx":446
- *             return s
- *         if k == K_WLPINF:
- *             m = 0.0             # <<<<<<<<<<<<<<
- *             for j in range(dim):
- *                 a = self.weights[self.woff[i] + j] * fabs(x[j])
-*/
-    __pyx_v_m = 0.0;
-
-    /* "normortho/_kernels.pyx":447
- *         if k == K_WLPINF:
- *             m = 0.0
- *             for j in range(dim):             # <<<<<<<<<<<<<<
- *                 a = self.weights[self.woff[i] + j] * fabs(x[j])
- *                 if a > m:
-*/
-    __pyx_t_1 = __pyx_v_dim;
-    __pyx_t_3 = __pyx_t_1;
-    for (__pyx_t_4 = 0; __pyx_t_4 < __pyx_t_3; __pyx_t_4+=1) {
-      __pyx_v_j = __pyx_t_4;
-
-      /* "normortho/_kernels.pyx":448
- *             m = 0.0
- *             for j in range(dim):
- *                 a = self.weights[self.woff[i] + j] * fabs(x[j])             # <<<<<<<<<<<<<<
- *                 if a > m:
- *                     m = a
-*/
-      __pyx_v_a = ((__pyx_v_self->weights[((__pyx_v_self->woff[__pyx_v_i]) + __pyx_v_j)]) * fabs((__pyx_v_x[__pyx_v_j])));
-
-      /* "normortho/_kernels.pyx":449
- *             for j in range(dim):
- *                 a = self.weights[self.woff[i] + j] * fabs(x[j])
- *                 if a > m:             # <<<<<<<<<<<<<<
- *                     m = a
- *             return m
-*/
-      __pyx_t_2 = (__pyx_v_a > __pyx_v_m);
-      if (__pyx_t_2) {
-
-        /* "normortho/_kernels.pyx":450
- *                 a = self.weights[self.woff[i] + j] * fabs(x[j])
- *                 if a > m:
- *                     m = a             # <<<<<<<<<<<<<<
- *             return m
- *         if k == K_WLPP:
-*/
-        __pyx_v_m = __pyx_v_a;
-
-        /* "normortho/_kernels.pyx":449
- *             for j in range(dim):
- *                 a = self.weights[self.woff[i] + j] * fabs(x[j])
- *                 if a > m:             # <<<<<<<<<<<<<<
- *                     m = a
- *             return m
-*/
-      }
-    }
-
-    /* "normortho/_kernels.pyx":451
- *                 if a > m:
- *                     m = a
- *             return m             # <<<<<<<<<<<<<<
- *         if k == K_WLPP:
- *             p = self.params[i]
-*/
-    __pyx_r = __pyx_v_m;
-    goto __pyx_L0;
-
-    /* "normortho/_kernels.pyx":445
- *                 s += self.weights[self.woff[i] + j] * fabs(x[j])
- *             return s
- *         if k == K_WLPINF:             # <<<<<<<<<<<<<<
- *             m = 0.0
- *             for j in range(dim):
-*/
-  }
-
-  /* "normortho/_kernels.pyx":452
- *                     m = a
- *             return m
- *         if k == K_WLPP:             # <<<<<<<<<<<<<<
- *             p = self.params[i]
- *             m = 0.0
-*/
-  __pyx_t_2 = (__pyx_v_k == __pyx_e_9normortho_8_kernels_K_WLPP);
-  if (__pyx_t_2) {
-
-    /* "normortho/_kernels.pyx":453
- *             return m
- *         if k == K_WLPP:
- *             p = self.params[i]             # <<<<<<<<<<<<<<
- *             m = 0.0
- *             for j in range(dim):
-*/
-    __pyx_v_p = (__pyx_v_self->params[__pyx_v_i]);
-
-    /* "normortho/_kernels.pyx":454
- *         if k == K_WLPP:
- *             p = self.params[i]
- *             m = 0.0             # <<<<<<<<<<<<<<
- *             for j in range(dim):
- *                 a = fabs(x[j])
-*/
-    __pyx_v_m = 0.0;
-
-    /* "normortho/_kernels.pyx":455
- *             p = self.params[i]
- *             m = 0.0
- *             for j in range(dim):             # <<<<<<<<<<<<<<
- *                 a = fabs(x[j])
- *                 if a > m:
-*/
-    __pyx_t_1 = __pyx_v_dim;
-    __pyx_t_3 = __pyx_t_1;
-    for (__pyx_t_4 = 0; __pyx_t_4 < __pyx_t_3; __pyx_t_4+=1) {
-      __pyx_v_j = __pyx_t_4;
-
-      /* "normortho/_kernels.pyx":456
- *             m = 0.0
- *             for j in range(dim):
- *                 a = fabs(x[j])             # <<<<<<<<<<<<<<
- *                 if a > m:
- *                     m = a
-*/
-      __pyx_v_a = fabs((__pyx_v_x[__pyx_v_j]));
-
-      /* "normortho/_kernels.pyx":457
- *             for j in range(dim):
- *                 a = fabs(x[j])
- *                 if a > m:             # <<<<<<<<<<<<<<
- *                     m = a
- *             if m == 0.0:
-*/
-      __pyx_t_2 = (__pyx_v_a > __pyx_v_m);
-      if (__pyx_t_2) {
-
-        /* "normortho/_kernels.pyx":458
- *                 a = fabs(x[j])
- *                 if a > m:
- *                     m = a             # <<<<<<<<<<<<<<
- *             if m == 0.0:
- *                 return 0.0
-*/
-        __pyx_v_m = __pyx_v_a;
-
-        /* "normortho/_kernels.pyx":457
- *             for j in range(dim):
- *                 a = fabs(x[j])
- *                 if a > m:             # <<<<<<<<<<<<<<
- *                     m = a
- *             if m == 0.0:
-*/
-      }
-    }
-
-    /* "normortho/_kernels.pyx":459
- *                 if a > m:
- *                     m = a
- *             if m == 0.0:             # <<<<<<<<<<<<<<
- *                 return 0.0
- *             s = 0.0
-*/
-    __pyx_t_2 = (__pyx_v_m == 0.0);
-    if (__pyx_t_2) {
-
-      /* "normortho/_kernels.pyx":460
- *                     m = a
- *             if m == 0.0:
- *                 return 0.0             # <<<<<<<<<<<<<<
- *             s = 0.0
- *             for j in range(dim):
-*/
-      __pyx_r = 0.0;
-      goto __pyx_L0;
-
-      /* "normortho/_kernels.pyx":459
- *                 if a > m:
- *                     m = a
- *             if m == 0.0:             # <<<<<<<<<<<<<<
- *                 return 0.0
- *             s = 0.0
-*/
-    }
-
-    /* "normortho/_kernels.pyx":461
- *             if m == 0.0:
- *                 return 0.0
- *             s = 0.0             # <<<<<<<<<<<<<<
- *             for j in range(dim):
- *                 s += self.weights[self.woff[i] + j] * pow(fabs(x[j]) / m, p)
-*/
-    __pyx_v_s = 0.0;
-
-    /* "normortho/_kernels.pyx":462
- *                 return 0.0
- *             s = 0.0
- *             for j in range(dim):             # <<<<<<<<<<<<<<
- *                 s += self.weights[self.woff[i] + j] * pow(fabs(x[j]) / m, p)
- *             return m * pow(s, 1.0 / p)
-*/
-    __pyx_t_1 = __pyx_v_dim;
-    __pyx_t_3 = __pyx_t_1;
-    for (__pyx_t_4 = 0; __pyx_t_4 < __pyx_t_3; __pyx_t_4+=1) {
-      __pyx_v_j = __pyx_t_4;
-
-      /* "normortho/_kernels.pyx":463
- *             s = 0.0
- *             for j in range(dim):
- *                 s += self.weights[self.woff[i] + j] * pow(fabs(x[j]) / m, p)             # <<<<<<<<<<<<<<
- *             return m * pow(s, 1.0 / p)
- *         return 0.0  # unreachable for well-formed tapes
-*/
-      __pyx_v_s = (__pyx_v_s + ((__pyx_v_self->weights[((__pyx_v_self->woff[__pyx_v_i]) + __pyx_v_j)]) * pow((fabs((__pyx_v_x[__pyx_v_j])) / __pyx_v_m), __pyx_v_p)));
-    }
-
-    /* "normortho/_kernels.pyx":464
- *             for j in range(dim):
- *                 s += self.weights[self.woff[i] + j] * pow(fabs(x[j]) / m, p)
- *             return m * pow(s, 1.0 / p)             # <<<<<<<<<<<<<<
- *         return 0.0  # unreachable for well-formed tapes
- * 
-*/
-    __pyx_r = (__pyx_v_m * pow(__pyx_v_s, (1.0 / __pyx_v_p)));
-    goto __pyx_L0;
-
-    /* "normortho/_kernels.pyx":452
- *                     m = a
- *             return m
- *         if k == K_WLPP:             # <<<<<<<<<<<<<<
- *             p = self.params[i]
- *             m = 0.0
-*/
-  }
-
-  /* "normortho/_kernels.pyx":465
- *                 s += self.weights[self.woff[i] + j] * pow(fabs(x[j]) / m, p)
- *             return m * pow(s, 1.0 / p)
- *         return 0.0  # unreachable for well-formed tapes             # <<<<<<<<<<<<<<
- * 
- *     # -- line restriction ----------------------------------------------------
-*/
-  __pyx_r = 0.0;
-  goto __pyx_L0;
-
-  /* "normortho/_kernels.pyx":398
- *                 dms[i] = c * dms[lc]
- * 
- *     cdef double _leaf_norm(self, int i, int k, double* x) noexcept nogil:             # <<<<<<<<<<<<<<
- *         cdef int j
- *         cdef int dim = self.dim
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "normortho/_kernels.pyx":469
+/* "normortho/_kernels.pyx":329
  *     # -- line restriction ----------------------------------------------------
  * 
  *     def line_evaluator(self, u, v):             # <<<<<<<<<<<<<<
@@ -7913,39 +6310,39 @@ PyObject *__pyx_args, PyObject *__pyx_kwds
   {
     PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_u,&__pyx_mstate_global->__pyx_n_u_v,0};
     const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 469, __pyx_L3_error)
+    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 329, __pyx_L3_error)
     if (__pyx_kwds_len > 0) {
       switch (__pyx_nargs) {
         case  2:
         values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 469, __pyx_L3_error)
+        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 329, __pyx_L3_error)
         CYTHON_FALLTHROUGH;
         case  1:
         values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 469, __pyx_L3_error)
+        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 329, __pyx_L3_error)
         CYTHON_FALLTHROUGH;
         case  0: break;
         default: goto __pyx_L5_argtuple_error;
       }
       const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "line_evaluator", 0) < (0)) __PYX_ERR(0, 469, __pyx_L3_error)
+      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "line_evaluator", 0) < (0)) __PYX_ERR(0, 329, __pyx_L3_error)
       for (Py_ssize_t i = __pyx_nargs; i < 2; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("line_evaluator", 1, 2, 2, i); __PYX_ERR(0, 469, __pyx_L3_error) }
+        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("line_evaluator", 1, 2, 2, i); __PYX_ERR(0, 329, __pyx_L3_error) }
       }
     } else if (unlikely(__pyx_nargs != 2)) {
       goto __pyx_L5_argtuple_error;
     } else {
       values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 469, __pyx_L3_error)
+      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 329, __pyx_L3_error)
       values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 469, __pyx_L3_error)
+      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 329, __pyx_L3_error)
     }
     __pyx_v_u = values[0];
     __pyx_v_v = values[1];
   }
   goto __pyx_L6_skip;
   __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("line_evaluator", 1, 2, 2, __pyx_nargs); __PYX_ERR(0, 469, __pyx_L3_error)
+  __Pyx_RaiseArgtupleInvalid("line_evaluator", 1, 2, 2, __pyx_nargs); __PYX_ERR(0, 329, __pyx_L3_error)
   __pyx_L6_skip:;
   goto __pyx_L4_argument_unpacking_done;
   __pyx_L3_error:;
@@ -7985,27 +6382,27 @@ static PyObject *__pyx_pf_9normortho_8_kernels_7Program_8line_evaluator(struct _
   int __pyx_clineno = 0;
   __Pyx_RefNannySetupContext("line_evaluator", 0);
 
-  /* "normortho/_kernels.pyx":471
+  /* "normortho/_kernels.pyx":331
  *     def line_evaluator(self, u, v):
  *         """Callable phi with phi(t) = N(u + t v); buffers reused per call."""
  *         if len(u) != self.dim or len(v) != self.dim:             # <<<<<<<<<<<<<<
  *             raise ValueError(
  *                 f"expected {self.dim} coordinates, got {len(u)} and {len(v)}"
 */
-  __pyx_t_2 = PyObject_Length(__pyx_v_u); if (unlikely(__pyx_t_2 == ((Py_ssize_t)-1))) __PYX_ERR(0, 471, __pyx_L1_error)
+  __pyx_t_2 = PyObject_Length(__pyx_v_u); if (unlikely(__pyx_t_2 == ((Py_ssize_t)-1))) __PYX_ERR(0, 331, __pyx_L1_error)
   __pyx_t_3 = (__pyx_t_2 != __pyx_v_self->dim);
   if (!__pyx_t_3) {
   } else {
     __pyx_t_1 = __pyx_t_3;
     goto __pyx_L4_bool_binop_done;
   }
-  __pyx_t_2 = PyObject_Length(__pyx_v_v); if (unlikely(__pyx_t_2 == ((Py_ssize_t)-1))) __PYX_ERR(0, 471, __pyx_L1_error)
+  __pyx_t_2 = PyObject_Length(__pyx_v_v); if (unlikely(__pyx_t_2 == ((Py_ssize_t)-1))) __PYX_ERR(0, 331, __pyx_L1_error)
   __pyx_t_3 = (__pyx_t_2 != __pyx_v_self->dim);
   __pyx_t_1 = __pyx_t_3;
   __pyx_L4_bool_binop_done:;
   if (unlikely(__pyx_t_1)) {
 
-    /* "normortho/_kernels.pyx":472
+    /* "normortho/_kernels.pyx":332
  *         """Callable phi with phi(t) = N(u + t v); buffers reused per call."""
  *         if len(u) != self.dim or len(v) != self.dim:
  *             raise ValueError(             # <<<<<<<<<<<<<<
@@ -8014,20 +6411,20 @@ static PyObject *__pyx_pf_9normortho_8_kernels_7Program_8line_evaluator(struct _
 */
     __pyx_t_5 = NULL;
 
-    /* "normortho/_kernels.pyx":473
+    /* "normortho/_kernels.pyx":333
  *         if len(u) != self.dim or len(v) != self.dim:
  *             raise ValueError(
  *                 f"expected {self.dim} coordinates, got {len(u)} and {len(v)}"             # <<<<<<<<<<<<<<
  *             )
  *         return LineEvaluator(self, u, v)
 */
-    __pyx_t_6 = __Pyx_PyUnicode_From_int(__pyx_v_self->dim, 0, ' ', 'd'); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 473, __pyx_L1_error)
+    __pyx_t_6 = __Pyx_PyUnicode_From_int(__pyx_v_self->dim, 0, ' ', 'd'); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 333, __pyx_L1_error)
     __Pyx_GOTREF(__pyx_t_6);
-    __pyx_t_2 = PyObject_Length(__pyx_v_u); if (unlikely(__pyx_t_2 == ((Py_ssize_t)-1))) __PYX_ERR(0, 473, __pyx_L1_error)
-    __pyx_t_7 = __Pyx_PyUnicode_From_Py_ssize_t(__pyx_t_2, 0, ' ', 'd'); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 473, __pyx_L1_error)
+    __pyx_t_2 = PyObject_Length(__pyx_v_u); if (unlikely(__pyx_t_2 == ((Py_ssize_t)-1))) __PYX_ERR(0, 333, __pyx_L1_error)
+    __pyx_t_7 = __Pyx_PyUnicode_From_Py_ssize_t(__pyx_t_2, 0, ' ', 'd'); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 333, __pyx_L1_error)
     __Pyx_GOTREF(__pyx_t_7);
-    __pyx_t_2 = PyObject_Length(__pyx_v_v); if (unlikely(__pyx_t_2 == ((Py_ssize_t)-1))) __PYX_ERR(0, 473, __pyx_L1_error)
-    __pyx_t_8 = __Pyx_PyUnicode_From_Py_ssize_t(__pyx_t_2, 0, ' ', 'd'); if (unlikely(!__pyx_t_8)) __PYX_ERR(0, 473, __pyx_L1_error)
+    __pyx_t_2 = PyObject_Length(__pyx_v_v); if (unlikely(__pyx_t_2 == ((Py_ssize_t)-1))) __PYX_ERR(0, 333, __pyx_L1_error)
+    __pyx_t_8 = __Pyx_PyUnicode_From_Py_ssize_t(__pyx_t_2, 0, ' ', 'd'); if (unlikely(!__pyx_t_8)) __PYX_ERR(0, 333, __pyx_L1_error)
     __Pyx_GOTREF(__pyx_t_8);
     __pyx_t_9[0] = __pyx_mstate_global->__pyx_kp_u_expected;
     __pyx_t_9[1] = __pyx_t_6;
@@ -8036,7 +6433,7 @@ static PyObject *__pyx_pf_9normortho_8_kernels_7Program_8line_evaluator(struct _
     __pyx_t_9[4] = __pyx_mstate_global->__pyx_kp_u_and;
     __pyx_t_9[5] = __pyx_t_8;
     __pyx_t_10 = __Pyx_PyUnicode_Join(__pyx_t_9, 6, 9 + __Pyx_PyUnicode_GET_LENGTH(__pyx_t_6) + 18 + __Pyx_PyUnicode_GET_LENGTH(__pyx_t_7) + 5 + __Pyx_PyUnicode_GET_LENGTH(__pyx_t_8), 127);
-    if (unlikely(!__pyx_t_10)) __PYX_ERR(0, 473, __pyx_L1_error)
+    if (unlikely(!__pyx_t_10)) __PYX_ERR(0, 333, __pyx_L1_error)
     __Pyx_GOTREF(__pyx_t_10);
     __Pyx_DECREF(__pyx_t_6); __pyx_t_6 = 0;
     __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
@@ -8047,14 +6444,14 @@ static PyObject *__pyx_pf_9normortho_8_kernels_7Program_8line_evaluator(struct _
       __pyx_t_4 = __Pyx_PyObject_FastCall((PyObject*)(((PyTypeObject*)PyExc_ValueError)), __pyx_callargs+__pyx_t_11, (2-__pyx_t_11) | (__pyx_t_11*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
       __Pyx_XDECREF(__pyx_t_5); __pyx_t_5 = 0;
       __Pyx_DECREF(__pyx_t_10); __pyx_t_10 = 0;
-      if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 472, __pyx_L1_error)
+      if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 332, __pyx_L1_error)
       __Pyx_GOTREF(__pyx_t_4);
     }
     __Pyx_Raise(__pyx_t_4, 0, 0, 0);
     __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-    __PYX_ERR(0, 472, __pyx_L1_error)
+    __PYX_ERR(0, 332, __pyx_L1_error)
 
-    /* "normortho/_kernels.pyx":471
+    /* "normortho/_kernels.pyx":331
  *     def line_evaluator(self, u, v):
  *         """Callable phi with phi(t) = N(u + t v); buffers reused per call."""
  *         if len(u) != self.dim or len(v) != self.dim:             # <<<<<<<<<<<<<<
@@ -8063,7 +6460,7 @@ static PyObject *__pyx_pf_9normortho_8_kernels_7Program_8line_evaluator(struct _
 */
   }
 
-  /* "normortho/_kernels.pyx":475
+  /* "normortho/_kernels.pyx":335
  *                 f"expected {self.dim} coordinates, got {len(u)} and {len(v)}"
  *             )
  *         return LineEvaluator(self, u, v)             # <<<<<<<<<<<<<<
@@ -8077,14 +6474,14 @@ static PyObject *__pyx_pf_9normortho_8_kernels_7Program_8line_evaluator(struct _
     PyObject *__pyx_callargs[4] = {__pyx_t_10, ((PyObject *)__pyx_v_self), __pyx_v_u, __pyx_v_v};
     __pyx_t_4 = __Pyx_PyObject_FastCall((PyObject*)__pyx_mstate_global->__pyx_ptype_9normortho_8_kernels_LineEvaluator, __pyx_callargs+__pyx_t_11, (4-__pyx_t_11) | (__pyx_t_11*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
     __Pyx_XDECREF(__pyx_t_10); __pyx_t_10 = 0;
-    if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 475, __pyx_L1_error)
+    if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 335, __pyx_L1_error)
     __Pyx_GOTREF((PyObject *)__pyx_t_4);
   }
   __pyx_r = ((PyObject *)__pyx_t_4);
   __pyx_t_4 = 0;
   goto __pyx_L0;
 
-  /* "normortho/_kernels.pyx":469
+  /* "normortho/_kernels.pyx":329
  *     # -- line restriction ----------------------------------------------------
  * 
  *     def line_evaluator(self, u, v):             # <<<<<<<<<<<<<<
@@ -8312,7 +6709,7 @@ static PyObject *__pyx_pf_9normortho_8_kernels_7Program_12__setstate_cython__(CY
   return __pyx_r;
 }
 
-/* "normortho/_kernels.pyx":486
+/* "normortho/_kernels.pyx":346
  *     cdef int dim
  * 
  *     def __cinit__(self, Program prog, u, v):             # <<<<<<<<<<<<<<
@@ -8344,38 +6741,38 @@ static int __pyx_pw_9normortho_8_kernels_13LineEvaluator_1__cinit__(PyObject *__
   {
     PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_prog,&__pyx_mstate_global->__pyx_n_u_u,&__pyx_mstate_global->__pyx_n_u_v,0};
     const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_VARARGS(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 486, __pyx_L3_error)
+    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 346, __pyx_L3_error)
     if (__pyx_kwds_len > 0) {
       switch (__pyx_nargs) {
         case  3:
         values[2] = __Pyx_ArgRef_VARARGS(__pyx_args, 2);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 486, __pyx_L3_error)
+        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 346, __pyx_L3_error)
         CYTHON_FALLTHROUGH;
         case  2:
         values[1] = __Pyx_ArgRef_VARARGS(__pyx_args, 1);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 486, __pyx_L3_error)
+        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 346, __pyx_L3_error)
         CYTHON_FALLTHROUGH;
         case  1:
         values[0] = __Pyx_ArgRef_VARARGS(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 486, __pyx_L3_error)
+        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 346, __pyx_L3_error)
         CYTHON_FALLTHROUGH;
         case  0: break;
         default: goto __pyx_L5_argtuple_error;
       }
       const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "__cinit__", 0) < (0)) __PYX_ERR(0, 486, __pyx_L3_error)
+      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "__cinit__", 0) < (0)) __PYX_ERR(0, 346, __pyx_L3_error)
       for (Py_ssize_t i = __pyx_nargs; i < 3; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("__cinit__", 1, 3, 3, i); __PYX_ERR(0, 486, __pyx_L3_error) }
+        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("__cinit__", 1, 3, 3, i); __PYX_ERR(0, 346, __pyx_L3_error) }
       }
     } else if (unlikely(__pyx_nargs != 3)) {
       goto __pyx_L5_argtuple_error;
     } else {
       values[0] = __Pyx_ArgRef_VARARGS(__pyx_args, 0);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 486, __pyx_L3_error)
+      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 346, __pyx_L3_error)
       values[1] = __Pyx_ArgRef_VARARGS(__pyx_args, 1);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 486, __pyx_L3_error)
+      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 346, __pyx_L3_error)
       values[2] = __Pyx_ArgRef_VARARGS(__pyx_args, 2);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 486, __pyx_L3_error)
+      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 346, __pyx_L3_error)
     }
     __pyx_v_prog = ((struct __pyx_obj_9normortho_8_kernels_Program *)values[0]);
     __pyx_v_u = values[1];
@@ -8383,7 +6780,7 @@ static int __pyx_pw_9normortho_8_kernels_13LineEvaluator_1__cinit__(PyObject *__
   }
   goto __pyx_L6_skip;
   __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("__cinit__", 1, 3, 3, __pyx_nargs); __PYX_ERR(0, 486, __pyx_L3_error)
+  __Pyx_RaiseArgtupleInvalid("__cinit__", 1, 3, 3, __pyx_nargs); __PYX_ERR(0, 346, __pyx_L3_error)
   __pyx_L6_skip:;
   goto __pyx_L4_argument_unpacking_done;
   __pyx_L3_error:;
@@ -8394,7 +6791,7 @@ static int __pyx_pw_9normortho_8_kernels_13LineEvaluator_1__cinit__(PyObject *__
   __Pyx_RefNannyFinishContext();
   return -1;
   __pyx_L4_argument_unpacking_done:;
-  if (unlikely(!__Pyx_ArgTypeTest(((PyObject *)__pyx_v_prog), __pyx_mstate_global->__pyx_ptype_9normortho_8_kernels_Program, 1, "prog", 0))) __PYX_ERR(0, 486, __pyx_L1_error)
+  if (unlikely(!__Pyx_ArgTypeTest(((PyObject *)__pyx_v_prog), __pyx_mstate_global->__pyx_ptype_9normortho_8_kernels_Program, 1, "prog", 0))) __PYX_ERR(0, 346, __pyx_L1_error)
   __pyx_r = __pyx_pf_9normortho_8_kernels_13LineEvaluator___cinit__(((struct __pyx_obj_9normortho_8_kernels_LineEvaluator *)__pyx_v_self), __pyx_v_prog, __pyx_v_u, __pyx_v_v);
 
   /* function exit code */
@@ -8429,7 +6826,7 @@ static int __pyx_pf_9normortho_8_kernels_13LineEvaluator___cinit__(struct __pyx_
   int __pyx_clineno = 0;
   __Pyx_RefNannySetupContext("__cinit__", 0);
 
-  /* "normortho/_kernels.pyx":488
+  /* "normortho/_kernels.pyx":348
  *     def __cinit__(self, Program prog, u, v):
  *         cdef Py_ssize_t j
  *         self.prog = prog             # <<<<<<<<<<<<<<
@@ -8442,7 +6839,7 @@ static int __pyx_pf_9normortho_8_kernels_13LineEvaluator___cinit__(struct __pyx_
   __Pyx_DECREF((PyObject *)__pyx_v_self->prog);
   __pyx_v_self->prog = __pyx_v_prog;
 
-  /* "normortho/_kernels.pyx":489
+  /* "normortho/_kernels.pyx":349
  *         cdef Py_ssize_t j
  *         self.prog = prog
  *         self.dim = prog.dim             # <<<<<<<<<<<<<<
@@ -8452,47 +6849,47 @@ static int __pyx_pf_9normortho_8_kernels_13LineEvaluator___cinit__(struct __pyx_
   __pyx_t_1 = __pyx_v_prog->dim;
   __pyx_v_self->dim = __pyx_t_1;
 
-  /* "normortho/_kernels.pyx":490
+  /* "normortho/_kernels.pyx":350
  *         self.prog = prog
  *         self.dim = prog.dim
  *         self.u = _alloc_double(self.dim)             # <<<<<<<<<<<<<<
  *         self.v = _alloc_double(self.dim)
  *         self.buf = _alloc_double(self.dim)
 */
-  __pyx_t_2 = __pyx_f_9normortho_8_kernels__alloc_double(__pyx_v_self->dim); if (unlikely(__pyx_t_2 == ((void *)NULL))) __PYX_ERR(0, 490, __pyx_L1_error)
+  __pyx_t_2 = __pyx_f_9normortho_8_kernels__alloc_double(__pyx_v_self->dim); if (unlikely(__pyx_t_2 == ((void *)NULL))) __PYX_ERR(0, 350, __pyx_L1_error)
   __pyx_v_self->u = __pyx_t_2;
 
-  /* "normortho/_kernels.pyx":491
+  /* "normortho/_kernels.pyx":351
  *         self.dim = prog.dim
  *         self.u = _alloc_double(self.dim)
  *         self.v = _alloc_double(self.dim)             # <<<<<<<<<<<<<<
  *         self.buf = _alloc_double(self.dim)
  *         self.vals = _alloc_double(prog.n)
 */
-  __pyx_t_2 = __pyx_f_9normortho_8_kernels__alloc_double(__pyx_v_self->dim); if (unlikely(__pyx_t_2 == ((void *)NULL))) __PYX_ERR(0, 491, __pyx_L1_error)
+  __pyx_t_2 = __pyx_f_9normortho_8_kernels__alloc_double(__pyx_v_self->dim); if (unlikely(__pyx_t_2 == ((void *)NULL))) __PYX_ERR(0, 351, __pyx_L1_error)
   __pyx_v_self->v = __pyx_t_2;
 
-  /* "normortho/_kernels.pyx":492
+  /* "normortho/_kernels.pyx":352
  *         self.u = _alloc_double(self.dim)
  *         self.v = _alloc_double(self.dim)
  *         self.buf = _alloc_double(self.dim)             # <<<<<<<<<<<<<<
  *         self.vals = _alloc_double(prog.n)
  *         for j in range(self.dim):
 */
-  __pyx_t_2 = __pyx_f_9normortho_8_kernels__alloc_double(__pyx_v_self->dim); if (unlikely(__pyx_t_2 == ((void *)NULL))) __PYX_ERR(0, 492, __pyx_L1_error)
+  __pyx_t_2 = __pyx_f_9normortho_8_kernels__alloc_double(__pyx_v_self->dim); if (unlikely(__pyx_t_2 == ((void *)NULL))) __PYX_ERR(0, 352, __pyx_L1_error)
   __pyx_v_self->buf = __pyx_t_2;
 
-  /* "normortho/_kernels.pyx":493
+  /* "normortho/_kernels.pyx":353
  *         self.v = _alloc_double(self.dim)
  *         self.buf = _alloc_double(self.dim)
  *         self.vals = _alloc_double(prog.n)             # <<<<<<<<<<<<<<
  *         for j in range(self.dim):
  *             self.u[j] = u[j]
 */
-  __pyx_t_2 = __pyx_f_9normortho_8_kernels__alloc_double(__pyx_v_prog->n); if (unlikely(__pyx_t_2 == ((void *)NULL))) __PYX_ERR(0, 493, __pyx_L1_error)
+  __pyx_t_2 = __pyx_f_9normortho_8_kernels__alloc_double(__pyx_v_prog->n); if (unlikely(__pyx_t_2 == ((void *)NULL))) __PYX_ERR(0, 353, __pyx_L1_error)
   __pyx_v_self->vals = __pyx_t_2;
 
-  /* "normortho/_kernels.pyx":494
+  /* "normortho/_kernels.pyx":354
  *         self.buf = _alloc_double(self.dim)
  *         self.vals = _alloc_double(prog.n)
  *         for j in range(self.dim):             # <<<<<<<<<<<<<<
@@ -8504,34 +6901,34 @@ static int __pyx_pf_9normortho_8_kernels_13LineEvaluator___cinit__(struct __pyx_
   for (__pyx_t_4 = 0; __pyx_t_4 < __pyx_t_3; __pyx_t_4+=1) {
     __pyx_v_j = __pyx_t_4;
 
-    /* "normortho/_kernels.pyx":495
+    /* "normortho/_kernels.pyx":355
  *         self.vals = _alloc_double(prog.n)
  *         for j in range(self.dim):
  *             self.u[j] = u[j]             # <<<<<<<<<<<<<<
  *             self.v[j] = v[j]
  * 
 */
-    __pyx_t_5 = __Pyx_GetItemInt(__pyx_v_u, __pyx_v_j, Py_ssize_t, 1, PyLong_FromSsize_t, 0, 0, 0, 1, __Pyx_ReferenceSharing_FunctionArgument); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 495, __pyx_L1_error)
+    __pyx_t_5 = __Pyx_GetItemInt(__pyx_v_u, __pyx_v_j, Py_ssize_t, 1, PyLong_FromSsize_t, 0, 0, 0, 1, __Pyx_ReferenceSharing_FunctionArgument); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 355, __pyx_L1_error)
     __Pyx_GOTREF(__pyx_t_5);
-    __pyx_t_6 = __Pyx_PyFloat_AsDouble(__pyx_t_5); if (unlikely((__pyx_t_6 == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 495, __pyx_L1_error)
+    __pyx_t_6 = __Pyx_PyFloat_AsDouble(__pyx_t_5); if (unlikely((__pyx_t_6 == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 355, __pyx_L1_error)
     __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
     (__pyx_v_self->u[__pyx_v_j]) = __pyx_t_6;
 
-    /* "normortho/_kernels.pyx":496
+    /* "normortho/_kernels.pyx":356
  *         for j in range(self.dim):
  *             self.u[j] = u[j]
  *             self.v[j] = v[j]             # <<<<<<<<<<<<<<
  * 
  *     def __dealloc__(self):
 */
-    __pyx_t_5 = __Pyx_GetItemInt(__pyx_v_v, __pyx_v_j, Py_ssize_t, 1, PyLong_FromSsize_t, 0, 0, 0, 1, __Pyx_ReferenceSharing_FunctionArgument); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 496, __pyx_L1_error)
+    __pyx_t_5 = __Pyx_GetItemInt(__pyx_v_v, __pyx_v_j, Py_ssize_t, 1, PyLong_FromSsize_t, 0, 0, 0, 1, __Pyx_ReferenceSharing_FunctionArgument); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 356, __pyx_L1_error)
     __Pyx_GOTREF(__pyx_t_5);
-    __pyx_t_6 = __Pyx_PyFloat_AsDouble(__pyx_t_5); if (unlikely((__pyx_t_6 == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 496, __pyx_L1_error)
+    __pyx_t_6 = __Pyx_PyFloat_AsDouble(__pyx_t_5); if (unlikely((__pyx_t_6 == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 356, __pyx_L1_error)
     __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
     (__pyx_v_self->v[__pyx_v_j]) = __pyx_t_6;
   }
 
-  /* "normortho/_kernels.pyx":486
+  /* "normortho/_kernels.pyx":346
  *     cdef int dim
  * 
  *     def __cinit__(self, Program prog, u, v):             # <<<<<<<<<<<<<<
@@ -8551,7 +6948,7 @@ static int __pyx_pf_9normortho_8_kernels_13LineEvaluator___cinit__(struct __pyx_
   return __pyx_r;
 }
 
-/* "normortho/_kernels.pyx":498
+/* "normortho/_kernels.pyx":358
  *             self.v[j] = v[j]
  * 
  *     def __dealloc__(self):             # <<<<<<<<<<<<<<
@@ -8574,7 +6971,7 @@ static void __pyx_pw_9normortho_8_kernels_13LineEvaluator_3__dealloc__(PyObject 
 
 static void __pyx_pf_9normortho_8_kernels_13LineEvaluator_2__dealloc__(struct __pyx_obj_9normortho_8_kernels_LineEvaluator *__pyx_v_self) {
 
-  /* "normortho/_kernels.pyx":499
+  /* "normortho/_kernels.pyx":359
  * 
  *     def __dealloc__(self):
  *         free(self.u)             # <<<<<<<<<<<<<<
@@ -8583,7 +6980,7 @@ static void __pyx_pf_9normortho_8_kernels_13LineEvaluator_2__dealloc__(struct __
 */
   free(__pyx_v_self->u);
 
-  /* "normortho/_kernels.pyx":500
+  /* "normortho/_kernels.pyx":360
  *     def __dealloc__(self):
  *         free(self.u)
  *         free(self.v)             # <<<<<<<<<<<<<<
@@ -8592,7 +6989,7 @@ static void __pyx_pf_9normortho_8_kernels_13LineEvaluator_2__dealloc__(struct __
 */
   free(__pyx_v_self->v);
 
-  /* "normortho/_kernels.pyx":501
+  /* "normortho/_kernels.pyx":361
  *         free(self.u)
  *         free(self.v)
  *         free(self.buf)             # <<<<<<<<<<<<<<
@@ -8601,7 +6998,7 @@ static void __pyx_pf_9normortho_8_kernels_13LineEvaluator_2__dealloc__(struct __
 */
   free(__pyx_v_self->buf);
 
-  /* "normortho/_kernels.pyx":502
+  /* "normortho/_kernels.pyx":362
  *         free(self.v)
  *         free(self.buf)
  *         free(self.vals)             # <<<<<<<<<<<<<<
@@ -8610,7 +7007,7 @@ static void __pyx_pf_9normortho_8_kernels_13LineEvaluator_2__dealloc__(struct __
 */
   free(__pyx_v_self->vals);
 
-  /* "normortho/_kernels.pyx":498
+  /* "normortho/_kernels.pyx":358
  *             self.v[j] = v[j]
  * 
  *     def __dealloc__(self):             # <<<<<<<<<<<<<<
@@ -8621,7 +7018,7 @@ static void __pyx_pf_9normortho_8_kernels_13LineEvaluator_2__dealloc__(struct __
   /* function exit code */
 }
 
-/* "normortho/_kernels.pyx":504
+/* "normortho/_kernels.pyx":364
  *         free(self.vals)
  * 
  *     def __call__(self, double t):             # <<<<<<<<<<<<<<
@@ -8651,32 +7048,32 @@ static PyObject *__pyx_pw_9normortho_8_kernels_13LineEvaluator_5__call__(PyObjec
   {
     PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_t,0};
     const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_VARARGS(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 504, __pyx_L3_error)
+    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 364, __pyx_L3_error)
     if (__pyx_kwds_len > 0) {
       switch (__pyx_nargs) {
         case  1:
         values[0] = __Pyx_ArgRef_VARARGS(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 504, __pyx_L3_error)
+        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 364, __pyx_L3_error)
         CYTHON_FALLTHROUGH;
         case  0: break;
         default: goto __pyx_L5_argtuple_error;
       }
       const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "__call__", 0) < (0)) __PYX_ERR(0, 504, __pyx_L3_error)
+      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "__call__", 0) < (0)) __PYX_ERR(0, 364, __pyx_L3_error)
       for (Py_ssize_t i = __pyx_nargs; i < 1; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("__call__", 1, 1, 1, i); __PYX_ERR(0, 504, __pyx_L3_error) }
+        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("__call__", 1, 1, 1, i); __PYX_ERR(0, 364, __pyx_L3_error) }
       }
     } else if (unlikely(__pyx_nargs != 1)) {
       goto __pyx_L5_argtuple_error;
     } else {
       values[0] = __Pyx_ArgRef_VARARGS(__pyx_args, 0);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 504, __pyx_L3_error)
+      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 364, __pyx_L3_error)
     }
-    __pyx_v_t = __Pyx_PyFloat_AsDouble(values[0]); if (unlikely((__pyx_v_t == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 504, __pyx_L3_error)
+    __pyx_v_t = __Pyx_PyFloat_AsDouble(values[0]); if (unlikely((__pyx_v_t == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 364, __pyx_L3_error)
   }
   goto __pyx_L6_skip;
   __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("__call__", 1, 1, 1, __pyx_nargs); __PYX_ERR(0, 504, __pyx_L3_error)
+  __Pyx_RaiseArgtupleInvalid("__call__", 1, 1, 1, __pyx_nargs); __PYX_ERR(0, 364, __pyx_L3_error)
   __pyx_L6_skip:;
   goto __pyx_L4_argument_unpacking_done;
   __pyx_L3_error:;
@@ -8710,7 +7107,7 @@ static PyObject *__pyx_pf_9normortho_8_kernels_13LineEvaluator_4__call__(struct 
   int __pyx_clineno = 0;
   __Pyx_RefNannySetupContext("__call__", 0);
 
-  /* "normortho/_kernels.pyx":506
+  /* "normortho/_kernels.pyx":366
  *     def __call__(self, double t):
  *         cdef int j
  *         for j in range(self.dim):             # <<<<<<<<<<<<<<
@@ -8722,7 +7119,7 @@ static PyObject *__pyx_pf_9normortho_8_kernels_13LineEvaluator_4__call__(struct 
   for (__pyx_t_3 = 0; __pyx_t_3 < __pyx_t_2; __pyx_t_3+=1) {
     __pyx_v_j = __pyx_t_3;
 
-    /* "normortho/_kernels.pyx":507
+    /* "normortho/_kernels.pyx":367
  *         cdef int j
  *         for j in range(self.dim):
  *             self.buf[j] = self.u[j] + t * self.v[j]             # <<<<<<<<<<<<<<
@@ -8731,19 +7128,19 @@ static PyObject *__pyx_pf_9normortho_8_kernels_13LineEvaluator_4__call__(struct 
     (__pyx_v_self->buf[__pyx_v_j]) = ((__pyx_v_self->u[__pyx_v_j]) + (__pyx_v_t * (__pyx_v_self->v[__pyx_v_j])));
   }
 
-  /* "normortho/_kernels.pyx":508
+  /* "normortho/_kernels.pyx":368
  *         for j in range(self.dim):
  *             self.buf[j] = self.u[j] + t * self.v[j]
  *         return self.prog._value(self.buf, self.vals)             # <<<<<<<<<<<<<<
 */
   __Pyx_XDECREF(__pyx_r);
-  __pyx_t_4 = PyFloat_FromDouble(((struct __pyx_vtabstruct_9normortho_8_kernels_Program *)__pyx_v_self->prog->__pyx_vtab)->_value(__pyx_v_self->prog, __pyx_v_self->buf, __pyx_v_self->vals)); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 508, __pyx_L1_error)
+  __pyx_t_4 = PyFloat_FromDouble(((struct __pyx_vtabstruct_9normortho_8_kernels_Program *)__pyx_v_self->prog->__pyx_vtab)->_value(__pyx_v_self->prog, __pyx_v_self->buf, __pyx_v_self->vals)); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 368, __pyx_L1_error)
   __Pyx_GOTREF(__pyx_t_4);
   __pyx_r = __pyx_t_4;
   __pyx_t_4 = 0;
   goto __pyx_L0;
 
-  /* "normortho/_kernels.pyx":504
+  /* "normortho/_kernels.pyx":364
  *         free(self.vals)
  * 
  *     def __call__(self, double t):             # <<<<<<<<<<<<<<
@@ -9331,17 +7728,16 @@ static int __Pyx_modinit_type_init_code(__pyx_mstatetype *__pyx_mstate) {
   __pyx_vtabptr_9normortho_8_kernels_Program = &__pyx_vtable_9normortho_8_kernels_Program;
   __pyx_vtable_9normortho_8_kernels_Program._value = (double (*)(struct __pyx_obj_9normortho_8_kernels_Program *, double *, double *))__pyx_f_9normortho_8_kernels_7Program__value;
   __pyx_vtable_9normortho_8_kernels_Program._derivs = (void (*)(struct __pyx_obj_9normortho_8_kernels_Program *, double *, double *, double *, double *, double *))__pyx_f_9normortho_8_kernels_7Program__derivs;
-  __pyx_vtable_9normortho_8_kernels_Program._leaf_norm = (double (*)(struct __pyx_obj_9normortho_8_kernels_Program *, int, int, double *))__pyx_f_9normortho_8_kernels_7Program__leaf_norm;
   #if CYTHON_USE_TYPE_SPECS
-  __pyx_mstate->__pyx_ptype_9normortho_8_kernels_Program = (PyTypeObject *) __Pyx_PyType_FromModuleAndSpec(__pyx_m, &__pyx_type_9normortho_8_kernels_Program_spec, NULL); if (unlikely(!__pyx_mstate->__pyx_ptype_9normortho_8_kernels_Program)) __PYX_ERR(0, 46, __pyx_L1_error)
-  if (__Pyx_fix_up_extension_type_from_spec(&__pyx_type_9normortho_8_kernels_Program_spec, __pyx_mstate->__pyx_ptype_9normortho_8_kernels_Program) < (0)) __PYX_ERR(0, 46, __pyx_L1_error)
+  __pyx_mstate->__pyx_ptype_9normortho_8_kernels_Program = (PyTypeObject *) __Pyx_PyType_FromModuleAndSpec(__pyx_m, &__pyx_type_9normortho_8_kernels_Program_spec, NULL); if (unlikely(!__pyx_mstate->__pyx_ptype_9normortho_8_kernels_Program)) __PYX_ERR(0, 45, __pyx_L1_error)
+  if (__Pyx_fix_up_extension_type_from_spec(&__pyx_type_9normortho_8_kernels_Program_spec, __pyx_mstate->__pyx_ptype_9normortho_8_kernels_Program) < (0)) __PYX_ERR(0, 45, __pyx_L1_error)
   #else
   __pyx_mstate->__pyx_ptype_9normortho_8_kernels_Program = &__pyx_type_9normortho_8_kernels_Program;
   #endif
   #if !CYTHON_COMPILING_IN_LIMITED_API
   #endif
   #if !CYTHON_USE_TYPE_SPECS
-  if (__Pyx_PyType_Ready(__pyx_mstate->__pyx_ptype_9normortho_8_kernels_Program) < (0)) __PYX_ERR(0, 46, __pyx_L1_error)
+  if (__Pyx_PyType_Ready(__pyx_mstate->__pyx_ptype_9normortho_8_kernels_Program) < (0)) __PYX_ERR(0, 45, __pyx_L1_error)
   #endif
   #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
   PyUnstable_Object_EnableDeferredRefcount((PyObject*)__pyx_mstate->__pyx_ptype_9normortho_8_kernels_Program);
@@ -9351,20 +7747,20 @@ static int __Pyx_modinit_type_init_code(__pyx_mstatetype *__pyx_mstate) {
     __pyx_mstate->__pyx_ptype_9normortho_8_kernels_Program->tp_getattro = PyObject_GenericGetAttr;
   }
   #endif
-  if (__Pyx_SetVtable(__pyx_mstate->__pyx_ptype_9normortho_8_kernels_Program, __pyx_vtabptr_9normortho_8_kernels_Program) < (0)) __PYX_ERR(0, 46, __pyx_L1_error)
-  if (__Pyx_MergeVtables(__pyx_mstate->__pyx_ptype_9normortho_8_kernels_Program) < (0)) __PYX_ERR(0, 46, __pyx_L1_error)
-  if (PyObject_SetAttr(__pyx_m, __pyx_mstate_global->__pyx_n_u_Program, (PyObject *) __pyx_mstate->__pyx_ptype_9normortho_8_kernels_Program) < (0)) __PYX_ERR(0, 46, __pyx_L1_error)
-  if (__Pyx_setup_reduce((PyObject *) __pyx_mstate->__pyx_ptype_9normortho_8_kernels_Program) < (0)) __PYX_ERR(0, 46, __pyx_L1_error)
+  if (__Pyx_SetVtable(__pyx_mstate->__pyx_ptype_9normortho_8_kernels_Program, __pyx_vtabptr_9normortho_8_kernels_Program) < (0)) __PYX_ERR(0, 45, __pyx_L1_error)
+  if (__Pyx_MergeVtables(__pyx_mstate->__pyx_ptype_9normortho_8_kernels_Program) < (0)) __PYX_ERR(0, 45, __pyx_L1_error)
+  if (PyObject_SetAttr(__pyx_m, __pyx_mstate_global->__pyx_n_u_Program, (PyObject *) __pyx_mstate->__pyx_ptype_9normortho_8_kernels_Program) < (0)) __PYX_ERR(0, 45, __pyx_L1_error)
+  if (__Pyx_setup_reduce((PyObject *) __pyx_mstate->__pyx_ptype_9normortho_8_kernels_Program) < (0)) __PYX_ERR(0, 45, __pyx_L1_error)
   #if CYTHON_USE_TYPE_SPECS
-  __pyx_mstate->__pyx_ptype_9normortho_8_kernels_LineEvaluator = (PyTypeObject *) __Pyx_PyType_FromModuleAndSpec(__pyx_m, &__pyx_type_9normortho_8_kernels_LineEvaluator_spec, NULL); if (unlikely(!__pyx_mstate->__pyx_ptype_9normortho_8_kernels_LineEvaluator)) __PYX_ERR(0, 478, __pyx_L1_error)
-  if (__Pyx_fix_up_extension_type_from_spec(&__pyx_type_9normortho_8_kernels_LineEvaluator_spec, __pyx_mstate->__pyx_ptype_9normortho_8_kernels_LineEvaluator) < (0)) __PYX_ERR(0, 478, __pyx_L1_error)
+  __pyx_mstate->__pyx_ptype_9normortho_8_kernels_LineEvaluator = (PyTypeObject *) __Pyx_PyType_FromModuleAndSpec(__pyx_m, &__pyx_type_9normortho_8_kernels_LineEvaluator_spec, NULL); if (unlikely(!__pyx_mstate->__pyx_ptype_9normortho_8_kernels_LineEvaluator)) __PYX_ERR(0, 338, __pyx_L1_error)
+  if (__Pyx_fix_up_extension_type_from_spec(&__pyx_type_9normortho_8_kernels_LineEvaluator_spec, __pyx_mstate->__pyx_ptype_9normortho_8_kernels_LineEvaluator) < (0)) __PYX_ERR(0, 338, __pyx_L1_error)
   #else
   __pyx_mstate->__pyx_ptype_9normortho_8_kernels_LineEvaluator = &__pyx_type_9normortho_8_kernels_LineEvaluator;
   #endif
   #if !CYTHON_COMPILING_IN_LIMITED_API
   #endif
   #if !CYTHON_USE_TYPE_SPECS
-  if (__Pyx_PyType_Ready(__pyx_mstate->__pyx_ptype_9normortho_8_kernels_LineEvaluator) < (0)) __PYX_ERR(0, 478, __pyx_L1_error)
+  if (__Pyx_PyType_Ready(__pyx_mstate->__pyx_ptype_9normortho_8_kernels_LineEvaluator) < (0)) __PYX_ERR(0, 338, __pyx_L1_error)
   #endif
   #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
   PyUnstable_Object_EnableDeferredRefcount((PyObject*)__pyx_mstate->__pyx_ptype_9normortho_8_kernels_LineEvaluator);
@@ -9374,8 +7770,8 @@ static int __Pyx_modinit_type_init_code(__pyx_mstatetype *__pyx_mstate) {
     __pyx_mstate->__pyx_ptype_9normortho_8_kernels_LineEvaluator->tp_getattro = PyObject_GenericGetAttr;
   }
   #endif
-  if (PyObject_SetAttr(__pyx_m, __pyx_mstate_global->__pyx_n_u_LineEvaluator, (PyObject *) __pyx_mstate->__pyx_ptype_9normortho_8_kernels_LineEvaluator) < (0)) __PYX_ERR(0, 478, __pyx_L1_error)
-  if (__Pyx_setup_reduce((PyObject *) __pyx_mstate->__pyx_ptype_9normortho_8_kernels_LineEvaluator) < (0)) __PYX_ERR(0, 478, __pyx_L1_error)
+  if (PyObject_SetAttr(__pyx_m, __pyx_mstate_global->__pyx_n_u_LineEvaluator, (PyObject *) __pyx_mstate->__pyx_ptype_9normortho_8_kernels_LineEvaluator) < (0)) __PYX_ERR(0, 338, __pyx_L1_error)
+  if (__Pyx_setup_reduce((PyObject *) __pyx_mstate->__pyx_ptype_9normortho_8_kernels_LineEvaluator) < (0)) __PYX_ERR(0, 338, __pyx_L1_error)
   __Pyx_RefNannyFinishContext();
   return 0;
   __pyx_L1_error:;
@@ -9676,7 +8072,7 @@ __Pyx_RefNannySetupContext("PyInit__kernels", 0);
   (void)__Pyx_modinit_function_import_code(__pyx_mstate);
   /*--- Execution code ---*/
 
-  /* "normortho/_kernels.pyx":25
+  /* "normortho/_kernels.pyx":24
  * 
  * # relative band for linf active sets and max-combinator ties
  * cdef double TIE = 1e-12             # <<<<<<<<<<<<<<
@@ -9685,49 +8081,49 @@ __Pyx_RefNannySetupContext("PyInit__kernels", 0);
 */
   __pyx_v_9normortho_8_kernels_TIE = 1e-12;
 
-  /* "normortho/_kernels.pyx":88
+  /* "normortho/_kernels.pyx":83
  *     # -- evaluation ---------------------------------------------------------
  * 
  *     def value(self, u):             # <<<<<<<<<<<<<<
  *         """Norm of u."""
  *         if len(u) != self.dim:
 */
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_9normortho_8_kernels_7Program_5value, __Pyx_CYFUNCTION_CCLASS, __pyx_mstate_global->__pyx_n_u_Program_value, NULL, __pyx_mstate_global->__pyx_n_u_normortho__kernels, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[0])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 88, __pyx_L1_error)
+  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_9normortho_8_kernels_7Program_5value, __Pyx_CYFUNCTION_CCLASS, __pyx_mstate_global->__pyx_n_u_Program_value, NULL, __pyx_mstate_global->__pyx_n_u_normortho__kernels, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[0])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 83, __pyx_L1_error)
   __Pyx_GOTREF(__pyx_t_2);
   #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
   PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
   #endif
-  if (__Pyx_SetItemOnTypeDict(__pyx_mstate_global->__pyx_ptype_9normortho_8_kernels_Program, __pyx_mstate_global->__pyx_n_u_value, __pyx_t_2) < (0)) __PYX_ERR(0, 88, __pyx_L1_error)
+  if (__Pyx_SetItemOnTypeDict(__pyx_mstate_global->__pyx_ptype_9normortho_8_kernels_Program, __pyx_mstate_global->__pyx_n_u_value, __pyx_t_2) < (0)) __PYX_ERR(0, 83, __pyx_L1_error)
   __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
 
-  /* "normortho/_kernels.pyx":201
+  /* "normortho/_kernels.pyx":170
  *     # -- one-sided derivatives ----------------------------------------------
  * 
  *     def derivs(self, u, v):             # <<<<<<<<<<<<<<
  *         """(N(u), D+, D-) of t -> N(u + t v) at t = 0."""
  *         if len(u) != self.dim or len(v) != self.dim:
 */
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_9normortho_8_kernels_7Program_7derivs, __Pyx_CYFUNCTION_CCLASS, __pyx_mstate_global->__pyx_n_u_Program_derivs, NULL, __pyx_mstate_global->__pyx_n_u_normortho__kernels, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[1])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 201, __pyx_L1_error)
+  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_9normortho_8_kernels_7Program_7derivs, __Pyx_CYFUNCTION_CCLASS, __pyx_mstate_global->__pyx_n_u_Program_derivs, NULL, __pyx_mstate_global->__pyx_n_u_normortho__kernels, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[1])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 170, __pyx_L1_error)
   __Pyx_GOTREF(__pyx_t_2);
   #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
   PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
   #endif
-  if (__Pyx_SetItemOnTypeDict(__pyx_mstate_global->__pyx_ptype_9normortho_8_kernels_Program, __pyx_mstate_global->__pyx_n_u_derivs, __pyx_t_2) < (0)) __PYX_ERR(0, 201, __pyx_L1_error)
+  if (__Pyx_SetItemOnTypeDict(__pyx_mstate_global->__pyx_ptype_9normortho_8_kernels_Program, __pyx_mstate_global->__pyx_n_u_derivs, __pyx_t_2) < (0)) __PYX_ERR(0, 170, __pyx_L1_error)
   __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
 
-  /* "normortho/_kernels.pyx":469
+  /* "normortho/_kernels.pyx":329
  *     # -- line restriction ----------------------------------------------------
  * 
  *     def line_evaluator(self, u, v):             # <<<<<<<<<<<<<<
  *         """Callable phi with phi(t) = N(u + t v); buffers reused per call."""
  *         if len(u) != self.dim or len(v) != self.dim:
 */
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_9normortho_8_kernels_7Program_9line_evaluator, __Pyx_CYFUNCTION_CCLASS, __pyx_mstate_global->__pyx_n_u_Program_line_evaluator, NULL, __pyx_mstate_global->__pyx_n_u_normortho__kernels, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[2])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 469, __pyx_L1_error)
+  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_9normortho_8_kernels_7Program_9line_evaluator, __Pyx_CYFUNCTION_CCLASS, __pyx_mstate_global->__pyx_n_u_Program_line_evaluator, NULL, __pyx_mstate_global->__pyx_n_u_normortho__kernels, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[2])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 329, __pyx_L1_error)
   __Pyx_GOTREF(__pyx_t_2);
   #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
   PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
   #endif
-  if (__Pyx_SetItemOnTypeDict(__pyx_mstate_global->__pyx_ptype_9normortho_8_kernels_Program, __pyx_mstate_global->__pyx_n_u_line_evaluator, __pyx_t_2) < (0)) __PYX_ERR(0, 469, __pyx_L1_error)
+  if (__Pyx_SetItemOnTypeDict(__pyx_mstate_global->__pyx_ptype_9normortho_8_kernels_Program, __pyx_mstate_global->__pyx_n_u_line_evaluator, __pyx_t_2) < (0)) __PYX_ERR(0, 329, __pyx_L1_error)
   __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
 
   /* "(tree fragment)":1
@@ -9854,31 +8250,31 @@ static int __Pyx_InitCachedConstants(__pyx_mstatetype *__pyx_mstate) {
 static int __Pyx_InitConstants(__pyx_mstatetype *__pyx_mstate) {
   CYTHON_UNUSED_VAR(__pyx_mstate);
   {
-    const struct { const unsigned int length: 9; } index[] = {{1},{179},{8},{5},{18},{7},{6},{9},{2},{9},{50},{26},{14},{13},{31},{33},{7},{25},{27},{14},{22},{13},{20},{12},{18},{4},{4},{18},{2},{2},{5},{6},{3},{5},{5},{8},{12},{6},{6},{6},{13},{5},{1},{5},{4},{4},{14},{8},{10},{8},{18},{3},{6},{3},{4},{11},{14},{12},{10},{17},{13},{5},{4},{12},{10},{12},{19},{1},{8},{1},{4},{1},{6},{5},{6},{4},{7},{4},{4},{180},{77},{332},{9}};
+    const struct { const unsigned int length: 9; } index[] = {{1},{179},{8},{5},{18},{7},{6},{9},{2},{9},{50},{26},{14},{13},{31},{33},{7},{25},{27},{14},{22},{13},{20},{12},{18},{4},{4},{18},{2},{2},{5},{6},{3},{5},{5},{8},{12},{6},{6},{6},{13},{5},{1},{5},{4},{4},{14},{8},{10},{8},{18},{3},{6},{3},{4},{11},{14},{12},{10},{17},{13},{5},{4},{12},{10},{12},{19},{1},{8},{1},{4},{1},{6},{5},{6},{4},{7},{4},{180},{77},{336},{9}};
     #if (CYTHON_COMPRESS_STRINGS) == 2 /* compression: bz2 (964 bytes) */
-const char* const cstring = "BZh91AY&SYO\302\356w\000\000\225\377\377\357\375\376\236|\237\256\307\277g\177\210\277\377\377\342@@@@@@@@@@@@@\000@\000P\003^\350\216\201!\307a$\252h\001\240\323\312x\240\000\000\000\032\006\200\003@\032\003\324i\351\007\244z\203E\032\236\246)\351\264\233H\320\231\032\006\236\241\220\000h\320\000\000\006\232h\000h\001(M\002jbL\231<\212\237\244\322mM\000z\214\200\032\000\000\000\000\017D=M\007\000\003A\241\240\320\001\246A\241\2204\320\000\001\220\001\220\031\000\004\242 S\324\364\322d\032\000\320\000\000\000\000\000\000\0002\031\032i\352:D\273\240|\241\364R\247Q)4\374*\276\375BDy\216\204\210\242\252\003#\013\002j\240\361\024@\330Q\314\201\\\021\221,\226\027\014T\334\221\002#\"1\026\221\261\031\004#\303\000\215;;d)Q\316\243A\307\265<\362`\245\236\375\314\255(\251\301\002\272\347\353\207\334p\265\203\317J\232\223\200\234\2520\024\2411\251\375\017t\350[\0351fKV\216+>#0\tdJ\242/\016\344\267\204\2360&\026\325ZK\362b#\344)\"0LdhV[V\304\361:\311-\"\354\345\371p\033\346\372\345\223\231\321\222z4\260\302\214\251\326cZA\035E\202\304B*\233\025\003\035\340\254\006\350@\025yW\006m\013\312\257\316VOs\213E.Lb\200\302\377\277\024\336]M\330PK)p\354\260\213\334\270w\253\263\373\277\262\277\202\2011(\207qaX\253)c\030\220\231dM6\303\244&\t\361\225\002`\260\016RD\027\000T/\310Z\337~!\242%u\307|2'Ie\206*\247U\372$&\262\371*\357\276\334\213\242\363L\r\\+\223Z\002G\307\277v\203\213\212\373\256E\206\322\370M\031U\206\025b2\321\033\223\036\251cW\022\214t\361\215\337x\341\030\0244=h\371\314\310\220\367\325\264\270nT\314\202\333\273\267\371\204pa\235\245\004\316\321\317\271\300h\010\376\026)XV\002\030\233\357\3769\014g\262\235kCoJ\\\2229.\340Bz\252\317\246\371M\033(\314\341\204\007lw\005|\n\234\320\244\335E\231\224\000\202\211l\036\t\236\003\311\314\332L\202\250\252\306\271\3225\350\241\004MkaRJ\345\242\210\341\014:\246L^\266w\315-\322$I0I\202&\310-!\001\301E\222\247\004\347A\254\234R\343\222\023)\351\023\241\021T\024\364\306\030\250\020\005\013\242\017\314\005\002\025E3\336x\301\210\\d\303D""\2055t\t\000\243\306\346N^x\220\337X\305g)\226\262\032+\267Ma\035)}\210*B\277\252\221w\324\233x\310]\252y\360}W\352\226\266\242\240\260R\250\224Y\263O\000\336oD\266D\247n\315\021\320\215by\223\346\301\005\244\270\223\036\375\350\\[1,\256\234\350Ua\201\215\301\033\013\256\275\t\244\353\2550\216\300\243\217\330\330ME4\363G\217y\323\240N\274\224\273~[;\313\266s#\331O\025Rm\300\350]*b`\352\361L\273\020C\022^\253\270\206\207\035\025=\255\350/\306a\243!!q9(\266\030$\212\211\351\024\242\221:\221q\001P\242<\036\013\364\307\321\363\031\226>A\262\360\371\234\277p\307\236'\016\216\254\214(\306\223\370re2Jp\036\016\377\030c\345\341#\313\\\221$\010\3411\227S\340\024\302h\310\005h\247\340\306\272\214\267\224N3i\022\210\352(\244P\223\253\n\177\342\356H\247\n\022\t\370]\316\340";
+const char* const cstring = "BZh91AY&SYX\177\010\253\000\000\226\177\377\357\375\376\236|\237\256\307\277g\177\210\277\377\377\342@@@@@@@@@@@@@\000@\000P\003^w\275\252J]\261\343p\222U4\000\006\236\223\323P\000\000\000\000z\200\003 \014\201\3523H=&\324\031!0\232\032\230\211\350je?R44\000\006A\240\000\000\000\000\320\0004\004\021=*~\247\251=Oji6\220\006\200\365\000\000\000\000\r\000\r\017I\247\250\320\242j4\032\0324\r\000\000\000\000\000\000\000\000\000\000\000\224I\212#\324~\244i\221\240\0004\000\000\r\000\000\000\000\003CCG\025K\262\007\272\037\005\037\232IF#\354\375\221\"\221M\036\307\0054QU\001\220\t\204\265A\256\024@\232Ii8\025\240\214D\215#\026\022\224\262G\000\341\210\214\034\242\304$\225B\001\000\026\027\263_lf\330\347l}\332\035O\226Yf\347\307%:X6e#v\316\303\367b\021\220\002IF`U\204&\210\321\010#\000\005\304\301\207\351Y\315(e\367\000\214J!\200\340\210\346\220\016@Y\240\224\355\365\244\320l\n\002\261\177\361b^\305\022\3419\377\025\003\303+\"\027\306\206\213\242ah<9<\366\004\364k\302\366\032RB\216\013P 0\206Z\2504II\214\032\233\202\016\207\"\020%x\010\240\006u\254\004M)R\225BiFk\2105\223\260#\320Ne1\001\001\377|\221hgM\371\200U\230\2502\032\273Tvl\317\016\3258G\3610\004AH\217j\321.\r\246\261\302,md\276\n\240\214\2036\301\316Tw\224\264Y\371\002X\361Mm\270\261\\\02500\266k\327\2249\355\313T\221\007\356\232\032\r\242\226\242_LnJ)\030\226,\321\014\252\212\301~5/\307Au\326WY\032\342\026,I\014\320 3p\207\"K\355\317\013f\300\244\203\365\204'\371\236\307Q!\201\246\270\3404\203\206\244\222\326\003L\313\030S\2536/\312\276\202\004dj\316x\315\237oHR\301f\366F\013\202\301\022\027\323\364\270I\331\037\204W\251\270g-\027O\240,n\2325\264\204I/x\215K\0242n1\2019\r\352F\014`\3401(\001L\025Te+\350\032\014/H!\0030f\202\350\311\347\226AH\256:\301\224\r\205n\332\332!RR\r/Mga\022X\344\005\266]\002-h`\234j\254\341^Z\002Xg\225\233\016\r\253\203\247W\025\367\305\306\221<\2364-cB\262h\222\333*\321\3660\202\212L\251\211I#\305.\312\t@\223=HY8\016\027Nn\347\030DWY\014\023\335[5{J\225\2052Y\375\214L\306Xu1\205\317c\263""he\224\330\333T\364!\026\202\004\275\034\245:\240/\027\223\034\241\256\216\371\345\204M\t\207!\330TB=\265\231\177i\"q\034\300\305\030u\310\202.\241)\300\232!-\207\030\342\032\310\372\246\310\003\330\031\2145\002\tn\231nq\271\020pj\r[\250L}\327\316\244|)\242\254M\300\035k\261IL\035\276i\227z\010!K\335x\220N\347\240\246\265\324\345\372\3144D\004\016'$\027#\004p\320=\241\220R\037\244]\274U(I\356\206\022c\354\372\210\316%\217n:K4W\3660\353\243\343J%,\274X\224u\007$\334S#\246\361>\266\241\304\021\033\341\267\003\320*\024\211\205\311\253\274\2201\254\241$\rA\215\240\212\344\232\224\021x\273\305q\022\212(\324\036\325`\247\370\273\222)\302\204\202\303\370EX";
     PyObject *data = __Pyx_DecompressString(cstring, 964, 2);
     if (unlikely(!data)) __PYX_ERR(0, 1, __pyx_L1_error)
     const char* const bytes = __Pyx_PyBytes_AsString(data);
     #if !CYTHON_ASSUME_SAFE_MACROS
     if (likely(bytes)); else { Py_DECREF(data); __PYX_ERR(0, 1, __pyx_L1_error) }
     #endif
-    #elif (CYTHON_COMPRESS_STRINGS) != 0 /* compression: zlib (838 bytes) */
-const char* const cstring = "x\332\245R\315\217\0335\024'\352RR\210`\323\r\252\304R\311[*U\0026\325\252Ap\340C\201-\002\t\252\rm\341\300\301r\3547\211\2733\366dlg\223\003\022\307\034\347\350\243\2179\356q\217=\366\330\343\034\367O\350\237\300\233\311\307n\332R!1\322<?\373\371}\374~?\177\367@[ v\310,\371aj\207Z\021i\210\200X\366!c\026\342)16\223\334BV^R\344\350\376\321~\347\253\016aJ\220\014\236\000\267\206\030\327\34713\006\014\321\021\351;\031[\251\210\235\246`\332\344\347\210L\265#\n@\020\253I\212\367.'\330!(b\300\226\016\271\303\224\322\226Y\251\025\305t\251\006w\210\220\0316\221c(\263\177d\261\2016\023\202\252r\354r\010\302\265\316\204T8\254\371\234\014\264\305\014\303\3721\200\252\354$\305t\354=\340\322,\216\204\322\2100b.\266\204\322\014\204\343@)\021\256j\241\264\332G\304c\311b\214r\251\244\245\324d\374\256\322Y\2423\244\350.=\206LAl\332\351t\362uI\217\032\030\3552\016\337\376\"\025\334\037\263\3301\253\263\215M{\335\211W4S\372r\030I0\210\375\342\302Q\246\007\031K\226\313\253\005.\002\377\226\332\026\200H\314j\027cG\n\253\226\253\323r\217\370\217\246\023\374\017Qj\372\000&\3667\210(]\312\201Qf\246\212K\335\346:\323\016\325\005\303E\202\177jxUU\242`\031\343\320g\374\230;>\346X\325,\272\013\231\210\244\357\"\221\242\2414r\212S\374\006\253\231\351\020XJUe]e\307T\032\272\356$-$\346\311\261T\302\340\233\2611Dv\023\010\245\t\303\376\370%Z\270\030JO\261\004\327\265d\355\225dX2e\210\332\244:M\221\000JQC\272\034\244t\307\266|\"e\211\221c\361\242\314\305#yE\203\365\001L\320\225\203\2415\020G\225\"\313\031\320[>\266K:\321\327h\206q|\302h\235C\242\306\210\256\\Jq*c\306\270=\201\252\305I\014\352DG\321\337\335\363\372{\263{363\371'\371#\337,\032\327\363O}\327\3779\257\315[\317\367\017\237v\237>|V{\326|q\365\255k\273~\257\250\337\364\275\242\276\353;\336\205\357\003[\270&\334\n\335\362FcvP4\232\371M\317\274\r\007\005\226\306}+\37754\303\355\362\362\265\242\261\235\277\235?\366{\2305*\266\257\347{\371\027\276\346\233X\031\033\337\316\007\276\347E\330;o|0\303p+\357\346\275\342\262_G\377\345\231?\364<""\354\204nx8\2772\357\314GK\004\305\366\256?\360\207\317\311\227\247\243\263+g\007g?\255\240\234c\221\277\020\342\357\341^`\377\267\330\213\367\227\274|\264&\347c\274\2770\377\221\24670\326\330\311\277\t\265\320\n\275\313\356\033y\334$u;\177'\037\371-\234\006\335:\236\266\374\243pc~u^\325\356\344\306\337*c;U\306\215\260\205\320\377\230\037\236\326N\233\033\032\274F\212\315\245\022\246Vl\275;\373,\357\375\003\200*_e";
-    PyObject *data = __Pyx_DecompressString(cstring, 838, 1);
+    #elif (CYTHON_COMPRESS_STRINGS) != 0 /* compression: zlib (840 bytes) */
+const char* const cstring = "x\332\245R\315\217\0335\024'\352RR\210`\323\r\252\304R\311\273T\252\004l\252U\203\340\300\207\002[\004\022T\033\332\302\201\203\345\330o\022w'\366dl\247\311\001\211c\216s\364\321\3079\356q\217=\366\330\343\034\367O\350\237\300\233\311\307n\372\201\220\030i\236\237\375\374>~\277\237\277\273\257-\020;d\226\3740\263C\255\2104D@,\373\2202\013\361\214\030\233Jn!-/)r|\357\370\240\363U\2070%H\n\217\201[C\214\353\363\230\031\003\206\350\210\364\235\214\255T\304\316\0220m\362sDf\332\021\005 \210\325$\301{\227\023\354\020\0241`K\207\334fJi\313\254\324\212b\272T\203\333D\310\024\233\310\t\224\331?\262\330@\233\tAU9v9\004\341Z\247B*\034\326|N\006\332b\206a\375\030@Uv\232`:\366\036pi\026GBiD\0301\027[Bi\n\302q\240\224\010W\265PZ\035 \342\211d1F\271T\322RjR~G\351t\244S\244\350\016=\201TAl\332\311l\372uI\217\032\030\355R\016\337\376\"\025\334\233\260\3301\253\323\215M{\335\211W4S\372r\030I0\210\375\342\302q\252\007)\033-\227W\013\\\004\336\224\332\026\200H\314j\027cG\n\253\226\253\323r\217\370\217gS\374\217Pjz\037\246\3667\210(]\312\201Qff\212K\335\346:\325\016\325\005\303\305\010\377\304\360\252\252D\301R\306\241\317\370\tw|\302\261\252Yt\027r$F}\027\211\004\r\245\221S\234\3427X\315L\207\300\022\252*\353*;\241\322\320u'iad\036\237H%\014\276\031\033Cd7\201P:b\330\037\277\221\026.\206\322Sl\204\353Z\262\366J2,\2310Dm\022\235$H\000\245\250!]\016R\272\023[>\221\262\304\330\261xQ\346\342\221\274\242\301\372\000\246\350\312\301\320\032\210\243J\221\345\014\350-\037\333%\235\350k4\3038>a\264\316!Q\023DW.\2458\2251\023\334>\201\252\305\023\035E\177w\317\353\357\315\357\316\331\334d\237d\017}\263h\\\317>\365]\377g^\313[\317\017\216\236v\237>xV{\326|q\365\255k\273~\257\250\337\364\275\242\276\353;\336\205\357\003[\270&\354\207ny\2431?,\032\315\354\246g\336\206\303\002K\343\276\225\375\032\232\341Vy\371Z\321\330\316\336\316\036\371=\314\032\027\333\327\263\275\354\013_\363M\254\214\215oe\003\337\363\"\354\2357>\230c\270\225u\263^q\331\257\243\377\362\314\037z\036vB7<\310\257\344\235|\274DP""l\357\372C\177\364\234|y:>\273rvx\366\323\n\3129\026\371\013!\376\036\356\006\366\177\213\275x\177\311\313Gkr>\306\373\013\363\037iz\003c\373\230)r$f'\373&\324B+\364.\273\377\312\345&\261\333\331;\331\330o\341D\350\326\361\264\345\037\206\033\371\325\234\225\005;\231\361\373el\247\312\270\021\266\020\376\037\371\321i\355\264\271\241\303k\344\330\\*qj\305\326\273\363\317\262\336?:N_[";
+    PyObject *data = __Pyx_DecompressString(cstring, 840, 1);
     if (unlikely(!data)) __PYX_ERR(0, 1, __pyx_L1_error)
     const char* const bytes = __Pyx_PyBytes_AsString(data);
     #if !CYTHON_ASSUME_SAFE_MACROS
     if (likely(bytes)); else { Py_DECREF(data); __PYX_ERR(0, 1, __pyx_L1_error) }
     #endif
     #else /* compression: none (1555 bytes) */
-const char* const bytes = "?Note that Cython is deliberately stricter than PEP-484 and rejects subclasses of builtin types. If you need to pass subclasses then set the 'annotation_typing' directive to False.add_note and  coordinates, got disableenableexpected gcisenabledno default __reduce__ due to non-trivial __cinit__src/normortho/_kernels.pyx<stringsource>LineEvaluatorLineEvaluator.__reduce_cython__LineEvaluator.__setstate_cython__ProgramProgram.__reduce_cython__Program.__setstate_cython__Program.derivsProgram.line_evaluatorProgram.value__Pyx_PyDict_NextRef__annotate__asyncio.coroutinescdmscdpscline_in_tracebackcucvcvalsderivsdimdmbufdpbuf__func____getstate__heap_nheap_uheap_v_is_coroutineitemsjkindslastleftline_evaluator__main____module____name__normortho._kernelsoutparamspopprog__pyx_state__pyx_vtable____qualname____reduce____reduce_cython____reduce_ex__rightself__set_name__setdefault__setstate____setstate_cython__t__test__uubufvvalbufvaluevaluesvbufweightswlenwoff\200A\340\010\013\2103\210a\210s\220#\220T\230\021\330\014\022\220*\230A\230[\250\001\250\024\320-D\300A\300S\310\001\310\021\360\006\000\t\033\230!\330\010\035\230Q\330\010\033\2304\230u\240B\240a\330\010\033\2304\230s\240\"\240A\360\006\000\t\014\2101\330\014\021\220\035\230a\230t\2401\330\010\013\2101\330\014\024\220M\240\021\240$\240a\330\010\t\330\014\020\220\005\220U\230!\2304\230q\330\020\022\220!\2205\230\001\230\021\230!\330\014\022\220$\220g\230Q\230d\240!\340\014\017\210q\330\020\024\220A\220Q\330\014\017\210q\330\020\024\220A\220Q\330\010\017\210q\200A\340\010\013\2103\210a\210s\220#\220T\230\025\230c\240\023\240A\240S\250\003\2504\250q\330\014\022\220*\230A\330\020\033\2301\230D\320 7\260q\270\003\2701\270H\300A\300S\310\001\310\021\340\010\017\210}\230A\230V\2403\240a\200A\340\010\013\2103\210a\210s\220#\220T\230\025\230c\240\023\240A\240S\250\003\2504\250q\330\014\022\220*\230A\330\020\033\2301\230D\320 7\260q\270\003\2701\270H\300A\300S\310\001\310\021\360\016\000\t\033\230!\330\010\032\230!\330\010\035\230Q""\330\010\034\230A\330\010\034\230A\330\010\033\2304\230u\240B\240a\330\010\033\2304\230s\240\"\240A\360\006\000\t\014\2101\330\014\021\220\035\230a\230t\2401\330\014\021\220\035\230a\230t\2401\330\010\013\2101\330\014\024\220M\240\021\240$\240a\330\014\023\220=\240\001\240\024\240Q\330\014\023\220=\240\001\240\024\240Q\330\010\t\330\014\020\220\005\220U\230!\2304\230q\330\020\022\220!\2205\230\001\230\021\230!\330\020\022\220!\2205\230\001\230\021\230!\330\014\020\220\007\220q\230\004\230A\330\014\020\220\010\230\001\230\024\230T\240\027\250\006\250a\330\014\023\2204\220s\230\"\230A\330\014\023\2205\230\001\230\027\240\004\240A\240W\250D\260\001\260\021\340\014\017\210q\330\020\024\220A\220Q\330\020\024\220A\220Q\330\014\017\210q\330\020\024\220A\220Q\330\020\024\220A\220Q\330\020\024\220A\220Q\330\010\017\210q\200\001\330\004\n\210+\220Q";
+const char* const bytes = "?Note that Cython is deliberately stricter than PEP-484 and rejects subclasses of builtin types. If you need to pass subclasses then set the 'annotation_typing' directive to False.add_note and  coordinates, got disableenableexpected gcisenabledno default __reduce__ due to non-trivial __cinit__src/normortho/_kernels.pyx<stringsource>LineEvaluatorLineEvaluator.__reduce_cython__LineEvaluator.__setstate_cython__ProgramProgram.__reduce_cython__Program.__setstate_cython__Program.derivsProgram.line_evaluatorProgram.value__Pyx_PyDict_NextRef__annotate__asyncio.coroutinescdmscdpscline_in_tracebackcucvcvalsderivsdimdmbufdpbuf__func____getstate__heap_nheap_uheap_v_is_coroutineitemsjkindslastleftline_evaluator__main____module____name__normortho._kernelsoutparamspopprog__pyx_state__pyx_vtable____qualname____reduce____reduce_cython____reduce_ex__rightself__set_name__setdefault__setstate____setstate_cython__t__test__uubufvvalbufvaluevaluesvbufweightswoff\200A\340\010\013\2103\210a\210s\220#\220T\230\021\330\014\022\220*\230A\230[\250\001\250\024\320-D\300A\300S\310\001\310\021\360\006\000\t\033\230!\330\010\035\230Q\330\010\033\2304\230u\240B\240a\330\010\033\2304\230s\240\"\240A\360\006\000\t\014\2101\330\014\021\220\035\230a\230t\2401\330\010\013\2101\330\014\024\220M\240\021\240$\240a\330\010\t\330\014\020\220\005\220U\230!\2304\230q\330\020\022\220!\2205\230\001\230\021\230!\330\014\022\220$\220g\230Q\230d\240!\340\014\017\210q\330\020\024\220A\220Q\330\014\017\210q\330\020\024\220A\220Q\330\010\017\210q\200A\340\010\013\2103\210a\210s\220#\220T\230\025\230c\240\023\240A\240S\250\003\2504\250q\330\014\022\220*\230A\330\020\033\2301\230D\320 7\260q\270\003\2701\270H\300A\300S\310\001\310\021\340\010\017\210}\230A\230V\2403\240a\200A\340\010\013\2103\210a\210s\220#\220T\230\025\230c\240\023\240A\240S\250\003\2504\250q\330\014\022\220*\230A\330\020\033\2301\230D\320 7\260q\270\003\2701\270H\300A\300S\310\001\310\021\360\016\000\t\033\230!\330\010\032\230!\330\010\035\230Q\330""\010\034\230A\330\010\034\230A\330\010\033\2304\230u\240B\240a\330\010\033\2304\230s\240\"\240A\360\006\000\t\014\2101\330\014\021\220\035\230a\230t\2401\330\014\021\220\035\230a\230t\2401\330\010\013\2101\330\014\024\220M\240\021\240\"\240B\240d\250!\330\014\023\220=\240\001\240\024\240Q\330\014\023\220=\240\001\240\024\240Q\330\010\t\330\014\020\220\005\220U\230!\2304\230q\330\020\022\220!\2205\230\001\230\021\230!\330\020\022\220!\2205\230\001\230\021\230!\330\014\020\220\007\220q\230\004\230A\330\014\020\220\010\230\001\230\024\230T\240\027\250\006\250a\330\014\023\2204\220s\230\"\230A\330\014\023\2205\230\001\230\027\240\004\240A\240W\250D\260\001\260\021\340\014\017\210q\330\020\024\220A\220Q\330\020\024\220A\220Q\330\014\017\210q\330\020\024\220A\220Q\330\020\024\220A\220Q\330\020\024\220A\220Q\330\010\017\210q\200\001\330\004\n\210+\220Q";
     PyObject *data = NULL;
     CYTHON_UNUSED_VAR(__Pyx_DecompressString);
     #endif
     PyObject **stringtab = __pyx_mstate->__pyx_string_tab;
     Py_ssize_t pos = 0;
-    for (int i = 0; i < 79; i++) {
+    for (int i = 0; i < 78; i++) {
       Py_ssize_t bytes_length = index[i].length;
       PyObject *string = PyUnicode_DecodeUTF8(bytes + pos, bytes_length, NULL);
       if (likely(string) && i >= 13) PyUnicode_InternInPlace(&string);
@@ -9889,7 +8285,7 @@ const char* const bytes = "?Note that Cython is deliberately stricter than PEP-4
       stringtab[i] = string;
       pos += bytes_length;
     }
-    for (int i = 79; i < 83; i++) {
+    for (int i = 78; i < 82; i++) {
       Py_ssize_t bytes_length = index[i].length;
       PyObject *string = PyBytes_FromStringAndSize(bytes + pos, bytes_length);
       stringtab[i] = string;
@@ -9900,14 +8296,14 @@ const char* const bytes = "?Note that Cython is deliberately stricter than PEP-4
       }
     }
     Py_XDECREF(data);
-    for (Py_ssize_t i = 0; i < 83; i++) {
+    for (Py_ssize_t i = 0; i < 82; i++) {
       if (unlikely(PyObject_Hash(stringtab[i]) == -1)) {
         __PYX_ERR(0, 1, __pyx_L1_error)
       }
     }
     #if CYTHON_IMMORTAL_CONSTANTS
     {
-      PyObject **table = stringtab + 79;
+      PyObject **table = stringtab + 78;
       for (Py_ssize_t i=0; i<4; ++i) {
         #if PY_VERSION_HEX >= 0x030F0000
         PyUnstable_SetImmortal(table[i]);
@@ -9957,17 +8353,17 @@ static int __Pyx_CreateCodeObjects(__pyx_mstatetype *__pyx_mstate) {
   PyObject* tuple_dedup_map = PyDict_New();
   if (unlikely(!tuple_dedup_map)) return -1;
   {
-    const __Pyx_PyCode_New_function_description descr = {2, 0, 0, 10, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 88};
+    const __Pyx_PyCode_New_function_description descr = {2, 0, 0, 10, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 83};
     PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_self, __pyx_mstate->__pyx_n_u_u, __pyx_mstate->__pyx_n_u_ubuf, __pyx_mstate->__pyx_n_u_vbuf, __pyx_mstate->__pyx_n_u_cu, __pyx_mstate->__pyx_n_u_cvals, __pyx_mstate->__pyx_n_u_heap_u, __pyx_mstate->__pyx_n_u_heap_v, __pyx_mstate->__pyx_n_u_j, __pyx_mstate->__pyx_n_u_out};
     __pyx_mstate_global->__pyx_codeobj_tab[0] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_normortho__kernels_pyx, __pyx_mstate->__pyx_n_u_value, __pyx_mstate->__pyx_kp_b_iso88591_A_3as_T_A_DAS_Q_4uBa_4s_A_1_at1, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[0])) goto bad;
   }
   {
-    const __Pyx_PyCode_New_function_description descr = {3, 0, 0, 18, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 201};
+    const __Pyx_PyCode_New_function_description descr = {3, 0, 0, 18, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 170};
     PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_self, __pyx_mstate->__pyx_n_u_u, __pyx_mstate->__pyx_n_u_v, __pyx_mstate->__pyx_n_u_ubuf, __pyx_mstate->__pyx_n_u_vbuf, __pyx_mstate->__pyx_n_u_valbuf, __pyx_mstate->__pyx_n_u_dpbuf, __pyx_mstate->__pyx_n_u_dmbuf, __pyx_mstate->__pyx_n_u_cu, __pyx_mstate->__pyx_n_u_cv, __pyx_mstate->__pyx_n_u_cvals, __pyx_mstate->__pyx_n_u_cdps, __pyx_mstate->__pyx_n_u_cdms, __pyx_mstate->__pyx_n_u_heap_u, __pyx_mstate->__pyx_n_u_heap_n, __pyx_mstate->__pyx_n_u_j, __pyx_mstate->__pyx_n_u_last, __pyx_mstate->__pyx_n_u_out};
     __pyx_mstate_global->__pyx_codeobj_tab[1] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_normortho__kernels_pyx, __pyx_mstate->__pyx_n_u_derivs, __pyx_mstate->__pyx_kp_b_iso88591_A_3as_T_c_AS_4q_A_1D_7q_1HAS_Q_A, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[1])) goto bad;
   }
   {
-    const __Pyx_PyCode_New_function_description descr = {3, 0, 0, 3, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 469};
+    const __Pyx_PyCode_New_function_description descr = {3, 0, 0, 3, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 329};
     PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_self, __pyx_mstate->__pyx_n_u_u, __pyx_mstate->__pyx_n_u_v};
     __pyx_mstate_global->__pyx_codeobj_tab[2] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_normortho__kernels_pyx, __pyx_mstate->__pyx_n_u_line_evaluator, __pyx_mstate->__pyx_kp_b_iso88591_A_3as_T_c_AS_4q_A_1D_7q_1HAS_AV3, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[2])) goto bad;
   }

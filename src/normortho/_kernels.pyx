@@ -3,23 +3,22 @@
 
 Mirrors `_kernels_py` instruction for instruction; when touching a formula
 here, change the pure Python twin identically.  Both use libm pow/sqrt and
-the same accumulation order, so results agree to rounding.
+the same accumulation order, so results agree to rounding.  The tape has
+four leaf kinds, l2 and wlp with p = 1, inf or finite p; `_value` holds
+the only copy of each leaf formula.
 """
 
 from libc.math cimport fabs, sqrt, pow, INFINITY
 from libc.stdlib cimport malloc, free
 
 cdef enum:
-    K_L1 = 0
-    K_L2 = 1
-    K_LINF = 2
-    K_LP = 3
-    K_WLP1 = 4
-    K_WLPINF = 5
-    K_WLPP = 6
-    K_MAX = 7
-    K_SUM = 8
-    K_SCALE = 9
+    K_L2 = 0
+    K_WLP1 = 1
+    K_WLPINF = 2
+    K_WLPP = 3
+    K_MAX = 4
+    K_SUM = 5
+    K_SCALE = 6
 
 # relative band for linf active sets and max-combinator ties
 cdef double TIE = 1e-12
@@ -48,19 +47,17 @@ cdef class Program:
     cdef int* kinds
     cdef double* params
     cdef int* woff
-    cdef int* wlen
     cdef double* weights
     cdef int* left
     cdef int* right
 
-    def __cinit__(self, kinds, params, woff, wlen, weights, left, right, dim):
+    def __cinit__(self, kinds, params, woff, weights, left, right, dim):
         cdef Py_ssize_t i
         self.n = len(kinds)
         self.dim = dim
         self.kinds = _alloc_int(self.n)
         self.params = _alloc_double(self.n)
         self.woff = _alloc_int(self.n)
-        self.wlen = _alloc_int(self.n)
         self.weights = _alloc_double(len(weights))
         self.left = _alloc_int(self.n)
         self.right = _alloc_int(self.n)
@@ -68,7 +65,6 @@ cdef class Program:
             self.kinds[i] = kinds[i]
             self.params[i] = params[i]
             self.woff[i] = woff[i]
-            self.wlen[i] = wlen[i]
             self.left[i] = left[i]
             self.right[i] = right[i]
         for i in range(len(weights)):
@@ -78,7 +74,6 @@ cdef class Program:
         free(self.kinds)
         free(self.params)
         free(self.woff)
-        free(self.wlen)
         free(self.weights)
         free(self.left)
         free(self.right)
@@ -118,12 +113,7 @@ cdef class Program:
         cdef double s, m, a, r, p
         for i in range(self.n):
             k = self.kinds[i]
-            if k == K_L1:
-                s = 0.0
-                for j in range(dim):
-                    s += fabs(u[j])
-                vals[i] = s
-            elif k == K_L2:
+            if k == K_L2:
                 m = 0.0
                 for j in range(dim):
                     a = fabs(u[j])
@@ -137,29 +127,6 @@ cdef class Program:
                         r = u[j] / m
                         s += r * r
                     vals[i] = m * sqrt(s)
-            elif k == K_LINF:
-                m = 0.0
-                for j in range(dim):
-                    a = fabs(u[j])
-                    if a > m:
-                        m = a
-                vals[i] = m
-            elif k == K_LP:
-                # scaled by the max coordinate so u far from unit scale
-                # neither overflows nor underflows pow
-                p = self.params[i]
-                m = 0.0
-                for j in range(dim):
-                    a = fabs(u[j])
-                    if a > m:
-                        m = a
-                if m == 0.0:
-                    vals[i] = 0.0
-                else:
-                    s = 0.0
-                    for j in range(dim):
-                        s += pow(fabs(u[j]) / m, p)
-                    vals[i] = m * pow(s, 1.0 / p)
             elif k == K_WLP1:
                 s = 0.0
                 for j in range(dim):
@@ -173,6 +140,8 @@ cdef class Program:
                         m = a
                 vals[i] = m
             elif k == K_WLPP:
+                # scaled by the max coordinate so u far from unit scale
+                # neither overflows nor underflows pow
                 p = self.params[i]
                 m = 0.0
                 for j in range(dim):
@@ -206,7 +175,7 @@ cdef class Program:
             )
         cdef double ubuf[STACK_CAP]
         cdef double vbuf[STACK_CAP]
-        cdef double valbuf[STACK_CAP]
+        cdef double valbuf[2 * STACK_CAP]
         cdef double dpbuf[STACK_CAP]
         cdef double dmbuf[STACK_CAP]
         cdef double* cu = ubuf
@@ -222,7 +191,7 @@ cdef class Program:
             cu = _alloc_double(self.dim)
             cv = _alloc_double(self.dim)
         if heap_n:
-            cvals = _alloc_double(self.n)
+            cvals = _alloc_double(2 * self.n)
             cdps = _alloc_double(self.n)
             cdms = _alloc_double(self.n)
         try:
@@ -245,73 +214,29 @@ cdef class Program:
 
     cdef void _derivs(self, double* u, double* v, double* vals,
                       double* dps, double* dms) noexcept nogil:
+        # A leaf that is 0 at u has N(u + t v) = |t| N(v), so D+- = +-N(v);
+        # vvals, the top n of the 2n slots of vals, holds N at v of every
+        # node, filled at the first such leaf.
         cdef int i, j, k, lc, rc
         cdef int dim = self.dim
-        cdef double sp, sa, s, m, a, b, d, g, w, uj, val, thr, pm1, ref, nv, c
+        cdef double sp, sa, s, m, a, b, d, g, w, uj, val, thr, pm1, ref, c
         cdef double dp, dm
+        cdef double* vvals = NULL
         for i in range(self.n):
             k = self.kinds[i]
-            if k == K_L1:
-                sp = 0.0
-                sa = 0.0
-                for j in range(dim):
-                    uj = u[j]
-                    if uj > 0.0:
-                        sp += v[j]
-                    elif uj < 0.0:
-                        sp -= v[j]
-                    else:
-                        sa += fabs(v[j])
-                dps[i] = sp + sa
-                dms[i] = sp - sa
-            elif k == K_L2:
+            if k == K_L2:
                 val = vals[i]
                 if val == 0.0:
-                    nv = self._leaf_norm(i, k, v)
-                    dps[i] = nv
-                    dms[i] = -nv
+                    if vvals == NULL:
+                        vvals = vals + self.n
+                        self._value(v, vvals)
+                    dps[i] = vvals[i]
+                    dms[i] = -vvals[i]
                 else:
                     s = 0.0
                     for j in range(dim):
                         s += u[j] * v[j]
                     d = s / val
-                    dps[i] = d
-                    dms[i] = d
-            elif k == K_LINF:
-                val = vals[i]
-                if val == 0.0:
-                    nv = self._leaf_norm(i, k, v)
-                    dps[i] = nv
-                    dms[i] = -nv
-                else:
-                    thr = (1.0 - TIE) * val
-                    dp = -INFINITY
-                    dm = INFINITY
-                    for j in range(dim):
-                        uj = u[j]
-                        if fabs(uj) >= thr:
-                            g = v[j] if uj > 0.0 else -v[j]
-                            if g > dp:
-                                dp = g
-                            if g < dm:
-                                dm = g
-                    dps[i] = dp
-                    dms[i] = dm
-            elif k == K_LP:
-                val = vals[i]
-                if val == 0.0:
-                    nv = self._leaf_norm(i, k, v)
-                    dps[i] = nv
-                    dms[i] = -nv
-                else:
-                    pm1 = self.params[i] - 1.0
-                    d = 0.0
-                    for j in range(dim):
-                        uj = u[j]
-                        if uj > 0.0:
-                            d += pow(uj / val, pm1) * v[j]
-                        elif uj < 0.0:
-                            d -= pow(-uj / val, pm1) * v[j]
                     dps[i] = d
                     dms[i] = d
             elif k == K_WLP1:
@@ -331,9 +256,11 @@ cdef class Program:
             elif k == K_WLPINF:
                 val = vals[i]
                 if val == 0.0:
-                    nv = self._leaf_norm(i, k, v)
-                    dps[i] = nv
-                    dms[i] = -nv
+                    if vvals == NULL:
+                        vvals = vals + self.n
+                        self._value(v, vvals)
+                    dps[i] = vvals[i]
+                    dms[i] = -vvals[i]
                 else:
                     thr = (1.0 - TIE) * val
                     dp = -INFINITY
@@ -352,9 +279,11 @@ cdef class Program:
             elif k == K_WLPP:
                 val = vals[i]
                 if val == 0.0:
-                    nv = self._leaf_norm(i, k, v)
-                    dps[i] = nv
-                    dms[i] = -nv
+                    if vvals == NULL:
+                        vvals = vals + self.n
+                        self._value(v, vvals)
+                    dps[i] = vvals[i]
+                    dms[i] = -vvals[i]
                 else:
                     pm1 = self.params[i] - 1.0
                     d = 0.0
@@ -394,75 +323,6 @@ cdef class Program:
                 lc = self.left[i]
                 dps[i] = c * dps[lc]
                 dms[i] = c * dms[lc]
-
-    cdef double _leaf_norm(self, int i, int k, double* x) noexcept nogil:
-        cdef int j
-        cdef int dim = self.dim
-        cdef double s, m, a, r, p
-        if k == K_L1:
-            s = 0.0
-            for j in range(dim):
-                s += fabs(x[j])
-            return s
-        if k == K_L2:
-            m = 0.0
-            for j in range(dim):
-                a = fabs(x[j])
-                if a > m:
-                    m = a
-            if m == 0.0:
-                return 0.0
-            s = 0.0
-            for j in range(dim):
-                r = x[j] / m
-                s += r * r
-            return m * sqrt(s)
-        if k == K_LINF:
-            m = 0.0
-            for j in range(dim):
-                a = fabs(x[j])
-                if a > m:
-                    m = a
-            return m
-        if k == K_LP:
-            p = self.params[i]
-            m = 0.0
-            for j in range(dim):
-                a = fabs(x[j])
-                if a > m:
-                    m = a
-            if m == 0.0:
-                return 0.0
-            s = 0.0
-            for j in range(dim):
-                s += pow(fabs(x[j]) / m, p)
-            return m * pow(s, 1.0 / p)
-        if k == K_WLP1:
-            s = 0.0
-            for j in range(dim):
-                s += self.weights[self.woff[i] + j] * fabs(x[j])
-            return s
-        if k == K_WLPINF:
-            m = 0.0
-            for j in range(dim):
-                a = self.weights[self.woff[i] + j] * fabs(x[j])
-                if a > m:
-                    m = a
-            return m
-        if k == K_WLPP:
-            p = self.params[i]
-            m = 0.0
-            for j in range(dim):
-                a = fabs(x[j])
-                if a > m:
-                    m = a
-            if m == 0.0:
-                return 0.0
-            s = 0.0
-            for j in range(dim):
-                s += self.weights[self.woff[i] + j] * pow(fabs(x[j]) / m, p)
-            return m * pow(s, 1.0 / p)
-        return 0.0  # unreachable for well-formed tapes
 
     # -- line restriction ----------------------------------------------------
 

@@ -7,38 +7,29 @@ are used so both backends route through the same libm entry points.
 A Program evaluates one fixed norm expression.  `derivs` returns the
 triple (value, D+, D-) of the map t -> N(u + t v) at t = 0; one-sided
 derivatives exist everywhere because every node is convex.
+
+The tape has four leaf kinds: l2, and wlp with p = 1, inf or finite p
+(`compile_ast` gives l1, linf and lp unit weights).  `_value` holds the
+only copy of each leaf formula.
 """
 
 from __future__ import annotations
 
 import math
 
-from .program import (
-    K_L1,
-    K_L2,
-    K_LINF,
-    K_LP,
-    K_WLP1,
-    K_WLPINF,
-    K_WLPP,
-    K_MAX,
-    K_SUM,
-    K_SCALE,
-)
+from .program import K_L2, K_WLP1, K_WLPINF, K_WLPP, K_MAX, K_SUM, K_SCALE
 
 # relative band for linf active sets and max-combinator ties
 _TIE = 1e-12
 
 
 class Program:
-    __slots__ = ("kinds", "params", "woff", "wlen", "weights", "left", "right",
-                 "dim", "n")
+    __slots__ = ("kinds", "params", "woff", "weights", "left", "right", "dim", "n")
 
-    def __init__(self, kinds, params, woff, wlen, weights, left, right, dim):
+    def __init__(self, kinds, params, woff, weights, left, right, dim):
         self.kinds = tuple(kinds)
         self.params = tuple(params)
         self.woff = tuple(woff)
-        self.wlen = tuple(wlen)
         self.weights = tuple(weights)
         self.left = tuple(left)
         self.right = tuple(right)
@@ -57,12 +48,7 @@ class Program:
         dim = self.dim
         for i in range(self.n):
             k = self.kinds[i]
-            if k == K_L1:
-                s = 0.0
-                for j in range(dim):
-                    s += abs(u[j])
-                vals[i] = s
-            elif k == K_L2:
+            if k == K_L2:
                 m = 0.0
                 for j in range(dim):
                     a = abs(u[j])
@@ -76,29 +62,6 @@ class Program:
                         r = u[j] / m
                         s += r * r
                     vals[i] = m * math.sqrt(s)
-            elif k == K_LINF:
-                m = 0.0
-                for j in range(dim):
-                    a = abs(u[j])
-                    if a > m:
-                        m = a
-                vals[i] = m
-            elif k == K_LP:
-                # scaled by the max coordinate so u far from unit scale
-                # neither overflows nor underflows pow
-                p = self.params[i]
-                m = 0.0
-                for j in range(dim):
-                    a = abs(u[j])
-                    if a > m:
-                        m = a
-                if m == 0.0:
-                    vals[i] = 0.0
-                else:
-                    s = 0.0
-                    for j in range(dim):
-                        s += math.pow(abs(u[j]) / m, p)
-                    vals[i] = m * math.pow(s, 1.0 / p)
             elif k == K_WLP1:
                 wo = self.woff[i]
                 s = 0.0
@@ -114,6 +77,8 @@ class Program:
                         m = a
                 vals[i] = m
             elif k == K_WLPP:
+                # scaled by the max coordinate so u far from unit scale
+                # neither overflows nor underflows pow
                 p = self.params[i]
                 wo = self.woff[i]
                 m = 0.0
@@ -155,70 +120,25 @@ class Program:
         return vals[last], dps[last], dms[last]
 
     def _derivs(self, u, v, vals, dps, dms) -> None:
+        # A leaf that is 0 at u has N(u + t v) = |t| N(v), so D+- = +-N(v);
+        # vvals holds N at v of every node, filled at the first such leaf.
         dim = self.dim
+        vvals = None
         for i in range(self.n):
             k = self.kinds[i]
-            if k == K_L1:
-                sp = 0.0
-                sa = 0.0
-                for j in range(dim):
-                    uj = u[j]
-                    if uj > 0.0:
-                        sp += v[j]
-                    elif uj < 0.0:
-                        sp -= v[j]
-                    else:
-                        sa += abs(v[j])
-                dps[i] = sp + sa
-                dms[i] = sp - sa
-            elif k == K_L2:
+            if k == K_L2:
                 val = vals[i]
                 if val == 0.0:
-                    nv = self._leaf_norm(i, k, v)
-                    dps[i] = nv
-                    dms[i] = -nv
+                    if vvals is None:
+                        vvals = [0.0] * self.n
+                        self._value(v, vvals)
+                    dps[i] = vvals[i]
+                    dms[i] = -vvals[i]
                 else:
                     s = 0.0
                     for j in range(dim):
                         s += u[j] * v[j]
                     d = s / val
-                    dps[i] = d
-                    dms[i] = d
-            elif k == K_LINF:
-                val = vals[i]
-                if val == 0.0:
-                    nv = self._leaf_norm(i, k, v)
-                    dps[i] = nv
-                    dms[i] = -nv
-                else:
-                    thr = (1.0 - _TIE) * val
-                    dp = -math.inf
-                    dm = math.inf
-                    for j in range(dim):
-                        uj = u[j]
-                        if abs(uj) >= thr:
-                            g = v[j] if uj > 0.0 else -v[j]
-                            if g > dp:
-                                dp = g
-                            if g < dm:
-                                dm = g
-                    dps[i] = dp
-                    dms[i] = dm
-            elif k == K_LP:
-                val = vals[i]
-                if val == 0.0:
-                    nv = self._leaf_norm(i, k, v)
-                    dps[i] = nv
-                    dms[i] = -nv
-                else:
-                    pm1 = self.params[i] - 1.0
-                    d = 0.0
-                    for j in range(dim):
-                        uj = u[j]
-                        if uj > 0.0:
-                            d += math.pow(uj / val, pm1) * v[j]
-                        elif uj < 0.0:
-                            d -= math.pow(-uj / val, pm1) * v[j]
                     dps[i] = d
                     dms[i] = d
             elif k == K_WLP1:
@@ -239,9 +159,11 @@ class Program:
             elif k == K_WLPINF:
                 val = vals[i]
                 if val == 0.0:
-                    nv = self._leaf_norm(i, k, v)
-                    dps[i] = nv
-                    dms[i] = -nv
+                    if vvals is None:
+                        vvals = [0.0] * self.n
+                        self._value(v, vvals)
+                    dps[i] = vvals[i]
+                    dms[i] = -vvals[i]
                 else:
                     wo = self.woff[i]
                     thr = (1.0 - _TIE) * val
@@ -261,9 +183,11 @@ class Program:
             elif k == K_WLPP:
                 val = vals[i]
                 if val == 0.0:
-                    nv = self._leaf_norm(i, k, v)
-                    dps[i] = nv
-                    dms[i] = -nv
+                    if vvals is None:
+                        vvals = [0.0] * self.n
+                        self._value(v, vvals)
+                    dps[i] = vvals[i]
+                    dms[i] = -vvals[i]
                 else:
                     pm1 = self.params[i] - 1.0
                     wo = self.woff[i]
@@ -304,77 +228,6 @@ class Program:
                 lc = self.left[i]
                 dps[i] = c * dps[lc]
                 dms[i] = c * dms[lc]
-
-    def _leaf_norm(self, i: int, k: int, x) -> float:
-        """Value of the single leaf at tape slot i applied to x."""
-        dim = self.dim
-        if k == K_L1:
-            s = 0.0
-            for j in range(dim):
-                s += abs(x[j])
-            return s
-        if k == K_L2:
-            m = 0.0
-            for j in range(dim):
-                a = abs(x[j])
-                if a > m:
-                    m = a
-            if m == 0.0:
-                return 0.0
-            s = 0.0
-            for j in range(dim):
-                r = x[j] / m
-                s += r * r
-            return m * math.sqrt(s)
-        if k == K_LINF:
-            m = 0.0
-            for j in range(dim):
-                a = abs(x[j])
-                if a > m:
-                    m = a
-            return m
-        if k == K_LP:
-            p = self.params[i]
-            m = 0.0
-            for j in range(dim):
-                a = abs(x[j])
-                if a > m:
-                    m = a
-            if m == 0.0:
-                return 0.0
-            s = 0.0
-            for j in range(dim):
-                s += math.pow(abs(x[j]) / m, p)
-            return m * math.pow(s, 1.0 / p)
-        if k == K_WLP1:
-            wo = self.woff[i]
-            s = 0.0
-            for j in range(dim):
-                s += self.weights[wo + j] * abs(x[j])
-            return s
-        if k == K_WLPINF:
-            wo = self.woff[i]
-            m = 0.0
-            for j in range(dim):
-                a = self.weights[wo + j] * abs(x[j])
-                if a > m:
-                    m = a
-            return m
-        if k == K_WLPP:
-            p = self.params[i]
-            wo = self.woff[i]
-            m = 0.0
-            for j in range(dim):
-                a = abs(x[j])
-                if a > m:
-                    m = a
-            if m == 0.0:
-                return 0.0
-            s = 0.0
-            for j in range(dim):
-                s += self.weights[wo + j] * math.pow(abs(x[j]) / m, p)
-            return m * math.pow(s, 1.0 / p)
-        raise AssertionError(f"not a leaf kind: {k}")
 
     # -- line restriction ----------------------------------------------------
 

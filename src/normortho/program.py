@@ -14,10 +14,7 @@ import math
 from . import normast
 
 __all__ = [
-    "K_L1",
     "K_L2",
-    "K_LINF",
-    "K_LP",
     "K_WLP1",
     "K_WLPINF",
     "K_WLPP",
@@ -27,52 +24,58 @@ __all__ = [
     "compile_ast",
 ]
 
-K_L1, K_L2, K_LINF, K_LP, K_WLP1, K_WLPINF, K_WLPP, K_MAX, K_SUM, K_SCALE = range(10)
+K_L2, K_WLP1, K_WLPINF, K_WLPP, K_MAX, K_SUM, K_SCALE = range(7)
 
 
 def compile_ast(ast: normast.NormAst):
-    """Return (kinds, params, woff, wlen, weights, left, right, dim) tuples.
+    """Return the tape (kinds, params, woff, weights, left, right, dim).
 
-    params holds the exponent for K_LP/K_WLPP nodes and the factor for
-    K_SCALE nodes; woff/wlen index into the shared weights pool for the
-    weighted families; left/right hold child tape positions (-1 if unused).
+    kinds, params, woff, left and right hold one entry per node.  params
+    holds the exponent for K_WLPP nodes and the factor for K_SCALE nodes;
+    woff is where a weighted leaf's dim weights start in the shared
+    weights pool; left/right hold child tape positions (-1 if unused).
+
+    l1, linf and lp(p) compile as wlp(1), wlp(inf) and wlp(p) with a run
+    of dim unit weights: 1.0 * x == x exactly, so each rounds as its own
+    formula would.  lp(2) keeps K_L2, whose r*r/sqrt value and u.v/N
+    derivative round differently from wlp(2).
     """
     kinds: list[int] = []
     params: list[float] = []
     woff: list[int] = []
-    wlen: list[int] = []
     left: list[int] = []
     right: list[int] = []
     weights: list[float] = []
 
-    def emit(kind: int, param: float = 0.0, wo: int = 0, wl: int = 0,
+    def emit(kind: int, param: float = 0.0, wo: int = 0,
              lc: int = -1, rc: int = -1) -> int:
         kinds.append(kind)
         params.append(param)
         woff.append(wo)
-        wlen.append(wl)
         left.append(lc)
         right.append(rc)
         return len(kinds) - 1
 
+    def wlp(p: float, ws) -> int:
+        wo = len(weights)
+        weights.extend(ws)
+        if p == 1.0:
+            return emit(K_WLP1, wo=wo)
+        if math.isinf(p):
+            return emit(K_WLPINF, wo=wo)
+        return emit(K_WLPP, param=p, wo=wo)
+
     def walk(node: normast.NormAst) -> int:
         if isinstance(node, normast.L1):
-            return emit(K_L1)
+            return wlp(1.0, (1.0,) * node.dim)
         if isinstance(node, normast.LInf):
-            return emit(K_LINF)
+            return wlp(math.inf, (1.0,) * node.dim)
         if isinstance(node, normast.Lp):
             if node.p == 2.0:
                 return emit(K_L2)
-            return emit(K_LP, param=node.p)
+            return wlp(node.p, (1.0,) * node.dim)
         if isinstance(node, normast.WLp):
-            wo = len(weights)
-            weights.extend(node.weights)
-            wl = len(node.weights)
-            if node.p == 1.0:
-                return emit(K_WLP1, wo=wo, wl=wl)
-            if math.isinf(node.p):
-                return emit(K_WLPINF, wo=wo, wl=wl)
-            return emit(K_WLPP, param=node.p, wo=wo, wl=wl)
+            return wlp(node.p, node.weights)
         if isinstance(node, normast.Max):
             lc = walk(node.left)
             rc = walk(node.right)
@@ -91,7 +94,6 @@ def compile_ast(ast: normast.NormAst):
         tuple(kinds),
         tuple(params),
         tuple(woff),
-        tuple(wlen),
         tuple(weights),
         tuple(left),
         tuple(right),

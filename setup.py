@@ -1,5 +1,5 @@
 from setuptools import Extension, setup
 
-# The committed C is generated from _kernels.pyx by Cython 3.2.8 (see the
-# README); building it needs only a C compiler.
+# _kernels.c is a hand-written CPython extension; building it needs only a
+# C compiler and the Python headers.
 setup(ext_modules=[Extension("normortho._kernels", ["src/normortho/_kernels.c"])])

@@ -1,7 +1,7 @@
 """Pure Python tape interpreter.
 
 Mirrors the compiled extension instruction for instruction; when touching
-a formula here, change `_kernels.pyx` identically.  math.pow and math.sqrt
+a formula here, change `_kernels.c` identically.  math.pow and math.sqrt
 are used so both backends route through the same libm entry points.
 
 A Program evaluates one fixed norm expression.  `derivs` returns the

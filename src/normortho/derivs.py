@@ -142,7 +142,7 @@ def _sip(prog, v: Vector, u: Vector) -> float:
     if val == 0.0:
         raise ZeroVectorError("semi-inner product needs a nonzero second argument")
     rm, rp = val * dm, val * dp
-    scale = max(1.0, abs(rm), abs(rp))
+    scale = max(abs(rm), abs(rp))
     if abs(rp - rm) > _SMOOTH_TOL * scale:
         raise NonSmoothPointError(
             f"norm is not smooth at this point: rho_+ = {rp!r} differs from rho_- = {rm!r}"

@@ -91,7 +91,10 @@ def _residual(rel: Relation, prog, u: Vector, v: Vector) -> float:
         return plus - minus
     if tag == "pythagorean":
         diff = prog.value(tuple(a - b for a, b in zip(u, v)))
-        return diff * diff - (prog.value(u) ** 2 + prog.value(v) ** 2)
+        nu = prog.value(u)
+        nv = prog.value(v)
+        # products, not ** 2: float ** raises OverflowError past ~1.3e154
+        return diff * diff - (nu * nu + nv * nv)
     if tag == "semi":
         return _sip(prog, v, u)
     rm, rp = _rho_pair(prog, u, v)

@@ -169,6 +169,13 @@ class TestOrthoCommand:
         )
         assert code == 2
 
+    def test_pythagorean_at_huge_scale_exits_zero(self, capsys):
+        got = _run_json(
+            capsys, "ortho", "--norm", "l2", "--u", "1e200,0", "--v", "0,1e200",
+            "--relation", "pythagorean",
+        )
+        assert got["relation"] == "pythagorean"
+
     def test_relation_requires_parameters(self, capsys):
         code, _, err = _run(
             capsys, "ortho", "--norm", "l2", "--u", "1,0", "--v", "0,1",

@@ -2,20 +2,32 @@
 
 Any entry that moves is a change in what users see; make_cli_golden.py
 says how to regenerate cli_golden.jsonl when such a change is intended.
+The corpus runs once per backend.
 """
 
 import json
 import os
+
+import pytest
+
+import normortho.kernels
+from normortho.kernels import get_program
 
 from make_cli_golden import run_one
 
 _CORPUS = os.path.join(os.path.dirname(__file__), "cli_golden.jsonl")
 
 
-def test_cli_output_matches_golden_corpus():
+@pytest.mark.parametrize("backend", ["_kernels_py", "_kernels"], indirect=True)
+def test_cli_output_matches_golden_corpus(backend, monkeypatch):
     with open(_CORPUS, encoding="utf-8") as fh:
         entries = [json.loads(line) for line in fh]
     assert len({e["argv"][0] for e in entries}) == 12
-    changed = [e["argv"] for e in entries
-               if run_one(e["argv"]) != (e["exit"], e["stdout_sha256"])]
+    monkeypatch.setattr(normortho.kernels, "_impl", backend)
+    get_program.cache_clear()
+    try:
+        changed = [e["argv"] for e in entries
+                   if run_one(e["argv"]) != (e["exit"], e["stdout_sha256"])]
+    finally:
+        get_program.cache_clear()
     assert not changed, f"{len(changed)} of {len(entries)} commands changed, first: {changed[0]}"

@@ -302,9 +302,11 @@ class TestSip:
         got = sip(LP3, (1.0, 1.0), (1.0, 1.0))
         assert abs(got - 2.0 ** (2.0 / 3.0)) <= 1e-12
 
-    def test_corner_raises(self):
+    @pytest.mark.parametrize("s", [1e-300, 1e-13, 1.0, 1e300])
+    def test_corner_raises(self, s):
+        # rho_pm scale with u, so the smoothness band must be relative
         with pytest.raises(NonSmoothPointError):
-            sip(LINF, (1.0, -1.0), (1.0, 1.0))
+            sip(LINF, (1.0, -1.0), (s, s))
 
     def test_zero_second_argument_raises(self):
         with pytest.raises(ZeroVectorError):

@@ -162,6 +162,11 @@ class TestOtherRelations:
             Relation("pythagorean"), L2, (1.0, 0.0), (0.5, 1.0)
         ).holds
 
+    def test_pythagorean_residual_past_float_square_range(self):
+        # float ** 2 raises OverflowError above about 1.3e154
+        r = relation_residual(Relation("pythagorean"), L2, (1e200, 0.0), (0.0, 1e200))
+        assert isinstance(r, float)
+
     def test_semi_inner_product_relation(self):
         assert is_orthogonal(Relation("semi"), L2, (1.0, 0.0), (0.0, 1.0)).holds
 

@@ -305,6 +305,41 @@ static int check_pair(const Program *self, const char *name,
     return 0;
 }
 
+/* 0 if every node has a known kind, its children are earlier nodes and
+   a weighted leaf's dim weights lie in the pool of nw; else -1 with
+   ValueError set.  Same checks and texts as _kernels_py.Program. */
+static int check_tape(const Program *p, Py_ssize_t nw)
+{
+    for (int i = 0; i < p->n; i++) {
+        int k = p->kinds[i], nc = 0;
+        if (k < K_L2 || k > K_SCALE) {
+            PyErr_Format(PyExc_ValueError, "tape node %d: unknown kind %d", i, k);
+            return -1;
+        }
+        if (k == K_MAX || k == K_SUM)
+            nc = 2;
+        else if (k == K_SCALE)
+            nc = 1;
+        for (int c = 0; c < nc; c++) {
+            int child = c == 0 ? p->left[i] : p->right[i];
+            if (child < 0 || child >= i) {
+                PyErr_Format(PyExc_ValueError,
+                             "tape node %d: child %d is not an earlier node", i, child);
+                return -1;
+            }
+        }
+        Py_ssize_t wo = p->woff[i];
+        if ((k == K_WLP1 || k == K_WLPINF || k == K_WLPP)
+            && (wo < 0 || wo + p->dim > nw)) {
+            PyErr_Format(PyExc_ValueError,
+                         "tape node %d: weights %zd..%zd lie outside the pool of %zd",
+                         i, wo, wo + p->dim, nw);
+            return -1;
+        }
+    }
+    return 0;
+}
+
 static PyObject *Program_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
 {
     static char *kwlist[] = {"kinds", "params", "woff", "weights", "left", "right",
@@ -317,6 +352,17 @@ static PyObject *Program_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
     Py_ssize_t n = PyObject_Length(kinds), nw = PyObject_Length(weights);
     if (n < 0 || nw < 0)
         return NULL;
+    PyObject *cols[] = {params, woff, left, right};
+    for (int c = 0; c < 4; c++) {
+        Py_ssize_t len = PyObject_Length(cols[c]);
+        if (len < 0)
+            return NULL;
+        if (n < 1 || n > INT_MAX || len != n) {
+            PyErr_SetString(PyExc_ValueError,
+                            "tape columns must all have the same length n >= 1");
+            return NULL;
+        }
+    }
     Program *self = (Program *)type->tp_alloc(type, 0);
     if (self == NULL)
         return NULL;
@@ -334,7 +380,8 @@ static PyObject *Program_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
     self->right = self->left + n;
     if (load_ints(kinds, n, self->kinds) < 0 || load_doubles(params, n, self->params) < 0
         || load_ints(woff, n, self->woff) < 0 || load_doubles(weights, nw, self->weights) < 0
-        || load_ints(left, n, self->left) < 0 || load_ints(right, n, self->right) < 0) {
+        || load_ints(left, n, self->left) < 0 || load_ints(right, n, self->right) < 0
+        || check_tape(self, nw) < 0) {
         Py_DECREF(self);
         return NULL;
     }

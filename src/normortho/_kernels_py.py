@@ -34,7 +34,27 @@ class Program:
         self.left = tuple(left)
         self.right = tuple(right)
         self.dim = int(dim)
-        self.n = len(self.kinds)
+        self.n = n = len(self.kinds)
+        if n < 1 or any(len(col) != n for col in (self.params, self.woff,
+                                                  self.left, self.right)):
+            raise ValueError("tape columns must all have the same length n >= 1")
+        nw = len(self.weights)
+        for i, k in enumerate(self.kinds):
+            if not K_L2 <= k <= K_SCALE:
+                raise ValueError(f"tape node {i}: unknown kind {k}")
+            if k == K_MAX or k == K_SUM:
+                children = (self.left[i], self.right[i])
+            elif k == K_SCALE:
+                children = (self.left[i],)
+            else:
+                children = ()
+            for child in children:
+                if not 0 <= child < i:
+                    raise ValueError(f"tape node {i}: child {child} is not an earlier node")
+            wo = self.woff[i]
+            if k in (K_WLP1, K_WLPINF, K_WLPP) and not 0 <= wo <= nw - self.dim:
+                raise ValueError(f"tape node {i}: weights {wo}..{wo + self.dim} "
+                                 f"lie outside the pool of {nw}")
 
     # -- evaluation ---------------------------------------------------------
 

@@ -11,6 +11,7 @@ every candidate before reporting it.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .derivs import AlphaBeta, _rho_ab
@@ -132,7 +133,7 @@ class IncomparabilityReport:
 
 
 def _apply(lin: LinearMap, x: Vector) -> Vector:
-    return tuple(math.fsum(r * c for r, c in zip(row, x)) for row in lin.matrix)
+    return tuple([math.fsum(map(operator.mul, row, x)) for row in lin.matrix])
 
 
 def apply_map(lin: LinearMap, u) -> Vector:
@@ -158,19 +159,15 @@ def operator_norm(lin: LinearMap, cfg: SampleConfig) -> OperatorNormEstimate:
     cod = get_program(lin.codomain_norm)
     dim = lin.domain_norm.dim
 
-    def unit(x: Vector) -> Vector:
-        r = dom.value(x)
-        return tuple(c / r for c in x)
-
-    def gain(x: Vector) -> float:
-        return cod.value(_apply(lin, x))
-
     if dim == 2:
         grid = 1024
         step = 2.0 * math.pi / grid
+        matrix = lin.matrix
+        cod_value = cod.value
 
         def f(theta: float) -> float:
-            return gain(_circle_point(dom, theta))
+            x = _circle_point(dom, theta)
+            return cod_value(tuple([math.fsum(map(operator.mul, row, x)) for row in matrix]))
 
         best_j = 0
         best = -1.0
@@ -184,6 +181,13 @@ def operator_norm(lin: LinearMap, cfg: SampleConfig) -> OperatorNormEstimate:
         if -lowest >= best:
             return OperatorNormEstimate(-lowest, _circle_point(dom, theta), "fine")
         return OperatorNormEstimate(best, _circle_point(dom, theta0), "fine")
+
+    def unit(x: Vector) -> Vector:
+        r = dom.value(x)
+        return tuple([c / r for c in x])
+
+    def gain(x: Vector) -> float:
+        return cod.value(_apply(lin, x))
 
     rng = SplitMix64(cfg.seed)
     best_x: Vector | None = None
@@ -200,7 +204,7 @@ def operator_norm(lin: LinearMap, cfg: SampleConfig) -> OperatorNormEstimate:
             moved = False
             for _ in range(8):
                 proposals -= 1
-                cand = tuple(c + rng.uniform(-delta, delta) for c in x)
+                cand = tuple([c + rng.uniform(-delta, delta) for c in x])
                 if dom.value(cand) == 0.0:
                     continue
                 cand = unit(cand)
@@ -229,7 +233,10 @@ def preserver_check(lin: LinearMap, ab: AlphaBeta, cfg: SampleConfig) -> Preserv
 
     Conditions pass at 1e-6; the tolerance widens to 1e-5 for coarse
     (hill-climbed) operator-norm estimates.  Singular maps surface in
-    condition (2) through a near-kernel sphere direction.
+    condition (2) through a near-kernel sphere direction.  Conditions (1)
+    and (3) skip a sample whose norm product is below 1e-12 scale^2, a
+    floor relative to the sampling scale, so the verdict does not depend
+    on it.
     """
     opn = operator_norm(lin, cfg)
     tol = 1e-6 if opn.grade == "fine" else 1e-5
@@ -237,6 +244,7 @@ def preserver_check(lin: LinearMap, ab: AlphaBeta, cfg: SampleConfig) -> Preserv
     dom = get_program(dom_ast)
     cod = get_program(lin.codomain_norm)
     dim = dom_ast.dim
+    floor = 1e-12 * cfg.scale * cfg.scale
     root = SplitMix64(cfg.seed)
 
     # condition 1: transported orthogonal pairs
@@ -254,7 +262,7 @@ def preserver_check(lin: LinearMap, ab: AlphaBeta, cfg: SampleConfig) -> Preserv
         tu = _apply(lin, u)
         tw = _apply(lin, w)
         denom = cod.value(tu) * cod.value(tw)
-        if denom < 1e-12:
+        if denom < floor:
             continue
         ratio = abs(_rho_ab(cod, tu, tw, ab)) / denom
         if ratio > worst1:
@@ -280,7 +288,7 @@ def preserver_check(lin: LinearMap, ab: AlphaBeta, cfg: SampleConfig) -> Preserv
         v = random_vector(rng, dim, cfg.scale)
         nu = dom.value(u)
         nv = dom.value(v)
-        if nu * nv < 1e-12:
+        if nu * nv < floor:
             continue
         gap = abs(_rho_ab(cod, _apply(lin, u), _apply(lin, v), ab)
                   - tsq * _rho_ab(dom, u, v, ab))
@@ -326,7 +334,7 @@ def _search_direction(prog, rel_hold: Relation, rel_test: Relation,
         r = prog.value(base)
         if r == 0.0:
             continue
-        u = tuple(c / r for c in base)
+        u = tuple([c / r for c in base])
 
         def residual_at(theta: float) -> float:
             return _residual(rel_hold, prog, u, _circle_point(prog, theta))

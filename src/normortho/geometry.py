@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 from .derivs import AlphaBeta, _rho_ab, _rho_pair
@@ -113,8 +114,8 @@ def angle_homogeneity_check(ast: NormAst, u, v, a: float, b: float,
         raise ValueError("scale factors must be nonzero")
     uu, vv = _vectors(ast, u, v)
     prog = get_program(ast)
-    scaled_u = tuple(a * c for c in uu)
-    scaled_v = tuple(b * c for c in vv)
+    scaled_u = tuple([a * c for c in uu])
+    scaled_v = tuple([b * c for c in vv])
     lhs = _angle(prog, scaled_u, scaled_v, ab).theta
     if a * b > 0.0:
         return abs(lhs - _angle(prog, uu, vv, ab).theta)
@@ -221,14 +222,17 @@ def strict_convexity_probe(ast: NormAst, cfg: SampleConfig,
     used = 0
 
     def check(u: Vector, v: Vector):
-        if prog.value(tuple(a - b for a, b in zip(u, v))) <= min_separation:
+        if prog.value(tuple(map(operator.sub, u, v))) <= min_separation:
             return None
-        mid = prog.value(tuple((a + b) / 2.0 for a, b in zip(u, v)))
+        mid = prog.value(tuple([s / 2.0 for s in map(operator.add, u, v)]))
         if mid >= 1.0 - 1e-9:
             return mid
         return None
 
-    corners = [tuple(c / prog.value(cv) for c in cv) for cv in corner_vectors(dim)]
+    corners = []
+    for cv in corner_vectors(dim):
+        r = prog.value(cv)
+        corners.append(tuple([c / r for c in cv]))
     for i, u in enumerate(corners):
         for v in corners[i + 1:]:
             if used >= cfg.count:
@@ -242,8 +246,8 @@ def strict_convexity_probe(ast: NormAst, cfg: SampleConfig,
         y = _nonzero_vector(rng, prog, dim, cfg.scale)
         rx = prog.value(x)
         ry = prog.value(y)
-        u = tuple(c / rx for c in x)
-        v = tuple(c / ry for c in y)
+        u = tuple([c / rx for c in x])
+        v = tuple([c / ry for c in y])
         used += 1
         mid = check(u, v)
         if mid is not None:
@@ -262,8 +266,8 @@ def quartic_identity_residual(ast: NormAst, u, v, ab: AlphaBeta) -> float:
     """
     uu, vv = _vectors(ast, u, v)
     prog = get_program(ast)
-    plus = prog.value(tuple(a + b for a, b in zip(uu, vv)))
-    minus = prog.value(tuple(a - b for a, b in zip(uu, vv)))
+    plus = prog.value(tuple(map(operator.add, uu, vv)))
+    minus = prog.value(tuple(map(operator.sub, uu, vv)))
     nu = prog.value(uu)
     nv = prog.value(vv)
     lhs = ab.total * (plus**4 - minus**4)
@@ -306,13 +310,19 @@ def norm_equiv_constant(ast1: NormAst, ast2: NormAst, ab: AlphaBeta,
                         cfg: SampleConfig) -> ExtremeEstimate:
     """Sampled estimate of the constant k bounding
     |rho_ab_1(u,v) - rho_ab_2(u,v)| by k min(norm1(u) norm1(v),
-    norm2(u) norm2(v)); finite for any two norms on the same space."""
+    norm2(u) norm2(v)); finite for any two norms on the same space.
+
+    A sample whose denominator is below 1e-12 scale^2 is skipped and
+    counted; the floor is relative to the sampling scale, so the
+    estimate does not depend on it.
+    """
     if ast1.dim != ast2.dim:
         raise ValueError("both norms must share the ambient dimension")
     prog1 = get_program(ast1)
     prog2 = get_program(ast2)
     rng = SplitMix64(cfg.seed)
     dim = ast1.dim
+    floor = 1e-12 * cfg.scale * cfg.scale
     best = 0.0
     witness: tuple[Vector, Vector] | None = None
     skipped = 0
@@ -320,7 +330,7 @@ def norm_equiv_constant(ast1: NormAst, ast2: NormAst, ab: AlphaBeta,
         u = random_vector(rng, dim, cfg.scale)
         v = random_vector(rng, dim, cfg.scale)
         denom = min(prog1.value(u) * prog1.value(v), prog2.value(u) * prog2.value(v))
-        if denom < 1e-12:
+        if denom < floor:
             skipped += 1
             continue
         gap = abs(_rho_ab(prog1, u, v, ab) - _rho_ab(prog2, u, v, ab))

@@ -10,6 +10,7 @@ search and never touches the derivative engine.  Each guards the other.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .derivs import AlphaBeta, Lambda, _rho_pair, _sip
@@ -86,11 +87,11 @@ class LocusPoint:
 def _residual(rel: Relation, prog, u: Vector, v: Vector) -> float:
     tag = rel.tag
     if tag == "isosceles":
-        plus = prog.value(tuple(a + b for a, b in zip(u, v)))
-        minus = prog.value(tuple(a - b for a, b in zip(u, v)))
+        plus = prog.value(tuple(map(operator.add, u, v)))
+        minus = prog.value(tuple(map(operator.sub, u, v)))
         return plus - minus
     if tag == "pythagorean":
-        diff = prog.value(tuple(a - b for a, b in zip(u, v)))
+        diff = prog.value(tuple(map(operator.sub, u, v)))
         nu = prog.value(u)
         nv = prog.value(v)
         # products, not ** 2: float ** raises OverflowError past ~1.3e154
@@ -228,7 +229,7 @@ def _orthogonalize(prog, u: Vector, v: Vector, ab: AlphaBeta) -> tuple[float, Ve
         raise ZeroVectorError("orthogonalizer needs a nonzero u")
     r_ab = ab.alpha * (val * dm) + ab.beta * (val * dp)
     s = -r_ab / (ab.total * val * val)
-    w = tuple(s * a + b for a, b in zip(u, v))
+    w = tuple([s * a + b for a, b in zip(u, v)])
     return s, w
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 from .errors import DimensionMismatchError
@@ -103,7 +104,7 @@ def norm_on_line(ast: NormAst, u, v):
 
 def random_vector(rng: SplitMix64, dim: int, scale: float) -> Vector:
     """Coordinates drawn uniformly from [-scale, scale]."""
-    return tuple(rng.uniform(-scale, scale) for _ in range(dim))
+    return tuple([rng.uniform(-scale, scale) for _ in range(dim)])
 
 
 def audit_norm(ast: NormAst, cfg: SampleConfig, tol: float = AUDIT_TOL) -> NormAudit:
@@ -132,12 +133,12 @@ def audit_norm(ast: NormAst, cfg: SampleConfig, tol: float = AUDIT_TOL) -> NormA
         nu = prog.value(u)
         nv = prog.value(v)
 
-        tu = tuple(t * c for c in u)
+        tu = tuple([t * c for c in u])
         defect = abs(prog.value(tu) - abs(t) * nu)
         if defect > tol * nu:
             record("homogeneity", defect, u, None, t)
 
-        uv = tuple(a + b for a, b in zip(u, v))
+        uv = tuple(map(operator.add, u, v))
         defect = prog.value(uv) - (nu + nv)
         if defect > tol:
             record("triangle", defect, u, v, None)
@@ -164,7 +165,7 @@ def sphere_sample(ast: NormAst, cfg: SampleConfig) -> list[Vector]:
         r = prog.value(x)
         if r == 0.0:
             continue
-        out.append(tuple(c / r for c in x))
+        out.append(tuple([c / r for c in x]))
     return out
 
 

@@ -158,6 +158,35 @@ def test_pure_python_results_reachable_through_api():
 
 
 @pytest.mark.parametrize("backend", ["_kernels_py", "_kernels"], indirect=True)
+@pytest.mark.parametrize("tape, message", [
+    (((), (), (), (), (), (), 2), "same length n >= 1"),
+    (((0, 0), (0.0,), (0, 0), (), (-1, -1), (-1, -1), 2), "same length n >= 1"),
+    (((9,), (0.0,), (0,), (), (-1,), (-1,), 2), "node 0: unknown kind 9"),
+    (((-1,), (0.0,), (0,), (), (-1,), (-1,), 2), "node 0: unknown kind -1"),
+    (((4,), (0.0,), (0,), (), (100000,), (-7,), 2),
+     "node 0: child 100000 is not an earlier node"),
+    (((0, 5), (0.0, 0.0), (0, 0), (), (-1, 0), (-1, 1), 2),
+     "node 1: child 1 is not an earlier node"),
+    (((0, 6), (0.0, 2.0), (0, 0), (), (-1, -1), (-1, -1), 2),
+     "node 1: child -1 is not an earlier node"),
+    (((1,), (0.0,), (1,), (1.0, 1.0), (-1,), (-1,), 2),
+     "node 0: weights 1..3 lie outside the pool of 2"),
+    (((3,), (2.0,), (-1,), (1.0, 1.0), (-1,), (-1,), 2),
+     "node 0: weights -1..1 lie outside the pool of 2"),
+])
+def test_both_backends_reject_malformed_tape(backend, tape, message):
+    with pytest.raises(ValueError, match=message):
+        backend.Program(*tape)
+
+
+@pytest.mark.parametrize("backend", ["_kernels_py", "_kernels"], indirect=True)
+def test_tape_check_accepts_unused_child_slots(backend):
+    # a scale node reads only left; leaves read neither child slot
+    prog = backend.Program((0, 6), (0.0, 2.0), (0, 0), (), (-1, 0), (-1, 77), 2)
+    assert prog.value((3.0, 4.0)) == 10.0
+
+
+@pytest.mark.parametrize("backend", ["_kernels_py", "_kernels"], indirect=True)
 @pytest.mark.parametrize("family", ["max(l1, scale(0.5, l2))", "max(lp(3), linf)"])
 def test_max_derivative_is_scale_free(backend, family):
     # D+- of a norm is homogeneous of degree 0 in u, so a max node must

@@ -20,6 +20,7 @@ from normortho import (
     relation_residual,
     rho_ab,
 )
+from normortho.explorer import _apply
 
 L1 = parse_norm("l1", 2)
 L2 = parse_norm("l2", 2)
@@ -62,6 +63,28 @@ class TestLinearMap:
             apply_map(lin, (1.0, 2.0, 3.0))
 
 
+    @pytest.mark.parametrize("matrix", [
+        ((-0.0, 1.5), (5e-324, -2.0)),
+        ((1.0, -0.0), (0.0, 0.0), (-3e-310, 2.5)),
+        ((1e16, 1.0, -1e16), (-0.0, 1e-300, 7.0)),
+        ((0.1, 0.2, 0.3), (-0.0, -0.0, -0.0), (1e16, 1.0, -1e16)),
+    ])
+    def test_apply_is_fsum_of_row_products(self, matrix):
+        rows, cols = len(matrix), len(matrix[0])
+        lin = LinearMap(matrix, parse_norm("l2", cols), parse_norm("l2", rows))
+        xs = [(1.0,) * cols, (-0.0,) * cols, (5e-324, -1.0, 3.0)[:cols],
+              (-2.5, 1e-310, 0.7)[:cols], (1e300, -1e300, 1.0)[:cols]]
+        for x in xs:
+            got = _apply(lin, x)
+            want = [math.fsum([r * c for r, c in zip(row, x)]) for row in lin.matrix]
+            assert [g.hex() for g in got] == [w.hex() for w in want]
+
+    def test_apply_sums_without_cancellation(self):
+        # a plain left-to-right sum gives 0.0 here
+        lin = LinearMap(((1e16, 1.0, -1e16), (1.0, 1e16, -1e16)), parse_norm("l2", 3), L2)
+        assert apply_map(lin, (1.0, 1.0, 1.0)) == (1.0, 1.0)
+
+
 class TestOperatorNorm:
     def test_identity(self):
         lin = LinearMap(((1.0, 0.0), (0.0, 1.0)), L2, L2)
@@ -101,6 +124,15 @@ class TestOperatorNorm:
         ratio = eval_norm(LINF, apply_map(lin, x)) / eval_norm(L1, x)
         assert ratio <= got.value + 1e-12
         assert got.value <= ratio + 1e-9
+
+    @pytest.mark.parametrize("matrix", [((1.0, 0.4), (-0.3, 1.2)),
+                                        ((1.0, 0.5), (0.0, 1.0), (-0.3, 0.2))])
+    def test_planar_value_is_gain_at_direction(self, matrix):
+        cod = parse_norm("linf", len(matrix))
+        lin = LinearMap(matrix, L1, cod)
+        got = operator_norm(lin, SampleConfig(seed=2, count=40))
+        assert got.grade == "fine"
+        assert got.value == eval_norm(cod, apply_map(lin, got.direction))
 
     def test_dim3_coarse_grade(self):
         l2_3 = parse_norm("l2", 3)
@@ -165,6 +197,22 @@ class TestPreserverCheck:
         rhs = opn * opn * rho_ab(L2, u, v, AB)
         denom = AB.total * opn * opn * eval_norm(L2, u) * eval_norm(L2, v)
         assert abs(lhs - rhs) / denom > got.rho_scaling.tol
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e-7, 1.0, 1e100])
+    def test_verdicts_do_not_depend_on_scale(self, scale):
+        # the skip floor is relative to scale^2: at small scales an absolute
+        # floor skipped every sample and the shear passed vacuously
+        ab = AlphaBeta(0.3, 0.5)
+        cfg = SampleConfig(seed=3, count=200, scale=scale)
+        shear = LinearMap(((1.0, 0.7), (0.0, 1.0)), L2, L2)
+        got = preserver_check(shear, ab, cfg)
+        ref = preserver_check(shear, ab, SampleConfig(seed=3, count=200))
+        assert not got.orthogonality.passed
+        assert not got.rho_scaling.passed
+        assert got.orthogonality.worst == pytest.approx(ref.orthogonality.worst, rel=1e-9)
+        assert got.rho_scaling.worst == pytest.approx(ref.rho_scaling.worst, rel=1e-9)
+        assert preserver_check(LinearMap(_rotation(0.7), L2, L2), ab, cfg).all_pass
+        assert preserver_check(LinearMap(((0.0, -1.0), (1.0, 0.0)), L1, L1), ab, cfg).all_pass
 
     def test_singular_map_fails_norm_multiple(self):
         lin = LinearMap(((1.0, 0.0), (0.0, 0.0)), L2, L2)

@@ -120,6 +120,13 @@ class TestAngleHomogeneity:
             got = angle_homogeneity_check(L1, u, v, 1.5, -2.0, ab)
             assert abs(got) <= 1e-9
 
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_int_scalars_match_float_scalars(self, family):
+        ast = parse_norm(family, 2)
+        u, v = (1.0, 2.0), (-1.5, 0.25)
+        got = angle_homogeneity_check(ast, u, v, 2, -3, AB)
+        assert got == angle_homogeneity_check(ast, u, v, 2.0, -3.0, AB)
+
     def test_zero_scale_rejected(self):
         with pytest.raises(ValueError):
             angle_homogeneity_check(L2, (1.0, 0.0), (0.0, 1.0), 1.0, 0.0, AB)
@@ -291,6 +298,15 @@ class TestNormEquivConstant:
         # analytic bound 3 (alpha + beta) = 1.8 for a doubled norm
         assert got.value <= 1.8 + 1e-9
         assert abs(got.value - 1.7999999546094398) <= 1e-9
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e-7, 1.0, 1e100])
+    def test_no_sample_skipped_at_any_scale(self, scale):
+        # the skip floor is relative to scale^2; an absolute one skipped
+        # every sample at small scales and reported 0.0
+        got = norm_equiv_constant(L1, L2, AB, SampleConfig(seed=2, count=200, scale=scale))
+        ref = norm_equiv_constant(L1, L2, AB, SampleConfig(seed=2, count=200))
+        assert got.skipped == 0
+        assert got.value == pytest.approx(ref.value, rel=1e-9)
 
     def test_l1_sup_pair_in_band(self):
         got = norm_equiv_constant(L1, LINF, AB, SampleConfig(seed=1, count=10000))

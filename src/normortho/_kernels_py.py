@@ -146,21 +146,20 @@ class Program:
         vvals = None
         for i in range(self.n):
             k = self.kinds[i]
-            if k == K_L2:
-                val = vals[i]
-                if val == 0.0:
-                    if vvals is None:
-                        vvals = [0.0] * self.n
-                        self._value(v, vvals)
-                    dps[i] = vvals[i]
-                    dms[i] = -vvals[i]
-                else:
-                    s = 0.0
-                    for j in range(dim):
-                        s += u[j] * v[j]
-                    d = s / val
-                    dps[i] = d
-                    dms[i] = d
+            val = vals[i]
+            if (k == K_L2 or k == K_WLPINF or k == K_WLPP) and val == 0.0:
+                if vvals is None:
+                    vvals = [0.0] * self.n
+                    self._value(v, vvals)
+                dps[i] = vvals[i]
+                dms[i] = -vvals[i]
+            elif k == K_L2:
+                s = 0.0
+                for j in range(dim):
+                    s += u[j] * v[j]
+                d = s / val
+                dps[i] = d
+                dms[i] = d
             elif k == K_WLP1:
                 wo = self.woff[i]
                 sp = 0.0
@@ -177,49 +176,33 @@ class Program:
                 dps[i] = sp + sa
                 dms[i] = sp - sa
             elif k == K_WLPINF:
-                val = vals[i]
-                if val == 0.0:
-                    if vvals is None:
-                        vvals = [0.0] * self.n
-                        self._value(v, vvals)
-                    dps[i] = vvals[i]
-                    dms[i] = -vvals[i]
-                else:
-                    wo = self.woff[i]
-                    thr = (1.0 - _TIE) * val
-                    dp = -math.inf
-                    dm = math.inf
-                    for j in range(dim):
-                        w = self.weights[wo + j]
-                        uj = u[j]
-                        if w * abs(uj) >= thr:
-                            g = w * v[j] if uj > 0.0 else -w * v[j]
-                            if g > dp:
-                                dp = g
-                            if g < dm:
-                                dm = g
-                    dps[i] = dp
-                    dms[i] = dm
+                wo = self.woff[i]
+                thr = (1.0 - _TIE) * val
+                dp = -math.inf
+                dm = math.inf
+                for j in range(dim):
+                    w = self.weights[wo + j]
+                    uj = u[j]
+                    if w * abs(uj) >= thr:
+                        g = w * v[j] if uj > 0.0 else -w * v[j]
+                        if g > dp:
+                            dp = g
+                        if g < dm:
+                            dm = g
+                dps[i] = dp
+                dms[i] = dm
             elif k == K_WLPP:
-                val = vals[i]
-                if val == 0.0:
-                    if vvals is None:
-                        vvals = [0.0] * self.n
-                        self._value(v, vvals)
-                    dps[i] = vvals[i]
-                    dms[i] = -vvals[i]
-                else:
-                    pm1 = self.params[i] - 1.0
-                    wo = self.woff[i]
-                    d = 0.0
-                    for j in range(dim):
-                        uj = u[j]
-                        if uj > 0.0:
-                            d += self.weights[wo + j] * math.pow(uj / val, pm1) * v[j]
-                        elif uj < 0.0:
-                            d -= self.weights[wo + j] * math.pow(-uj / val, pm1) * v[j]
-                    dps[i] = d
-                    dms[i] = d
+                pm1 = self.params[i] - 1.0
+                wo = self.woff[i]
+                d = 0.0
+                for j in range(dim):
+                    uj = u[j]
+                    if uj > 0.0:
+                        d += self.weights[wo + j] * math.pow(uj / val, pm1) * v[j]
+                    elif uj < 0.0:
+                        d -= self.weights[wo + j] * math.pow(-uj / val, pm1) * v[j]
+                dps[i] = d
+                dms[i] = d
             elif k == K_MAX:
                 lc = self.left[i]
                 rc = self.right[i]

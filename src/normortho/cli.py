@@ -84,25 +84,19 @@ def _matrix_arg(text: str):
     return rows
 
 
-_COMMANDS = (
-    ("rho", "one-sided derivatives rho_minus/rho_plus and their blends"),
-    ("ortho", "decide an orthogonality relation for a pair of vectors"),
-    ("solve", "closed-form rho_ab orthogonalization of v against u"),
-    ("interval", "Birkhoff orthogonality interval of t for u and t*u+v"),
-    ("locus", "trace a relation's zero locus around the planar unit circle"),
-    ("angle", "rho_ab angle between two vectors"),
-    ("probe", "smoothness, strict-convexity, or symmetry probe"),
-    ("identity", "quartic inner-product identity or symmetry residual"),
-    ("constant", "angular or norm-equivalence constant between two norms"),
-    ("preserver", "check a linear map for rho_ab-orthogonality preservation"),
-    ("mine", "mine incomparability witnesses between two relations"),
-    ("audit", "sample-check norm axioms for a combinator expression"),
-)
-
-
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    g = common.add_argument_group("problem")
+    parser = argparse.ArgumentParser(
+        prog="normortho",
+        description="One-sided norm derivatives and orthogonality relations\n"
+                    "in finite-dimensional real normed spaces.",
+        epilog="commands:\n" + "".join(
+            f"  {name:<10}  {help_text}\n"
+            for name, (_, help_text) in _COMMANDS.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
+    parser.add_argument("command", choices=_COMMANDS, metavar="command",
+                        help="one of the commands listed below; each accepts every flag")
+    g = parser.add_argument_group("problem")
     g.add_argument("--norm", default="l2", help="norm expression (default: l2)")
     g.add_argument("--norm2", default=None, help="second norm expression")
     g.add_argument("--dim", type=int, default=None,
@@ -124,7 +118,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="variant for probe/identity/constant commands")
     g.add_argument("--method", default="exact", choices=("exact", "numeric"),
                    help="derivative evaluation method (rho)")
-    n = common.add_argument_group("numerics")
+    n = parser.add_argument_group("numerics")
     n.add_argument("--tol", type=float, default=1e-9, help="decision tolerance")
     n.add_argument("--seed", type=int, default=0, help="64-bit RNG seed")
     n.add_argument("--samples", type=int, default=1000,
@@ -132,19 +126,9 @@ def _build_parser() -> argparse.ArgumentParser:
     n.add_argument("--scale", type=float, default=1.0, help="sampling box half-width")
     n.add_argument("--resolution", type=int, default=720,
                    help="locus sweep resolution")
-    o = common.add_argument_group("output")
+    o = parser.add_argument_group("output")
     o.add_argument("--out", default=None, help="write output to this file")
     o.add_argument("--format", default="json", choices=("json", "table", "csv"))
-
-    parser = argparse.ArgumentParser(
-        prog="normortho",
-        description="One-sided norm derivatives and orthogonality relations "
-                    "in finite-dimensional real normed spaces.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-    for name, help_text in _COMMANDS:
-        sub.add_parser(name, parents=[common], help=help_text,
-                       description=help_text)
     return parser
 
 
@@ -531,36 +515,38 @@ def _cmd_audit(args) -> dict:
             "worst_v": report.worst_v, "worst_t": report.worst_t}
 
 
-_HANDLERS = {
-    "rho": _cmd_rho,
-    "ortho": _cmd_ortho,
-    "solve": _cmd_solve,
-    "interval": _cmd_interval,
-    "locus": _cmd_locus,
-    "angle": _cmd_angle,
-    "probe": _cmd_probe,
-    "identity": _cmd_identity,
-    "constant": _cmd_constant,
-    "preserver": _cmd_preserver,
-    "mine": _cmd_mine,
-    "audit": _cmd_audit,
+# name: (handler, one-line description for --help)
+_COMMANDS = {
+    "rho": (_cmd_rho, "one-sided derivatives rho_minus/rho_plus and their blends"),
+    "ortho": (_cmd_ortho, "decide an orthogonality relation for a pair of vectors"),
+    "solve": (_cmd_solve, "closed-form rho_ab orthogonalization of v against u"),
+    "interval": (_cmd_interval, "Birkhoff orthogonality interval of t for u and t*u+v"),
+    "locus": (_cmd_locus, "trace a relation's zero locus around the planar unit circle"),
+    "angle": (_cmd_angle, "rho_ab angle between two vectors"),
+    "probe": (_cmd_probe, "smoothness, strict-convexity, or symmetry probe"),
+    "identity": (_cmd_identity, "quartic inner-product identity or symmetry residual"),
+    "constant": (_cmd_constant, "angular or norm-equivalence constant between two norms"),
+    "preserver": (_cmd_preserver, "check a linear map for rho_ab-orthogonality preservation"),
+    "mine": (_cmd_mine, "mine incomparability witnesses between two relations"),
+    "audit": (_cmd_audit, "sample-check norm axioms for a combinator expression"),
 }
+
+_PARSER = _build_parser()
 
 
 # ---------------------------------------------------------------------------
 # entry points
 
 def run(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         if code is None:
             return 0
         return code if isinstance(code, int) else 2
     try:
-        result = _HANDLERS[args.command](args)
+        result = _COMMANDS[args.command][0](args)
         summary = None
         if isinstance(result, list):
             text = _render_rows(result, args.format)

@@ -27,8 +27,8 @@ __all__ = [
 
 Vector = tuple[float, ...]
 
-# default absolute tolerance for the sampled axiom audit; composed norms
-# accumulate a few ulps per node
+# default tolerance for the sampled axiom audit, relative to the norms
+# involved; composed norms accumulate a few ulps per node
 AUDIT_TOL = 1e-10
 
 
@@ -140,10 +140,10 @@ def audit_norm(ast: NormAst, cfg: SampleConfig, tol: float = AUDIT_TOL) -> NormA
 
         uv = tuple(map(operator.add, u, v))
         defect = prog.value(uv) - (nu + nv)
-        if defect > tol:
+        if defect > tol * (nu + nv):
             record("triangle", defect, u, v, None)
 
-        if any(c != 0.0 for c in u) and nu <= 0.0:
+        if nu <= 0.0 and any(u):
             record("positivity", -nu, u, None, None)
 
     return NormAudit(cfg.count, violations, worst.worst_kind, worst.worst_defect,

@@ -96,11 +96,12 @@ def mutate(text, rng):
     return text[: m.start()] + text[m.end() :]
 
 
-def _missing_toolchain():
-    """Why the extension cannot be built here, or None if it can."""
+def _missing_toolchain(cc=None):
+    """Why the extension cannot be built here with cc (default: the
+    compiler Python was built with), or None if it can."""
     if not os.path.isfile(os.path.join(sysconfig.get_paths()["include"], "Python.h")):
         return "no Python headers to build the compiled backend"
-    cc = (sysconfig.get_config_var("CC") or "cc").split()[0]
+    cc = cc or (sysconfig.get_config_var("CC") or "cc").split()[0]
     if shutil.which(cc) is None:
         return f"no C compiler ({cc}) to build the compiled backend"
     return None

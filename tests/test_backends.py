@@ -4,6 +4,7 @@ import functools
 import os
 import subprocess
 import sys
+import sysconfig
 
 import pytest
 
@@ -11,7 +12,7 @@ from normortho import L1, LInf, Lp, SplitMix64, Sum, backend_name, parse_norm
 from normortho import _kernels_py
 from normortho.program import compile_ast
 
-from conftest import FAMILIES
+from conftest import FAMILIES, _missing_toolchain
 
 
 @pytest.fixture
@@ -24,6 +25,20 @@ def pair(compiled_kernels):
 
 def _rel(a, b):
     return abs(a - b) / max(1.0, abs(a), abs(b))
+
+
+def test_kernels_c_builds_without_warnings(tmp_path):
+    reason = _missing_toolchain("gcc")
+    if reason is not None:
+        pytest.skip(reason)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src", "normortho", "_kernels.c")
+    proc = subprocess.run(
+        ["gcc", "-O2", "-shared", "-fPIC", "-Wall", "-Wextra", "-Werror",
+         "-I" + sysconfig.get_paths()["include"], src,
+         "-o", str(tmp_path / ("_kernels" + sysconfig.get_config_var("EXT_SUFFIX")))],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_backend_name_is_known():

@@ -42,12 +42,12 @@ class TestExitCodes:
     def test_missing_required_vector(self, capsys):
         code, _, err = _run(capsys, "rho", "--norm", "l2", "--u", "1,0")
         assert code == 2
-        assert "--v" in err
+        assert err == "normortho: --v is required for 'rho'\n"
 
     def test_norm_parse_error(self, capsys):
         code, _, err = _run(capsys, "rho", "--norm", "lp(0.5)", "--u", "1,0", "--v", "0,1")
         assert code == 2
-        assert "offset" in err
+        assert err == "normortho: lp exponent must be finite and > 1, got 0.5 (at offset 3)\n"
 
     def test_trailing_garbage_in_norm(self, capsys):
         code, _, err = _run(capsys, "audit", "--norm", "l1(")
@@ -57,6 +57,9 @@ class TestExitCodes:
     def test_bad_vector_literal(self, capsys):
         code, _, err = _run(capsys, "rho", "--norm", "l2", "--u", "1;0", "--v", "0,1")
         assert code == 2
+        assert err.endswith(
+            "normortho: error: argument --u: expected comma-separated numbers, got '1;0'\n"
+        )
 
     def test_domain_error_exits_one(self, capsys):
         code, _, err = _run(
@@ -64,7 +67,7 @@ class TestExitCodes:
             "--alpha", "0.3", "--beta", "0.3",
         )
         assert code == 1
-        assert "nonzero" in err
+        assert err == "normortho: angle needs nonzero u and v\n"
 
     def test_corner_semi_relation_exits_one(self, capsys):
         code, _, err = _run(
@@ -402,6 +405,33 @@ class TestDeterminism:
         _, second, _ = _run(capsys, *args)
         assert first == second
 
+    def test_failed_runs_leave_no_state(self, capsys):
+        # the parser is built once per process and reused by every run
+        args = ("rho", "--norm", "lp(3)", "--u", "1,2", "--v", "3,-1")
+        code, first, _ = _run(capsys, *args)
+        assert code == 0
+        assert _run(capsys, "audit", "--format", "csv", "--samples", "0")[0] == 2
+        assert _run(capsys, "rho", "--method", "numeric", "--u", "1;0")[0] == 2
+        assert _run(capsys, "angle", "--u", "0,0", "--v", "1,0", "--alpha", "0.3",
+                    "--beta", "0.3")[0] == 1
+        assert _run(capsys, *args) == (0, first, "")
+
+
+_COMMAND_HELP = (
+    ("rho", "one-sided derivatives rho_minus/rho_plus and their blends"),
+    ("ortho", "decide an orthogonality relation for a pair of vectors"),
+    ("solve", "closed-form rho_ab orthogonalization of v against u"),
+    ("interval", "Birkhoff orthogonality interval of t for u and t*u+v"),
+    ("locus", "trace a relation's zero locus around the planar unit circle"),
+    ("angle", "rho_ab angle between two vectors"),
+    ("probe", "smoothness, strict-convexity, or symmetry probe"),
+    ("identity", "quartic inner-product identity or symmetry residual"),
+    ("constant", "angular or norm-equivalence constant between two norms"),
+    ("preserver", "check a linear map for rho_ab-orthogonality preservation"),
+    ("mine", "mine incomparability witnesses between two relations"),
+    ("audit", "sample-check norm axioms for a combinator expression"),
+)
+
 
 class TestEntryPoint:
     def test_help_exits_zero(self):
@@ -412,14 +442,16 @@ class TestEntryPoint:
         )
         assert out.returncode == 0
         assert "normortho" in out.stdout
+        lines = [line.split(None, 1) for line in out.stdout.splitlines()]
+        for name, description in _COMMAND_HELP:
+            assert [name, description] in lines, name
 
-    def test_subcommand_help(self):
-        out = subprocess.run(
-            [sys.executable, "-m", "normortho.cli", "rho", "--help"],
-            capture_output=True,
-            text=True,
-        )
-        assert out.returncode == 0
+    def test_subcommand_help(self, capsys):
+        # every command shares the one help, which lists all commands
+        code, shared, _ = _run(capsys, "--help")
+        assert code == 0
+        for name, _ in _COMMAND_HELP:
+            assert _run(capsys, name, "--help") == (0, shared, "")
 
     def test_module_entry_point(self):
         out = subprocess.run(

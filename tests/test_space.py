@@ -83,6 +83,15 @@ class TestAudit:
         assert report.violations == 0
         assert report.worst_kind is None
 
+    @pytest.mark.parametrize("family", ["l1", "sum(l1, linf)"])
+    @pytest.mark.parametrize("scale", [1.0, 1e6, 1e10])
+    def test_audit_is_scale_free(self, family, scale):
+        # float roundoff in N(u + v) grows with the sampling box and must
+        # not read as a triangle violation
+        ast = parse_norm(family, 2)
+        report = audit_norm(ast, SampleConfig(seed=1, count=2000, scale=scale))
+        assert report.violations == 0, (report.worst_kind, report.worst_defect)
+
     def test_audit_dim3(self):
         ast = parse_norm("max(l1, scale(2, l2))", 3)
         report = audit_norm(ast, SampleConfig(seed=4, count=500))

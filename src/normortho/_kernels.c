@@ -1,10 +1,12 @@
-/* Compiled tape interpreter: the CPython extension normortho._kernels.
+/* Compiled tape interpreter and SplitMix64 stream: the CPython extension
+   normortho._kernels.
 
    Mirrors `_kernels_py` instruction for instruction; when touching a
    formula here, change the pure Python twin identically.  Both use libm
    pow/sqrt and the same accumulation order, so results agree to rounding.
    The tape has four leaf kinds, l2 and wlp with p = 1, inf or finite p;
-   `value_of` holds the only copy of each leaf formula.
+   `value_of` holds the only copy of each leaf formula.  The SplitMix64
+   draws are the same bits as the twin's.
 
    Build with `python setup.py build_ext`, or directly:
    gcc -O2 -shared -fPIC -I<python include> _kernels.c -o _kernels<EXT_SUFFIX>
@@ -15,6 +17,7 @@
 #include <limits.h>
 #include <math.h>
 #include <stddef.h>
+#include <stdint.h>
 
 /* tape kinds, numbered as in program.py */
 enum { K_L2, K_WLP1, K_WLPINF, K_WLPP, K_MAX, K_SUM, K_SCALE };
@@ -489,6 +492,142 @@ static void LineEvaluator_dealloc(LineEvaluator *self)
     Py_TYPE(self)->tp_free((PyObject *)self);
 }
 
+/* -- SplitMix64 ----------------------------------------------------------- */
+
+/* Steele, Lea & Flood, "Fast splittable pseudorandom number generators"
+   (OOPSLA 2014).  uint64_t arithmetic wraps at 2^64, as the twin's masks
+   do. */
+static const uint64_t GAMMA = 0x9E3779B97F4A7C15ULL;
+
+/* GCC fuses a * b + c into one multiply-add on FMA targets unless told
+   not to; the twin rounds the product before the sum. */
+#if defined(__GNUC__) && !defined(__clang__)
+#define NO_FMA __attribute__((optimize("fp-contract=off")))
+#else
+#define NO_FMA
+#endif
+
+typedef struct {
+    PyObject_HEAD
+    uint64_t state;
+} SplitMix64;
+
+static uint64_t next_u64(SplitMix64 *self)
+{
+    uint64_t z = self->state += GAMMA;
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+    return z ^ (z >> 31);
+}
+
+/* Uniform double in [lo, hi): the top 53 bits scaled by 2^-53 (exact),
+   then lo + (hi - lo) * r.  The product is a statement of its own so that
+   compilers which contract only within one expression cannot fuse it. */
+static NO_FMA double next_in(SplitMix64 *self, double lo, double hi)
+{
+    double d = (hi - lo) * ((double)(next_u64(self) >> 11) * 0x1.0p-53);
+    return lo + d;
+}
+
+static PyObject *SplitMix64_at(PyTypeObject *type, uint64_t state)
+{
+    SplitMix64 *self = (SplitMix64 *)type->tp_alloc(type, 0);
+    if (self != NULL)
+        self->state = state;
+    return (PyObject *)self;
+}
+
+/* The seed and substream index are taken mod 2^64, like `& _MASK`. */
+static PyObject *SplitMix64_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
+{
+    static char *kwlist[] = {"seed", NULL};
+    PyObject *seed;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "O:SplitMix64", kwlist, &seed))
+        return NULL;
+    uint64_t s = PyLong_AsUnsignedLongLongMask(seed);
+    if (s == (uint64_t)-1 && PyErr_Occurred())
+        return NULL;
+    return SplitMix64_at(type, s);
+}
+
+static void SplitMix64_dealloc(PyObject *self)
+{
+    PyTypeObject *type = Py_TYPE(self);
+    type->tp_free(self);
+    Py_DECREF(type);
+}
+
+/* lo and hi from bounds[0..2) as doubles; -1 with an exception set. */
+static int load_bounds(PyObject *const *bounds, double *lo, double *hi)
+{
+    *lo = PyFloat_AsDouble(bounds[0]);
+    if (*lo == -1.0 && PyErr_Occurred())
+        return -1;
+    *hi = PyFloat_AsDouble(bounds[1]);
+    if (*hi == -1.0 && PyErr_Occurred())
+        return -1;
+    return 0;
+}
+
+static PyObject *SplitMix64_next_u64(SplitMix64 *self, PyObject *Py_UNUSED(ignored))
+{
+    return PyLong_FromUnsignedLongLong(next_u64(self));
+}
+
+/* r itself: 1.0 * r and 0.0 + r are exact. */
+static PyObject *SplitMix64_random(SplitMix64 *self, PyObject *Py_UNUSED(ignored))
+{
+    return PyFloat_FromDouble(next_in(self, 0.0, 1.0));
+}
+
+static PyObject *SplitMix64_uniform(SplitMix64 *self, PyObject *const *args,
+                                    Py_ssize_t nargs)
+{
+    double lo, hi;
+    if (nargs != 2)
+        return PyErr_Format(PyExc_TypeError,
+                            "uniform() takes exactly 2 arguments (%zd given)", nargs);
+    if (load_bounds(args, &lo, &hi) < 0)
+        return NULL;
+    return PyFloat_FromDouble(next_in(self, lo, hi));
+}
+
+static PyObject *SplitMix64_vector(SplitMix64 *self, PyObject *const *args,
+                                   Py_ssize_t nargs)
+{
+    double lo, hi;
+    if (nargs != 3)
+        return PyErr_Format(PyExc_TypeError,
+                            "vector() takes exactly 3 arguments (%zd given)", nargs);
+    Py_ssize_t dim = PyNumber_AsSsize_t(args[0], PyExc_OverflowError);
+    if (dim == -1 && PyErr_Occurred())
+        return NULL;
+    if (dim < 0)
+        return PyErr_Format(PyExc_ValueError, "dim must be >= 0, got %zd", dim);
+    if (load_bounds(args + 1, &lo, &hi) < 0)
+        return NULL;
+    PyObject *out = PyTuple_New(dim);
+    for (Py_ssize_t j = 0; j < dim && out != NULL; j++) {
+        PyObject *x = PyFloat_FromDouble(next_in(self, lo, hi));
+        if (x == NULL)
+            Py_CLEAR(out);
+        else
+            PyTuple_SET_ITEM(out, j, x);
+    }
+    return out;
+}
+
+static PyObject *SplitMix64_substream(SplitMix64 *self, PyObject *index)
+{
+    uint64_t i = PyLong_AsUnsignedLongLongMask(index);
+    if (i == (uint64_t)-1 && PyErr_Occurred())
+        return NULL;
+    PyObject *child = SplitMix64_at(Py_TYPE(self), self->state ^ (i * GAMMA));
+    if (child != NULL)
+        next_u64((SplitMix64 *)child);
+    return child;
+}
+
 /* -- types and module ----------------------------------------------------- */
 
 static PyMethodDef Program_methods[] = {
@@ -523,10 +662,39 @@ static PyTypeObject LineEvaluatorType = {
     .tp_dealloc = (destructor)LineEvaluator_dealloc,
 };
 
+static PyMethodDef SplitMix64_methods[] = {
+    {"next_u64", (PyCFunction)SplitMix64_next_u64, METH_NOARGS, "Next 64-bit output."},
+    {"random", (PyCFunction)SplitMix64_random, METH_NOARGS, "Uniform double in [0, 1)."},
+    {"uniform", (PyCFunction)(void (*)(void))SplitMix64_uniform, METH_FASTCALL,
+     "Uniform double in [lo, hi)."},
+    {"vector", (PyCFunction)(void (*)(void))SplitMix64_vector, METH_FASTCALL,
+     "Tuple of dim successive uniform(lo, hi) draws."},
+    {"substream", (PyCFunction)SplitMix64_substream, METH_O,
+     "Independent child stream; deterministic in (seed, index)."},
+    {NULL, NULL, 0, NULL},
+};
+
+static PyType_Slot SplitMix64_slots[] = {
+    {Py_tp_doc, "SplitMix64(seed): 64-bit PRNG; the seed is taken mod 2^64."},
+    {Py_tp_new, SplitMix64_new},
+    {Py_tp_dealloc, SplitMix64_dealloc},
+    {Py_tp_methods, SplitMix64_methods},
+    {0, NULL},
+};
+
+/* A heap type without Py_TPFLAGS_IMMUTABLETYPE, so that its methods can
+   be rebound on the class, as they can on the twin's. */
+static PyType_Spec SplitMix64_spec = {
+    .name = "normortho._kernels.SplitMix64",
+    .basicsize = sizeof(SplitMix64),
+    .flags = Py_TPFLAGS_DEFAULT,
+    .slots = SplitMix64_slots,
+};
+
 static struct PyModuleDef kernels_module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "normortho._kernels",
-    .m_doc = "Compiled tape interpreter; mirrors _kernels_py.",
+    .m_doc = "Compiled tape interpreter and SplitMix64; mirrors _kernels_py.",
     .m_size = -1,
 };
 
@@ -535,7 +703,12 @@ PyMODINIT_FUNC PyInit__kernels(void)
     if (PyType_Ready(&ProgramType) < 0 || PyType_Ready(&LineEvaluatorType) < 0)
         return NULL;
     PyObject *m = PyModule_Create(&kernels_module);
-    if (m != NULL && PyModule_AddObjectRef(m, "Program", (PyObject *)&ProgramType) < 0)
+    if (m == NULL)
+        return NULL;
+    PyObject *rng = PyType_FromSpec(&SplitMix64_spec);
+    if (rng == NULL || PyModule_AddObjectRef(m, "Program", (PyObject *)&ProgramType) < 0
+        || PyModule_AddObjectRef(m, "SplitMix64", rng) < 0)
         Py_CLEAR(m);
+    Py_XDECREF(rng);
     return m;
 }

@@ -11,6 +11,9 @@ derivatives exist everywhere because every node is convex.
 The tape has four leaf kinds: l2, and wlp with p = 1, inf or finite p
 (`compile_ast` gives l1, linf and lp unit weights).  `_value` holds the
 only copy of each leaf formula.
+
+SplitMix64 is the seeded random stream; its draws are the same bits as
+the compiled type's.
 """
 
 from __future__ import annotations
@@ -253,3 +256,45 @@ class Program:
             return value(buf, scratch)
 
         return phi
+
+
+_MASK = 0xFFFFFFFFFFFFFFFF
+_GAMMA = 0x9E3779B97F4A7C15
+
+
+class SplitMix64:
+    """64-bit PRNG with a tiny, fully documented state-transition."""
+
+    __slots__ = ("_state",)
+
+    def __init__(self, seed: int):
+        self._state = seed & _MASK
+
+    def next_u64(self) -> int:
+        self._state = (self._state + _GAMMA) & _MASK
+        z = self._state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+        return z ^ (z >> 31)
+
+    def random(self) -> float:
+        """Uniform double in [0, 1)."""
+        return (self.next_u64() >> 11) * (2.0 ** -53)
+
+    def uniform(self, lo: float, hi: float) -> float:
+        """Uniform double in [lo, hi)."""
+        lo, hi = float(lo), float(hi)
+        return lo + (hi - lo) * self.random()
+
+    def vector(self, dim: int, lo: float, hi: float) -> tuple[float, ...]:
+        """Tuple of dim successive uniform(lo, hi) draws."""
+        if dim < 0:
+            raise ValueError(f"dim must be >= 0, got {dim}")
+        lo, hi = float(lo), float(hi)
+        return tuple([self.uniform(lo, hi) for _ in range(dim)])
+
+    def substream(self, index: int) -> "SplitMix64":
+        """Independent child stream; deterministic in (seed, index)."""
+        child = SplitMix64((self._state ^ (index * _GAMMA)) & _MASK)
+        child.next_u64()
+        return child

@@ -33,7 +33,6 @@ from .space import (
     Vector,
     as_vector,
     corner_vectors,
-    random_vector,
     sphere_sample,
 )
 
@@ -193,7 +192,7 @@ def operator_norm(lin: LinearMap, cfg: SampleConfig) -> OperatorNormEstimate:
     best_x: Vector | None = None
     best = -1.0
     for _ in range(cfg.count):
-        x = random_vector(rng, dim, 1.0)
+        x = rng.vector(dim, -1.0, 1.0)
         if dom.value(x) == 0.0:
             continue
         x = unit(x)
@@ -204,7 +203,7 @@ def operator_norm(lin: LinearMap, cfg: SampleConfig) -> OperatorNormEstimate:
             moved = False
             for _ in range(8):
                 proposals -= 1
-                cand = tuple([c + rng.uniform(-delta, delta) for c in x])
+                cand = tuple(map(operator.add, x, rng.vector(dim, -delta, delta)))
                 if dom.value(cand) == 0.0:
                     continue
                 cand = unit(cand)
@@ -253,8 +252,8 @@ def preserver_check(lin: LinearMap, ab: AlphaBeta, cfg: SampleConfig) -> Preserv
     wit1: tuple[Vector, Vector] | None = None
     built = 0
     while built < cfg.count:
-        u = random_vector(rng, dim, cfg.scale)
-        v = random_vector(rng, dim, cfg.scale)
+        u = rng.vector(dim, -cfg.scale, cfg.scale)
+        v = rng.vector(dim, -cfg.scale, cfg.scale)
         if dom.value(u) == 0.0:
             continue
         _, w = _orthogonalize(dom, u, v, ab)
@@ -284,8 +283,8 @@ def preserver_check(lin: LinearMap, ab: AlphaBeta, cfg: SampleConfig) -> Preserv
     worst3 = 0.0
     wit3: tuple[Vector, Vector] | None = None
     for _ in range(cfg.count):
-        u = random_vector(rng, dim, cfg.scale)
-        v = random_vector(rng, dim, cfg.scale)
+        u = rng.vector(dim, -cfg.scale, cfg.scale)
+        v = rng.vector(dim, -cfg.scale, cfg.scale)
         nu = dom.value(u)
         nv = dom.value(v)
         if nu * nv < floor:
@@ -326,7 +325,7 @@ def _search_direction(prog, rel_hold: Relation, rel_test: Relation,
         # points, which random directions miss with probability one.
         yield from corner_vectors(2)
         while True:
-            yield random_vector(rng, 2, 1.0)
+            yield rng.vector(2, -1.0, 1.0)
 
     for base in bases():
         if used >= budget:

@@ -23,7 +23,6 @@ from .space import (
     Vector,
     _vectors,
     corner_vectors,
-    random_vector,
 )
 from .rng import SplitMix64
 
@@ -124,7 +123,7 @@ def angle_homogeneity_check(ast: NormAst, u, v, a: float, b: float,
 
 def _nonzero_vector(rng: SplitMix64, prog, dim: int, scale: float) -> Vector:
     while True:
-        x = random_vector(rng, dim, scale)
+        x = rng.vector(dim, -scale, scale)
         if prog.value(x) != 0.0:
             return x
 
@@ -327,8 +326,8 @@ def norm_equiv_constant(ast1: NormAst, ast2: NormAst, ab: AlphaBeta,
     witness: tuple[Vector, Vector] | None = None
     skipped = 0
     for _ in range(cfg.count):
-        u = random_vector(rng, dim, cfg.scale)
-        v = random_vector(rng, dim, cfg.scale)
+        u = rng.vector(dim, -cfg.scale, cfg.scale)
+        v = rng.vector(dim, -cfg.scale, cfg.scale)
         denom = min(prog1.value(u) * prog1.value(v), prog2.value(u) * prog2.value(v))
         if denom < floor:
             skipped += 1

@@ -46,14 +46,28 @@ def _check_dim(dim: int) -> None:
         raise ValueError(f"ambient dimension must be an integer >= 2, got {dim!r}")
 
 
+# Nodes are immutable, so each stores the hash of its field tuple once, in
+# __post_init__; a child's hash is then one lookup, and a cache lookup
+# does not walk the tree.
+def _seal(node, fields: tuple) -> None:
+    object.__setattr__(node, "_hash", hash(fields))
+
+
+def _cached_hash(node) -> int:
+    return node._hash
+
+
 @dataclass(frozen=True)
 class L1:
     """Sum of absolute coordinate values."""
 
     dim: int
 
+    __hash__ = _cached_hash
+
     def __post_init__(self):
         _check_dim(self.dim)
+        _seal(self, (self.dim,))
 
 
 @dataclass(frozen=True)
@@ -62,8 +76,11 @@ class LInf:
 
     dim: int
 
+    __hash__ = _cached_hash
+
     def __post_init__(self):
         _check_dim(self.dim)
+        _seal(self, (self.dim,))
 
 
 @dataclass(frozen=True)
@@ -73,12 +90,15 @@ class Lp:
     dim: int
     p: float
 
+    __hash__ = _cached_hash
+
     def __post_init__(self):
         _check_dim(self.dim)
         p = self.p
         if not (isinstance(p, (int, float)) and math.isfinite(p) and p > 1):
             raise ValueError(f"lp exponent must be finite and > 1, got {p!r}")
         object.__setattr__(self, "p", float(p))
+        _seal(self, (self.dim, self.p))
 
 
 @dataclass(frozen=True)
@@ -92,6 +112,8 @@ class WLp:
     p: float
     weights: tuple[float, ...]
 
+    __hash__ = _cached_hash
+
     def __post_init__(self):
         p = self.p
         if not (isinstance(p, (int, float)) and p >= 1):
@@ -104,6 +126,7 @@ class WLp:
                 raise ValueError(f"wlp weights must be positive and finite, got {w!r}")
         object.__setattr__(self, "p", float(p))
         object.__setattr__(self, "weights", ws)
+        _seal(self, (self.p, ws))
 
     @property
     def dim(self) -> int:
@@ -117,11 +140,14 @@ class Max:
     left: "NormAst"
     right: "NormAst"
 
+    __hash__ = _cached_hash
+
     def __post_init__(self):
         if self.left.dim != self.right.dim:
             raise ValueError(
                 f"max children disagree on dimension: {self.left.dim} vs {self.right.dim}"
             )
+        _seal(self, (self.left, self.right))
 
     @property
     def dim(self) -> int:
@@ -135,11 +161,14 @@ class Sum:
     left: "NormAst"
     right: "NormAst"
 
+    __hash__ = _cached_hash
+
     def __post_init__(self):
         if self.left.dim != self.right.dim:
             raise ValueError(
                 f"sum children disagree on dimension: {self.left.dim} vs {self.right.dim}"
             )
+        _seal(self, (self.left, self.right))
 
     @property
     def dim(self) -> int:
@@ -153,11 +182,14 @@ class Scale:
     c: float
     inner: "NormAst"
 
+    __hash__ = _cached_hash
+
     def __post_init__(self):
         c = self.c
         if not (isinstance(c, (int, float)) and math.isfinite(c) and c > 0):
             raise ValueError(f"scale factor must be positive and finite, got {c!r}")
         object.__setattr__(self, "c", float(c))
+        _seal(self, (self.c, self.inner))
 
     @property
     def dim(self) -> int:

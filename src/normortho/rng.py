@@ -6,39 +6,11 @@ independent of interpreter version or platform.  The algorithm is the
 standard SplitMix64 mixer (Steele, Lea & Flood): state advances by the
 golden-gamma constant and the output is a xor-shift/multiply finalizer of
 the new state.  Doubles are the top 53 bits scaled by 2^-53.
+
+`SplitMix64` is the class of the backend that `kernels` selected: the
+compiled type or its pure Python twin, which draw the same bits.
 """
 
-from __future__ import annotations
+from .kernels import _impl
 
-_MASK = 0xFFFFFFFFFFFFFFFF
-_GAMMA = 0x9E3779B97F4A7C15
-
-
-class SplitMix64:
-    """64-bit PRNG with a tiny, fully documented state-transition."""
-
-    __slots__ = ("_state",)
-
-    def __init__(self, seed: int):
-        self._state = seed & _MASK
-
-    def next_u64(self) -> int:
-        self._state = (self._state + _GAMMA) & _MASK
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-        return z ^ (z >> 31)
-
-    def random(self) -> float:
-        """Uniform double in [0, 1)."""
-        return (self.next_u64() >> 11) * (2.0 ** -53)
-
-    def uniform(self, lo: float, hi: float) -> float:
-        """Uniform double in [lo, hi)."""
-        return lo + (hi - lo) * self.random()
-
-    def substream(self, index: int) -> "SplitMix64":
-        """Independent child stream; deterministic in (seed, index)."""
-        child = SplitMix64((self._state ^ (index * _GAMMA)) & _MASK)
-        child.next_u64()
-        return child
+SplitMix64 = _impl.SplitMix64

@@ -82,10 +82,11 @@ def _vectors(ast: NormAst, *coords) -> tuple[Vector, ...]:
     returned tuples without validating again.
     """
     vecs = tuple(map(as_vector, coords))
+    dim = ast.dim
     for vec in vecs:
-        if len(vec) != ast.dim:
+        if len(vec) != dim:
             raise DimensionMismatchError(
-                f"norm consumes {ast.dim} coordinates but vector has {len(vec)}"
+                f"norm consumes {dim} coordinates but vector has {len(vec)}"
             )
     return vecs
 
@@ -104,7 +105,7 @@ def norm_on_line(ast: NormAst, u, v):
 
 def random_vector(rng: SplitMix64, dim: int, scale: float) -> Vector:
     """Coordinates drawn uniformly from [-scale, scale]."""
-    return tuple([rng.uniform(-scale, scale) for _ in range(dim)])
+    return rng.vector(dim, -scale, scale)
 
 
 def audit_norm(ast: NormAst, cfg: SampleConfig, tol: float = AUDIT_TOL) -> NormAudit:
@@ -127,8 +128,8 @@ def audit_norm(ast: NormAst, cfg: SampleConfig, tol: float = AUDIT_TOL) -> NormA
             worst = NormAudit(cfg.count, violations, kind, defect, u, v, t)
 
     for _ in range(cfg.count):
-        u = random_vector(rng, dim, cfg.scale)
-        v = random_vector(rng, dim, cfg.scale)
+        u = rng.vector(dim, -cfg.scale, cfg.scale)
+        v = rng.vector(dim, -cfg.scale, cfg.scale)
         t = rng.uniform(-10.0, 10.0)
         nu = prog.value(u)
         nv = prog.value(v)
@@ -161,7 +162,7 @@ def sphere_sample(ast: NormAst, cfg: SampleConfig) -> list[Vector]:
     dim = ast.dim
     out: list[Vector] = []
     while len(out) < cfg.count:
-        x = random_vector(rng, dim, cfg.scale)
+        x = rng.vector(dim, -cfg.scale, cfg.scale)
         r = prog.value(x)
         if r == 0.0:
             continue

@@ -46,7 +46,8 @@ def test_backend_name_is_known():
 
 
 def test_extension_selected_when_present(compiled_kernels):
-    # A fresh process whose import system finds the extension selects it.
+    # A fresh process whose import system finds the extension selects it,
+    # for the tape interpreter and for SplitMix64.
     code = (
         "import importlib.abc, importlib.util, sys\n"
         "class Finder(importlib.abc.MetaPathFinder):\n"
@@ -56,6 +57,7 @@ def test_extension_selected_when_present(compiled_kernels):
         "sys.meta_path.insert(0, Finder())\n"
         "import normortho\n"
         "print(normortho.backend_name())\n"
+        "print(normortho.SplitMix64.__module__, normortho.rng.SplitMix64 is normortho.SplitMix64)\n"
     )
     env = {k: v for k, v in os.environ.items() if k != "NORMORTHO_PURE_PYTHON"}
     out = subprocess.run(
@@ -65,7 +67,7 @@ def test_extension_selected_when_present(compiled_kernels):
         env=env,
         check=True,
     )
-    assert out.stdout.strip() == "compiled"
+    assert out.stdout.splitlines() == ["compiled", "normortho._kernels True"]
 
 
 @pytest.mark.parametrize("family", FAMILIES)

@@ -3,10 +3,13 @@
 
    Mirrors `_kernels_py` instruction for instruction; when touching a
    formula here, change the pure Python twin identically.  Both use libm
-   pow/sqrt and the same accumulation order, so results agree to rounding.
-   The tape has four leaf kinds, l2 and wlp with p = 1, inf or finite p;
-   `value_of` holds the only copy of each leaf formula.  The SplitMix64
-   draws are the same bits as the twin's.
+   pow/sqrt/cos/sin and the same accumulation order, so results agree to
+   rounding.  A Program has five methods: `value`, `derivs`,
+   `line_evaluator`, `circle` (the point of the planar unit sphere at a
+   Euclidean angle) and `image_value` (N(M x), each row of M x summed
+   exactly as math.fsum sums it).  The tape has four leaf kinds, l2 and
+   wlp with p = 1, inf or finite p; `value_of` holds the only copy of each
+   leaf formula.  The SplitMix64 draws are the same bits as the twin's.
 
    Build with `python setup.py build_ext`, or directly:
    gcc -O2 -shared -fPIC -I<python include> _kernels.c -o _kernels<EXT_SUFFIX>
@@ -18,6 +21,14 @@
 #include <math.h>
 #include <stddef.h>
 #include <stdint.h>
+
+/* The twin rounds every product before it is added, so no a * b + c may
+   become one fused multiply-add, whatever the target or -march. */
+#if defined(__clang__)
+#pragma STDC FP_CONTRACT OFF
+#elif defined(__GNUC__)
+#pragma GCC optimize("fp-contract=off")
+#endif
 
 /* tape kinds, numbered as in program.py */
 enum { K_L2, K_WLP1, K_WLPINF, K_WLPP, K_MAX, K_SUM, K_SCALE };
@@ -287,6 +298,20 @@ static double *scratch(double *stack, Py_ssize_t need)
     return buf;
 }
 
+/* A new tuple of the n doubles x; NULL with an exception set on failure. */
+static PyObject *tuple_of(const double *x, Py_ssize_t n)
+{
+    PyObject *out = PyTuple_New(n);
+    for (Py_ssize_t k = 0; k < n && out != NULL; k++) {
+        PyObject *f = PyFloat_FromDouble(x[k]);
+        if (f == NULL)
+            Py_CLEAR(out);
+        else
+            PyTuple_SET_ITEM(out, k, f);
+    }
+    return out;
+}
+
 /* 0 if args are two sequences of dim coordinates, else -1 with an
    exception set. */
 static int check_pair(const Program *self, const char *name,
@@ -432,14 +457,7 @@ static PyObject *Program_derivs(Program *self, PyObject *const *args, Py_ssize_t
         value_of(self, cu, vals);
         derivs_of(self, cu, cv, vals, dps, dms);
         double res[3] = {vals[n - 1], dps[n - 1], dms[n - 1]};
-        out = PyTuple_New(3);
-        for (int k = 0; k < 3 && out != NULL; k++) {
-            PyObject *x = PyFloat_FromDouble(res[k]);
-            if (x == NULL)
-                Py_CLEAR(out);
-            else
-                PyTuple_SET_ITEM(out, k, x);
-        }
+        out = tuple_of(res, 3);
     }
     if (cu != stack)
         PyMem_Free(cu);
@@ -492,20 +510,190 @@ static void LineEvaluator_dealloc(LineEvaluator *self)
     Py_TYPE(self)->tp_free((PyObject *)self);
 }
 
+/* -- planar sweeps and matrix images -------------------------------------- */
+
+/* (cos theta, sin theta) / N(cos theta, sin theta), with libm cos and sin
+   as math.cos and math.sin call them (gcc may merge the two into one
+   sincos call; tests/test_backends.py compares the bits).  Both give NaN
+   for +-inf, which math.cos reports as a domain error, and for NaN, which
+   it passes through. */
+static PyObject *Program_circle(Program *self, PyObject *arg)
+{
+    if (self->dim != 2)
+        return PyErr_Format(PyExc_ValueError,
+                            "circle needs a 2-dimensional norm, got dim %d", self->dim);
+    double theta = PyFloat_AsDouble(arg);
+    if (theta == -1.0 && PyErr_Occurred())
+        return NULL;
+    if (isinf(theta)) {
+        PyErr_SetString(PyExc_ValueError, "math domain error");
+        return NULL;
+    }
+    double d[2] = {cos(theta), sin(theta)};
+    double stack[STACK_CAP];
+    double *vals = scratch(stack, self->n);
+    if (vals == NULL)
+        return NULL;
+    double r = value_of(self, d, vals);
+    if (vals != stack)
+        PyMem_Free(vals);
+    if (r == 0.0) {
+        PyErr_SetString(PyExc_ZeroDivisionError, "float division by zero");
+        return NULL;
+    }
+    d[0] /= r;
+    d[1] /= r;
+    return tuple_of(d, 2);
+}
+
+/* row[j] * x[j] into *out as `math.fsum(map(operator.mul, row, x))` sees
+   it: two floats multiply in C, anything else through Python's `*` and
+   then the float conversion fsum applies.  -1 with an exception set. */
+static int product(PyObject *row, PyObject *x, Py_ssize_t j, double *out)
+{
+    PyObject *a = item(row, j), *b = NULL, *ab = NULL;
+    int rc = -1;
+    if (a == NULL || (b = item(x, j)) == NULL)
+        goto done;
+    if (PyFloat_CheckExact(a) && PyFloat_CheckExact(b)) {
+        *out = PyFloat_AS_DOUBLE(a) * PyFloat_AS_DOUBLE(b);
+        rc = 0;
+    } else if ((ab = PyNumber_Multiply(a, b)) != NULL) {
+        *out = PyFloat_AsDouble(ab);
+        rc = *out == -1.0 && PyErr_Occurred() ? -1 : 0;
+    }
+done:
+    Py_XDECREF(a);
+    Py_XDECREF(b);
+    Py_XDECREF(ab);
+    return rc;
+}
+
+/* Sum of the cols products row[j] * x[j], correctly rounded, with the
+   value and the errors of math.fsum: Shewchuk's non-overlapping partials
+   ("Adaptive precision floating-point arithmetic", DCG 1997), +-inf and
+   NaN summed apart, then fsum's half-even fix-up across partials.  Each
+   product adds at most one partial, so p holds cols doubles.  -1 with an
+   exception set on failure. */
+static int fsum_row(PyObject *row, PyObject *x, Py_ssize_t cols, double *p, double *out)
+{
+    Py_ssize_t n = 0;
+    double special = 0.0, inf_sum = 0.0, a, b, t, hi, lo = 0.0;
+    for (Py_ssize_t j = 0; j < cols; j++) {
+        if (product(row, x, j, &a) < 0)
+            return -1;
+        double saved = a;
+        Py_ssize_t i = 0;
+        for (Py_ssize_t k = 0; k < n; k++) {
+            b = p[k];
+            if (fabs(a) < fabs(b)) {
+                t = a;
+                a = b;
+                b = t;
+            }
+            hi = a + b;
+            lo = b - (hi - a);
+            if (lo != 0.0)
+                p[i++] = lo;
+            a = hi;
+        }
+        n = i;
+        if (a == 0.0)
+            continue;
+        if (isfinite(a)) {
+            p[n++] = a;
+        } else if (isfinite(saved)) {
+            PyErr_SetString(PyExc_OverflowError, "intermediate overflow in fsum");
+            return -1;
+        } else {
+            if (isinf(saved))
+                inf_sum += saved;
+            special += saved;
+            n = 0;
+        }
+    }
+    if (special != 0.0) {
+        if (isnan(inf_sum)) {
+            PyErr_SetString(PyExc_ValueError, "-inf + inf in fsum");
+            return -1;
+        }
+        *out = special;
+        return 0;
+    }
+    hi = 0.0;
+    if (n > 0) {
+        hi = p[--n];
+        /* add from the top while the sums stay exact */
+        while (n > 0) {
+            a = hi;
+            b = p[--n];
+            hi = a + b;
+            lo = b - (hi - a);
+            if (lo != 0.0)
+                break;
+        }
+        /* round half-even across partials: a remainder of the same sign
+           below lo can make lo, doubled, worth one more ulp */
+        if (n > 0 && ((lo < 0.0 && p[n - 1] < 0.0) || (lo > 0.0 && p[n - 1] > 0.0))) {
+            b = lo * 2.0;
+            a = hi + b;
+            if (b == a - hi)
+                hi = a;
+        }
+    }
+    *out = hi;
+    return 0;
+}
+
+static PyObject *Program_image_value(Program *self, PyObject *const *args,
+                                     Py_ssize_t nargs)
+{
+    if (nargs != 2)
+        return PyErr_Format(PyExc_TypeError,
+                            "image_value() takes exactly 2 arguments (%zd given)", nargs);
+    PyObject *matrix = args[0], *x = args[1];
+    Py_ssize_t rows = PyObject_Length(matrix), cols;
+    if (rows < 0)
+        return NULL;
+    if (rows != self->dim)
+        return PyErr_Format(PyExc_ValueError, "expected %d rows, got %zd", self->dim, rows);
+    if ((cols = PyObject_Length(x)) < 0)
+        return NULL;
+    /* a __len__ near PY_SSIZE_T_MAX must not wrap the scratch size */
+    if (cols > PY_SSIZE_T_MAX / (Py_ssize_t)sizeof(double) - rows - self->n)
+        return PyErr_NoMemory();
+    double stack[STACK_CAP];
+    double *y = scratch(stack, rows + self->n + cols);
+    if (y == NULL)
+        return NULL;
+    double *vals = y + rows, *partials = vals + self->n;
+    PyObject *out = NULL;
+    Py_ssize_t i = 0;
+    for (; i < rows; i++) {
+        PyObject *row = item(matrix, i);
+        if (row == NULL)
+            break;
+        Py_ssize_t len = PyObject_Length(row);
+        if (len >= 0 && len != cols)
+            PyErr_Format(PyExc_ValueError, "expected rows of %zd entries, got %zd", cols, len);
+        int rc = len == cols ? fsum_row(row, x, cols, partials, y + i) : -1;
+        Py_DECREF(row);
+        if (rc < 0)
+            break;
+    }
+    if (i == rows)
+        out = PyFloat_FromDouble(value_of(self, y, vals));
+    if (y != stack)
+        PyMem_Free(y);
+    return out;
+}
+
 /* -- SplitMix64 ----------------------------------------------------------- */
 
 /* Steele, Lea & Flood, "Fast splittable pseudorandom number generators"
    (OOPSLA 2014).  uint64_t arithmetic wraps at 2^64, as the twin's masks
    do. */
 static const uint64_t GAMMA = 0x9E3779B97F4A7C15ULL;
-
-/* GCC fuses a * b + c into one multiply-add on FMA targets unless told
-   not to; the twin rounds the product before the sum. */
-#if defined(__GNUC__) && !defined(__clang__)
-#define NO_FMA __attribute__((optimize("fp-contract=off")))
-#else
-#define NO_FMA
-#endif
 
 typedef struct {
     PyObject_HEAD
@@ -521,9 +709,8 @@ static uint64_t next_u64(SplitMix64 *self)
 }
 
 /* Uniform double in [lo, hi): the top 53 bits scaled by 2^-53 (exact),
-   then lo + (hi - lo) * r.  The product is a statement of its own so that
-   compilers which contract only within one expression cannot fuse it. */
-static NO_FMA double next_in(SplitMix64 *self, double lo, double hi)
+   then lo + (hi - lo) * r. */
+static double next_in(SplitMix64 *self, double lo, double hi)
 {
     double d = (hi - lo) * ((double)(next_u64(self) >> 11) * 0x1.0p-53);
     return lo + d;
@@ -636,6 +823,10 @@ static PyMethodDef Program_methods[] = {
      "(N(u), D+, D-) of t -> N(u + t v) at t = 0."},
     {"line_evaluator", (PyCFunction)(void (*)(void))Program_line_evaluator, METH_FASTCALL,
      "Callable phi with phi(t) = N(u + t v); buffers reused per call."},
+    {"circle", (PyCFunction)Program_circle, METH_O,
+     "(cos theta, sin theta) / N(cos theta, sin theta) of a planar norm."},
+    {"image_value", (PyCFunction)(void (*)(void))Program_image_value, METH_FASTCALL,
+     "N(M x); each row of M x is summed exactly, as math.fsum sums it."},
     {NULL, NULL, 0, NULL},
 };
 

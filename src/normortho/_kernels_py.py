@@ -8,6 +8,10 @@ A Program evaluates one fixed norm expression.  `derivs` returns the
 triple (value, D+, D-) of the map t -> N(u + t v) at t = 0; one-sided
 derivatives exist everywhere because every node is convex.
 
+`circle` gives the point of a planar norm's unit sphere at a Euclidean
+angle, and `image_value` the norm of a matrix image M x, each row of M x
+summed exactly by math.fsum; the planar sweeps call them once per point.
+
 The tape has four leaf kinds: l2, and wlp with p = 1, inf or finite p
 (`compile_ast` gives l1, linf and lp unit weights).  `_value` holds the
 only copy of each leaf formula.
@@ -19,6 +23,7 @@ the compiled type's.
 from __future__ import annotations
 
 import math
+import operator
 
 from .program import K_L2, K_WLP1, K_WLPINF, K_WLPP, K_MAX, K_SUM, K_SCALE
 
@@ -234,6 +239,29 @@ class Program:
                 lc = self.left[i]
                 dps[i] = c * dps[lc]
                 dms[i] = c * dms[lc]
+
+    # -- planar sweeps and matrix images -------------------------------------
+
+    def circle(self, theta):
+        """(cos theta, sin theta) / N(cos theta, sin theta) of a planar norm."""
+        if self.dim != 2:
+            raise ValueError(f"circle needs a 2-dimensional norm, got dim {self.dim}")
+        d0 = math.cos(theta)
+        d1 = math.sin(theta)
+        r = self._value((d0, d1), [0.0] * self.n)
+        return (d0 / r, d1 / r)
+
+    def image_value(self, matrix, x) -> float:
+        """N(M x); each row of M x is summed exactly, as math.fsum sums it."""
+        if len(matrix) != self.dim:
+            raise ValueError(f"expected {self.dim} rows, got {len(matrix)}")
+        cols = len(x)
+        y = []
+        for row in matrix:
+            if len(row) != cols:
+                raise ValueError(f"expected rows of {cols} entries, got {len(row)}")
+            y.append(math.fsum(map(operator.mul, row, x)))
+        return self._value(y, [0.0] * self.n)
 
     # -- line restriction ----------------------------------------------------
 

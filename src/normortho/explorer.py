@@ -21,7 +21,6 @@ from .normast import NormAst
 from .ortho import (
     Relation,
     _bisect_crossing,
-    _circle_point,
     _golden_min,
     _orthogonalize,
     _residual,
@@ -157,16 +156,16 @@ def operator_norm(lin: LinearMap, cfg: SampleConfig) -> OperatorNormEstimate:
     dom = get_program(lin.domain_norm)
     cod = get_program(lin.codomain_norm)
     dim = lin.domain_norm.dim
+    matrix = lin.matrix
+    image_value = cod.image_value
 
     if dim == 2:
         grid = 1024
         step = 2.0 * math.pi / grid
-        matrix = lin.matrix
-        cod_value = cod.value
+        circle = dom.circle
 
         def f(theta: float) -> float:
-            x = _circle_point(dom, theta)
-            return cod_value(tuple([math.fsum(map(operator.mul, row, x)) for row in matrix]))
+            return image_value(matrix, circle(theta))
 
         best_j = 0
         best = -1.0
@@ -178,15 +177,12 @@ def operator_norm(lin: LinearMap, cfg: SampleConfig) -> OperatorNormEstimate:
         # negation is exact, so minimizing -f takes the branches maximizing f would
         theta, lowest = _golden_min(lambda t: -f(t), theta0 - step, theta0 + step, 80)
         if -lowest >= best:
-            return OperatorNormEstimate(-lowest, _circle_point(dom, theta), "fine")
-        return OperatorNormEstimate(best, _circle_point(dom, theta0), "fine")
+            return OperatorNormEstimate(-lowest, circle(theta), "fine")
+        return OperatorNormEstimate(best, circle(theta0), "fine")
 
     def unit(x: Vector) -> Vector:
         r = dom.value(x)
         return tuple([c / r for c in x])
-
-    def gain(x: Vector) -> float:
-        return cod.value(_apply(lin, x))
 
     rng = SplitMix64(cfg.seed)
     best_x: Vector | None = None
@@ -196,7 +192,7 @@ def operator_norm(lin: LinearMap, cfg: SampleConfig) -> OperatorNormEstimate:
         if dom.value(x) == 0.0:
             continue
         x = unit(x)
-        fx = gain(x)
+        fx = image_value(matrix, x)
         delta = 0.5
         proposals = 2000  # caps a start whose gains keep trickling in
         while delta > 1e-7 and proposals > 0:
@@ -207,7 +203,7 @@ def operator_norm(lin: LinearMap, cfg: SampleConfig) -> OperatorNormEstimate:
                 if dom.value(cand) == 0.0:
                     continue
                 cand = unit(cand)
-                fc = gain(cand)
+                fc = image_value(matrix, cand)
                 if fc > fx:
                     x, fx = cand, fc
                     moved = True
@@ -272,8 +268,9 @@ def preserver_check(lin: LinearMap, ab: AlphaBeta, cfg: SampleConfig) -> Preserv
                               scale=cfg.scale)
     worst2 = 0.0
     wit2: Vector | None = None
+    image_value = cod.image_value
     for x in sphere_sample(dom_ast, spread_cfg):
-        dev = abs(cod.value(_apply(lin, x)) - opn.value) / opn.value
+        dev = abs(image_value(lin.matrix, x) - opn.value) / opn.value
         if dev > worst2:
             worst2, wit2 = dev, x
 
@@ -319,6 +316,7 @@ def _search_direction(prog, rel_hold: Relation, rel_test: Relation,
     discarded = 0
     scan = 64
     step = 2.0 * math.pi / scan
+    circle = prog.circle
 
     def bases():
         # Corners first: relations only split at non-smooth boundary
@@ -336,7 +334,7 @@ def _search_direction(prog, rel_hold: Relation, rel_test: Relation,
         u = tuple([c / r for c in base])
 
         def residual_at(theta: float) -> float:
-            return _residual(rel_hold, prog, u, _circle_point(prog, theta))
+            return _residual(rel_hold, prog, u, circle(theta))
 
         thetas = [j * step for j in range(scan)]
         residuals = [residual_at(th) for th in thetas]
@@ -349,7 +347,7 @@ def _search_direction(prog, rel_hold: Relation, rel_test: Relation,
             if r0 != 0.0 and r1 != 0.0 and (r0 > 0.0) == (r1 > 0.0):
                 continue
             theta = _bisect_crossing(residual_at, thetas[j], r0, thetas[j] + step, 1e-12)
-            v = _circle_point(prog, theta)
+            v = circle(theta)
             found_candidate = True
             used += 1
             if not _verdict(rel_hold, prog, u, v, tol).holds:

@@ -193,14 +193,6 @@ def _bisect_crossing(f, lo: float, f_lo: float, hi: float, width: float) -> floa
     return 0.5 * (lo + hi)
 
 
-def _circle_point(prog, theta: float) -> Vector:
-    """(cos theta, sin theta) scaled onto the unit sphere of the norm."""
-    d0 = math.cos(theta)
-    d1 = math.sin(theta)
-    r = prog.value((d0, d1))
-    return (d0 / r, d1 / r)
-
-
 def birkhoff_oracle(ast: NormAst, u, v, tol: float = 1e-9, iters: int = 200) -> OrthoVerdict:
     """Brute-force Birkhoff-James decision by 1-D minimization.
 
@@ -280,11 +272,13 @@ def ortho_locus(ast: NormAst, u, rel: Relation, resolution: int = 720) -> list[L
     if prog.value(uu) == 0.0:
         raise ZeroVectorError("locus needs a nonzero base vector")
 
+    circle = prog.circle
+
     def residual_at(theta: float) -> float:
-        return _residual(rel, prog, uu, _circle_point(prog, theta))
+        return _residual(rel, prog, uu, circle(theta))
 
     def point(theta: float, crossing: bool) -> LocusPoint:
-        x = _circle_point(prog, theta)
+        x = circle(theta)
         res = _residual(rel, prog, uu, x)
         return LocusPoint(theta, x[0], x[1], res, crossing or res == 0.0)
 

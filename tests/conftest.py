@@ -3,6 +3,7 @@
 import importlib.util
 import math
 import os
+import platform
 import re
 import shutil
 import subprocess
@@ -96,14 +97,29 @@ def mutate(text, rng):
     return text[: m.start()] + text[m.end() :]
 
 
-def _missing_toolchain(cc=None):
+def circle_reference(prog, theta):
+    """(cos theta, sin theta) / r with r = prog.value((cos theta, sin theta)),
+    from Python's math and prog.value: what prog.circle(theta) must equal."""
+    d0 = math.cos(theta)
+    d1 = math.sin(theta)
+    r = prog.value((d0, d1))
+    return (d0 / r, d1 / r)
+
+
+def _missing_toolchain(cc=None, tools=(), machines=None):
     """Why the extension cannot be built here with cc (default: the
-    compiler Python was built with), or None if it can."""
+    compiler Python was built with) and inspected with tools on one of
+    machines (default: any), or None if it can."""
     if not os.path.isfile(os.path.join(sysconfig.get_paths()["include"], "Python.h")):
         return "no Python headers to build the compiled backend"
     cc = cc or (sysconfig.get_config_var("CC") or "cc").split()[0]
     if shutil.which(cc) is None:
         return f"no C compiler ({cc}) to build the compiled backend"
+    for tool in tools:
+        if shutil.which(tool) is None:
+            return f"no {tool} to inspect the compiled backend"
+    if machines is not None and platform.machine() not in machines:
+        return f"checked on {', '.join(machines)} only, not {platform.machine()}"
     return None
 
 

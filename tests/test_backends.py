@@ -1,7 +1,10 @@
 """Agreement and selection tests for the two evaluation backends."""
 
 import functools
+import math
+import operator
 import os
+import re
 import subprocess
 import sys
 import sysconfig
@@ -12,7 +15,12 @@ from normortho import L1, LInf, Lp, SplitMix64, Sum, backend_name, parse_norm
 from normortho import _kernels_py
 from normortho.program import compile_ast
 
-from conftest import FAMILIES, _missing_toolchain
+from conftest import FAMILIES, _missing_toolchain, circle_reference, gen_ast
+
+# the planar norms the sweeps run on: every family and seeded random trees
+PLANAR = ([pytest.param(parse_norm(f, 2), id=f) for f in FAMILIES]
+          + [pytest.param(gen_ast(SplitMix64(seed), 2, 3), id=f"gen_ast-{seed}")
+             for seed in range(6)])
 
 
 @pytest.fixture
@@ -27,18 +35,49 @@ def _rel(a, b):
     return abs(a - b) / max(1.0, abs(a), abs(b))
 
 
+def _outcome(call, *args):
+    """What call(*args) gives, comparable across backends: the float.hex of
+    a float or of each float of a tuple, or the exception's type and text."""
+    try:
+        out = call(*args)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(out, tuple):
+        return tuple(x.hex() for x in out)
+    return out.hex()
+
+
+def _build_kernels_c(tmp_path, *flags):
+    """Path of _kernels.c built by gcc with flags into tmp_path."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src", "normortho", "_kernels.c")
+    out = tmp_path / ("_kernels" + sysconfig.get_config_var("EXT_SUFFIX"))
+    proc = subprocess.run(
+        ["gcc", *flags, "-shared", "-fPIC", "-I" + sysconfig.get_paths()["include"], src,
+         "-o", str(out)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return out
+
+
 def test_kernels_c_builds_without_warnings(tmp_path):
     reason = _missing_toolchain("gcc")
     if reason is not None:
         pytest.skip(reason)
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src", "normortho", "_kernels.c")
-    proc = subprocess.run(
-        ["gcc", "-O2", "-shared", "-fPIC", "-Wall", "-Wextra", "-Werror",
-         "-I" + sysconfig.get_paths()["include"], src,
-         "-o", str(tmp_path / ("_kernels" + sysconfig.get_config_var("EXT_SUFFIX")))],
-        capture_output=True, text=True,
-    )
-    assert proc.returncode == 0, proc.stderr
+    _build_kernels_c(tmp_path, "-O2", "-Wall", "-Wextra", "-Werror")
+
+
+def test_kernels_c_holds_no_fused_multiply_add(tmp_path):
+    # The twin rounds every product before adding it.  A target with FMA
+    # (here -mfma; aarch64 or -march=native elsewhere) must not fuse them.
+    reason = _missing_toolchain("gcc", tools=("objdump",), machines=("x86_64", "AMD64"))
+    if reason is not None:
+        pytest.skip(reason)
+    lib = _build_kernels_c(tmp_path, "-O2", "-mfma")
+    asm = subprocess.run(["objdump", "-d", str(lib)], capture_output=True, text=True,
+                         check=True).stdout
+    assert "<value_of>:" in asm
+    assert re.findall(r"\bv(?:fmadd|fmsub|fnmadd|fnmsub)\w*", asm) == []
 
 
 def test_backend_name_is_known():
@@ -215,3 +254,148 @@ def test_max_derivative_is_scale_free(backend, family):
         _, dp, dm = prog.derivs((s * u[0], s * u[1]), v)
         assert abs(dp - dp1) <= 1e-12 * abs(dp1), (s, dp, dp1)
         assert abs(dm - dm1) <= 1e-12 * abs(dm1), (s, dm, dm1)
+
+
+def _image_value_reference(prog, matrix, x):
+    # what prog.image_value(matrix, x) must equal
+    return prog.value(tuple([math.fsum(map(operator.mul, row, x)) for row in matrix]))
+
+
+@pytest.mark.parametrize("ast", PLANAR)
+def test_circle_agrees_bitwise(ast, pair):
+    fast, slow = pair(ast)
+    rng = SplitMix64(3)
+    # the sweeps' grid angles j * step, random angles, and far arguments
+    angles = [j * (2.0 * math.pi / n) for n in (64, 720, 1024) for j in range(n)]
+    angles += [rng.uniform(-50.0, 50.0) for _ in range(200)]
+    angles += [0.0, -0.0, 1e6, 1e300]
+    for theta in angles:
+        got = _outcome(fast.circle, theta)
+        assert got == _outcome(slow.circle, theta), theta
+        assert got == _outcome(circle_reference, slow, theta)
+        assert got == _outcome(circle_reference, fast, theta)
+    x0, x1 = fast.circle(0.3)
+    assert abs(fast.value((x0, x1)) - 1.0) <= 1e-15
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_circle_edge_cases_agree(family, pair):
+    fast, slow = pair(parse_norm(family, 2))
+    for theta in (math.inf, -math.inf):
+        for prog in (fast, slow):
+            assert _outcome(prog.circle, theta) == ("ValueError", "math domain error")
+    for theta in (math.nan, "0.5", None):
+        assert _outcome(fast.circle, theta) == _outcome(slow.circle, theta)
+    assert _outcome(fast.circle, "0.5")[0] == "TypeError"
+
+
+def test_circle_nan_and_zero_radius(compiled_kernels):
+    l1 = compile_ast(parse_norm("l1", 2))
+    zero = ((0, 6), (0.0, 0.0), (0, 0), (), (-1, 0), (-1, -1), 2)  # scale(0, l2)
+    l2_3 = compile_ast(parse_norm("l2", 3))
+    for mod in (compiled_kernels, _kernels_py):
+        assert _outcome(mod.Program(*l1).circle, math.nan) == ("nan", "nan")
+        assert _outcome(mod.Program(*zero).circle, 1.0) == (
+            "ZeroDivisionError", "float division by zero")
+        assert _outcome(mod.Program(*l2_3).circle, 1.0) == (
+            "ValueError", "circle needs a 2-dimensional norm, got dim 3")
+
+
+# codomain norms for image_value; l2 on one coordinate is the raw tape
+IMAGE_NORMS = ("l1", "l2", "linf", "lp(3)", "max(l1, l2)", "sum(l1, linf)", "scale(0.7, l2)")
+_L2_DIM1 = ((0,), (0.0,), (0,), (), (-1,), (-1,), 1)
+
+# row entries that stress an exact row sum: signed zeros, subnormals, the
+# extremes whose products overflow, and a cancelling 1e16 pair
+_ENTRIES = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, 1e16, -1e16,
+            1.0, -1.0, 0.1, 3.0, 1e200, -1e200, 1e308, -1e308)
+
+
+def _image_programs(compiled_kernels, rows):
+    tapes = ([_L2_DIM1] if rows == 1
+             else [compile_ast(parse_norm(f, rows)) for f in IMAGE_NORMS])
+    return [(compiled_kernels.Program(*t), _kernels_py.Program(*t)) for t in tapes]
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 4])
+def test_image_value_agrees_bitwise(rows, compiled_kernels):
+    rng = SplitMix64(100 + rows)
+
+    def entry():
+        if rng.random() < 0.5:
+            return _ENTRIES[int(rng.random() * len(_ENTRIES))]
+        return rng.uniform(-4.0, 4.0)
+
+    kinds = set()
+    for fast, slow in _image_programs(compiled_kernels, rows):
+        for cols in range(1, 6):
+            for _ in range(60):
+                matrix = tuple(tuple(entry() for _ in range(cols)) for _ in range(rows))
+                x = tuple(entry() for _ in range(cols))
+                got = _outcome(fast.image_value, matrix, x)
+                assert got == _outcome(slow.image_value, matrix, x), (matrix, x)
+                assert got == _outcome(_image_value_reference, slow, matrix, x), (matrix, x)
+                kinds.add(got[0] if isinstance(got, tuple) else got in ("inf", "nan"))
+    # the draws reach finite and non-finite sums and both fsum errors
+    assert kinds == {False, True, "OverflowError", "ValueError"}
+
+
+@pytest.mark.parametrize("matrix, x, want", [
+    # a left-to-right sum gives 0.0, fsum the exact 1.0
+    (((1e16, 1.0, -1e16), (0.0, 0.0, 0.0)), (1.0, 1.0, 1.0), 1.0),
+    # signed zero products only: both image rows are zero
+    (((-0.0, -0.0), (-0.0, 1.0)), (1.0, -0.0), 0.0),
+    # subnormal products, and a product that underflows to zero
+    (((5e-324, 5e-324, 1e-300), (0.0, 0.0, 0.0)), (1.0, 3.0, 1e-300), 2e-323),
+    # half-even rounding across three partials
+    (((1e-16, 1.0, 1e16), (0.0, 0.0, 0.0)), (1.0, 1.0, 1.0), 1.0000000000000002e16),
+    # a product that overflows is an inf summand, not an error
+    (((1e200, 1.0), (0.0, 0.0)), (1e200, 1.0), math.inf),
+])
+def test_image_value_sums_rows_as_fsum(matrix, x, want, compiled_kernels):
+    tape = compile_ast(parse_norm("l1", 2))
+    for mod in (compiled_kernels, _kernels_py):
+        got = mod.Program(*tape).image_value(matrix, x)
+        assert got.hex() == want.hex()
+        assert math.copysign(1.0, got) == 1.0
+
+
+@pytest.mark.parametrize("matrix, x, error", [
+    (((1.0, 2.0),), (1.0, 2.0), ("ValueError", "expected 2 rows, got 1")),
+    (((1.0, 2.0), (1.0, 2.0), (1.0, 2.0)), (1.0, 2.0), ("ValueError", "expected 2 rows, got 3")),
+    (((1.0, 2.0), (1.0,)), (1.0, 2.0), ("ValueError", "expected rows of 2 entries, got 1")),
+    (((1.0, 2.0, 3.0), (1.0, 2.0, 3.0)), (1.0, 2.0),
+     ("ValueError", "expected rows of 2 entries, got 3")),
+    (((1.0, "a"), (1.0, 2.0)), (1.0, 2.0), None),
+    # rows are checked and summed in turn: row 0's entry fails first
+    (((1.0, "a"), (1.0,)), (1.0, 2.0), None),
+    (((1.0,), (1.0, "a")), (1.0, 2.0), ("ValueError", "expected rows of 2 entries, got 1")),
+    (((1.0, None), (1.0, 2.0)), (1.0, 2.0), None),
+    (((1.0, 2.0), (1.0, 2.0)), (1.0, object()), None),
+    (((1e308, 1e308), (0.0, 0.0)), (1.0, 1.0),
+     ("OverflowError", "intermediate overflow in fsum")),
+    (((1e200, -1e200), (0.0, 0.0)), (1e200, 1e200), ("ValueError", "-inf + inf in fsum")),
+])
+def test_image_value_errors_agree(matrix, x, error, compiled_kernels):
+    tape = compile_ast(parse_norm("l2", 2))
+    fast = compiled_kernels.Program(*tape)
+    slow = _kernels_py.Program(*tape)
+    got = _outcome(fast.image_value, matrix, x)
+    assert got == _outcome(slow.image_value, matrix, x)
+    if error is None:
+        assert got[0] == "TypeError"
+    else:
+        assert got == error
+
+
+def test_image_value_rejects_a_length_no_buffer_holds(compiled_kernels):
+    class Endless:
+        def __len__(self):
+            return sys.maxsize
+
+        def __getitem__(self, j):
+            return 1.0
+
+    prog = compiled_kernels.Program(*compile_ast(parse_norm("l1", 2)))
+    with pytest.raises(MemoryError):
+        prog.image_value((Endless(), Endless()), Endless())

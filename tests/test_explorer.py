@@ -1,8 +1,13 @@
 """Linear maps, operator norms, preserver checks, and relation mining."""
 
+import dataclasses
 import math
+import types
 
 import pytest
+
+import normortho.explorer
+import normortho.kernels
 
 from normortho import (
     AlphaBeta,
@@ -20,7 +25,11 @@ from normortho import (
     relation_residual,
     rho_ab,
 )
+from normortho import _kernels_py
 from normortho.explorer import _apply
+from normortho.kernels import get_program
+
+from conftest import circle_reference
 
 L1 = parse_norm("l1", 2)
 L2 = parse_norm("l2", 2)
@@ -152,6 +161,64 @@ class TestOperatorNorm:
         lin = LinearMap(((0.0, 0.0), (0.0, 0.0)), L2, L2)
         with pytest.raises(ValueError):
             operator_norm(lin, SampleConfig(seed=1, count=10))
+
+
+class _Reference:
+    """A Program whose circle and image_value are computed from its value,
+    with Python's math and `_apply`, as references for the kernel's."""
+
+    def __init__(self, prog):
+        self._prog = prog
+
+    def __getattr__(self, name):
+        return getattr(self._prog, name)
+
+    def circle(self, theta):
+        return circle_reference(self._prog, theta)
+
+    def image_value(self, matrix, x):
+        return self._prog.value(_apply(types.SimpleNamespace(matrix=matrix), x))
+
+
+def _hexed(obj):
+    if isinstance(obj, float):
+        return obj.hex()
+    if dataclasses.is_dataclass(obj):
+        return _hexed(dataclasses.astuple(obj))
+    if isinstance(obj, (tuple, list)):
+        return tuple(_hexed(o) for o in obj)
+    return obj
+
+
+@pytest.mark.parametrize("matrix, dom, cod", [
+    (((1.0, 0.4), (-0.3, 1.2)), "l1", "linf"),
+    (((1.0, 0.5), (0.0, 1.0), (-0.3, 0.2)), "lp(3)", "max(l1, l2)"),
+    # three columns: the coarse path, where each image row sums three products
+    (((0.7, -1.1, 0.2), (0.3, 0.9, -0.4)), "sum(l1, linf)", "l2"),
+    (((1.0, 0.2, 0.0), (-0.5, 1.0, 0.3), (0.1, 0.1, 1.5)), "l2", "lp(1.5)"),
+], ids=["2x2", "3x2", "2x3", "3x3"])
+def test_map_paths_same_bits_on_both_backends(matrix, dom, cod, compiled_kernels,
+                                              monkeypatch):
+    lin = LinearMap(matrix, parse_norm(dom, len(matrix[0])), parse_norm(cod, len(matrix)))
+    cfg = SampleConfig(seed=4, count=6)
+
+    def run():
+        get_program.cache_clear()
+        return _hexed((operator_norm(lin, cfg), preserver_check(lin, AB, cfg)))
+
+    results = []
+    try:
+        for mod in (compiled_kernels, _kernels_py):
+            monkeypatch.setattr(normortho.kernels, "_impl", mod)
+            results.append(run())
+            with monkeypatch.context() as m:
+                m.setattr(normortho.explorer, "get_program",
+                          lambda ast: _Reference(get_program(ast)))
+                results.append(run())
+    finally:
+        get_program.cache_clear()
+    assert results[0][0][2] == ("fine" if len(matrix[0]) == 2 else "coarse")
+    assert results[1:] == results[:1] * 3
 
 
 class TestPreserverCheck:

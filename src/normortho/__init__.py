@@ -9,151 +9,19 @@ small combinator language (see `parse_norm`) and evaluated by a compiled
 kernel when available, with a pure-Python twin as fallback.
 """
 
-from .derivs import (
-    AlphaBeta,
-    DerivResult,
-    Lambda,
-    dir_deriv_exact,
-    rho,
-    rho_ab,
-    rho_lambda,
-    rho_pair,
-    rho_pm,
-    rho_pm_numeric,
-    sip,
-)
-from .errors import (
-    DimensionMismatchError,
-    EngineError,
-    NonSmoothPointError,
-    ParseError,
-    ZeroVectorError,
-)
-from .explorer import (
-    ConditionReport,
-    IncomparabilityReport,
-    LinearMap,
-    OperatorNormEstimate,
-    PreserverReport,
-    apply_map,
-    mine_incomparability,
-    operator_norm,
-    preserver_check,
-)
-from .geometry import (
-    AngleResult,
-    ExtremeEstimate,
-    ProbeReport,
-    angle_ab,
-    angle_homogeneity_check,
-    angular_constant,
-    norm_equiv_constant,
-    quartic_identity_residual,
-    smoothness_probe,
-    strict_convexity_probe,
-    symmetry_residual,
-    symmetry_search,
-)
-from .kernels import backend_name
-from .normast import L1, LInf, Lp, Max, NormAst, Scale, Sum, WLp, parse_norm, print_norm
-from .ortho import (
-    RELATION_TAGS,
-    LocusPoint,
-    OrthoVerdict,
-    Relation,
-    ab_orthogonalizer,
-    birkhoff_oracle,
-    birkhoff_t_interval,
-    is_orthogonal,
-    ortho_locus,
-    relation_residual,
-)
-from .rng import SplitMix64
-from .space import (
-    AUDIT_TOL,
-    NormAudit,
-    SampleConfig,
-    Vector,
-    as_vector,
-    audit_norm,
-    corner_vectors,
-    eval_norm,
-    norm_on_line,
-    random_vector,
-    sphere_sample,
-)
+from . import derivs, errors, explorer, geometry, kernels, normast, ortho, rng, space
+from .derivs import *
+from .errors import *
+from .explorer import *
+from .geometry import *
+from .kernels import *
+from .normast import *
+from .ortho import *
+from .rng import *
+from .space import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AUDIT_TOL",
-    "AlphaBeta",
-    "AngleResult",
-    "ConditionReport",
-    "DerivResult",
-    "DimensionMismatchError",
-    "EngineError",
-    "ExtremeEstimate",
-    "IncomparabilityReport",
-    "L1",
-    "LInf",
-    "Lambda",
-    "LinearMap",
-    "LocusPoint",
-    "Lp",
-    "Max",
-    "NonSmoothPointError",
-    "NormAst",
-    "NormAudit",
-    "OperatorNormEstimate",
-    "OrthoVerdict",
-    "ParseError",
-    "PreserverReport",
-    "ProbeReport",
-    "RELATION_TAGS",
-    "Relation",
-    "SampleConfig",
-    "Scale",
-    "SplitMix64",
-    "Sum",
-    "Vector",
-    "WLp",
-    "ZeroVectorError",
-    "ab_orthogonalizer",
-    "angle_ab",
-    "angle_homogeneity_check",
-    "angular_constant",
-    "apply_map",
-    "as_vector",
-    "audit_norm",
-    "backend_name",
-    "birkhoff_oracle",
-    "birkhoff_t_interval",
-    "corner_vectors",
-    "dir_deriv_exact",
-    "eval_norm",
-    "is_orthogonal",
-    "mine_incomparability",
-    "norm_equiv_constant",
-    "norm_on_line",
-    "operator_norm",
-    "ortho_locus",
-    "parse_norm",
-    "preserver_check",
-    "print_norm",
-    "quartic_identity_residual",
-    "random_vector",
-    "relation_residual",
-    "rho",
-    "rho_ab",
-    "rho_lambda",
-    "rho_pair",
-    "rho_pm",
-    "rho_pm_numeric",
-    "sip",
-    "smoothness_probe",
-    "sphere_sample",
-    "strict_convexity_probe",
-    "symmetry_residual",
-    "symmetry_search",
-]
+__all__ = [name for mod in (derivs, errors, explorer, geometry, kernels, normast, ortho, rng,
+                            space)
+           for name in mod.__all__]

@@ -20,13 +20,7 @@ import math
 import sys
 
 from .derivs import AlphaBeta, Lambda, rho_ab, rho_lambda, rho_pair, rho_pm_numeric
-from .errors import (
-    DimensionMismatchError,
-    EngineError,
-    NonSmoothPointError,
-    ParseError,
-    ZeroVectorError,
-)
+from .errors import EngineError, ParseError
 from .explorer import LinearMap, mine_incomparability, preserver_check
 from .geometry import (
     angle_ab,
@@ -203,11 +197,7 @@ def _render_payload(payload: dict, fmt: str) -> str:
         return _jdump(payload) + "\n"
     pairs = _flatten(payload)
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow([k for k, _ in pairs])
-        writer.writerow([v for _, v in pairs])
-        return buf.getvalue()
+        return _render_rows([dict(pairs)], fmt)
     width = max(len(k) for k, _ in pairs)
     return "".join(f"{k:<{width}}  {v}\n" for k, v in pairs)
 
@@ -359,9 +349,7 @@ def _cmd_ortho(args) -> dict:
         verdict = is_orthogonal(rel, ast, args.u, args.v, tol)
         rel_fields = _relation_fields(rel)
     return {"norm": print_norm(ast), "relation": args.relation,
-            **rel_fields, "u": args.u, "v": args.v,
-            "holds": verdict.holds, "residual": verdict.residual,
-            "tol": verdict.tol}
+            **rel_fields, "u": args.u, "v": args.v, **vars(verdict)}
 
 
 def _cmd_solve(args) -> dict:
@@ -393,8 +381,7 @@ def _cmd_locus(args) -> list[dict]:
     ast = _ast(args)
     rel = _relation(args.relation, args)
     points = ortho_locus(ast, args.u, rel, resolution=args.resolution)
-    return [{"theta": p.theta, "x": p.x, "y": p.y, "residual": p.residual,
-             "is_zero_crossing": p.is_zero_crossing} for p in points]
+    return [vars(p) for p in points]
 
 
 def _cmd_angle(args) -> dict:
@@ -418,10 +405,7 @@ def _cmd_probe(args) -> dict:
         report = strict_convexity_probe(ast, cfg)
     else:
         report = symmetry_search(ast, _ab(args), cfg)
-    return {"norm": print_norm(ast), "kind": kind, "verdict": report.verdict,
-            "witness_u": report.witness_u, "witness_v": report.witness_v,
-            "diagnostic": report.diagnostic,
-            "samples_used": report.samples_used,
+    return {"norm": print_norm(ast), "kind": kind, **vars(report),
             "seed": cfg.seed, "budget": cfg.count}
 
 
@@ -451,10 +435,7 @@ def _cmd_constant(args) -> dict:
     else:
         est = norm_equiv_constant(ast1, ast2, ab, cfg)
     return {"norm": print_norm(ast1), "norm2": print_norm(ast2), "kind": kind,
-            "alpha": ab.alpha, "beta": ab.beta, "value": est.value,
-            "witness_u": est.witness_u, "witness_v": est.witness_v,
-            "samples_used": est.samples_used, "skipped": est.skipped,
-            "unbounded": est.unbounded}
+            "alpha": ab.alpha, "beta": ab.beta, **vars(est)}
 
 
 def _cmd_preserver(args) -> dict:
@@ -466,18 +447,13 @@ def _cmd_preserver(args) -> dict:
                           rows)
     lin = LinearMap(args.matrix, domain, codomain)
     report = preserver_check(lin, _ab(args), _cfg(args))
-    conditions = [{"name": c.name, "passed": c.passed, "worst": c.worst,
-                   "witness_u": c.witness_u, "witness_v": c.witness_v,
-                   "tol": c.tol}
-                  for c in (report.orthogonality, report.norm_multiple,
-                            report.rho_scaling)]
     return {"matrix": args.matrix, "norm": print_norm(domain),
             "norm2": print_norm(codomain),
             "alpha": args.alpha, "beta": args.beta,
-            "operator_norm": {"value": report.operator_norm.value,
-                              "direction": report.operator_norm.direction,
-                              "grade": report.operator_norm.grade},
-            "conditions": conditions, "all_pass": report.all_pass}
+            "operator_norm": vars(report.operator_norm),
+            "conditions": [vars(c) for c in (report.orthogonality, report.norm_multiple,
+                                             report.rho_scaling)],
+            "all_pass": report.all_pass}
 
 
 def _cmd_mine(args) -> dict:
@@ -509,10 +485,7 @@ def _cmd_mine(args) -> dict:
 def _cmd_audit(args) -> dict:
     ast = _ast(args)
     report = audit_norm(ast, _cfg(args))
-    return {"norm": print_norm(ast), "samples": report.samples,
-            "violations": report.violations, "worst_kind": report.worst_kind,
-            "worst_defect": report.worst_defect, "worst_u": report.worst_u,
-            "worst_v": report.worst_v, "worst_t": report.worst_t}
+    return {"norm": print_norm(ast), **vars(report)}
 
 
 # name: (handler, one-line description for --help)
@@ -561,14 +534,10 @@ def run(argv=None) -> int:
                     args.format)
         else:
             text = _render_payload(result, args.format)
-    except ParseError as exc:
+    except (ParseError, _Usage) as exc:
         print(f"normortho: {exc}", file=sys.stderr)
         return 2
-    except _Usage as exc:
-        print(f"normortho: {exc}", file=sys.stderr)
-        return 2
-    except (DimensionMismatchError, ZeroVectorError, NonSmoothPointError,
-            EngineError, ValueError) as exc:
+    except (EngineError, ValueError) as exc:
         print(f"normortho: {exc}", file=sys.stderr)
         return 1
     if args.out is not None:

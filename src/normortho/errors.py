@@ -1,5 +1,13 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "ParseError",
+    "DimensionMismatchError",
+    "ZeroVectorError",
+    "NonSmoothPointError",
+    "EngineError",
+]
+
 
 class ParseError(ValueError):
     """Rejected norm-expression text.

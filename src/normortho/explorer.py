@@ -180,18 +180,17 @@ def operator_norm(lin: LinearMap, cfg: SampleConfig) -> OperatorNormEstimate:
             return OperatorNormEstimate(-lowest, circle(theta), "fine")
         return OperatorNormEstimate(best, circle(theta0), "fine")
 
-    def unit(x: Vector) -> Vector:
+    def unit(x: Vector) -> Vector | None:
         r = dom.value(x)
-        return tuple([c / r for c in x])
+        return None if r == 0.0 else tuple([c / r for c in x])
 
     rng = SplitMix64(cfg.seed)
     best_x: Vector | None = None
     best = -1.0
     for _ in range(cfg.count):
-        x = rng.vector(dim, -1.0, 1.0)
-        if dom.value(x) == 0.0:
+        x = unit(rng.vector(dim, -1.0, 1.0))
+        if x is None:
             continue
-        x = unit(x)
         fx = image_value(matrix, x)
         delta = 0.5
         proposals = 2000  # caps a start whose gains keep trickling in
@@ -199,10 +198,9 @@ def operator_norm(lin: LinearMap, cfg: SampleConfig) -> OperatorNormEstimate:
             moved = False
             for _ in range(8):
                 proposals -= 1
-                cand = tuple(map(operator.add, x, rng.vector(dim, -delta, delta)))
-                if dom.value(cand) == 0.0:
+                cand = unit(tuple(map(operator.add, x, rng.vector(dim, -delta, delta))))
+                if cand is None:
                     continue
-                cand = unit(cand)
                 fc = image_value(matrix, cand)
                 if fc > fx:
                     x, fx = cand, fc

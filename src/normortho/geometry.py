@@ -21,6 +21,7 @@ from .normast import NormAst
 from .space import (
     SampleConfig,
     Vector,
+    _unit_vector,
     _vectors,
     corner_vectors,
 )
@@ -84,7 +85,10 @@ def _angle(prog, u: Vector, v: Vector, ab: AlphaBeta) -> AngleResult:
         raise ZeroVectorError("angle needs nonzero u and v")
     r_ab = ab.alpha * (val * dm) + ab.beta * (val * dp)
     raw = r_ab / (ab.total * val * nv)
-    if abs(raw) > 1.0 + _CLAMP_BAND:
+    if not abs(raw) <= 1.0 + _CLAMP_BAND:
+        if not math.isfinite(raw):
+            raise ValueError(f"cosine argument {raw!r} is not finite: rho_ab or the norms "
+                             "overflow at this scale")
         raise EngineError(f"cosine argument {raw!r} is out of range beyond roundoff")
     clamped = min(1.0, max(-1.0, raw))
     return AngleResult(math.acos(clamped), raw)
@@ -94,8 +98,10 @@ def angle_ab(ast: NormAst, u, v, ab: AlphaBeta) -> AngleResult:
     """The rho_ab angle between nonzero u and v, in [0, pi].
 
     The argument rho_ab(u,v)/((alpha+beta) norm(u) norm(v)) lies in
-    [-1, 1] mathematically; values beyond the 1e-9 roundoff band raise
-    EngineError since they can only come from a defective derivative.
+    [-1, 1] mathematically; finite values beyond the 1e-9 roundoff band
+    raise EngineError since they can only come from a defective
+    derivative.  A non-finite argument, from overflow at huge scales,
+    raises ValueError.
     """
     uu, vv = _vectors(ast, u, v)
     return _angle(get_program(ast), uu, vv, ab)
@@ -241,12 +247,8 @@ def strict_convexity_probe(ast: NormAst, cfg: SampleConfig,
             if mid is not None:
                 return ProbeReport("witness-found", u, v, mid, used)
     while used < cfg.count:
-        x = _nonzero_vector(rng, prog, dim, cfg.scale)
-        y = _nonzero_vector(rng, prog, dim, cfg.scale)
-        rx = prog.value(x)
-        ry = prog.value(y)
-        u = tuple([c / rx for c in x])
-        v = tuple([c / ry for c in y])
+        u = _unit_vector(rng, prog, dim, cfg.scale)
+        v = _unit_vector(rng, prog, dim, cfg.scale)
         used += 1
         mid = check(u, v)
         if mid is not None:
@@ -261,7 +263,8 @@ def quartic_identity_residual(ast: NormAst, u, v, ab: AlphaBeta) -> float:
             = 8 (norm(u)^2 rho_ab(u,v) + norm(v)^2 rho_ab(v,u)),
 
     which holds for all u, v exactly when the norm is induced by an inner
-    product.  Returns left side minus right side.
+    product.  Returns left side minus right side; raises ValueError when
+    a fourth power overflows.
     """
     uu, vv = _vectors(ast, u, v)
     prog = get_program(ast)
@@ -269,7 +272,10 @@ def quartic_identity_residual(ast: NormAst, u, v, ab: AlphaBeta) -> float:
     minus = prog.value(tuple(map(operator.sub, uu, vv)))
     nu = prog.value(uu)
     nv = prog.value(vv)
-    lhs = ab.total * (plus**4 - minus**4)
+    try:
+        lhs = ab.total * (plus**4 - minus**4)
+    except OverflowError:
+        raise ValueError("the quartic identity overflows at this scale") from None
     rhs = 8.0 * (nu * nu * _rho_ab(prog, uu, vv, ab) + nv * nv * _rho_ab(prog, vv, uu, ab))
     return lhs - rhs
 

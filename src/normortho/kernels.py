@@ -14,6 +14,8 @@ from functools import lru_cache
 from .normast import NormAst
 from .program import compile_ast
 
+__all__ = ["backend_name"]
+
 if os.environ.get("NORMORTHO_PURE_PYTHON"):
     from . import _kernels_py as _impl
 

@@ -13,4 +13,6 @@ compiled type or its pure Python twin, which draw the same bits.
 
 from .kernels import _impl
 
+__all__ = ["SplitMix64"]
+
 SplitMix64 = _impl.SplitMix64

@@ -13,6 +13,7 @@ from .normast import NormAst
 from .rng import SplitMix64
 
 __all__ = [
+    "AUDIT_TOL",
     "Vector",
     "SampleConfig",
     "NormAudit",
@@ -159,15 +160,17 @@ def sphere_sample(ast: NormAst, cfg: SampleConfig) -> list[Vector]:
     """
     prog = get_program(ast)
     rng = SplitMix64(cfg.seed)
-    dim = ast.dim
-    out: list[Vector] = []
-    while len(out) < cfg.count:
-        x = rng.vector(dim, -cfg.scale, cfg.scale)
+    return [_unit_vector(rng, prog, ast.dim, cfg.scale) for _ in range(cfg.count)]
+
+
+def _unit_vector(rng: SplitMix64, prog, dim: int, scale: float) -> Vector:
+    """The first draw in [-scale, scale]^dim with nonzero norm, divided by
+    that norm."""
+    while True:
+        x = rng.vector(dim, -scale, scale)
         r = prog.value(x)
-        if r == 0.0:
-            continue
-        out.append(tuple([c / r for c in x]))
-    return out
+        if r != 0.0:
+            return tuple([c / r for c in x])
 
 
 def corner_vectors(dim: int) -> tuple[Vector, ...]:

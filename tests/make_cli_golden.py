@@ -3,7 +3,8 @@
 Each line is one command: its argv, the exit code of ``normortho.cli.run``
 and the sha256 of everything it wrote to stdout.  The corpus covers all
 twelve subcommands over the test FAMILIES plus a few composites, at small
-budgets and with unit-scale vectors.  Regenerate it only when an output
+budgets and with unit-scale vectors, and the table and csv renderings of
+every command that prints a result record.  Regenerate it only when an output
 change is intended, and say why in the change that does:
 
     PYTHONPATH=src python tests/make_cli_golden.py > tests/cli_golden.jsonl
@@ -103,6 +104,25 @@ def corpus() -> list[list[str]]:
         ("probe", "--norm", "l2", "--kind", "bogus"),
         ("audit", "--norm", "l2", "--samples", "0"),
     ]
+    # the table and csv renderings of every record command
+    for norm in ("l2", "max(l1, scale(0.5, l2))"):
+        n = ("--norm", norm)
+        for fmt in ("table", "csv"):
+            f = ("--format", fmt)
+            cmds += [
+                ("ortho", *n, "--u=1,0.5", "--v=-0.25,1", "--relation", "rho_ab", *AB, *f),
+                ("ortho", *n, "--u=1,1", "--v=1,-1", "--relation", "birkhoff_oracle", *f),
+                ("locus", *n, "--u=0.6,-0.8", "--relation", "rho_lambda", *LAM,
+                 "--resolution", "16", *f),
+                ("probe", *n, "--kind", "convexity", "--samples", "40", "--seed", "2", *f),
+                ("probe", *n, "--kind", "symmetry", *AB, "--samples", "40", *f),
+                ("constant", *n, "--norm2", "linf", "--kind", "angular", *AB,
+                 "--samples", "40", "--seed", "3", *f),
+                ("preserver", *n, "--matrix", "1,1;0,1", *AB, "--samples", "8", *f),
+                ("audit", *n, "--samples", "40", "--seed", "4", *f),
+                ("mine", *n, "--relation", "birkhoff", "--relation2", "isosceles",
+                 "--samples", "6", "--seed", "1", "--tol", "1e-7", *f),
+            ]
     return [list(c) for c in cmds]
 
 

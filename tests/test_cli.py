@@ -69,6 +69,20 @@ class TestExitCodes:
         assert code == 1
         assert err == "normortho: angle needs nonzero u and v\n"
 
+    @pytest.mark.parametrize("argv", [
+        ("angle", "--norm", "l2", "--u", "1e155,1e155", "--v=1e155,-1e155"),
+        ("constant", "--norm", "l2", "--norm2", "l1", "--kind", "angular",
+         "--scale", "1e300"),
+        ("identity", "--kind", "quartic", "--norm", "linf", "--u", "1e78,0",
+         "--v", "0,1e78"),
+    ], ids=["angle", "constant", "identity"])
+    def test_overflow_exits_one_with_one_line(self, capsys, argv):
+        code, out, err = _run(capsys, *argv, "--alpha", "0.3", "--beta", "0.4")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("normortho: ") and err.count("\n") == 1
+        assert "overflow" in err and "Traceback" not in err
+
     def test_corner_semi_relation_exits_one(self, capsys):
         code, _, err = _run(
             capsys, "ortho", "--norm", "linf", "--u", "1,1", "--v=1,-1",

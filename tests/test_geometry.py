@@ -83,6 +83,12 @@ class TestAngle:
         with pytest.raises(ZeroVectorError):
             angle_ab(L2, (1.0, 0.0), (0.0, 0.0), AB)
 
+    def test_overflowing_cosine_argument_rejected(self):
+        # the l2 dot products overflow to inf and their difference is NaN,
+        # which the clamp to [-1, 1] used to turn into theta = pi
+        with pytest.raises(ValueError, match="overflow"):
+            angle_ab(L2, (1e155, 1e155), (1e155, -1e155), AB)
+
 
 class TestAngleHomogeneity:
     def test_euclidean_examples(self):
@@ -253,6 +259,10 @@ class TestQuarticIdentity:
     def test_linf_corner_unbalanced_coefficients(self):
         got = quartic_identity_residual(LINF, (1.0, 1.0), (1.0, -1.0), AlphaBeta(0.3, 0.4))
         assert abs(got - (-1.6)) <= 1e-12
+
+    def test_overflowing_fourth_power_rejected(self):
+        with pytest.raises(ValueError, match="overflows"):
+            quartic_identity_residual(LINF, (1e78, 0.0), (0.0, 1e78), AB)
 
 
 class TestSymmetry:

@@ -4,12 +4,17 @@
    Mirrors `_kernels_py` instruction for instruction; when touching a
    formula here, change the pure Python twin identically.  Both use libm
    pow/sqrt/cos/sin and the same accumulation order, so results agree to
-   rounding.  A Program has five methods: `value`, `derivs`,
+   rounding.  A Program has six methods: `value`, `derivs`,
    `line_evaluator`, `circle` (the point of the planar unit sphere at a
-   Euclidean angle) and `image_value` (N(M x), each row of M x summed
-   exactly as math.fsum sums it).  The tape has four leaf kinds, l2 and
-   wlp with p = 1, inf or finite p; `value_of` holds the only copy of each
-   leaf formula.  The SplitMix64 draws are the same bits as the twin's.
+   Euclidean angle), `image_value` (N(M x), each row of M x summed
+   exactly as math.fsum sums it) and `residual(code, a, b, u, v)`, the
+   only copy of each orthogonality relation's residual.  code is the
+   tag's position in ortho.RELATION_TAGS (the R_ constants of program.py):
+   0 birkhoff, 1 rho_plus, 2 rho_minus, 3 rho, 4 rho_lambda, 5 rho_ab,
+   6 isosceles, 7 pythagorean, 8 semi; a is lambda or alpha and b is
+   beta.  The tape has four leaf kinds, l2 and wlp with p = 1, inf or
+   finite p; `value_of` holds the only copy of each leaf formula.  The
+   SplitMix64 draws are the same bits as the twin's.
 
    Build with `python setup.py build_ext`, or directly:
    gcc -O2 -shared -fPIC -I<python include> _kernels.c -o _kernels<EXT_SUFFIX>
@@ -30,11 +35,21 @@
 #pragma GCC optimize("fp-contract=off")
 #endif
 
-/* tape kinds, numbered as in program.py */
+/* tape kinds and relation codes, numbered as in program.py */
 enum { K_L2, K_WLP1, K_WLPINF, K_WLPP, K_MAX, K_SUM, K_SCALE };
+enum {
+    R_BIRKHOFF, R_RHO_PLUS, R_RHO_MINUS, R_RHO, R_RHO_LAMBDA, R_RHO_AB,
+    R_ISOSCELES, R_PYTHAGOREAN, R_SEMI
+};
 
 /* relative band for linf active sets and max-combinator ties */
 static const double TIE = 1e-12;
+
+/* |rho_+ - rho_-| band, relative to the larger, treated as smooth by semi */
+static const double SMOOTH_TOL = 1e-12;
+
+/* normortho.errors classes semi raises, bound at module init */
+static PyObject *ZeroVectorError, *NonSmoothPointError;
 
 /* per-call scratch lives on the stack up to this many doubles */
 #define STACK_CAP 256
@@ -281,6 +296,18 @@ static int load_ints(PyObject *seq, Py_ssize_t n, int *out)
         }
         out[j] = (int)k;
     }
+    return 0;
+}
+
+/* args[0] and args[1] as doubles into *a and *b; -1 with an exception set. */
+static int load_two(PyObject *const *args, double *a, double *b)
+{
+    *a = PyFloat_AsDouble(args[0]);
+    if (*a == -1.0 && PyErr_Occurred())
+        return -1;
+    *b = PyFloat_AsDouble(args[1]);
+    if (*b == -1.0 && PyErr_Occurred())
+        return -1;
     return 0;
 }
 
@@ -688,6 +715,111 @@ static PyObject *Program_image_value(Program *self, PyObject *const *args,
     return out;
 }
 
+/* -- orthogonality relations ---------------------------------------------- */
+
+/* The residual of relation code at (u, v) into *out; x holds dim doubles
+   and vals 4n.  max(rm, -rp) is spelled as Python's max evaluates it, so
+   a NaN orders the same.  -1 with an exception set (semi only). */
+static int residual_of(const Program *p, long code, double a, double b, const double *u,
+                       const double *v, double *x, double *vals, double *out)
+{
+    int dim = p->dim, n = p->n;
+    double *dps = vals + 2 * n, *dms = dps + n;
+    if (code == R_ISOSCELES) {
+        for (int j = 0; j < dim; j++)
+            x[j] = u[j] + v[j];
+        double plus = value_of(p, x, vals);
+        for (int j = 0; j < dim; j++)
+            x[j] = u[j] - v[j];
+        *out = plus - value_of(p, x, vals);
+        return 0;
+    }
+    if (code == R_PYTHAGOREAN) {
+        for (int j = 0; j < dim; j++)
+            x[j] = u[j] - v[j];
+        double diff = value_of(p, x, vals);
+        double nu = value_of(p, u, vals);
+        double nv = value_of(p, v, vals);
+        *out = diff * diff - (nu * nu + nv * nv);
+        return 0;
+    }
+    value_of(p, u, vals);
+    derivs_of(p, u, v, vals, dps, dms);
+    double val = vals[n - 1], rm = val * dms[n - 1], rp = val * dps[n - 1];
+    switch (code) {
+    case R_BIRKHOFF:
+        *out = -rp > rm ? -rp : rm;
+        return 0;
+    case R_RHO_PLUS:
+        *out = rp;
+        return 0;
+    case R_RHO_MINUS:
+        *out = rm;
+        return 0;
+    case R_RHO:
+        *out = (rm + rp) / 2.0;
+        return 0;
+    case R_RHO_LAMBDA:
+        *out = a * rm + (1.0 - a) * rp;
+        return 0;
+    case R_RHO_AB:
+        *out = a * rm + b * rp;
+        return 0;
+    }
+    /* R_SEMI: the semi-inner product [v, u] = rho_+(u, v), where smooth */
+    if (val == 0.0) {
+        PyErr_SetString(ZeroVectorError, "semi-inner product needs a nonzero second argument");
+        return -1;
+    }
+    double scale = fabs(rp) > fabs(rm) ? fabs(rp) : fabs(rm);
+    if (fabs(rp - rm) > SMOOTH_TOL * scale) {
+        PyObject *fp = PyFloat_FromDouble(rp), *fm = PyFloat_FromDouble(rm);
+        if (fp != NULL && fm != NULL)
+            PyErr_Format(NonSmoothPointError,
+                         "norm is not smooth at this point: rho_+ = %R differs from rho_- = %R",
+                         fp, fm);
+        Py_XDECREF(fp);
+        Py_XDECREF(fm);
+        return -1;
+    }
+    *out = rp;
+    return 0;
+}
+
+static PyObject *Program_residual(Program *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs != 5)
+        return PyErr_Format(PyExc_TypeError,
+                            "residual() takes exactly 5 arguments (%zd given)", nargs);
+    PyObject *index = PyNumber_Index(args[0]);
+    if (index == NULL)
+        return NULL;
+    int overflow;
+    long code = PyLong_AsLongAndOverflow(index, &overflow);
+    if (overflow || code < R_BIRKHOFF || code > R_SEMI) {
+        PyErr_Format(PyExc_ValueError, "unknown relation code %R", index);
+        Py_DECREF(index);
+        return NULL;
+    }
+    Py_DECREF(index);
+    double a, b;
+    if (load_two(args + 1, &a, &b) < 0 || check_pair(self, "residual", args + 3, 2) < 0)
+        return NULL;
+    Py_ssize_t dim = self->dim;
+    double stack[STACK_CAP];
+    double *cu = scratch(stack, 3 * dim + 4 * (Py_ssize_t)self->n);
+    if (cu == NULL)
+        return NULL;
+    double *cv = cu + dim, *x = cv + dim, res;
+    PyObject *out = NULL;
+    if (load_doubles(args[3], dim, cu) == 0 && load_doubles(args[4], dim, cv) == 0
+        && residual_of(self, code, a, b, cu, cv, x, x + dim, &res) == 0)
+        out = PyFloat_FromDouble(res);
+    if (cu != stack)
+        PyMem_Free(cu);
+    return out;
+}
+
 /* -- SplitMix64 ----------------------------------------------------------- */
 
 /* Steele, Lea & Flood, "Fast splittable pseudorandom number generators"
@@ -744,18 +876,6 @@ static void SplitMix64_dealloc(PyObject *self)
     Py_DECREF(type);
 }
 
-/* lo and hi from bounds[0..2) as doubles; -1 with an exception set. */
-static int load_bounds(PyObject *const *bounds, double *lo, double *hi)
-{
-    *lo = PyFloat_AsDouble(bounds[0]);
-    if (*lo == -1.0 && PyErr_Occurred())
-        return -1;
-    *hi = PyFloat_AsDouble(bounds[1]);
-    if (*hi == -1.0 && PyErr_Occurred())
-        return -1;
-    return 0;
-}
-
 static PyObject *SplitMix64_next_u64(SplitMix64 *self, PyObject *Py_UNUSED(ignored))
 {
     return PyLong_FromUnsignedLongLong(next_u64(self));
@@ -774,7 +894,7 @@ static PyObject *SplitMix64_uniform(SplitMix64 *self, PyObject *const *args,
     if (nargs != 2)
         return PyErr_Format(PyExc_TypeError,
                             "uniform() takes exactly 2 arguments (%zd given)", nargs);
-    if (load_bounds(args, &lo, &hi) < 0)
+    if (load_two(args, &lo, &hi) < 0)
         return NULL;
     return PyFloat_FromDouble(next_in(self, lo, hi));
 }
@@ -791,7 +911,7 @@ static PyObject *SplitMix64_vector(SplitMix64 *self, PyObject *const *args,
         return NULL;
     if (dim < 0)
         return PyErr_Format(PyExc_ValueError, "dim must be >= 0, got %zd", dim);
-    if (load_bounds(args + 1, &lo, &hi) < 0)
+    if (load_two(args + 1, &lo, &hi) < 0)
         return NULL;
     PyObject *out = PyTuple_New(dim);
     for (Py_ssize_t j = 0; j < dim && out != NULL; j++) {
@@ -827,6 +947,9 @@ static PyMethodDef Program_methods[] = {
      "(cos theta, sin theta) / N(cos theta, sin theta) of a planar norm."},
     {"image_value", (PyCFunction)(void (*)(void))Program_image_value, METH_FASTCALL,
      "N(M x); each row of M x is summed exactly, as math.fsum sums it."},
+    {"residual", (PyCFunction)(void (*)(void))Program_residual, METH_FASTCALL,
+     "Residual of relation code at (u, v): zero (<= 0 for birkhoff) where the "
+     "relation holds."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -889,9 +1012,22 @@ static struct PyModuleDef kernels_module = {
     .m_size = -1,
 };
 
+/* errors imports nothing, so importing it here cannot cycle back. */
+static int bind_errors(void)
+{
+    PyObject *errors = PyImport_ImportModule("normortho.errors");
+    if (errors == NULL)
+        return -1;
+    Py_XSETREF(ZeroVectorError, PyObject_GetAttrString(errors, "ZeroVectorError"));
+    Py_XSETREF(NonSmoothPointError, PyObject_GetAttrString(errors, "NonSmoothPointError"));
+    Py_DECREF(errors);
+    return ZeroVectorError != NULL && NonSmoothPointError != NULL ? 0 : -1;
+}
+
 PyMODINIT_FUNC PyInit__kernels(void)
 {
-    if (PyType_Ready(&ProgramType) < 0 || PyType_Ready(&LineEvaluatorType) < 0)
+    if (bind_errors() < 0 || PyType_Ready(&ProgramType) < 0
+        || PyType_Ready(&LineEvaluatorType) < 0)
         return NULL;
     PyObject *m = PyModule_Create(&kernels_module);
     if (m == NULL)

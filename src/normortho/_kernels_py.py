@@ -12,6 +12,13 @@ derivatives exist everywhere because every node is convex.
 angle, and `image_value` the norm of a matrix image M x, each row of M x
 summed exactly by math.fsum; the planar sweeps call them once per point.
 
+`residual(code, a, b, u, v)` holds the only copy of each orthogonality
+relation's residual.  code is the tag's position in ortho.RELATION_TAGS
+(the R_ constants of `program`): 0 birkhoff, 1 rho_plus, 2 rho_minus,
+3 rho, 4 rho_lambda, 5 rho_ab, 6 isosceles, 7 pythagorean, 8 semi.  a is
+lambda (rho_lambda) or alpha (rho_ab), b is beta (rho_ab); the other
+codes ignore both.
+
 The tape has four leaf kinds: l2, and wlp with p = 1, inf or finite p
 (`compile_ast` gives l1, linf and lp unit weights).  `_value` holds the
 only copy of each leaf formula.
@@ -25,10 +32,18 @@ from __future__ import annotations
 import math
 import operator
 
-from .program import K_L2, K_WLP1, K_WLPINF, K_WLPP, K_MAX, K_SUM, K_SCALE
+from .errors import NonSmoothPointError, ZeroVectorError
+from .program import (
+    K_L2, K_WLP1, K_WLPINF, K_WLPP, K_MAX, K_SUM, K_SCALE,
+    R_BIRKHOFF, R_RHO_PLUS, R_RHO_MINUS, R_RHO, R_RHO_LAMBDA, R_RHO_AB,
+    R_ISOSCELES, R_PYTHAGOREAN, R_SEMI,
+)
 
 # relative band for linf active sets and max-combinator ties
 _TIE = 1e-12
+
+# |rho_+ - rho_-| band, relative to the larger, treated as smooth by semi
+_SMOOTH_TOL = 1e-12
 
 
 class Program:
@@ -133,8 +148,15 @@ class Program:
 
     # -- one-sided derivatives ----------------------------------------------
 
+    def _check_pair(self, u, v) -> None:
+        if len(u) != self.dim or len(v) != self.dim:
+            raise ValueError(
+                f"expected {self.dim} coordinates, got {len(u)} and {len(v)}"
+            )
+
     def derivs(self, u, v):
         """(N(u), D+, D-) of t -> N(u + t v) at t = 0."""
+        # _check_pair inline: this is the hot path
         if len(u) != self.dim or len(v) != self.dim:
             raise ValueError(
                 f"expected {self.dim} coordinates, got {len(u)} and {len(v)}"
@@ -263,14 +285,56 @@ class Program:
             y.append(math.fsum(map(operator.mul, row, x)))
         return self._value(y, [0.0] * self.n)
 
+    # -- orthogonality relations ---------------------------------------------
+
+    def residual(self, code, a, b, u, v) -> float:
+        """Residual of relation code at (u, v): zero (<= 0 for birkhoff)
+        where the relation holds."""
+        code = operator.index(code)
+        if not R_BIRKHOFF <= code <= R_SEMI:
+            raise ValueError(f"unknown relation code {code!r}")
+        if code == R_ISOSCELES:
+            self._check_pair(u, v)
+            vals = [0.0] * self.n
+            plus = self._value(tuple(map(operator.add, u, v)), vals)
+            return plus - self._value(tuple(map(operator.sub, u, v)), vals)
+        if code == R_PYTHAGOREAN:
+            self._check_pair(u, v)
+            vals = [0.0] * self.n
+            diff = self._value(tuple(map(operator.sub, u, v)), vals)
+            nu = self._value(u, vals)
+            nv = self._value(v, vals)
+            # products, not ** 2: float ** raises OverflowError past ~1.3e154
+            return diff * diff - (nu * nu + nv * nv)
+        val, dp, dm = self.derivs(u, v)
+        rm = val * dm
+        rp = val * dp
+        if code == R_BIRKHOFF:
+            return max(rm, -rp)
+        if code == R_RHO_PLUS:
+            return rp
+        if code == R_RHO_MINUS:
+            return rm
+        if code == R_RHO:
+            return (rm + rp) / 2.0
+        if code == R_RHO_LAMBDA:
+            return a * rm + (1.0 - a) * rp
+        if code == R_RHO_AB:
+            return a * rm + b * rp
+        # R_SEMI: the semi-inner product [v, u] = rho_+(u, v), where smooth
+        if val == 0.0:
+            raise ZeroVectorError("semi-inner product needs a nonzero second argument")
+        if abs(rp - rm) > _SMOOTH_TOL * max(abs(rm), abs(rp)):
+            raise NonSmoothPointError(
+                f"norm is not smooth at this point: rho_+ = {rp!r} differs from rho_- = {rm!r}"
+            )
+        return rp
+
     # -- line restriction ----------------------------------------------------
 
     def line_evaluator(self, u, v):
         """Callable phi with phi(t) = N(u + t v); buffers reused per call."""
-        if len(u) != self.dim or len(v) != self.dim:
-            raise ValueError(
-                f"expected {self.dim} coordinates, got {len(u)} and {len(v)}"
-            )
+        self._check_pair(u, v)
         uu = tuple(float(x) for x in u)
         vv = tuple(float(x) for x in v)
         dim = self.dim

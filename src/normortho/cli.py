@@ -381,7 +381,7 @@ def _cmd_locus(args) -> list[dict]:
     ast = _ast(args)
     rel = _relation(args.relation, args)
     points = ortho_locus(ast, args.u, rel, resolution=args.resolution)
-    return [vars(p) for p in points]
+    return [p._asdict() for p in points]
 
 
 def _cmd_angle(args) -> dict:

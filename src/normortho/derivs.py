@@ -16,9 +16,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import NonSmoothPointError, ZeroVectorError
 from .kernels import get_program
 from .normast import NormAst
+from .program import R_SEMI
 from .space import Vector, _vectors
 
 __all__ = [
@@ -38,9 +38,6 @@ __all__ = [
 # ladder floor for the numeric fallback; below this the difference
 # quotient is dominated by cancellation noise
 _T_FLOOR = 1e-14
-
-# |rho_+ - rho_-| band treated as smooth by sip
-_SMOOTH_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -137,19 +134,6 @@ def _rho_ab(prog, u: Vector, v: Vector, ab: AlphaBeta) -> float:
     return ab.alpha * rm + ab.beta * rp
 
 
-def _sip(prog, v: Vector, u: Vector) -> float:
-    val, dp, dm = prog.derivs(u, v)
-    if val == 0.0:
-        raise ZeroVectorError("semi-inner product needs a nonzero second argument")
-    rm, rp = val * dm, val * dp
-    scale = max(abs(rm), abs(rp))
-    if abs(rp - rm) > _SMOOTH_TOL * scale:
-        raise NonSmoothPointError(
-            f"norm is not smooth at this point: rho_+ = {rp!r} differs from rho_- = {rm!r}"
-        )
-    return rp
-
-
 def rho_pair(ast: NormAst, u, v) -> tuple[float, float]:
     """(rho_-, rho_+) in one tape pass."""
     uu, vv = _vectors(ast, u, v)
@@ -238,4 +222,4 @@ def sip(ast: NormAst, v, u) -> float:
     |[v, u]| <= norm(v) norm(u).
     """
     uu, vv = _vectors(ast, u, v)
-    return _sip(get_program(ast), vv, uu)
+    return get_program(ast).residual(R_SEMI, 0.0, 0.0, uu, vv)

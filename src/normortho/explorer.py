@@ -10,6 +10,7 @@ every candidate before reporting it.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -21,9 +22,9 @@ from .normast import NormAst
 from .ortho import (
     Relation,
     _bisect_crossing,
+    _check_tol,
     _golden_min,
     _orthogonalize,
-    _residual,
     _verdict,
 )
 from .rng import SplitMix64
@@ -315,6 +316,10 @@ def _search_direction(prog, rel_hold: Relation, rel_test: Relation,
     scan = 64
     step = 2.0 * math.pi / scan
     circle = prog.circle
+    hold_args = rel_hold._residual_args
+    # the scan's circle points are the same around every base
+    thetas = [j * step for j in range(scan)]
+    xs = list(map(circle, thetas))
 
     def bases():
         # Corners first: relations only split at non-smooth boundary
@@ -330,12 +335,12 @@ def _search_direction(prog, rel_hold: Relation, rel_test: Relation,
         if r == 0.0:
             continue
         u = tuple([c / r for c in base])
+        residual = functools.partial(prog.residual, *hold_args, u)
 
         def residual_at(theta: float) -> float:
-            return _residual(rel_hold, prog, u, circle(theta))
+            return residual(circle(theta))
 
-        thetas = [j * step for j in range(scan)]
-        residuals = [residual_at(th) for th in thetas]
+        residuals = list(map(residual, xs))
         found_candidate = False
         for j in range(scan):
             if used >= budget:
@@ -371,10 +376,12 @@ def mine_incomparability(ast: NormAst, rel_a: Relation, rel_b: Relation,
     witness_ab is a pair where rel_a holds and rel_b clearly fails
     (residual beyond 100x the tolerance, so floating-point stragglers
     are discarded rather than reported); witness_ba is the reverse.
-    The budget counts candidate pairs examined across both directions.
+    The budget counts candidate pairs examined across both directions;
+    tol must be finite and nonnegative.
     """
     if ast.dim != 2:
         raise DimensionMismatchError("mining traces planar loci; dimension must be 2")
+    _check_tol(tol)
     fail_margin = 100.0 * tol
     prog = get_program(ast)
     root = SplitMix64(cfg.seed)

@@ -9,11 +9,12 @@ search and never touches the derivative engine.  Each guards the other.
 
 from __future__ import annotations
 
+import functools
 import math
-import operator
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .derivs import AlphaBeta, Lambda, _rho_pair, _sip
+from .derivs import AlphaBeta, Lambda
 from .errors import DimensionMismatchError, ZeroVectorError
 from .kernels import get_program
 from .normast import NormAst
@@ -32,6 +33,7 @@ __all__ = [
     "ortho_locus",
 ]
 
+# a tag's position here is its Program.residual code (program.R_*)
 RELATION_TAGS = (
     "birkhoff",
     "rho_plus",
@@ -66,6 +68,20 @@ class Relation:
             raise ValueError(f"relation {self.tag} takes no (alpha, beta) pair")
         if self.tag != "rho_lambda" and self.lam is not None:
             raise ValueError(f"relation {self.tag} takes no lambda weight")
+        if self.ab is not None and not isinstance(self.ab, AlphaBeta):
+            raise ValueError(f"the (alpha, beta) pair must be an AlphaBeta, got {self.ab!r}")
+        if self.lam is not None and not isinstance(self.lam, Lambda):
+            raise ValueError(f"the lambda weight must be a Lambda, got {self.lam!r}")
+
+    @functools.cached_property
+    def _residual_args(self) -> tuple[int, float, float]:
+        """(code, a, b), the leading arguments of Program.residual."""
+        code = RELATION_TAGS.index(self.tag)
+        if self.ab is not None:
+            return code, self.ab.alpha, self.ab.beta
+        if self.lam is not None:
+            return code, self.lam.lam, 0.0
+        return code, 0.0, 0.0
 
 
 @dataclass(frozen=True)
@@ -75,8 +91,7 @@ class OrthoVerdict:
     tol: float
 
 
-@dataclass(frozen=True)
-class LocusPoint:
+class LocusPoint(NamedTuple):
     theta: float
     x: float
     y: float
@@ -84,34 +99,9 @@ class LocusPoint:
     is_zero_crossing: bool
 
 
-def _residual(rel: Relation, prog, u: Vector, v: Vector) -> float:
-    tag = rel.tag
-    if tag == "isosceles":
-        plus = prog.value(tuple(map(operator.add, u, v)))
-        minus = prog.value(tuple(map(operator.sub, u, v)))
-        return plus - minus
-    if tag == "pythagorean":
-        diff = prog.value(tuple(map(operator.sub, u, v)))
-        nu = prog.value(u)
-        nv = prog.value(v)
-        # products, not ** 2: float ** raises OverflowError past ~1.3e154
-        return diff * diff - (nu * nu + nv * nv)
-    if tag == "semi":
-        return _sip(prog, v, u)
-    rm, rp = _rho_pair(prog, u, v)
-    if tag == "birkhoff":
-        return max(rm, -rp)
-    if tag == "rho_plus":
-        return rp
-    if tag == "rho_minus":
-        return rm
-    if tag == "rho":
-        return (rm + rp) / 2.0
-    if tag == "rho_lambda":
-        lam = rel.lam.lam
-        return lam * rm + (1.0 - lam) * rp
-    # rho_ab
-    return rel.ab.alpha * rm + rel.ab.beta * rp
+def _check_tol(tol: float) -> None:
+    if not 0.0 <= tol < math.inf:  # false for NaN too
+        raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
 
 
 def relation_residual(rel: Relation, ast: NormAst, u, v) -> float:
@@ -124,11 +114,13 @@ def relation_residual(rel: Relation, ast: NormAst, u, v) -> float:
     non-smooth points).
     """
     uu, vv = _vectors(ast, u, v)
-    return _residual(rel, get_program(ast), uu, vv)
+    code, a, b = rel._residual_args
+    return get_program(ast).residual(code, a, b, uu, vv)
 
 
 def _verdict(rel: Relation, prog, u: Vector, v: Vector, tol: float) -> OrthoVerdict:
-    residual = _residual(rel, prog, u, v)
+    code, a, b = rel._residual_args
+    residual = prog.residual(code, a, b, u, v)
     if rel.tag == "birkhoff":
         holds = residual <= tol
     else:
@@ -141,8 +133,10 @@ def is_orthogonal(rel: Relation, ast: NormAst, u, v, tol: float = 1e-9) -> Ortho
 
     Equational relations hold when |residual| <= tol; Birkhoff holds when
     the one-sided chain rho_- <= tol and rho_+ >= -tol does, i.e. when
-    its residual max(rho_-, -rho_+) <= tol.
+    its residual max(rho_-, -rho_+) <= tol.  tol must be finite and
+    nonnegative.
     """
+    _check_tol(tol)
     uu, vv = _vectors(ast, u, v)
     return _verdict(rel, get_program(ast), uu, vv, tol)
 
@@ -200,8 +194,10 @@ def birkhoff_oracle(ast: NormAst, u, v, tol: float = 1e-9, iters: int = 200) -> 
     satisfies |t*| <= 2 norm(u)/norm(v) (outside, the reverse triangle
     inequality gives norm(u+tv) >= |t| norm(v) - norm(u) > norm(u)), so
     the bracket T = 4 norm(u)/norm(v) is rigorous with slack.  Holds iff
-    min_t norm(u + t v) >= norm(u) - tol.
+    min_t norm(u + t v) >= norm(u) - tol; tol must be finite and
+    nonnegative.
     """
+    _check_tol(tol)
     uu, vv = _vectors(ast, u, v)
     prog = get_program(ast)
     nu = prog.value(uu)
@@ -273,24 +269,24 @@ def ortho_locus(ast: NormAst, u, rel: Relation, resolution: int = 720) -> list[L
         raise ZeroVectorError("locus needs a nonzero base vector")
 
     circle = prog.circle
+    residual = functools.partial(prog.residual, *rel._residual_args, uu)
 
     def residual_at(theta: float) -> float:
-        return _residual(rel, prog, uu, circle(theta))
-
-    def point(theta: float, crossing: bool) -> LocusPoint:
-        x = circle(theta)
-        res = _residual(rel, prog, uu, x)
-        return LocusPoint(theta, x[0], x[1], res, crossing or res == 0.0)
+        return residual(circle(theta))
 
     step = 2.0 * math.pi / resolution
-    samples = [point(j * step, False) for j in range(resolution)]
+    thetas = [j * step for j in range(resolution)]
+    xs = list(map(circle, thetas))
+    residuals = list(map(residual, xs))
     points: list[LocusPoint] = []
-    for j, p in enumerate(samples):
-        points.append(p)
-        res = p.residual
-        nxt = samples[(j + 1) % resolution].residual
+    for j, theta in enumerate(thetas):
+        x = xs[j]
+        res = residuals[j]
+        points.append(LocusPoint(theta, x[0], x[1], res, res == 0.0))
+        nxt = residuals[(j + 1) % resolution]
         if res == 0.0 or nxt == 0.0 or (res > 0.0) == (nxt > 0.0):
             continue
-        theta = _bisect_crossing(residual_at, p.theta, res, p.theta + step, 1e-10)
-        points.append(point(theta, True))
+        cross = _bisect_crossing(residual_at, theta, res, theta + step, 1e-10)
+        x = circle(cross)
+        points.append(LocusPoint(cross, x[0], x[1], residual(x), True))
     return points

@@ -4,7 +4,8 @@ The tape is a post-order array program: children always precede parents,
 so one forward pass evaluates the tree.  Keeping a single canonical
 instruction encoding lets the compiled and pure Python interpreters share
 operation order exactly, which keeps their results within rounding of
-each other.
+each other.  The R_ constants number the orthogonality relations that
+`Program.residual` computes, in ortho.RELATION_TAGS order.
 """
 
 from __future__ import annotations
@@ -21,10 +22,24 @@ __all__ = [
     "K_MAX",
     "K_SUM",
     "K_SCALE",
+    "R_BIRKHOFF",
+    "R_RHO_PLUS",
+    "R_RHO_MINUS",
+    "R_RHO",
+    "R_RHO_LAMBDA",
+    "R_RHO_AB",
+    "R_ISOSCELES",
+    "R_PYTHAGOREAN",
+    "R_SEMI",
     "compile_ast",
 ]
 
 K_L2, K_WLP1, K_WLPINF, K_WLPP, K_MAX, K_SUM, K_SCALE = range(7)
+
+# relation codes of Program.residual: each tag's position in
+# ortho.RELATION_TAGS
+(R_BIRKHOFF, R_RHO_PLUS, R_RHO_MINUS, R_RHO, R_RHO_LAMBDA, R_RHO_AB,
+ R_ISOSCELES, R_PYTHAGOREAN, R_SEMI) = range(9)
 
 
 def compile_ast(ast: normast.NormAst):

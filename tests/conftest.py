@@ -13,8 +13,11 @@ import sysconfig
 import hypothesis
 import pytest
 
+import normortho.kernels
+import normortho.rng
 from normortho import L1, LInf, Lp, Max, Scale, Sum, WLp
 from normortho import _kernels_py
+from normortho.kernels import get_program
 
 hypothesis.settings.register_profile(
     "suite", deadline=None, derandomize=True, max_examples=60
@@ -162,3 +165,18 @@ def backend(request):
     if request.param == "_kernels_py":
         return _kernels_py
     return request.getfixturevalue("compiled_kernels")
+
+
+@pytest.fixture
+def package_backend(backend, monkeypatch):
+    """backend, installed as the whole package's for one test: its tape
+    interpreter behind get_program and its SplitMix64 in every module
+    that bound the selected one."""
+    monkeypatch.setattr(normortho.kernels, "_impl", backend)
+    selected = normortho.rng.SplitMix64
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "normortho" and getattr(mod, "SplitMix64", None) is selected:
+            monkeypatch.setattr(mod, "SplitMix64", backend.SplitMix64)
+    get_program.cache_clear()
+    yield backend
+    get_program.cache_clear()

@@ -11,8 +11,11 @@ import sysconfig
 
 import pytest
 
-from normortho import L1, LInf, Lp, SplitMix64, Sum, backend_name, parse_norm
-from normortho import _kernels_py
+from normortho import (
+    L1, LInf, Lp, NonSmoothPointError, RELATION_TAGS, SplitMix64, Sum, ZeroVectorError,
+    backend_name, corner_vectors, parse_norm,
+)
+from normortho import _kernels_py, program
 from normortho.program import compile_ast
 
 from conftest import FAMILIES, _missing_toolchain, circle_reference, gen_ast
@@ -399,3 +402,92 @@ def test_image_value_rejects_a_length_no_buffer_holds(compiled_kernels):
     prog = compiled_kernels.Program(*compile_ast(parse_norm("l1", 2)))
     with pytest.raises(MemoryError):
         prog.image_value((Endless(), Endless()), Endless())
+
+
+# relation codes of Program.residual, in RELATION_TAGS order
+CODES = range(len(RELATION_TAGS))
+SCALES = (1e-300, 1e-150, 1e-10, 1.0, 1e10, 1e150, 1e300)
+
+
+def residual_reference(prog, code, a, b, u, v):
+    """What prog.residual(code, a, b, u, v) must equal, from prog.value,
+    prog.derivs and each relation's formula."""
+    tag = RELATION_TAGS[code]
+    if tag == "isosceles":
+        return (prog.value(tuple(map(operator.add, u, v)))
+                - prog.value(tuple(map(operator.sub, u, v))))
+    if tag == "pythagorean":
+        diff = prog.value(tuple(map(operator.sub, u, v)))
+        nu, nv = prog.value(u), prog.value(v)
+        return diff * diff - (nu * nu + nv * nv)
+    val, dp, dm = prog.derivs(u, v)
+    rm, rp = val * dm, val * dp
+    if tag == "semi":
+        if val == 0.0:
+            raise ZeroVectorError("semi-inner product needs a nonzero second argument")
+        if abs(rp - rm) > 1e-12 * max(abs(rm), abs(rp)):
+            raise NonSmoothPointError(
+                f"norm is not smooth at this point: rho_+ = {rp!r} differs from rho_- = {rm!r}")
+        return rp
+    return {
+        "birkhoff": max(rm, -rp),
+        "rho_plus": rp,
+        "rho_minus": rm,
+        "rho": (rm + rp) / 2.0,
+        "rho_lambda": a * rm + (1.0 - a) * rp,
+        "rho_ab": a * rm + b * rp,
+    }[tag]
+
+
+def test_relation_codes_follow_relation_tags():
+    codes = [getattr(program, "R_" + tag.upper()) for tag in RELATION_TAGS]
+    assert codes == list(CODES)
+
+
+@pytest.mark.parametrize("ast", PLANAR)
+def test_residual_agrees_bitwise(ast, pair):
+    fast, slow = pair(ast)
+    rng = SplitMix64(19)
+    vectors = [(0.0, 0.0)] + list(corner_vectors(2))
+    vectors += [(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(3)]
+    pairs = [(u, v) for u in vectors for v in vectors]
+    kinds = set()
+    for u, v in pairs:
+        for s in SCALES:
+            su = (s * u[0], s * u[1])
+            for args in ((su, v), (su, (s * v[0], s * v[1]))):
+                for code in CODES:
+                    got = _outcome(fast.residual, code, 0.3, 0.5, *args)
+                    assert got == _outcome(slow.residual, code, 0.3, 0.5, *args), (code, args)
+                    assert got == _outcome(residual_reference, slow, code, 0.3, 0.5, *args)
+                    kinds.add(got[0] if isinstance(got, tuple) else "float")
+    assert {"float", "ZeroVectorError"} <= kinds
+
+
+@pytest.mark.parametrize("args, error", [
+    ((8, 0.0, 0.0, (0.0, 0.0), (1.0, 2.0)),
+     ("ZeroVectorError", "semi-inner product needs a nonzero second argument")),
+    ((8, 0.0, 0.0, (1.0, 0.0), (0.0, 1.0)),
+     ("NonSmoothPointError",
+      "norm is not smooth at this point: rho_+ = 1.0 differs from rho_- = -1.0")),
+    ((9, 0.0, 0.0, (1.0, 0.0), (0.0, 1.0)), ("ValueError", "unknown relation code 9")),
+    ((-1, 0.0, 0.0, (1.0, 0.0), (0.0, 1.0)), ("ValueError", "unknown relation code -1")),
+    ((2 ** 70, 0.0, 0.0, (1.0, 0.0), (0.0, 1.0)),
+     ("ValueError", f"unknown relation code {2 ** 70}")),
+    ((1.0, 0.0, 0.0, (1.0, 0.0), (0.0, 1.0)),
+     ("TypeError", "'float' object cannot be interpreted as an integer")),
+    ((0, 0.0, 0.0, (1.0,), (0.0, 1.0)), ("ValueError", "expected 2 coordinates, got 1 and 2")),
+    ((6, 0.0, 0.0, (1.0, 0.0), (0.0, 1.0, 2.0)),
+     ("ValueError", "expected 2 coordinates, got 2 and 3")),
+    ((0, 0.0, 0.0, (1.0, 0.0)), "TypeError"),
+    ((0, 0.0, 0.0, (1.0, 0.0), (0.0, 1.0), (0.0, 1.0)), "TypeError"),
+])
+def test_residual_errors_agree(args, error, pair):
+    fast, slow = pair(parse_norm("l1", 2))
+    got = _outcome(fast.residual, *args)
+    if isinstance(error, str):
+        # the arity texts differ: the compiled method counts its own
+        # arguments, the twin's def lets Python count them
+        assert got[0] == _outcome(slow.residual, *args)[0] == error
+    else:
+        assert got == _outcome(slow.residual, *args) == error

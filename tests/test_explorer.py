@@ -354,6 +354,12 @@ class TestMineIncomparability:
         )
         assert mine_incomparability(*args) == mine_incomparability(*args)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+    def test_bad_tol_rejected(self, tol):
+        with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+            mine_incomparability(LINF, Relation("birkhoff"), Relation("rho"),
+                                 SampleConfig(seed=1, count=10), tol=tol)
+
     def test_dim3_rejected(self):
         with pytest.raises(DimensionMismatchError):
             mine_incomparability(

@@ -65,6 +65,27 @@ class TestRelationValidation:
         with pytest.raises(ValueError):
             Relation("rho_ab", ab=AlphaBeta(0.3, 0.3), lam=Lambda(0.5))
 
+    def test_parameters_must_be_validated_types(self):
+        # a bare tuple or float skips AlphaBeta's and Lambda's checks
+        with pytest.raises(ValueError, match="must be an AlphaBeta"):
+            Relation("rho_ab", ab=(0.3, 0.5))
+        with pytest.raises(ValueError, match="must be a Lambda"):
+            Relation("rho_lambda", lam=0.25)
+
+
+class TestTolerance:
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0, -1e-300])
+    def test_rejected_at_every_entry(self, tol):
+        u, v = (1.0, 0.0), (0.0, 1.0)
+        with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+            is_orthogonal(BIRKHOFF, L2, u, v, tol)
+        with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+            birkhoff_oracle(L2, u, v, tol=tol)
+
+    def test_zero_tol_decides_exactly(self):
+        assert is_orthogonal(BIRKHOFF, L2, (1.0, 0.0), (0.0, 1.0), 0.0).holds
+        assert not is_orthogonal(BIRKHOFF, L2, (1.0, 0.0), (1e-300, 1.0), 0.0).holds
+
 
 class TestBirkhoff:
     def test_axes_euclidean(self):
@@ -332,6 +353,18 @@ class TestLocus:
         for p in pts:
             if p.is_zero_crossing:
                 assert abs(p.residual) <= 1e-8
+
+    def test_points_are_named_tuples(self):
+        pts = ortho_locus(L2, (1.0, 0.0), Relation("rho"), resolution=8)
+        p = pts[0]
+        assert p._fields == ("theta", "x", "y", "residual", "is_zero_crossing")
+        assert repr(p) == ("LocusPoint(theta=0.0, x=1.0, y=0.0, residual=1.0, "
+                           "is_zero_crossing=False)")
+        assert p._asdict() == {"theta": 0.0, "x": 1.0, "y": 0.0, "residual": 1.0,
+                               "is_zero_crossing": False}
+        assert hash(p) == hash(tuple(p))
+        with pytest.raises(AttributeError):
+            p.residual = 0.0
 
     def test_validation(self):
         rel = Relation("rho")

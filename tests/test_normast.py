@@ -1,6 +1,8 @@
 """Parser and printer tests for the norm expression language."""
 
+import dataclasses
 import math
+import pickle
 
 import pytest
 from hypothesis import given
@@ -21,7 +23,66 @@ from normortho import (
     print_norm,
 )
 
+from normortho.kernels import get_program
+
 from conftest import FAMILIES, gen_ast, mutate
+
+# Every ParseError the parser raises, pinned to its exact text and offset
+# (dimension 2): each raise site, each "expected ..." form with a token
+# found and at the end of input, and whitespace other than a space.
+PARSE_ERRORS = [
+    # unexpected character; the whole text is lexed before parsing starts
+    ("@", "unexpected character '@' (at offset 0)", 0),
+    ("l1 $", "unexpected character '$' (at offset 3)", 3),
+    ("foo $", "unexpected character '$' (at offset 4)", 4),
+    ("lp(+1)", "unexpected character '+' (at offset 3)", 3),
+    ("-", "unexpected character '-' (at offset 0)", 0),
+    ("\u00e9", "unexpected character '\u00e9' (at offset 0)", 0),
+    # expected punctuation
+    ("lp x", "expected '(', found 'x' (at offset 3)", 3),
+    ("lp", "expected '(', found 'end of input' (at offset 2)", 2),
+    ("lp(3 x", "expected ')', found 'x' (at offset 5)", 5),
+    ("lp(3", "expected ')', found 'end of input' (at offset 4)", 4),
+    ("max(l1 l2)", "expected ',', found 'l2' (at offset 7)", 7),
+    ("max(l1", "expected ',', found 'end of input' (at offset 6)", 6),
+    ("wlp(2 1, 1)", "expected ';', found '1' (at offset 6)", 6),
+    ("wlp(2", "expected ';', found 'end of input' (at offset 5)", 5),
+    # expected a number
+    ("lp(x)", "expected a number, found 'x' (at offset 3)", 3),
+    ("lp(", "expected a number, found 'end of input' (at offset 3)", 3),
+    ("lp(nan)", "expected a number, found 'nan' (at offset 3)", 3),
+    ("wlp(nan; 1, 1)", "expected a number, found 'nan' (at offset 4)", 4),
+    # expected a norm expression
+    ("(", "expected a norm expression, found '(' (at offset 0)", 0),
+    ("1e5", "expected a norm expression, found '1e5' (at offset 0)", 0),
+    ("", "expected a norm expression, found 'end of input' (at offset 0)", 0),
+    ("max(l1,", "expected a norm expression, found 'end of input' (at offset 7)", 7),
+    # unknown norm; names are lowercased
+    ("l9", "unknown norm 'l9' (at offset 0)", 0),
+    ("Max(L1, Foo)", "unknown norm 'foo' (at offset 8)", 8),
+    # parameter checks
+    ("lp(1)", "lp exponent must be finite and > 1, got 1.0 (at offset 3)", 3),
+    ("lp(-3)", "lp exponent must be finite and > 1, got -3.0 (at offset 3)", 3),
+    ("lp(1e999)", "lp exponent must be finite and > 1, got inf (at offset 3)", 3),
+    ("wlp(0.5; 1, 1)", "wlp exponent must be >= 1 or inf, got 0.5 (at offset 4)", 4),
+    ("wlp(2; 1, -4)", "wlp weights must be positive, got -4.0 (at offset 10)", 10),
+    ("wlp(2; 0, 1)", "wlp weights must be positive, got 0.0 (at offset 7)", 7),
+    ("wlp(2; 1e999, 1)", "wlp weights must be positive, got inf (at offset 7)", 7),
+    ("scale(0, l2)", "scale factor must be positive, got 0.0 (at offset 6)", 6),
+    ("scale(1e999, l1)", "scale factor must be positive, got inf (at offset 6)", 6),
+    # wlp weight count
+    ("wlp(2; 1, 2, 3)",
+     "wlp expects 2 weights for a 2-dimensional space, got 3 (at offset 7)", 7),
+    ("wlp(inf; 5)",
+     "wlp expects 2 weights for a 2-dimensional space, got 1 (at offset 9)", 9),
+    # trailing input
+    ("l1 l2", "trailing input 'l2' (at offset 3)", 3),
+    ("l1)", "trailing input ')' (at offset 2)", 2),
+    # a tab, an information separator and an em space between tokens
+    ("max(l1,\tl2) x", "trailing input 'x' (at offset 12)", 12),
+    ("l1\x1cl2", "trailing input 'l2' (at offset 3)", 3),
+    ("l1\u2003@", "unexpected character '@' (at offset 3)", 3),
+]
 
 
 class TestParseExamples:
@@ -107,6 +168,13 @@ class TestRejection:
         assert 0 <= exc.value.offset <= len(text)
         assert "offset" in str(exc.value)
 
+    @pytest.mark.parametrize("text, message, offset", PARSE_ERRORS)
+    def test_error_text_and_offset_pinned(self, text, message, offset):
+        with pytest.raises(ParseError) as exc:
+            parse_norm(text, 2)
+        assert str(exc.value) == message
+        assert exc.value.offset == offset
+
     def test_wlp_arity_checked_against_dim(self):
         with pytest.raises(ParseError):
             parse_norm("wlp(2; 1, 2, 3)", 2)
@@ -139,10 +207,58 @@ class TestNodeValidation:
             Scale(-2.0, L1(2))
 
     def test_combinator_dim_agreement(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^max children disagree on dimension: 2 vs 3$"):
             Max(L1(2), L1(3))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^sum children disagree on dimension: 4 vs 2$"):
             Sum(LInf(4), Lp(2, 2.0))
+
+
+class TestNodeIdentity:
+    """Max/Sum and L1/LInf hold the same fields but are different norms."""
+
+    PAIRS = [
+        (L1(2), LInf(2)),
+        (Max(L1(2), Lp(2, 2.0)), Sum(L1(2), Lp(2, 2.0))),
+    ]
+
+    @pytest.mark.parametrize("a, b", PAIRS)
+    def test_equal_fields_distinct_nodes(self, a, b):
+        assert hash(a) == hash(b)
+        assert a != b and b != a
+        assert get_program(a) is not get_program(b)
+        assert eval_norm(a, (1.0, -2.0)) != eval_norm(b, (1.0, -2.0))
+
+    def test_repr(self):
+        assert repr(L1(2)) == "L1(dim=2)"
+        assert repr(LInf(3)) == "LInf(dim=3)"
+        assert repr(Max(L1(2), LInf(2))) == "Max(left=L1(dim=2), right=LInf(dim=2))"
+        assert repr(Sum(L1(2), LInf(2))) == "Sum(left=L1(dim=2), right=LInf(dim=2))"
+
+    @pytest.mark.parametrize("text", FAMILIES)
+    def test_pickle_round_trip(self, text):
+        ast = parse_norm(text, 2)
+        back = pickle.loads(pickle.dumps(ast))
+        assert type(back) is type(ast)
+        assert back == ast and hash(back) == hash(ast)
+
+    def test_replace(self):
+        node = Max(L1(2), LInf(2))
+        swapped = dataclasses.replace(node, right=Lp(2, 3.0))
+        assert swapped == Max(L1(2), Lp(2, 3.0))
+        assert hash(swapped) == hash(Max(L1(2), Lp(2, 3.0)))
+        assert dataclasses.replace(LInf(2), dim=3) == LInf(3)
+        with pytest.raises(ValueError, match="sum children disagree on dimension: 2 vs 3"):
+            dataclasses.replace(Sum(L1(2), LInf(2)), right=LInf(3))
+        with pytest.raises(ValueError, match="ambient dimension"):
+            dataclasses.replace(L1(2), dim=1)
+
+    def test_frozen(self):
+        for node in (L1(2), LInf(2), Max(L1(2), L1(2)), Sum(L1(2), L1(2))):
+            assert [f.name for f in dataclasses.fields(node)] in (["dim"], ["left", "right"])
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                node.dim = 3
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                node.extra = 0
 
 
 class TestRoundTrip:

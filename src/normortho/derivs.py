@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .kernels import get_program
 from .normast import NormAst
-from .program import R_SEMI
+from .program import R_RHO, R_RHO_AB, R_RHO_LAMBDA, R_SEMI
 from .space import Vector, _vectors
 
 __all__ = [
@@ -130,8 +130,7 @@ def _rho_pair(prog, u: Vector, v: Vector) -> tuple[float, float]:
 
 
 def _rho_ab(prog, u: Vector, v: Vector, ab: AlphaBeta) -> float:
-    rm, rp = _rho_pair(prog, u, v)
-    return ab.alpha * rm + ab.beta * rp
+    return prog.residual(R_RHO_AB, ab.alpha, ab.beta, u, v)
 
 
 def rho_pair(ast: NormAst, u, v) -> tuple[float, float]:
@@ -197,14 +196,14 @@ def rho_pm_numeric(ast: NormAst, u, v, side: str, tol: float) -> DerivResult:
 
 def rho(ast: NormAst, u, v) -> float:
     """(rho_- + rho_+) / 2."""
-    rm, rp = rho_pair(ast, u, v)
-    return (rm + rp) / 2.0
+    uu, vv = _vectors(ast, u, v)
+    return get_program(ast).residual(R_RHO, 0.0, 0.0, uu, vv)
 
 
 def rho_lambda(ast: NormAst, u, v, lam: Lambda) -> float:
     """lambda rho_- + (1 - lambda) rho_+."""
-    rm, rp = rho_pair(ast, u, v)
-    return lam.lam * rm + (1.0 - lam.lam) * rp
+    uu, vv = _vectors(ast, u, v)
+    return get_program(ast).residual(R_RHO_LAMBDA, lam.lam, 0.0, uu, vv)
 
 
 def rho_ab(ast: NormAst, u, v, ab: AlphaBeta) -> float:

@@ -13,8 +13,8 @@ class ParseError(ValueError):
     """Rejected norm-expression text.
 
     Covers syntax errors, arity/dimension mismatches, and parameter-domain
-    violations (p <= 1, nonpositive weight or scale).  ``offset`` is the byte
-    offset into the input at which the problem was detected.
+    violations (p <= 1, nonpositive weight or scale).  ``offset`` is the
+    character offset into the input at which the problem was detected.
     """
 
     def __init__(self, message: str, offset: int):

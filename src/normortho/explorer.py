@@ -31,6 +31,7 @@ from .rng import SplitMix64
 from .space import (
     SampleConfig,
     Vector,
+    _normalized,
     as_vector,
     corner_vectors,
     sphere_sample,
@@ -181,10 +182,7 @@ def operator_norm(lin: LinearMap, cfg: SampleConfig) -> OperatorNormEstimate:
             return OperatorNormEstimate(-lowest, circle(theta), "fine")
         return OperatorNormEstimate(best, circle(theta0), "fine")
 
-    def unit(x: Vector) -> Vector | None:
-        r = dom.value(x)
-        return None if r == 0.0 else tuple([c / r for c in x])
-
+    unit = functools.partial(_normalized, dom)
     rng = SplitMix64(cfg.seed)
     best_x: Vector | None = None
     best = -1.0
@@ -331,10 +329,9 @@ def _search_direction(prog, rel_hold: Relation, rel_test: Relation,
     for base in bases():
         if used >= budget:
             break
-        r = prog.value(base)
-        if r == 0.0:
+        u = _normalized(prog, base)
+        if u is None:
             continue
-        u = tuple([c / r for c in base])
         residual = functools.partial(prog.residual, *hold_args, u)
 
         def residual_at(theta: float) -> float:

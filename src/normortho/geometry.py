@@ -21,6 +21,7 @@ from .normast import NormAst
 from .space import (
     SampleConfig,
     Vector,
+    _normalized,
     _unit_vector,
     _vectors,
     corner_vectors,
@@ -234,10 +235,7 @@ def strict_convexity_probe(ast: NormAst, cfg: SampleConfig,
             return mid
         return None
 
-    corners = []
-    for cv in corner_vectors(dim):
-        r = prog.value(cv)
-        corners.append(tuple([c / r for c in cv]))
+    corners = [_normalized(prog, cv) for cv in corner_vectors(dim)]
     for i, u in enumerate(corners):
         for v in corners[i + 1:]:
             if used >= cfg.count:

@@ -5,7 +5,7 @@ families (l1, lp, wlp, linf) are norms, and max, sum, and positive scaling
 of norms are again norms.  Working with a closed combinator language keeps
 one-sided differentiation exact and compositional.
 
-Grammar (whitespace-insensitive between tokens)::
+Grammar (case-insensitive names; any Unicode whitespace between tokens)::
 
     norm   := "l1" | "l2" | "linf"
             | "lp" "(" number ")"                      # p > 1, finite
@@ -13,7 +13,7 @@ Grammar (whitespace-insensitive between tokens)::
             | "max" "(" norm "," norm ")"
             | "sum" "(" norm "," norm ")"
             | "scale" "(" number "," norm ")"          # factor > 0
-    number := decimal literal, optional sign and exponent
+    number := ["-"] decimal literal [exponent]         # no leading "+"
 
 "l2" is shorthand for "lp(2)".  A wlp weight list must have exactly one
 weight per coordinate of the ambient space.
@@ -58,29 +58,28 @@ def _cached_hash(node) -> int:
 
 
 @dataclass(frozen=True)
-class L1:
+class _Leaf:
+    """An unweighted norm whose only field is the dimension."""
+
+    dim: int
+
+    __hash__ = _cached_hash
+
+    def __post_init__(self):
+        _check_dim(self.dim)
+        _seal(self, (self.dim,))
+
+
+# Subclasses are decorated again so the frozen check covers their instances;
+# eq=False keeps the base's __eq__ (exact classes) and cached __hash__.
+@dataclass(frozen=True, eq=False)
+class L1(_Leaf):
     """Sum of absolute coordinate values."""
 
-    dim: int
 
-    __hash__ = _cached_hash
-
-    def __post_init__(self):
-        _check_dim(self.dim)
-        _seal(self, (self.dim,))
-
-
-@dataclass(frozen=True)
-class LInf:
+@dataclass(frozen=True, eq=False)
+class LInf(_Leaf):
     """Largest absolute coordinate value."""
-
-    dim: int
-
-    __hash__ = _cached_hash
-
-    def __post_init__(self):
-        _check_dim(self.dim)
-        _seal(self, (self.dim,))
 
 
 @dataclass(frozen=True)
@@ -134,45 +133,35 @@ class WLp:
 
 
 @dataclass(frozen=True)
-class Max:
+class _Pair:
+    """A combination of two norms on the same space."""
+
+    left: "NormAst"
+    right: "NormAst"
+
+    __hash__ = _cached_hash
+
+    def __post_init__(self):
+        if self.left.dim != self.right.dim:
+            raise ValueError(
+                f"{type(self).__name__.lower()} children disagree on dimension: "
+                f"{self.left.dim} vs {self.right.dim}"
+            )
+        _seal(self, (self.left, self.right))
+
+    @property
+    def dim(self) -> int:
+        return self.left.dim
+
+
+@dataclass(frozen=True, eq=False)
+class Max(_Pair):
     """Pointwise maximum of two norms on the same space."""
 
-    left: "NormAst"
-    right: "NormAst"
 
-    __hash__ = _cached_hash
-
-    def __post_init__(self):
-        if self.left.dim != self.right.dim:
-            raise ValueError(
-                f"max children disagree on dimension: {self.left.dim} vs {self.right.dim}"
-            )
-        _seal(self, (self.left, self.right))
-
-    @property
-    def dim(self) -> int:
-        return self.left.dim
-
-
-@dataclass(frozen=True)
-class Sum:
+@dataclass(frozen=True, eq=False)
+class Sum(_Pair):
     """Pointwise sum of two norms on the same space."""
-
-    left: "NormAst"
-    right: "NormAst"
-
-    __hash__ = _cached_hash
-
-    def __post_init__(self):
-        if self.left.dim != self.right.dim:
-            raise ValueError(
-                f"sum children disagree on dimension: {self.left.dim} vs {self.right.dim}"
-            )
-        _seal(self, (self.left, self.right))
-
-    @property
-    def dim(self) -> int:
-        return self.left.dim
 
 
 @dataclass(frozen=True)
@@ -201,41 +190,25 @@ NormAst = L1 | LInf | Lp | WLp | Max | Sum | Scale
 
 # --- lexer -----------------------------------------------------------------
 
-_NUMBER_RE = re.compile(r"-?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?")
-_IDENT_RE = re.compile(r"[a-zA-Z][a-zA-Z0-9]*")
+# One alternative per token kind, tried in this order after any whitespace;
+# "bad" catches every other character.
+_TOKEN_RE = re.compile(r"""\s*(?:
+    (?P<punct>[(),;])
+  | (?P<number>-?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)
+  | (?P<ident>[a-zA-Z][a-zA-Z0-9]*)
+  | (?P<bad>\S))""", re.VERBOSE)
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "ident" | "number" | "punct" | "eof"
-    text: str
-    offset: int
-
-
-def _tokenize(text: str) -> list[_Token]:
-    toks: list[_Token] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "(),;":
-            toks.append(_Token("punct", ch, i))
-            i += 1
-            continue
-        m = _NUMBER_RE.match(text, i)
-        if m:
-            toks.append(_Token("number", m.group(0), i))
-            i = m.end()
-            continue
-        m = _IDENT_RE.match(text, i)
-        if m:
-            toks.append(_Token("ident", m.group(0).lower(), i))
-            i = m.end()
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
-    toks.append(_Token("eof", "", n))
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, offset) per token, idents lowercased, then an eof token."""
+    toks = []
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        tok = m[kind]
+        if kind == "bad":
+            raise ParseError(f"unexpected character {tok!r}", m.start(kind))
+        toks.append((kind, tok.lower() if kind == "ident" else tok, m.start(kind)))
+    toks.append(("eof", "", len(text)))
     return toks
 
 
@@ -245,33 +218,33 @@ class _Parser:
         self.pos = 0
         self.dim = dim
 
-    def peek(self) -> _Token:
+    def peek(self) -> tuple[str, str, int]:
         return self.toks[self.pos]
 
-    def take(self) -> _Token:
+    def take(self) -> tuple[str, str, int]:
         tok = self.toks[self.pos]
         self.pos += 1
         return tok
 
-    def expect_punct(self, ch: str) -> _Token:
-        tok = self.take()
-        if tok.kind != "punct" or tok.text != ch:
-            raise ParseError(f"expected {ch!r}, found {tok.text or 'end of input'!r}", tok.offset)
-        return tok
+    # Only punct tokens have the texts "(", ")", ",", ";", and only an ident
+    # has the text "inf", so those tests need not look at the kind.
+    def expect_punct(self, ch: str) -> None:
+        _, text, offset = self.take()
+        if text != ch:
+            raise ParseError(f"expected {ch!r}, found {text or 'end of input'!r}", offset)
 
     def number(self) -> tuple[float, int]:
-        tok = self.take()
-        if tok.kind != "number":
-            raise ParseError(f"expected a number, found {tok.text or 'end of input'!r}", tok.offset)
-        return float(tok.text), tok.offset
+        kind, text, offset = self.take()
+        if kind != "number":
+            raise ParseError(f"expected a number, found {text or 'end of input'!r}", offset)
+        return float(text), offset
 
     def norm(self) -> NormAst:
-        tok = self.take()
-        if tok.kind != "ident":
+        kind, name, offset = self.take()
+        if kind != "ident":
             raise ParseError(
-                f"expected a norm expression, found {tok.text or 'end of input'!r}", tok.offset
+                f"expected a norm expression, found {name or 'end of input'!r}", offset
             )
-        name = tok.text
         if name == "l1":
             return L1(self.dim)
         if name == "linf":
@@ -303,29 +276,24 @@ class _Parser:
             if not (math.isfinite(c) and c > 0):
                 raise ParseError(f"scale factor must be positive, got {c}", off)
             return Scale(c, inner)
-        raise ParseError(f"unknown norm {name!r}", tok.offset)
+        raise ParseError(f"unknown norm {name!r}", offset)
 
     def _wlp(self) -> WLp:
         self.expect_punct("(")
-        tok = self.peek()
-        if tok.kind == "ident" and tok.text == "inf":
+        _, text, offset = self.peek()
+        if text == "inf":
             self.take()
-            p, p_off = math.inf, tok.offset
+            p, p_off = math.inf, offset
         else:
             p, p_off = self.number()
         if not p >= 1:
             raise ParseError(f"wlp exponent must be >= 1 or inf, got {p}", p_off)
         self.expect_punct(";")
-        weights: list[float] = []
-        w, w_off = self.number()
-        first_off = w_off
-        self._check_weight(w, w_off)
-        weights.append(w)
-        while self.peek().kind == "punct" and self.peek().text == ",":
+        first_off = self.peek()[2]
+        weights = [self._weight()]
+        while self.peek()[1] == ",":
             self.take()
-            w, w_off = self.number()
-            self._check_weight(w, w_off)
-            weights.append(w)
+            weights.append(self._weight())
         self.expect_punct(")")
         if len(weights) != self.dim:
             raise ParseError(
@@ -335,24 +303,25 @@ class _Parser:
             )
         return WLp(p, tuple(weights))
 
-    @staticmethod
-    def _check_weight(w: float, off: int) -> None:
+    def _weight(self) -> float:
+        w, off = self.number()
         if not (math.isfinite(w) and w > 0):
             raise ParseError(f"wlp weights must be positive, got {w}", off)
+        return w
 
 
 def parse_norm(text: str, dim: int) -> NormAst:
     """Parse an expression into a norm tree over a dim-dimensional space.
 
-    Raises ParseError (with the byte offset of the problem) on any syntax,
+    Raises ParseError (with the character offset of the problem) on any syntax,
     arity, or parameter-domain violation; never returns a partial parse.
     """
     _check_dim(dim)
     parser = _Parser(text, dim)
     ast = parser.norm()
-    trailing = parser.peek()
-    if trailing.kind != "eof":
-        raise ParseError(f"trailing input {trailing.text!r}", trailing.offset)
+    kind, text, offset = parser.peek()
+    if kind != "eof":
+        raise ParseError(f"trailing input {text!r}", offset)
     return ast
 
 
@@ -366,18 +335,14 @@ def _fmt(x: float) -> str:
 
 def print_norm(ast: NormAst) -> str:
     """Canonical lowercase rendering; parse_norm(print_norm(a), a.dim) == a."""
-    if isinstance(ast, L1):
-        return "l1"
-    if isinstance(ast, LInf):
-        return "linf"
+    if isinstance(ast, _Leaf):
+        return type(ast).__name__.lower()
     if isinstance(ast, Lp):
         return f"lp({_fmt(ast.p)})"
     if isinstance(ast, WLp):
         return f"wlp({_fmt(ast.p)}; " + ", ".join(_fmt(w) for w in ast.weights) + ")"
-    if isinstance(ast, Max):
-        return f"max({print_norm(ast.left)}, {print_norm(ast.right)})"
-    if isinstance(ast, Sum):
-        return f"sum({print_norm(ast.left)}, {print_norm(ast.right)})"
+    if isinstance(ast, _Pair):
+        return f"{type(ast).__name__.lower()}({print_norm(ast.left)}, {print_norm(ast.right)})"
     if isinstance(ast, Scale):
         return f"scale({_fmt(ast.c)}, {print_norm(ast.inner)})"
     raise TypeError(f"not a norm node: {ast!r}")

@@ -163,14 +163,19 @@ def sphere_sample(ast: NormAst, cfg: SampleConfig) -> list[Vector]:
     return [_unit_vector(rng, prog, ast.dim, cfg.scale) for _ in range(cfg.count)]
 
 
+def _normalized(prog, x: Vector) -> Vector | None:
+    """x divided by its norm, or None when that norm is zero."""
+    r = prog.value(x)
+    return None if r == 0.0 else tuple([c / r for c in x])
+
+
 def _unit_vector(rng: SplitMix64, prog, dim: int, scale: float) -> Vector:
     """The first draw in [-scale, scale]^dim with nonzero norm, divided by
     that norm."""
     while True:
-        x = rng.vector(dim, -scale, scale)
-        r = prog.value(x)
-        if r != 0.0:
-            return tuple([c / r for c in x])
+        x = _normalized(prog, rng.vector(dim, -scale, scale))
+        if x is not None:
+            return x
 
 
 def corner_vectors(dim: int) -> tuple[Vector, ...]:

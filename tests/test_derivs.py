@@ -239,6 +239,28 @@ class TestStructuralLaws:
                 )
 
 
+@pytest.mark.parametrize("backend", ["_kernels_py", "_kernels"], indirect=True)
+def test_blends_round_as_their_formulas(package_backend):
+    """rho, rho_lambda and rho_ab give the bits of their formulas applied
+    to rho_pair's values, down to signed zeros, overflow and NaN."""
+    ab, lam = AlphaBeta(0.3, 0.4), Lambda(0.3)
+    rng = SplitMix64(41)
+    vecs = [(1.0, 0.0), (1.0, 1.0), (0.0, -1.0), (0.0, 0.0)]
+    vecs += [random_vector(rng, 2, 2.0) for _ in range(6)]
+    for ast in _asts():
+        for s in (1e-300, 1.0, 1e300):
+            for u in vecs:
+                su = tuple([s * c for c in u])
+                for v in vecs:
+                    sv = tuple([s * c for c in v])
+                    rm, rp = rho_pair(ast, su, sv)
+                    assert rho(ast, su, sv).hex() == ((rm + rp) / 2.0).hex()
+                    assert (rho_lambda(ast, su, sv, lam).hex()
+                            == (lam.lam * rm + (1.0 - lam.lam) * rp).hex())
+                    assert (rho_ab(ast, su, sv, ab).hex()
+                            == (ab.alpha * rm + ab.beta * rp).hex())
+
+
 class TestNumericEnclosure:
     def test_l2_plus(self):
         got = rho_pm_numeric(L2, (1.0, 1.0), (1.0, 0.0), "plus", tol=1e-8)

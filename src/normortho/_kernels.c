@@ -4,17 +4,19 @@
    Mirrors `_kernels_py` instruction for instruction; when touching a
    formula here, change the pure Python twin identically.  Both use libm
    pow/sqrt/cos/sin and the same accumulation order, so results agree to
-   rounding.  A Program has six methods: `value`, `derivs`,
-   `line_evaluator`, `circle` (the point of the planar unit sphere at a
-   Euclidean angle), `image_value` (N(M x), each row of M x summed
-   exactly as math.fsum sums it) and `residual(code, a, b, u, v)`, the
-   only copy of each orthogonality relation's residual.  code is the
-   tag's position in ortho.RELATION_TAGS (the R_ constants of program.py):
-   0 birkhoff, 1 rho_plus, 2 rho_minus, 3 rho, 4 rho_lambda, 5 rho_ab,
-   6 isosceles, 7 pythagorean, 8 semi; a is lambda or alpha and b is
-   beta.  The tape has four leaf kinds, l2 and wlp with p = 1, inf or
-   finite p; `value_of` holds the only copy of each leaf formula.  The
-   SplitMix64 draws are the same bits as the twin's.
+   rounding.  A Program has seven methods: `vectors` (the public entries'
+   boundary check: each argument as a tuple of finite floats of the
+   norm's dimension), `value`, `derivs`, `line_evaluator`, `circle` (the
+   point of the planar unit sphere at a Euclidean angle), `image_value`
+   (N(M x), each row of M x summed exactly as math.fsum sums it) and
+   `residual(code, a, b, u, v)`, the only copy of each orthogonality
+   relation's residual.  code is the tag's position in
+   ortho.RELATION_TAGS (the R_ constants of program.py): 0 birkhoff,
+   1 rho_plus, 2 rho_minus, 3 rho, 4 rho_lambda, 5 rho_ab, 6 isosceles,
+   7 pythagorean, 8 semi; a is lambda or alpha and b is beta.  The tape
+   has four leaf kinds, l2 and wlp with p = 1, inf or finite p; `value_of`
+   holds the only copy of each leaf formula.  The SplitMix64 draws are
+   the same bits as the twin's.
 
    Build with `python setup.py build_ext`, or directly:
    gcc -O2 -shared -fPIC -I<python include> _kernels.c -o _kernels<EXT_SUFFIX>
@@ -48,8 +50,8 @@ static const double TIE = 1e-12;
 /* |rho_+ - rho_-| band, relative to the larger, treated as smooth by semi */
 static const double SMOOTH_TOL = 1e-12;
 
-/* normortho.errors classes semi raises, bound at module init */
-static PyObject *ZeroVectorError, *NonSmoothPointError;
+/* normortho.errors classes semi and vectors raise, bound at module init */
+static PyObject *ZeroVectorError, *NonSmoothPointError, *DimensionMismatchError;
 
 /* per-call scratch lives on the stack up to this many doubles */
 #define STACK_CAP 256
@@ -339,6 +341,70 @@ static PyObject *tuple_of(const double *x, Py_ssize_t n)
     return out;
 }
 
+/* 1 if seq is an exact tuple or list whose items are all exact floats. */
+static int all_floats(PyObject *seq)
+{
+    if (!PyTuple_CheckExact(seq) && !PyList_CheckExact(seq))
+        return 0;
+    PyObject **items = PySequence_Fast_ITEMS(seq);
+    for (Py_ssize_t j = 0; j < PySequence_Fast_GET_SIZE(seq); j++)
+        if (!PyFloat_CheckExact(items[j]))
+            return 0;
+    return 1;
+}
+
+/* tuple(map(float, coords)) with PyNumber_Float, which float() calls;
+   NULL with an exception set on failure. */
+static PyObject *floats_of(PyObject *coords)
+{
+    PyObject *it = PyObject_GetIter(coords), *x;
+    if (it == NULL)
+        return NULL;
+    PyObject *list = PyList_New(0);
+    while (list != NULL && (x = PyIter_Next(it)) != NULL) {
+        PyObject *f = PyNumber_Float(x);
+        Py_DECREF(x);
+        if (f == NULL || PyList_Append(list, f) < 0)
+            Py_CLEAR(list);
+        Py_XDECREF(f);
+    }
+    Py_DECREF(it);
+    if (list == NULL || PyErr_Occurred()) {
+        Py_XDECREF(list);
+        return NULL;
+    }
+    PyObject *vec = PyList_AsTuple(list);
+    Py_DECREF(list);
+    return vec;
+}
+
+/* coords as a tuple of finite floats: floats_of(coords), then a NaN or
+   infinite entry rejected with ValueError.  A tuple or list of exact
+   floats takes no conversion, so no Python code runs that could change
+   it; such a tuple is returned itself.  NULL with an exception set on
+   failure. */
+static PyObject *finite_vector(PyObject *coords)
+{
+    PyObject *vec;
+    if (!all_floats(coords))
+        vec = floats_of(coords);
+    else if (PyTuple_CheckExact(coords))
+        vec = Py_NewRef(coords);
+    else
+        vec = PyList_AsTuple(coords);
+    if (vec == NULL)
+        return NULL;
+    for (Py_ssize_t j = 0; j < PyTuple_GET_SIZE(vec); j++) {
+        PyObject *c = PyTuple_GET_ITEM(vec, j);
+        if (!isfinite(PyFloat_AS_DOUBLE(c))) {
+            PyErr_Format(PyExc_ValueError, "vector coordinates must be finite, got %R", c);
+            Py_DECREF(vec);
+            return NULL;
+        }
+    }
+    return vec;
+}
+
 /* 0 if args are two sequences of dim coordinates, else -1 with an
    exception set. */
 static int check_pair(const Program *self, const char *name,
@@ -488,6 +554,29 @@ static PyObject *Program_derivs(Program *self, PyObject *const *args, Py_ssize_t
     }
     if (cu != stack)
         PyMem_Free(cu);
+    return out;
+}
+
+/* Each argument as finite_vector gives it, every vector converted and
+   checked before the lengths are compared with dim. */
+static PyObject *Program_vectors(Program *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    PyObject *out = PyTuple_New(nargs);
+    for (Py_ssize_t k = 0; k < nargs && out != NULL; k++) {
+        PyObject *vec = finite_vector(args[k]);
+        if (vec == NULL)
+            Py_CLEAR(out);
+        else
+            PyTuple_SET_ITEM(out, k, vec);
+    }
+    for (Py_ssize_t k = 0; k < nargs && out != NULL; k++) {
+        Py_ssize_t len = PyTuple_GET_SIZE(PyTuple_GET_ITEM(out, k));
+        if (len != self->dim) {
+            PyErr_Format(DimensionMismatchError,
+                         "norm consumes %d coordinates but vector has %zd", self->dim, len);
+            Py_CLEAR(out);
+        }
+    }
     return out;
 }
 
@@ -938,6 +1027,8 @@ static PyObject *SplitMix64_substream(SplitMix64 *self, PyObject *index)
 /* -- types and module ----------------------------------------------------- */
 
 static PyMethodDef Program_methods[] = {
+    {"vectors", (PyCFunction)(void (*)(void))Program_vectors, METH_FASTCALL,
+     "Each argument as a tuple of finite floats, all of length dim."},
     {"value", (PyCFunction)Program_value, METH_O, "Norm of u."},
     {"derivs", (PyCFunction)(void (*)(void))Program_derivs, METH_FASTCALL,
      "(N(u), D+, D-) of t -> N(u + t v) at t = 0."},
@@ -1020,8 +1111,11 @@ static int bind_errors(void)
         return -1;
     Py_XSETREF(ZeroVectorError, PyObject_GetAttrString(errors, "ZeroVectorError"));
     Py_XSETREF(NonSmoothPointError, PyObject_GetAttrString(errors, "NonSmoothPointError"));
+    Py_XSETREF(DimensionMismatchError,
+               PyObject_GetAttrString(errors, "DimensionMismatchError"));
     Py_DECREF(errors);
-    return ZeroVectorError != NULL && NonSmoothPointError != NULL ? 0 : -1;
+    return ZeroVectorError != NULL && NonSmoothPointError != NULL
+        && DimensionMismatchError != NULL ? 0 : -1;
 }
 
 PyMODINIT_FUNC PyInit__kernels(void)

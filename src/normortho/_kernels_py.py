@@ -12,6 +12,9 @@ derivatives exist everywhere because every node is convex.
 angle, and `image_value` the norm of a matrix image M x, each row of M x
 summed exactly by math.fsum; the planar sweeps call them once per point.
 
+`vectors(*coords)` is the public entries' boundary check: each
+argument as a tuple of finite floats of the norm's dimension.
+
 `residual(code, a, b, u, v)` holds the only copy of each orthogonality
 relation's residual.  code is the tag's position in ortho.RELATION_TAGS
 (the R_ constants of `program`): 0 birkhoff, 1 rho_plus, 2 rho_minus,
@@ -32,7 +35,7 @@ from __future__ import annotations
 import math
 import operator
 
-from .errors import NonSmoothPointError, ZeroVectorError
+from .errors import DimensionMismatchError, NonSmoothPointError, ZeroVectorError
 from .program import (
     K_L2, K_WLP1, K_WLPINF, K_WLPP, K_MAX, K_SUM, K_SCALE,
     R_BIRKHOFF, R_RHO_PLUS, R_RHO_MINUS, R_RHO, R_RHO_LAMBDA, R_RHO_AB,
@@ -78,6 +81,30 @@ class Program:
             if k in (K_WLP1, K_WLPINF, K_WLPP) and not 0 <= wo <= nw - self.dim:
                 raise ValueError(f"tape node {i}: weights {wo}..{wo + self.dim} "
                                  f"lie outside the pool of {nw}")
+
+    # -- boundary ------------------------------------------------------------
+
+    def vectors(self, *coords):
+        """Each argument as a tuple of finite floats, all of length dim.
+
+        Each converts as tuple(map(float, x)) does and is checked for a NaN
+        or infinite entry before the next converts; the lengths are
+        checked last.
+        """
+        vecs = []
+        for x in coords:
+            vec = tuple(map(float, x))
+            for c in vec:
+                if not math.isfinite(c):
+                    raise ValueError(f"vector coordinates must be finite, got {c!r}")
+            vecs.append(vec)
+        dim = self.dim
+        for vec in vecs:
+            if len(vec) != dim:
+                raise DimensionMismatchError(
+                    f"norm consumes {dim} coordinates but vector has {len(vec)}"
+                )
+        return tuple(vecs)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -293,6 +320,10 @@ class Program:
         code = operator.index(code)
         if not R_BIRKHOFF <= code <= R_SEMI:
             raise ValueError(f"unknown relation code {code!r}")
+        # ldexp(x, 0) is x, read as the compiled twin reads a and b
+        # (PyFloat_AsDouble): a number, never a string or None
+        a = math.ldexp(a, 0)
+        b = math.ldexp(b, 0)
         if code == R_ISOSCELES:
             self._check_pair(u, v)
             vals = [0.0] * self.n

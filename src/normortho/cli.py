@@ -6,8 +6,9 @@ seed, so repeated runs are byte-identical.  Floats are rendered with 17
 significant digits, enough to round-trip doubles exactly.
 
 Exit codes: 0 on success, 2 for usage problems including norm-expression
-parse errors, 1 for domain errors (zero vectors where forbidden,
-dimension mismatches, non-smooth evaluation points).
+parse errors and non-finite vector coordinates, 1 for domain errors (zero
+vectors where forbidden, dimension mismatches, non-smooth evaluation
+points).
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .ortho import (
     is_orthogonal,
     ortho_locus,
 )
-from .space import SampleConfig, audit_norm
+from .space import SampleConfig, as_vector, audit_norm
 
 __all__ = ["run", "main"]
 
@@ -56,11 +57,15 @@ class _Usage(Exception):
 
 def _vec_arg(text: str):
     try:
-        return tuple(float(p) for p in text.split(","))
+        coords = [float(p) for p in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated numbers, got {text!r}"
         ) from None
+    try:
+        return as_vector(coords)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _matrix_arg(text: str):

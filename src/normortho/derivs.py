@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from .kernels import get_program
 from .normast import NormAst
 from .program import R_RHO, R_RHO_AB, R_RHO_LAMBDA, R_SEMI
-from .space import Vector, _vectors
+from .space import Vector
 
 __all__ = [
     "AlphaBeta",
@@ -119,8 +119,9 @@ def dir_deriv_exact(ast: NormAst, u, v, side: str) -> float:
     +norm(v) on the plus side and -norm(v) on the minus side.
     """
     _side_sign(side)
-    uu, vv = _vectors(ast, u, v)
-    _, dp, dm = get_program(ast).derivs(uu, vv)
+    prog = get_program(ast)
+    uu, vv = prog.vectors(u, v)
+    _, dp, dm = prog.derivs(uu, vv)
     return dp if side == "plus" else dm
 
 
@@ -135,8 +136,9 @@ def _rho_ab(prog, u: Vector, v: Vector, ab: AlphaBeta) -> float:
 
 def rho_pair(ast: NormAst, u, v) -> tuple[float, float]:
     """(rho_-, rho_+) in one tape pass."""
-    uu, vv = _vectors(ast, u, v)
-    return _rho_pair(get_program(ast), uu, vv)
+    prog = get_program(ast)
+    uu, vv = prog.vectors(u, v)
+    return _rho_pair(prog, uu, vv)
 
 
 def rho_pm(ast: NormAst, u, v, side: str) -> DerivResult:
@@ -165,8 +167,8 @@ def rho_pm_numeric(ast: NormAst, u, v, side: str, tol: float) -> DerivResult:
     sign = _side_sign(side)
     if not (isinstance(tol, (int, float)) and tol > 0):
         raise ValueError(f"tol must be positive, got {tol!r}")
-    uu, vv = _vectors(ast, u, v)
     prog = get_program(ast)
+    uu, vv = prog.vectors(u, v)
     nu = prog.value(uu)
     nv = prog.value(vv)
     if nu == 0.0 or nv == 0.0:
@@ -196,20 +198,23 @@ def rho_pm_numeric(ast: NormAst, u, v, side: str, tol: float) -> DerivResult:
 
 def rho(ast: NormAst, u, v) -> float:
     """(rho_- + rho_+) / 2."""
-    uu, vv = _vectors(ast, u, v)
-    return get_program(ast).residual(R_RHO, 0.0, 0.0, uu, vv)
+    prog = get_program(ast)
+    uu, vv = prog.vectors(u, v)
+    return prog.residual(R_RHO, 0.0, 0.0, uu, vv)
 
 
 def rho_lambda(ast: NormAst, u, v, lam: Lambda) -> float:
     """lambda rho_- + (1 - lambda) rho_+."""
-    uu, vv = _vectors(ast, u, v)
-    return get_program(ast).residual(R_RHO_LAMBDA, lam.lam, 0.0, uu, vv)
+    prog = get_program(ast)
+    uu, vv = prog.vectors(u, v)
+    return prog.residual(R_RHO_LAMBDA, lam.lam, 0.0, uu, vv)
 
 
 def rho_ab(ast: NormAst, u, v, ab: AlphaBeta) -> float:
     """alpha rho_- + beta rho_+."""
-    uu, vv = _vectors(ast, u, v)
-    return _rho_ab(get_program(ast), uu, vv, ab)
+    prog = get_program(ast)
+    uu, vv = prog.vectors(u, v)
+    return _rho_ab(prog, uu, vv, ab)
 
 
 def sip(ast: NormAst, v, u) -> float:
@@ -220,5 +225,6 @@ def sip(ast: NormAst, v, u) -> float:
     NonSmoothPointError is raised.  Satisfies [u, u] = norm(u)^2 and
     |[v, u]| <= norm(v) norm(u).
     """
-    uu, vv = _vectors(ast, u, v)
-    return get_program(ast).residual(R_SEMI, 0.0, 0.0, uu, vv)
+    prog = get_program(ast)
+    uu, vv = prog.vectors(u, v)
+    return prog.residual(R_SEMI, 0.0, 0.0, uu, vv)

@@ -23,7 +23,6 @@ from .space import (
     Vector,
     _normalized,
     _unit_vector,
-    _vectors,
     corner_vectors,
 )
 from .rng import SplitMix64
@@ -104,8 +103,9 @@ def angle_ab(ast: NormAst, u, v, ab: AlphaBeta) -> AngleResult:
     derivative.  A non-finite argument, from overflow at huge scales,
     raises ValueError.
     """
-    uu, vv = _vectors(ast, u, v)
-    return _angle(get_program(ast), uu, vv, ab)
+    prog = get_program(ast)
+    uu, vv = prog.vectors(u, v)
+    return _angle(prog, uu, vv, ab)
 
 
 def angle_homogeneity_check(ast: NormAst, u, v, a: float, b: float,
@@ -118,8 +118,8 @@ def angle_homogeneity_check(ast: NormAst, u, v, a: float, b: float,
     """
     if a == 0.0 or b == 0.0:
         raise ValueError("scale factors must be nonzero")
-    uu, vv = _vectors(ast, u, v)
     prog = get_program(ast)
+    uu, vv = prog.vectors(u, v)
     scaled_u = tuple([a * c for c in uu])
     scaled_v = tuple([b * c for c in vv])
     lhs = _angle(prog, scaled_u, scaled_v, ab).theta
@@ -264,8 +264,8 @@ def quartic_identity_residual(ast: NormAst, u, v, ab: AlphaBeta) -> float:
     product.  Returns left side minus right side; raises ValueError when
     a fourth power overflows.
     """
-    uu, vv = _vectors(ast, u, v)
     prog = get_program(ast)
+    uu, vv = prog.vectors(u, v)
     plus = prog.value(tuple(map(operator.add, uu, vv)))
     minus = prog.value(tuple(map(operator.sub, uu, vv)))
     nu = prog.value(uu)
@@ -285,8 +285,9 @@ def _symmetry(prog, u: Vector, v: Vector, ab: AlphaBeta) -> float:
 def symmetry_residual(ast: NormAst, u, v, ab: AlphaBeta) -> float:
     """rho_ab(u, v) - rho_ab(v, u); identically zero iff the norm comes
     from an inner product."""
-    uu, vv = _vectors(ast, u, v)
-    return _symmetry(get_program(ast), uu, vv, ab)
+    prog = get_program(ast)
+    uu, vv = prog.vectors(u, v)
+    return _symmetry(prog, uu, vv, ab)
 
 
 def symmetry_search(ast: NormAst, ab: AlphaBeta, cfg: SampleConfig,

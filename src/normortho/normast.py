@@ -191,10 +191,11 @@ NormAst = L1 | LInf | Lp | WLp | Max | Sum | Scale
 # --- lexer -----------------------------------------------------------------
 
 # One alternative per token kind, tried in this order after any whitespace;
-# "bad" catches every other character.
+# "bad" catches every other character.  Digits are [0-9], since \d would
+# also match every other Unicode decimal digit.
 _TOKEN_RE = re.compile(r"""\s*(?:
     (?P<punct>[(),;])
-  | (?P<number>-?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)
+  | (?P<number>-?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)
   | (?P<ident>[a-zA-Z][a-zA-Z0-9]*)
   | (?P<bad>\S))""", re.VERBOSE)
 

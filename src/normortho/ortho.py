@@ -18,7 +18,7 @@ from .derivs import AlphaBeta, Lambda
 from .errors import DimensionMismatchError, ZeroVectorError
 from .kernels import get_program
 from .normast import NormAst
-from .space import Vector, _vectors
+from .space import Vector
 
 __all__ = [
     "RELATION_TAGS",
@@ -113,9 +113,10 @@ def relation_residual(rel: Relation, ast: NormAst, u, v) -> float:
     norm(u-v)^2 - norm(u)^2 - norm(v)^2; semi -> [v, u] (raises at
     non-smooth points).
     """
-    uu, vv = _vectors(ast, u, v)
+    prog = get_program(ast)
+    uu, vv = prog.vectors(u, v)
     code, a, b = rel._residual_args
-    return get_program(ast).residual(code, a, b, uu, vv)
+    return prog.residual(code, a, b, uu, vv)
 
 
 def _verdict(rel: Relation, prog, u: Vector, v: Vector, tol: float) -> OrthoVerdict:
@@ -137,8 +138,9 @@ def is_orthogonal(rel: Relation, ast: NormAst, u, v, tol: float = 1e-9) -> Ortho
     nonnegative.
     """
     _check_tol(tol)
-    uu, vv = _vectors(ast, u, v)
-    return _verdict(rel, get_program(ast), uu, vv, tol)
+    prog = get_program(ast)
+    uu, vv = prog.vectors(u, v)
+    return _verdict(rel, prog, uu, vv, tol)
 
 
 def _golden_min(f, lo: float, hi: float, iters: int) -> tuple[float, float]:
@@ -198,8 +200,8 @@ def birkhoff_oracle(ast: NormAst, u, v, tol: float = 1e-9, iters: int = 200) -> 
     nonnegative.
     """
     _check_tol(tol)
-    uu, vv = _vectors(ast, u, v)
     prog = get_program(ast)
+    uu, vv = prog.vectors(u, v)
     nu = prog.value(uu)
     nv = prog.value(vv)
     if nu == 0.0 or nv == 0.0:
@@ -229,8 +231,9 @@ def ab_orthogonalizer(ast: NormAst, u, v, ab: AlphaBeta) -> tuple[float, Vector]
 
         s = -rho_ab(u, v) / ((alpha+beta) norm(u)^2)
     """
-    uu, vv = _vectors(ast, u, v)
-    return _orthogonalize(get_program(ast), uu, vv, ab)
+    prog = get_program(ast)
+    uu, vv = prog.vectors(u, v)
+    return _orthogonalize(prog, uu, vv, ab)
 
 
 def birkhoff_t_interval(ast: NormAst, u, v) -> tuple[float, float]:
@@ -241,8 +244,9 @@ def birkhoff_t_interval(ast: NormAst, u, v) -> tuple[float, float]:
     t in [-rho_+(u,v)/norm(u)^2, -rho_-(u,v)/norm(u)^2]; nonempty since
     rho_- <= rho_+.
     """
-    uu, vv = _vectors(ast, u, v)
-    val, dp, dm = get_program(ast).derivs(uu, vv)
+    prog = get_program(ast)
+    uu, vv = prog.vectors(u, v)
+    val, dp, dm = prog.derivs(uu, vv)
     if val == 0.0:
         raise ZeroVectorError("interval needs a nonzero u")
     nsq = val * val
@@ -263,8 +267,8 @@ def ortho_locus(ast: NormAst, u, rel: Relation, resolution: int = 720) -> list[L
         raise DimensionMismatchError("locus tracing is defined for 2-dimensional spaces only")
     if resolution < 8:
         raise ValueError(f"resolution must be >= 8, got {resolution}")
-    (uu,) = _vectors(ast, u)
     prog = get_program(ast)
+    (uu,) = prog.vectors(u)
     if prog.value(uu) == 0.0:
         raise ZeroVectorError("locus needs a nonzero base vector")
 

@@ -7,7 +7,6 @@ import math
 import operator
 from dataclasses import dataclass
 
-from .errors import DimensionMismatchError
 from .kernels import get_program
 from .normast import NormAst
 from .rng import SplitMix64
@@ -67,7 +66,9 @@ def as_vector(coords) -> Vector:
     """Validate and freeze a coordinate sequence.
 
     Rejects NaN and infinite entries; anything convertible to float is
-    accepted.
+    accepted.  This is the check for callers without a norm (apply_map,
+    the CLI); entries that have one call Program.vectors, which also
+    checks the dimension.
     """
     vec = tuple(map(float, coords))
     for c in vec:
@@ -76,32 +77,18 @@ def as_vector(coords) -> Vector:
     return vec
 
 
-def _vectors(ast: NormAst, *coords) -> tuple[Vector, ...]:
-    """as_vector of each argument, checked against the norm's dimension.
-
-    Public entries call this once; the loops behind them run on the
-    returned tuples without validating again.
-    """
-    vecs = tuple(map(as_vector, coords))
-    dim = ast.dim
-    for vec in vecs:
-        if len(vec) != dim:
-            raise DimensionMismatchError(
-                f"norm consumes {dim} coordinates but vector has {len(vec)}"
-            )
-    return vecs
-
-
 def eval_norm(ast: NormAst, u) -> float:
     """The norm of u under the given expression."""
-    (vec,) = _vectors(ast, u)
-    return get_program(ast).value(vec)
+    prog = get_program(ast)
+    (vec,) = prog.vectors(u)
+    return prog.value(vec)
 
 
 def norm_on_line(ast: NormAst, u, v):
     """Callable phi with phi(t) = norm(u + t v), cheap to call repeatedly."""
-    uu, vv = _vectors(ast, u, v)
-    return get_program(ast).line_evaluator(uu, vv)
+    prog = get_program(ast)
+    uu, vv = prog.vectors(u, v)
+    return prog.line_evaluator(uu, vv)
 
 
 def random_vector(rng: SplitMix64, dim: int, scale: float) -> Vector:

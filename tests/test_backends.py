@@ -491,3 +491,15 @@ def test_residual_errors_agree(args, error, pair):
         assert got[0] == _outcome(slow.residual, *args)[0] == error
     else:
         assert got == _outcome(slow.residual, *args) == error
+
+
+@pytest.mark.parametrize("code", CODES)
+@pytest.mark.parametrize("a, b", [(None, 0.0), (0.0, None), ("0.5", 0.0), (0.0, b"1"),
+                                  ((0.3,), 0.0)])
+def test_residual_reads_weights_for_every_code(code, a, b, pair):
+    # a and b are read as numbers before the relation is dispatched, so
+    # a code that ignores them still rejects a non-number
+    fast, slow = pair(parse_norm("l2", 2))
+    got = _outcome(fast.residual, code, a, b, (1.0, 0.0), (0.0, 1.0))
+    assert got[0] == "TypeError"
+    assert got == _outcome(slow.residual, code, a, b, (1.0, 0.0), (0.0, 1.0))

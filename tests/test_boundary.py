@@ -1,0 +1,239 @@
+"""The public entries' vector boundary, `Program.vectors`, on both backends.
+
+`Program.vectors(*coords)` converts each argument as
+`tuple(map(float, coords))` does, rejects a NaN or infinite entry, and
+then checks every length against the norm's dimension.  Every public
+entry that takes vectors validates through it, once.
+"""
+
+import math
+from typing import NamedTuple
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import normortho
+from normortho import (
+    AlphaBeta,
+    DimensionMismatchError,
+    Lambda,
+    Relation,
+    ab_orthogonalizer,
+    angle_ab,
+    angle_homogeneity_check,
+    birkhoff_oracle,
+    birkhoff_t_interval,
+    dir_deriv_exact,
+    eval_norm,
+    is_orthogonal,
+    norm_on_line,
+    ortho_locus,
+    parse_norm,
+    quartic_identity_residual,
+    relation_residual,
+    rho,
+    rho_ab,
+    rho_lambda,
+    rho_pair,
+    rho_pm_numeric,
+    sip,
+    symmetry_residual,
+)
+from normortho import _kernels_py
+from normortho.program import compile_ast
+
+BACKENDS = pytest.mark.parametrize("backend", ["_kernels_py", "_kernels"], indirect=True)
+
+NAN, INF = math.nan, math.inf
+FINITE = "vector coordinates must be finite, got {}"
+LENGTH = "norm consumes 2 coordinates but vector has {}"
+
+
+class Real(float):
+    """A float subclass; vectors holds plain floats."""
+
+
+class Point(NamedTuple):
+    """A tuple subclass; vectors returns plain tuples."""
+
+    x: float
+    y: float
+
+
+def reference_vectors(dim, *coords):
+    """The boundary the public entries ran before Program.vectors:
+    space.as_vector of each argument, then the dimension check."""
+
+    def as_vector(coords):
+        vec = tuple(map(float, coords))
+        for c in vec:
+            if not math.isfinite(c):
+                raise ValueError(f"vector coordinates must be finite, got {c!r}")
+        return vec
+
+    vecs = tuple(map(as_vector, coords))
+    for vec in vecs:
+        if len(vec) != dim:
+            raise DimensionMismatchError(
+                f"norm consumes {dim} coordinates but vector has {len(vec)}"
+            )
+    return vecs
+
+
+def _outcome(call, *args):
+    """The float.hex of every coordinate and whether all are plain floats
+    in plain tuples, or the exception's type and text."""
+    try:
+        out = call(*args)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    return (tuple(tuple(c.hex() for c in vec) for vec in out),
+            type(out) is tuple and all(type(vec) is tuple for vec in out)
+            and all(type(c) is float for vec in out for c in vec))
+
+
+def _hexes(*vecs):
+    return tuple(tuple(float(c).hex() for c in vec) for vec in vecs), True
+
+
+# (arguments, or a function making them; expected outcome)
+VECTOR_CASES = {
+    "floats": (((0.6, -0.8), (0.3, 0.9)), _hexes((0.6, -0.8), (0.3, 0.9))),
+    "signed-zero": (((-0.0, 0.0),), _hexes((-0.0, 0.0))),
+    "floats-list": (([0.5, -0.25], [1e300, 5e-324]), _hexes((0.5, -0.25), (1e300, 5e-324))),
+    "ints-list": (([1, -2], (3, 4)), _hexes((1, -2), (3, 4))),
+    "tuple-subclass": ((Point(0.5, 2.0),), _hexes((0.5, 2.0))),
+    "numeric-strings": ((("1.5", " -2 "),), _hexes((1.5, -2.0))),
+    "bools": (((True, False),), _hexes((1.0, 0.0))),
+    "float-subclass": (((Real(0.25), 1),), _hexes((0.25, 1.0))),
+    "generator": (lambda: ((x for x in (1, 2)),), _hexes((1.0, 2.0))),
+    "no-vectors": ((), ((), True)),
+    "nan": (((NAN, 0.0),), ("ValueError", FINITE.format("nan"))),
+    "nan-string": ((("nan", 0.0),), ("ValueError", FINITE.format("nan"))),
+    "inf": (((0.0, INF),), ("ValueError", FINITE.format("inf"))),
+    "-inf": (((-INF, 0.0),), ("ValueError", FINITE.format("-inf"))),
+    "none": (((None, 0.0),), (
+        "TypeError", "float() argument must be a string or a real number, not 'NoneType'")),
+    "junk-string": ((("abc", 0.0),), ("ValueError", "could not convert string to float: 'abc'")),
+    "huge-int": (((10 ** 400, 0.0),), ("OverflowError", "int too large to convert to float")),
+    "not-iterable": ((5,), ("TypeError", "'int' object is not iterable")),
+    "too-long": (((1.0, 2.0, 3.0),), ("DimensionMismatchError", LENGTH.format(3))),
+    "too-short-v": (((1.0, 2.0), (1.0,)), ("DimensionMismatchError", LENGTH.format(1))),
+    # error order: a vector converts whole, then its entries must be
+    # finite, and only then does the next vector convert; lengths last
+    "convert-before-finite": (((NAN, "abc"),), (
+        "ValueError", "could not convert string to float: 'abc'")),
+    "u-finite-before-v-convert": (((INF, 0.0), (None, 0.0)), (
+        "ValueError", FINITE.format("inf"))),
+    "u-convert-before-v-finite": ((("x", 0.0), (NAN, 0.0)), (
+        "ValueError", "could not convert string to float: 'x'")),
+    "v-finite-before-u-length": (((1.0,), (0.0, NAN)), ("ValueError", FINITE.format("nan"))),
+    "v-convert-before-u-length": (((1.0, 2.0, 3.0), (0.0, None)), (
+        "TypeError", "float() argument must be a string or a real number, not 'NoneType'")),
+    "u-length-before-v-length": (((1.0,), (1.0, 2.0, 3.0)), (
+        "DimensionMismatchError", LENGTH.format(1))),
+}
+
+
+@BACKENDS
+@pytest.mark.parametrize("args, want", VECTOR_CASES.values(), ids=VECTOR_CASES.keys())
+def test_vectors_table(backend, args, want):
+    prog = backend.Program(*compile_ast(parse_norm("l2", 2)))
+    make = args if callable(args) else lambda: args
+    assert _outcome(prog.vectors, *make()) == want
+    assert _outcome(reference_vectors, 2, *make()) == want
+
+
+@BACKENDS
+def test_dimension_error_is_the_package_class(backend):
+    prog = backend.Program(*compile_ast(parse_norm("l1", 3)))
+    with pytest.raises(DimensionMismatchError):
+        prog.vectors((1.0, 2.0))
+
+
+_ENTRY = st.one_of(
+    st.floats(),
+    st.integers(-10 ** 6, 10 ** 6),
+    st.booleans(),
+    st.none(),
+    st.just(10 ** 400),
+    st.sampled_from(["1.5", " -2e3 ", "nan", "-inf", "abc", "", "0x1"]),
+)
+
+
+@settings(max_examples=300)
+@given(dim=st.integers(2, 4), coords=st.lists(st.lists(_ENTRY, max_size=5), max_size=3))
+def test_vectors_match_reference(compiled_kernels, dim, coords):
+    tape = compile_ast(parse_norm("l2", dim))
+    want = _outcome(reference_vectors, dim, *coords)
+    for backend in (_kernels_py, compiled_kernels):
+        assert _outcome(backend.Program(*tape).vectors, *coords) == want, backend.__name__
+
+
+AB = AlphaBeta(0.3, 0.4)
+
+# every public entry that takes vectors, called on (ast, u, v); the
+# single-vector entries ignore v
+ENTRIES = {
+    "eval_norm": lambda ast, u, v: eval_norm(ast, u),
+    "norm_on_line": norm_on_line,
+    "rho_pair": rho_pair,
+    "rho": rho,
+    "rho_lambda": lambda ast, u, v: rho_lambda(ast, u, v, Lambda(0.25)),
+    "rho_ab": lambda ast, u, v: rho_ab(ast, u, v, AB),
+    "sip": lambda ast, u, v: sip(ast, v, u),
+    "dir_deriv_exact": lambda ast, u, v: dir_deriv_exact(ast, u, v, "plus"),
+    "rho_pm_numeric": lambda ast, u, v: rho_pm_numeric(ast, u, v, "minus", 1e-9),
+    "relation_residual": lambda ast, u, v: relation_residual(Relation("rho"), ast, u, v),
+    "is_orthogonal": lambda ast, u, v: is_orthogonal(Relation("birkhoff"), ast, u, v),
+    "birkhoff_oracle": birkhoff_oracle,
+    "ab_orthogonalizer": lambda ast, u, v: ab_orthogonalizer(ast, u, v, AB),
+    "birkhoff_t_interval": birkhoff_t_interval,
+    "ortho_locus": lambda ast, u, v: ortho_locus(ast, u, Relation("isosceles"), 16),
+    "angle_ab": lambda ast, u, v: angle_ab(ast, u, v, AB),
+    "angle_homogeneity_check":
+        lambda ast, u, v: angle_homogeneity_check(ast, u, v, 2.0, -3.0, AB),
+    "quartic_identity_residual": lambda ast, u, v: quartic_identity_residual(ast, u, v, AB),
+    "symmetry_residual": lambda ast, u, v: symmetry_residual(ast, u, v, AB),
+}
+SINGLE = {"eval_norm", "ortho_locus"}
+GOOD_U, GOOD_V = (0.6, -0.8), (0.3, 0.9)
+
+
+def _error(call, *args):
+    try:
+        call(*args)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    return None
+
+
+@BACKENDS
+@pytest.mark.parametrize("name", ENTRIES)
+def test_every_entry_validates_its_vectors(package_backend, name):
+    entry = ENTRIES[name]
+    ast = parse_norm("sum(l1, l2)", 2)
+    assert _error(entry, ast, GOOD_U, GOOD_V) is None
+    bad = [((NAN, 0.0), GOOD_V, ("ValueError", FINITE.format("nan"))),
+           ((1.0, 2.0, 3.0), GOOD_V, ("DimensionMismatchError", LENGTH.format(3)))]
+    if name not in SINGLE:
+        bad += [(GOOD_U, (0.0, -INF), ("ValueError", FINITE.format("-inf"))),
+                (GOOD_U, (1.0,), ("DimensionMismatchError", LENGTH.format(1)))]
+    for u, v, want in bad:
+        assert _error(entry, ast, u, v) == want, (u, v)
+
+
+@pytest.mark.parametrize("name", ENTRIES)
+def test_every_entry_fetches_its_program_once(name, monkeypatch):
+    calls = []
+    real = normortho.kernels.get_program
+
+    def counting(ast):
+        calls.append(ast)
+        return real(ast)
+
+    for mod in (normortho.space, normortho.derivs, normortho.ortho, normortho.geometry):
+        monkeypatch.setattr(mod, "get_program", counting)
+    ENTRIES[name](parse_norm("l2", 2), GOOD_U, GOOD_V)
+    assert len(calls) == 1

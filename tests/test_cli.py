@@ -61,6 +61,19 @@ class TestExitCodes:
             "normortho: error: argument --u: expected comma-separated numbers, got '1;0'\n"
         )
 
+    @pytest.mark.parametrize("argv, flag, value", [
+        (("--u", "nan,0", "--v", "0,1"), "--u", "nan"),
+        (("--u", "1,0", "--v=1,inf"), "--v", "inf"),
+    ], ids=["u-nan", "v-inf"])
+    def test_non_finite_vector_is_usage_error(self, capsys, argv, flag, value):
+        code, out, err = _run(capsys, "rho", "--norm", "l2", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.endswith(
+            f"normortho: error: argument {flag}: vector coordinates must be finite, "
+            f"got {value}\n"
+        )
+
     def test_domain_error_exits_one(self, capsys):
         code, _, err = _run(
             capsys, "angle", "--norm", "l2", "--u", "0,0", "--v", "1,0",

@@ -38,6 +38,10 @@ PARSE_ERRORS = [
     ("lp(+1)", "unexpected character '+' (at offset 3)", 3),
     ("-", "unexpected character '-' (at offset 0)", 0),
     ("\u00e9", "unexpected character '\u00e9' (at offset 0)", 0),
+    # numbers are ASCII decimal literals: an Arabic-Indic three and a
+    # fullwidth two are not digits
+    ("lp(\u0663)", "unexpected character '\u0663' (at offset 3)", 3),
+    ("scale(\uff12, l1)", "unexpected character '\uff12' (at offset 6)", 6),
     # expected punctuation
     ("lp x", "expected '(', found 'x' (at offset 3)", 3),
     ("lp", "expected '(', found 'end of input' (at offset 2)", 2),

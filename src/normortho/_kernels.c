@@ -4,13 +4,17 @@
    Mirrors `_kernels_py` instruction for instruction; when touching a
    formula here, change the pure Python twin identically.  Both use libm
    pow/sqrt/cos/sin and the same accumulation order, so results agree to
-   rounding.  A Program has seven methods: `vectors` (the public entries'
+   rounding.  A Program has nine methods: `vectors` (the public entries'
    boundary check: each argument as a tuple of finite floats of the
    norm's dimension), `value`, `derivs`, `line_evaluator`, `circle` (the
    point of the planar unit sphere at a Euclidean angle), `image_value`
-   (N(M x), each row of M x summed exactly as math.fsum sums it) and
+   (N(M x), each row of M x summed exactly as math.fsum sums it),
    `residual(code, a, b, u, v)`, the only copy of each orthogonality
-   relation's residual.  code is the tag's position in
+   relation's residual, and the planar loci on top of circle and
+   residual: `crossing(code, a, b, u, lo, f_lo, hi, width)`, the only
+   copy of the crossing bisection, and `locus(code, a, b, u, resolution,
+   width, point)`, the whole ortho_locus sweep, which builds its rows as
+   tuple.__new__(point, ...) does.  code is the tag's position in
    ortho.RELATION_TAGS (the R_ constants of program.py): 0 birkhoff,
    1 rho_plus, 2 rho_minus, 3 rho, 4 rho_lambda, 5 rho_ab, 6 isosceles,
    7 pythagorean, 8 semi; a is lambda or alpha and b is beta.  The tape
@@ -52,6 +56,9 @@ static const double SMOOTH_TOL = 1e-12;
 
 /* normortho.errors classes semi and vectors raise, bound at module init */
 static PyObject *ZeroVectorError, *NonSmoothPointError, *DimensionMismatchError;
+
+/* pi as math.pi gives it (the C standard defines no M_PI) */
+static const double PI = 3.141592653589793;
 
 /* per-call scratch lives on the stack up to this many doubles */
 #define STACK_CAP 256
@@ -628,11 +635,34 @@ static void LineEvaluator_dealloc(LineEvaluator *self)
 
 /* -- planar sweeps and matrix images -------------------------------------- */
 
-/* (cos theta, sin theta) / N(cos theta, sin theta), with libm cos and sin
-   as math.cos and math.sin call them (gcc may merge the two into one
-   sincos call; tests/test_backends.py compares the bits).  Both give NaN
-   for +-inf, which math.cos reports as a domain error, and for NaN, which
-   it passes through. */
+/* (cos theta, sin theta) / N(cos theta, sin theta) into d, with libm cos
+   and sin as math.cos and math.sin call them (gcc may merge the two into
+   one sincos call; tests/test_backends.py compares the bits); vals holds
+   n doubles.  Both give NaN for +-inf, which math.cos reports as a domain
+   error, and for NaN, which it passes through.  -1 with an exception set
+   on failure. */
+static int circle_of(const Program *p, double theta, double *vals, double *d)
+{
+    if (p->dim != 2) {
+        PyErr_Format(PyExc_ValueError, "circle needs a 2-dimensional norm, got dim %d", p->dim);
+        return -1;
+    }
+    if (isinf(theta)) {
+        PyErr_SetString(PyExc_ValueError, "math domain error");
+        return -1;
+    }
+    d[0] = cos(theta);
+    d[1] = sin(theta);
+    double r = value_of(p, d, vals);
+    if (r == 0.0) {
+        PyErr_SetString(PyExc_ZeroDivisionError, "float division by zero");
+        return -1;
+    }
+    d[0] /= r;
+    d[1] /= r;
+    return 0;
+}
+
 static PyObject *Program_circle(Program *self, PyObject *arg)
 {
     if (self->dim != 2)
@@ -641,25 +671,14 @@ static PyObject *Program_circle(Program *self, PyObject *arg)
     double theta = PyFloat_AsDouble(arg);
     if (theta == -1.0 && PyErr_Occurred())
         return NULL;
-    if (isinf(theta)) {
-        PyErr_SetString(PyExc_ValueError, "math domain error");
-        return NULL;
-    }
-    double d[2] = {cos(theta), sin(theta)};
-    double stack[STACK_CAP];
+    double d[2], stack[STACK_CAP];
     double *vals = scratch(stack, self->n);
     if (vals == NULL)
         return NULL;
-    double r = value_of(self, d, vals);
+    int rc = circle_of(self, theta, vals, d);
     if (vals != stack)
         PyMem_Free(vals);
-    if (r == 0.0) {
-        PyErr_SetString(PyExc_ZeroDivisionError, "float division by zero");
-        return NULL;
-    }
-    d[0] /= r;
-    d[1] /= r;
-    return tuple_of(d, 2);
+    return rc < 0 ? NULL : tuple_of(d, 2);
 }
 
 /* row[j] * x[j] into *out as `math.fsum(map(operator.mul, row, x))` sees
@@ -875,24 +894,32 @@ static int residual_of(const Program *p, long code, double a, double b, const do
     return 0;
 }
 
+/* args[0..3) as a relation code, a and b, read as Program.residual reads
+   them; -1 with an exception set. */
+static int load_relation(PyObject *const *args, long *code, double *a, double *b)
+{
+    PyObject *index = PyNumber_Index(args[0]);
+    if (index == NULL)
+        return -1;
+    int overflow;
+    *code = PyLong_AsLongAndOverflow(index, &overflow);
+    if (overflow || *code < R_BIRKHOFF || *code > R_SEMI) {
+        PyErr_Format(PyExc_ValueError, "unknown relation code %R", index);
+        Py_DECREF(index);
+        return -1;
+    }
+    Py_DECREF(index);
+    return load_two(args + 1, a, b);
+}
+
 static PyObject *Program_residual(Program *self, PyObject *const *args, Py_ssize_t nargs)
 {
     if (nargs != 5)
         return PyErr_Format(PyExc_TypeError,
                             "residual() takes exactly 5 arguments (%zd given)", nargs);
-    PyObject *index = PyNumber_Index(args[0]);
-    if (index == NULL)
-        return NULL;
-    int overflow;
-    long code = PyLong_AsLongAndOverflow(index, &overflow);
-    if (overflow || code < R_BIRKHOFF || code > R_SEMI) {
-        PyErr_Format(PyExc_ValueError, "unknown relation code %R", index);
-        Py_DECREF(index);
-        return NULL;
-    }
-    Py_DECREF(index);
+    long code;
     double a, b;
-    if (load_two(args + 1, &a, &b) < 0 || check_pair(self, "residual", args + 3, 2) < 0)
+    if (load_relation(args, &code, &a, &b) < 0 || check_pair(self, "residual", args + 3, 2) < 0)
         return NULL;
     Py_ssize_t dim = self->dim;
     double stack[STACK_CAP];
@@ -906,6 +933,204 @@ static PyObject *Program_residual(Program *self, PyObject *const *args, Py_ssize
         out = PyFloat_FromDouble(res);
     if (cu != stack)
         PyMem_Free(cu);
+    return out;
+}
+
+/* -- planar loci ---------------------------------------------------------- */
+
+/* The relation and base vector of a planar sweep: code, a and b as
+   residual reads them, then u, which must hold dim coordinates.  The
+   caller's scratch holds u (dim doubles), then the work of residual_of:
+   a point x (dim) and vals (4n). */
+typedef struct {
+    const Program *prog;
+    long code;
+    double a, b;
+    double *u, *x, *vals;
+} Sweep;
+
+/* residual(code, a, b, u, circle(theta)) into *out; -1 with an exception
+   set.  The point goes to xy (2 doubles). */
+static int sweep_residual(const Sweep *s, double theta, double *xy, double *out)
+{
+    if (circle_of(s->prog, theta, s->vals, xy) < 0)
+        return -1;
+    return residual_of(s->prog, s->code, s->a, s->b, s->u, xy, s->x, s->vals, out);
+}
+
+/* A theta within width of a sign change of sweep_residual inside [lo, hi],
+   whose ends must not share a strict sign (f_lo is the residual at lo);
+   an exact zero at a midpoint ends the search there, and so does a
+   midpoint that is not strictly inside (lo and hi adjacent doubles),
+   where the bisection could go on forever.  -1 with an exception set. */
+static int bisect(const Sweep *s, double lo, double f_lo, double hi, double width,
+                  double *out)
+{
+    double xy[2], f_mid;
+    while (hi - lo > width) {
+        double mid = 0.5 * (lo + hi);
+        if (!(lo < mid && mid < hi))
+            break;
+        if (sweep_residual(s, mid, xy, &f_mid) < 0)
+            return -1;
+        if (f_mid == 0.0) {
+            *out = mid;
+            return 0;
+        }
+        if ((f_mid > 0.0) == (f_lo > 0.0)) {
+            lo = mid;
+            f_lo = f_mid;
+        } else {
+            hi = mid;
+        }
+    }
+    *out = 0.5 * (lo + hi);
+    return 0;
+}
+
+/* Reads args[0..4) into s: the relation, then u into buf, whose length
+   must be dim.  buf holds 2 dim + 4n doubles.  -1 with an exception set. */
+static int load_sweep(Program *self, PyObject *const *args, double *buf, Sweep *s)
+{
+    s->prog = self;
+    if (load_relation(args, &s->code, &s->a, &s->b) < 0)
+        return -1;
+    Py_ssize_t lu = PyObject_Length(args[3]);
+    if (lu < 0)
+        return -1;
+    if (lu != self->dim) {
+        PyErr_Format(PyExc_ValueError, "expected %d coordinates, got %zd", self->dim, lu);
+        return -1;
+    }
+    s->u = buf;
+    s->x = buf + self->dim;
+    s->vals = s->x + self->dim;
+    return load_doubles(args[3], self->dim, s->u);
+}
+
+static PyObject *Program_crossing(Program *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs != 8)
+        return PyErr_Format(PyExc_TypeError,
+                            "crossing() takes exactly 8 arguments (%zd given)", nargs);
+    double stack[STACK_CAP];
+    double *buf = scratch(stack, 2 * (Py_ssize_t)self->dim + 4 * (Py_ssize_t)self->n);
+    if (buf == NULL)
+        return NULL;
+    Sweep s;
+    double lo, f_lo, hi, width, theta;
+    PyObject *out = NULL;
+    if (load_sweep(self, args, buf, &s) == 0 && load_two(args + 4, &lo, &f_lo) == 0
+        && load_two(args + 6, &hi, &width) == 0
+        && bisect(&s, lo, f_lo, hi, width, &theta) == 0)
+        out = PyFloat_FromDouble(theta);
+    if (buf != stack)
+        PyMem_Free(buf);
+    return out;
+}
+
+/* A new point row (theta, x, y, residual, crossing), allocated as
+   tuple.__new__(point, ...) allocates it; NULL with an exception set. */
+static PyObject *row_of(PyTypeObject *point, double theta, const double *xy, double res,
+                        int crossing)
+{
+    PyObject *row = point == &PyTuple_Type ? PyTuple_New(5) : point->tp_alloc(point, 5);
+    if (row == NULL)
+        return NULL;
+    double f[4] = {theta, xy[0], xy[1], res};
+    for (int k = 0; k < 4; k++) {
+        PyObject *o = PyFloat_FromDouble(f[k]);
+        if (o == NULL) {
+            Py_DECREF(row);
+            return NULL;
+        }
+        PyTuple_SET_ITEM(row, k, o);
+    }
+    PyTuple_SET_ITEM(row, 4, PyBool_FromLong(crossing));
+    return row;
+}
+
+/* 1 if r0 and r1 have strict, opposite signs: the scan bisects there. */
+static int sign_change(double r0, double r1)
+{
+    return !(r0 == 0.0 || r1 == 0.0 || (r0 > 0.0) == (r1 > 0.0));
+}
+
+/* The sweep of ortho_locus: every circle point at theta_j = j * step,
+   step = 2 pi / resolution, then every residual there (so an error is
+   raised at the same point as the twin's), then one row per point, each
+   strict sign change to the next point (cyclically) bisected and its row
+   spliced in after the point's. */
+static PyObject *Program_locus(Program *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs != 7)
+        return PyErr_Format(PyExc_TypeError,
+                            "locus() takes exactly 7 arguments (%zd given)", nargs);
+    Py_ssize_t dim = self->dim, n = self->n;
+    double stack[STACK_CAP];
+    double *buf = scratch(stack, 2 * dim + 4 * n);
+    if (buf == NULL)
+        return NULL;
+    Sweep s;
+    Py_ssize_t res;
+    double width, *xs = NULL, *rs, step;
+    PyObject *point = args[6], *index, *out = NULL;
+    if (load_sweep(self, args, buf, &s) < 0 || (index = PyNumber_Index(args[4])) == NULL)
+        goto done;
+    /* clamped to the Py_ssize_t range: too many points is a MemoryError */
+    res = PyNumber_AsSsize_t(index, NULL);
+    if (res < 1)
+        PyErr_Format(PyExc_ValueError, "resolution must be >= 1, got %R", index);
+    Py_DECREF(index);
+    if (res < 1)
+        goto done;
+    width = PyFloat_AsDouble(args[5]);
+    if (width == -1.0 && PyErr_Occurred())
+        goto done;
+    if (!PyType_Check(point) || !PyType_IsSubtype((PyTypeObject *)point, &PyTuple_Type)) {
+        PyErr_Format(PyExc_TypeError, "point must be a tuple subclass, got %R", point);
+        goto done;
+    }
+    /* the circle points (2 doubles each), then the residuals */
+    if (res > PY_SSIZE_T_MAX / (Py_ssize_t)(3 * sizeof(double))
+        || (xs = PyMem_Malloc(3 * res * sizeof(double))) == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    rs = xs + 2 * res;
+    step = 2.0 * PI / (double)res;
+    for (Py_ssize_t j = 0; j < res; j++)
+        if (circle_of(self, (double)j * step, s.vals, xs + 2 * j) < 0)
+            goto done;
+    for (Py_ssize_t j = 0; j < res; j++)
+        if (residual_of(self, s.code, s.a, s.b, s.u, xs + 2 * j, s.x, s.vals, rs + j) < 0)
+            goto done;
+    Py_ssize_t rows = res;
+    for (Py_ssize_t j = 0; j < res; j++)
+        rows += sign_change(rs[j], rs[(j + 1) % res]);
+    if ((out = PyList_New(rows)) == NULL)
+        goto done;
+    for (Py_ssize_t j = 0, k = 0; j < res; j++) {
+        double theta = (double)j * step, r = rs[j], nxt = rs[(j + 1) % res], cross, xy[2], rc;
+        PyObject *row = row_of((PyTypeObject *)point, theta, xs + 2 * j, r, r == 0.0);
+        if (row == NULL)
+            goto fail;
+        PyList_SET_ITEM(out, k++, row);
+        if (!sign_change(r, nxt))
+            continue;
+        if (bisect(&s, theta, r, theta + step, width, &cross) < 0
+            || sweep_residual(&s, cross, xy, &rc) < 0
+            || (row = row_of((PyTypeObject *)point, cross, xy, rc, 1)) == NULL)
+            goto fail;
+        PyList_SET_ITEM(out, k++, row);
+    }
+    goto done;
+fail:
+    Py_CLEAR(out);
+done:
+    PyMem_Free(xs);
+    if (buf != stack)
+        PyMem_Free(buf);
     return out;
 }
 
@@ -1041,6 +1266,12 @@ static PyMethodDef Program_methods[] = {
     {"residual", (PyCFunction)(void (*)(void))Program_residual, METH_FASTCALL,
      "Residual of relation code at (u, v): zero (<= 0 for birkhoff) where the "
      "relation holds."},
+    {"crossing", (PyCFunction)(void (*)(void))Program_crossing, METH_FASTCALL,
+     "A theta within width of a sign change of the residual at circle(theta) "
+     "inside [lo, hi]."},
+    {"locus", (PyCFunction)(void (*)(void))Program_locus, METH_FASTCALL,
+     "Rows (theta, x, y, residual, is_zero_crossing) of the relation along the "
+     "planar unit circle, refined crossings spliced in."},
     {NULL, NULL, 0, NULL},
 };
 

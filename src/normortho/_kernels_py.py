@@ -22,6 +22,10 @@ relation's residual.  code is the tag's position in ortho.RELATION_TAGS
 lambda (rho_lambda) or alpha (rho_ab), b is beta (rho_ab); the other
 codes ignore both.
 
+`crossing` bisects theta -> residual(code, a, b, u, circle(theta)) to a
+sign change (the only copy of the crossing bisection), and `locus` runs
+the whole ortho_locus sweep, each row built as tuple.__new__(point, ...).
+
 The tape has four leaf kinds: l2, and wlp with p = 1, inf or finite p
 (`compile_ast` gives l1, linf and lp unit weights).  `_value` holds the
 only copy of each leaf formula.
@@ -32,6 +36,7 @@ the compiled type's.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 
@@ -317,13 +322,7 @@ class Program:
     def residual(self, code, a, b, u, v) -> float:
         """Residual of relation code at (u, v): zero (<= 0 for birkhoff)
         where the relation holds."""
-        code = operator.index(code)
-        if not R_BIRKHOFF <= code <= R_SEMI:
-            raise ValueError(f"unknown relation code {code!r}")
-        # ldexp(x, 0) is x, read as the compiled twin reads a and b
-        # (PyFloat_AsDouble): a number, never a string or None
-        a = math.ldexp(a, 0)
-        b = math.ldexp(b, 0)
+        code, a, b = _relation(code, a, b)
         if code == R_ISOSCELES:
             self._check_pair(u, v)
             vals = [0.0] * self.n
@@ -361,6 +360,75 @@ class Program:
             )
         return rp
 
+    # -- planar loci ---------------------------------------------------------
+
+    def _sweep_args(self, code, a, b, u):
+        """code, a and b as residual reads them, and u as dim floats."""
+        code, a, b = _relation(code, a, b)
+        if len(u) != self.dim:
+            raise ValueError(f"expected {self.dim} coordinates, got {len(u)}")
+        return code, a, b, tuple([_double(c) for c in u])
+
+    def crossing(self, code, a, b, u, lo, f_lo, hi, width) -> float:
+        """A theta within width of a sign change of
+        theta -> residual(code, a, b, u, circle(theta)) inside [lo, hi].
+
+        f_lo is the residual at lo; it and the residual at hi must not
+        share a strict sign.  An exact zero at a midpoint ends the search
+        there, and so does a midpoint that is not strictly inside (lo and
+        hi adjacent doubles), where the bisection could go on forever.
+        """
+        code, a, b, u = self._sweep_args(code, a, b, u)
+        lo, f_lo, hi, width = _double(lo), _double(f_lo), _double(hi), _double(width)
+        while hi - lo > width:
+            mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:
+                break
+            f_mid = self.residual(code, a, b, u, self.circle(mid))
+            if f_mid == 0.0:
+                return mid
+            if (f_mid > 0.0) == (f_lo > 0.0):
+                lo, f_lo = mid, f_mid
+            else:
+                hi = mid
+        return 0.5 * (lo + hi)
+
+    def locus(self, code, a, b, u, resolution, width, point):
+        """Rows (theta, x, y, residual, is_zero_crossing) of relation code
+        along the planar unit circle, each built as tuple.__new__(point, ...).
+
+        The circle points at theta_j = j * step, step = 2 pi / resolution,
+        come first, then every residual there; each strict sign change to
+        the next point (cyclically) is bisected by crossing to within
+        width and its row spliced in after the point's.
+        """
+        code, a, b, u = self._sweep_args(code, a, b, u)
+        resolution = operator.index(resolution)
+        if resolution < 1:
+            raise ValueError(f"resolution must be >= 1, got {resolution}")
+        width = _double(width)
+        if not (isinstance(point, type) and issubclass(point, tuple)):
+            raise TypeError(f"point must be a tuple subclass, got {point!r}")
+        circle = self.circle
+        residual = functools.partial(self.residual, code, a, b, u)
+        new = tuple.__new__
+        step = 2.0 * math.pi / resolution
+        thetas = [j * step for j in range(resolution)]
+        xs = list(map(circle, thetas))
+        residuals = list(map(residual, xs))
+        points = []
+        for j, theta in enumerate(thetas):
+            x = xs[j]
+            res = residuals[j]
+            points.append(new(point, (theta, x[0], x[1], res, res == 0.0)))
+            nxt = residuals[(j + 1) % resolution]
+            if res == 0.0 or nxt == 0.0 or (res > 0.0) == (nxt > 0.0):
+                continue
+            cross = self.crossing(code, a, b, u, theta, res, theta + step, width)
+            x = circle(cross)
+            points.append(new(point, (cross, x[0], x[1], residual(x), True)))
+        return points
+
     # -- line restriction ----------------------------------------------------
 
     def line_evaluator(self, u, v):
@@ -379,6 +447,21 @@ class Program:
             return value(buf, scratch)
 
         return phi
+
+
+def _double(x) -> float:
+    """x as the compiled twin reads a double (PyFloat_AsDouble): a number,
+    never a string or None; ldexp(x, 0) is x."""
+    return math.ldexp(x, 0)
+
+
+def _relation(code, a, b):
+    """A relation code, checked, and a and b read as doubles."""
+    code = operator.index(code)
+    if not R_BIRKHOFF <= code <= R_SEMI:
+        raise ValueError(f"unknown relation code {code!r}")
+    # _double inline: every residual call runs this
+    return code, math.ldexp(a, 0), math.ldexp(b, 0)
 
 
 _MASK = 0xFFFFFFFFFFFFFFFF

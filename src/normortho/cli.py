@@ -80,6 +80,11 @@ def _matrix_arg(text: str):
         raise argparse.ArgumentTypeError(
             f"matrix rows must all have the same length, got {text!r}"
         )
+    for row in rows:
+        for e in row:
+            if not math.isfinite(e):
+                # LinearMap's text, a usage error as a non-finite --u is
+                raise argparse.ArgumentTypeError(f"matrix entries must be finite, got {e!r}")
     return rows
 
 

@@ -21,7 +21,6 @@ from .kernels import get_program
 from .normast import NormAst
 from .ortho import (
     Relation,
-    _bisect_crossing,
     _check_tol,
     _golden_min,
     _orthogonalize,
@@ -305,9 +304,12 @@ def _search_direction(prog, rel_hold: Relation, rel_test: Relation,
     """Look for a pair where rel_hold holds and rel_test fails.
 
     Returns (witness or None, candidates_used, discarded).  Candidates
-    come from bisected zero crossings of rel_hold's residual along unit
-    circles around random base vectors; each candidate costs one unit of
-    budget and is re-verified with is_orthogonal before being reported.
+    come from zero crossings of rel_hold's residual along unit circles
+    around the corners, then random base vectors: a 64-point scan, then
+    Program.crossing bisects every interval whose ends do not share a
+    strict sign (an exact-zero end included) to within 1e-12.  Each
+    candidate costs one unit of budget and is re-verified with
+    is_orthogonal before being reported.
     """
     used = 0
     discarded = 0
@@ -332,12 +334,7 @@ def _search_direction(prog, rel_hold: Relation, rel_test: Relation,
         u = _normalized(prog, base)
         if u is None:
             continue
-        residual = functools.partial(prog.residual, *hold_args, u)
-
-        def residual_at(theta: float) -> float:
-            return residual(circle(theta))
-
-        residuals = list(map(residual, xs))
+        residuals = list(map(functools.partial(prog.residual, *hold_args, u), xs))
         found_candidate = False
         for j in range(scan):
             if used >= budget:
@@ -346,7 +343,7 @@ def _search_direction(prog, rel_hold: Relation, rel_test: Relation,
             r1 = residuals[(j + 1) % scan]
             if r0 != 0.0 and r1 != 0.0 and (r0 > 0.0) == (r1 > 0.0):
                 continue
-            theta = _bisect_crossing(residual_at, thetas[j], r0, thetas[j] + step, 1e-12)
+            theta = prog.crossing(*hold_args, u, thetas[j], r0, thetas[j] + step, 1e-12)
             v = circle(theta)
             found_candidate = True
             used += 1

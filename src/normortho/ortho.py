@@ -171,24 +171,6 @@ def _golden_min(f, lo: float, hi: float, iters: int) -> tuple[float, float]:
     return best_x, best_f
 
 
-def _bisect_crossing(f, lo: float, f_lo: float, hi: float, width: float) -> float:
-    """A point within width of a sign change of f inside [lo, hi].
-
-    f(lo) = f_lo and f(hi) must not share a strict sign; an exact zero at a
-    midpoint ends the search there.
-    """
-    while hi - lo > width:
-        mid = 0.5 * (lo + hi)
-        f_mid = f(mid)
-        if f_mid == 0.0:
-            return mid
-        if (f_mid > 0.0) == (f_lo > 0.0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def birkhoff_oracle(ast: NormAst, u, v, tol: float = 1e-9, iters: int = 200) -> OrthoVerdict:
     """Brute-force Birkhoff-James decision by 1-D minimization.
 
@@ -257,11 +239,12 @@ def ortho_locus(ast: NormAst, u, rel: Relation, resolution: int = 720) -> list[L
     """Residual of the relation along the planar unit circle of the norm.
 
     Walks x(theta) = (cos theta, sin theta)/norm(...) for resolution
-    equally spaced Euclidean angles, then refines every residual sign
-    change by bisection to an angular window below 1e-10 (sound because
-    rho_+- and hence all residuals here are continuous in the second
-    argument).  Refined crossings are spliced into the returned sequence
-    with is_zero_crossing set.
+    equally spaced Euclidean angles, then refines every strict residual
+    sign change by bisection to an angular window below 1e-10 (sound
+    because rho_+- and hence all residuals here are continuous in the
+    second argument).  Refined crossings are spliced into the returned
+    sequence with is_zero_crossing set.  The sweep runs in the kernel
+    (Program.locus), which builds every LocusPoint itself.
     """
     if ast.dim != 2:
         raise DimensionMismatchError("locus tracing is defined for 2-dimensional spaces only")
@@ -271,26 +254,4 @@ def ortho_locus(ast: NormAst, u, rel: Relation, resolution: int = 720) -> list[L
     (uu,) = prog.vectors(u)
     if prog.value(uu) == 0.0:
         raise ZeroVectorError("locus needs a nonzero base vector")
-
-    circle = prog.circle
-    residual = functools.partial(prog.residual, *rel._residual_args, uu)
-
-    def residual_at(theta: float) -> float:
-        return residual(circle(theta))
-
-    step = 2.0 * math.pi / resolution
-    thetas = [j * step for j in range(resolution)]
-    xs = list(map(circle, thetas))
-    residuals = list(map(residual, xs))
-    points: list[LocusPoint] = []
-    for j, theta in enumerate(thetas):
-        x = xs[j]
-        res = residuals[j]
-        points.append(LocusPoint(theta, x[0], x[1], res, res == 0.0))
-        nxt = residuals[(j + 1) % resolution]
-        if res == 0.0 or nxt == 0.0 or (res > 0.0) == (nxt > 0.0):
-            continue
-        cross = _bisect_crossing(residual_at, theta, res, theta + step, 1e-10)
-        x = circle(cross)
-        points.append(LocusPoint(cross, x[0], x[1], residual(x), True))
-    return points
+    return prog.locus(*rel._residual_args, uu, resolution, 1e-10, LocusPoint)

@@ -1,6 +1,7 @@
 """Agreement and selection tests for the two evaluation backends."""
 
 import functools
+import gc
 import math
 import operator
 import os
@@ -8,12 +9,13 @@ import re
 import subprocess
 import sys
 import sysconfig
+import tracemalloc
 
 import pytest
 
 from normortho import (
-    L1, LInf, Lp, NonSmoothPointError, RELATION_TAGS, SplitMix64, Sum, ZeroVectorError,
-    backend_name, corner_vectors, parse_norm,
+    L1, LInf, LocusPoint, Lp, NonSmoothPointError, RELATION_TAGS, SplitMix64, Sum,
+    ZeroVectorError, backend_name, corner_vectors, parse_norm,
 )
 from normortho import _kernels_py, program
 from normortho.program import compile_ast
@@ -503,3 +505,280 @@ def test_residual_reads_weights_for_every_code(code, a, b, pair):
     got = _outcome(fast.residual, code, a, b, (1.0, 0.0), (0.0, 1.0))
     assert got[0] == "TypeError"
     assert got == _outcome(slow.residual, code, a, b, (1.0, 0.0), (0.0, 1.0))
+
+
+# -- planar loci ---------------------------------------------------------------
+
+def bisect_reference(f, lo, f_lo, hi, width):
+    """The crossing bisection in plain Python, f the residual at
+    circle(theta): what Program.crossing must equal."""
+    while hi - lo > width:
+        mid = 0.5 * (lo + hi)
+        f_mid = f(mid)
+        if f_mid == 0.0:
+            return mid
+        if (f_mid > 0.0) == (f_lo > 0.0):
+            lo, f_lo = mid, f_mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def locus_reference(prog, code, a, b, u, resolution, width):
+    """The ortho_locus sweep in plain Python, from prog.circle,
+    prog.residual and bisect_reference: what Program.locus must equal."""
+    residual = functools.partial(prog.residual, code, a, b, u)
+
+    def residual_at(theta):
+        return residual(prog.circle(theta))
+
+    step = 2.0 * math.pi / resolution
+    thetas = [j * step for j in range(resolution)]
+    xs = list(map(prog.circle, thetas))
+    residuals = list(map(residual, xs))
+    points = []
+    for j, theta in enumerate(thetas):
+        x = xs[j]
+        res = residuals[j]
+        points.append((theta, x[0], x[1], res, res == 0.0))
+        nxt = residuals[(j + 1) % resolution]
+        if res == 0.0 or nxt == 0.0 or (res > 0.0) == (nxt > 0.0):
+            continue
+        cross = bisect_reference(residual_at, theta, res, theta + step, width)
+        x = circle_reference(prog, cross)
+        points.append((cross, x[0], x[1], residual(x), True))
+    return points
+
+
+def _rows(call, *args):
+    """_outcome of a call that returns locus rows: each row's type, its
+    floats' float.hex and its flag."""
+    try:
+        out = call(*args)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    return [(type(r), tuple(x.hex() for x in r[:4]), r[4]) for r in out]
+
+
+# base vectors of the sweeps: a corner of l1 and linf, and a generic one
+SWEEP_BASES = ((1.0, 0.0), (0.6, -0.35))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_locus_agrees_bitwise(family, pair):
+    fast, slow = pair(parse_norm(family, 2))
+    kinds = set()
+    # the pure twin's 720-point sweep costs most: on the generic base only
+    runs = [(u, res) for u in SWEEP_BASES for res in (8, 48)] + [(SWEEP_BASES[1], 720)]
+    for code in CODES:
+        for u, resolution in runs:
+            for width in (1e-10, 1e-12):
+                args = (code, 0.3, 0.5, u, resolution, width, LocusPoint)
+                got = _rows(fast.locus, *args)
+                assert got == _rows(slow.locus, *args), args
+                want = _rows(lambda: [LocusPoint._make(r) for r in
+                                      locus_reference(fast, *args[:6])])
+                assert got == want, args
+                if isinstance(got, tuple):
+                    kinds.add(got[0])
+                else:
+                    kinds.add("crossing" if len(got) > resolution else "rows")
+    assert {"rows", "crossing"} <= kinds
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_crossing_agrees_bitwise(family, pair):
+    # every interval the mining scan bisects: a strict sign change, or an
+    # exact zero at either end
+    fast, slow = pair(parse_norm(family, 2))
+    step = 2.0 * math.pi / 64
+    thetas = [j * step for j in range(64)]
+    xs = list(map(fast.circle, thetas))
+    bases = [tuple(c / fast.value(b) for c in b) for b in corner_vectors(2)]
+    zero_ends = 0
+    for code in CODES:
+        for u in bases + [SWEEP_BASES[1]]:
+            residual = functools.partial(fast.residual, code, 0.3, 0.5, u)
+            try:
+                rs = list(map(residual, xs))
+            except (NonSmoothPointError, ZeroVectorError):
+                continue
+            for j in range(64):
+                r0, r1 = rs[j], rs[(j + 1) % 64]
+                if r0 != 0.0 and r1 != 0.0 and (r0 > 0.0) == (r1 > 0.0):
+                    continue
+                zero_ends += r0 == 0.0 or r1 == 0.0
+                for width in (1e-10, 1e-12):
+                    args = (code, 0.3, 0.5, u, thetas[j], r0, thetas[j] + step, width)
+                    got = _outcome(fast.crossing, *args)
+                    assert got == _outcome(slow.crossing, *args), args
+                    want = _outcome(bisect_reference, lambda t: residual(fast.circle(t)),
+                                    *args[4:])
+                    assert got == want, args
+    assert zero_ends > 0
+
+
+@pytest.mark.parametrize("backend", ["_kernels_py", "_kernels"], indirect=True)
+def test_crossing_ends_on_adjacent_doubles(backend):
+    # a width no interval can get below: the bisection stops once the
+    # midpoint is an end, where it could otherwise go on forever
+    prog = backend.Program(*compile_ast(parse_norm("l2", 2)))
+    lo = 1.0
+    hi = math.nextafter(lo, 2.0)
+    for width in (0.0, -1.0):
+        for f_lo in (1.0, -1.0):
+            assert prog.crossing(3, 0.0, 0.0, (1.0, 0.0), lo, f_lo, hi, width) in (lo, hi)
+    # an infinite end is a midpoint not strictly inside; NaN ends no loop
+    assert prog.crossing(3, 0.0, 0.0, (1.0, 0.0), 0.0, 1.0, math.inf, 1e-10) == math.inf
+    assert prog.crossing(3, 0.0, 0.0, (1.0, 0.0), -math.inf, 1.0, 0.0, 1e-10) == -math.inf
+    assert math.isnan(prog.crossing(3, 0.0, 0.0, (1.0, 0.0), -math.inf, 1.0, math.inf, 0.0))
+    assert math.isnan(prog.crossing(3, 0.0, 0.0, (1.0, 0.0), 0.0, 1.0, math.nan, 0.0))
+    # a window below one ulp of theta
+    theta = prog.crossing(3, 0.0, 0.0, (1.0, 0.0), 1.5, 1.0, 1.7, 1e-300)
+    assert abs(theta - math.pi / 2) <= 1e-15
+
+
+class _Row(tuple):
+    pass
+
+
+_L1 = parse_norm("l1", 2)
+_L1_TAPE = compile_ast(_L1)
+_L2_DIM3 = compile_ast(parse_norm("l2", 3))
+_ZERO_TAPE = ((0, 6), (0.0, 0.0), (0, 0), (), (-1, 0), (-1, -1), 2)  # scale(0, l2)
+_STEP48 = 2.0 * math.pi / 48
+
+
+@pytest.mark.parametrize("tape, method, args, error", [
+    # semi at the l1 corner: smooth at theta 0, not at the next point
+    (_L1_TAPE, "locus", (8, 0.0, 0.0, (1.0, 0.0), 48, 1e-10, LocusPoint), "NonSmoothPointError"),
+    # two points, both smooth, whose sign change is bisected at pi / 2
+    (_L1_TAPE, "locus", (8, 0.0, 0.0, (1.0, 0.0), 2, 1e-10, LocusPoint), "NonSmoothPointError"),
+    (_L1_TAPE, "crossing", (8, 0.0, 0.0, (1.0, 0.0), 0.0, 1.0, math.pi, 1e-10),
+     "NonSmoothPointError"),
+    (_L1_TAPE, "locus", (8, 0.0, 0.0, (0.0, 0.0), 48, 1e-10, LocusPoint),
+     ("ZeroVectorError", "semi-inner product needs a nonzero second argument")),
+    (_L1_TAPE, "locus", (3, 0.0, 0.0, (1.0, 0.0), 48, 1e-10, list),
+     ("TypeError", "point must be a tuple subclass, got <class 'list'>")),
+    (_L1_TAPE, "locus", (3, 0.0, 0.0, (1.0, 0.0), 48, 1e-10, (1.0,)),
+     ("TypeError", "point must be a tuple subclass, got (1.0,)")),
+    (_L1_TAPE, "locus", (3, 0.0, 0.0, (1.0, 0.0), 48, 1e-10, None),
+     ("TypeError", "point must be a tuple subclass, got None")),
+    (_L1_TAPE, "locus", (3, 0.0, 0.0, (1.0, 0.0), 0, 1e-10, LocusPoint),
+     ("ValueError", "resolution must be >= 1, got 0")),
+    (_L1_TAPE, "locus", (3, 0.0, 0.0, (1.0, 0.0), -48, 1e-10, LocusPoint),
+     ("ValueError", "resolution must be >= 1, got -48")),
+    (_L1_TAPE, "locus", (3, 0.0, 0.0, (1.0, 0.0), -2 ** 70, 1e-10, LocusPoint),
+     ("ValueError", f"resolution must be >= 1, got {-2 ** 70}")),
+    (_L1_TAPE, "locus", (3, 0.0, 0.0, (1.0, 0.0), 48.0, 1e-10, LocusPoint),
+     ("TypeError", "'float' object cannot be interpreted as an integer")),
+    (_L1_TAPE, "locus", (3, 0.0, 0.0, (1.0, 0.0), "48", 1e-10, LocusPoint),
+     ("TypeError", "'str' object cannot be interpreted as an integer")),
+    (_L1_TAPE, "locus", (3, 0.0, 0.0, (1.0, 0.0), 48, "1e-10", LocusPoint),
+     ("TypeError", "must be real number, not str")),
+    (_L1_TAPE, "locus", (3, 0.0, 0.0, (1.0,), 48, 1e-10, LocusPoint),
+     ("ValueError", "expected 2 coordinates, got 1")),
+    (_L1_TAPE, "locus", (3, 0.0, 0.0, (1.0, 0.0, 0.0), 48, 1e-10, LocusPoint),
+     ("ValueError", "expected 2 coordinates, got 3")),
+    (_L1_TAPE, "locus", (3, 0.0, 0.0, (1.0, "a"), 48, 1e-10, LocusPoint),
+     ("TypeError", "must be real number, not str")),
+    (_L1_TAPE, "locus", (9, 0.0, 0.0, (1.0, 0.0), 48, 1e-10, LocusPoint),
+     ("ValueError", "unknown relation code 9")),
+    (_L1_TAPE, "locus", (3, None, 0.0, (1.0, 0.0), 48, 1e-10, LocusPoint),
+     ("TypeError", "must be real number, not NoneType")),
+    (_L1_TAPE, "crossing", (3, 0.0, 0.0, (1.0,), 0.0, 1.0, 1.0, 1e-10),
+     ("ValueError", "expected 2 coordinates, got 1")),
+    (_L1_TAPE, "crossing", (3, 0.0, 0.0, (1.0, 0.0), "0", 1.0, 1.0, 1e-10),
+     ("TypeError", "must be real number, not str")),
+    (_L1_TAPE, "crossing", (3, 0.0, 0.0, (1.0, 0.0), 0.0, 1.0, None, 1e-10),
+     ("TypeError", "must be real number, not NoneType")),
+    (_L1_TAPE, "crossing", (-1, 0.0, 0.0, (1.0, 0.0), 0.0, 1.0, 1.0, 1e-10),
+     ("ValueError", "unknown relation code -1")),
+    (_L2_DIM3, "locus", (3, 0.0, 0.0, (1.0, 0.0, 0.0), 48, 1e-10, LocusPoint),
+     ("ValueError", "circle needs a 2-dimensional norm, got dim 3")),
+    (_L2_DIM3, "crossing", (3, 0.0, 0.0, (1.0, 0.0, 0.0), 0.0, 1.0, 1.0, 1e-10),
+     ("ValueError", "circle needs a 2-dimensional norm, got dim 3")),
+    (_ZERO_TAPE, "locus", (3, 0.0, 0.0, (1.0, 0.0), 48, 1e-10, LocusPoint),
+     ("ZeroDivisionError", "float division by zero")),
+    (_L1_TAPE, "locus", (3, 0.0, 0.0, (1.0, 0.0), 48, 1e-10), "TypeError"),
+    (_L1_TAPE, "crossing", (3, 0.0, 0.0, (1.0, 0.0), 0.0, 1.0, 1.0), "TypeError"),
+])
+def test_sweep_errors_agree(tape, method, args, error, compiled_kernels):
+    fast, slow = compiled_kernels.Program(*tape), _kernels_py.Program(*tape)
+    got = _rows(getattr(fast, method), *args)
+    twin = _rows(getattr(slow, method), *args)
+    if error == "TypeError":
+        # the arity texts differ, as residual's do
+        assert got[0] == twin[0] == error
+    elif isinstance(error, str):
+        # the semi texts carry the residuals of the point that raised
+        assert got == twin
+        assert got[0] == error
+    else:
+        assert got == twin == error
+
+
+def test_locus_rejects_a_resolution_no_buffer_holds(compiled_kernels):
+    prog = compiled_kernels.Program(*_L1_TAPE)
+    with pytest.raises(MemoryError):
+        prog.locus(3, 0.0, 0.0, (1.0, 0.0), 2 ** 70, 1e-10, LocusPoint)
+
+
+def test_locus_raises_where_semi_fails(pair):
+    # the error is the one residual gives at the first non-smooth point
+    fast, slow = pair(_L1)
+    want = _outcome(slow.residual, 8, 0.0, 0.0, (1.0, 0.0), slow.circle(_STEP48))
+    assert want[0] == "NonSmoothPointError"
+    for prog in (fast, slow):
+        assert _rows(prog.locus, 8, 0.0, 0.0, (1.0, 0.0), 48, 1e-10, LocusPoint) == want
+    want = _outcome(slow.residual, 8, 0.0, 0.0, (1.0, 0.0), slow.circle(0.5 * math.pi))
+    for prog in (fast, slow):
+        assert _rows(prog.locus, 8, 0.0, 0.0, (1.0, 0.0), 2, 1e-10, LocusPoint) == want
+
+
+@pytest.mark.parametrize("point", [LocusPoint, tuple, _Row])
+def test_locus_rows_take_the_point_type(point, pair):
+    fast, slow = pair(parse_norm("l2", 2))
+    rows = [prog.locus(3, 0.0, 0.0, (1.0, 0.0), 8, 1e-10, point) for prog in (fast, slow)]
+    assert _rows(lambda: rows[0]) == _rows(lambda: rows[1])
+    for row in rows[0] + rows[1]:
+        assert type(row) is point
+        assert len(row) == 5 and type(row[4]) is bool
+    assert len(rows[0]) == 10  # 8 points, 2 crossings
+
+
+def test_compiled_sweeps_hold_memory_flat(compiled_kernels):
+    l1 = compiled_kernels.Program(*compile_ast(_L1))
+    l2 = compiled_kernels.Program(*compile_ast(parse_norm("l2", 2)))
+    calls = [
+        (l2.locus, 5, 0.3, 0.5, (0.6, -0.35), 48, 1e-10, LocusPoint),
+        (l2.locus, 3, 0.0, 0.0, (1.0, 0.0), 8, 1e-12, _Row),
+        (l2.crossing, 3, 0.0, 0.0, (1.0, 0.0), 1.5, 1.0, 1.7, 1e-12),
+        # raising after the buffers, and after some rows, are allocated
+        (l1.locus, 8, 0.0, 0.0, (1.0, 0.0), 48, 1e-10, LocusPoint),
+        (l1.locus, 8, 0.0, 0.0, (1.0, 0.0), 2, 1e-10, LocusPoint),
+        (l1.crossing, 8, 0.0, 0.0, (1.0, 0.0), 0.0, 1.0, math.pi, 1e-10),
+        (l1.locus, 3, 0.0, 0.0, (1.0, 0.0), 48, 1e-10, list),
+        (l1.locus, 3, 0.0, 0.0, (1.0, "a"), 48, 1e-10, LocusPoint),
+    ]
+
+    def run(times):
+        for _ in range(times):
+            for call, *args in calls:
+                try:
+                    call(*args)
+                except (NonSmoothPointError, TypeError):
+                    pass
+
+    run(20)
+    tracemalloc.start()
+    try:
+        run(5)
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        run(300)
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 20_000, grown

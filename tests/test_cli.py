@@ -338,6 +338,19 @@ class TestPreserverCommand:
     def test_bad_matrix_literal(self, capsys):
         assert _run(capsys, "preserver", "--matrix", "1,1;0", "--norm", "l2")[0] == 2
 
+    @pytest.mark.parametrize("matrix, value", [
+        ("nan,0;0,1", "nan"), ("1,0;0,inf", "inf"), ("1,-inf;0,1", "-inf"),
+    ], ids=["nan", "inf", "minus-inf"])
+    def test_non_finite_matrix_is_usage_error(self, capsys, matrix, value):
+        code, out, err = _run(capsys, "preserver", "--matrix", matrix, "--norm", "l2",
+                              "--alpha", "0.3", "--beta", "0.3", "--samples", "5")
+        assert code == 2
+        assert out == ""
+        assert err.endswith(
+            f"normortho: error: argument --matrix: matrix entries must be finite, "
+            f"got {value}\n"
+        )
+
 
 class TestMineCommand:
     def test_witness_payload_and_replay(self, capsys):

@@ -1,6 +1,7 @@
 """Orthogonality relations, oracle, solver, interval, and locus tests."""
 
 import math
+import pickle
 
 import pytest
 
@@ -8,6 +9,7 @@ from normortho import (
     AlphaBeta,
     DimensionMismatchError,
     Lambda,
+    LocusPoint,
     NonSmoothPointError,
     Relation,
     SplitMix64,
@@ -33,6 +35,8 @@ LINF = parse_norm("linf", 2)
 LP15 = parse_norm("lp(1.5)", 2)
 
 BIRKHOFF = Relation("birkhoff")
+
+BACKENDS = pytest.mark.parametrize("backend", ["_kernels_py", "_kernels"], indirect=True)
 
 
 class TestRelationValidation:
@@ -354,8 +358,14 @@ class TestLocus:
             if p.is_zero_crossing:
                 assert abs(p.residual) <= 1e-8
 
-    def test_points_are_named_tuples(self):
+    @BACKENDS
+    def test_points_are_named_tuples(self, package_backend):
         pts = ortho_locus(L2, (1.0, 0.0), Relation("rho"), resolution=8)
+        assert len(pts) == 10  # 8 grid points, 2 crossings
+        for p in pts:
+            assert type(p) is LocusPoint
+            assert type(p.is_zero_crossing) is bool
+            assert pickle.loads(pickle.dumps(p)) == p
         p = pts[0]
         assert p._fields == ("theta", "x", "y", "residual", "is_zero_crossing")
         assert repr(p) == ("LocusPoint(theta=0.0, x=1.0, y=0.0, residual=1.0, "
@@ -363,17 +373,27 @@ class TestLocus:
         assert p._asdict() == {"theta": 0.0, "x": 1.0, "y": 0.0, "residual": 1.0,
                                "is_zero_crossing": False}
         assert hash(p) == hash(tuple(p))
+        assert type(pickle.loads(pickle.dumps(p))) is LocusPoint
         with pytest.raises(AttributeError):
             p.residual = 0.0
 
-    def test_validation(self):
+    @BACKENDS
+    def test_validation(self, package_backend):
         rel = Relation("rho")
         with pytest.raises(ZeroVectorError):
             ortho_locus(L2, (0.0, 0.0), rel)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="resolution must be >= 8, got 4"):
             ortho_locus(L2, (1.0, 0.0), rel, resolution=4)
+        with pytest.raises(TypeError, match="'float' object cannot be interpreted"):
+            ortho_locus(L2, (1.0, 0.0), rel, resolution=48.0)
         with pytest.raises(DimensionMismatchError):
             ortho_locus(parse_norm("l2", 3), (1.0, 0.0, 0.0), rel)
+        with pytest.raises(DimensionMismatchError):
+            ortho_locus(L2, (1.0, 0.0, 0.0), rel)
+        with pytest.raises(ValueError, match="vector coordinates must be finite, got nan"):
+            ortho_locus(L2, (math.nan, 0.0), rel)
+        with pytest.raises(NonSmoothPointError):
+            ortho_locus(L1, (1.0, 0.0), Relation("semi"), resolution=48)
 
 
 class TestRelationResidual:

@@ -1,26 +1,11 @@
 /* Compiled tape interpreter and SplitMix64 stream: the CPython extension
-   normortho._kernels.
+   normortho._kernels, twin of `_kernels_py`.  The module docstring of
+   `_kernels_py` describes Program, its nine methods and SplitMix64 for
+   both twins; when touching a formula here, change the twin identically.
 
-   Mirrors `_kernels_py` instruction for instruction; when touching a
-   formula here, change the pure Python twin identically.  Both use libm
-   pow/sqrt/cos/sin and the same accumulation order, so results agree to
-   rounding.  A Program has nine methods: `vectors` (the public entries'
-   boundary check: each argument as a tuple of finite floats of the
-   norm's dimension), `value`, `derivs`, `line_evaluator`, `circle` (the
-   point of the planar unit sphere at a Euclidean angle), `image_value`
-   (N(M x), each row of M x summed exactly as math.fsum sums it),
-   `residual(code, a, b, u, v)`, the only copy of each orthogonality
-   relation's residual, and the planar loci on top of circle and
-   residual: `crossing(code, a, b, u, lo, f_lo, hi, width)`, the only
-   copy of the crossing bisection, and `locus(code, a, b, u, resolution,
-   width, point)`, the whole ortho_locus sweep, which builds its rows as
-   tuple.__new__(point, ...) does.  code is the tag's position in
-   ortho.RELATION_TAGS (the R_ constants of program.py): 0 birkhoff,
-   1 rho_plus, 2 rho_minus, 3 rho, 4 rho_lambda, 5 rho_ab, 6 isosceles,
-   7 pythagorean, 8 semi; a is lambda or alpha and b is beta.  The tape
-   has four leaf kinds, l2 and wlp with p = 1, inf or finite p; `value_of`
-   holds the only copy of each leaf formula.  The SplitMix64 draws are
-   the same bits as the twin's.
+   What only this twin has: no a * b + c may become a fused multiply-add
+   (the pragmas below), and the normortho.errors classes that semi and
+   vectors raise are bound at module init.
 
    Build with `python setup.py build_ext`, or directly:
    gcc -O2 -shared -fPIC -I<python include> _kernels.c -o _kernels<EXT_SUFFIX>

@@ -1,37 +1,41 @@
-"""Pure Python tape interpreter.
+"""Pure Python tape interpreter, twin of the compiled extension `_kernels`.
 
-Mirrors the compiled extension instruction for instruction; when touching
-a formula here, change `_kernels.c` identically.  math.pow and math.sqrt
-are used so both backends route through the same libm entry points.
+This docstring describes Program and SplitMix64 for both twins.  They run
+the same operations in the same order; when touching a formula here,
+change `_kernels.c` identically.  math.pow and math.sqrt are used so both
+backends route through the same libm entry points.
 
-A Program evaluates one fixed norm expression.  `derivs` returns the
-triple (value, D+, D-) of the map t -> N(u + t v) at t = 0; one-sided
-derivatives exist everywhere because every node is convex.
+A Program evaluates one fixed norm expression N through nine methods:
 
-`circle` gives the point of a planar norm's unit sphere at a Euclidean
-angle, and `image_value` the norm of a matrix image M x, each row of M x
-summed exactly by math.fsum; the planar sweeps call them once per point.
+- `vectors(*coords)`: the public entries' boundary check, each argument
+  as a tuple of finite floats of the norm's dimension.
+- `value(u)`: N(u).
+- `derivs(u, v)`: the triple (value, D+, D-) of the map t -> N(u + t v)
+  at t = 0; one-sided derivatives exist everywhere because every node is
+  convex.
+- `line_evaluator(u, v)`: a callable phi with phi(t) = N(u + t v).
+- `circle(theta)`: the point of a planar norm's unit sphere at a
+  Euclidean angle.
+- `image_value(matrix, x)`: N(M x), each row of M x summed exactly, as
+  math.fsum sums it.
+- `residual(code, a, b, u, v)`: the only copy of each orthogonality
+  relation's residual.  code is the tag's position in ortho.RELATION_TAGS
+  (the R_ constants of `program`): 0 birkhoff, 1 rho_plus, 2 rho_minus,
+  3 rho, 4 rho_lambda, 5 rho_ab, 6 isosceles, 7 pythagorean, 8 semi.  a
+  is lambda (rho_lambda) or alpha (rho_ab), b is beta (rho_ab); the other
+  codes ignore both.
+- `crossing(code, a, b, u, lo, f_lo, hi, width)`: the only copy of the
+  crossing bisection, theta -> residual(code, a, b, u, circle(theta))
+  bisected to a sign change.
+- `locus(code, a, b, u, resolution, width, point)`: the whole
+  ortho_locus sweep, each row built as tuple.__new__(point, ...).
 
-`vectors(*coords)` is the public entries' boundary check: each
-argument as a tuple of finite floats of the norm's dimension.
-
-`residual(code, a, b, u, v)` holds the only copy of each orthogonality
-relation's residual.  code is the tag's position in ortho.RELATION_TAGS
-(the R_ constants of `program`): 0 birkhoff, 1 rho_plus, 2 rho_minus,
-3 rho, 4 rho_lambda, 5 rho_ab, 6 isosceles, 7 pythagorean, 8 semi.  a is
-lambda (rho_lambda) or alpha (rho_ab), b is beta (rho_ab); the other
-codes ignore both.
-
-`crossing` bisects theta -> residual(code, a, b, u, circle(theta)) to a
-sign change (the only copy of the crossing bisection), and `locus` runs
-the whole ortho_locus sweep, each row built as tuple.__new__(point, ...).
-
+The planar sweeps call circle, image_value and residual once per point.
 The tape has four leaf kinds: l2, and wlp with p = 1, inf or finite p
-(`compile_ast` gives l1, linf and lp unit weights).  `_value` holds the
-only copy of each leaf formula.
+(`compile_ast` gives l1, linf and lp unit weights).  `_value` here and
+`value_of` in the C twin hold the only copy of each leaf formula.
 
-SplitMix64 is the seeded random stream; its draws are the same bits as
-the compiled type's.
+SplitMix64 is the seeded random stream; both twins draw the same bits.
 """
 
 from __future__ import annotations

@@ -551,8 +551,12 @@ def run(argv=None) -> int:
         print(f"normortho: {exc}", file=sys.stderr)
         return 1
     if args.out is not None:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"normortho: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
+            return 2
         if summary is not None:
             sys.stdout.write(summary)
     else:

@@ -14,6 +14,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
+from itertools import chain
 
 from .derivs import AlphaBeta, _rho_ab
 from .errors import DimensionMismatchError
@@ -241,7 +242,7 @@ def preserver_check(lin: LinearMap, ab: AlphaBeta, cfg: SampleConfig) -> Preserv
     # condition 1: transported orthogonal pairs
     rng = root.substream(1)
     worst1 = 0.0
-    wit1: tuple[Vector, Vector] | None = None
+    wit1 = (None, None)
     built = 0
     while built < cfg.count:
         u = rng.vector(dim, -cfg.scale, cfg.scale)
@@ -274,7 +275,7 @@ def preserver_check(lin: LinearMap, ab: AlphaBeta, cfg: SampleConfig) -> Preserv
     rng = root.substream(3)
     tsq = opn.value * opn.value
     worst3 = 0.0
-    wit3: tuple[Vector, Vector] | None = None
+    wit3 = (None, None)
     for _ in range(cfg.count):
         u = rng.vector(dim, -cfg.scale, cfg.scale)
         v = rng.vector(dim, -cfg.scale, cfg.scale)
@@ -288,13 +289,11 @@ def preserver_check(lin: LinearMap, ab: AlphaBeta, cfg: SampleConfig) -> Preserv
         if ratio > worst3:
             worst3, wit3 = ratio, (u, v)
 
-    u1, v1 = wit1 if wit1 is not None else (None, None)
-    u3, v3 = wit3 if wit3 is not None else (None, None)
     return PreserverReport(
         opn,
-        ConditionReport("orthogonality", worst1 <= tol, worst1, u1, v1, tol),
+        ConditionReport("orthogonality", worst1 <= tol, worst1, *wit1, tol),
         ConditionReport("norm_multiple", worst2 <= tol, worst2, wit2, None, tol),
-        ConditionReport("rho_scaling", worst3 <= tol, worst3, u3, v3, tol),
+        ConditionReport("rho_scaling", worst3 <= tol, worst3, *wit3, tol),
     )
 
 
@@ -321,14 +320,10 @@ def _search_direction(prog, rel_hold: Relation, rel_test: Relation,
     thetas = [j * step for j in range(scan)]
     xs = list(map(circle, thetas))
 
-    def bases():
-        # Corners first: relations only split at non-smooth boundary
-        # points, which random directions miss with probability one.
-        yield from corner_vectors(2)
-        while True:
-            yield rng.vector(2, -1.0, 1.0)
-
-    for base in bases():
+    # Corners first: relations only split at non-smooth boundary points,
+    # which random directions miss with probability one.
+    draw = functools.partial(rng.vector, 2, -1.0, 1.0)
+    for base in chain(corner_vectors(2), iter(draw, None)):
         if used >= budget:
             break
         u = _normalized(prog, base)

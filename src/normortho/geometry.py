@@ -9,10 +9,10 @@ asymmetry of rho_ab, and quartic-identity violations.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from dataclasses import dataclass
+from itertools import chain, combinations, islice, product
 
 from .derivs import AlphaBeta, _rho_ab, _rho_pair
 from .errors import EngineError, ZeroVectorError
@@ -154,13 +154,11 @@ def angular_constant(ast1: NormAst, ast2: NormAst, ab: AlphaBeta,
     rng = SplitMix64(cfg.seed)
     dim = ast1.dim
     best = 0.0
-    witness: tuple[Vector, Vector] | None = None
+    witness = (None, None)
     skipped = 0
-    used = 0
-    for _ in range(cfg.count):
+    for used in range(1, cfg.count + 1):
         u = _nonzero_vector(rng, prog1, dim, cfg.scale)
         v = _nonzero_vector(rng, prog1, dim, cfg.scale)
-        used += 1
         t1 = _angle(prog1, u, v, ab).theta
         t2 = _angle(prog2, u, v, ab).theta
         if t1 < 1e-9:
@@ -177,19 +175,19 @@ def angular_constant(ast1: NormAst, ast2: NormAst, ab: AlphaBeta,
         if ratio > best:
             best = ratio
             witness = (u, v)
-    wu, wv = witness if witness is not None else (None, None)
-    return ExtremeEstimate(best, wu, wv, used, skipped)
+    return ExtremeEstimate(best, *witness, cfg.count, skipped)
 
 
 def _probe_pairs(prog, dim: int, cfg: SampleConfig):
     """cfg.count pairs: every ordered pair of corner vectors, then random
     pairs of nonzero vectors."""
-    corners = corner_vectors(dim)
-    yield from itertools.islice(itertools.product(corners, repeat=2), cfg.count)
     rng = SplitMix64(cfg.seed)
-    for _ in range(cfg.count - len(corners) ** 2):
+
+    def draw():
         u = _nonzero_vector(rng, prog, dim, cfg.scale)
-        yield u, _nonzero_vector(rng, prog, dim, cfg.scale)
+        return u, _nonzero_vector(rng, prog, dim, cfg.scale)
+
+    return islice(chain(product(corner_vectors(dim), repeat=2), iter(draw, None)), cfg.count)
 
 
 def smoothness_probe(ast: NormAst, cfg: SampleConfig) -> ProbeReport:
@@ -225,33 +223,20 @@ def strict_convexity_probe(ast: NormAst, cfg: SampleConfig,
     prog = get_program(ast)
     rng = SplitMix64(cfg.seed)
     dim = ast.dim
-    used = 0
 
-    def check(u: Vector, v: Vector):
+    def draw():
+        u = _unit_vector(rng, prog, dim, cfg.scale)
+        return u, _unit_vector(rng, prog, dim, cfg.scale)
+
+    unit_corners = [_normalized(prog, cv) for cv in corner_vectors(dim)]
+    pairs = islice(chain(combinations(unit_corners, 2), iter(draw, None)), cfg.count)
+    for used, (u, v) in enumerate(pairs, 1):
         if prog.value(tuple(map(operator.sub, u, v))) <= min_separation:
-            return None
+            continue
         mid = prog.value(tuple([s / 2.0 for s in map(operator.add, u, v)]))
         if mid >= 1.0 - 1e-9:
-            return mid
-        return None
-
-    corners = [_normalized(prog, cv) for cv in corner_vectors(dim)]
-    for i, u in enumerate(corners):
-        for v in corners[i + 1:]:
-            if used >= cfg.count:
-                break
-            used += 1
-            mid = check(u, v)
-            if mid is not None:
-                return ProbeReport("witness-found", u, v, mid, used)
-    while used < cfg.count:
-        u = _unit_vector(rng, prog, dim, cfg.scale)
-        v = _unit_vector(rng, prog, dim, cfg.scale)
-        used += 1
-        mid = check(u, v)
-        if mid is not None:
             return ProbeReport("witness-found", u, v, mid, used)
-    return ProbeReport("pass", None, None, None, used)
+    return ProbeReport("pass", None, None, None, cfg.count)
 
 
 def quartic_identity_residual(ast: NormAst, u, v, ab: AlphaBeta) -> float:
@@ -299,14 +284,14 @@ def symmetry_search(ast: NormAst, ab: AlphaBeta, cfg: SampleConfig,
     """
     prog = get_program(ast)
     worst = 0.0
-    witness: tuple[Vector, Vector] | None = None
+    witness = (None, None)
     for u, v in _probe_pairs(prog, ast.dim, cfg):
         res = abs(_symmetry(prog, u, v, ab))
         if res > worst:
             worst = res
             witness = (u, v)
     if worst > threshold:
-        return ProbeReport("witness-found", witness[0], witness[1], worst, cfg.count)
+        return ProbeReport("witness-found", *witness, worst, cfg.count)
     return ProbeReport("pass", None, None, worst, cfg.count)
 
 
@@ -328,7 +313,7 @@ def norm_equiv_constant(ast1: NormAst, ast2: NormAst, ab: AlphaBeta,
     dim = ast1.dim
     floor = 1e-12 * cfg.scale * cfg.scale
     best = 0.0
-    witness: tuple[Vector, Vector] | None = None
+    witness = (None, None)
     skipped = 0
     for _ in range(cfg.count):
         u = rng.vector(dim, -cfg.scale, cfg.scale)
@@ -342,5 +327,4 @@ def norm_equiv_constant(ast1: NormAst, ast2: NormAst, ab: AlphaBeta,
         if ratio > best:
             best = ratio
             witness = (u, v)
-    wu, wv = witness if witness is not None else (None, None)
-    return ExtremeEstimate(best, wu, wv, cfg.count, skipped)
+    return ExtremeEstimate(best, *witness, cfg.count, skipped)

@@ -107,13 +107,13 @@ def audit_norm(ast: NormAst, cfg: SampleConfig, tol: float = AUDIT_TOL) -> NormA
     rng = SplitMix64(cfg.seed)
     dim = ast.dim
     violations = 0
-    worst = NormAudit(samples=cfg.count, violations=0)
+    worst = (None, 0.0, None, None, None)  # kind, defect, u, v, t
 
     def record(kind, defect, u, v, t):
         nonlocal violations, worst
         violations += 1
-        if defect > worst.worst_defect:
-            worst = NormAudit(cfg.count, violations, kind, defect, u, v, t)
+        if defect > worst[1]:
+            worst = (kind, defect, u, v, t)
 
     for _ in range(cfg.count):
         u = rng.vector(dim, -cfg.scale, cfg.scale)
@@ -135,8 +135,7 @@ def audit_norm(ast: NormAst, cfg: SampleConfig, tol: float = AUDIT_TOL) -> NormA
         if nu <= 0.0 and any(u):
             record("positivity", -nu, u, None, None)
 
-    return NormAudit(cfg.count, violations, worst.worst_kind, worst.worst_defect,
-                     worst.worst_u, worst.worst_v, worst.worst_t)
+    return NormAudit(cfg.count, violations, *worst)
 
 
 def sphere_sample(ast: NormAst, cfg: SampleConfig) -> list[Vector]:

@@ -109,6 +109,16 @@ def circle_reference(prog, theta):
     return (d0 / r, d1 / r)
 
 
+def hexes(obj):
+    """Every float in obj (nested tuples, None, bools and strings allowed)
+    as float.hex, so two results compare bit for bit."""
+    if isinstance(obj, float):
+        return obj.hex()
+    if isinstance(obj, tuple):
+        return "(" + ",".join(hexes(x) for x in obj) + ")"
+    return repr(obj)
+
+
 def _missing_toolchain(cc=None, tools=(), machines=None):
     """Why the extension cannot be built here with cc (default: the
     compiler Python was built with) and inspected with tools on one of

@@ -1,6 +1,7 @@
 """Command-line interface tests: exit codes, schemas, determinism."""
 
 import csv
+import errno
 import importlib
 import io
 import json
@@ -132,6 +133,19 @@ class TestExitCodes:
                 capsys, "rho", "--norm", "l2", "--u", "1,0", "--v", "0,1", *flag,
             )
             assert code == 2, flag
+
+    @pytest.mark.parametrize("command", [
+        ("rho", "--norm", "l2", "--u", "1,0", "--v", "0,1"),
+        ("locus", "--norm", "l2", "--u", "1,0", "--relation", "rho", "--resolution", "8"),
+    ])
+    def test_unwritable_out_is_a_usage_error(self, capsys, tmp_path, command):
+        for target, reason in ((tmp_path / "missing" / "x.json", errno.ENOENT),
+                               (tmp_path, errno.EISDIR)):
+            code, out, err = _run(capsys, *command, "--out", str(target))
+            assert code == 2
+            assert out == ""
+            assert err == f"normortho: cannot write {target}: {os.strerror(reason)}\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestRhoCommand:

@@ -1,6 +1,8 @@
 """Angles, geometric constants, probes, and symmetry diagnostics."""
 
+import itertools
 import math
+import operator
 
 import pytest
 
@@ -24,8 +26,11 @@ from normortho import (
     symmetry_residual,
     symmetry_search,
 )
+from normortho.geometry import _probe_pairs
+from normortho.kernels import get_program
+from normortho.space import corner_vectors
 
-from conftest import FAMILIES
+from conftest import FAMILIES, hexes
 
 L1 = parse_norm("l1", 2)
 L2 = parse_norm("l2", 2)
@@ -366,3 +371,108 @@ class TestSmoothnessBirkhoffLink:
             got = rho_ab(ast, w, v, ab)
             assert abs(got) <= 1e-6 * max(1.0, nw * nv)
             done += 1
+
+
+# The corner-then-random pair sources as they were written before they
+# became itertools streams: one loop per phase, counters kept by hand.
+# The streams must reproduce every pair, witness and count bit for bit.
+
+def _reference_nonzero_vector(rng, prog, dim, scale):
+    while True:
+        x = rng.vector(dim, -scale, scale)
+        if prog.value(x) != 0.0:
+            return x
+
+
+def _reference_normalized(prog, x):
+    r = prog.value(x)
+    return None if r == 0.0 else tuple([c / r for c in x])
+
+
+def _reference_unit_vector(rng, prog, dim, scale):
+    while True:
+        x = _reference_normalized(prog, rng.vector(dim, -scale, scale))
+        if x is not None:
+            return x
+
+
+def _reference_probe_pairs(splitmix, prog, dim, cfg):
+    corners = corner_vectors(dim)
+    yield from itertools.islice(itertools.product(corners, repeat=2), cfg.count)
+    rng = splitmix(cfg.seed)
+    for _ in range(cfg.count - len(corners) ** 2):
+        u = _reference_nonzero_vector(rng, prog, dim, cfg.scale)
+        yield u, _reference_nonzero_vector(rng, prog, dim, cfg.scale)
+
+
+def _reference_strict_convexity(splitmix, prog, dim, cfg, min_separation=0.05):
+    rng = splitmix(cfg.seed)
+    used = 0
+
+    def check(u, v):
+        if prog.value(tuple(map(operator.sub, u, v))) <= min_separation:
+            return None
+        mid = prog.value(tuple([s / 2.0 for s in map(operator.add, u, v)]))
+        if mid >= 1.0 - 1e-9:
+            return mid
+        return None
+
+    corners = [_reference_normalized(prog, cv) for cv in corner_vectors(dim)]
+    for i, u in enumerate(corners):
+        for v in corners[i + 1:]:
+            if used >= cfg.count:
+                break
+            used += 1
+            mid = check(u, v)
+            if mid is not None:
+                return ("witness-found", u, v, mid, used)
+    while used < cfg.count:
+        u = _reference_unit_vector(rng, prog, dim, cfg.scale)
+        v = _reference_unit_vector(rng, prog, dim, cfg.scale)
+        used += 1
+        mid = check(u, v)
+        if mid is not None:
+            return ("witness-found", u, v, mid, used)
+    return ("pass", None, None, None, used)
+
+
+# At dim 2 no two normalized corners share a flat face of this ball, so
+# strict_convexity_probe finds its witness among the random pairs.
+FACES_MISSED_BY_CORNERS = "max(l2, scale(0.9, l1))"
+
+
+def _family_ast(family, dim):
+    if dim == 3 and family.startswith("wlp"):
+        family = "wlp(2; 1, 4, 0.5)"
+    return parse_norm(family, dim)
+
+
+def _budgets(corner_count):
+    """One pair, one below, at and above the corner count, and 200."""
+    return (1, corner_count - 1, corner_count, corner_count + 1, 200)
+
+
+@pytest.mark.parametrize("backend", ["_kernels_py", "_kernels"], indirect=True)
+@pytest.mark.parametrize("family", FAMILIES + (FACES_MISSED_BY_CORNERS,))
+class TestCornerThenRandomStreams:
+    def test_probe_pairs_match_the_loops(self, family, package_backend):
+        for dim in (2, 3):
+            prog = get_program(_family_ast(family, dim))
+            for count in _budgets(len(corner_vectors(dim)) ** 2):
+                cfg = SampleConfig(seed=count, count=count, scale=2.5)
+                got = tuple(_probe_pairs(prog, dim, cfg))
+                want = tuple(_reference_probe_pairs(package_backend.SplitMix64, prog, dim, cfg))
+                assert len(got) == count
+                assert hexes(got) == hexes(want)
+
+    def test_strict_convexity_matches_the_loops(self, family, package_backend):
+        for dim in (2, 3):
+            ast = _family_ast(family, dim)
+            prog = get_program(ast)
+            n = len(corner_vectors(dim))
+            for count in _budgets(n * (n - 1) // 2):
+                cfg = SampleConfig(seed=count, count=count, scale=2.5)
+                r = strict_convexity_probe(ast, cfg)
+                got = (r.verdict, r.witness_u, r.witness_v, r.diagnostic, r.samples_used)
+                want = _reference_strict_convexity(package_backend.SplitMix64, prog, dim, cfg)
+                assert hexes(got) == hexes(want)

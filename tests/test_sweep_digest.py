@@ -1,7 +1,8 @@
 """Bit digests of the planar sweeps, on both backends.
 
 `ortho_locus` (every relation tag, every planar family, two base vectors,
-resolution 720) and `mine_incomparability` (three relation pairs) are
+resolution 720) and `mine_incomparability` (three relation pairs, at a
+budget of 8 and at budgets that run past the 8 corner bases) are
 digested family by family: the sha256 of the float.hex of every result
 float, or of the type and text of the error raised.  The expected digests
 are those of the per-tag Python residuals that `Program.residual`
@@ -23,13 +24,15 @@ from normortho import (
     parse_norm,
 )
 
-from conftest import FAMILIES
+from conftest import FAMILIES, hexes
 
 AB = AlphaBeta(0.3, 0.5)
 LAM = Lambda(0.25)
 BASES = ((1.0, 0.0), (0.6, -0.8))
 MINE_PAIRS = (("birkhoff", "isosceles"), ("rho_ab", "rho_lambda"),
               ("rho_minus", "pythagorean"))
+
+MINE_BUDGETS = (9, 40, 200)
 
 LOCUS_DIGESTS = {
     "l1": "deb36e30eb9a3cba5df501599a975d2ed861a56c6123cba8cd91e4ad630bdc00",
@@ -55,6 +58,18 @@ MINE_DIGESTS = {
     "scale(0.7, l2)": "2eac186c42146ead04063b6ec616d0e52397c53dfca20ee3275302a67bafb1f0",
 }
 
+MINE_BUDGET_DIGESTS = {
+    "l1": "5aaf15828b419d4e17183a5a53c8027b2b2f6c07ec515ea4223857aa6a51a203",
+    "l2": "37e0347b08c720da0e0e57740d9edd5337dbeac9a58c20d4c170a57d028e044e",
+    "linf": "8df1ea9e522eb8daaa8fa7ca3d62b57fb55fdf88b319ce9aac67a56681161563",
+    "lp(3)": "ade878cc5101a843b3fd3b424b35c0b32af3fe63ba755fec1a783303c3f56410",
+    "lp(1.5)": "26383d19700394b9108e61a0f0eda1026715bb2aa3c93aba4f851fde04483ce1",
+    "wlp(2; 1, 4)": "3ba339affacc30b8bcce49c759838e12f7832629bf0aeb5f81710b9782d7e22b",
+    "max(l1, l2)": "5aaf15828b419d4e17183a5a53c8027b2b2f6c07ec515ea4223857aa6a51a203",
+    "sum(l1, linf)": "3bbcb040a7361ae4624911c7945c2de9aa94edb82eae947268252e1d834ee956",
+    "scale(0.7, l2)": "e73ef30339d772a046a2333b2b8967537fe5e81436b42d93fc8aa5dab0e1b19e",
+}
+
 
 def _relation(tag):
     if tag == "rho_ab":
@@ -62,15 +77,6 @@ def _relation(tag):
     if tag == "rho_lambda":
         return Relation(tag, lam=LAM)
     return Relation(tag)
-
-
-def _hexes(obj):
-    """Every float in obj (nested tuples, None and bools allowed) as hex."""
-    if isinstance(obj, float):
-        return obj.hex()
-    if isinstance(obj, tuple):
-        return "(" + ",".join(_hexes(x) for x in obj) + ")"
-    return repr(obj)
 
 
 def _result_or_error(call, *args):
@@ -94,22 +100,23 @@ def locus_digest(family):
             lines.append(f"{tag} {u}")
             points = _result_or_error(ortho_locus, ast, u, _relation(tag), 720)
             lines.extend(p if isinstance(p, str)
-                         else _hexes((p.theta, p.x, p.y, p.residual, p.is_zero_crossing))
+                         else hexes((p.theta, p.x, p.y, p.residual, p.is_zero_crossing))
                          for p in points)
     return _digest(lines)
 
 
-def mine_digest(family):
+def mine_digest(family, budgets=(8,)):
     ast = parse_norm(family, 2)
     lines = []
-    for seed, (a, b) in enumerate(MINE_PAIRS):
-        cfg = SampleConfig(seed=seed, count=8)
-        rep = _result_or_error(mine_incomparability, ast, _relation(a), _relation(b), cfg)
-        if isinstance(rep, list):
-            lines.extend(rep)
-        else:
-            lines.append(_hexes((rep.witness_ab, rep.witness_ba, rep.budget_used,
-                                 rep.discarded)))
+    for budget in budgets:
+        for seed, (a, b) in enumerate(MINE_PAIRS):
+            cfg = SampleConfig(seed=seed, count=budget)
+            rep = _result_or_error(mine_incomparability, ast, _relation(a), _relation(b), cfg)
+            if isinstance(rep, list):
+                lines.extend(rep)
+            else:
+                lines.append(hexes((rep.witness_ab, rep.witness_ba, rep.budget_used,
+                                    rep.discarded)))
     return _digest(lines)
 
 
@@ -123,3 +130,10 @@ def test_locus_bits_unchanged(family, package_backend):
 @pytest.mark.parametrize("family", FAMILIES)
 def test_mining_bits_unchanged(family, package_backend):
     assert mine_digest(family) == MINE_DIGESTS[family]
+
+
+@pytest.mark.parametrize("backend", ["_kernels_py", "_kernels"], indirect=True)
+@pytest.mark.parametrize("family", FAMILIES)
+def test_mining_bits_unchanged_past_the_corners(family, package_backend):
+    # budgets past the 8 corner bases, so random bases are scanned too
+    assert mine_digest(family, MINE_BUDGETS) == MINE_BUDGET_DIGESTS[family]

@@ -359,7 +359,7 @@ def _cmd_ortho(args) -> dict:
         verdict = is_orthogonal(rel, ast, args.u, args.v, tol)
         rel_fields = _relation_fields(rel)
     return {"norm": print_norm(ast), "relation": args.relation,
-            **rel_fields, "u": args.u, "v": args.v, **vars(verdict)}
+            **rel_fields, "u": args.u, "v": args.v, **verdict._asdict()}
 
 
 def _cmd_solve(args) -> dict:
@@ -415,7 +415,7 @@ def _cmd_probe(args) -> dict:
         report = strict_convexity_probe(ast, cfg)
     else:
         report = symmetry_search(ast, _ab(args), cfg)
-    return {"norm": print_norm(ast), "kind": kind, **vars(report),
+    return {"norm": print_norm(ast), "kind": kind, **report._asdict(),
             "seed": cfg.seed, "budget": cfg.count}
 
 
@@ -445,7 +445,7 @@ def _cmd_constant(args) -> dict:
     else:
         est = norm_equiv_constant(ast1, ast2, ab, cfg)
     return {"norm": print_norm(ast1), "norm2": print_norm(ast2), "kind": kind,
-            "alpha": ab.alpha, "beta": ab.beta, **vars(est)}
+            "alpha": ab.alpha, "beta": ab.beta, **est._asdict()}
 
 
 def _cmd_preserver(args) -> dict:
@@ -460,8 +460,8 @@ def _cmd_preserver(args) -> dict:
     return {"matrix": args.matrix, "norm": print_norm(domain),
             "norm2": print_norm(codomain),
             "alpha": args.alpha, "beta": args.beta,
-            "operator_norm": vars(report.operator_norm),
-            "conditions": [vars(c) for c in (report.orthogonality, report.norm_multiple,
+            "operator_norm": report.operator_norm._asdict(),
+            "conditions": [c._asdict() for c in (report.orthogonality, report.norm_multiple,
                                              report.rho_scaling)],
             "all_pass": report.all_pass}
 
@@ -495,7 +495,7 @@ def _cmd_mine(args) -> dict:
 def _cmd_audit(args) -> dict:
     ast = _ast(args)
     report = audit_norm(ast, _cfg(args))
-    return {"norm": print_norm(ast), **vars(report)}
+    return {"norm": print_norm(ast), **report._asdict()}
 
 
 # name: (handler, one-line description for --help)

@@ -15,6 +15,7 @@ import math
 import operator
 from dataclasses import dataclass
 from itertools import chain
+from typing import NamedTuple
 
 from .derivs import AlphaBeta, _rho_ab
 from .errors import DimensionMismatchError
@@ -84,8 +85,7 @@ class LinearMap:
         return all(e == 0.0 for row in self.matrix for e in row)
 
 
-@dataclass(frozen=True)
-class OperatorNormEstimate:
+class OperatorNormEstimate(NamedTuple):
     """A certified lower bound for the induced operator norm.
 
     grade "fine" marks the planar grid-plus-refinement path; "coarse"
@@ -97,8 +97,7 @@ class OperatorNormEstimate:
     grade: str  # "fine" | "coarse"
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(NamedTuple):
     name: str
     passed: bool
     worst: float
@@ -107,8 +106,7 @@ class ConditionReport:
     tol: float
 
 
-@dataclass(frozen=True)
-class PreserverReport:
+class PreserverReport(NamedTuple):
     operator_norm: OperatorNormEstimate
     orthogonality: ConditionReport
     norm_multiple: ConditionReport
@@ -120,8 +118,7 @@ class PreserverReport:
                 and self.rho_scaling.passed)
 
 
-@dataclass(frozen=True)
-class IncomparabilityReport:
+class IncomparabilityReport(NamedTuple):
     relation_a: Relation
     relation_b: Relation
     witness_ab: tuple[Vector, Vector] | None

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from itertools import chain, combinations, islice, product
+from typing import NamedTuple
 
 from .derivs import AlphaBeta, _rho_ab, _rho_pair
 from .errors import EngineError, ZeroVectorError
@@ -21,9 +21,9 @@ from .normast import NormAst
 from .space import (
     SampleConfig,
     Vector,
+    _corner_stream,
     _normalized,
     _unit_vector,
-    corner_vectors,
 )
 from .rng import SplitMix64
 
@@ -47,8 +47,7 @@ __all__ = [
 _CLAMP_BAND = 1e-9
 
 
-@dataclass(frozen=True)
-class AngleResult:
+class AngleResult(NamedTuple):
     """theta = arccos of the clamped argument; the raw argument is kept
     for diagnostics."""
 
@@ -56,8 +55,7 @@ class AngleResult:
     cosine_argument: float
 
 
-@dataclass(frozen=True)
-class ProbeReport:
+class ProbeReport(NamedTuple):
     verdict: str  # "pass" | "witness-found"
     witness_u: Vector | None
     witness_v: Vector | None
@@ -65,8 +63,7 @@ class ProbeReport:
     samples_used: int
 
 
-@dataclass(frozen=True)
-class ExtremeEstimate:
+class ExtremeEstimate(NamedTuple):
     """A sampled max of some ratio; a lower bound for the true supremum,
     never a certificate of attainment."""
 
@@ -180,14 +177,16 @@ def angular_constant(ast1: NormAst, ast2: NormAst, ab: AlphaBeta,
 
 def _probe_pairs(prog, dim: int, cfg: SampleConfig):
     """cfg.count pairs: every ordered pair of corner vectors, then random
-    pairs of nonzero vectors."""
+    pairs of nonzero vectors.  The first cfg.count pairs of the corner
+    product use only the first cfg.count corners."""
     rng = SplitMix64(cfg.seed)
 
     def draw():
         u = _nonzero_vector(rng, prog, dim, cfg.scale)
         return u, _nonzero_vector(rng, prog, dim, cfg.scale)
 
-    return islice(chain(product(corner_vectors(dim), repeat=2), iter(draw, None)), cfg.count)
+    corners = tuple(islice(_corner_stream(dim), cfg.count))
+    return islice(chain(product(corners, repeat=2), iter(draw, None)), cfg.count)
 
 
 def smoothness_probe(ast: NormAst, cfg: SampleConfig) -> ProbeReport:
@@ -228,7 +227,8 @@ def strict_convexity_probe(ast: NormAst, cfg: SampleConfig,
         u = _unit_vector(rng, prog, dim, cfg.scale)
         return u, _unit_vector(rng, prog, dim, cfg.scale)
 
-    unit_corners = [_normalized(prog, cv) for cv in corner_vectors(dim)]
+    # the first cfg.count corner pairs use only the first cfg.count + 1 corners
+    unit_corners = [_normalized(prog, cv) for cv in islice(_corner_stream(dim), cfg.count + 1)]
     pairs = islice(chain(combinations(unit_corners, 2), iter(draw, None)), cfg.count)
     for used, (u, v) in enumerate(pairs, 1):
         if prog.value(tuple(map(operator.sub, u, v))) <= min_separation:

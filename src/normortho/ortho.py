@@ -84,8 +84,7 @@ class Relation:
         return code, 0.0, 0.0
 
 
-@dataclass(frozen=True)
-class OrthoVerdict:
+class OrthoVerdict(NamedTuple):
     holds: bool
     residual: float
     tol: float

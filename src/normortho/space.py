@@ -6,6 +6,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .kernels import get_program
 from .normast import NormAst
@@ -49,8 +50,7 @@ class SampleConfig:
             raise ValueError(f"scale must be positive and finite, got {self.scale!r}")
 
 
-@dataclass(frozen=True)
-class NormAudit:
+class NormAudit(NamedTuple):
     """Outcome of a sampled norm-axiom audit; zero violations expected."""
 
     samples: int
@@ -164,6 +164,12 @@ def _unit_vector(rng: SplitMix64, prog, dim: int, scale: float) -> Vector:
             return x
 
 
+def _corner_stream(dim: int):
+    """corner_vectors(dim), lazily and in the same order."""
+    zero = (0.0,) * dim
+    return filter(zero.__ne__, itertools.product((-1.0, 0.0, 1.0), repeat=dim))
+
+
 def corner_vectors(dim: int) -> tuple[Vector, ...]:
     """All sign patterns over {-1, 0, 1}^dim except the origin.
 
@@ -171,7 +177,4 @@ def corner_vectors(dim: int) -> tuple[Vector, ...]:
     non-smooth: zero coordinates (l1 kinks) and tied coordinates
     (linf ridges).  Random floating-point draws never land there.
     """
-    zero = (0.0,) * dim
-    return tuple(
-        v for v in itertools.product((-1.0, 0.0, 1.0), repeat=dim) if v != zero
-    )
+    return tuple(_corner_stream(dim))

@@ -109,6 +109,25 @@ def circle_reference(prog, theta):
     return (d0 / r, d1 / r)
 
 
+class ScriptedDraws:
+    """A SplitMix64 stand-in that returns scripted vectors and uniforms in
+    order, and the given generators as its substreams."""
+
+    def __init__(self, vectors=(), uniforms=(), substreams=None):
+        self._vectors = iter(vectors)
+        self._uniforms = iter(uniforms)
+        self._substreams = substreams or {}
+
+    def vector(self, dim, lo, hi):
+        return next(self._vectors)
+
+    def uniform(self, lo, hi):
+        return next(self._uniforms)
+
+    def substream(self, index):
+        return self._substreams[index]
+
+
 def hexes(obj):
     """Every float in obj (nested tuples, None, bools and strings allowed)
     as float.hex, so two results compare bit for bit."""

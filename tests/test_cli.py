@@ -117,6 +117,24 @@ class TestExitCodes:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("argv, message", [
+        (("audit", "--norm", "l2", "--dim", "1"), "--dim must be at least 2"),
+        (("ortho", "--norm", "l2", "--u", "1,0", "--v", "0,1", "--relation", "birkhoff",
+          "--tol", "0"), "--tol must be positive and finite"),
+        (("ortho", "--norm", "l2", "--u", "1,0", "--v", "0,1", "--relation", "birkhoff",
+          "--tol", "nan"), "--tol must be positive and finite"),
+        (("audit", "--norm", "l2", "--scale", "0"), "--scale must be positive and finite"),
+        (("audit", "--norm", "l2", "--scale", "inf"), "--scale must be positive and finite"),
+        (("audit", "--norm", "l2", "--seed", "-1"), "--seed must fit in 64 bits"),
+        (("audit", "--norm", "l2", "--seed", "18446744073709551616"),
+         "--seed must fit in 64 bits"),
+        (("rho", "--norm", "l2", "--u", "1,0", "--v", "0,1", "--lambda", "1.5"),
+         "lambda must lie in [0, 1], got 1.5"),
+    ], ids=["dim-1", "tol-0", "tol-nan", "scale-0", "scale-inf", "seed-negative",
+            "seed-2**64", "lambda-1.5"])
+    def test_bad_flag_values_are_usage_errors(self, capsys, argv, message):
+        assert _run(capsys, *argv) == (2, "", f"normortho: {message}\n")
+
     def test_nonpositive_samples_rejected(self, capsys):
         assert _run(capsys, "audit", "--norm", "l2", "--samples", "0")[0] == 2
 

@@ -1,6 +1,5 @@
 """Linear maps, operator norms, preserver checks, and relation mining."""
 
-import dataclasses
 import math
 import types
 
@@ -13,8 +12,10 @@ from normortho import (
     AlphaBeta,
     DimensionMismatchError,
     LinearMap,
+    RELATION_TAGS,
     Relation,
     SampleConfig,
+    SplitMix64,
     apply_map,
     eval_norm,
     is_orthogonal,
@@ -29,7 +30,7 @@ from normortho import _kernels_py
 from normortho.explorer import _apply
 from normortho.kernels import get_program
 
-from conftest import circle_reference
+from conftest import ScriptedDraws, circle_reference
 
 L1 = parse_norm("l1", 2)
 L2 = parse_norm("l2", 2)
@@ -180,11 +181,26 @@ class _Reference:
         return self._prog.value(_apply(types.SimpleNamespace(matrix=matrix), x))
 
 
+class _FailsNarrowly:
+    """A Program whose residual for one relation is a fixed value."""
+
+    def __init__(self, prog, tag, residual):
+        self._prog = prog
+        self._code = RELATION_TAGS.index(tag)
+        self._residual = residual
+
+    def __getattr__(self, name):
+        return getattr(self._prog, name)
+
+    def residual(self, code, a, b, u, v):
+        if code == self._code:
+            return self._residual
+        return self._prog.residual(code, a, b, u, v)
+
+
 def _hexed(obj):
     if isinstance(obj, float):
         return obj.hex()
-    if dataclasses.is_dataclass(obj):
-        return _hexed(dataclasses.astuple(obj))
     if isinstance(obj, (tuple, list)):
         return tuple(_hexed(o) for o in obj)
     return obj
@@ -294,6 +310,28 @@ class TestPreserverCheck:
         b = preserver_check(lin, AB, SampleConfig(seed=9, count=200))
         assert a == b
 
+    def test_zero_u_redrawn_and_floor_samples_skipped(self, monkeypatch):
+        # T projects onto the first axis.  Condition 1 redraws the zero u,
+        # then skips u = e1, whose orthogonal partner w = e2 maps to 0; the
+        # next pair u = (1, 1), v = e2 gives w = (-1/2, 1/2) and the ratio
+        # 0.3 / (1 * 1/2).  Condition 3 skips the zero u, then u = (1, 1),
+        # v = e2 gives |0 - 0.6| / (0.6 sqrt 2).  Without the redraw and the
+        # skips, each would divide by zero.
+        root = ScriptedDraws(substreams={
+            1: ScriptedDraws([(0.0, 0.0), (5.0, 5.0), (1.0, 0.0), (0.0, 1.0),
+                              (1.0, 1.0), (0.0, 1.0)]),
+            2: SplitMix64(2),
+            3: ScriptedDraws([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]),
+        })
+        monkeypatch.setattr(normortho.explorer, "SplitMix64", lambda seed: root)
+        lin = LinearMap(((1.0, 0.0), (0.0, 0.0)), L2, L2)
+        got = preserver_check(lin, AB, SampleConfig(seed=1, count=2))
+        assert got.orthogonality.worst == pytest.approx(0.6, rel=1e-12)
+        assert got.orthogonality.witness_u == (1.0, 1.0)
+        assert got.orthogonality.witness_v == pytest.approx((-0.5, 0.5), rel=1e-12)
+        assert got.rho_scaling.worst == pytest.approx(math.sqrt(0.5), rel=1e-12)
+        assert (got.rho_scaling.witness_u, got.rho_scaling.witness_v) == ((1.0, 1.0), (0.0, 1.0))
+
 
 class TestMineIncomparability:
     def test_rho_minus_does_not_imply_rho_ab_on_l1(self):
@@ -353,6 +391,20 @@ class TestMineIncomparability:
             SampleConfig(seed=12, count=300),
         )
         assert mine_incomparability(*args) == mine_incomparability(*args)
+
+    def test_narrow_failures_are_discarded(self, monkeypatch):
+        # isosceles reads 5 tol everywhere: it fails the tolerance at every
+        # rho crossing, but not by the 100 tol margin, so each of the four
+        # candidates the first half of the budget buys is discarded; the
+        # constant residual has no crossing, so each base of the reverse
+        # search costs one unit and yields nothing
+        tol = 1e-7
+        monkeypatch.setattr(normortho.explorer, "get_program",
+                            lambda ast: _FailsNarrowly(get_program(ast), "isosceles", 5 * tol))
+        report = mine_incomparability(L2, Relation("rho"), Relation("isosceles"),
+                                      SampleConfig(seed=1, count=8), tol=tol)
+        assert (report.witness_ab, report.witness_ba) == (None, None)
+        assert (report.budget_used, report.discarded) == (8, 4)
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
     def test_bad_tol_rejected(self, tol):

@@ -6,8 +6,11 @@ import operator
 
 import pytest
 
+import normortho.geometry
 from normortho import (
     AlphaBeta,
+    ExtremeEstimate,
+    ProbeReport,
     SampleConfig,
     SplitMix64,
     ZeroVectorError,
@@ -30,7 +33,7 @@ from normortho.geometry import _probe_pairs
 from normortho.kernels import get_program
 from normortho.space import corner_vectors
 
-from conftest import FAMILIES, hexes
+from conftest import FAMILIES, ScriptedDraws, hexes
 
 L1 = parse_norm("l1", 2)
 L2 = parse_norm("l2", 2)
@@ -240,6 +243,33 @@ class TestStrictConvexityProbe:
         assert math.hypot(u[0] - v[0], u[1] - v[1]) >= 0.05
 
 
+class _CountingValues:
+    """A Program stand-in that counts its norm evaluations."""
+
+    def __init__(self, prog):
+        self._prog = prog
+        self.calls = 0
+
+    def __getattr__(self, name):
+        return getattr(self._prog, name)
+
+    def value(self, x):
+        self.calls += 1
+        return self._prog.value(x)
+
+
+def test_convexity_probe_normalizes_only_the_corners_its_budget_reaches(monkeypatch):
+    # five pairs of the corner combinations use the first six corners, and
+    # each pair costs a separation and a midpoint norm; the 6554 other
+    # corners of {-1, 0, 1}^8 are never normalized
+    ast = parse_norm("l2", 8)
+    counting = _CountingValues(get_program(ast))
+    monkeypatch.setattr(normortho.geometry, "get_program", lambda a: counting)
+    got = strict_convexity_probe(ast, SampleConfig(seed=1, count=5))
+    assert got == ProbeReport("pass", None, None, None, 5)
+    assert counting.calls == 6 + 2 * 5
+
+
 class TestQuarticIdentity:
     def test_euclidean_identity_holds(self):
         rng = SplitMix64(81)
@@ -322,6 +352,16 @@ class TestNormEquivConstant:
         ref = norm_equiv_constant(L1, L2, AB, SampleConfig(seed=2, count=200))
         assert got.skipped == 0
         assert got.value == pytest.approx(ref.value, rel=1e-9)
+
+    def test_sample_below_the_floor_is_skipped(self, monkeypatch):
+        # the first pair has a zero u, so its denominator is 0 and it is
+        # skipped; the second gives |rho_ab| = |0.1 - 0.3| on l1 against 0
+        # on linf, over a denominator of 1
+        draws = ScriptedDraws([(0.0, 0.0), (1.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
+        monkeypatch.setattr(normortho.geometry, "SplitMix64", lambda seed: draws)
+        got = norm_equiv_constant(L1, LINF, AlphaBeta(0.3, 0.1), SampleConfig(seed=1, count=2))
+        assert got == ExtremeEstimate(got.value, (1.0, 0.0), (0.0, 1.0), 2, 1)
+        assert got.value == pytest.approx(0.2, rel=1e-12)
 
     def test_l1_sup_pair_in_band(self):
         got = norm_equiv_constant(L1, LINF, AB, SampleConfig(seed=1, count=10000))

@@ -5,12 +5,17 @@ package's ``__all__`` is built from those lists.  ``cli`` and ``program``
 are internal and stay out of the package namespace.
 """
 
+import dataclasses
 import importlib
 import pkgutil
 
 import normortho
 
 INTERNAL = ("cli", "program")
+
+RECORDS = ("AngleResult", "ProbeReport", "ExtremeEstimate", "OperatorNormEstimate",
+           "ConditionReport", "PreserverReport", "IncomparabilityReport", "OrthoVerdict",
+           "NormAudit", "LocusPoint")
 
 
 def _public_modules():
@@ -48,3 +53,15 @@ def test_internal_modules_stay_out():
     for name in INTERNAL:
         mod = importlib.import_module(f"normortho.{name}")
         assert not set(mod.__all__) & set(normortho.__all__), name
+
+
+def test_results_are_named_tuples_and_dataclasses_validate():
+    # a result record validates nothing, so it is a named tuple; a frozen
+    # dataclass is kept only where __post_init__ checks the input
+    for name in RECORDS:
+        cls = getattr(normortho, name)
+        assert issubclass(cls, tuple) and hasattr(cls, "_fields"), name
+    for name in normortho.__all__:
+        obj = getattr(normortho, name)
+        if isinstance(obj, type) and dataclasses.is_dataclass(obj):
+            assert hasattr(obj, "__post_init__"), name

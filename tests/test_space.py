@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import normortho.space
 from normortho import (
     DimensionMismatchError,
+    NormAudit,
     SampleConfig,
     SplitMix64,
     as_vector,
@@ -20,7 +22,14 @@ from normortho import (
     sphere_sample,
 )
 
-from conftest import FAMILIES
+from conftest import FAMILIES, ScriptedDraws
+
+
+class _Table:
+    """A Program stand-in whose value is looked up in a table."""
+
+    def __init__(self, values):
+        self.value = values.__getitem__
 
 
 class TestEvalNorm:
@@ -91,6 +100,22 @@ class TestAudit:
         ast = parse_norm(family, 2)
         report = audit_norm(ast, SampleConfig(seed=1, count=2000, scale=scale))
         assert report.violations == 0, (report.worst_kind, report.worst_defect)
+
+    @pytest.mark.parametrize("count, want", [
+        # one homogeneity defect: norm(3 u) = 2 against 3 norm(u) = 3
+        (1, (1, 1, "homogeneity", 1.0, (1.0, 0.0), None, 3.0)),
+        # then a triangle defect of 3, the new worst, and a positivity
+        # violation at a nonzero u of norm 0, whose defect of 0 is not
+        (2, (2, 3, "triangle", 3.0, (0.0, 2.0), (2.0, 0.0), None)),
+    ])
+    def test_violations_are_counted_and_the_worst_kept(self, monkeypatch, count, want):
+        values = {(1.0, 0.0): 1.0, (0.0, 1.0): 1.0, (3.0, 0.0): 2.0, (1.0, 1.0): 2.0,
+                  (0.0, 2.0): 0.0, (2.0, 0.0): 2.0, (2.0, 2.0): 5.0}
+        draws = ScriptedDraws([(1.0, 0.0), (0.0, 1.0), (0.0, 2.0), (2.0, 0.0)], [3.0, 1.0])
+        monkeypatch.setattr(normortho.space, "get_program", lambda ast: _Table(values))
+        monkeypatch.setattr(normortho.space, "SplitMix64", lambda seed: draws)
+        report = audit_norm(parse_norm("l2", 2), SampleConfig(seed=1, count=count))
+        assert report == NormAudit(*want)
 
     def test_audit_dim3(self):
         ast = parse_norm("max(l1, scale(2, l2))", 3)

@@ -37,6 +37,7 @@ from .normast import parse_norm, print_norm
 from .ortho import (
     RELATION_TAGS,
     Relation,
+    _MAX_RESOLUTION,
     ab_orthogonalizer,
     birkhoff_oracle,
     birkhoff_t_interval,
@@ -129,7 +130,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="sample count / search budget")
     n.add_argument("--scale", type=float, default=1.0, help="sampling box half-width")
     n.add_argument("--resolution", type=int, default=720,
-                   help="locus sweep resolution")
+                   help=f"locus sweep resolution, 8 to {_MAX_RESOLUTION}")
     o = parser.add_argument_group("output")
     o.add_argument("--out", default=None, help="write output to this file")
     o.add_argument("--format", default="json", choices=("json", "table", "csv"))
@@ -388,6 +389,8 @@ def _cmd_locus(args) -> list[dict]:
     _need(args, "u", "relation")
     if args.resolution < 8:
         raise _Usage("--resolution must be at least 8")
+    if args.resolution > _MAX_RESOLUTION:
+        raise _Usage(f"--resolution must be at most {_MAX_RESOLUTION}")
     ast = _ast(args)
     rel = _relation(args.relation, args)
     points = ortho_locus(ast, args.u, rel, resolution=args.resolution)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .kernels import get_program
 from .normast import NormAst
@@ -81,8 +82,7 @@ class Lambda:
         object.__setattr__(self, "lam", float(v))
 
 
-@dataclass(frozen=True)
-class DerivResult:
+class DerivResult(NamedTuple):
     """A derivative value plus how it was obtained.
 
     For method "numeric" the true value is guaranteed to lie in
@@ -93,14 +93,6 @@ class DerivResult:
     value: float
     method: str  # "exact" | "numeric"
     enclosure_width: float
-
-    def __post_init__(self):
-        if self.method not in ("exact", "numeric"):
-            raise ValueError(f"method must be 'exact' or 'numeric', got {self.method!r}")
-        if self.method == "exact" and self.enclosure_width != 0.0:
-            raise ValueError("exact results carry enclosure_width 0")
-        if self.enclosure_width < 0.0:
-            raise ValueError("enclosure_width must be nonnegative")
 
 
 def _side_sign(side: str) -> float:

@@ -23,7 +23,6 @@ from .kernels import get_program
 from .normast import NormAst
 from .ortho import (
     Relation,
-    _check_tol,
     _golden_min,
     _orthogonalize,
     _verdict,
@@ -32,10 +31,11 @@ from .rng import SplitMix64
 from .space import (
     SampleConfig,
     Vector,
+    _check_tol,
     _normalized,
+    _unit_vector,
     as_vector,
     corner_vectors,
-    sphere_sample,
 )
 
 __all__ = [
@@ -258,12 +258,12 @@ def preserver_check(lin: LinearMap, ab: AlphaBeta, cfg: SampleConfig) -> Preserv
             worst1, wit1 = ratio, (u, w)
 
     # condition 2: norm multiplicativity over the unit sphere
-    spread_cfg = SampleConfig(seed=root.substream(2).next_u64(), count=cfg.count,
-                              scale=cfg.scale)
+    rng = SplitMix64(root.substream(2).next_u64())
     worst2 = 0.0
     wit2: Vector | None = None
     image_value = cod.image_value
-    for x in sphere_sample(dom_ast, spread_cfg):
+    for _ in range(cfg.count):
+        x = _unit_vector(rng, dom, dim, cfg.scale)
         dev = abs(image_value(lin.matrix, x) - opn.value) / opn.value
         if dev > worst2:
             worst2, wit2 = dev, x

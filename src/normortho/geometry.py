@@ -21,6 +21,7 @@ from .normast import NormAst
 from .space import (
     SampleConfig,
     Vector,
+    _check_tol,
     _corner_stream,
     _normalized,
     _unit_vector,
@@ -111,10 +112,11 @@ def angle_homogeneity_check(ast: NormAst, u, v, a: float, b: float,
 
     theta_ab(a u, b v) equals theta_ab(u, v) when a b > 0 and
     pi - theta_ba(u, v) when a b < 0; returns the absolute deviation,
-    expected at roundoff scale.
+    expected at roundoff scale.  a and b must be finite and nonzero.
     """
-    if a == 0.0 or b == 0.0:
-        raise ValueError("scale factors must be nonzero")
+    for name, factor in (("a", a), ("b", b)):
+        if factor == 0.0 or not math.isfinite(factor):
+            raise ValueError(f"{name} must be finite and nonzero, got {factor!r}")
     prog = get_program(ast)
     uu, vv = prog.vectors(u, v)
     scaled_u = tuple([a * c for c in uu])
@@ -217,8 +219,12 @@ def strict_convexity_probe(ast: NormAst, cfg: SampleConfig,
     the midpoint norm of an eps-separated pair can sit within O(eps^p)
     of 1, so witnesses from near-duplicates would be indistinguishable
     from roundoff.  The default separation is calibrated for exponents
-    up to about 4; flatter smooth norms need a larger separation.
+    up to about 4; flatter smooth norms need a larger separation.  It
+    must lie in [0, 2): two unit vectors are never more than 2 apart, so
+    a larger one would skip every pair.
     """
+    if not 0.0 <= min_separation < 2.0:  # false for NaN too
+        raise ValueError(f"min_separation must lie in [0, 2), got {min_separation!r}")
     prog = get_program(ast)
     rng = SplitMix64(cfg.seed)
     dim = ast.dim
@@ -280,8 +286,10 @@ def symmetry_search(ast: NormAst, ab: AlphaBeta, cfg: SampleConfig,
     """Hunt for the worst asymmetry of rho_ab over corner and random pairs.
 
     Reports the largest |rho_ab(u,v) - rho_ab(v,u)| seen; the verdict is
-    "witness-found" when it exceeds threshold.
+    "witness-found" when it exceeds threshold, which must be finite and
+    nonnegative.
     """
+    _check_tol(threshold, "threshold")
     prog = get_program(ast)
     worst = 0.0
     witness = (None, None)

@@ -18,7 +18,7 @@ from .derivs import AlphaBeta, Lambda
 from .errors import DimensionMismatchError, ZeroVectorError
 from .kernels import get_program
 from .normast import NormAst
-from .space import Vector
+from .space import Vector, _check_tol
 
 __all__ = [
     "RELATION_TAGS",
@@ -47,6 +47,10 @@ RELATION_TAGS = (
 )
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+# largest locus sweep; the sweep holds all its points at once, and 2**20
+# of them take about 270 MB
+_MAX_RESOLUTION = 2**20
 
 
 @dataclass(frozen=True)
@@ -96,11 +100,6 @@ class LocusPoint(NamedTuple):
     y: float
     residual: float
     is_zero_crossing: bool
-
-
-def _check_tol(tol: float) -> None:
-    if not 0.0 <= tol < math.inf:  # false for NaN too
-        raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
 
 
 def relation_residual(rel: Relation, ast: NormAst, u, v) -> float:
@@ -243,12 +242,15 @@ def ortho_locus(ast: NormAst, u, rel: Relation, resolution: int = 720) -> list[L
     because rho_+- and hence all residuals here are continuous in the
     second argument).  Refined crossings are spliced into the returned
     sequence with is_zero_crossing set.  The sweep runs in the kernel
-    (Program.locus), which builds every LocusPoint itself.
+    (Program.locus), which builds every LocusPoint itself.  resolution
+    must lie in [8, 2**20].
     """
     if ast.dim != 2:
         raise DimensionMismatchError("locus tracing is defined for 2-dimensional spaces only")
     if resolution < 8:
         raise ValueError(f"resolution must be >= 8, got {resolution}")
+    if resolution > _MAX_RESOLUTION:
+        raise ValueError(f"resolution must be <= {_MAX_RESOLUTION}, got {resolution}")
     prog = get_program(ast)
     (uu,) = prog.vectors(u)
     if prog.value(uu) == 0.0:

@@ -62,6 +62,13 @@ class NormAudit(NamedTuple):
     worst_t: float | None = None
 
 
+def _check_tol(tol: float, name: str = "tol") -> None:
+    """Raise ValueError, naming the parameter, unless tol is finite and
+    nonnegative."""
+    if not 0.0 <= tol < math.inf:  # false for NaN too
+        raise ValueError(f"{name} must be finite and nonnegative, got {tol!r}")
+
+
 def as_vector(coords) -> Vector:
     """Validate and freeze a coordinate sequence.
 
@@ -101,8 +108,9 @@ def audit_norm(ast: NormAst, cfg: SampleConfig, tol: float = AUDIT_TOL) -> NormA
 
     Draws cfg.count triples (u, v, t) and records the worst defect seen.
     The positivity check is skipped for the zero vector, which the axiom
-    does not constrain.
+    does not constrain.  tol must be finite and nonnegative.
     """
+    _check_tol(tol)
     prog = get_program(ast)
     rng = SplitMix64(cfg.seed)
     dim = ast.dim

@@ -3,7 +3,8 @@
 `Program.vectors(*coords)` converts each argument as
 `tuple(map(float, coords))` does, rejects a NaN or infinite entry, and
 then checks every length against the norm's dimension.  Every public
-entry that takes vectors validates through it, once.
+entry that takes vectors validates through it, once.  The public numeric
+parameters are checked at entry too, before any sampling or sweep.
 """
 
 import math
@@ -19,9 +20,11 @@ from normortho import (
     DimensionMismatchError,
     Lambda,
     Relation,
+    SampleConfig,
     ab_orthogonalizer,
     angle_ab,
     angle_homogeneity_check,
+    audit_norm,
     birkhoff_oracle,
     birkhoff_t_interval,
     dir_deriv_exact,
@@ -38,8 +41,11 @@ from normortho import (
     rho_pair,
     rho_pm_numeric,
     sip,
+    strict_convexity_probe,
     symmetry_residual,
+    symmetry_search,
 )
+from normortho.cli import run
 from normortho import _kernels_py
 from normortho.program import compile_ast
 
@@ -237,3 +243,103 @@ def test_every_entry_fetches_its_program_once(name, monkeypatch):
         monkeypatch.setattr(mod, "get_program", counting)
     ENTRIES[name](parse_norm("l2", 2), GOOD_U, GOOD_V)
     assert len(calls) == 1
+
+
+CFG = SampleConfig(seed=1, count=200)
+L1, L2, LP3 = parse_norm("l1", 2), parse_norm("l2", 2), parse_norm("lp(3)", 2)
+NONNEG = "{} must be finite and nonnegative, got {}"
+SEPARATION = "min_separation must lie in [0, 2), got {}"
+NONZERO = "{} must be finite and nonzero, got {}"
+
+# (call, expected error): each parameter value gave a wrong verdict, a
+# misleading error or a meaningless count before it was checked
+PARAMETER_CASES = {
+    "audit-tol-nan": (lambda: audit_norm(L1, CFG, tol=NAN), NONNEG.format("tol", "nan")),
+    "audit-tol-negative": (lambda: audit_norm(L1, CFG, tol=-1.0),
+                           NONNEG.format("tol", "-1.0")),
+    "audit-tol-inf": (lambda: audit_norm(L1, CFG, tol=INF), NONNEG.format("tol", "inf")),
+    "symmetry-threshold-nan": (lambda: symmetry_search(LP3, AB, CFG, threshold=NAN),
+                               NONNEG.format("threshold", "nan")),
+    "symmetry-threshold-negative": (lambda: symmetry_search(LP3, AB, CFG, threshold=-1e-3),
+                                    NONNEG.format("threshold", "-0.001")),
+    "symmetry-threshold-inf": (lambda: symmetry_search(LP3, AB, CFG, threshold=INF),
+                               NONNEG.format("threshold", "inf")),
+    "convexity-separation-2": (lambda: strict_convexity_probe(L1, CFG, min_separation=2.0),
+                               SEPARATION.format("2.0")),
+    "convexity-separation-3": (lambda: strict_convexity_probe(L1, CFG, min_separation=3.0),
+                               SEPARATION.format("3.0")),
+    "convexity-separation-inf": (lambda: strict_convexity_probe(L1, CFG, min_separation=INF),
+                                 SEPARATION.format("inf")),
+    "convexity-separation-nan": (lambda: strict_convexity_probe(L1, CFG, min_separation=NAN),
+                                 SEPARATION.format("nan")),
+    "convexity-separation-negative": (
+        lambda: strict_convexity_probe(L1, CFG, min_separation=-0.1), SEPARATION.format("-0.1")),
+    "angle-a-nan": (lambda: angle_homogeneity_check(L2, (1, 0), (0.3, 1), NAN, 1.0, AB),
+                    NONZERO.format("a", "nan")),
+    "angle-a-inf": (lambda: angle_homogeneity_check(L2, (1, 0), (0.3, 1), INF, 1.0, AB),
+                    NONZERO.format("a", "inf")),
+    "angle-a-zero": (lambda: angle_homogeneity_check(L2, (1, 0), (0.3, 1), 0.0, 1.0, AB),
+                     NONZERO.format("a", "0.0")),
+    "angle-b-nan": (lambda: angle_homogeneity_check(L2, (1, 0), (0.3, 1), 2.0, NAN, AB),
+                    NONZERO.format("b", "nan")),
+    "angle-b-negative-inf": (
+        lambda: angle_homogeneity_check(L2, (1, 0), (0.3, 1), 2.0, -INF, AB),
+        NONZERO.format("b", "-inf")),
+}
+
+
+@BACKENDS
+@pytest.mark.parametrize("case", PARAMETER_CASES)
+def test_numeric_parameters_are_checked(package_backend, case):
+    call, message = PARAMETER_CASES[case]
+    assert _error(call) == ("ValueError", message)
+
+
+@BACKENDS
+def test_checked_parameters_keep_their_edges(package_backend):
+    assert audit_norm(L1, CFG, tol=0.0).samples == 200
+    assert symmetry_search(LP3, AB, CFG, threshold=0.0).verdict == "witness-found"
+    assert strict_convexity_probe(L1, CFG, min_separation=0.0).verdict == "witness-found"
+    assert strict_convexity_probe(L1, CFG, min_separation=1.99).verdict == "witness-found"
+    assert angle_homogeneity_check(L2, (1, 0), (0.3, 1), -1e100, 1e-100, AB) <= 1e-12
+
+
+class _NoSweep:
+    """A Program whose locus sweep must not start."""
+
+    def __init__(self, prog):
+        self._prog = prog
+
+    def __getattr__(self, name):
+        return getattr(self._prog, name)
+
+    def locus(self, *args):
+        raise AssertionError("the sweep started")
+
+
+@pytest.fixture
+def no_sweep(package_backend, monkeypatch):
+    real = normortho.kernels.get_program
+    monkeypatch.setattr(normortho.ortho, "get_program", lambda ast: _NoSweep(real(ast)))
+
+
+@BACKENDS
+@pytest.mark.parametrize("resolution", [2 ** 20 + 1, 10 ** 11])
+def test_locus_resolution_is_bounded_before_the_sweep(no_sweep, resolution):
+    assert _error(ortho_locus, L2, (1, 0), Relation("rho"), resolution) == (
+        "ValueError", f"resolution must be <= 1048576, got {resolution}")
+
+
+@BACKENDS
+def test_locus_resolution_bound_is_inclusive(no_sweep):
+    assert _error(ortho_locus, L2, (1, 0), Relation("rho"), 2 ** 20) == (
+        "AssertionError", "the sweep started")
+
+
+@BACKENDS
+@pytest.mark.parametrize("resolution", [2 ** 20 + 1, 10 ** 11])
+def test_cli_locus_resolution_is_a_usage_error(no_sweep, capsys, resolution):
+    code = run(["locus", "--u", "1,0", "--relation", "rho", "--resolution", str(resolution)])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (
+        2, "", "normortho: --resolution must be at most 1048576\n")

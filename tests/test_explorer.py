@@ -1,6 +1,7 @@
 """Linear maps, operator norms, preserver checks, and relation mining."""
 
 import math
+import tracemalloc
 import types
 
 import pytest
@@ -12,6 +13,7 @@ from normortho import (
     AlphaBeta,
     DimensionMismatchError,
     LinearMap,
+    OperatorNormEstimate,
     RELATION_TAGS,
     Relation,
     SampleConfig,
@@ -25,18 +27,21 @@ from normortho import (
     preserver_check,
     relation_residual,
     rho_ab,
+    sphere_sample,
 )
 from normortho import _kernels_py
 from normortho.explorer import _apply
 from normortho.kernels import get_program
 
-from conftest import ScriptedDraws, circle_reference
+from conftest import ScriptedDraws, circle_reference, hexes
 
 L1 = parse_norm("l1", 2)
 L2 = parse_norm("l2", 2)
 LINF = parse_norm("linf", 2)
 
 AB = AlphaBeta(0.3, 0.3)
+
+BACKENDS = pytest.mark.parametrize("backend", ["_kernels_py", "_kernels"], indirect=True)
 
 
 def _rotation(theta):
@@ -323,7 +328,8 @@ class TestPreserverCheck:
             2: SplitMix64(2),
             3: ScriptedDraws([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]),
         })
-        monkeypatch.setattr(normortho.explorer, "SplitMix64", lambda seed: root)
+        monkeypatch.setattr(normortho.explorer, "SplitMix64",
+                            lambda seed: root if seed == 1 else SplitMix64(seed))
         lin = LinearMap(((1.0, 0.0), (0.0, 0.0)), L2, L2)
         got = preserver_check(lin, AB, SampleConfig(seed=1, count=2))
         assert got.orthogonality.worst == pytest.approx(0.6, rel=1e-12)
@@ -331,6 +337,52 @@ class TestPreserverCheck:
         assert got.orthogonality.witness_v == pytest.approx((-0.5, 0.5), rel=1e-12)
         assert got.rho_scaling.worst == pytest.approx(math.sqrt(0.5), rel=1e-12)
         assert (got.rho_scaling.witness_u, got.rho_scaling.witness_v) == ((1.0, 1.0), (0.0, 1.0))
+
+    @BACKENDS
+    @pytest.mark.parametrize("dom", ["l1", "l2", "linf", "max(l2, scale(0.9, l1))"])
+    @pytest.mark.parametrize("matrix", [
+        ((1.0, 0.4), (-0.3, 1.2)),
+        ((1.0, 0.2, 0.0), (-0.5, 1.0, 0.3), (0.1, 0.1, 1.5)),
+    ], ids=["2x2", "3x3"])
+    def test_norm_multiple_draws_what_sphere_sample_drew(self, package_backend, dom, matrix,
+                                                          monkeypatch):
+        # condition 2 as it ran through the public sampler: a SampleConfig
+        # seeded from substream 2, and sphere_sample over it.  It reads only
+        # the operator norm's value, so a fixed one stands in for the
+        # hill climb a 3x3 map would run.
+        opn = 1.5
+        monkeypatch.setattr(normortho.explorer, "operator_norm",
+                            lambda lin, cfg: OperatorNormEstimate(opn, None, "coarse"))
+        dim = len(matrix)
+        lin = LinearMap(matrix, parse_norm(dom, dim), parse_norm("lp(3)", dim))
+        cod = get_program(lin.codomain_norm)
+        for count in (1, 7, 200):
+            for seed in (0, 5):
+                got = preserver_check(lin, AB, SampleConfig(seed=seed, count=count))
+                root = package_backend.SplitMix64(seed)
+                spread = SampleConfig(seed=root.substream(2).next_u64(), count=count)
+                worst, wit = 0.0, None
+                for x in sphere_sample(lin.domain_norm, spread):
+                    dev = abs(cod.image_value(lin.matrix, x) - opn) / opn
+                    if dev > worst:
+                        worst, wit = dev, x
+                assert wit is not None
+                assert hexes((got.norm_multiple.worst, got.norm_multiple.witness_u)) == \
+                    hexes((worst, wit)), (count, seed)
+
+    @BACKENDS
+    def test_norm_multiple_holds_no_sample_list(self, package_backend):
+        lin = LinearMap(((1.0, 0.4), (-0.3, 1.2)), L2, L2)
+        preserver_check(lin, AB, SampleConfig(seed=1, count=10))  # fills the program cache
+        peaks = []
+        for count in (1000, 10000):
+            tracemalloc.start()
+            try:
+                preserver_check(lin, AB, SampleConfig(seed=1, count=count))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 100_000, peaks
 
 
 class TestMineIncomparability:

@@ -1,6 +1,6 @@
 /* Compiled tape interpreter and SplitMix64 stream: the CPython extension
    normortho._kernels, twin of `_kernels_py`.  The module docstring of
-   `_kernels_py` describes Program, its nine methods and SplitMix64 for
+   `_kernels_py` describes Program, its eleven methods and SplitMix64 for
    both twins; when touching a formula here, change the twin identically.
 
    What only this twin has: no a * b + c may become a fused multiply-add
@@ -572,7 +572,18 @@ static PyObject *Program_vectors(Program *self, PyObject *const *args, Py_ssize_
     return out;
 }
 
-static PyTypeObject LineEvaluatorType;
+static PyTypeObject ProgramType, LineEvaluatorType;
+
+/* phi(t) = N(u + t v), evaluated in phi's own buffers. */
+static double line_at(LineEvaluator *phi, double t)
+{
+    int dim = phi->prog->dim;
+    const double *u = phi->data, *v = u + dim;
+    double *x = phi->data + 2 * dim;
+    for (int j = 0; j < dim; j++)
+        x[j] = u[j] + t * v[j];
+    return value_of(phi->prog, x, x + dim);
+}
 
 static PyObject *LineEvaluator_call(LineEvaluator *self, PyObject *const *args,
                                     size_t nargsf, PyObject *kwnames)
@@ -584,12 +595,7 @@ static PyObject *LineEvaluator_call(LineEvaluator *self, PyObject *const *args,
     double t = PyFloat_AsDouble(args[0]);
     if (t == -1.0 && PyErr_Occurred())
         return NULL;
-    int dim = self->prog->dim;
-    const double *u = self->data, *v = u + dim;
-    double *x = self->data + 2 * dim;
-    for (int j = 0; j < dim; j++)
-        x[j] = u[j] + t * v[j];
-    return PyFloat_FromDouble(value_of(self->prog, x, x + dim));
+    return PyFloat_FromDouble(line_at(self, t));
 }
 
 static PyObject *Program_line_evaluator(Program *self, PyObject *const *args,
@@ -689,58 +695,67 @@ done:
     return rc;
 }
 
-/* Sum of the cols products row[j] * x[j], correctly rounded, with the
-   value and the errors of math.fsum: Shewchuk's non-overlapping partials
-   ("Adaptive precision floating-point arithmetic", DCG 1997), +-inf and
-   NaN summed apart, then fsum's half-even fix-up across partials.  Each
-   product adds at most one partial, so p holds cols doubles.  -1 with an
-   exception set on failure. */
-static int fsum_row(PyObject *row, PyObject *x, Py_ssize_t cols, double *p, double *out)
+/* A running math.fsum: Shewchuk's non-overlapping partials ("Adaptive
+   precision floating-point arithmetic", DCG 1997) in p, with +-inf and
+   NaN summed apart.  Each summand adds at most one partial, so p holds
+   as many doubles as there are summands. */
+typedef struct {
+    double *p;
+    Py_ssize_t n;
+    double special, inf_sum;
+} FSum;
+
+/* Adds a to the sum; -1 with OverflowError set, as fsum raises it, when
+   finite summands overflow. */
+static int fsum_add(FSum *s, double a)
 {
-    Py_ssize_t n = 0;
-    double special = 0.0, inf_sum = 0.0, a, b, t, hi, lo = 0.0;
-    for (Py_ssize_t j = 0; j < cols; j++) {
-        if (product(row, x, j, &a) < 0)
-            return -1;
-        double saved = a;
-        Py_ssize_t i = 0;
-        for (Py_ssize_t k = 0; k < n; k++) {
-            b = p[k];
-            if (fabs(a) < fabs(b)) {
-                t = a;
-                a = b;
-                b = t;
-            }
-            hi = a + b;
-            lo = b - (hi - a);
-            if (lo != 0.0)
-                p[i++] = lo;
-            a = hi;
+    double saved = a, b, t, hi, lo;
+    Py_ssize_t i = 0;
+    for (Py_ssize_t k = 0; k < s->n; k++) {
+        b = s->p[k];
+        if (fabs(a) < fabs(b)) {
+            t = a;
+            a = b;
+            b = t;
         }
-        n = i;
-        if (a == 0.0)
-            continue;
-        if (isfinite(a)) {
-            p[n++] = a;
-        } else if (isfinite(saved)) {
-            PyErr_SetString(PyExc_OverflowError, "intermediate overflow in fsum");
-            return -1;
-        } else {
-            if (isinf(saved))
-                inf_sum += saved;
-            special += saved;
-            n = 0;
-        }
+        hi = a + b;
+        lo = b - (hi - a);
+        if (lo != 0.0)
+            s->p[i++] = lo;
+        a = hi;
     }
-    if (special != 0.0) {
-        if (isnan(inf_sum)) {
+    s->n = i;
+    if (a == 0.0)
+        return 0;
+    if (isfinite(a)) {
+        s->p[s->n++] = a;
+    } else if (isfinite(saved)) {
+        PyErr_SetString(PyExc_OverflowError, "intermediate overflow in fsum");
+        return -1;
+    } else {
+        if (isinf(saved))
+            s->inf_sum += saved;
+        s->special += saved;
+        s->n = 0;
+    }
+    return 0;
+}
+
+/* The correctly rounded sum into *out, with fsum's half-even fix-up
+   across partials; -1 with ValueError set for -inf + inf. */
+static int fsum_result(const FSum *s, double *out)
+{
+    const double *p = s->p;
+    double a, b, hi = 0.0, lo = 0.0;
+    Py_ssize_t n = s->n;
+    if (s->special != 0.0) {
+        if (isnan(s->inf_sum)) {
             PyErr_SetString(PyExc_ValueError, "-inf + inf in fsum");
             return -1;
         }
-        *out = special;
+        *out = s->special;
         return 0;
     }
-    hi = 0.0;
     if (n > 0) {
         hi = p[--n];
         /* add from the top while the sums stay exact */
@@ -763,6 +778,18 @@ static int fsum_row(PyObject *row, PyObject *x, Py_ssize_t cols, double *p, doub
     }
     *out = hi;
     return 0;
+}
+
+/* Sum of the cols products row[j] * x[j] into *out, with the value and the
+   errors of math.fsum; p holds cols doubles.  -1 with an exception set. */
+static int fsum_row(PyObject *row, PyObject *x, Py_ssize_t cols, double *p, double *out)
+{
+    FSum s = {p, 0, 0.0, 0.0};
+    double a;
+    for (Py_ssize_t j = 0; j < cols; j++)
+        if (product(row, x, j, &a) < 0 || fsum_add(&s, a) < 0)
+            return -1;
+    return fsum_result(&s, out);
 }
 
 static PyObject *Program_image_value(Program *self, PyObject *const *args,
@@ -895,6 +922,21 @@ static int load_relation(PyObject *const *args, long *code, double *a, double *b
     }
     Py_DECREF(index);
     return load_two(args + 1, a, b);
+}
+
+/* arg as an index of at least low into *out, clamped to the Py_ssize_t
+   range (a loop that long never ends anyway); -1 with an exception set,
+   a ValueError naming name if it is below low. */
+static int load_count(PyObject *arg, const char *name, Py_ssize_t low, Py_ssize_t *out)
+{
+    PyObject *index = PyNumber_Index(arg);
+    if (index == NULL)
+        return -1;
+    *out = PyNumber_AsSsize_t(index, NULL);
+    if (*out < low)
+        PyErr_Format(PyExc_ValueError, "%s must be >= %zd, got %R", name, low, index);
+    Py_DECREF(index);
+    return *out < low ? -1 : 0;
 }
 
 static PyObject *Program_residual(Program *self, PyObject *const *args, Py_ssize_t nargs)
@@ -1059,15 +1101,9 @@ static PyObject *Program_locus(Program *self, PyObject *const *args, Py_ssize_t 
     Sweep s;
     Py_ssize_t res;
     double width, *xs = NULL, *rs, step;
-    PyObject *point = args[6], *index, *out = NULL;
-    if (load_sweep(self, args, buf, &s) < 0 || (index = PyNumber_Index(args[4])) == NULL)
-        goto done;
-    /* clamped to the Py_ssize_t range: too many points is a MemoryError */
-    res = PyNumber_AsSsize_t(index, NULL);
-    if (res < 1)
-        PyErr_Format(PyExc_ValueError, "resolution must be >= 1, got %R", index);
-    Py_DECREF(index);
-    if (res < 1)
+    PyObject *point = args[6], *out = NULL;
+    /* too many points is a MemoryError below */
+    if (load_sweep(self, args, buf, &s) < 0 || load_count(args[4], "resolution", 1, &res) < 0)
         goto done;
     width = PyFloat_AsDouble(args[5]);
     if (width == -1.0 && PyErr_Occurred())
@@ -1114,6 +1150,240 @@ fail:
     Py_CLEAR(out);
 done:
     PyMem_Free(xs);
+    if (buf != stack)
+        PyMem_Free(buf);
+    return out;
+}
+
+/* -- golden-section search ------------------------------------------------ */
+
+/* (sqrt(5) - 1) / 2, as the twin computes it */
+static const double INVPHI = 0x1.3c6ef372fe95p-1;
+
+/* f(ctx, t) into *out; -1 with an exception set. */
+typedef int (*Objective)(void *ctx, double t, double *out);
+
+/* (argmin, min) of f over [lo, hi] into *x and *fx for unimodal f, by
+   iters golden-section steps; the best point evaluated is kept, so *fx
+   is a value f takes whatever its shape.  The only copy of the search:
+   line_min and operator_norm run it.  -1 with an exception set. */
+static int golden(Objective f, void *ctx, double lo, double hi, Py_ssize_t iters, double *x,
+                  double *fx)
+{
+    double a = lo, b = hi, h = b - a, c = b - INVPHI * h, d = a + INVPHI * h, fc, fd;
+    if (f(ctx, c, &fc) < 0 || f(ctx, d, &fd) < 0)
+        return -1;
+    double best_x = fc <= fd ? c : d, best_f = fc <= fd ? fc : fd;
+    for (Py_ssize_t k = 0; k < iters; k++) {
+        if (fc < fd) {
+            b = d;
+            d = c;
+            fd = fc;
+            h = b - a;
+            c = b - INVPHI * h;
+            if (f(ctx, c, &fc) < 0)
+                return -1;
+            if (fc < best_f) {
+                best_x = c;
+                best_f = fc;
+            }
+        } else {
+            a = c;
+            c = d;
+            fc = fd;
+            h = b - a;
+            d = a + INVPHI * h;
+            if (f(ctx, d, &fd) < 0)
+                return -1;
+            if (fd < best_f) {
+                best_x = d;
+                best_f = fd;
+            }
+        }
+    }
+    *x = best_x;
+    *fx = best_f;
+    return 0;
+}
+
+/* phi(t) into *out: a compiled line evaluator runs inline; any other
+   callable is called and its result read as a float. */
+static int line_point(void *phi, double t, double *out)
+{
+    if (Py_IS_TYPE((PyObject *)phi, &LineEvaluatorType)) {
+        *out = line_at(phi, t);
+        return 0;
+    }
+    PyObject *arg = PyFloat_FromDouble(t), *r;
+    if (arg == NULL)
+        return -1;
+    r = PyObject_CallOneArg(phi, arg);
+    Py_DECREF(arg);
+    if (r == NULL)
+        return -1;
+    *out = PyFloat_AsDouble(r);
+    Py_DECREF(r);
+    return *out == -1.0 && PyErr_Occurred() ? -1 : 0;
+}
+
+static PyObject *Program_line_min(Program *Py_UNUSED(self), PyObject *const *args,
+                                  Py_ssize_t nargs)
+{
+    if (nargs != 4)
+        return PyErr_Format(PyExc_TypeError,
+                            "line_min() takes exactly 4 arguments (%zd given)", nargs);
+    double lo, hi, res[2];
+    Py_ssize_t iters;
+    if (load_two(args + 1, &lo, &hi) < 0 || load_count(args[3], "iters", 0, &iters) < 0
+        || golden(line_point, args[0], lo, hi, iters, res, res + 1) < 0)
+        return NULL;
+    return tuple_of(res, 2);
+}
+
+/* -- planar operator norms ------------------------------------------------ */
+
+/* The gain theta -> N(M circle(theta)) of an n x 2 matrix M.  dom is the
+   compiled Program whose own circle was passed, which then runs inline,
+   or NULL: circle is called and its result read as two floats. */
+typedef struct {
+    const Program *cod, *dom;
+    PyObject *circle;
+    const double *m;             /* M row by row, 2 doubles each */
+    double *y, *vals, *dvals;    /* M x (n), cod's node values, dom's */
+} Planar;
+
+/* The Program whose circle the callable is, or NULL. */
+static const Program *own_circle(PyObject *circle)
+{
+    if (!PyCFunction_Check(circle)
+        || PyCFunction_GET_FUNCTION(circle) != (PyCFunction)Program_circle)
+        return NULL;
+    PyObject *self = PyCFunction_GET_SELF(circle);
+    return self != NULL && Py_IS_TYPE(self, &ProgramType) ? (const Program *)self : NULL;
+}
+
+/* circle(theta) into xy; -1 with an exception set. */
+static int planar_point(const Planar *s, double theta, double *xy)
+{
+    if (s->dom != NULL)
+        return circle_of(s->dom, theta, s->dvals, xy);
+    PyObject *arg = PyFloat_FromDouble(theta), *pt;
+    if (arg == NULL)
+        return -1;
+    pt = PyObject_CallOneArg(s->circle, arg);
+    Py_DECREF(arg);
+    if (pt == NULL)
+        return -1;
+    Py_ssize_t len = PyObject_Length(pt);
+    int rc = -1;
+    if (len == 2)
+        rc = load_doubles(pt, 2, xy);
+    else if (len >= 0)
+        PyErr_Format(PyExc_ValueError, "expected 2 coordinates, got %zd", len);
+    Py_DECREF(pt);
+    return rc;
+}
+
+/* N(M circle(theta)) into *out, each row of M x summed as fsum_row sums
+   it; -1 with an exception set. */
+static int planar_gain(const Planar *s, double theta, double *out)
+{
+    double xy[2], partials[2];
+    if (planar_point(s, theta, xy) < 0)
+        return -1;
+    for (int i = 0; i < s->cod->dim; i++) {
+        FSum sum = {partials, 0, 0.0, 0.0};
+        if (fsum_add(&sum, s->m[2 * i] * xy[0]) < 0
+            || fsum_add(&sum, s->m[2 * i + 1] * xy[1]) < 0 || fsum_result(&sum, s->y + i) < 0)
+            return -1;
+    }
+    *out = value_of(s->cod, s->y, s->vals);
+    return 0;
+}
+
+/* The negated gain, which golden minimizes: negation is exact, so it
+   takes the branches maximizing the gain would. */
+static int planar_loss(void *s, double theta, double *out)
+{
+    if (planar_gain(s, theta, out) < 0)
+        return -1;
+    *out = -*out;
+    return 0;
+}
+
+/* The rows of matrix, self->dim of them with 2 entries each, as doubles
+   into m; -1 with an exception set. */
+static int load_matrix(const Program *self, PyObject *matrix, double *m)
+{
+    Py_ssize_t rows = PyObject_Length(matrix);
+    if (rows < 0)
+        return -1;
+    if (rows != self->dim) {
+        PyErr_Format(PyExc_ValueError, "expected %d rows, got %zd", self->dim, rows);
+        return -1;
+    }
+    for (Py_ssize_t i = 0; i < rows; i++) {
+        PyObject *row = item(matrix, i);
+        if (row == NULL)
+            return -1;
+        Py_ssize_t len = PyObject_Length(row);
+        if (len >= 0 && len != 2)
+            PyErr_Format(PyExc_ValueError, "expected rows of 2 entries, got %zd", len);
+        int rc = len == 2 ? load_doubles(row, 2, m + 2 * i) : -1;
+        Py_DECREF(row);
+        if (rc < 0)
+            return -1;
+    }
+    return 0;
+}
+
+/* The sweep of the planar operator norm: the gain at theta_j = j * step,
+   step = 2 pi / GRID, its first largest value refined by GOLDEN_STEPS of
+   golden over [theta_j - step, theta_j + step], and the larger of the two
+   kept (the refinement on a tie), with circle at its angle. */
+static PyObject *Program_operator_norm(Program *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    enum { GRID = 1024, GOLDEN_STEPS = 80 };
+    if (nargs != 2)
+        return PyErr_Format(PyExc_TypeError,
+                            "operator_norm() takes exactly 2 arguments (%zd given)", nargs);
+    Planar s = {self, own_circle(args[0]), args[0], NULL, NULL, NULL, NULL};
+    Py_ssize_t rows = self->dim, best_j = 0;
+    double stack[STACK_CAP];
+    double *buf = scratch(stack, 3 * rows + self->n + (s.dom != NULL ? s.dom->n : 0));
+    if (buf == NULL)
+        return NULL;
+    s.m = buf;
+    s.y = buf + 2 * rows;
+    s.vals = s.y + rows;
+    s.dvals = s.vals + self->n;
+    PyObject *out = NULL, *norm = NULL, *direction = NULL;
+    if (load_matrix(self, args[1], buf) < 0)
+        goto done;
+    double step = 2.0 * PI / GRID, best = -1.0, gain, theta, lowest, xy[2];
+    for (Py_ssize_t j = 0; j < GRID; j++) {
+        if (planar_gain(&s, (double)j * step, &gain) < 0)
+            goto done;
+        if (gain > best) {
+            best = gain;
+            best_j = j;
+        }
+    }
+    double theta0 = (double)best_j * step;
+    if (golden(planar_loss, &s, theta0 - step, theta0 + step, GOLDEN_STEPS, &theta, &lowest) < 0)
+        goto done;
+    double value = -lowest;
+    if (!(value >= best)) {
+        value = best;
+        theta = theta0;
+    }
+    if (planar_point(&s, theta, xy) < 0)
+        goto done;
+    if ((norm = PyFloat_FromDouble(value)) != NULL && (direction = tuple_of(xy, 2)) != NULL)
+        out = PyTuple_Pack(2, norm, direction);
+done:
+    Py_XDECREF(norm);
+    Py_XDECREF(direction);
     if (buf != stack)
         PyMem_Free(buf);
     return out;
@@ -1249,14 +1519,15 @@ static PyMethodDef Program_methods[] = {
     {"image_value", (PyCFunction)(void (*)(void))Program_image_value, METH_FASTCALL,
      "N(M x); each row of M x is summed exactly, as math.fsum sums it."},
     {"residual", (PyCFunction)(void (*)(void))Program_residual, METH_FASTCALL,
-     "Residual of relation code at (u, v): zero (<= 0 for birkhoff) where the "
-     "relation holds."},
+     "Residual of relation code at (u, v); zero (<= 0 for birkhoff) where it holds."},
     {"crossing", (PyCFunction)(void (*)(void))Program_crossing, METH_FASTCALL,
-     "A theta within width of a sign change of the residual at circle(theta) "
-     "inside [lo, hi]."},
+     "A theta within width of a sign change of the residual on the circle."},
     {"locus", (PyCFunction)(void (*)(void))Program_locus, METH_FASTCALL,
-     "Rows (theta, x, y, residual, is_zero_crossing) of the relation along the "
-     "planar unit circle, refined crossings spliced in."},
+     "Rows (theta, x, y, residual, is_zero_crossing) along the planar unit circle."},
+    {"line_min", (PyCFunction)(void (*)(void))Program_line_min, METH_FASTCALL,
+     "(t, phi(t)) for the least phi(t) a golden-section search on [lo, hi] finds."},
+    {"operator_norm", (PyCFunction)(void (*)(void))Program_operator_norm, METH_FASTCALL,
+     "(value, direction): the largest N(M x) a sweep of a planar unit circle finds."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -5,7 +5,7 @@ the same operations in the same order; when touching a formula here,
 change `_kernels.c` identically.  math.pow and math.sqrt are used so both
 backends route through the same libm entry points.
 
-A Program evaluates one fixed norm expression N through nine methods:
+A Program evaluates one fixed norm expression N through eleven methods:
 
 - `vectors(*coords)`: the public entries' boundary check, each argument
   as a tuple of finite floats of the norm's dimension.
@@ -29,8 +29,18 @@ A Program evaluates one fixed norm expression N through nine methods:
   bisected to a sign change.
 - `locus(code, a, b, u, resolution, width, point)`: the whole
   ortho_locus sweep, each row built as tuple.__new__(point, ...).
+- `line_min(phi, lo, hi, iters)`: golden-section search for the minimum
+  of a line evaluator phi on [lo, hi], as birkhoff_oracle runs it.
+- `operator_norm(circle, matrix)`: the whole planar operator-norm sweep
+  of explorer.operator_norm, its 1024-point grid and its golden-section
+  refinement, for the domain's circle and an n x 2 matrix.
 
-The planar sweeps call circle, image_value and residual once per point.
+line_min and operator_norm share the one copy of the golden-section
+search (`_golden` here, `golden` in the C twin).  The compiled twin runs a
+compiled line evaluator and a compiled Program's own circle inline; any
+other callable (a tracing proxy's, say) is called, with the same bits.
+The locus sweep calls circle and residual once per point; operator_norm
+calls circle and sums the image rows once per point.
 The tape has four leaf kinds: l2, and wlp with p = 1, inf or finite p
 (`compile_ast` gives l1, linf and lp unit weights).  `_value` here and
 `value_of` in the C twin hold the only copy of each leaf formula.
@@ -324,8 +334,7 @@ class Program:
     # -- orthogonality relations ---------------------------------------------
 
     def residual(self, code, a, b, u, v) -> float:
-        """Residual of relation code at (u, v): zero (<= 0 for birkhoff)
-        where the relation holds."""
+        """Residual of relation code at (u, v); zero (<= 0 for birkhoff) where it holds."""
         code, a, b = _relation(code, a, b)
         if code == R_ISOSCELES:
             self._check_pair(u, v)
@@ -374,13 +383,14 @@ class Program:
         return code, a, b, tuple([_double(c) for c in u])
 
     def crossing(self, code, a, b, u, lo, f_lo, hi, width) -> float:
-        """A theta within width of a sign change of
-        theta -> residual(code, a, b, u, circle(theta)) inside [lo, hi].
+        """A theta within width of a sign change of the residual on the circle.
 
-        f_lo is the residual at lo; it and the residual at hi must not
-        share a strict sign.  An exact zero at a midpoint ends the search
-        there, and so does a midpoint that is not strictly inside (lo and
-        hi adjacent doubles), where the bisection could go on forever.
+        The residual is theta -> residual(code, a, b, u, circle(theta)),
+        and the sign change lies inside [lo, hi].  f_lo is the residual at
+        lo; it and the residual at hi must not share a strict sign.  An
+        exact zero at a midpoint ends the search there, and so does a
+        midpoint that is not strictly inside (lo and hi adjacent doubles),
+        where the bisection could go on forever.
         """
         code, a, b, u = self._sweep_args(code, a, b, u)
         lo, f_lo, hi, width = _double(lo), _double(f_lo), _double(hi), _double(width)
@@ -398,18 +408,16 @@ class Program:
         return 0.5 * (lo + hi)
 
     def locus(self, code, a, b, u, resolution, width, point):
-        """Rows (theta, x, y, residual, is_zero_crossing) of relation code
-        along the planar unit circle, each built as tuple.__new__(point, ...).
+        """Rows (theta, x, y, residual, is_zero_crossing) along the planar unit circle.
 
+        Each row is relation code's, built as tuple.__new__(point, ...).
         The circle points at theta_j = j * step, step = 2 pi / resolution,
         come first, then every residual there; each strict sign change to
         the next point (cyclically) is bisected by crossing to within
         width and its row spliced in after the point's.
         """
         code, a, b, u = self._sweep_args(code, a, b, u)
-        resolution = operator.index(resolution)
-        if resolution < 1:
-            raise ValueError(f"resolution must be >= 1, got {resolution}")
+        resolution = _count(resolution, "resolution", 1)
         width = _double(width)
         if not (isinstance(point, type) and issubclass(point, tuple)):
             raise TypeError(f"point must be a tuple subclass, got {point!r}")
@@ -432,6 +440,59 @@ class Program:
             x = circle(cross)
             points.append(new(point, (cross, x[0], x[1], residual(x), True)))
         return points
+
+    # -- golden-section search and planar operator norms ---------------------
+
+    def line_min(self, phi, lo, hi, iters):
+        """(t, phi(t)) for the least phi(t) a golden-section search on [lo, hi] finds.
+
+        phi is a line evaluator, or any callable that returns floats; the
+        search takes iters steps (see _golden).
+        """
+        return _golden(phi, _double(lo), _double(hi), _count(iters, "iters", 0))
+
+    def operator_norm(self, circle, matrix):
+        """(value, direction): the largest N(M x) a sweep of a planar unit circle finds.
+
+        circle(theta) is the domain's unit-circle point at a Euclidean
+        angle, a pair of floats, and matrix M has dim rows of 2 entries,
+        read as floats.  The gain N(M circle(theta)), each row of M x
+        summed as math.fsum sums it, is taken at theta_j = j * step, step =
+        2 pi / 1024; its first largest value is refined by 80 steps of
+        _golden over [theta_j - step, theta_j + step], and the larger of
+        the two is kept (the refinement on a tie), with circle at its
+        angle.
+        """
+        if len(matrix) != self.dim:
+            raise ValueError(f"expected {self.dim} rows, got {len(matrix)}")
+        rows = []
+        for row in matrix:
+            if len(row) != 2:
+                raise ValueError(f"expected rows of 2 entries, got {len(row)}")
+            rows.append((_double(row[0]), _double(row[1])))
+        value = self._value
+        vals = [0.0] * self.n
+        fsum = math.fsum
+
+        def gain(theta):
+            x0, x1 = circle(theta)
+            return value([fsum((r0 * x0, r1 * x1)) for r0, r1 in rows], vals)
+
+        step = 2.0 * math.pi / 1024
+        best_j = 0
+        best = -1.0
+        for j in range(1024):
+            g = gain(j * step)
+            if g > best:
+                best, best_j = g, j
+        theta0 = best_j * step
+        # negation is exact, so minimizing -gain takes the branches maximizing gain would
+        theta, lowest = _golden(lambda t: -gain(t), theta0 - step, theta0 + step, 80)
+        norm = -lowest
+        if not norm >= best:
+            norm, theta = best, theta0
+        x0, x1 = circle(theta)
+        return norm, (x0, x1)
 
     # -- line restriction ----------------------------------------------------
 
@@ -457,6 +518,49 @@ def _double(x) -> float:
     """x as the compiled twin reads a double (PyFloat_AsDouble): a number,
     never a string or None; ldexp(x, 0) is x."""
     return math.ldexp(x, 0)
+
+
+def _count(x, name, low):
+    """x as an index, which must be at least low (the C twin's load_count;
+    past the Py_ssize_t range a loop never ends in either)."""
+    x = operator.index(x)
+    if x < low:
+        raise ValueError(f"{name} must be >= {low}, got {x!r}")
+    return x
+
+
+# (sqrt(5) - 1) / 2
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden(f, lo, hi, iters):
+    """(argmin, min) of f over [lo, hi] for unimodal f, by iters
+    golden-section steps; the best point evaluated is kept, so min is a
+    value f takes whatever its shape.  The only copy of the search:
+    line_min and operator_norm run it."""
+    a, b = lo, hi
+    h = b - a
+    c = b - _INVPHI * h
+    d = a + _INVPHI * h
+    fc = f(c)
+    fd = f(d)
+    best_x, best_f = (c, fc) if fc <= fd else (d, fd)
+    for _ in range(iters):
+        if fc < fd:
+            b, d, fd = d, c, fc
+            h = b - a
+            c = b - _INVPHI * h
+            fc = f(c)
+            if fc < best_f:
+                best_x, best_f = c, fc
+        else:
+            a, c, fc = c, d, fd
+            h = b - a
+            d = a + _INVPHI * h
+            fd = f(d)
+            if fd < best_f:
+                best_x, best_f = d, fd
+    return best_x, best_f
 
 
 def _relation(code, a, b):

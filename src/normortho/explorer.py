@@ -21,12 +21,7 @@ from .derivs import AlphaBeta, _rho_ab
 from .errors import DimensionMismatchError
 from .kernels import get_program
 from .normast import NormAst
-from .ortho import (
-    Relation,
-    _golden_min,
-    _orthogonalize,
-    _verdict,
-)
+from .ortho import Relation, _orthogonalize, _verdict
 from .rng import SplitMix64
 from .space import (
     SampleConfig,
@@ -146,7 +141,8 @@ def operator_norm(lin: LinearMap, cfg: SampleConfig) -> OperatorNormEstimate:
     """Lower estimate of sup norm(T x) over the domain unit sphere.
 
     Planar domains get a 1024-point sweep of the Euclidean angle followed
-    by golden-section refinement around the best cell (grade "fine");
+    by golden-section refinement around the best cell, both in the kernel
+    (Program.operator_norm; grade "fine");
     higher dimensions fall back to cfg.count starts of hill climbing with
     a shrinking step (grade "coarse").
     """
@@ -156,29 +152,12 @@ def operator_norm(lin: LinearMap, cfg: SampleConfig) -> OperatorNormEstimate:
     cod = get_program(lin.codomain_norm)
     dim = lin.domain_norm.dim
     matrix = lin.matrix
-    image_value = cod.image_value
 
     if dim == 2:
-        grid = 1024
-        step = 2.0 * math.pi / grid
-        circle = dom.circle
+        value, direction = cod.operator_norm(dom.circle, matrix)
+        return OperatorNormEstimate(value, direction, "fine")
 
-        def f(theta: float) -> float:
-            return image_value(matrix, circle(theta))
-
-        best_j = 0
-        best = -1.0
-        for j in range(grid):
-            v = f(j * step)
-            if v > best:
-                best, best_j = v, j
-        theta0 = best_j * step
-        # negation is exact, so minimizing -f takes the branches maximizing f would
-        theta, lowest = _golden_min(lambda t: -f(t), theta0 - step, theta0 + step, 80)
-        if -lowest >= best:
-            return OperatorNormEstimate(-lowest, circle(theta), "fine")
-        return OperatorNormEstimate(best, circle(theta0), "fine")
-
+    image_value = cod.image_value
     unit = functools.partial(_normalized, dom)
     rng = SplitMix64(cfg.seed)
     best_x: Vector | None = None

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from itertools import chain, combinations, islice, product
 from typing import NamedTuple
 
@@ -106,13 +107,20 @@ def angle_ab(ast: NormAst, u, v, ab: AlphaBeta) -> AngleResult:
     return _angle(prog, uu, vv, ab)
 
 
+# smallest positive normal double: below it a product keeps fewer bits
+_NORMAL_MIN = sys.float_info.min
+
+
 def angle_homogeneity_check(ast: NormAst, u, v, a: float, b: float,
                             ab: AlphaBeta) -> float:
     """Residual of the angle scaling law.
 
     theta_ab(a u, b v) equals theta_ab(u, v) when a b > 0 and
     pi - theta_ba(u, v) when a b < 0; returns the absolute deviation,
-    expected at roundoff scale.  a and b must be finite and nonzero.
+    expected at roundoff scale.  a and b must be finite and nonzero, and
+    must keep every nonzero coordinate they scale finite and normal: an
+    overflow, or an underflow that can turn the scaled vector, would
+    report a defect of the arithmetic, not of the law.
     """
     for name, factor in (("a", a), ("b", b)):
         if factor == 0.0 or not math.isfinite(factor):
@@ -121,6 +129,11 @@ def angle_homogeneity_check(ast: NormAst, u, v, a: float, b: float,
     uu, vv = prog.vectors(u, v)
     scaled_u = tuple([a * c for c in uu])
     scaled_v = tuple([b * c for c in vv])
+    for name, factor, vec, scaled in (("a", a, uu, scaled_u), ("b", b, vv, scaled_v)):
+        for c, s in zip(vec, scaled):
+            if c != 0.0 and not _NORMAL_MIN <= abs(s) < math.inf:
+                raise ValueError(f"{name} = {factor!r} scales a coordinate out of the "
+                                 f"normal float range")
     lhs = _angle(prog, scaled_u, scaled_v, ab).theta
     if a * b > 0.0:
         return abs(lhs - _angle(prog, uu, vv, ab).theta)

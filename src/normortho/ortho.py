@@ -10,7 +10,6 @@ search and never touches the derivative engine.  Each guards the other.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -18,7 +17,7 @@ from .derivs import AlphaBeta, Lambda
 from .errors import DimensionMismatchError, ZeroVectorError
 from .kernels import get_program
 from .normast import NormAst
-from .space import Vector, _check_tol
+from .space import Vector, _check_count, _check_tol
 
 __all__ = [
     "RELATION_TAGS",
@@ -45,8 +44,6 @@ RELATION_TAGS = (
     "pythagorean",
     "semi",
 )
-
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 # largest locus sweep; the sweep holds all its points at once, and 2**20
 # of them take about 270 MB
@@ -141,45 +138,19 @@ def is_orthogonal(rel: Relation, ast: NormAst, u, v, tol: float = 1e-9) -> Ortho
     return _verdict(rel, prog, uu, vv, tol)
 
 
-def _golden_min(f, lo: float, hi: float, iters: int) -> tuple[float, float]:
-    """(argmin, min) of f over [lo, hi] for unimodal f; tracks the best
-    evaluated point so the result is a valid upper bound regardless."""
-    a, b = lo, hi
-    h = b - a
-    c = b - _INVPHI * h
-    d = a + _INVPHI * h
-    fc = f(c)
-    fd = f(d)
-    best_x, best_f = (c, fc) if fc <= fd else (d, fd)
-    for _ in range(iters):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            h = b - a
-            c = b - _INVPHI * h
-            fc = f(c)
-            if fc < best_f:
-                best_x, best_f = c, fc
-        else:
-            a, c, fc = c, d, fd
-            h = b - a
-            d = a + _INVPHI * h
-            fd = f(d)
-            if fd < best_f:
-                best_x, best_f = d, fd
-    return best_x, best_f
-
-
 def birkhoff_oracle(ast: NormAst, u, v, tol: float = 1e-9, iters: int = 200) -> OrthoVerdict:
     """Brute-force Birkhoff-James decision by 1-D minimization.
 
     norm(u + t v) is convex in t, hence unimodal; any minimizer t*
     satisfies |t*| <= 2 norm(u)/norm(v) (outside, the reverse triangle
     inequality gives norm(u+tv) >= |t| norm(v) - norm(u) > norm(u)), so
-    the bracket T = 4 norm(u)/norm(v) is rigorous with slack.  Holds iff
+    the bracket T = 4 norm(u)/norm(v) is rigorous with slack.  The
+    search (Program.line_min) takes iters golden-section steps.  Holds iff
     min_t norm(u + t v) >= norm(u) - tol; tol must be finite and
-    nonnegative.
+    nonnegative, and iters a positive integer.
     """
     _check_tol(tol)
+    _check_count(iters, "iters")
     prog = get_program(ast)
     uu, vv = prog.vectors(u, v)
     nu = prog.value(uu)
@@ -188,7 +159,7 @@ def birkhoff_oracle(ast: NormAst, u, v, tol: float = 1e-9, iters: int = 200) -> 
         raise ZeroVectorError("birkhoff oracle needs nonzero u and v")
     phi = prog.line_evaluator(uu, vv)
     big_t = 4.0 * nu / nv
-    _, lowest = _golden_min(phi, -big_t, big_t, iters)
+    _, lowest = prog.line_min(phi, -big_t, big_t, iters)
     residual = nu - lowest
     return OrthoVerdict(residual <= tol, residual, tol)
 

@@ -69,6 +69,13 @@ def _check_tol(tol: float, name: str = "tol") -> None:
         raise ValueError(f"{name} must be finite and nonnegative, got {tol!r}")
 
 
+def _check_count(n: int, name: str) -> None:
+    """Raise ValueError, naming the parameter, unless n is a positive int
+    (a bool is not one)."""
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise ValueError(f"{name} must be a positive integer, got {n!r}")
+
+
 def as_vector(coords) -> Vector:
     """Validate and freeze a coordinate sequence.
 

@@ -39,6 +39,14 @@ FAMILIES = (
     "scale(0.7, l2)",
 )
 
+# Deeper trees, a leaf weighted in each, and the max of l2 and a scaled l1
+COMPOSITES = (
+    "max(sum(l1, lp(3)), scale(1.5, wlp(2; 1, 4)))",
+    "sum(max(l2, scale(0.8, linf)), scale(0.5, max(lp(1.5), wlp(inf; 1, 2))))",
+    "scale(1.2, sum(lp(4), sum(l2, wlp(1.5; 2, 1))))",
+    "max(l2, scale(0.9, l1))",
+)
+
 # Families whose unit sphere has no corner, so numeric enclosures tighten.
 SMOOTH_FAMILIES = ("l2", "lp(3)", "lp(1.5)", "wlp(2; 1, 4)", "scale(0.7, l2)")
 
@@ -107,6 +115,91 @@ def circle_reference(prog, theta):
     d1 = math.sin(theta)
     r = prog.value((d0, d1))
     return (d0 / r, d1 / r)
+
+
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def golden_reference(f, lo, hi, iters):
+    """Golden-section search for the minimum of f on [lo, hi] in plain
+    Python, keeping the best point evaluated, as ortho._golden_min ran it
+    before the kernel took it over: what Program.line_min must equal."""
+    a, b = lo, hi
+    h = b - a
+    c = b - _INVPHI * h
+    d = a + _INVPHI * h
+    fc = f(c)
+    fd = f(d)
+    best_x, best_f = (c, fc) if fc <= fd else (d, fd)
+    for _ in range(iters):
+        if fc < fd:
+            b, d, fd = d, c, fc
+            h = b - a
+            c = b - _INVPHI * h
+            fc = f(c)
+            if fc < best_f:
+                best_x, best_f = c, fc
+        else:
+            a, c, fc = c, d, fd
+            h = b - a
+            d = a + _INVPHI * h
+            fd = f(d)
+            if fd < best_f:
+                best_x, best_f = d, fd
+    return best_x, best_f
+
+
+def operator_norm_reference(circle, cod, matrix):
+    """The planar operator-norm sweep in plain Python, as
+    explorer.operator_norm ran it before the kernel took it over: the gain
+    cod.image_value(matrix, circle(theta)) on a 1024-point grid, then
+    golden_reference with 80 steps around its best point.  What
+    cod.operator_norm(circle, matrix) must equal."""
+    grid = 1024
+    step = 2.0 * math.pi / grid
+
+    def f(theta):
+        return cod.image_value(matrix, circle(theta))
+
+    best_j = 0
+    best = -1.0
+    for j in range(grid):
+        v = f(j * step)
+        if v > best:
+            best, best_j = v, j
+    theta0 = best_j * step
+    theta, lowest = golden_reference(lambda t: -f(t), theta0 - step, theta0 + step, 80)
+    if -lowest >= best:
+        return -lowest, circle(theta)
+    return best, circle(theta0)
+
+
+class ProgramProxy:
+    """A Program behind __getattr__, as a tracing proxy hands it out: every
+    method is the real bound one."""
+
+    __slots__ = ("_prog",)
+
+    def __init__(self, prog):
+        self._prog = prog
+
+    def __getattr__(self, name):
+        return getattr(self._prog, name)
+
+
+class CallingProxy(ProgramProxy):
+    """A ProgramProxy whose circle and line evaluators are Python functions
+    around the real ones, so the kernel's sweeps call them back instead of
+    running them inline."""
+
+    __slots__ = ()
+
+    def circle(self, theta):
+        return self._prog.circle(theta)
+
+    def line_evaluator(self, u, v):
+        phi = self._prog.line_evaluator(u, v)
+        return lambda t: phi(t)
 
 
 class ScriptedDraws:

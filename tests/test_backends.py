@@ -20,7 +20,10 @@ from normortho import (
 from normortho import _kernels_py, program
 from normortho.program import compile_ast
 
-from conftest import FAMILIES, _missing_toolchain, circle_reference, gen_ast
+from conftest import (
+    FAMILIES, _missing_toolchain, circle_reference, gen_ast, golden_reference,
+    operator_norm_reference,
+)
 
 # the planar norms the sweeps run on: every family and seeded random trees
 PLANAR = ([pytest.param(parse_norm(f, 2), id=f) for f in FAMILIES]
@@ -747,9 +750,142 @@ def test_locus_rows_take_the_point_type(point, pair):
     assert len(rows[0]) == 10  # 8 points, 2 crossings
 
 
+# -- golden-section search and planar operator norms ----------------------------
+
+def _methods(program_type):
+    return {name for name in dir(program_type)
+            if not name.startswith("_") and callable(getattr(program_type, name))}
+
+
+def test_twins_list_the_same_methods(compiled_kernels):
+    fast, slow = compiled_kernels.Program, _kernels_py.Program
+    assert _methods(fast) == _methods(slow)
+    assert len(_methods(slow)) == 11
+    for name in _methods(slow):
+        # each C method table entry carries its twin's summary line
+        assert getattr(fast, name).__doc__ == getattr(slow, name).__doc__.splitlines()[0], name
+        assert f"`{name}(" in _kernels_py.__doc__, name
+
+
+def _norm_outcome(call, *args):
+    """_outcome of a call that returns (value, direction)."""
+    try:
+        value, direction = call(*args)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    return value.hex(), tuple(x.hex() for x in direction)
+
+
+@pytest.mark.parametrize("i, family", list(enumerate(FAMILIES)))
+def test_operator_norm_agrees_bitwise(i, family, compiled_kernels):
+    # each twin with its own domain circle (inline in the compiled one) and
+    # with the other twin's (called back), against the plain-Python loop;
+    # codomains of 1, 2 and 3 rows
+    tape = compile_ast(parse_norm(family, 2))
+    doms = compiled_kernels.Program(*tape), _kernels_py.Program(*tape)
+    rng = SplitMix64(41 + i)
+
+    def entry():
+        # some of the extremes, whose products and sums overflow
+        if rng.random() < 0.3:
+            return _ENTRIES[int(rng.random() * len(_ENTRIES))]
+        return rng.uniform(-4.0, 4.0)
+
+    for rows in (1, 2, 3):
+        programs = _image_programs(compiled_kernels, rows)
+        fast, slow = programs[(i + rows) % len(programs)]
+        for _ in range(2):
+            matrix = tuple((entry(), entry()) for _ in range(rows))
+            got = _norm_outcome(fast.operator_norm, doms[0].circle, matrix)
+            assert got == _norm_outcome(fast.operator_norm, doms[1].circle, matrix), matrix
+            assert got == _norm_outcome(slow.operator_norm, doms[1].circle, matrix), matrix
+            assert got == _norm_outcome(slow.operator_norm, doms[0].circle, matrix), matrix
+            assert got == _norm_outcome(operator_norm_reference, doms[1].circle, slow,
+                                        matrix), matrix
+
+
+def _raise_zero_division(theta):
+    return 1 / 0
+
+
+_L2_TAPE = compile_ast(parse_norm("l2", 2))
+_WIDE_TAPE = compile_ast(parse_norm("scale(0.25, l2)", 2))  # a circle of radius 4
+_OK = ((1.0, 0.5), (-0.5, 1.0))
+
+
+@pytest.mark.parametrize("circle, matrix, error", [
+    (_L2_TAPE, ((1.0, 0.5),), ("ValueError", "expected 2 rows, got 1")),
+    (_L2_TAPE, None, ("TypeError", "object of type 'NoneType' has no len()")),
+    (_L2_TAPE, ((1.0, 0.5), (1.0, 0.5, 0.0)), ("ValueError", "expected rows of 2 entries, got 3")),
+    (_L2_TAPE, ((1.0, 0.5), (1.0,)), ("ValueError", "expected rows of 2 entries, got 1")),
+    # rows are checked and read in turn: row 0's entry fails first
+    (_L2_TAPE, ((1.0, "a"), (1.0,)), ("TypeError", "must be real number, not str")),
+    (_L2_TAPE, ((1.0, 0.5), (None, 1.0)), ("TypeError", "must be real number, not NoneType")),
+    (3, _OK, ("TypeError", "'int' object is not callable")),
+    (_raise_zero_division, _OK, ("ZeroDivisionError", "division by zero")),
+    (_L2_DIM3, _OK, ("ValueError", "circle needs a 2-dimensional norm, got dim 3")),
+    (_ZERO_TAPE, _OK, ("ZeroDivisionError", "float division by zero")),
+    (_L2_TAPE, ((1.7e308, 1.7e308), (0.0, 1.0)),
+     ("OverflowError", "intermediate overflow in fsum")),
+    (_WIDE_TAPE, ((1e308, -1e308), (0.0, 0.0)), ("ValueError", "-inf + inf in fsum")),
+    (lambda theta: (1.0, 0.0, 0.0), _OK, "ValueError"),
+    (lambda theta: 1.0, _OK, "TypeError"),
+])
+def test_operator_norm_errors_agree(circle, matrix, error, compiled_kernels):
+    outcomes = []
+    for mod in (compiled_kernels, _kernels_py):
+        # a tape stands for its own Program's circle in each twin
+        own = mod.Program(*circle).circle if isinstance(circle, tuple) else circle
+        cod = mod.Program(*_L2_TAPE)
+        outcomes.append(_norm_outcome(cod.operator_norm, own, matrix))
+        assert _outcome(cod.operator_norm, own)[0] == "TypeError"
+    if isinstance(error, str):
+        # a circle that gives no pair: each twin words it its own way
+        assert outcomes[0][0] == outcomes[1][0] == error
+    else:
+        assert outcomes == [error, error]
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_line_min_agrees_bitwise(family, pair):
+    # each twin with its own line evaluator (inline in the compiled one)
+    # and with the other twin's (called back), against the plain-Python loop
+    fast, slow = pair(parse_norm(family, 2))
+    rng = SplitMix64(43)
+    for _ in range(6):
+        u, v = rng.vector(2, -2.0, 2.0), rng.vector(2, -2.0, 2.0)
+        phis = fast.line_evaluator(u, v), slow.line_evaluator(u, v)
+        for lo, hi in ((-4.0, 4.0), (0.5, -3.0), (1.0, 1.0), (-math.inf, 1.0), (math.nan, 1.0)):
+            for iters in (0, 1, 200):
+                got = _outcome(fast.line_min, phis[0], lo, hi, iters)
+                assert got == _outcome(fast.line_min, phis[1], lo, hi, iters)
+                assert got == _outcome(slow.line_min, phis[1], lo, hi, iters)
+                assert got == _outcome(slow.line_min, phis[0], lo, hi, iters)
+                assert got == _outcome(golden_reference, phis[1], lo, hi, iters)
+
+
+@pytest.mark.parametrize("args, error", [
+    (("-1", 1.0, 8), ("TypeError", "must be real number, not str")),
+    ((-1.0, None, 8), ("TypeError", "must be real number, not NoneType")),
+    ((-1.0, 1.0, -1), ("ValueError", "iters must be >= 0, got -1")),
+    ((-1.0, 1.0, 8.0), ("TypeError", "'float' object cannot be interpreted as an integer")),
+])
+def test_line_min_errors_agree(args, error, pair):
+    fast, slow = pair(parse_norm("l2", 2))
+    for prog in (fast, slow):
+        phi = prog.line_evaluator((1.0, 0.0), (0.0, 1.0))
+        assert _outcome(prog.line_min, phi, *args) == error
+        assert _outcome(prog.line_min, _raise_zero_division, -1.0, 1.0, 8) == (
+            "ZeroDivisionError", "division by zero")
+        assert _outcome(prog.line_min, None, -1.0, 1.0, 8) == (
+            "TypeError", "'NoneType' object is not callable")
+        assert _outcome(prog.line_min, phi, -1.0, 1.0)[0] == "TypeError"
+
+
 def test_compiled_sweeps_hold_memory_flat(compiled_kernels):
     l1 = compiled_kernels.Program(*compile_ast(_L1))
     l2 = compiled_kernels.Program(*compile_ast(parse_norm("l2", 2)))
+    phi = l2.line_evaluator((1.0, 0.0), (0.3, 1.0))
     calls = [
         (l2.locus, 5, 0.3, 0.5, (0.6, -0.35), 48, 1e-10, LocusPoint),
         (l2.locus, 3, 0.0, 0.0, (1.0, 0.0), 8, 1e-12, _Row),
@@ -760,6 +896,16 @@ def test_compiled_sweeps_hold_memory_flat(compiled_kernels):
         (l1.crossing, 8, 0.0, 0.0, (1.0, 0.0), 0.0, 1.0, math.pi, 1e-10),
         (l1.locus, 3, 0.0, 0.0, (1.0, 0.0), 48, 1e-10, list),
         (l1.locus, 3, 0.0, 0.0, (1.0, "a"), 48, 1e-10, LocusPoint),
+        # the planar operator norm and the line search, inline and called
+        # back, and raising from the matrix, the callback and the row sums
+        (l2.operator_norm, l1.circle, _OK),
+        (l2.operator_norm, lambda t: l1.circle(t), _OK),
+        (l2.operator_norm, l1.circle, ((1.0, "a"), (1.0, 0.5))),
+        (l2.operator_norm, lambda t: (1.0, "a"), _OK),
+        (l2.operator_norm, l2.circle, ((1.7e308, 1.7e308), (0.0, 1.0))),
+        (l1.line_min, phi, -2.0, 2.0, 200),
+        (l1.line_min, lambda t: phi(t), -2.0, 2.0, 200),
+        (l1.line_min, lambda t: "a", -2.0, 2.0, 200),
     ]
 
     def run(times):
@@ -767,7 +913,7 @@ def test_compiled_sweeps_hold_memory_flat(compiled_kernels):
             for call, *args in calls:
                 try:
                     call(*args)
-                except (NonSmoothPointError, TypeError):
+                except (NonSmoothPointError, TypeError, OverflowError):
                     pass
 
     run(20)

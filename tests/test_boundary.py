@@ -250,6 +250,8 @@ L1, L2, LP3 = parse_norm("l1", 2), parse_norm("l2", 2), parse_norm("lp(3)", 2)
 NONNEG = "{} must be finite and nonnegative, got {}"
 SEPARATION = "min_separation must lie in [0, 2), got {}"
 NONZERO = "{} must be finite and nonzero, got {}"
+SCALED = "{} = {} scales a coordinate out of the normal float range"
+POSITIVE = "{} must be a positive integer, got {}"
 
 # (call, expected error): each parameter value gave a wrong verdict, a
 # misleading error or a meaningless count before it was checked
@@ -285,6 +287,34 @@ PARAMETER_CASES = {
     "angle-b-negative-inf": (
         lambda: angle_homogeneity_check(L2, (1, 0), (0.3, 1), 2.0, -INF, AB),
         NONZERO.format("b", "-inf")),
+    # b v underflows to (0.0, 5e-324), which points another way: the check
+    # reported a defect of 0.29
+    "angle-b-underflow": (
+        lambda: angle_homogeneity_check(L2, (1, 0), (0.3, 1), -1e300, 5e-324, AB),
+        SCALED.format("b", "5e-324")),
+    "angle-b-subnormal": (
+        lambda: angle_homogeneity_check(L2, (1, 0), (0.3, 1), 1.0, 1e-308, AB),
+        SCALED.format("b", "1e-308")),
+    "angle-a-overflow": (
+        lambda: angle_homogeneity_check(L2, (3, 0), (0.3, 1), 1e308, 1.0, AB),
+        SCALED.format("a", "1e+308")),
+    "angle-a-overflow-negative": (
+        lambda: angle_homogeneity_check(L2, (1, -2), (0.3, 1), -1e308, 1.0, AB),
+        SCALED.format("a", "-1e+308")),
+    # a 2-point search whose residual could be negative, a bool taken as
+    # 1, and a TypeError from range
+    "oracle-iters-negative": (lambda: birkhoff_oracle(L2, (1, 0), (0, 1), iters=-5),
+                              POSITIVE.format("iters", "-5")),
+    "oracle-iters-zero": (lambda: birkhoff_oracle(L2, (1, 0), (0, 1), iters=0),
+                          POSITIVE.format("iters", "0")),
+    "oracle-iters-true": (lambda: birkhoff_oracle(L2, (1, 0), (0, 1), iters=True),
+                          POSITIVE.format("iters", "True")),
+    "oracle-iters-float": (lambda: birkhoff_oracle(L2, (1, 0), (0, 1), iters=2.5),
+                           POSITIVE.format("iters", "2.5")),
+    "oracle-iters-integral-float": (lambda: birkhoff_oracle(L2, (1, 0), (0, 1), iters=200.0),
+                                    POSITIVE.format("iters", "200.0")),
+    "oracle-iters-none": (lambda: birkhoff_oracle(L2, (1, 0), (0, 1), iters=None),
+                          POSITIVE.format("iters", "None")),
 }
 
 
@@ -302,6 +332,11 @@ def test_checked_parameters_keep_their_edges(package_backend):
     assert strict_convexity_probe(L1, CFG, min_separation=0.0).verdict == "witness-found"
     assert strict_convexity_probe(L1, CFG, min_separation=1.99).verdict == "witness-found"
     assert angle_homogeneity_check(L2, (1, 0), (0.3, 1), -1e100, 1e-100, AB) <= 1e-12
+    # zero coordinates scale to zero, and the smallest normal is kept
+    assert angle_homogeneity_check(L2, (1, 0), (0, 1), 1e300, 2.2250738585072014e-308,
+                                   AB) <= 1e-12
+    assert angle_homogeneity_check(L2, (1, 0), (0.3, 1), 1e307, -1e-300, AB) <= 1e-12
+    assert birkhoff_oracle(L2, (1, 0), (0, 1), iters=1).holds
 
 
 class _NoSweep:

@@ -33,7 +33,10 @@ from normortho import _kernels_py
 from normortho.explorer import _apply
 from normortho.kernels import get_program
 
-from conftest import ScriptedDraws, circle_reference, hexes
+from conftest import (
+    COMPOSITES, FAMILIES, CallingProxy, ProgramProxy, ScriptedDraws, circle_reference, hexes,
+    operator_norm_reference,
+)
 
 L1 = parse_norm("l1", 2)
 L2 = parse_norm("l2", 2)
@@ -240,6 +243,61 @@ def test_map_paths_same_bits_on_both_backends(matrix, dom, cod, compiled_kernels
         get_program.cache_clear()
     assert results[0][0][2] == ("fine" if len(matrix[0]) == 2 else "coarse")
     assert results[1:] == results[:1] * 3
+
+
+# codomains of the 3 x 2 pins: the planar texts whose weights fit dim 3
+_PINS_DIM3 = ("l1", "l2", "linf", "lp(3)", "lp(1.5)", "wlp(2; 1, 4, 2)", "max(l1, l2)",
+              "sum(l1, linf)", "scale(0.7, l2)", "max(l2, scale(0.9, l1))")
+
+
+def _pin_maps(i, dom):
+    """n x 2 maps on the domain dom, to a codomain other than dom, at n = 2
+    and 3, with entries of order 1 and near +-1e300."""
+    rng = SplitMix64(300 + i)
+    texts = FAMILIES + COMPOSITES
+    maps = []
+    for rows, cod in ((2, texts[(i + 1) % len(texts)]), (3, _PINS_DIM3[i % len(_PINS_DIM3)])):
+        for scale in (1.0, 1e300):
+            matrix = tuple(tuple(scale * rng.uniform(-2.0, 2.0) for _ in range(2))
+                           for _ in range(rows))
+            maps.append(LinearMap(matrix, parse_norm(dom, 2), parse_norm(cod, rows)))
+    return maps
+
+
+@BACKENDS
+@pytest.mark.parametrize("i, dom", list(enumerate(FAMILIES + COMPOSITES)))
+def test_planar_operator_norm_keeps_its_bits(package_backend, i, dom, monkeypatch):
+    # the kernel's sweep against the plain-Python loop it replaced, also
+    # through a proxy like the tracer's and through Python-level circles
+    cfg = SampleConfig(seed=1, count=1)
+    for lin in _pin_maps(i, dom):
+        want = operator_norm_reference(get_program(lin.domain_norm).circle,
+                                       get_program(lin.codomain_norm), lin.matrix)
+        assert abs(want[0]) < math.inf
+        for wrap in (None, ProgramProxy, CallingProxy):
+            with monkeypatch.context() as m:
+                if wrap is not None:
+                    m.setattr(normortho.explorer, "get_program",
+                              lambda ast, wrap=wrap: wrap(get_program(ast)))
+                got = operator_norm(lin, cfg)
+            assert got.grade == "fine"
+            assert hexes((got.value, got.direction)) == hexes(want), (lin, wrap)
+
+
+@BACKENDS
+@pytest.mark.parametrize("wrap", [None, ProgramProxy, CallingProxy])
+def test_planar_operator_norm_errors_keep_their_place(package_backend, wrap, monkeypatch):
+    if wrap is not None:
+        monkeypatch.setattr(normortho.explorer, "get_program", lambda ast: wrap(get_program(ast)))
+    cfg = SampleConfig(seed=1, count=1)
+    with pytest.raises(ValueError, match="^operator norm of the zero map is trivially 0; "):
+        operator_norm(LinearMap(((0.0, -0.0), (0.0, 0.0)), L2, L1), cfg)
+    # a row whose exact sum overflows partway through the grid
+    lin = LinearMap(((1.7e308, 1.7e308), (0.0, 1.0)), L2, L2)
+    with pytest.raises(OverflowError, match="^intermediate overflow in fsum$"):
+        operator_norm_reference(get_program(L2).circle, get_program(L2), lin.matrix)
+    with pytest.raises(OverflowError, match="^intermediate overflow in fsum$"):
+        operator_norm(lin, cfg)
 
 
 class TestPreserverCheck:

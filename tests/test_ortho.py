@@ -5,6 +5,7 @@ import pickle
 
 import pytest
 
+import normortho.ortho
 from normortho import (
     AlphaBeta,
     DimensionMismatchError,
@@ -27,7 +28,9 @@ from normortho import (
     RELATION_TAGS,
 )
 
-from conftest import FAMILIES
+from normortho.kernels import get_program
+
+from conftest import COMPOSITES, FAMILIES, CallingProxy, ProgramProxy, golden_reference
 
 L1 = parse_norm("l1", 2)
 L2 = parse_norm("l2", 2)
@@ -113,6 +116,33 @@ class TestBirkhoff:
         got = is_orthogonal(BIRKHOFF, L2, (1.0, 0.0), (1.0, 1.0))
         assert not got.holds
         assert got.residual == pytest.approx(1.0, abs=1e-15)
+
+
+@BACKENDS
+@pytest.mark.parametrize("family", FAMILIES + COMPOSITES)
+def test_oracle_keeps_its_bits(package_backend, family, monkeypatch):
+    # the kernel's search against the plain-Python loop it replaced, also
+    # through a proxy like the tracer's and through Python-level line
+    # evaluators; pairs of order 1 and near 1e300, at several step counts
+    ast = parse_norm(family, 2)
+    prog = get_program(ast)
+    rng = SplitMix64(71)
+    for scale in (1.0, 1e300):
+        for iters in (1, 7, 200):
+            u = tuple(scale * c for c in rng.vector(2, -1.0, 1.0))
+            v = tuple(scale * c for c in rng.vector(2, -1.0, 1.0))
+            nu, nv = prog.value(u), prog.value(v)
+            big_t = 4.0 * nu / nv
+            _, lowest = golden_reference(prog.line_evaluator(u, v), -big_t, big_t, iters)
+            want = nu - lowest
+            for wrap in (None, ProgramProxy, CallingProxy):
+                with monkeypatch.context() as m:
+                    if wrap is not None:
+                        m.setattr(normortho.ortho, "get_program",
+                                  lambda a, wrap=wrap: wrap(get_program(a)))
+                    got = birkhoff_oracle(ast, u, v, iters=iters)
+                assert got.residual.hex() == want.hex(), (u, v, iters, wrap)
+                assert got.holds == (want <= 1e-9)
 
 
 class TestBirkhoffOracle:

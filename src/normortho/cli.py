@@ -14,7 +14,6 @@ points).
 from __future__ import annotations
 
 import argparse
-import io
 import csv
 import json
 import math
@@ -173,19 +172,15 @@ def _jdump(obj) -> str:
 
 
 def _scalar_text(v) -> str:
+    """A table or csv cell: _jdump's text, except for None, strings and
+    sequences."""
     if v is None:
         return ""
-    if v is True:
-        return "true"
-    if v is False:
-        return "false"
-    if isinstance(v, float):
-        return _fmt_float(v)
-    if isinstance(v, int):
-        return str(v)
+    if isinstance(v, str):
+        return v
     if isinstance(v, (list, tuple)):
-        return ",".join(_scalar_text(x) for x in v)
-    return str(v)
+        return ",".join(map(_scalar_text, v))
+    return _jdump(v)
 
 
 def _flatten(payload: dict, prefix: str = "") -> list[tuple[str, str]]:
@@ -203,30 +198,34 @@ def _flatten(payload: dict, prefix: str = "") -> list[tuple[str, str]]:
     return pairs
 
 
-def _render_payload(payload: dict, fmt: str) -> str:
+def _write_payload(payload: dict, fmt: str, out) -> None:
     if fmt == "json":
-        return _jdump(payload) + "\n"
+        out.write(_jdump(payload) + "\n")
+        return
     pairs = _flatten(payload)
     if fmt == "csv":
-        return _render_rows([dict(pairs)], fmt)
-    width = max(len(k) for k, _ in pairs)
-    return "".join(f"{k:<{width}}  {v}\n" for k, v in pairs)
+        csv.writer(out, lineterminator="\n").writerows(zip(*pairs))
+    else:
+        width = max(len(k) for k, _ in pairs)
+        out.writelines(f"{k:<{width}}  {v}\n" for k, v in pairs)
 
 
-def _render_rows(rows: list[dict], fmt: str) -> str:
+def _write_rows(rows: list, fmt: str, out) -> None:
+    """Write records of one NamedTuple type, each line as soon as it is
+    rendered."""
+    keys = rows[0]._fields
     if fmt == "json":
-        return "".join(_jdump(row) + "\n" for row in rows)
-    keys = list(rows[0].keys())
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(keys)
+        heads = [json.dumps(k) + ": " for k in keys]
         for row in rows:
-            writer.writerow([_scalar_text(row[k]) for k in keys])
-        return buf.getvalue()
-    lines = ["  ".join(keys)]
-    lines.extend("  ".join(_scalar_text(row[k]) for k in keys) for row in rows)
-    return "\n".join(lines) + "\n"
+            out.write("{" + ", ".join([h + _jdump(v) for h, v in zip(heads, row)]) + "}\n")
+    elif fmt == "csv":
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(keys)
+        writer.writerows(map(_scalar_text, row) for row in rows)
+    else:
+        out.write("  ".join(keys) + "\n")
+        for row in rows:
+            out.write("  ".join(map(_scalar_text, row)) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +384,7 @@ def _cmd_interval(args) -> dict:
             "t_lo": lo, "t_hi": hi, "width": hi - lo}
 
 
-def _cmd_locus(args) -> list[dict]:
+def _cmd_locus(args) -> list:
     _need(args, "u", "relation")
     if args.resolution < 8:
         raise _Usage("--resolution must be at least 8")
@@ -393,8 +392,7 @@ def _cmd_locus(args) -> list[dict]:
         raise _Usage(f"--resolution must be at most {_MAX_RESOLUTION}")
     ast = _ast(args)
     rel = _relation(args.relation, args)
-    points = ortho_locus(ast, args.u, rel, resolution=args.resolution)
-    return [p._asdict() for p in points]
+    return ortho_locus(ast, args.u, rel, resolution=args.resolution)
 
 
 def _cmd_angle(args) -> dict:
@@ -533,37 +531,31 @@ def run(argv=None) -> int:
         return code if isinstance(code, int) else 2
     try:
         result = _COMMANDS[args.command][0](args)
-        summary = None
-        if isinstance(result, list):
-            text = _render_rows(result, args.format)
-            if args.out is not None:
-                # Large row streams go to the file; stdout keeps a summary.
-                summary = _render_payload(
-                    {"norm": args.norm, "relation": args.relation,
-                     "resolution": args.resolution, "points": len(result),
-                     "zero_crossings": sum(
-                         1 for r in result if r["is_zero_crossing"]),
-                     "out": args.out},
-                    args.format)
-        else:
-            text = _render_payload(result, args.format)
     except (ParseError, _Usage) as exc:
         print(f"normortho: {exc}", file=sys.stderr)
         return 2
     except (EngineError, ValueError) as exc:
         print(f"normortho: {exc}", file=sys.stderr)
         return 1
-    if args.out is not None:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            print(f"normortho: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
-            return 2
-        if summary is not None:
-            sys.stdout.write(summary)
-    else:
-        sys.stdout.write(text)
+    # locus returns its LocusPoint records; every other command one payload
+    write = _write_rows if isinstance(result, list) else _write_payload
+    if args.out is None:
+        write(result, args.format, sys.stdout)
+        return 0
+    try:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            write(result, args.format, fh)
+    except OSError as exc:
+        print(f"normortho: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
+        return 2
+    if write is _write_rows:
+        # Large row streams go to the file; stdout keeps a summary.
+        _write_payload(
+            {"norm": args.norm, "relation": args.relation,
+             "resolution": args.resolution, "points": len(result),
+             "zero_crossings": sum(p.is_zero_crossing for p in result),
+             "out": args.out},
+            args.format, sys.stdout)
     return 0
 
 

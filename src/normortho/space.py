@@ -42,11 +42,12 @@ class SampleConfig:
     scale: float = 1.0
 
     def __post_init__(self):
-        if not (isinstance(self.seed, int) and 0 <= self.seed < 2**64):
+        # a bool is an int to isinstance, but it is no seed, count or scale
+        if isinstance(self.seed, bool) or not (isinstance(self.seed, int)
+                                               and 0 <= self.seed < 2**64):
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
-        if not (isinstance(self.count, int) and self.count >= 1):
-            raise ValueError(f"count must be a positive integer, got {self.count!r}")
-        if not (math.isfinite(self.scale) and self.scale > 0):
+        _check_count(self.count, "count")
+        if isinstance(self.scale, bool) or not (math.isfinite(self.scale) and self.scale > 0):
             raise ValueError(f"scale must be positive and finite, got {self.scale!r}")
 
 

@@ -641,6 +641,18 @@ def test_crossing_ends_on_adjacent_doubles(backend):
     assert abs(theta - math.pi / 2) <= 1e-15
 
 
+@pytest.mark.parametrize("backend", ["_kernels_py", "_kernels"], indirect=True)
+def test_crossing_ends_on_an_exact_zero_midpoint(backend):
+    # on l1, rho at u = (0, 1) towards circle(theta) is sin(theta) / r, so
+    # the first midpoint of [-1, 1] is an exact zero and the search ends
+    # there; bisecting on would return a theta just above 0
+    prog = backend.Program(*compile_ast(parse_norm("l1", 2)))
+    u = (0.0, 1.0)
+    f_lo = prog.residual(program.R_RHO, 0.0, 0.0, u, prog.circle(-1.0))
+    assert f_lo < 0.0
+    assert prog.crossing(program.R_RHO, 0.0, 0.0, u, -1.0, f_lo, 1.0, 1e-12) == 0.0
+
+
 class _Row(tuple):
     pass
 

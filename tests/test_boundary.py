@@ -325,6 +325,24 @@ def test_numeric_parameters_are_checked(package_backend, case):
     assert _error(call) == ("ValueError", message)
 
 
+# (SampleConfig keywords, expected error): a bool is an int to isinstance,
+# and SampleConfig(seed=True, count=True) made audit_norm report True samples
+SAMPLE_CONFIG_CASES = {
+    "seed-true": ({"seed": True}, "seed must be an unsigned 64-bit integer, got True"),
+    "seed-negative": ({"seed": -1}, "seed must be an unsigned 64-bit integer, got -1"),
+    "seed-2**64": ({"seed": 2 ** 64},
+                   "seed must be an unsigned 64-bit integer, got 18446744073709551616"),
+    "count-true": ({"count": True}, POSITIVE.format("count", "True")),
+    "scale-true": ({"scale": True}, "scale must be positive and finite, got True"),
+}
+
+
+@pytest.mark.parametrize("case", SAMPLE_CONFIG_CASES)
+def test_sample_config_is_checked(case):
+    kwargs, message = SAMPLE_CONFIG_CASES[case]
+    assert _error(lambda: SampleConfig(**kwargs)) == ("ValueError", message)
+
+
 @BACKENDS
 def test_checked_parameters_keep_their_edges(package_backend):
     assert audit_norm(L1, CFG, tol=0.0).samples == 200

@@ -10,10 +10,15 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
+from normortho import Relation, ortho_locus, parse_norm
 from normortho.cli import run
+from normortho.kernels import get_program
+
+BACKENDS = pytest.mark.parametrize("backend", ["_kernels_py", "_kernels"], indirect=True)
 
 
 def _run(capsys, *argv):
@@ -370,6 +375,13 @@ class TestPreserverCommand:
     def test_bad_matrix_literal(self, capsys):
         assert _run(capsys, "preserver", "--matrix", "1,1;0", "--norm", "l2")[0] == 2
 
+    def test_non_numeric_matrix_entry_is_usage_error(self, capsys):
+        code, out, err = _run(capsys, "preserver", "--matrix", "1,a;0,1", "--norm", "l2",
+                              "--alpha", "0.3", "--beta", "0.3", "--samples", "5")
+        assert (code, out) == (2, "")
+        assert err.endswith("normortho: error: argument --matrix: expected rows 'a,b;c,d' "
+                            "of numbers, got '1,a;0,1'\n")
+
     @pytest.mark.parametrize("matrix, value", [
         ("nan,0;0,1", "nan"), ("1,0;0,inf", "inf"), ("1,-inf;0,1", "-inf"),
     ], ids=["nan", "inf", "minus-inf"])
@@ -434,6 +446,57 @@ class TestLocusCommand:
         assert summary["points"] == len(lines)
         assert summary["zero_crossings"] >= 2
         assert summary["out"] == str(target)
+
+    @BACKENDS
+    @pytest.mark.parametrize("fmt", ["json", "table", "csv"])
+    def test_out_file_holds_the_stdout_bytes(self, package_backend, capsys, tmp_path, fmt):
+        argv = ("locus", "--norm", "max(l2, scale(0.9, l1))", "--u", "1,0",
+                "--relation", "rho_ab", "--alpha", "0.3", "--beta", "0.4",
+                "--resolution", "64", "--format", fmt)
+        code, shown, _ = _run(capsys, *argv)
+        assert code == 0
+        target = tmp_path / "locus.out"
+        code, summary, err = _run(capsys, *argv, "--out", str(target))
+        assert (code, err) == (0, "")
+        assert target.read_bytes() == shown.encode()
+        rows = [json.loads(line) for line in _run(capsys, *argv[:-1], "json")[1].splitlines()]
+        fields = {"norm": "max(l2, scale(0.9, l1))", "relation": "rho_ab", "resolution": 64,
+                  "points": len(rows),
+                  "zero_crossings": sum(r["is_zero_crossing"] for r in rows),
+                  "out": str(target)}
+        if fmt == "json":
+            want = json.dumps(fields) + "\n"
+        elif fmt == "csv":
+            want = ("norm,relation,resolution,points,zero_crossings,out\n"
+                    f'"max(l2, scale(0.9, l1))",rho_ab,64,{len(rows)},'
+                    f"{fields['zero_crossings']},{target}\n")
+        else:
+            want = "".join(f"{k:<14}  {v}\n" for k, v in fields.items())
+        assert summary == want
+
+    @BACKENDS
+    def test_memory_is_bounded_by_the_library_call(self, package_backend, tmp_path):
+        # rows are written as they render, so the command holds no more
+        # than the LocusPoint list that ortho_locus returns
+        text, resolution = "l2", 16384
+        ast = parse_norm(text, 2)
+        get_program(ast)
+
+        def peak(call):
+            tracemalloc.start()
+            try:
+                call()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        library = peak(lambda: ortho_locus(ast, (1.0, 0.0), Relation("rho"), resolution))
+        ratios = {fmt: peak(lambda: run(["locus", "--norm", text, "--u", "1,0",
+                                         "--relation", "rho", "--resolution", str(resolution),
+                                         "--format", fmt, "--out", str(tmp_path / fmt)]))
+                  / library
+                  for fmt in ("json", "table", "csv")}
+        assert max(ratios.values()) <= 1.2, ratios
 
 
 class TestOutputFormats:

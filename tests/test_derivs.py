@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import normortho.derivs
 from normortho import (
     AlphaBeta,
     Lambda,
@@ -26,7 +27,7 @@ from normortho import (
     sip,
 )
 
-from conftest import FAMILIES, SMOOTH_FAMILIES
+from conftest import FAMILIES, SMOOTH_FAMILIES, ProgramProxy
 
 L1 = parse_norm("l1", 2)
 L2 = parse_norm("l2", 2)
@@ -118,7 +119,8 @@ class TestFixedValues:
 class TestParameterValidation:
     @pytest.mark.parametrize(
         "alpha,beta",
-        [(0.0, 0.0), (0.5, 0.5), (-0.1, 0.3), (0.3, -0.1), (1.0, 0.0), (0.6, 0.5)],
+        [(0.0, 0.0), (0.5, 0.5), (-0.1, 0.3), (0.3, -0.1), (1.0, 0.0), (0.6, 0.5),
+         ("0.3", 0.4)],
     )
     def test_alpha_beta_rejects(self, alpha, beta):
         with pytest.raises(ValueError):
@@ -310,6 +312,28 @@ class TestNumericEnclosure:
         got = rho_pm_numeric(L2, (0.0, 0.0), (1.0, 0.0), "plus", tol=1e-8)
         assert got.value == 0.0
         assert got.enclosure_width == 0.0
+
+    @pytest.mark.parametrize("backend", ["_kernels_py", "_kernels"], indirect=True)
+    def test_ladder_stops_at_its_floor(self, package_backend, monkeypatch):
+        # no quotient change gets below this tolerance, so t halves down to
+        # the 1e-14 floor; at a tiny u the quotients still move there
+        steps = []
+
+        class Recording(ProgramProxy):
+            def line_evaluator(self, u, v):
+                phi = self._prog.line_evaluator(u, v)
+
+                def recorded(t):
+                    steps.append(abs(t))
+                    return phi(t)
+                return recorded
+
+        real = normortho.derivs.get_program
+        monkeypatch.setattr(normortho.derivs, "get_program", lambda ast: Recording(real(ast)))
+        got = rho_pm_numeric(parse_norm("lp(1.5)", 2), (1e-6, 0.0), (0.0, 1.0), "plus", 1e-300)
+        assert 1e-14 <= min(steps) < 2e-14
+        # rho_+ is exactly 0 here, and the enclosure holds it
+        assert got.value - got.enclosure_width <= 0.0 <= got.value + got.enclosure_width
 
     def test_tol_validated(self):
         with pytest.raises(ValueError):

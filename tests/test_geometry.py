@@ -187,6 +187,12 @@ class TestAngularConstant:
         assert large.value >= small.value
 
 
+@pytest.mark.parametrize("estimate", [angular_constant, norm_equiv_constant])
+def test_constants_need_one_dimension(estimate):
+    with pytest.raises(ValueError, match="^both norms must share the ambient dimension$"):
+        estimate(L2, parse_norm("l2", 3), AB, SampleConfig(seed=1, count=5))
+
+
 class TestSmoothnessProbe:
     @pytest.mark.parametrize("family", ["l2", "lp(3)", "lp(1.5)", "wlp(2; 1, 4)"])
     def test_smooth_families_pass(self, family):

@@ -24,6 +24,7 @@ from normortho import (
 )
 
 from normortho.kernels import get_program
+from normortho.program import compile_ast
 
 from conftest import FAMILIES, gen_ast, mutate
 
@@ -203,6 +204,15 @@ class TestNodeValidation:
             WLp(2.0, (1.0, 0.0))
         with pytest.raises(ValueError):
             WLp(2.0, ())
+
+    def test_wlp_exponent_domain(self):
+        with pytest.raises(ValueError, match=r"^wlp exponent must be >= 1 or inf, got 0\.5$"):
+            WLp(0.5, (1.0, 2.0))
+
+    @pytest.mark.parametrize("walk", [print_norm, compile_ast])
+    def test_non_node_is_a_type_error(self, walk):
+        with pytest.raises(TypeError, match="^not a norm node: <object object at "):
+            walk(object())
 
     def test_scale_factor_positive(self):
         with pytest.raises(ValueError):

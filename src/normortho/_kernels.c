@@ -1,6 +1,6 @@
 /* Compiled tape interpreter and SplitMix64 stream: the CPython extension
    normortho._kernels, twin of `_kernels_py`.  The module docstring of
-   `_kernels_py` describes Program, its eleven methods and SplitMix64 for
+   `_kernels_py` describes Program, its twelve methods and SplitMix64 for
    both twins; when touching a formula here, change the twin identically.
 
    What only this twin has: no a * b + c may become a fused multiply-add
@@ -144,23 +144,45 @@ static double value_of(const Program *p, const double *u, double *vals)
 
 /* -- one-sided derivatives ------------------------------------------------ */
 
-/* D+ and D- of t -> N(u + t v) at t = 0 of every node, given value_of's
-   vals at u in the bottom n of the 2n slots of vals.  A leaf that is 0 at
-   u has N(u + t v) = |t| N(v), so D+- = +-N(v); vvals, the top n slots,
-   holds N at v of every node, filled at the first such leaf. */
-static void derivs_of(const Program *p, const double *u, const double *v,
-                      double *vals, double *dps, double *dms)
+/* The base pass at u: value_of's node values into vals[0..n), then, for
+   each wlp(p) leaf i that is nonzero at u and each u_j != 0, the
+   coefficient w_j pow(|u_j| / N_i(u), p - 1) into vals[n + i dim + j]
+   (vals holds (1 + dim) n doubles).  These are the derivative's only pow
+   calls, so a sweep that runs this once pays for them once, whatever its
+   number of directions. */
+static void base_of(const Program *p, const double *u, double *vals)
 {
     int dim = p->dim;
-    double *vvals = NULL;
+    double *coef = vals + p->n;
+    value_of(p, u, vals);
     for (int i = 0; i < p->n; i++) {
+        if (p->kinds[i] != K_WLPP || vals[i] == 0.0)
+            continue;
         const double *w = p->weights + p->woff[i];
+        double *c = coef + (Py_ssize_t)i * dim, val = vals[i], pm1 = p->params[i] - 1.0;
+        for (int j = 0; j < dim; j++)
+            if (u[j] != 0.0)
+                c[j] = w[j] * pow(fabs(u[j]) / val, pm1);
+    }
+}
+
+/* The direction pass along v: D+ and D- of t -> N(u + t v) at t = 0 of
+   every node into dps and dms, from base_of's vals at u.  A leaf that is 0
+   at u has N(u + t v) = |t| N(v), so D+- = +-N(v); vvals (n doubles)
+   holds N at v of every node, filled at the first such leaf. */
+static void derivs_of(const Program *p, const double *u, const double *vals,
+                      const double *v, double *vvals, double *dps, double *dms)
+{
+    int dim = p->dim, filled = 0;
+    const double *coef = vals + p->n;
+    for (int i = 0; i < p->n; i++) {
+        const double *w = p->weights + p->woff[i], *c;
         int k = p->kinds[i], lc = p->left[i], rc = p->right[i];
-        double val = vals[i], s, sp, sa, d, a, b, m, g, uj, thr, pm1, dp, dm;
+        double val = vals[i], s, sp, sa, d, a, b, m, g, uj, thr, dp, dm;
         if ((k == K_L2 || k == K_WLPINF || k == K_WLPP) && val == 0.0) {
-            if (vvals == NULL) {
-                vvals = vals + p->n;
+            if (!filled) {
                 value_of(p, v, vvals);
+                filled = 1;
             }
             dps[i] = vvals[i];
             dms[i] = -vvals[i];
@@ -208,14 +230,14 @@ static void derivs_of(const Program *p, const double *u, const double *v,
             dms[i] = dm;
             break;
         case K_WLPP:
-            pm1 = p->params[i] - 1.0;
+            c = coef + (Py_ssize_t)i * dim;
             d = 0.0;
             for (int j = 0; j < dim; j++) {
                 uj = u[j];
                 if (uj > 0.0)
-                    d += w[j] * pow(uj / val, pm1) * v[j];
+                    d += c[j] * v[j];
                 else if (uj < 0.0)
-                    d -= w[j] * pow(-uj / val, pm1) * v[j];
+                    d -= c[j] * v[j];
             }
             dps[i] = d;
             dms[i] = d;
@@ -313,7 +335,8 @@ static double *scratch(double *stack, Py_ssize_t need)
 {
     if (need <= STACK_CAP)
         return stack;
-    double *buf = PyMem_Malloc(need * sizeof(double));
+    double *buf = need <= PY_SSIZE_T_MAX / (Py_ssize_t)sizeof(double)
+        ? PyMem_Malloc(need * sizeof(double)) : NULL;
     if (buf == NULL)
         PyErr_NoMemory();
     return buf;
@@ -533,14 +556,15 @@ static PyObject *Program_derivs(Program *self, PyObject *const *args, Py_ssize_t
         return NULL;
     Py_ssize_t dim = self->dim, n = self->n;
     double stack[STACK_CAP];
-    double *cu = scratch(stack, 2 * dim + 4 * n);
+    double *cu = scratch(stack, 2 * dim + (4 + dim) * n);
     if (cu == NULL)
         return NULL;
-    double *cv = cu + dim, *vals = cv + dim, *dps = vals + 2 * n, *dms = dps + n;
+    double *cv = cu + dim, *vals = cv + dim, *vvals = vals + (1 + dim) * n;
+    double *dps = vvals + n, *dms = dps + n;
     PyObject *out = NULL;
     if (load_doubles(args[0], dim, cu) == 0 && load_doubles(args[1], dim, cv) == 0) {
-        value_of(self, cu, vals);
-        derivs_of(self, cu, cv, vals, dps, dms);
+        base_of(self, cu, vals);
+        derivs_of(self, cu, vals, cv, vvals, dps, dms);
         double res[3] = {vals[n - 1], dps[n - 1], dms[n - 1]};
         out = tuple_of(res, 3);
     }
@@ -837,36 +861,77 @@ static PyObject *Program_image_value(Program *self, PyObject *const *args,
 
 /* -- orthogonality relations ---------------------------------------------- */
 
-/* The residual of relation code at (u, v) into *out; x holds dim doubles
-   and vals 4n.  max(rm, -rp) is spelled as Python's max evaluates it, so
-   a NaN orders the same.  -1 with an exception set (semi only). */
-static int residual_of(const Program *p, long code, double a, double b, const double *u,
-                       const double *v, double *x, double *vals, double *out)
+/* A relation and its base pass at a base vector u, which every residual
+   along a direction v reads: residual's one v, the points of residuals
+   and the circle points of the planar sweeps.  The scratch, base_size
+   doubles, holds u, v and a point x (dim each), then vals ((1 + dim) n,
+   as base_of fills it) and work (3n): node values at a point (a circle
+   point's, N at v for a leaf that is 0 at u, or at u +- v), then D+ and
+   D-.  The base pass fills vals and nothing overwrites it. */
+typedef struct {
+    const Program *prog;
+    long code;
+    double a, b;
+    double *u, *v, *x, *vals, *work;
+} Base;
+
+static Py_ssize_t base_size(const Program *p)
 {
+    return 3 * (Py_ssize_t)p->dim + (4 + (Py_ssize_t)p->dim) * p->n;
+}
+
+/* Points s at p and its scratch at buf. */
+static void base_layout(Base *s, const Program *p, double *buf)
+{
+    s->prog = p;
+    s->u = buf;
+    s->v = s->u + p->dim;
+    s->x = s->v + p->dim;
+    s->vals = s->x + p->dim;
+    s->work = s->vals + (1 + (Py_ssize_t)p->dim) * p->n;
+}
+
+/* The base pass of s's relation at s->u: base_of for the relations made
+   of derivatives, N(u) alone for pythagorean, nothing for isosceles. */
+static void relation_base(Base *s)
+{
+    if (s->code == R_PYTHAGOREAN)
+        value_of(s->prog, s->u, s->vals);
+    else if (s->code != R_ISOSCELES)
+        base_of(s->prog, s->u, s->vals);
+}
+
+/* The direction pass: the residual of s's relation at (u, v) into *out,
+   from relation_base's pass at u.  max(rm, -rp) is spelled as Python's
+   max evaluates it, so a NaN orders the same.  -1 with an exception set
+   (semi only). */
+static int residual_at(const Base *s, const double *v, double *out)
+{
+    const Program *p = s->prog;
     int dim = p->dim, n = p->n;
-    double *dps = vals + 2 * n, *dms = dps + n;
-    if (code == R_ISOSCELES) {
+    const double *u = s->u;
+    double *x = s->x, *work = s->work, *dps = work + n, *dms = dps + n;
+    if (s->code == R_ISOSCELES) {
         for (int j = 0; j < dim; j++)
             x[j] = u[j] + v[j];
-        double plus = value_of(p, x, vals);
+        double plus = value_of(p, x, work);
         for (int j = 0; j < dim; j++)
             x[j] = u[j] - v[j];
-        *out = plus - value_of(p, x, vals);
+        *out = plus - value_of(p, x, work);
         return 0;
     }
-    if (code == R_PYTHAGOREAN) {
+    double val = s->vals[n - 1];
+    if (s->code == R_PYTHAGOREAN) {
         for (int j = 0; j < dim; j++)
             x[j] = u[j] - v[j];
-        double diff = value_of(p, x, vals);
-        double nu = value_of(p, u, vals);
-        double nv = value_of(p, v, vals);
-        *out = diff * diff - (nu * nu + nv * nv);
+        double diff = value_of(p, x, work);
+        double nv = value_of(p, v, work);
+        *out = diff * diff - (val * val + nv * nv);
         return 0;
     }
-    value_of(p, u, vals);
-    derivs_of(p, u, v, vals, dps, dms);
-    double val = vals[n - 1], rm = val * dms[n - 1], rp = val * dps[n - 1];
-    switch (code) {
+    derivs_of(p, u, s->vals, v, work, dps, dms);
+    double rm = val * dms[n - 1], rp = val * dps[n - 1];
+    switch (s->code) {
     case R_BIRKHOFF:
         *out = -rp > rm ? -rp : rm;
         return 0;
@@ -880,10 +945,10 @@ static int residual_of(const Program *p, long code, double a, double b, const do
         *out = (rm + rp) / 2.0;
         return 0;
     case R_RHO_LAMBDA:
-        *out = a * rm + (1.0 - a) * rp;
+        *out = s->a * rm + (1.0 - s->a) * rp;
         return 0;
     case R_RHO_AB:
-        *out = a * rm + b * rp;
+        *out = s->a * rm + s->b * rp;
         return 0;
     }
     /* R_SEMI: the semi-inner product [v, u] = rho_+(u, v), where smooth */
@@ -906,6 +971,17 @@ static int residual_of(const Program *p, long code, double a, double b, const do
     return 0;
 }
 
+/* The residual at each of the m points pts (dim doubles each) into rs, in
+   order: the one loop of residuals and of the locus grid.  -1 with an
+   exception set at the first point that raises. */
+static int residuals_of(const Base *s, const double *pts, Py_ssize_t m, double *rs)
+{
+    for (Py_ssize_t k = 0; k < m; k++)
+        if (residual_at(s, pts + k * s->prog->dim, rs + k) < 0)
+            return -1;
+    return 0;
+}
+
 /* args[0..3) as a relation code, a and b, read as Program.residual reads
    them; -1 with an exception set. */
 static int load_relation(PyObject *const *args, long *code, double *a, double *b)
@@ -922,6 +998,27 @@ static int load_relation(PyObject *const *args, long *code, double *a, double *b
     }
     Py_DECREF(index);
     return load_two(args + 1, a, b);
+}
+
+/* Reads args[0..4) into s, laid out in buf (base_size doubles): the
+   relation, then u, whose length must be dim; then runs the base pass.
+   -1 with an exception set. */
+static int load_base(Program *self, PyObject *const *args, double *buf, Base *s)
+{
+    if (load_relation(args, &s->code, &s->a, &s->b) < 0)
+        return -1;
+    Py_ssize_t lu = PyObject_Length(args[3]);
+    if (lu < 0)
+        return -1;
+    if (lu != self->dim) {
+        PyErr_Format(PyExc_ValueError, "expected %d coordinates, got %zd", self->dim, lu);
+        return -1;
+    }
+    base_layout(s, self, buf);
+    if (load_doubles(args[3], self->dim, s->u) < 0)
+        return -1;
+    relation_base(s);
+    return 0;
 }
 
 /* arg as an index of at least low into *out, clamped to the Py_ssize_t
@@ -944,45 +1041,90 @@ static PyObject *Program_residual(Program *self, PyObject *const *args, Py_ssize
     if (nargs != 5)
         return PyErr_Format(PyExc_TypeError,
                             "residual() takes exactly 5 arguments (%zd given)", nargs);
-    long code;
-    double a, b;
-    if (load_relation(args, &code, &a, &b) < 0 || check_pair(self, "residual", args + 3, 2) < 0)
+    Base s;
+    if (load_relation(args, &s.code, &s.a, &s.b) < 0
+        || check_pair(self, "residual", args + 3, 2) < 0)
         return NULL;
-    Py_ssize_t dim = self->dim;
-    double stack[STACK_CAP];
-    double *cu = scratch(stack, 3 * dim + 4 * (Py_ssize_t)self->n);
-    if (cu == NULL)
+    double stack[STACK_CAP], res;
+    double *buf = scratch(stack, base_size(self));
+    if (buf == NULL)
         return NULL;
-    double *cv = cu + dim, *x = cv + dim, res;
+    base_layout(&s, self, buf);
     PyObject *out = NULL;
-    if (load_doubles(args[3], dim, cu) == 0 && load_doubles(args[4], dim, cv) == 0
-        && residual_of(self, code, a, b, cu, cv, x, x + dim, &res) == 0)
-        out = PyFloat_FromDouble(res);
-    if (cu != stack)
-        PyMem_Free(cu);
+    if (load_doubles(args[3], self->dim, s.u) == 0
+        && load_doubles(args[4], self->dim, s.v) == 0) {
+        relation_base(&s);
+        if (residual_at(&s, s.v, &res) == 0)
+            out = PyFloat_FromDouble(res);
+    }
+    if (buf != stack)
+        PyMem_Free(buf);
+    return out;
+}
+
+/* Every point of xs is read, its length checked as residual checks v's,
+   before the first residual is taken. */
+static PyObject *Program_residuals(Program *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs != 5)
+        return PyErr_Format(PyExc_TypeError,
+                            "residuals() takes exactly 5 arguments (%zd given)", nargs);
+    Py_ssize_t dim = self->dim, m;
+    double stack[STACK_CAP];
+    double *buf = scratch(stack, base_size(self)), *pts = NULL;
+    if (buf == NULL)
+        return NULL;
+    Base s;
+    PyObject *xs = NULL, *out = NULL;
+    if (load_base(self, args, buf, &s) < 0 || (xs = PySequence_Tuple(args[4])) == NULL)
+        goto done;
+    /* the points (dim doubles each), then their residuals */
+    m = PyTuple_GET_SIZE(xs);
+    if (m > PY_SSIZE_T_MAX / (Py_ssize_t)sizeof(double) / (dim + 1)
+        || (pts = PyMem_Malloc(m * (dim + 1) * sizeof(double))) == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    for (Py_ssize_t k = 0; k < m; k++) {
+        PyObject *x = PyTuple_GET_ITEM(xs, k);
+        Py_ssize_t len = PyObject_Length(x);
+        if (len < 0)
+            goto done;
+        if (len != dim) {
+            PyErr_Format(PyExc_ValueError, "expected %d coordinates, got %d and %zd",
+                         self->dim, self->dim, len);
+            goto done;
+        }
+        if (load_doubles(x, dim, pts + k * dim) < 0)
+            goto done;
+    }
+    if (residuals_of(&s, pts, m, pts + m * dim) < 0 || (out = PyList_New(m)) == NULL)
+        goto done;
+    for (Py_ssize_t k = 0; k < m; k++) {
+        PyObject *f = PyFloat_FromDouble(pts[m * dim + k]);
+        if (f == NULL) {
+            Py_CLEAR(out);
+            break;
+        }
+        PyList_SET_ITEM(out, k, f);
+    }
+done:
+    Py_XDECREF(xs);
+    PyMem_Free(pts);
+    if (buf != stack)
+        PyMem_Free(buf);
     return out;
 }
 
 /* -- planar loci ---------------------------------------------------------- */
 
-/* The relation and base vector of a planar sweep: code, a and b as
-   residual reads them, then u, which must hold dim coordinates.  The
-   caller's scratch holds u (dim doubles), then the work of residual_of:
-   a point x (dim) and vals (4n). */
-typedef struct {
-    const Program *prog;
-    long code;
-    double a, b;
-    double *u, *x, *vals;
-} Sweep;
-
-/* residual(code, a, b, u, circle(theta)) into *out; -1 with an exception
-   set.  The point goes to xy (2 doubles). */
-static int sweep_residual(const Sweep *s, double theta, double *xy, double *out)
+/* residual at circle(theta) into *out, the point into xy (2 doubles); the
+   circle's node values go to the work slots.  -1 with an exception set. */
+static int sweep_residual(const Base *s, double theta, double *xy, double *out)
 {
-    if (circle_of(s->prog, theta, s->vals, xy) < 0)
+    if (circle_of(s->prog, theta, s->work, xy) < 0)
         return -1;
-    return residual_of(s->prog, s->code, s->a, s->b, s->u, xy, s->x, s->vals, out);
+    return residual_at(s, xy, out);
 }
 
 /* A theta within width of a sign change of sweep_residual inside [lo, hi],
@@ -990,7 +1132,7 @@ static int sweep_residual(const Sweep *s, double theta, double *xy, double *out)
    an exact zero at a midpoint ends the search there, and so does a
    midpoint that is not strictly inside (lo and hi adjacent doubles),
    where the bisection could go on forever.  -1 with an exception set. */
-static int bisect(const Sweep *s, double lo, double f_lo, double hi, double width,
+static int bisect(const Base *s, double lo, double f_lo, double hi, double width,
                   double *out)
 {
     double xy[2], f_mid;
@@ -1015,39 +1157,19 @@ static int bisect(const Sweep *s, double lo, double f_lo, double hi, double widt
     return 0;
 }
 
-/* Reads args[0..4) into s: the relation, then u into buf, whose length
-   must be dim.  buf holds 2 dim + 4n doubles.  -1 with an exception set. */
-static int load_sweep(Program *self, PyObject *const *args, double *buf, Sweep *s)
-{
-    s->prog = self;
-    if (load_relation(args, &s->code, &s->a, &s->b) < 0)
-        return -1;
-    Py_ssize_t lu = PyObject_Length(args[3]);
-    if (lu < 0)
-        return -1;
-    if (lu != self->dim) {
-        PyErr_Format(PyExc_ValueError, "expected %d coordinates, got %zd", self->dim, lu);
-        return -1;
-    }
-    s->u = buf;
-    s->x = buf + self->dim;
-    s->vals = s->x + self->dim;
-    return load_doubles(args[3], self->dim, s->u);
-}
-
 static PyObject *Program_crossing(Program *self, PyObject *const *args, Py_ssize_t nargs)
 {
     if (nargs != 8)
         return PyErr_Format(PyExc_TypeError,
                             "crossing() takes exactly 8 arguments (%zd given)", nargs);
     double stack[STACK_CAP];
-    double *buf = scratch(stack, 2 * (Py_ssize_t)self->dim + 4 * (Py_ssize_t)self->n);
+    double *buf = scratch(stack, base_size(self));
     if (buf == NULL)
         return NULL;
-    Sweep s;
+    Base s;
     double lo, f_lo, hi, width, theta;
     PyObject *out = NULL;
-    if (load_sweep(self, args, buf, &s) == 0 && load_two(args + 4, &lo, &f_lo) == 0
+    if (load_base(self, args, buf, &s) == 0 && load_two(args + 4, &lo, &f_lo) == 0
         && load_two(args + 6, &hi, &width) == 0
         && bisect(&s, lo, f_lo, hi, width, &theta) == 0)
         out = PyFloat_FromDouble(theta);
@@ -1084,26 +1206,25 @@ static int sign_change(double r0, double r1)
 }
 
 /* The sweep of ortho_locus: every circle point at theta_j = j * step,
-   step = 2 pi / resolution, then every residual there (so an error is
-   raised at the same point as the twin's), then one row per point, each
-   strict sign change to the next point (cyclically) bisected and its row
-   spliced in after the point's. */
+   step = 2 pi / resolution, then every residual there through
+   residuals_of (so an error is raised at the same point as the twin's),
+   then one row per point, each strict sign change to the next point
+   (cyclically) bisected and its row spliced in after the point's. */
 static PyObject *Program_locus(Program *self, PyObject *const *args, Py_ssize_t nargs)
 {
     if (nargs != 7)
         return PyErr_Format(PyExc_TypeError,
                             "locus() takes exactly 7 arguments (%zd given)", nargs);
-    Py_ssize_t dim = self->dim, n = self->n;
     double stack[STACK_CAP];
-    double *buf = scratch(stack, 2 * dim + 4 * n);
+    double *buf = scratch(stack, base_size(self));
     if (buf == NULL)
         return NULL;
-    Sweep s;
+    Base s;
     Py_ssize_t res;
     double width, *xs = NULL, *rs, step;
     PyObject *point = args[6], *out = NULL;
     /* too many points is a MemoryError below */
-    if (load_sweep(self, args, buf, &s) < 0 || load_count(args[4], "resolution", 1, &res) < 0)
+    if (load_base(self, args, buf, &s) < 0 || load_count(args[4], "resolution", 1, &res) < 0)
         goto done;
     width = PyFloat_AsDouble(args[5]);
     if (width == -1.0 && PyErr_Occurred())
@@ -1121,11 +1242,10 @@ static PyObject *Program_locus(Program *self, PyObject *const *args, Py_ssize_t 
     rs = xs + 2 * res;
     step = 2.0 * PI / (double)res;
     for (Py_ssize_t j = 0; j < res; j++)
-        if (circle_of(self, (double)j * step, s.vals, xs + 2 * j) < 0)
+        if (circle_of(self, (double)j * step, s.work, xs + 2 * j) < 0)
             goto done;
-    for (Py_ssize_t j = 0; j < res; j++)
-        if (residual_of(self, s.code, s.a, s.b, s.u, xs + 2 * j, s.x, s.vals, rs + j) < 0)
-            goto done;
+    if (residuals_of(&s, xs, res, rs) < 0)
+        goto done;
     Py_ssize_t rows = res;
     for (Py_ssize_t j = 0; j < res; j++)
         rows += sign_change(rs[j], rs[(j + 1) % res]);
@@ -1520,6 +1640,8 @@ static PyMethodDef Program_methods[] = {
      "N(M x); each row of M x is summed exactly, as math.fsum sums it."},
     {"residual", (PyCFunction)(void (*)(void))Program_residual, METH_FASTCALL,
      "Residual of relation code at (u, v); zero (<= 0 for birkhoff) where it holds."},
+    {"residuals", (PyCFunction)(void (*)(void))Program_residuals, METH_FASTCALL,
+     "[residual(code, a, b, u, x) for x in xs], with the base pass at u run once."},
     {"crossing", (PyCFunction)(void (*)(void))Program_crossing, METH_FASTCALL,
      "A theta within width of a sign change of the residual on the circle."},
     {"locus", (PyCFunction)(void (*)(void))Program_locus, METH_FASTCALL,

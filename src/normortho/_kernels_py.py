@@ -5,7 +5,7 @@ the same operations in the same order; when touching a formula here,
 change `_kernels.c` identically.  math.pow and math.sqrt are used so both
 backends route through the same libm entry points.
 
-A Program evaluates one fixed norm expression N through eleven methods:
+A Program evaluates one fixed norm expression N through twelve methods:
 
 - `vectors(*coords)`: the public entries' boundary check, each argument
   as a tuple of finite floats of the norm's dimension.
@@ -24,6 +24,8 @@ A Program evaluates one fixed norm expression N through eleven methods:
   3 rho, 4 rho_lambda, 5 rho_ab, 6 isosceles, 7 pythagorean, 8 semi.  a
   is lambda (rho_lambda) or alpha (rho_ab), b is beta (rho_ab); the other
   codes ignore both.
+- `residuals(code, a, b, u, xs)`: `[residual(code, a, b, u, x) for x in
+  xs]`, as the mining scan takes it around one base vector.
 - `crossing(code, a, b, u, lo, f_lo, hi, width)`: the only copy of the
   crossing bisection, theta -> residual(code, a, b, u, circle(theta))
   bisected to a sign change.
@@ -35,12 +37,22 @@ A Program evaluates one fixed norm expression N through eleven methods:
   of explorer.operator_norm, its 1024-point grid and its golden-section
   refinement, for the domain's circle and an n x 2 matrix.
 
+A derivative runs in two passes.  The base pass at u (`_base` here,
+`base_of` in the C twin) fills every node's value N_i(u) and, for each
+wlp(p) leaf, the coefficients w_j pow(|u_j| / N_i(u), p - 1): the
+derivative's only pow calls.  The direction pass along v (`_derivs`,
+`derivs_of`) adds c_j v_j where u_j > 0 and subtracts it where u_j < 0,
+the rounding of w_j pow(...) v_j.  derivs and residual run one of each;
+residuals, crossing and locus run the base pass once for their base
+vector u and a direction pass per point, so N(u), which pythagorean also
+reads, is evaluated once per call.  residuals and the locus grid share
+one loop (`residuals_of` in the C twin).
+
 line_min and operator_norm share the one copy of the golden-section
 search (`_golden` here, `golden` in the C twin).  The compiled twin runs a
 compiled line evaluator and a compiled Program's own circle inline; any
 other callable (a tracing proxy's, say) is called, with the same bits.
-The locus sweep calls circle and residual once per point; operator_norm
-calls circle and sums the image rows once per point.
+operator_norm calls circle and sums the image rows once per point.
 The tape has four leaf kinds: l2, and wlp with p = 1, inf or finite p
 (`compile_ast` gives l1, linf and lp unit weights).  `_value` here and
 `value_of` in the C twin hold the only copy of each leaf formula.
@@ -69,7 +81,7 @@ _SMOOTH_TOL = 1e-12
 
 
 class Program:
-    __slots__ = ("kinds", "params", "woff", "weights", "left", "right", "dim", "n")
+    __slots__ = ("kinds", "params", "woff", "weights", "left", "right", "dim", "n", "_wlpp")
 
     def __init__(self, kinds, params, woff, weights, left, right, dim):
         self.kinds = tuple(kinds)
@@ -100,6 +112,8 @@ class Program:
             if k in (K_WLP1, K_WLPINF, K_WLPP) and not 0 <= wo <= nw - self.dim:
                 raise ValueError(f"tape node {i}: weights {wo}..{wo + self.dim} "
                                  f"lie outside the pool of {nw}")
+        # the wlp(p) leaves, whose coefficients the base pass computes
+        self._wlpp = tuple([i for i, k in enumerate(self.kinds) if k == K_WLPP])
 
     # -- boundary ------------------------------------------------------------
 
@@ -207,17 +221,39 @@ class Program:
             raise ValueError(
                 f"expected {self.dim} coordinates, got {len(u)} and {len(v)}"
             )
-        vals = [0.0] * self.n
-        dps = [0.0] * self.n
-        dms = [0.0] * self.n
-        self._value(u, vals)
-        self._derivs(u, v, vals, dps, dms)
-        last = self.n - 1
+        n = self.n
+        vals = self._base(u)
+        dps = [0.0] * n
+        dms = [0.0] * n
+        self._derivs(u, vals, v, dps, dms)
+        last = n - 1
         return vals[last], dps[last], dms[last]
 
-    def _derivs(self, u, v, vals, dps, dms) -> None:
-        # A leaf that is 0 at u has N(u + t v) = |t| N(v), so D+- = +-N(v);
-        # vvals holds N at v of every node, filled at the first such leaf.
+    def _base(self, u):
+        """The base pass at u: vals holding N_i(u) of every node, then, at
+        n + i dim + j for each wlp(p) leaf i nonzero at u and each u_j !=
+        0, w_j pow(|u_j| / N_i(u), p - 1).  These are the derivative's only
+        pow calls."""
+        n = self.n
+        dim = self.dim
+        vals = [0.0] * (n + n * dim)
+        self._value(u, vals)
+        for i in self._wlpp:
+            val = vals[i]
+            if val != 0.0:
+                pm1 = self.params[i] - 1.0
+                wo = self.woff[i]
+                c = n + i * dim
+                for j in range(dim):
+                    uj = u[j]
+                    if uj != 0.0:
+                        vals[c + j] = self.weights[wo + j] * math.pow(abs(uj) / val, pm1)
+        return vals
+
+    def _derivs(self, u, vals, v, dps, dms) -> None:
+        # The direction pass along v, from _base's vals at u.  A leaf that
+        # is 0 at u has N(u + t v) = |t| N(v), so D+- = +-N(v); vvals holds
+        # N at v of every node, filled at the first such leaf.
         dim = self.dim
         vvals = None
         for i in range(self.n):
@@ -268,15 +304,14 @@ class Program:
                 dps[i] = dp
                 dms[i] = dm
             elif k == K_WLPP:
-                pm1 = self.params[i] - 1.0
-                wo = self.woff[i]
+                c = self.n + i * dim
                 d = 0.0
                 for j in range(dim):
                     uj = u[j]
                     if uj > 0.0:
-                        d += self.weights[wo + j] * math.pow(uj / val, pm1) * v[j]
+                        d += vals[c + j] * v[j]
                     elif uj < 0.0:
-                        d -= self.weights[wo + j] * math.pow(-uj / val, pm1) * v[j]
+                        d -= vals[c + j] * v[j]
                 dps[i] = d
                 dms[i] = d
             elif k == K_MAX:
@@ -336,22 +371,48 @@ class Program:
     def residual(self, code, a, b, u, v) -> float:
         """Residual of relation code at (u, v); zero (<= 0 for birkhoff) where it holds."""
         code, a, b = _relation(code, a, b)
+        # _check_pair inline: this is the hot path
+        if len(u) != self.dim or len(v) != self.dim:
+            raise ValueError(
+                f"expected {self.dim} coordinates, got {len(u)} and {len(v)}"
+            )
+        return self._residual_at(code, a, b, u, self._relation_base(code, u), v)
+
+    def _relation_base(self, code, u):
+        """The base pass of relation code at u: _base's vals for the
+        relations made of derivatives, N_i(u) alone for pythagorean, None
+        for isosceles."""
         if code == R_ISOSCELES:
-            self._check_pair(u, v)
-            vals = [0.0] * self.n
-            plus = self._value(tuple(map(operator.add, u, v)), vals)
-            return plus - self._value(tuple(map(operator.sub, u, v)), vals)
+            return None
         if code == R_PYTHAGOREAN:
-            self._check_pair(u, v)
             vals = [0.0] * self.n
-            diff = self._value(tuple(map(operator.sub, u, v)), vals)
-            nu = self._value(u, vals)
-            nv = self._value(v, vals)
+            self._value(u, vals)
+            return vals
+        return self._base(u)
+
+    def _sweep(self, code, a, b, u):
+        """v -> residual(code, a, b, u, v), with the base pass at u run once, now."""
+        return functools.partial(self._residual_at, code, a, b, u, self._relation_base(code, u))
+
+    def _residual_at(self, code, a, b, u, vals, v) -> float:
+        # the direction pass along v, from _relation_base's pass at u
+        n = self.n
+        if code == R_ISOSCELES:
+            work = [0.0] * n
+            plus = self._value(tuple(map(operator.add, u, v)), work)
+            return plus - self._value(tuple(map(operator.sub, u, v)), work)
+        val = vals[n - 1]
+        if code == R_PYTHAGOREAN:
+            work = [0.0] * n
+            diff = self._value(tuple(map(operator.sub, u, v)), work)
+            nv = self._value(v, work)
             # products, not ** 2: float ** raises OverflowError past ~1.3e154
-            return diff * diff - (nu * nu + nv * nv)
-        val, dp, dm = self.derivs(u, v)
-        rm = val * dm
-        rp = val * dp
+            return diff * diff - (val * val + nv * nv)
+        dps = [0.0] * n
+        dms = [0.0] * n
+        self._derivs(u, vals, v, dps, dms)
+        rm = val * dms[n - 1]
+        rp = val * dps[n - 1]
         if code == R_BIRKHOFF:
             return max(rm, -rp)
         if code == R_RHO_PLUS:
@@ -382,6 +443,22 @@ class Program:
             raise ValueError(f"expected {self.dim} coordinates, got {len(u)}")
         return code, a, b, tuple([_double(c) for c in u])
 
+    def residuals(self, code, a, b, u, xs):
+        """[residual(code, a, b, u, x) for x in xs], with the base pass at u run once.
+
+        code, a, b and u are read as locus reads them.  Every point of xs
+        is read as dim floats, its length checked as residual checks v's,
+        before the first residual is taken.
+        """
+        code, a, b, u = self._sweep_args(code, a, b, u)
+        dim = self.dim
+        pts = []
+        for x in xs:
+            if len(x) != dim:
+                raise ValueError(f"expected {dim} coordinates, got {dim} and {len(x)}")
+            pts.append(tuple([_double(c) for c in x]))
+        return list(map(self._sweep(code, a, b, u), pts))
+
     def crossing(self, code, a, b, u, lo, f_lo, hi, width) -> float:
         """A theta within width of a sign change of the residual on the circle.
 
@@ -394,11 +471,15 @@ class Program:
         """
         code, a, b, u = self._sweep_args(code, a, b, u)
         lo, f_lo, hi, width = _double(lo), _double(f_lo), _double(hi), _double(width)
+        return self._bisect(self._sweep(code, a, b, u), lo, f_lo, hi, width)
+
+    def _bisect(self, residual, lo, f_lo, hi, width) -> float:
+        # crossing's bisection; residual is _sweep's v -> residual(..., v)
         while hi - lo > width:
             mid = 0.5 * (lo + hi)
             if not lo < mid < hi:
                 break
-            f_mid = self.residual(code, a, b, u, self.circle(mid))
+            f_mid = residual(self.circle(mid))
             if f_mid == 0.0:
                 return mid
             if (f_mid > 0.0) == (f_lo > 0.0):
@@ -412,9 +493,10 @@ class Program:
 
         Each row is relation code's, built as tuple.__new__(point, ...).
         The circle points at theta_j = j * step, step = 2 pi / resolution,
-        come first, then every residual there; each strict sign change to
-        the next point (cyclically) is bisected by crossing to within
-        width and its row spliced in after the point's.
+        come first, then every residual there, one base pass and a
+        direction pass per point as residuals takes them; each strict sign
+        change to the next point (cyclically) is bisected by crossing's
+        search to within width and its row spliced in after the point's.
         """
         code, a, b, u = self._sweep_args(code, a, b, u)
         resolution = _count(resolution, "resolution", 1)
@@ -422,7 +504,7 @@ class Program:
         if not (isinstance(point, type) and issubclass(point, tuple)):
             raise TypeError(f"point must be a tuple subclass, got {point!r}")
         circle = self.circle
-        residual = functools.partial(self.residual, code, a, b, u)
+        residual = self._sweep(code, a, b, u)
         new = tuple.__new__
         step = 2.0 * math.pi / resolution
         thetas = [j * step for j in range(resolution)]
@@ -436,7 +518,7 @@ class Program:
             nxt = residuals[(j + 1) % resolution]
             if res == 0.0 or nxt == 0.0 or (res > 0.0) == (nxt > 0.0):
                 continue
-            cross = self.crossing(code, a, b, u, theta, res, theta + step, width)
+            cross = self._bisect(residual, theta, res, theta + step, width)
             x = circle(cross)
             points.append(new(point, (cross, x[0], x[1], residual(x), True)))
         return points

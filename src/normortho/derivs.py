@@ -154,11 +154,13 @@ def rho_pm_numeric(ast: NormAst, u, v, side: str, tol: float) -> DerivResult:
     the two-sided bracket norm(u)(g(t) - g(-t)) plus a rounding-noise
     allowance, so the enclosure always contains the exact value on
     either side, including fractional-power tails where the last
-    successive change alone would undershoot.
+    successive change alone would undershoot.  tol must be a positive,
+    finite number, not a bool.
     """
     sign = _side_sign(side)
-    if not (isinstance(tol, (int, float)) and tol > 0):
-        raise ValueError(f"tol must be positive, got {tol!r}")
+    # a bool is an int, and an infinite tol stops the ladder at its second rung
+    if isinstance(tol, bool) or not (isinstance(tol, (int, float)) and 0 < tol < math.inf):
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     prog = get_program(ast)
     uu, vv = prog.vectors(u, v)
     nu = prog.value(uu)

@@ -273,28 +273,29 @@ def preserver_check(lin: LinearMap, ab: AlphaBeta, cfg: SampleConfig) -> Preserv
     )
 
 
+# points of the mining scan around each base vector
+_SCAN = 64
+
+
 def _search_direction(prog, rel_hold: Relation, rel_test: Relation,
                       rng: SplitMix64, budget: int, tol: float,
-                      fail_margin: float):
+                      fail_margin: float, thetas: list[float], xs: list[Vector]):
     """Look for a pair where rel_hold holds and rel_test fails.
 
     Returns (witness or None, candidates_used, discarded).  Candidates
     come from zero crossings of rel_hold's residual along unit circles
-    around the corners, then random base vectors: a 64-point scan, then
-    Program.crossing bisects every interval whose ends do not share a
-    strict sign (an exact-zero end included) to within 1e-12.  Each
-    candidate costs one unit of budget and is re-verified with
-    is_orthogonal before being reported.
+    around the corners, then random base vectors.  The scan of a base is
+    one Program.residuals call at the circle points xs, at angles thetas;
+    Program.crossing then bisects every interval whose ends do not share
+    a strict sign (an exact-zero end included) to within 1e-12.  Each
+    candidate costs one unit of budget and is re-verified with _verdict,
+    for both relations, before being reported.
     """
     used = 0
     discarded = 0
-    scan = 64
-    step = 2.0 * math.pi / scan
+    step = 2.0 * math.pi / _SCAN
     circle = prog.circle
     hold_args = rel_hold._residual_args
-    # the scan's circle points are the same around every base
-    thetas = [j * step for j in range(scan)]
-    xs = list(map(circle, thetas))
 
     # Corners first: relations only split at non-smooth boundary points,
     # which random directions miss with probability one.
@@ -305,13 +306,13 @@ def _search_direction(prog, rel_hold: Relation, rel_test: Relation,
         u = _normalized(prog, base)
         if u is None:
             continue
-        residuals = list(map(functools.partial(prog.residual, *hold_args, u), xs))
+        residuals = prog.residuals(*hold_args, u, xs)
         found_candidate = False
-        for j in range(scan):
+        for j in range(_SCAN):
             if used >= budget:
                 break
             r0 = residuals[j]
-            r1 = residuals[(j + 1) % scan]
+            r1 = residuals[(j + 1) % _SCAN]
             if r0 != 0.0 and r1 != 0.0 and (r0 > 0.0) == (r1 > 0.0):
                 continue
             theta = prog.crossing(*hold_args, u, thetas[j], r0, thetas[j] + step, 1e-12)
@@ -351,10 +352,15 @@ def mine_incomparability(ast: NormAst, rel_a: Relation, rel_b: Relation,
     prog = get_program(ast)
     root = SplitMix64(cfg.seed)
     half = (cfg.count + 1) // 2
+    # the scan's circle points are the same around every base, both ways
+    step = 2.0 * math.pi / _SCAN
+    thetas = [j * step for j in range(_SCAN)]
+    xs = list(map(prog.circle, thetas))
     w_ab, used_ab, disc_ab = _search_direction(
-        prog, rel_a, rel_b, root.substream(1), half, tol, fail_margin)
+        prog, rel_a, rel_b, root.substream(1), half, tol, fail_margin, thetas, xs)
     w_ba, used_ba, disc_ba = _search_direction(
-        prog, rel_b, rel_a, root.substream(2), cfg.count - used_ab, tol, fail_margin)
+        prog, rel_b, rel_a, root.substream(2), cfg.count - used_ab, tol, fail_margin,
+        thetas, xs)
     return IncomparabilityReport(
         rel_a, rel_b, w_ab, w_ba, cfg.seed, cfg.count,
         used_ab + used_ba, disc_ab + disc_ba,

@@ -248,14 +248,38 @@ def _missing_toolchain(cc=None, tools=(), machines=None):
     return None
 
 
+_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def stale_extension():
+    """The line that stops a session whose importable normortho._kernels
+    is older than src/normortho/_kernels.c, or None.  Such an extension is
+    what the package and compiled_kernels would load, so the suite would
+    check the old C against the current twin."""
+    spec = importlib.util.find_spec("normortho._kernels")
+    source = os.path.join(_ROOT, "src", "normortho", "_kernels.c")
+    if (spec is None or not os.path.isfile(source)
+            or os.path.getmtime(spec.origin) >= os.path.getmtime(source)):
+        return None
+    return (f"{spec.origin} is older than {source}: rebuild it with "
+            "`python setup.py build_ext --inplace`")
+
+
+def pytest_sessionstart(session):
+    message = stale_extension()
+    if message is not None:
+        pytest.exit(message, returncode=pytest.ExitCode.USAGE_ERROR)
+
+
 @pytest.fixture(scope="session")
 def compiled_kernels(tmp_path_factory):
     """The compiled interpreter module.
 
-    The package's own extension when it imports; otherwise the committed
-    _kernels.c built by setup.py into a temporary directory and loaded as
-    normortho._kernels (without entering it in sys.modules, so the
-    package's own backend selection is untouched).
+    The package's own extension when it imports (pytest_sessionstart has
+    stopped a session whose extension is older than _kernels.c); otherwise
+    the committed _kernels.c built by setup.py into a temporary directory
+    and loaded as normortho._kernels (without entering it in sys.modules,
+    so the package's own backend selection is untouched).
     """
     try:
         from normortho import _kernels
@@ -266,10 +290,9 @@ def compiled_kernels(tmp_path_factory):
     if reason is not None:
         pytest.skip(reason)
     out = tmp_path_factory.mktemp("kernels")
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     proc = subprocess.run(
         [sys.executable, "setup.py", "build_ext", "--build-lib", str(out), "--build-temp", str(out)],
-        cwd=root, capture_output=True, text=True,
+        cwd=_ROOT, capture_output=True, text=True,
     )
     if proc.returncode != 0:
         pytest.fail("building _kernels.c failed:\n" + proc.stdout + proc.stderr)

@@ -6,6 +6,7 @@ import math
 import operator
 import os
 import re
+import shutil
 import subprocess
 import sys
 import sysconfig
@@ -21,7 +22,7 @@ from normortho import _kernels_py, program
 from normortho.program import compile_ast
 
 from conftest import (
-    FAMILIES, _missing_toolchain, circle_reference, gen_ast, golden_reference,
+    COMPOSITES, FAMILIES, _missing_toolchain, circle_reference, gen_ast, golden_reference,
     operator_norm_reference,
 )
 
@@ -86,6 +87,38 @@ def test_kernels_c_holds_no_fused_multiply_add(tmp_path):
                          check=True).stdout
     assert "<value_of>:" in asm
     assert re.findall(r"\bv(?:fmadd|fmsub|fnmadd|fnmsub)\w*", asm) == []
+
+
+@pytest.mark.parametrize("stale", [True, False])
+def test_stale_extension_stops_the_session(stale, compiled_kernels, tmp_path):
+    # a copy of the package whose in-tree extension is older (or newer)
+    # than its _kernels.c, beside this suite's conftest and one passing test
+    here = os.path.dirname(os.path.abspath(__file__))
+    pkg = tmp_path / "src" / "normortho"
+    shutil.copytree(os.path.join(here, os.pardir, "src", "normortho"), pkg,
+                    ignore=shutil.ignore_patterns("__pycache__", "*.so"))
+    ext = pkg / os.path.basename(compiled_kernels.__file__)
+    shutil.copy(compiled_kernels.__file__, ext)
+    source = pkg / "_kernels.c"
+    shift = -60 if stale else 60
+    os.utime(ext, (os.path.getmtime(source) + shift,) * 2)
+    (tmp_path / "tests").mkdir()
+    shutil.copy(os.path.join(here, "conftest.py"), tmp_path / "tests")
+    (tmp_path / "tests" / "test_one.py").write_text("def test_one():\n    pass\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "tests"],
+        cwd=tmp_path, capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(tmp_path / "src")),
+    )
+    if stale:
+        assert proc.returncode == pytest.ExitCode.USAGE_ERROR
+        assert proc.stderr.splitlines() == [
+            f"Exit: {ext} is older than {source}: rebuild it with "
+            "`python setup.py build_ext --inplace`"]
+        assert "passed" not in proc.stdout
+    else:
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert "1 passed" in proc.stdout
 
 
 def test_backend_name_is_known():
@@ -510,6 +543,108 @@ def test_residual_reads_weights_for_every_code(code, a, b, pair):
     assert got == _outcome(slow.residual, code, a, b, (1.0, 0.0), (0.0, 1.0))
 
 
+# the norms residuals is checked on: every family and the benchmark's composites
+RESIDUALS_NORMS = FAMILIES + COMPOSITES[:3]
+
+# base vectors of residuals: the zero vector, where every leaf reads N at
+# each point, a corner with a zero coordinate, and generic ones
+RESIDUALS_BASES = ((0.0, 0.0), (1.0, 0.0), (0.6, -0.35), (-2.5e-3, 7.0))
+
+
+def _each_residual(prog, code, a, b, u, xs):
+    """[prog.residual(code, a, b, u, x) for x in xs]: what prog.residuals
+    must equal."""
+    return [prog.residual(code, a, b, u, x) for x in xs]
+
+
+def _floats(call, *args):
+    """_outcome of a call that returns a list of floats."""
+    try:
+        out = call(*args)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    assert type(out) is list
+    return [x.hex() for x in out]
+
+
+@pytest.mark.parametrize("family", RESIDUALS_NORMS)
+def test_residuals_agree_with_residual_bitwise(family, pair):
+    fast, slow = pair(parse_norm(family, 2))
+    xs = [fast.circle(j * 2.0 * math.pi / 24) for j in range(24)]
+    xs += [(0.0, 0.0), (0.0, -1.5), (3.0, 0.0), (1e-300, -2e-300)]
+    kinds = set()
+    for code in CODES:
+        for u in RESIDUALS_BASES:
+            got = _floats(fast.residuals, code, 0.3, 0.5, u, xs)
+            assert got == _floats(slow.residuals, code, 0.3, 0.5, u, tuple(xs)), (code, u)
+            for prog in (fast, slow):
+                assert got == _floats(_each_residual, prog, code, 0.3, 0.5, u, xs), (code, u)
+            kinds.add(got[0] if isinstance(got, tuple) else "floats")
+    assert {"floats", "ZeroVectorError"} <= kinds
+    assert fast.residuals(0, 0.0, 0.0, (1.0, 0.0), []) == slow.residuals(0, 0, 0, (1, 0), ()) == []
+
+
+@pytest.mark.parametrize("family", ["lp(3)", "sum(l1, linf)", "max(l2, wlp(1.5; 1, 2, 3))"])
+def test_residuals_take_any_dimension(family, pair):
+    fast, slow = pair(parse_norm(family, 3))
+    xs = [(1.0, 0.0, 0.0), (0.0, -2.0, 0.5), (0.3, 0.3, -0.3), (0.0, 0.0, 0.0)]
+    for code in CODES:
+        for u in ((0.0, 0.0, 0.0), (1.0, 0.0, -1.0), (0.2, -0.7, 1.3)):
+            got = _floats(fast.residuals, code, 0.3, 0.5, u, xs)
+            assert got == _floats(slow.residuals, code, 0.3, 0.5, u, xs)
+            assert got == _floats(_each_residual, slow, code, 0.3, 0.5, u, xs)
+
+
+_CIRCLE48 = [circle_reference(_kernels_py.Program(*compile_ast(parse_norm("l1", 2))),
+                              j * 2.0 * math.pi / 48) for j in range(48)]
+
+
+@pytest.mark.parametrize("args", [
+    # semi at the l1 corner: smooth at theta 0, not at the next point
+    (8, 0.0, 0.0, (1.0, 0.0), _CIRCLE48),
+    (8, 0.0, 0.0, (0.0, 0.0), _CIRCLE48),
+    (3, 0.0, 0.0, (1.0, 0.0), [(0.0, 1.0), (1.0, 2.0, 3.0)]),
+    (3, 0.0, 0.0, (1.0, 0.0), [(1.0,)]),
+    (9, 0.0, 0.0, (1.0, 0.0), [(0.0, 1.0)]),
+    (-1, 0.0, 0.0, (1.0, 0.0), [(0.0, 1.0)]),
+], ids=["semi-kink", "semi-zero", "long-point", "short-point", "code-9", "code-minus-1"])
+def test_residuals_raise_as_residual_does(args, pair):
+    # the error is the one residual gives at the first point that raises
+    fast, slow = pair(parse_norm("l1", 2))
+    want = _floats(_each_residual, slow, *args)
+    assert isinstance(want, tuple)
+    assert _floats(fast.residuals, *args) == _floats(slow.residuals, *args) == want
+
+
+# relations whose residual reads the base pass at u: all but isosceles
+BASE_CODES = [code for code in CODES if RELATION_TAGS[code] != "isosceles"]
+
+
+@pytest.mark.parametrize("method", ["locus", "crossing", "residuals"])
+@pytest.mark.parametrize("code", BASE_CODES)
+def test_sweeps_evaluate_their_base_vector_once(code, method, monkeypatch):
+    # a smooth norm with a wlp(p) leaf, so that semi never raises and the
+    # pow coefficients are in the base pass
+    prog = _kernels_py.Program(*compile_ast(parse_norm(COMPOSITES[2], 2)))
+    u = (0.6, -0.35)
+    xs = [prog.circle(j * 2.0 * math.pi / 48) for j in range(48)]
+    value = _kernels_py.Program._value
+    seen = []
+
+    def counting(self, x, vals):
+        seen.append(tuple(x))
+        return value(self, x, vals)
+
+    monkeypatch.setattr(_kernels_py.Program, "_value", counting)
+    if method == "locus":
+        prog.locus(code, 0.3, 0.5, u, 48, 1e-10, tuple)
+    elif method == "crossing":
+        prog.crossing(code, 0.3, 0.5, u, 0.0, 1.0, math.pi, 1e-10)
+    else:
+        assert len(prog.residuals(code, 0.3, 0.5, u, xs)) == 48
+    assert seen.count(u) == 1
+
+
 # -- planar loci ---------------------------------------------------------------
 
 def bisect_reference(f, lo, f_lo, hi, width):
@@ -717,6 +852,20 @@ _STEP48 = 2.0 * math.pi / 48
      ("ZeroDivisionError", "float division by zero")),
     (_L1_TAPE, "locus", (3, 0.0, 0.0, (1.0, 0.0), 48, 1e-10), "TypeError"),
     (_L1_TAPE, "crossing", (3, 0.0, 0.0, (1.0, 0.0), 0.0, 1.0, 1.0), "TypeError"),
+    # every point is read before the first residual, the kink's included
+    (_L1_TAPE, "residuals", (8, 0.0, 0.0, (1.0, 0.0), [(0.0, 1.0), (1.0, 2.0, 3.0)]),
+     ("ValueError", "expected 2 coordinates, got 2 and 3")),
+    (_L1_TAPE, "residuals", (3, 0.0, 0.0, (1.0,), [(0.0, 1.0)]),
+     ("ValueError", "expected 2 coordinates, got 1")),
+    (_L1_TAPE, "residuals", (3, None, 0.0, (1.0, 0.0), [(0.0, 1.0)]),
+     ("TypeError", "must be real number, not NoneType")),
+    (_L1_TAPE, "residuals", (3, 0.0, 0.0, (1.0, 0.0), 5),
+     ("TypeError", "'int' object is not iterable")),
+    (_L1_TAPE, "residuals", (3, 0.0, 0.0, (1.0, 0.0), [1.0]),
+     ("TypeError", "object of type 'float' has no len()")),
+    (_L1_TAPE, "residuals", (3, 0.0, 0.0, (1.0, 0.0), [(1.0, "a")]),
+     ("TypeError", "must be real number, not str")),
+    (_L1_TAPE, "residuals", (3, 0.0, 0.0, (1.0, 0.0)), "TypeError"),
 ])
 def test_sweep_errors_agree(tape, method, args, error, compiled_kernels):
     fast, slow = compiled_kernels.Program(*tape), _kernels_py.Program(*tape)
@@ -772,7 +921,7 @@ def _methods(program_type):
 def test_twins_list_the_same_methods(compiled_kernels):
     fast, slow = compiled_kernels.Program, _kernels_py.Program
     assert _methods(fast) == _methods(slow)
-    assert len(_methods(slow)) == 11
+    assert len(_methods(slow)) == 12
     for name in _methods(slow):
         # each C method table entry carries its twin's summary line
         assert getattr(fast, name).__doc__ == getattr(slow, name).__doc__.splitlines()[0], name

@@ -252,6 +252,7 @@ SEPARATION = "min_separation must lie in [0, 2), got {}"
 NONZERO = "{} must be finite and nonzero, got {}"
 SCALED = "{} = {} scales a coordinate out of the normal float range"
 POSITIVE = "{} must be a positive integer, got {}"
+POSITIVE_FINITE = "tol must be positive and finite, got {}"
 
 # (call, expected error): each parameter value gave a wrong verdict, a
 # misleading error or a meaningless count before it was checked
@@ -315,6 +316,20 @@ PARAMETER_CASES = {
                                     POSITIVE.format("iters", "200.0")),
     "oracle-iters-none": (lambda: birkhoff_oracle(L2, (1, 0), (0, 1), iters=None),
                           POSITIVE.format("iters", "None")),
+    # True ran as tol = 1 and inf stopped the ladder at its second rung:
+    # both gave 0.3024 +- 0.0048 where rho_+ is 0.3
+    "numeric-tol-true": (lambda: rho_pm_numeric(L2, (1, 0), (0.3, 1), "plus", True),
+                         POSITIVE_FINITE.format("True")),
+    "numeric-tol-inf": (lambda: rho_pm_numeric(L2, (1, 0), (0.3, 1), "plus", INF),
+                        POSITIVE_FINITE.format("inf")),
+    "numeric-tol-negative-inf": (lambda: rho_pm_numeric(L2, (1, 0), (0.3, 1), "plus", -INF),
+                                 POSITIVE_FINITE.format("-inf")),
+    "numeric-tol-nan": (lambda: rho_pm_numeric(L2, (1, 0), (0.3, 1), "plus", NAN),
+                        POSITIVE_FINITE.format("nan")),
+    "numeric-tol-zero": (lambda: rho_pm_numeric(L2, (1, 0), (0.3, 1), "plus", 0.0),
+                         POSITIVE_FINITE.format("0.0")),
+    "numeric-tol-negative": (lambda: rho_pm_numeric(L2, (1, 0), (0.3, 1), "minus", -1e-9),
+                             POSITIVE_FINITE.format("-1e-09")),
 }
 
 

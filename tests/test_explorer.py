@@ -1,5 +1,6 @@
 """Linear maps, operator norms, preserver checks, and relation mining."""
 
+import collections
 import math
 import tracemalloc
 import types
@@ -190,7 +191,7 @@ class _Reference:
 
 
 class _FailsNarrowly:
-    """A Program whose residual for one relation is a fixed value."""
+    """A Program whose residual and residuals for one relation are a fixed value."""
 
     def __init__(self, prog, tag, residual):
         self._prog = prog
@@ -204,6 +205,28 @@ class _FailsNarrowly:
         if code == self._code:
             return self._residual
         return self._prog.residual(code, a, b, u, v)
+
+    def residuals(self, code, a, b, u, xs):
+        if code == self._code:
+            return [self._residual] * len(xs)
+        return self._prog.residuals(code, a, b, u, xs)
+
+
+class _Counting:
+    """A Program that counts the calls of each of its methods into calls."""
+
+    def __init__(self, prog, calls):
+        self._prog = prog
+        self._calls = calls
+
+    def __getattr__(self, name):
+        method = getattr(self._prog, name)
+
+        def call(*args):
+            self._calls[name] += 1
+            return method(*args)
+
+        return call
 
 
 def _hexed(obj):
@@ -515,6 +538,32 @@ class TestMineIncomparability:
                                       SampleConfig(seed=1, count=8), tol=tol)
         assert (report.witness_ab, report.witness_ba) == (None, None)
         assert (report.budget_used, report.discarded) == (8, 4)
+
+    @BACKENDS
+    @pytest.mark.parametrize("rel_a, rel_b", [("birkhoff", "rho"), ("rho", "isosceles")])
+    def test_scan_takes_one_residuals_call_per_base(self, rel_a, rel_b, package_backend,
+                                                    monkeypatch):
+        # the 64-point grid is built once for both directions, each base is
+        # scanned by one residuals call, and residual is called only by the
+        # verdicts on the k candidates, each at its one circle point
+        calls = collections.Counter()
+        monkeypatch.setattr(normortho.explorer, "get_program",
+                            lambda ast: _Counting(get_program(ast), calls))
+        verdict = normortho.explorer._verdict
+        verdicts = []
+
+        def counting(*args):
+            verdicts.append(args)
+            return verdict(*args)
+
+        monkeypatch.setattr(normortho.explorer, "_verdict", counting)
+        mine_incomparability(LINF, Relation(rel_a), Relation(rel_b),
+                             SampleConfig(seed=3, count=12))
+        k = calls["crossing"]
+        assert k > 0
+        assert calls["circle"] == 64 + k
+        assert calls["residual"] == len(verdicts) >= k
+        assert calls["residuals"] >= 2
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
     def test_bad_tol_rejected(self, tol):

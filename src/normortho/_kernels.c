@@ -51,7 +51,8 @@ static const double PI = 3.141592653589793;
 typedef struct {
     PyObject_HEAD
     int n, dim;
-    /* one block: params (n), weights, then kinds, woff, left, right (n each) */
+    /* one block: params (n), weights, then kinds, woff, left, right and
+       the load stack (n each); derive_tape derives woff, left and right */
     double *params, *weights;
     int *kinds, *woff, *left, *right;
 } Program;
@@ -441,70 +442,70 @@ static int check_pair(const Program *self, const char *name,
     return 0;
 }
 
-/* 0 if every node has a known kind, its children are earlier nodes and
-   a weighted leaf's dim weights lie in the pool of nw; else -1 with
-   ValueError set.  Same checks and texts as _kernels_py.Program. */
-static int check_tape(const Program *p, Py_ssize_t nw)
+/* operands each kind pops off the tape's value stack */
+static const int ARITY[] = {[K_MAX] = 2, [K_SUM] = 2, [K_SCALE] = 1};
+
+/* Derives woff, left and right from kinds in one pass over the post-order
+   tape with stack (n ints), checking it: 0, or -1 with ValueError set.
+   Same derivation, checks and texts as _kernels_py.Program. */
+static int derive_tape(Program *p, int *stack, Py_ssize_t nw)
 {
+    int top = 0;
+    Py_ssize_t used = 0; /* weights the weighted leaves so far take */
     for (int i = 0; i < p->n; i++) {
-        int k = p->kinds[i], nc = 0;
+        int k = p->kinds[i];
         if (k < K_L2 || k > K_SCALE) {
             PyErr_Format(PyExc_ValueError, "tape node %d: unknown kind %d", i, k);
             return -1;
         }
-        if (k == K_MAX || k == K_SUM)
-            nc = 2;
-        else if (k == K_SCALE)
-            nc = 1;
-        for (int c = 0; c < nc; c++) {
-            int child = c == 0 ? p->left[i] : p->right[i];
-            if (child < 0 || child >= i) {
-                PyErr_Format(PyExc_ValueError,
-                             "tape node %d: child %d is not an earlier node", i, child);
-                return -1;
-            }
-        }
-        Py_ssize_t wo = p->woff[i];
-        if ((k == K_WLP1 || k == K_WLPINF || k == K_WLPP)
-            && (wo < 0 || wo + p->dim > nw)) {
-            PyErr_Format(PyExc_ValueError,
-                         "tape node %d: weights %zd..%zd lie outside the pool of %zd",
-                         i, wo, wo + p->dim, nw);
+        if (top < ARITY[k]) {
+            PyErr_Format(PyExc_ValueError, "tape node %d: kind %d pops %d, the stack holds %d",
+                         i, k, ARITY[k], top);
             return -1;
         }
+        p->right[i] = ARITY[k] == 2 ? stack[--top] : -1;
+        p->left[i] = ARITY[k] ? stack[--top] : -1;
+        p->woff[i] = 0;
+        if (!ARITY[k] && k != K_L2) {
+            p->woff[i] = (int)used;
+            used += p->dim;
+        }
+        stack[top++] = i;
+    }
+    if (top != 1) {
+        PyErr_Format(PyExc_ValueError, "tape ends with %d values on the stack, not 1", top);
+        return -1;
+    }
+    if (nw != used) {
+        PyErr_Format(PyExc_ValueError, "the weight pool holds %zd, the weighted leaves take %zd",
+                     nw, used);
+        return -1;
     }
     return 0;
 }
 
 static PyObject *Program_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
 {
-    static char *kwlist[] = {"kinds", "params", "woff", "weights", "left", "right",
-                             "dim", NULL};
-    PyObject *kinds, *params, *woff, *weights, *left, *right;
+    static char *kwlist[] = {"kinds", "params", "weights", "dim", NULL};
+    PyObject *kinds, *params, *weights;
     int dim;
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OOOOOOi:Program", kwlist, &kinds,
-                                     &params, &woff, &weights, &left, &right, &dim))
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OOOi:Program", kwlist, &kinds, &params,
+                                     &weights, &dim))
         return NULL;
-    Py_ssize_t n = PyObject_Length(kinds), nw = PyObject_Length(weights);
-    if (n < 0 || nw < 0)
+    Py_ssize_t n = PyObject_Length(kinds), np = PyObject_Length(params),
+        nw = PyObject_Length(weights);
+    if (n < 0 || np < 0 || nw < 0)
         return NULL;
-    PyObject *cols[] = {params, woff, left, right};
-    for (int c = 0; c < 4; c++) {
-        Py_ssize_t len = PyObject_Length(cols[c]);
-        if (len < 0)
-            return NULL;
-        if (n < 1 || n > INT_MAX || len != n) {
-            PyErr_SetString(PyExc_ValueError,
-                            "tape columns must all have the same length n >= 1");
-            return NULL;
-        }
+    if (n < 1 || n > INT_MAX || np != n) {
+        PyErr_SetString(PyExc_ValueError, "kinds and params must have the same length n >= 1");
+        return NULL;
     }
     Program *self = (Program *)type->tp_alloc(type, 0);
     if (self == NULL)
         return NULL;
     self->n = (int)n;
     self->dim = dim;
-    self->params = PyMem_Malloc((n + nw) * sizeof(double) + 4 * n * sizeof(int));
+    self->params = PyMem_Malloc((n + nw) * sizeof(double) + 5 * n * sizeof(int));
     if (self->params == NULL) {
         Py_DECREF(self);
         return PyErr_NoMemory();
@@ -515,9 +516,7 @@ static PyObject *Program_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
     self->left = self->woff + n;
     self->right = self->left + n;
     if (load_ints(kinds, n, self->kinds) < 0 || load_doubles(params, n, self->params) < 0
-        || load_ints(woff, n, self->woff) < 0 || load_doubles(weights, nw, self->weights) < 0
-        || load_ints(left, n, self->left) < 0 || load_ints(right, n, self->right) < 0
-        || check_tape(self, nw) < 0) {
+        || load_doubles(weights, nw, self->weights) < 0 || derive_tape(self, self->right + n, nw) < 0) {
         Py_DECREF(self);
         return NULL;
     }
@@ -1656,7 +1655,7 @@ static PyMethodDef Program_methods[] = {
 static PyTypeObject ProgramType = {
     PyVarObject_HEAD_INIT(NULL, 0)
     .tp_name = "normortho._kernels.Program",
-    .tp_doc = "Program(kinds, params, woff, weights, left, right, dim): a compiled tape.",
+    .tp_doc = "Program(kinds, params, weights, dim): a compiled tape.",
     .tp_basicsize = sizeof(Program),
     .tp_flags = Py_TPFLAGS_DEFAULT,
     .tp_new = Program_new,

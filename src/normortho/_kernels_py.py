@@ -53,9 +53,13 @@ search (`_golden` here, `golden` in the C twin).  The compiled twin runs a
 compiled line evaluator and a compiled Program's own circle inline; any
 other callable (a tracing proxy's, say) is called, with the same bits.
 operator_norm calls circle and sums the image rows once per point.
-The tape has four leaf kinds: l2, and wlp with p = 1, inf or finite p
-(`compile_ast` gives l1, linf and lp unit weights).  `_value` here and
-`value_of` in the C twin hold the only copy of each leaf formula.
+The tape (kinds, params, weights, dim) is as `program.compile_ast` gives
+it; each twin derives the nodes' children (`left`, `right`) and weight
+offsets (`woff`) at load, in the one stack pass that checks the tape and
+raises the same ValueError texts in both.  The tape has four leaf kinds:
+l2, and wlp with p = 1, inf or finite p (`compile_ast` gives l1, linf and
+lp unit weights).  `_value` here and `value_of` in the C twin hold the
+only copy of each leaf formula.
 
 SplitMix64 is the seeded random stream; both twins draw the same bits.
 """
@@ -79,39 +83,43 @@ _TIE = 1e-12
 # |rho_+ - rho_-| band, relative to the larger, treated as smooth by semi
 _SMOOTH_TOL = 1e-12
 
+# operands each kind pops off the tape's value stack
+_ARITY = (0, 0, 0, 0, 2, 2, 1)
+
 
 class Program:
     __slots__ = ("kinds", "params", "woff", "weights", "left", "right", "dim", "n", "_wlpp")
 
-    def __init__(self, kinds, params, woff, weights, left, right, dim):
+    def __init__(self, kinds, params, weights, dim):
         self.kinds = tuple(kinds)
         self.params = tuple(params)
-        self.woff = tuple(woff)
         self.weights = tuple(weights)
-        self.left = tuple(left)
-        self.right = tuple(right)
-        self.dim = int(dim)
+        self.dim = dim = int(dim)
         self.n = n = len(self.kinds)
-        if n < 1 or any(len(col) != n for col in (self.params, self.woff,
-                                                  self.left, self.right)):
-            raise ValueError("tape columns must all have the same length n >= 1")
-        nw = len(self.weights)
+        if n < 1 or len(self.params) != n:
+            raise ValueError("kinds and params must have the same length n >= 1")
+        left, right, woff, stack, used = [-1] * n, [-1] * n, [0] * n, [], 0
         for i, k in enumerate(self.kinds):
             if not K_L2 <= k <= K_SCALE:
                 raise ValueError(f"tape node {i}: unknown kind {k}")
-            if k == K_MAX or k == K_SUM:
-                children = (self.left[i], self.right[i])
-            elif k == K_SCALE:
-                children = (self.left[i],)
-            else:
-                children = ()
-            for child in children:
-                if not 0 <= child < i:
-                    raise ValueError(f"tape node {i}: child {child} is not an earlier node")
-            wo = self.woff[i]
-            if k in (K_WLP1, K_WLPINF, K_WLPP) and not 0 <= wo <= nw - self.dim:
-                raise ValueError(f"tape node {i}: weights {wo}..{wo + self.dim} "
-                                 f"lie outside the pool of {nw}")
+            arity = _ARITY[k]
+            if len(stack) < arity:
+                raise ValueError(f"tape node {i}: kind {k} pops {arity}, "
+                                 f"the stack holds {len(stack)}")
+            if arity == 2:
+                right[i] = stack.pop()
+            if arity:
+                left[i] = stack.pop()
+            elif k != K_L2:
+                woff[i] = used
+                used += dim
+            stack.append(i)
+        if len(stack) != 1:
+            raise ValueError(f"tape ends with {len(stack)} values on the stack, not 1")
+        if len(self.weights) != used:
+            raise ValueError(f"the weight pool holds {len(self.weights)}, "
+                             f"the weighted leaves take {used}")
+        self.woff, self.left, self.right = tuple(woff), tuple(left), tuple(right)
         # the wlp(p) leaves, whose coefficients the base pass computes
         self._wlpp = tuple([i for i, k in enumerate(self.kinds) if k == K_WLPP])
 
@@ -320,8 +328,7 @@ class Program:
                 a = vals[lc]
                 b = vals[rc]
                 m = a if a >= b else b
-                ref = m
-                if abs(a - b) <= _TIE * ref:
+                if abs(a - b) <= _TIE * m:
                     # tied children: one-sided derivative of a max of two
                     # functions equal at 0 is max of D+ and min of D-
                     dps[i] = dps[lc] if dps[lc] >= dps[rc] else dps[rc]

@@ -21,7 +21,7 @@ from .derivs import AlphaBeta, _rho_ab
 from .errors import DimensionMismatchError
 from .kernels import get_program
 from .normast import NormAst
-from .ortho import Relation, _orthogonalize, _verdict
+from .ortho import Relation, _orthogonalize, _verdict, _violation
 from .rng import SplitMix64
 from .space import (
     SampleConfig,
@@ -204,8 +204,15 @@ def preserver_check(lin: LinearMap, ab: AlphaBeta, cfg: SampleConfig) -> Preserv
     condition (2) through a near-kernel sphere direction.  Conditions (1)
     and (3) skip a sample whose norm product is below 1e-12 scale^2, a
     floor relative to the sampling scale, so the verdict does not depend
-    on it.
+    on it.  Raises ValueError when an image row's exact sum overflows.
     """
+    try:
+        return _preserver_check(lin, ab, cfg)
+    except OverflowError:
+        raise ValueError("the preserver check overflows at this scale") from None
+
+
+def _preserver_check(lin: LinearMap, ab: AlphaBeta, cfg: SampleConfig) -> PreserverReport:
     opn = operator_norm(lin, cfg)
     tol = 1e-6 if opn.grade == "fine" else 1e-5
     dom_ast = lin.domain_norm
@@ -273,19 +280,21 @@ def preserver_check(lin: LinearMap, ab: AlphaBeta, cfg: SampleConfig) -> Preserv
     )
 
 
-# points of the mining scan around each base vector
+# points of the mining scan around each base vector, at angles _THETAS
 _SCAN = 64
+_STEP = 2.0 * math.pi / _SCAN
+_THETAS = tuple([j * _STEP for j in range(_SCAN)])
 
 
 def _search_direction(prog, rel_hold: Relation, rel_test: Relation,
-                      rng: SplitMix64, budget: int, tol: float,
-                      fail_margin: float, thetas: list[float], xs: list[Vector]):
-    """Look for a pair where rel_hold holds and rel_test fails.
+                      rng: SplitMix64, budget: int, tol: float, xs: list[Vector]):
+    """Look for a pair where rel_hold holds and rel_test fails by more
+    than 100 tol.
 
     Returns (witness or None, candidates_used, discarded).  Candidates
     come from zero crossings of rel_hold's residual along unit circles
     around the corners, then random base vectors.  The scan of a base is
-    one Program.residuals call at the circle points xs, at angles thetas;
+    one Program.residuals call at the circle points xs, at angles _THETAS;
     Program.crossing then bisects every interval whose ends do not share
     a strict sign (an exact-zero end included) to within 1e-12.  Each
     candidate costs one unit of budget and is re-verified with _verdict,
@@ -293,7 +302,6 @@ def _search_direction(prog, rel_hold: Relation, rel_test: Relation,
     """
     used = 0
     discarded = 0
-    step = 2.0 * math.pi / _SCAN
     circle = prog.circle
     hold_args = rel_hold._residual_args
 
@@ -315,7 +323,7 @@ def _search_direction(prog, rel_hold: Relation, rel_test: Relation,
             r1 = residuals[(j + 1) % _SCAN]
             if r0 != 0.0 and r1 != 0.0 and (r0 > 0.0) == (r1 > 0.0):
                 continue
-            theta = prog.crossing(*hold_args, u, thetas[j], r0, thetas[j] + step, 1e-12)
+            theta = prog.crossing(*hold_args, u, _THETAS[j], r0, _THETAS[j] + _STEP, 1e-12)
             v = circle(theta)
             found_candidate = True
             used += 1
@@ -325,9 +333,7 @@ def _search_direction(prog, rel_hold: Relation, rel_test: Relation,
             verdict = _verdict(rel_test, prog, u, v, tol)
             if verdict.holds:
                 continue
-            clear = (verdict.residual > fail_margin if rel_test.tag == "birkhoff"
-                     else abs(verdict.residual) > fail_margin)
-            if clear:
+            if _violation(rel_test, verdict.residual) > 100.0 * tol:
                 return (u, v), used, discarded
             discarded += 1  # fails the tolerance but not by a clear margin
         if not found_candidate:
@@ -348,19 +354,15 @@ def mine_incomparability(ast: NormAst, rel_a: Relation, rel_b: Relation,
     if ast.dim != 2:
         raise DimensionMismatchError("mining traces planar loci; dimension must be 2")
     _check_tol(tol)
-    fail_margin = 100.0 * tol
     prog = get_program(ast)
     root = SplitMix64(cfg.seed)
     half = (cfg.count + 1) // 2
     # the scan's circle points are the same around every base, both ways
-    step = 2.0 * math.pi / _SCAN
-    thetas = [j * step for j in range(_SCAN)]
-    xs = list(map(prog.circle, thetas))
+    xs = list(map(prog.circle, _THETAS))
     w_ab, used_ab, disc_ab = _search_direction(
-        prog, rel_a, rel_b, root.substream(1), half, tol, fail_margin, thetas, xs)
+        prog, rel_a, rel_b, root.substream(1), half, tol, xs)
     w_ba, used_ba, disc_ba = _search_direction(
-        prog, rel_b, rel_a, root.substream(2), cfg.count - used_ab, tol, fail_margin,
-        thetas, xs)
+        prog, rel_b, rel_a, root.substream(2), cfg.count - used_ab, tol, xs)
     return IncomparabilityReport(
         rel_a, rel_b, w_ab, w_ba, cfg.seed, cfg.count,
         used_ab + used_ba, disc_ab + disc_ba,

@@ -114,14 +114,16 @@ def relation_residual(rel: Relation, ast: NormAst, u, v) -> float:
     return prog.residual(code, a, b, uu, vv)
 
 
+def _violation(rel: Relation, residual: float) -> float:
+    """How far rel is from holding: the residual for birkhoff, which holds
+    one-sided, its absolute value otherwise.  NaN stays NaN."""
+    return residual if rel.tag == "birkhoff" else abs(residual)
+
+
 def _verdict(rel: Relation, prog, u: Vector, v: Vector, tol: float) -> OrthoVerdict:
     code, a, b = rel._residual_args
     residual = prog.residual(code, a, b, u, v)
-    if rel.tag == "birkhoff":
-        holds = residual <= tol
-    else:
-        holds = abs(residual) <= tol
-    return OrthoVerdict(holds, residual, tol)
+    return OrthoVerdict(_violation(rel, residual) <= tol, residual, tol)
 
 
 def is_orthogonal(rel: Relation, ast: NormAst, u, v, tol: float = 1e-9) -> OrthoVerdict:

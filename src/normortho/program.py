@@ -1,7 +1,6 @@
 """Flatten norm trees into a tape both execution backends interpret.
 
-The tape is a post-order array program: children always precede parents,
-so one forward pass evaluates the tree.  Keeping a single canonical
+`compile_ast` describes the tape.  Keeping a single canonical
 instruction encoding lets the compiled and pure Python interpreters share
 operation order exactly, which keeps their results within rounding of
 each other.  The R_ constants number the orthogonality relations that
@@ -43,12 +42,17 @@ K_L2, K_WLP1, K_WLPINF, K_WLPP, K_MAX, K_SUM, K_SCALE = range(7)
 
 
 def compile_ast(ast: normast.NormAst):
-    """Return the tape (kinds, params, woff, weights, left, right, dim).
+    """Return the tape (kinds, params, weights, dim) of ast.
 
-    kinds, params, woff, left and right hold one entry per node.  params
-    holds the exponent for K_WLPP nodes and the factor for K_SCALE nodes;
-    woff is where a weighted leaf's dim weights start in the shared
-    weights pool; left/right hold child tape positions (-1 if unused).
+    The tape is a post-order program over a stack of node values: each
+    node pops its operands (two for K_MAX and K_SUM, one for K_SCALE,
+    none for a leaf) and pushes its own value, so children precede their
+    parent and the last node is the root.  kinds and params hold one
+    entry per node; params holds the exponent of a K_WLPP node and the
+    factor of a K_SCALE node, 0.0 elsewhere.  Each weighted leaf (K_WLP1,
+    K_WLPINF, K_WLPP) takes the next dim weights of the shared pool, in
+    node order.  Each Program twin derives its nodes' children and weight
+    offsets from this order when it loads the tape.
 
     l1, linf and lp(p) compile as wlp(1), wlp(inf) and wlp(p) with a run
     of dim unit weights: 1.0 * x == x exactly, so each rounds as its own
@@ -57,60 +61,42 @@ def compile_ast(ast: normast.NormAst):
     """
     kinds: list[int] = []
     params: list[float] = []
-    woff: list[int] = []
-    left: list[int] = []
-    right: list[int] = []
     weights: list[float] = []
 
-    def emit(kind: int, param: float = 0.0, wo: int = 0,
-             lc: int = -1, rc: int = -1) -> int:
+    def emit(kind: int, param: float = 0.0) -> None:
         kinds.append(kind)
         params.append(param)
-        woff.append(wo)
-        left.append(lc)
-        right.append(rc)
-        return len(kinds) - 1
 
-    def wlp(p: float, ws) -> int:
-        wo = len(weights)
+    def wlp(p: float, ws) -> None:
         weights.extend(ws)
         if p == 1.0:
-            return emit(K_WLP1, wo=wo)
-        if math.isinf(p):
-            return emit(K_WLPINF, wo=wo)
-        return emit(K_WLPP, param=p, wo=wo)
+            emit(K_WLP1)
+        elif math.isinf(p):
+            emit(K_WLPINF)
+        else:
+            emit(K_WLPP, p)
 
-    def walk(node: normast.NormAst) -> int:
+    def walk(node: normast.NormAst) -> None:
         if isinstance(node, normast.L1):
-            return wlp(1.0, (1.0,) * node.dim)
-        if isinstance(node, normast.LInf):
-            return wlp(math.inf, (1.0,) * node.dim)
-        if isinstance(node, normast.Lp):
+            wlp(1.0, (1.0,) * node.dim)
+        elif isinstance(node, normast.LInf):
+            wlp(math.inf, (1.0,) * node.dim)
+        elif isinstance(node, normast.Lp):
             if node.p == 2.0:
-                return emit(K_L2)
-            return wlp(node.p, (1.0,) * node.dim)
-        if isinstance(node, normast.WLp):
-            return wlp(node.p, node.weights)
-        if isinstance(node, normast.Max):
-            lc = walk(node.left)
-            rc = walk(node.right)
-            return emit(K_MAX, lc=lc, rc=rc)
-        if isinstance(node, normast.Sum):
-            lc = walk(node.left)
-            rc = walk(node.right)
-            return emit(K_SUM, lc=lc, rc=rc)
-        if isinstance(node, normast.Scale):
-            lc = walk(node.inner)
-            return emit(K_SCALE, param=node.c, lc=lc)
-        raise TypeError(f"not a norm node: {node!r}")
+                emit(K_L2)
+            else:
+                wlp(node.p, (1.0,) * node.dim)
+        elif isinstance(node, normast.WLp):
+            wlp(node.p, node.weights)
+        elif isinstance(node, (normast.Max, normast.Sum)):
+            walk(node.left)
+            walk(node.right)
+            emit(K_MAX if isinstance(node, normast.Max) else K_SUM)
+        elif isinstance(node, normast.Scale):
+            walk(node.inner)
+            emit(K_SCALE, node.c)
+        else:
+            raise TypeError(f"not a norm node: {node!r}")
 
     walk(ast)
-    return (
-        tuple(kinds),
-        tuple(params),
-        tuple(woff),
-        tuple(weights),
-        tuple(left),
-        tuple(right),
-        ast.dim,
-    )
+    return tuple(kinds), tuple(params), tuple(weights), ast.dim

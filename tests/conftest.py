@@ -18,6 +18,7 @@ import normortho.rng
 from normortho import L1, LInf, Lp, Max, Scale, Sum, WLp
 from normortho import _kernels_py
 from normortho.kernels import get_program
+from normortho.program import K_L2, K_MAX, K_SCALE, K_SUM, K_WLP1, K_WLPINF, K_WLPP
 
 hypothesis.settings.register_profile(
     "suite", deadline=None, derandomize=True, max_examples=60
@@ -172,6 +173,58 @@ def operator_norm_reference(circle, cod, matrix):
     if -lowest >= best:
         return -lowest, circle(theta)
     return best, circle(theta0)
+
+
+def tape_reference(ast):
+    """The tape (kinds, params, woff, weights, left, right, dim) as
+    program.compile_ast emitted it before each Program twin derived woff,
+    left and right at load: woff is where a weighted leaf's dim weights
+    start in the pool (0 for other nodes), left/right hold child tape
+    positions (-1 if unused).  What a loaded Program's columns must equal."""
+    kinds, params, woff, weights, left, right = [], [], [], [], [], []
+
+    def emit(kind, param=0.0, wo=0, lc=-1, rc=-1):
+        kinds.append(kind)
+        params.append(param)
+        woff.append(wo)
+        left.append(lc)
+        right.append(rc)
+        return len(kinds) - 1
+
+    def wlp(p, ws):
+        wo = len(weights)
+        weights.extend(ws)
+        if p == 1.0:
+            return emit(K_WLP1, wo=wo)
+        if math.isinf(p):
+            return emit(K_WLPINF, wo=wo)
+        return emit(K_WLPP, param=p, wo=wo)
+
+    def walk(node):
+        if isinstance(node, L1):
+            return wlp(1.0, (1.0,) * node.dim)
+        if isinstance(node, LInf):
+            return wlp(math.inf, (1.0,) * node.dim)
+        if isinstance(node, Lp):
+            if node.p == 2.0:
+                return emit(K_L2)
+            return wlp(node.p, (1.0,) * node.dim)
+        if isinstance(node, WLp):
+            return wlp(node.p, node.weights)
+        if isinstance(node, Max):
+            lc = walk(node.left)
+            rc = walk(node.right)
+            return emit(K_MAX, lc=lc, rc=rc)
+        if isinstance(node, Sum):
+            lc = walk(node.left)
+            rc = walk(node.right)
+            return emit(K_SUM, lc=lc, rc=rc)
+        lc = walk(node.inner)
+        return emit(K_SCALE, param=node.c, lc=lc)
+
+    walk(ast)
+    return (tuple(kinds), tuple(params), tuple(woff), tuple(weights), tuple(left),
+            tuple(right), ast.dim)
 
 
 class ProgramProxy:

@@ -16,14 +16,14 @@ import pytest
 
 from normortho import (
     L1, LInf, LocusPoint, Lp, NonSmoothPointError, RELATION_TAGS, SplitMix64, Sum,
-    ZeroVectorError, backend_name, corner_vectors, parse_norm,
+    ZeroVectorError, backend_name, corner_vectors, parse_norm, print_norm,
 )
 from normortho import _kernels_py, program
 from normortho.program import compile_ast
 
 from conftest import (
     COMPOSITES, FAMILIES, _missing_toolchain, circle_reference, gen_ast, golden_reference,
-    operator_norm_reference,
+    operator_norm_reference, tape_reference,
 )
 
 # the planar norms the sweeps run on: every family and seeded random trees
@@ -256,31 +256,47 @@ def test_pure_python_results_reachable_through_api():
 
 @pytest.mark.parametrize("backend", ["_kernels_py", "_kernels"], indirect=True)
 @pytest.mark.parametrize("tape, message", [
-    (((), (), (), (), (), (), 2), "same length n >= 1"),
-    (((0, 0), (0.0,), (0, 0), (), (-1, -1), (-1, -1), 2), "same length n >= 1"),
-    (((9,), (0.0,), (0,), (), (-1,), (-1,), 2), "node 0: unknown kind 9"),
-    (((-1,), (0.0,), (0,), (), (-1,), (-1,), 2), "node 0: unknown kind -1"),
-    (((4,), (0.0,), (0,), (), (100000,), (-7,), 2),
-     "node 0: child 100000 is not an earlier node"),
-    (((0, 5), (0.0, 0.0), (0, 0), (), (-1, 0), (-1, 1), 2),
-     "node 1: child 1 is not an earlier node"),
-    (((0, 6), (0.0, 2.0), (0, 0), (), (-1, -1), (-1, -1), 2),
-     "node 1: child -1 is not an earlier node"),
-    (((1,), (0.0,), (1,), (1.0, 1.0), (-1,), (-1,), 2),
-     "node 0: weights 1..3 lie outside the pool of 2"),
-    (((3,), (2.0,), (-1,), (1.0, 1.0), (-1,), (-1,), 2),
-     "node 0: weights -1..1 lie outside the pool of 2"),
+    (((), (), (), 2), "kinds and params must have the same length n >= 1"),
+    (((0, 0), (0.0,), (), 2), "kinds and params must have the same length n >= 1"),
+    (((9,), (0.0,), (), 2), "tape node 0: unknown kind 9"),
+    (((-1,), (0.0,), (), 2), "tape node 0: unknown kind -1"),
+    (((0, 4), (0.0, 0.0), (), 2), "tape node 1: kind 4 pops 2, the stack holds 1"),
+    (((6,), (2.0,), (), 2), "tape node 0: kind 6 pops 1, the stack holds 0"),
+    (((0, 0), (0.0, 0.0), (), 2), "tape ends with 2 values on the stack, not 1"),
+    (((1,), (0.0,), (1.0,), 2), "the weight pool holds 1, the weighted leaves take 2"),
+    (((1,), (0.0,), (1.0, 1.0, 1.0), 2), "the weight pool holds 3, the weighted leaves take 2"),
 ])
 def test_both_backends_reject_malformed_tape(backend, tape, message):
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError) as exc:
         backend.Program(*tape)
+    assert str(exc.value) == message
 
 
-@pytest.mark.parametrize("backend", ["_kernels_py", "_kernels"], indirect=True)
-def test_tape_check_accepts_unused_child_slots(backend):
-    # a scale node reads only left; leaves read neither child slot
-    prog = backend.Program((0, 6), (0.0, 2.0), (0, 0), (), (-1, 0), (-1, 77), 2)
-    assert prog.value((3.0, 4.0)) == 10.0
+# every family and composite, and seeded random trees at dims 2-5
+_TAPE_TREES = ([parse_norm(f, 2) for f in FAMILIES + COMPOSITES]
+               + [gen_ast(SplitMix64(seed), 2 + seed % 4, 4) for seed in range(240)])
+
+
+def test_loaded_tape_matches_the_reference_compiler():
+    # each twin derives woff, left and right from the post-order tape
+    for ast in _TAPE_TREES:
+        kinds, params, woff, weights, left, right, dim = tape_reference(ast)
+        prog = _kernels_py.Program(*compile_ast(ast))
+        assert (prog.kinds, prog.params, prog.weights, prog.dim) == (kinds, params, weights, dim)
+        assert (prog.woff, prog.left, prog.right) == (woff, left, right), print_norm(ast)
+
+
+def test_loaded_tapes_agree_bitwise_across_backends(pair):
+    draws = SplitMix64(20)
+    for ast in _TAPE_TREES:
+        fast, slow = pair(ast)
+        u = draws.vector(ast.dim, -2.0, 2.0)
+        v = draws.vector(ast.dim, -2.0, 2.0)
+        calls = [("value", u), ("derivs", u, v)] + [
+            ("residual", code, 0.3, 0.4, u, v) for code in range(len(RELATION_TAGS))]
+        for name, *args in calls:
+            assert (_outcome(getattr(fast, name), *args)
+                    == _outcome(getattr(slow, name), *args)), (print_norm(ast), name, args)
 
 
 @pytest.mark.parametrize("backend", ["_kernels_py", "_kernels"], indirect=True)
@@ -332,7 +348,7 @@ def test_circle_edge_cases_agree(family, pair):
 
 def test_circle_nan_and_zero_radius(compiled_kernels):
     l1 = compile_ast(parse_norm("l1", 2))
-    zero = ((0, 6), (0.0, 0.0), (0, 0), (), (-1, 0), (-1, -1), 2)  # scale(0, l2)
+    zero = ((0, 6), (0.0, 0.0), (), 2)  # scale(0, l2)
     l2_3 = compile_ast(parse_norm("l2", 3))
     for mod in (compiled_kernels, _kernels_py):
         assert _outcome(mod.Program(*l1).circle, math.nan) == ("nan", "nan")
@@ -344,7 +360,7 @@ def test_circle_nan_and_zero_radius(compiled_kernels):
 
 # codomain norms for image_value; l2 on one coordinate is the raw tape
 IMAGE_NORMS = ("l1", "l2", "linf", "lp(3)", "max(l1, l2)", "sum(l1, linf)", "scale(0.7, l2)")
-_L2_DIM1 = ((0,), (0.0,), (0,), (), (-1,), (-1,), 1)
+_L2_DIM1 = ((0,), (0.0,), (), 1)
 
 # row entries that stress an exact row sum: signed zeros, subnormals, the
 # extremes whose products overflow, and a cancelling 1e16 pair
@@ -795,7 +811,7 @@ class _Row(tuple):
 _L1 = parse_norm("l1", 2)
 _L1_TAPE = compile_ast(_L1)
 _L2_DIM3 = compile_ast(parse_norm("l2", 3))
-_ZERO_TAPE = ((0, 6), (0.0, 0.0), (0, 0), (), (-1, 0), (-1, -1), 2)  # scale(0, l2)
+_ZERO_TAPE = ((0, 6), (0.0, 0.0), (), 2)  # scale(0, l2)
 _STEP48 = 2.0 * math.pi / 48
 
 

@@ -372,6 +372,17 @@ class TestPreserverCommand:
         )
         assert got["all_pass"] is True
 
+    @BACKENDS
+    @pytest.mark.parametrize("matrix", ["1.7e308,1.7e308;0,1", "1.7e308,1.7e308,0;0,1,0;0,0,1"],
+                             ids=["planar", "3x3"])
+    def test_overflowing_image_exits_one_with_one_line(self, package_backend, capsys, matrix):
+        # an image row's exact sum overflows, in the operator-norm sweep or
+        # the hill climb
+        code, out, err = _run(capsys, "preserver", "--matrix", matrix, "--alpha", "0.3",
+                              "--beta", "0.4", "--samples", "5")
+        assert (code, out) == (1, "")
+        assert err == "normortho: the preserver check overflows at this scale\n"
+
     def test_bad_matrix_literal(self, capsys):
         assert _run(capsys, "preserver", "--matrix", "1,1;0", "--norm", "l2")[0] == 2
 

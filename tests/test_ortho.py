@@ -93,6 +93,19 @@ class TestTolerance:
         assert is_orthogonal(BIRKHOFF, L2, (1.0, 0.0), (0.0, 1.0), 0.0).holds
         assert not is_orthogonal(BIRKHOFF, L2, (1.0, 0.0), (1e-300, 1.0), 0.0).holds
 
+    @pytest.mark.parametrize("rel, residual, want", [
+        (BIRKHOFF, -2.0, -2.0), (BIRKHOFF, 3.0, 3.0),
+        (Relation("rho"), -2.0, 2.0), (Relation("isosceles"), 3.0, 3.0),
+    ])
+    def test_violation_is_one_sided_for_birkhoff_only(self, rel, residual, want):
+        # the one measure _verdict compares with tol and the miner with 100 tol
+        assert normortho.ortho._violation(rel, residual) == want
+
+    @pytest.mark.parametrize("rel", [BIRKHOFF, Relation("rho")], ids=["birkhoff", "rho"])
+    def test_nan_residual_neither_holds_nor_fails_clearly(self, rel):
+        measure = normortho.ortho._violation(rel, math.nan)
+        assert not measure <= 1e-9 and not measure > 1e-7
+
 
 class TestBirkhoff:
     def test_axes_euclidean(self):

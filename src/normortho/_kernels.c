@@ -1632,7 +1632,7 @@ static PyMethodDef Program_methods[] = {
     {"derivs", (PyCFunction)(void (*)(void))Program_derivs, METH_FASTCALL,
      "(N(u), D+, D-) of t -> N(u + t v) at t = 0."},
     {"line_evaluator", (PyCFunction)(void (*)(void))Program_line_evaluator, METH_FASTCALL,
-     "Callable phi with phi(t) = N(u + t v); buffers reused per call."},
+     "Callable phi with phi(t) = N(u + t v); u and v are read as doubles."},
     {"circle", (PyCFunction)Program_circle, METH_O,
      "(cos theta, sin theta) / N(cos theta, sin theta) of a planar norm."},
     {"image_value", (PyCFunction)(void (*)(void))Program_image_value, METH_FASTCALL,

@@ -1,4 +1,4 @@
-"""Pure Python tape interpreter, twin of the compiled extension `_kernels`.
+"""Pure Python twin of the compiled extension `_kernels`.
 
 This docstring describes Program and SplitMix64 for both twins.  They run
 the same operations in the same order; when touching a formula here,
@@ -37,10 +37,10 @@ A Program evaluates one fixed norm expression N through twelve methods:
   of explorer.operator_norm, its 1024-point grid and its golden-section
   refinement, for the domain's circle and an n x 2 matrix.
 
-A derivative runs in two passes.  The base pass at u (`_base` here,
-`base_of` in the C twin) fills every node's value N_i(u) and, for each
+A derivative runs in two passes.  The base pass at u (`value(u, True)`
+here, `base_of` in the C twin) fills every node's value N_i(u) and, for each
 wlp(p) leaf, the coefficients w_j pow(|u_j| / N_i(u), p - 1): the
-derivative's only pow calls.  The direction pass along v (`_derivs`,
+derivative's only pow calls.  The direction pass along v (`dirs`,
 `derivs_of`) adds c_j v_j where u_j > 0 and subtracts it where u_j < 0,
 the rounding of w_j pow(...) v_j.  derivs and residual run one of each;
 residuals, crossing and locus run the base pass once for their base
@@ -58,8 +58,19 @@ it; each twin derives the nodes' children (`left`, `right`) and weight
 offsets (`woff`) at load, in the one stack pass that checks the tape and
 raises the same ValueError texts in both.  The tape has four leaf kinds:
 l2, and wlp with p = 1, inf or finite p (`compile_ast` gives l1, linf and
-lp unit weights).  `_value` here and `value_of` in the C twin hold the
+lp unit weights).  `_VALUE` here and `value_of` in the C twin hold the
 only copy of each leaf formula.
+
+The C twin interprets the tape node by node.  This twin runs straight-line
+Python instead, generated once per tape shape (kinds, dim) and process:
+`_source` writes the value pass, which with coefs is the base pass, the
+direction pass and a line evaluator from the per-kind templates `_VALUE`
+and `_DIRECTION`, node by node in tape order, with the coordinates
+unrolled up to dim `_UNROLL` and looped over above it.  Each template
+keeps the C twin's operations in its order.  `_shape` runs the source
+once into a bounded cache, and each Program binds it to its own params
+and weights at load; the text holds only kinds, node indices and dim,
+never a number of the tape.
 
 SplitMix64 is the seeded random stream; both twins draw the same bits.
 """
@@ -86,42 +97,273 @@ _SMOOTH_TOL = 1e-12
 # operands each kind pops off the tape's value stack
 _ARITY = (0, 0, 0, 0, 2, 2, 1)
 
+# coordinates are unrolled up to this dim and looped over above it.
+# Unrolled passes run faster per call at every dim timed (1.5-3.5x at dim
+# 2, 1.1-2.4x at dim 16), but their text, and so a new shape's compile,
+# grows with dim: 0.9-1.2x the looped compile at dims 2-3, 1.3-1.6x at
+# 4-5 and 1.5-3.3x at 6-16.
+_UNROLL = 4
+
+# Each node kind's lines in the value pass (N_i(u) into n{i}) and in the
+# direction pass ((D+, D-) into dp{i}, dm{i}); {l} and {r} are the node's
+# children.  A line starting with @ runs once per coordinate j, with {u}
+# u_j, {a} |u_j|, {x} v_j, {w} the leaf's weight w_j and {c} its base-pass
+# coefficient.  m is max_j |u_j| in the value pass: wlp(p) scales by it so
+# u far from unit scale neither overflows nor underflows pow.
+_VALUE = {
+    K_L2: """
+if m == 0.0:
+    n{i} = 0.0
+else:
+    s = 0.0
+    @r = {u} / m
+    @s += r * r
+    n{i} = m * sqrt(s)""",
+    K_WLP1: """
+s = 0.0
+@s += {w} * {a}
+n{i} = s""",
+    K_WLPINF: """
+n{i} = 0.0
+@t = {w} * {a}
+@if t > n{i}:
+@    n{i} = t""",
+    K_WLPP: """
+if m == 0.0:
+    n{i} = 0.0
+else:
+    s = 0.0
+    @s += {w} * pow({a} / m, p{i})
+    n{i} = m * pow(s, 1.0 / p{i})""",
+    K_MAX: "n{i} = n{l} if n{l} >= n{r} else n{r}",
+    K_SUM: "n{i} = n{l} + n{r}",
+    K_SCALE: "n{i} = p{i} * n{l}",
+}
+_DIRECTION = {
+    K_L2: """
+s = 0.0
+@s += {u} * {x}
+dp{i} = dm{i} = s / n{i}""",
+    K_WLP1: """
+sp = 0.0
+sa = 0.0
+@if {u} > 0.0:
+@    sp += {w} * {x}
+@elif {u} < 0.0:
+@    sp -= {w} * {x}
+@else:
+@    sa += {w} * abs({x})
+dp{i} = sp + sa
+dm{i} = sp - sa""",
+    K_WLPINF: """
+t = (1.0 - TIE) * n{i}
+dp{i} = -inf
+dm{i} = inf
+@if {w} * abs({u}) >= t:
+@    g = {w} * {x} if {u} > 0.0 else -{w} * {x}
+@    if g > dp{i}:
+@        dp{i} = g
+@    if g < dm{i}:
+@        dm{i} = g""",
+    K_WLPP: """
+d = 0.0
+@if {u} > 0.0:
+@    d += {c} * {x}
+@elif {u} < 0.0:
+@    d -= {c} * {x}
+dp{i} = dm{i} = d""",
+    # tied children: the one-sided derivative of a max of two functions
+    # equal at 0 is the max of their D+ and the min of their D-
+    K_MAX: """
+m = n{l} if n{l} >= n{r} else n{r}
+if abs(n{l} - n{r}) <= TIE * m:
+    dp{i} = dp{l} if dp{l} >= dp{r} else dp{r}
+    dm{i} = dm{l} if dm{l} <= dm{r} else dm{r}
+elif n{l} > n{r}:
+    dp{i} = dp{l}
+    dm{i} = dm{l}
+else:
+    dp{i} = dp{r}
+    dm{i} = dm{r}""",
+    K_SUM: """
+dp{i} = dp{l} + dp{r}
+dm{i} = dm{l} + dm{r}""",
+    K_SCALE: """
+dp{i} = p{i} * dp{l}
+dm{i} = p{i} * dm{l}""",
+}
+# A leaf that is 0 at u has N(u + t v) = |t| N(v), so D+- = +-N(v).  V is
+# the base pass's node values at v, run at the first such leaf; {k} is the
+# leaf's place in them.
+_ZERO = """
+if n{i} == 0.0:
+    V = V or value(v, False)
+    dp{i} = V[{k}]
+    dm{i} = -V[{k}]
+else:"""
+# the sequence each coordinate column is read from in a loop
+_SEQS = {"u": "u", "a": "a", "x": "v", "w": "W{i}", "c": "C{i}"}
+
+
+def _unrolled(dim) -> bool:
+    return 1 <= dim <= _UNROLL
+
+
+def _names(col, dim) -> str:
+    """Column col as a pass holds it: one local per coordinate, unrolled."""
+    return "".join(f"{col}{j}, " for j in range(dim)).rstrip() if _unrolled(dim) else col
+
+
+def _loop(text) -> str:
+    """The `for` clause over the coordinate columns text reads."""
+    cols = [c for c in _SEQS if "{" + c + "}" in text]
+    seqs = [_SEQS[c] for c in cols]
+    return (", ".join(c + "j" for c in cols) + " in "
+            + (seqs[0] if len(seqs) == 1 else f"zip({', '.join(seqs)})"))
+
+
+def _coords(text, dim) -> list:
+    """text with its columns named at each coordinate, or as a loop's
+    variables; {i} is left to fill."""
+    if _unrolled(dim):
+        return [text.format(i="{i}", u=f"u{j}", a=f"a{j}", x=f"x{j}", w=f"w{{i}}_{j}",
+                            c=f"C{{i}}[{j}]") for j in range(dim)]
+    return [text.format(i="{i}", **{c: c + "j" for c in _SEQS})]
+
+
+def _each(expr, dim) -> str:
+    """expr at every coordinate: a tuple display, or a list comprehension."""
+    if _unrolled(dim):
+        return "(" + "".join(e + ", " for e in _coords(expr, dim)) + ")"
+    return f"[{_coords(expr, dim)[0]} for {_loop(expr)}]"
+
+
+def _expand(template, dim) -> str:
+    """template with each run of @ lines once per coordinate, unrolled or
+    in a loop; {i}, {l}, {r} and {k} are left to fill."""
+    out = []
+    lines = template.strip("\n").split("\n")
+    while lines:
+        line = lines.pop(0)
+        body = line.lstrip()
+        if not body.startswith("@"):
+            out.append(line)
+            continue
+        indent = line[:len(line) - len(body)]
+        run = [body[1:]]
+        while lines and lines[0].lstrip().startswith("@"):
+            run.append(lines.pop(0).lstrip()[1:])
+        text = "\n".join(run)
+        if not _unrolled(dim):
+            out.append(f"{indent}for {_loop(text)}:")
+            indent += "    "
+        for block in _coords(text, dim):
+            out += [indent + ln for ln in block.split("\n")]
+    return "\n".join(out)
+
+
+def _lines(template, dim, pad, **fields) -> list:
+    """template's lines for one node, each indented by pad."""
+    return [pad + ln for ln in _expand(template, dim).format(**fields).split("\n")]
+
+
+def _source(kinds, dim, left, right, woff) -> str:
+    """The passes of a tape shape, as the source of bind(P, W): P and W
+    are a tape's params and weights, and bind returns its (value, dirs,
+    line).  value(u) is N(u) and value(u, True) the base pass: the node
+    values dirs reads, then each wlp(p) leaf's coefficients (None where
+    the leaf is 0, and everywhere for value(u, False)).  Only kinds, node
+    indices and dim appear in the text."""
+    last = len(kinds) - 1
+    lazy = [i for i, k in enumerate(kinds) if k in (K_L2, K_WLPINF, K_WLPP)]
+    wlpp = [i for i in lazy if kinds[i] == K_WLPP]
+    # the node values dirs reads, the root first, then the pow coefficients
+    kept = [last] + sorted(set(lazy + [c for i, k in enumerate(kinds) if k == K_MAX
+                                       for c in (left[i], right[i])]) - {last})
+    held = "".join(f"n{i}, " for i in kept) + "".join(f"C{i}, " for i in wlpp)
+    out = ["def bind(P, W):"]
+    for i, k in enumerate(kinds):
+        if k in (K_WLPP, K_SCALE):
+            out.append(f"    p{i} = P[{i}]")
+        if k == K_WLPP:
+            out.append(f"    e{i} = p{i} - 1.0")
+        if _ARITY[k] == 0 and k != K_L2:
+            ws = f"W[{woff[i]}:{woff[i] + dim}]"
+            out.append(f"    {_names(f'w{i}_', dim)} = {ws}" if _unrolled(dim) else f"    W{i} = {ws}")
+    unpack = [f"        {_names(c, dim)} = {s}" for c, s in (("u", "u"), ("x", "v"))
+              if _unrolled(dim)]
+    values = unpack[:1] + [f"        {_names('a', dim)} = {_each('abs({u})', dim)}"]
+    if lazy:
+        values += _lines("m = 0.0\n@if {a} > m:\n@    m = {a}", dim, "        ", i=None)
+    for i, k in enumerate(kinds):
+        values += _lines(_VALUE[k], dim, "        ", i=i, l=left[i], r=right[i])
+    out += ["    def value(u, coefs=None):", *values, "        if coefs is None:",
+            f"            return n{last}"]
+    for i in wlpp:
+        coefs = _each("{w} * pow({a} / n{i}, e{i}) if {u} != 0.0 else 0.0", dim).format(i=i)
+        out.append(f"        C{i} = {coefs} if coefs and n{i} != 0.0 else None")
+    out += [f"        return {held}", "    def dirs(u, B, v):", *unpack,
+            f"        {held} = B", "        V = None" if lazy else ""]
+    for i, k in enumerate(kinds):
+        pad = "        "
+        if i in lazy:
+            out += _lines(_ZERO, dim, pad, i=i, k=kept.index(i))
+            pad += "    "
+        out += _lines(_DIRECTION[k], dim, pad, i=i, l=left[i], r=right[i])
+    out += [f"        return n{last}, dp{last}, dm{last}", "    def line(u, v):", *unpack,
+            "        def phi(t):", f"            return value({_each('{u} + t * {x}', dim)})",
+            "        return phi", "    return value, dirs, line", ""]
+    return "\n".join(out)
+
+
+@functools.lru_cache(maxsize=256)
+def _shape(kinds, dim):
+    """(weights taken, bind, left, right, woff, source) of a tape shape.
+
+    One stack pass over the post-order kinds derives each node's children
+    and weight offset and checks the tape; _source's text is then run once
+    per shape and process, and bind binds it to one tape's numbers.
+    """
+    n = len(kinds)
+    left, right, woff, stack, used = [-1] * n, [-1] * n, [0] * n, [], 0
+    for i, k in enumerate(kinds):
+        if not K_L2 <= k <= K_SCALE:
+            raise ValueError(f"tape node {i}: unknown kind {k}")
+        arity = _ARITY[k]
+        if len(stack) < arity:
+            raise ValueError(f"tape node {i}: kind {k} pops {arity}, "
+                             f"the stack holds {len(stack)}")
+        if arity == 2:
+            right[i] = stack.pop()
+        if arity:
+            left[i] = stack.pop()
+        elif k != K_L2:
+            woff[i] = used
+            used += dim
+        stack.append(i)
+    if len(stack) != 1:
+        raise ValueError(f"tape ends with {len(stack)} values on the stack, not 1")
+    source = _source(kinds, dim, left, right, woff)
+    namespace = {"sqrt": math.sqrt, "pow": math.pow, "inf": math.inf, "TIE": _TIE}
+    exec(compile(source, "<normortho tape>", "exec"), namespace)
+    return used, namespace["bind"], tuple(left), tuple(right), tuple(woff), source
+
 
 class Program:
-    __slots__ = ("kinds", "params", "woff", "weights", "left", "right", "dim", "n", "_wlpp")
+    __slots__ = ("kinds", "params", "weights", "dim", "_value", "_dirs", "_line")
 
     def __init__(self, kinds, params, weights, dim):
-        self.kinds = tuple(kinds)
+        self.kinds = kinds = tuple(map(operator.index, kinds))
         self.params = tuple(params)
         self.weights = tuple(weights)
         self.dim = dim = int(dim)
-        self.n = n = len(self.kinds)
-        if n < 1 or len(self.params) != n:
+        if not kinds or len(self.params) != len(kinds):
             raise ValueError("kinds and params must have the same length n >= 1")
-        left, right, woff, stack, used = [-1] * n, [-1] * n, [0] * n, [], 0
-        for i, k in enumerate(self.kinds):
-            if not K_L2 <= k <= K_SCALE:
-                raise ValueError(f"tape node {i}: unknown kind {k}")
-            arity = _ARITY[k]
-            if len(stack) < arity:
-                raise ValueError(f"tape node {i}: kind {k} pops {arity}, "
-                                 f"the stack holds {len(stack)}")
-            if arity == 2:
-                right[i] = stack.pop()
-            if arity:
-                left[i] = stack.pop()
-            elif k != K_L2:
-                woff[i] = used
-                used += dim
-            stack.append(i)
-        if len(stack) != 1:
-            raise ValueError(f"tape ends with {len(stack)} values on the stack, not 1")
+        used, bind = _shape(kinds, dim)[:2]
         if len(self.weights) != used:
             raise ValueError(f"the weight pool holds {len(self.weights)}, "
                              f"the weighted leaves take {used}")
-        self.woff, self.left, self.right = tuple(woff), tuple(left), tuple(right)
-        # the wlp(p) leaves, whose coefficients the base pass computes
-        self._wlpp = tuple([i for i, k in enumerate(self.kinds) if k == K_WLPP])
+        self._value, self._dirs, self._line = bind(self.params, self.weights)
 
     # -- boundary ------------------------------------------------------------
 
@@ -153,66 +395,7 @@ class Program:
         """Norm of u."""
         if len(u) != self.dim:
             raise ValueError(f"expected {self.dim} coordinates, got {len(u)}")
-        return self._value(u, [0.0] * self.n)
-
-    def _value(self, u, vals) -> float:
-        dim = self.dim
-        for i in range(self.n):
-            k = self.kinds[i]
-            if k == K_L2:
-                m = 0.0
-                for j in range(dim):
-                    a = abs(u[j])
-                    if a > m:
-                        m = a
-                if m == 0.0:
-                    vals[i] = 0.0
-                else:
-                    s = 0.0
-                    for j in range(dim):
-                        r = u[j] / m
-                        s += r * r
-                    vals[i] = m * math.sqrt(s)
-            elif k == K_WLP1:
-                wo = self.woff[i]
-                s = 0.0
-                for j in range(dim):
-                    s += self.weights[wo + j] * abs(u[j])
-                vals[i] = s
-            elif k == K_WLPINF:
-                wo = self.woff[i]
-                m = 0.0
-                for j in range(dim):
-                    a = self.weights[wo + j] * abs(u[j])
-                    if a > m:
-                        m = a
-                vals[i] = m
-            elif k == K_WLPP:
-                # scaled by the max coordinate so u far from unit scale
-                # neither overflows nor underflows pow
-                p = self.params[i]
-                wo = self.woff[i]
-                m = 0.0
-                for j in range(dim):
-                    a = abs(u[j])
-                    if a > m:
-                        m = a
-                if m == 0.0:
-                    vals[i] = 0.0
-                else:
-                    s = 0.0
-                    for j in range(dim):
-                        s += self.weights[wo + j] * math.pow(abs(u[j]) / m, p)
-                    vals[i] = m * math.pow(s, 1.0 / p)
-            elif k == K_MAX:
-                a = vals[self.left[i]]
-                b = vals[self.right[i]]
-                vals[i] = a if a >= b else b
-            elif k == K_SUM:
-                vals[i] = vals[self.left[i]] + vals[self.right[i]]
-            else:  # K_SCALE
-                vals[i] = self.params[i] * vals[self.left[i]]
-        return vals[self.n - 1]
+        return self._value(u)
 
     # -- one-sided derivatives ----------------------------------------------
 
@@ -229,126 +412,8 @@ class Program:
             raise ValueError(
                 f"expected {self.dim} coordinates, got {len(u)} and {len(v)}"
             )
-        n = self.n
-        vals = self._base(u)
-        dps = [0.0] * n
-        dms = [0.0] * n
-        self._derivs(u, vals, v, dps, dms)
-        last = n - 1
-        return vals[last], dps[last], dms[last]
+        return self._dirs(u, self._value(u, True), v)
 
-    def _base(self, u):
-        """The base pass at u: vals holding N_i(u) of every node, then, at
-        n + i dim + j for each wlp(p) leaf i nonzero at u and each u_j !=
-        0, w_j pow(|u_j| / N_i(u), p - 1).  These are the derivative's only
-        pow calls."""
-        n = self.n
-        dim = self.dim
-        vals = [0.0] * (n + n * dim)
-        self._value(u, vals)
-        for i in self._wlpp:
-            val = vals[i]
-            if val != 0.0:
-                pm1 = self.params[i] - 1.0
-                wo = self.woff[i]
-                c = n + i * dim
-                for j in range(dim):
-                    uj = u[j]
-                    if uj != 0.0:
-                        vals[c + j] = self.weights[wo + j] * math.pow(abs(uj) / val, pm1)
-        return vals
-
-    def _derivs(self, u, vals, v, dps, dms) -> None:
-        # The direction pass along v, from _base's vals at u.  A leaf that
-        # is 0 at u has N(u + t v) = |t| N(v), so D+- = +-N(v); vvals holds
-        # N at v of every node, filled at the first such leaf.
-        dim = self.dim
-        vvals = None
-        for i in range(self.n):
-            k = self.kinds[i]
-            val = vals[i]
-            if (k == K_L2 or k == K_WLPINF or k == K_WLPP) and val == 0.0:
-                if vvals is None:
-                    vvals = [0.0] * self.n
-                    self._value(v, vvals)
-                dps[i] = vvals[i]
-                dms[i] = -vvals[i]
-            elif k == K_L2:
-                s = 0.0
-                for j in range(dim):
-                    s += u[j] * v[j]
-                d = s / val
-                dps[i] = d
-                dms[i] = d
-            elif k == K_WLP1:
-                wo = self.woff[i]
-                sp = 0.0
-                sa = 0.0
-                for j in range(dim):
-                    w = self.weights[wo + j]
-                    uj = u[j]
-                    if uj > 0.0:
-                        sp += w * v[j]
-                    elif uj < 0.0:
-                        sp -= w * v[j]
-                    else:
-                        sa += w * abs(v[j])
-                dps[i] = sp + sa
-                dms[i] = sp - sa
-            elif k == K_WLPINF:
-                wo = self.woff[i]
-                thr = (1.0 - _TIE) * val
-                dp = -math.inf
-                dm = math.inf
-                for j in range(dim):
-                    w = self.weights[wo + j]
-                    uj = u[j]
-                    if w * abs(uj) >= thr:
-                        g = w * v[j] if uj > 0.0 else -w * v[j]
-                        if g > dp:
-                            dp = g
-                        if g < dm:
-                            dm = g
-                dps[i] = dp
-                dms[i] = dm
-            elif k == K_WLPP:
-                c = self.n + i * dim
-                d = 0.0
-                for j in range(dim):
-                    uj = u[j]
-                    if uj > 0.0:
-                        d += vals[c + j] * v[j]
-                    elif uj < 0.0:
-                        d -= vals[c + j] * v[j]
-                dps[i] = d
-                dms[i] = d
-            elif k == K_MAX:
-                lc = self.left[i]
-                rc = self.right[i]
-                a = vals[lc]
-                b = vals[rc]
-                m = a if a >= b else b
-                if abs(a - b) <= _TIE * m:
-                    # tied children: one-sided derivative of a max of two
-                    # functions equal at 0 is max of D+ and min of D-
-                    dps[i] = dps[lc] if dps[lc] >= dps[rc] else dps[rc]
-                    dms[i] = dms[lc] if dms[lc] <= dms[rc] else dms[rc]
-                elif a > b:
-                    dps[i] = dps[lc]
-                    dms[i] = dms[lc]
-                else:
-                    dps[i] = dps[rc]
-                    dms[i] = dms[rc]
-            elif k == K_SUM:
-                lc = self.left[i]
-                rc = self.right[i]
-                dps[i] = dps[lc] + dps[rc]
-                dms[i] = dms[lc] + dms[rc]
-            else:  # K_SCALE
-                c = self.params[i]
-                lc = self.left[i]
-                dps[i] = c * dps[lc]
-                dms[i] = c * dms[lc]
 
     # -- planar sweeps and matrix images -------------------------------------
 
@@ -358,7 +423,7 @@ class Program:
             raise ValueError(f"circle needs a 2-dimensional norm, got dim {self.dim}")
         d0 = math.cos(theta)
         d1 = math.sin(theta)
-        r = self._value((d0, d1), [0.0] * self.n)
+        r = self._value((d0, d1))
         return (d0 / r, d1 / r)
 
     def image_value(self, matrix, x) -> float:
@@ -371,7 +436,7 @@ class Program:
             if len(row) != cols:
                 raise ValueError(f"expected rows of {cols} entries, got {len(row)}")
             y.append(math.fsum(map(operator.mul, row, x)))
-        return self._value(y, [0.0] * self.n)
+        return self._value(y)
 
     # -- orthogonality relations ---------------------------------------------
 
@@ -386,40 +451,32 @@ class Program:
         return self._residual_at(code, a, b, u, self._relation_base(code, u), v)
 
     def _relation_base(self, code, u):
-        """The base pass of relation code at u: _base's vals for the
-        relations made of derivatives, N_i(u) alone for pythagorean, None
+        """The base pass of relation code at u: the base pass for the
+        relations made of derivatives, N(u) alone for pythagorean, None
         for isosceles."""
         if code == R_ISOSCELES:
             return None
         if code == R_PYTHAGOREAN:
-            vals = [0.0] * self.n
-            self._value(u, vals)
-            return vals
-        return self._base(u)
+            return self._value(u)
+        return self._value(u, True)
 
     def _sweep(self, code, a, b, u):
         """v -> residual(code, a, b, u, v), with the base pass at u run once, now."""
         return functools.partial(self._residual_at, code, a, b, u, self._relation_base(code, u))
 
-    def _residual_at(self, code, a, b, u, vals, v) -> float:
+    def _residual_at(self, code, a, b, u, base, v) -> float:
         # the direction pass along v, from _relation_base's pass at u
-        n = self.n
         if code == R_ISOSCELES:
-            work = [0.0] * n
-            plus = self._value(tuple(map(operator.add, u, v)), work)
-            return plus - self._value(tuple(map(operator.sub, u, v)), work)
-        val = vals[n - 1]
+            plus = self._value(tuple(map(operator.add, u, v)))
+            return plus - self._value(tuple(map(operator.sub, u, v)))
         if code == R_PYTHAGOREAN:
-            work = [0.0] * n
-            diff = self._value(tuple(map(operator.sub, u, v)), work)
-            nv = self._value(v, work)
+            diff = self._value(tuple(map(operator.sub, u, v)))
+            nv = self._value(v)
             # products, not ** 2: float ** raises OverflowError past ~1.3e154
-            return diff * diff - (val * val + nv * nv)
-        dps = [0.0] * n
-        dms = [0.0] * n
-        self._derivs(u, vals, v, dps, dms)
-        rm = val * dms[n - 1]
-        rp = val * dps[n - 1]
+            return diff * diff - (base * base + nv * nv)
+        val, dp, dm = self._dirs(u, base, v)
+        rm = val * dm
+        rp = val * dp
         if code == R_BIRKHOFF:
             return max(rm, -rp)
         if code == R_RHO_PLUS:
@@ -560,12 +617,11 @@ class Program:
                 raise ValueError(f"expected rows of 2 entries, got {len(row)}")
             rows.append((_double(row[0]), _double(row[1])))
         value = self._value
-        vals = [0.0] * self.n
         fsum = math.fsum
 
         def gain(theta):
             x0, x1 = circle(theta)
-            return value([fsum((r0 * x0, r1 * x1)) for r0, r1 in rows], vals)
+            return value([fsum((r0 * x0, r1 * x1)) for r0, r1 in rows])
 
         step = 2.0 * math.pi / 1024
         best_j = 0
@@ -586,21 +642,9 @@ class Program:
     # -- line restriction ----------------------------------------------------
 
     def line_evaluator(self, u, v):
-        """Callable phi with phi(t) = N(u + t v); buffers reused per call."""
+        """Callable phi with phi(t) = N(u + t v); u and v are read as doubles."""
         self._check_pair(u, v)
-        uu = tuple(float(x) for x in u)
-        vv = tuple(float(x) for x in v)
-        dim = self.dim
-        buf = [0.0] * dim
-        scratch = [0.0] * self.n
-        value = self._value
-
-        def phi(t: float) -> float:
-            for j in range(dim):
-                buf[j] = uu[j] + t * vv[j]
-            return value(buf, scratch)
-
-        return phi
+        return self._line([_double(x) for x in u], [_double(x) for x in v])
 
 
 def _double(x) -> float:

@@ -129,12 +129,19 @@ def _apply(lin: LinearMap, x: Vector) -> Vector:
 
 
 def apply_map(lin: LinearMap, u) -> Vector:
+    """T u, each row summed exactly as math.fsum sums it.
+
+    Raises ValueError when a row's exact sum overflows.
+    """
     x = as_vector(u)
     if len(x) != lin.domain_norm.dim:
         raise DimensionMismatchError(
             f"map consumes {lin.domain_norm.dim} coordinates but vector has {len(x)}"
         )
-    return _apply(lin, x)
+    try:
+        return _apply(lin, x)
+    except OverflowError:
+        raise ValueError("the map's image overflows at this scale") from None
 
 
 def operator_norm(lin: LinearMap, cfg: SampleConfig) -> OperatorNormEstimate:
@@ -144,8 +151,16 @@ def operator_norm(lin: LinearMap, cfg: SampleConfig) -> OperatorNormEstimate:
     by golden-section refinement around the best cell, both in the kernel
     (Program.operator_norm; grade "fine");
     higher dimensions fall back to cfg.count starts of hill climbing with
-    a shrinking step (grade "coarse").
+    a shrinking step (grade "coarse").  Raises ValueError when an image
+    row's exact sum overflows.
     """
+    try:
+        return _operator_norm(lin, cfg)
+    except OverflowError:
+        raise ValueError("the operator norm overflows at this scale") from None
+
+
+def _operator_norm(lin: LinearMap, cfg: SampleConfig) -> OperatorNormEstimate:
     if lin.is_zero:
         raise ValueError("operator norm of the zero map is trivially 0; refusing")
     dom = get_program(lin.domain_norm)
@@ -204,16 +219,23 @@ def preserver_check(lin: LinearMap, ab: AlphaBeta, cfg: SampleConfig) -> Preserv
     condition (2) through a near-kernel sphere direction.  Conditions (1)
     and (3) skip a sample whose norm product is below 1e-12 scale^2, a
     floor relative to the sampling scale, so the verdict does not depend
-    on it.  Raises ValueError when an image row's exact sum overflows.
+    on it.  Raises ValueError when an image row's exact sum overflows, or
+    a condition's ratio is NaN (an image norm, a functional or the
+    operator norm overflowed).
     """
     try:
         return _preserver_check(lin, ab, cfg)
     except OverflowError:
-        raise ValueError("the preserver check overflows at this scale") from None
+        raise ValueError(_PRESERVER_OVERFLOW) from None
+
+
+# also raised for a condition's NaN ratio, which no comparison would keep:
+# it comes from an overflowing image norm, functional or operator norm
+_PRESERVER_OVERFLOW = "the preserver check overflows at this scale"
 
 
 def _preserver_check(lin: LinearMap, ab: AlphaBeta, cfg: SampleConfig) -> PreserverReport:
-    opn = operator_norm(lin, cfg)
+    opn = _operator_norm(lin, cfg)
     tol = 1e-6 if opn.grade == "fine" else 1e-5
     dom_ast = lin.domain_norm
     dom = get_program(dom_ast)
@@ -242,6 +264,8 @@ def _preserver_check(lin: LinearMap, ab: AlphaBeta, cfg: SampleConfig) -> Preser
         ratio = abs(_rho_ab(cod, tu, tw, ab)) / denom
         if ratio > worst1:
             worst1, wit1 = ratio, (u, w)
+        elif ratio != ratio:
+            raise ValueError(_PRESERVER_OVERFLOW)
 
     # condition 2: norm multiplicativity over the unit sphere
     rng = SplitMix64(root.substream(2).next_u64())
@@ -253,6 +277,8 @@ def _preserver_check(lin: LinearMap, ab: AlphaBeta, cfg: SampleConfig) -> Preser
         dev = abs(image_value(lin.matrix, x) - opn.value) / opn.value
         if dev > worst2:
             worst2, wit2 = dev, x
+        elif dev != dev:
+            raise ValueError(_PRESERVER_OVERFLOW)
 
     # condition 3: quadratic scaling of the functional
     rng = root.substream(3)
@@ -271,6 +297,8 @@ def _preserver_check(lin: LinearMap, ab: AlphaBeta, cfg: SampleConfig) -> Preser
         ratio = gap / (ab.total * tsq * nu * nv)
         if ratio > worst3:
             worst3, wit3 = ratio, (u, v)
+        elif ratio != ratio:
+            raise ValueError(_PRESERVER_OVERFLOW)
 
     return PreserverReport(
         opn,

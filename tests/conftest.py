@@ -9,6 +9,7 @@ import shutil
 import subprocess
 import sys
 import sysconfig
+import types
 
 import hypothesis
 import pytest
@@ -225,6 +226,178 @@ def tape_reference(ast):
     walk(ast)
     return (tuple(kinds), tuple(params), tuple(woff), tuple(weights), tuple(left),
             tuple(right), ast.dim)
+
+
+def interpreter_reference(kinds, params, woff, weights, left, right, dim):
+    """The tape interpreter the pure twin ran before it generated code per
+    tape shape, node by node over the columns tape_reference gives: an
+    object whose value(u) and derivs(u, v) are what a Program's must equal."""
+    n = len(kinds)
+
+    def value_into(u, vals):
+        for i in range(n):
+            k = kinds[i]
+            if k == K_L2:
+                m = 0.0
+                for j in range(dim):
+                    a = abs(u[j])
+                    if a > m:
+                        m = a
+                if m == 0.0:
+                    vals[i] = 0.0
+                else:
+                    s = 0.0
+                    for j in range(dim):
+                        r = u[j] / m
+                        s += r * r
+                    vals[i] = m * math.sqrt(s)
+            elif k == K_WLP1:
+                wo = woff[i]
+                s = 0.0
+                for j in range(dim):
+                    s += weights[wo + j] * abs(u[j])
+                vals[i] = s
+            elif k == K_WLPINF:
+                wo = woff[i]
+                m = 0.0
+                for j in range(dim):
+                    a = weights[wo + j] * abs(u[j])
+                    if a > m:
+                        m = a
+                vals[i] = m
+            elif k == K_WLPP:
+                p = params[i]
+                wo = woff[i]
+                m = 0.0
+                for j in range(dim):
+                    a = abs(u[j])
+                    if a > m:
+                        m = a
+                if m == 0.0:
+                    vals[i] = 0.0
+                else:
+                    s = 0.0
+                    for j in range(dim):
+                        s += weights[wo + j] * math.pow(abs(u[j]) / m, p)
+                    vals[i] = m * math.pow(s, 1.0 / p)
+            elif k == K_MAX:
+                a = vals[left[i]]
+                b = vals[right[i]]
+                vals[i] = a if a >= b else b
+            elif k == K_SUM:
+                vals[i] = vals[left[i]] + vals[right[i]]
+            else:  # K_SCALE
+                vals[i] = params[i] * vals[left[i]]
+        return vals[n - 1]
+
+    def base(u):
+        # N_i(u) of every node, then at n + i dim + j the coefficient
+        # w_j pow(|u_j| / N_i(u), p - 1) of each wlp(p) leaf nonzero at u
+        vals = [0.0] * (n + n * dim)
+        value_into(u, vals)
+        for i in range(n):
+            val = vals[i]
+            if kinds[i] == K_WLPP and val != 0.0:
+                pm1 = params[i] - 1.0
+                wo = woff[i]
+                c = n + i * dim
+                for j in range(dim):
+                    uj = u[j]
+                    if uj != 0.0:
+                        vals[c + j] = weights[wo + j] * math.pow(abs(uj) / val, pm1)
+        return vals
+
+    def direction(u, vals, v, dps, dms):
+        # a leaf that is 0 at u reads vvals, N at v of every node
+        vvals = None
+        for i in range(n):
+            k = kinds[i]
+            val = vals[i]
+            if (k == K_L2 or k == K_WLPINF or k == K_WLPP) and val == 0.0:
+                if vvals is None:
+                    vvals = [0.0] * n
+                    value_into(v, vvals)
+                dps[i] = vvals[i]
+                dms[i] = -vvals[i]
+            elif k == K_L2:
+                s = 0.0
+                for j in range(dim):
+                    s += u[j] * v[j]
+                d = s / val
+                dps[i] = d
+                dms[i] = d
+            elif k == K_WLP1:
+                wo = woff[i]
+                sp = 0.0
+                sa = 0.0
+                for j in range(dim):
+                    w = weights[wo + j]
+                    uj = u[j]
+                    if uj > 0.0:
+                        sp += w * v[j]
+                    elif uj < 0.0:
+                        sp -= w * v[j]
+                    else:
+                        sa += w * abs(v[j])
+                dps[i] = sp + sa
+                dms[i] = sp - sa
+            elif k == K_WLPINF:
+                wo = woff[i]
+                thr = (1.0 - 1e-12) * val
+                dp = -math.inf
+                dm = math.inf
+                for j in range(dim):
+                    w = weights[wo + j]
+                    uj = u[j]
+                    if w * abs(uj) >= thr:
+                        g = w * v[j] if uj > 0.0 else -w * v[j]
+                        if g > dp:
+                            dp = g
+                        if g < dm:
+                            dm = g
+                dps[i] = dp
+                dms[i] = dm
+            elif k == K_WLPP:
+                c = n + i * dim
+                d = 0.0
+                for j in range(dim):
+                    uj = u[j]
+                    if uj > 0.0:
+                        d += vals[c + j] * v[j]
+                    elif uj < 0.0:
+                        d -= vals[c + j] * v[j]
+                dps[i] = d
+                dms[i] = d
+            elif k == K_MAX:
+                lc = left[i]
+                rc = right[i]
+                a = vals[lc]
+                b = vals[rc]
+                m = a if a >= b else b
+                if abs(a - b) <= 1e-12 * m:
+                    dps[i] = dps[lc] if dps[lc] >= dps[rc] else dps[rc]
+                    dms[i] = dms[lc] if dms[lc] <= dms[rc] else dms[rc]
+                elif a > b:
+                    dps[i] = dps[lc]
+                    dms[i] = dms[lc]
+                else:
+                    dps[i] = dps[rc]
+                    dms[i] = dms[rc]
+            elif k == K_SUM:
+                dps[i] = dps[left[i]] + dps[right[i]]
+                dms[i] = dms[left[i]] + dms[right[i]]
+            else:  # K_SCALE
+                dps[i] = params[i] * dps[left[i]]
+                dms[i] = params[i] * dms[left[i]]
+
+    def derivs(u, v):
+        vals = base(u)
+        dps = [0.0] * n
+        dms = [0.0] * n
+        direction(u, vals, v, dps, dms)
+        return vals[n - 1], dps[n - 1], dms[n - 1]
+
+    return types.SimpleNamespace(value=lambda u: value_into(u, [0.0] * n), derivs=derivs)
 
 
 class ProgramProxy:

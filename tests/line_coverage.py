@@ -41,8 +41,8 @@ ALLOWED = {
     ("kernels.py", "<module>", '_BACKEND = "pure-python"'),
     ("kernels.py", "<module>", '_BACKEND = "compiled"'),
     # a draw of exactly 0 in every coordinate
-    ("explorer.py", "operator_norm", "if x is None:\ncontinue"),
-    ("explorer.py", "operator_norm", "if cand is None:\ncontinue"),
+    ("explorer.py", "_operator_norm", "if x is None:\ncontinue"),
+    ("explorer.py", "_operator_norm", "if cand is None:\ncontinue"),
     ("explorer.py", "_search_direction", "if u is None:\ncontinue"),
     # only a defective derivative puts a finite cosine argument outside
     # the roundoff band

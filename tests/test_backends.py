@@ -23,7 +23,7 @@ from normortho.program import compile_ast
 
 from conftest import (
     COMPOSITES, FAMILIES, _missing_toolchain, circle_reference, gen_ast, golden_reference,
-    operator_norm_reference, tape_reference,
+    interpreter_reference, operator_norm_reference, tape_reference,
 )
 
 # the planar norms the sweeps run on: every family and seeded random trees
@@ -208,6 +208,25 @@ def test_both_backends_reject_non_numeric_coordinate(pair):
             prog.line_evaluator((1.0, 0.0), (0.0, 1.0))("t")
 
 
+@pytest.mark.parametrize("u, v, want", [
+    (("1", "2"), (1.0, 0.0), "must be real number, not str"),
+    ((1.0, 0.0), (0.0, None), "must be real number, not NoneType"),
+    ((3, 4), (True, 0), (3.5, 4.0)),
+])
+def test_line_evaluator_reads_coordinates_as_doubles(u, v, want, pair):
+    # u and v are read when phi is made, each coordinate as a double
+    fast, slow = pair(parse_norm("l2", 2))
+    outcomes = []
+    for prog in (fast, slow):
+        try:
+            outcomes.append(prog.line_evaluator(u, v)(0.5).hex())
+        except TypeError as exc:
+            outcomes.append(str(exc))
+    if isinstance(want, tuple):
+        want = slow.value(want).hex()
+    assert outcomes == [want, want]
+
+
 def test_long_tape_agrees_bitwise(pair):
     # 299 nodes: more scratch than the compiled kernel keeps on the stack,
     # so its heap path runs, including the lazy pass at v for zero leaves.
@@ -283,7 +302,8 @@ def test_loaded_tape_matches_the_reference_compiler():
         kinds, params, woff, weights, left, right, dim = tape_reference(ast)
         prog = _kernels_py.Program(*compile_ast(ast))
         assert (prog.kinds, prog.params, prog.weights, prog.dim) == (kinds, params, weights, dim)
-        assert (prog.woff, prog.left, prog.right) == (woff, left, right), print_norm(ast)
+        derived = _kernels_py._shape(kinds, dim)[2:5]
+        assert derived == (left, right, woff), print_norm(ast)
 
 
 def test_loaded_tapes_agree_bitwise_across_backends(pair):
@@ -297,6 +317,76 @@ def test_loaded_tapes_agree_bitwise_across_backends(pair):
         for name, *args in calls:
             assert (_outcome(getattr(fast, name), *args)
                     == _outcome(getattr(slow, name), *args)), (print_norm(ast), name, args)
+
+
+# the trees the generated passes are pinned on: those above, and seeded
+# trees and two atoms at dim 6, where the passes loop over coordinates
+_CODEGEN_TREES = (_TAPE_TREES + [gen_ast(SplitMix64(1000 + seed), 6, 4) for seed in range(24)]
+                  + [parse_norm("l2", 6), parse_norm("max(l1, linf)", 6)])
+
+
+def _codegen_points(dim, draws):
+    """Points that stress the passes: the zero vector, corners, linf and
+    max ties, an linf near-tie just outside the tie band, subnormals,
+    1e+-300 and random points."""
+    pts = [(0.0,) * dim, (1.0,) + (0.0,) * (dim - 1), (0.0,) * (dim - 1) + (-2.0,),
+           tuple((-1.0) ** j for j in range(dim)), (3.0, -3.0) + (0.5,) * (dim - 2),
+           (1.0, 1e-10 - 1.0) + (0.25,) * (dim - 2),
+           tuple(5e-324 * (j - 1) for j in range(dim)),
+           (-2.2250738585072014e-308,) + (1e-310,) * (dim - 1)]
+    for s in (1e-300, 1.0, 1e300):
+        pts.append(tuple(s * x for x in draws.vector(dim, -2.0, 2.0)))
+    return pts
+
+
+@pytest.mark.parametrize("part", range(4))
+def test_generated_passes_match_the_interpreter(part):
+    # bit for bit against the node-by-node interpreter the passes replace
+    draws = SplitMix64(21 + part)
+    for ast in _CODEGEN_TREES[part::4]:
+        ref = interpreter_reference(*tape_reference(ast))
+        prog = _kernels_py.Program(*compile_ast(ast))
+        dim = ast.dim
+        pts = _codegen_points(dim, draws)
+        for u in pts:
+            assert _outcome(prog.value, u) == _outcome(ref.value, u), (print_norm(ast), u)
+            for v in pts[1::3]:
+                assert _outcome(prog.derivs, u, v) == _outcome(ref.derivs, u, v)
+                phi = prog.line_evaluator(u, v)
+                for t in (-1.5, 0.0, 0.25):
+                    x = tuple([a + t * b for a, b in zip(u, v)])
+                    assert _outcome(phi, t) == _outcome(ref.value, x), (u, v, t)
+        for u in pts[::2]:
+            for code in CODES:
+                want = [_outcome(residual_reference, ref, code, 0.3, 0.5, u, v) for v in pts]
+                assert [_outcome(prog.residual, code, 0.3, 0.5, u, v) for v in pts] == want
+                scan = _floats(prog.residuals, code, 0.3, 0.5, u, pts)
+                assert scan == next((w for w in want if isinstance(w, tuple)), want)
+        matrix = [draws.vector(3, -2.0, 2.0) for _ in range(dim)]
+        for x in [(0.0, 0.0, 0.0), (1.0, -1.0, 0.5), draws.vector(3, -1e300, 1e300)]:
+            assert _outcome(prog.image_value, matrix, x) == _outcome(
+                _image_value_reference, ref, matrix, x)
+        if dim == 2:
+            for theta in (0.0, 0.75, math.pi / 4.0, 2.5, -3.0):
+                assert _outcome(prog.circle, theta) == _outcome(circle_reference, ref, theta)
+
+
+def test_shapes_share_one_factory_and_hold_no_numbers():
+    # two tapes of one shape, every parameter and weight distinct: one
+    # cached factory, one source, and no number of either tape in it
+    one = parse_norm("max(sum(wlp(1.5; 1.1234567, 2.7654321), l1), scale(0.6180339, l2))", 2)
+    two = parse_norm("max(sum(wlp(3.25; 0.3141592, 9.8765432), l1), scale(1.4142135, l2))", 2)
+    (kinds, params, weights, dim), tape = compile_ast(one), compile_ast(two)
+    assert tape[0] == kinds and tape[1:3] != (params, weights)
+    first, second = _kernels_py.Program(kinds, params, weights, dim), _kernels_py.Program(*tape)
+    for name in ("_value", "_dirs", "_line"):
+        assert getattr(first, name).__code__ is getattr(second, name).__code__
+    source = _kernels_py._shape(kinds, dim)[-1]
+    assert _kernels_py._shape(tape[0], dim)[-1] is source
+    numbers = {x for x in params + weights + tape[1] + tape[2] if x not in (0.0, 1.0)}
+    assert len(numbers) == 8
+    for x in numbers:
+        assert repr(x) not in source and str(x)[:5] not in source
 
 
 @pytest.mark.parametrize("backend", ["_kernels_py", "_kernels"], indirect=True)
@@ -644,14 +734,17 @@ def test_sweeps_evaluate_their_base_vector_once(code, method, monkeypatch):
     prog = _kernels_py.Program(*compile_ast(parse_norm(COMPOSITES[2], 2)))
     u = (0.6, -0.35)
     xs = [prog.circle(j * 2.0 * math.pi / 48) for j in range(48)]
-    value = _kernels_py.Program._value
     seen = []
 
-    def counting(self, x, vals):
-        seen.append(tuple(x))
-        return value(self, x, vals)
+    def counting(run):
+        def counted(x, *rest):
+            seen.append(tuple(x))
+            return run(x, *rest)
+        return counted
 
-    monkeypatch.setattr(_kernels_py.Program, "_value", counting)
+    # every evaluation of N at a point the methods ask for, the base pass
+    # included
+    monkeypatch.setattr(prog, "_value", counting(prog._value))
     if method == "locus":
         prog.locus(code, 0.3, 0.5, u, 48, 1e-10, tuple)
     elif method == "crossing":

@@ -383,6 +383,21 @@ class TestPreserverCommand:
         assert (code, out) == (1, "")
         assert err == "normortho: the preserver check overflows at this scale\n"
 
+    @BACKENDS
+    @pytest.mark.parametrize("matrix, scale, norm", [
+        ("1e308,1e308;0,1", "1.5", "l2"), ("1e308,1e308;1e308,1e308", "1", "l1")],
+        ids=["planar-l2", "infinite-operator-norm"])
+    def test_nan_ratio_exits_one_with_one_line(self, package_backend, capsys, matrix, scale,
+                                               norm):
+        # every row sums finitely, but an image norm, a functional or the
+        # operator norm overflows and a condition's ratio is NaN, which no
+        # comparison would keep
+        code, out, err = _run(capsys, "preserver", "--matrix", matrix, "--alpha", "0.3",
+                              "--beta", "0.4", "--samples", "5", "--scale", scale,
+                              "--norm", norm)
+        assert (code, out) == (1, "")
+        assert err == "normortho: the preserver check overflows at this scale\n"
+
     def test_bad_matrix_literal(self, capsys):
         assert _run(capsys, "preserver", "--matrix", "1,1;0", "--norm", "l2")[0] == 2
 

@@ -319,8 +319,23 @@ def test_planar_operator_norm_errors_keep_their_place(package_backend, wrap, mon
     lin = LinearMap(((1.7e308, 1.7e308), (0.0, 1.0)), L2, L2)
     with pytest.raises(OverflowError, match="^intermediate overflow in fsum$"):
         operator_norm_reference(get_program(L2).circle, get_program(L2), lin.matrix)
-    with pytest.raises(OverflowError, match="^intermediate overflow in fsum$"):
+    with pytest.raises(ValueError, match="^the operator norm overflows at this scale$"):
         operator_norm(lin, cfg)
+
+
+@BACKENDS
+def test_overflowing_image_is_one_value_error(package_backend):
+    # an image row whose exact sum overflows, in the planar sweep, the hill
+    # climb and a single image
+    planar = LinearMap(((1.7e308, 1.7e308), (0.0, 1.0)), L2, L2)
+    l2_3 = parse_norm("l2", 3)
+    spatial = LinearMap(((1.7e308, 1.7e308, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)), l2_3, l2_3)
+    for lin in (planar, spatial):
+        with pytest.raises(ValueError, match="^the operator norm overflows at this scale$"):
+            operator_norm(lin, SampleConfig(seed=1, count=5))
+    with pytest.raises(ValueError, match="^the map's image overflows at this scale$"):
+        apply_map(planar, (1, 1))
+    assert apply_map(planar, (1.0, -1.0)) == (0.0, -1.0)
 
 
 class TestPreserverCheck:
@@ -383,6 +398,18 @@ class TestPreserverCheck:
         assert preserver_check(LinearMap(_rotation(0.7), L2, L2), ab, cfg).all_pass
         assert preserver_check(LinearMap(((0.0, -1.0), (1.0, 0.0)), L1, L1), ab, cfg).all_pass
 
+    @BACKENDS
+    @pytest.mark.parametrize("opn", [math.inf, 1e200], ids=["norm-multiple", "rho-scaling"])
+    def test_nan_ratio_raises_in_every_condition(self, package_backend, opn, monkeypatch):
+        # an operator norm of inf makes condition 2's deviation inf / inf;
+        # one of 1e200 leaves it finite but overflows condition 3's
+        # norm(T)^2, so its ratio is inf / inf.  Condition 1 reads no
+        # operator norm and passes.
+        monkeypatch.setattr(normortho.explorer, "_operator_norm",
+                            lambda lin, cfg: OperatorNormEstimate(opn, (1.0, 0.0), "fine"))
+        with pytest.raises(ValueError, match="^the preserver check overflows at this scale$"):
+            preserver_check(LinearMap(_rotation(0.7), L2, L2), AB, SampleConfig(seed=1, count=20))
+
     def test_singular_map_fails_norm_multiple(self):
         lin = LinearMap(((1.0, 0.0), (0.0, 0.0)), L2, L2)
         got = preserver_check(lin, AB, SampleConfig(seed=1, count=400))
@@ -432,7 +459,7 @@ class TestPreserverCheck:
         # the operator norm's value, so a fixed one stands in for the
         # hill climb a 3x3 map would run.
         opn = 1.5
-        monkeypatch.setattr(normortho.explorer, "operator_norm",
+        monkeypatch.setattr(normortho.explorer, "_operator_norm",
                             lambda lin, cfg: OperatorNormEstimate(opn, None, "coarse"))
         dim = len(matrix)
         lin = LinearMap(matrix, parse_norm(dom, dim), parse_norm("lp(3)", dim))

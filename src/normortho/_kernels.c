@@ -17,6 +17,7 @@
 #include <math.h>
 #include <stddef.h>
 #include <stdint.h>
+#include <string.h>
 
 /* The twin rounds every product before it is added, so no a * b + c may
    become one fused multiply-add, whatever the target or -march. */
@@ -695,6 +696,58 @@ static PyObject *Program_circle(Program *self, PyObject *arg)
     return rc < 0 ? NULL : tuple_of(d, 2);
 }
 
+/* The kept rings: the n points circle(j * 2 pi / n) of a planar Program,
+   2 n doubles x0, y0, x1, y1, ..., most recently used first.  At most
+   RINGS rings of at most RING_MAX points (512 KiB in all); each slot holds
+   a strong reference to its Program, so no later Program at the same
+   address is ever served its ring.  The bound covers a curves run's 15
+   rings and the preserver's 4, and caps what Programs met once leave
+   behind. */
+enum { RINGS = 32, RING_MAX = 1024 };
+typedef struct {
+    PyObject *prog;
+    Py_ssize_t n;
+    double *xy;
+} Ring;
+static Ring rings[RINGS];
+
+/* Point j of the ring, its two doubles at xy, to the ring's reader; -1
+   with an exception set stops the sweep. */
+typedef int (*RingVisit)(void *ctx, Py_ssize_t j, const double *xy);
+
+/* The ring of n points of p into xy (2 n doubles): a copy of the kept one,
+   or circle_of point by point (vals holds p's n node values), kept if n <=
+   RING_MAX once every point is read; visit, unless NULL, reads each point
+   as it comes.  The only copy of the ring: locus and operator_norm read it.
+   -1 with an exception set at the first point that fails. */
+static int ring(const Program *p, Py_ssize_t n, double *xy, double *vals, RingVisit visit,
+                void *ctx)
+{
+    int k = 0;
+    while (k < RINGS && (rings[k].prog != (PyObject *)p || rings[k].n != n))
+        k++;
+    if (k < RINGS) {
+        Ring hit = rings[k];
+        memmove(rings + 1, rings, k * sizeof(Ring));
+        rings[0] = hit;
+        memcpy(xy, hit.xy, 2 * n * sizeof(double));
+    }
+    double step = 2.0 * PI / (double)n, *kept;
+    for (Py_ssize_t j = 0; j < n; j++)
+        if ((k == RINGS && circle_of(p, (double)j * step, vals, xy + 2 * j) < 0)
+            || (visit != NULL && visit(ctx, j, xy + 2 * j) < 0))
+            return -1;
+    if (k < RINGS || n > RING_MAX || (kept = PyMem_Malloc(2 * n * sizeof(double))) == NULL)
+        return 0;
+    memcpy(kept, xy, 2 * n * sizeof(double));
+    Ring last = rings[RINGS - 1];
+    memmove(rings + 1, rings, (RINGS - 1) * sizeof(Ring));
+    rings[0] = (Ring){Py_NewRef((PyObject *)p), n, kept};
+    Py_XDECREF(last.prog);
+    PyMem_Free(last.xy);
+    return 0;
+}
+
 /* row[j] * x[j] into *out as `math.fsum(map(operator.mul, row, x))` sees
    it: two floats multiply in C, anything else through Python's `*` and
    then the float conversion fsum applies.  -1 with an exception set. */
@@ -1240,10 +1293,7 @@ static PyObject *Program_locus(Program *self, PyObject *const *args, Py_ssize_t 
     }
     rs = xs + 2 * res;
     step = 2.0 * PI / (double)res;
-    for (Py_ssize_t j = 0; j < res; j++)
-        if (circle_of(self, (double)j * step, s.work, xs + 2 * j) < 0)
-            goto done;
-    if (residuals_of(&s, xs, res, rs) < 0)
+    if (ring(self, res, xs, s.work, NULL, NULL) < 0 || residuals_of(&s, xs, res, rs) < 0)
         goto done;
     Py_ssize_t rows = res;
     for (Py_ssize_t j = 0; j < res; j++)
@@ -1369,6 +1419,8 @@ typedef struct {
     PyObject *circle;
     const double *m;             /* M row by row, 2 doubles each */
     double *y, *vals, *dvals;    /* M x (n), cod's node values, dom's */
+    double best;                 /* the grid's first largest gain, */
+    Py_ssize_t best_j;           /* at point best_j */
 } Planar;
 
 /* The Program whose circle the callable is, or NULL. */
@@ -1403,13 +1455,11 @@ static int planar_point(const Planar *s, double theta, double *xy)
     return rc;
 }
 
-/* N(M circle(theta)) into *out, each row of M x summed as fsum_row sums
+/* N(M x) into *out for x at xy, each row of M x summed as fsum_row sums
    it; -1 with an exception set. */
-static int planar_gain(const Planar *s, double theta, double *out)
+static int image_gain(const Planar *s, const double *xy, double *out)
 {
-    double xy[2], partials[2];
-    if (planar_point(s, theta, xy) < 0)
-        return -1;
+    double partials[2];
     for (int i = 0; i < s->cod->dim; i++) {
         FSum sum = {partials, 0, 0.0, 0.0};
         if (fsum_add(&sum, s->m[2 * i] * xy[0]) < 0
@@ -1420,11 +1470,26 @@ static int planar_gain(const Planar *s, double theta, double *out)
     return 0;
 }
 
-/* The negated gain, which golden minimizes: negation is exact, so it
-   takes the branches maximizing the gain would. */
+/* The gain at grid point j, x at xy, kept if it is the largest yet. */
+static int grid_gain(void *ctx, Py_ssize_t j, const double *xy)
+{
+    Planar *s = ctx;
+    double gain;
+    if (image_gain(s, xy, &gain) < 0)
+        return -1;
+    if (gain > s->best) {
+        s->best = gain;
+        s->best_j = j;
+    }
+    return 0;
+}
+
+/* The negated gain at theta, which golden minimizes: negation is exact,
+   so it takes the branches maximizing the gain would. */
 static int planar_loss(void *s, double theta, double *out)
 {
-    if (planar_gain(s, theta, out) < 0)
+    double xy[2];
+    if (planar_point(s, theta, xy) < 0 || image_gain(s, xy, out) < 0)
         return -1;
     *out = -*out;
     return 0;
@@ -1457,19 +1522,20 @@ static int load_matrix(const Program *self, PyObject *matrix, double *m)
 }
 
 /* The sweep of the planar operator norm: the gain at theta_j = j * step,
-   step = 2 pi / GRID, its first largest value refined by GOLDEN_STEPS of
-   golden over [theta_j - step, theta_j + step], and the larger of the two
-   kept (the refinement on a tie), with circle at its angle. */
+   step = 2 pi / GRID, on the domain's ring if circle is its own, its first
+   largest value refined by GOLDEN_STEPS of golden over [theta_j - step,
+   theta_j + step], and the larger of the two kept (the refinement on a
+   tie), with circle at its angle. */
 static PyObject *Program_operator_norm(Program *self, PyObject *const *args, Py_ssize_t nargs)
 {
     enum { GRID = 1024, GOLDEN_STEPS = 80 };
     if (nargs != 2)
         return PyErr_Format(PyExc_TypeError,
                             "operator_norm() takes exactly 2 arguments (%zd given)", nargs);
-    Planar s = {self, own_circle(args[0]), args[0], NULL, NULL, NULL, NULL};
-    Py_ssize_t rows = self->dim, best_j = 0;
+    Planar s = {self, own_circle(args[0]), args[0], NULL, NULL, NULL, NULL, -1.0, 0};
+    Py_ssize_t rows = self->dim;
     double stack[STACK_CAP];
-    double *buf = scratch(stack, 3 * rows + self->n + (s.dom != NULL ? s.dom->n : 0));
+    double *buf = scratch(stack, 3 * rows + self->n + (s.dom != NULL ? s.dom->n + 2 * GRID : 0));
     if (buf == NULL)
         return NULL;
     s.m = buf;
@@ -1479,21 +1545,21 @@ static PyObject *Program_operator_norm(Program *self, PyObject *const *args, Py_
     PyObject *out = NULL, *norm = NULL, *direction = NULL;
     if (load_matrix(self, args[1], buf) < 0)
         goto done;
-    double step = 2.0 * PI / GRID, best = -1.0, gain, theta, lowest, xy[2];
-    for (Py_ssize_t j = 0; j < GRID; j++) {
-        if (planar_gain(&s, (double)j * step, &gain) < 0)
+    double step = 2.0 * PI / GRID, theta, lowest, xy[2];
+    if (s.dom != NULL) {
+        if (ring(s.dom, GRID, s.dvals + s.dom->n, s.dvals, grid_gain, &s) < 0)
             goto done;
-        if (gain > best) {
-            best = gain;
-            best_j = j;
-        }
+    } else {
+        for (Py_ssize_t j = 0; j < GRID; j++)
+            if (planar_point(&s, (double)j * step, xy) < 0 || grid_gain(&s, j, xy) < 0)
+                goto done;
     }
-    double theta0 = (double)best_j * step;
+    double theta0 = (double)s.best_j * step;
     if (golden(planar_loss, &s, theta0 - step, theta0 + step, GOLDEN_STEPS, &theta, &lowest) < 0)
         goto done;
     double value = -lowest;
-    if (!(value >= best)) {
-        value = best;
+    if (!(value >= s.best)) {
+        value = s.best;
         theta = theta0;
     }
     if (planar_point(&s, theta, xy) < 0)

@@ -30,12 +30,14 @@ A Program evaluates one fixed norm expression N through twelve methods:
   crossing bisection, theta -> residual(code, a, b, u, circle(theta))
   bisected to a sign change.
 - `locus(code, a, b, u, resolution, width, point)`: the whole
-  ortho_locus sweep, each row built as tuple.__new__(point, ...).
+  ortho_locus sweep, its grid read from the Program's ring, each row
+  built as tuple.__new__(point, ...).
 - `line_min(phi, lo, hi, iters)`: golden-section search for the minimum
   of a line evaluator phi on [lo, hi], as birkhoff_oracle runs it.
 - `operator_norm(circle, matrix)`: the whole planar operator-norm sweep
-  of explorer.operator_norm, its 1024-point grid and its golden-section
-  refinement, for the domain's circle and an n x 2 matrix.
+  of explorer.operator_norm, its 1024-point grid (the domain's ring when
+  circle is a Program's own) and its golden-section refinement, for the
+  domain's circle and an n x 2 matrix.
 
 A derivative runs in two passes.  The base pass at u (`value(u, True)`
 here, `base_of` in the C twin) fills every node's value N_i(u) and, for each
@@ -52,7 +54,11 @@ line_min and operator_norm share the one copy of the golden-section
 search (`_golden` here, `golden` in the C twin).  The compiled twin runs a
 compiled line evaluator and a compiled Program's own circle inline; any
 other callable (a tracing proxy's, say) is called, with the same bits.
-operator_norm calls circle and sums the image rows once per point.
+Each twin keeps a planar Program's ring of n points, circle(j * step)
+for j < n and step = 2 pi / n, once a sweep has read them all (`_ring`,
+`ring`; a sweep that raises keeps none): one process-wide LRU keyed on
+(Program, n) holds at most 32 rings of at most 1024 points, 2 n doubles
+each, 512 KiB in all.  A key holds its Program, so no other is served it.
 The tape (kinds, params, weights, dim) is as `program.compile_ast` gives
 it; each twin derives the nodes' children (`left`, `right`) and weight
 offsets (`woff`) at load, in the one stack pass that checks the tape and
@@ -80,6 +86,8 @@ from __future__ import annotations
 import functools
 import math
 import operator
+from array import array
+from collections import OrderedDict
 
 from .errors import DimensionMismatchError, NonSmoothPointError, ZeroVectorError
 from .program import (
@@ -572,7 +580,7 @@ class Program:
         new = tuple.__new__
         step = 2.0 * math.pi / resolution
         thetas = [j * step for j in range(resolution)]
-        xs = list(map(circle, thetas))
+        xs = list(_ring(self, resolution))
         residuals = list(map(residual, xs))
         points = []
         for j, theta in enumerate(thetas):
@@ -619,20 +627,22 @@ class Program:
         value = self._value
         fsum = math.fsum
 
-        def gain(theta):
-            x0, x1 = circle(theta)
+        def gain(x):
+            x0, x1 = x
             return value([fsum((r0 * x0, r1 * x1)) for r0, r1 in rows])
 
         step = 2.0 * math.pi / 1024
+        points = (_ring(circle.__self__, 1024) if getattr(circle, "__func__", None) is Program.circle
+                  else (circle(j * step) for j in range(1024)))
         best_j = 0
         best = -1.0
-        for j in range(1024):
-            g = gain(j * step)
+        for j, x in enumerate(points):
+            g = gain(x)
             if g > best:
                 best, best_j = g, j
         theta0 = best_j * step
         # negation is exact, so minimizing -gain takes the branches maximizing gain would
-        theta, lowest = _golden(lambda t: -gain(t), theta0 - step, theta0 + step, 80)
+        theta, lowest = _golden(lambda t: -gain(circle(t)), theta0 - step, theta0 + step, 80)
         norm = -lowest
         if not norm >= best:
             norm, theta = best, theta0
@@ -645,6 +655,36 @@ class Program:
         """Callable phi with phi(t) = N(u + t v); u and v are read as doubles."""
         self._check_pair(u, v)
         return self._line([_double(x) for x in u], [_double(x) for x in v])
+
+
+# (Program, n) -> ring as array('d') x0, y0, x1, y1, ...; oldest use first
+_RINGS = 32
+_RING_MAX = 1024
+_rings = OrderedDict()
+
+
+def _ring(prog, n):
+    """prog.circle(j * 2 pi / n) for j = 0, ..., n - 1 in turn: from prog's
+    kept ring, or computed, and kept if n <= _RING_MAX once the last point
+    is taken."""
+    key = (prog, n)
+    xy = _rings.pop(key, None)
+    if xy is not None:
+        _rings[key] = xy
+        yield from zip(xy[::2], xy[1::2])
+        return
+    flat = [] if n <= _RING_MAX else None
+    circle, step = prog.circle, 2.0 * math.pi / n
+    for j in range(n):
+        x = circle(j * step)
+        if flat is not None:
+            flat += x
+        yield x
+    if flat is not None:
+        if len(_rings) >= _RINGS:
+            _rings.popitem(last=False)
+        # from a list, array allocates exactly 2 n doubles
+        _rings[key] = array("d", flat)
 
 
 def _double(x) -> float:

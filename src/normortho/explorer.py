@@ -152,12 +152,15 @@ def operator_norm(lin: LinearMap, cfg: SampleConfig) -> OperatorNormEstimate:
     (Program.operator_norm; grade "fine");
     higher dimensions fall back to cfg.count starts of hill climbing with
     a shrinking step (grade "coarse").  Raises ValueError when an image
-    row's exact sum overflows.
+    row's exact sum overflows, or the estimate is not finite.
     """
     try:
-        return _operator_norm(lin, cfg)
+        est = _operator_norm(lin, cfg)
     except OverflowError:
-        raise ValueError("the operator norm overflows at this scale") from None
+        est = None
+    if est is None or not math.isfinite(est.value):
+        raise ValueError("the operator norm overflows at this scale")
+    return est
 
 
 def _operator_norm(lin: LinearMap, cfg: SampleConfig) -> OperatorNormEstimate:

@@ -37,6 +37,7 @@ ALLOWED = {
     # runs only in the suite's subprocesses
     ("kernels.py", "<module>", "from . import _kernels_py as _impl"),
     ("kernels.py", "<module>", "from . import _kernels as _impl  # type: ignore[no-redef]"),
+    ("kernels.py", "<module>", "except ImportError:"),
     ("kernels.py", "<module>", "from . import _kernels_py as _impl  # type: ignore[no-redef]"),
     ("kernels.py", "<module>", '_BACKEND = "pure-python"'),
     ("kernels.py", "<module>", '_BACKEND = "compiled"'),

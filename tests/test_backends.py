@@ -1198,3 +1198,103 @@ def test_compiled_sweeps_hold_memory_flat(compiled_kernels):
     finally:
         tracemalloc.stop()
     assert grown < 20_000, grown
+
+
+# -- unit-circle rings ----------------------------------------------------------
+
+@pytest.mark.parametrize("backend", ["_kernels_py", "_kernels"], indirect=True)
+@pytest.mark.parametrize("family", FAMILIES)
+def test_rings_keep_the_sweep_bits(backend, family):
+    # a new Program's first locus and operator norm build its rings (cold),
+    # the next ones read them (warm); both against the plain-Python loops,
+    # on test_locus_agrees_bitwise's cases (the 720-point sweep at one
+    # width), errors included: a locus that raises in its residuals has
+    # read, and kept, its whole ring
+    prog = backend.Program(*compile_ast(parse_norm(family, 2)))
+    cod = backend.Program(*compile_ast(parse_norm("max(l1, scale(0.8, lp(3)))", 3)))
+    runs = [(u, res, width) for u in SWEEP_BASES for res in (8, 48) for width in (1e-10, 1e-12)]
+    runs.append((SWEEP_BASES[1], 720, 1e-12))
+    for code in CODES:
+        for u, resolution, width in runs:
+            args = (code, 0.3, 0.5, u, resolution, width)
+            want = _rows(lambda: [LocusPoint._make(r) for r in locus_reference(prog, *args)])
+            for _ in ("cold", "warm"):
+                assert _rows(prog.locus, *args, LocusPoint) == want, args
+    rng = SplitMix64(71)
+    for _ in range(3):
+        matrix = tuple((rng.uniform(-4.0, 4.0), rng.uniform(-4.0, 4.0)) for _ in range(3))
+        want = _norm_outcome(operator_norm_reference, prog.circle, cod, matrix)
+        for _ in ("cold", "warm"):
+            assert _norm_outcome(cod.operator_norm, prog.circle, matrix) == want, matrix
+
+
+def test_warm_sweeps_take_no_circle_point_on_the_grid(monkeypatch):
+    # every circle point the pure twin's sweeps take, counted: the ring's
+    # own, and the bisection's, refinement's and direction's
+    calls = []
+    circle = _kernels_py.Program.circle
+
+    def counted(self, theta):
+        calls.append(theta)
+        return circle(self, theta)
+
+    monkeypatch.setattr(_kernels_py.Program, "circle", counted)
+    prog = _kernels_py.Program(*compile_ast(parse_norm(COMPOSITES[3], 2)))
+    cod = _kernels_py.Program(*_L2_TAPE)
+    for sweep, n in ((lambda: prog.locus(3, 0.0, 0.0, (0.6, -0.35), 48, 1e-12, tuple), 48),
+                     (lambda: cod.operator_norm(prog.circle, _OK), 1024)):
+        counts = []
+        for _ in ("cold", "warm"):
+            calls.clear()
+            sweep()
+            counts.append(len(calls))
+        assert counts[1] == counts[0] - n > 0, counts
+
+
+@pytest.mark.parametrize("backend", ["_kernels_py", "_kernels"], indirect=True)
+def test_rings_are_never_served_to_another_program(backend):
+    # sweep with Programs, drop them, then sweep with new ones: of the same
+    # shape with other numbers, and of other shapes
+    args = (5, 0.3, 0.5, (0.6, -0.35), 48, 1e-12)
+    texts = ("scale(0.7, l2)", "lp(3)", "wlp(2; 1, 4)", "max(l1, l2)")
+    others = ("scale(0.5, l2)", "lp(4)", "wlp(2; 4, 1)", "max(linf, l2)", "l1", COMPOSITES[0])
+    for text in texts:
+        prog = backend.Program(*compile_ast(parse_norm(text, 2)))
+        prog.locus(*args, tuple)
+        del prog
+        gc.collect()
+        for other in texts + others:
+            fresh = backend.Program(*compile_ast(parse_norm(other, 2)))
+            want = _rows(lambda: locus_reference(_kernels_py.Program(*compile_ast(
+                parse_norm(other, 2))), *args))
+            assert _rows(fresh.locus, *args, tuple) == want, (text, other)
+
+
+def _held():
+    """Bytes still traced of those allocated by this file's lines, the C
+    twin's included, and by the pure twin's: no tracer's or runner's."""
+    gc.collect()
+    snapshot = tracemalloc.take_snapshot().filter_traces(
+        [tracemalloc.Filter(True, __file__), tracemalloc.Filter(True, _kernels_py.__file__)])
+    return sum(stat.size for stat in snapshot.statistics("filename"))
+
+
+@pytest.mark.parametrize("backend", ["_kernels_py", "_kernels"], indirect=True)
+def test_rings_hold_bounded_memory(backend):
+    # 32 rings of 1024 points, 16 KiB each, is all a twin keeps; a ring of
+    # more points is not kept at all
+    progs = [backend.Program(*compile_ast(parse_norm(f"scale({1 + k / 64}, l2)", 2)))
+             for k in range(41)]
+    cod = backend.Program(*_L2_TAPE)
+    tracemalloc.start()
+    try:
+        progs[40].locus(3, 0.0, 0.0, (1.0, 0.0), 1025, 1e-10, tuple)
+        assert _held() < 1024
+        for prog in progs[:20]:
+            prog.locus(3, 0.0, 0.0, (1.0, 0.0), 1024, 1e-10, tuple)
+        for prog in progs[20:40]:
+            cod.operator_norm(prog.circle, _OK)
+        held = _held()
+    finally:
+        tracemalloc.stop()
+    assert 32 * 16384 <= held <= 32 * (16384 + 512), held

@@ -31,7 +31,7 @@ from normortho import (
     sphere_sample,
 )
 from normortho import _kernels_py
-from normortho.explorer import _apply
+from normortho.explorer import _apply, _operator_norm
 from normortho.kernels import get_program
 
 from conftest import (
@@ -336,6 +336,20 @@ def test_overflowing_image_is_one_value_error(package_backend):
     with pytest.raises(ValueError, match="^the map's image overflows at this scale$"):
         apply_map(planar, (1, 1))
     assert apply_map(planar, (1.0, -1.0)) == (0.0, -1.0)
+
+
+@BACKENDS
+def test_non_finite_estimate_is_a_value_error(package_backend):
+    # every image row sums exactly to a finite double, but an image norm
+    # overflows: the planar sweep and the hill climb both found inf
+    l1_3 = parse_norm("l1", 3)
+    big = 1e308
+    planar = LinearMap(((big, big), (big, big)), L1, L1)
+    spatial = LinearMap(((big, big, big), (big, big, big), (0.0, 0.0, 1.0)), l1_3, l1_3)
+    for lin, count in ((planar, 5), (spatial, 2)):
+        assert _operator_norm(lin, SampleConfig(seed=1, count=count)).value == math.inf
+        with pytest.raises(ValueError, match="^the operator norm overflows at this scale$"):
+            operator_norm(lin, SampleConfig(seed=1, count=count))
 
 
 class TestPreserverCheck:

@@ -700,8 +700,9 @@ static PyObject *Program_circle(Program *self, PyObject *arg)
    2 n doubles x0, y0, x1, y1, ..., most recently used first.  At most
    RINGS rings of at most RING_MAX points (512 KiB in all); each slot holds
    a strong reference to its Program, so no later Program at the same
-   address is ever served its ring.  The bound covers a curves run's 15
-   rings and the preserver's 4, and caps what Programs met once leave
+   address is ever served its ring.  The bound covers a curves run's
+   locus and operator-norm rings (12 + 3), the miner's 4 rings of 64
+   points and the preserver's 4, and caps what Programs met once leave
    behind. */
 enum { RINGS = 32, RING_MAX = 1024 };
 typedef struct {
@@ -718,7 +719,8 @@ typedef int (*RingVisit)(void *ctx, Py_ssize_t j, const double *xy);
 /* The ring of n points of p into xy (2 n doubles): a copy of the kept one,
    or circle_of point by point (vals holds p's n node values), kept if n <=
    RING_MAX once every point is read; visit, unless NULL, reads each point
-   as it comes.  The only copy of the ring: locus and operator_norm read it.
+   as it comes.  The only copy of the ring, and the only grid of the planar
+   sweeps: residuals, locus and operator_norm read it.
    -1 with an exception set at the first point that fails. */
 static int ring(const Program *p, Py_ssize_t n, double *xy, double *vals, RingVisit visit,
                 void *ctx)
@@ -914,12 +916,12 @@ static PyObject *Program_image_value(Program *self, PyObject *const *args,
 /* -- orthogonality relations ---------------------------------------------- */
 
 /* A relation and its base pass at a base vector u, which every residual
-   along a direction v reads: residual's one v, the points of residuals
-   and the circle points of the planar sweeps.  The scratch, base_size
-   doubles, holds u, v and a point x (dim each), then vals ((1 + dim) n,
-   as base_of fills it) and work (3n): node values at a point (a circle
-   point's, N at v for a leaf that is 0 at u, or at u +- v), then D+ and
-   D-.  The base pass fills vals and nothing overwrites it. */
+   along a direction v reads: residual's one v and the circle points of
+   the planar sweeps.  The scratch, base_size doubles, holds u, v and a
+   point x (dim each), then vals ((1 + dim) n, as base_of fills it) and
+   work (3n): node values at a point (a circle point's, N at v for a leaf
+   that is 0 at u, or at u +- v), then D+ and D-.  The base pass fills
+   vals and nothing overwrites it. */
 typedef struct {
     const Program *prog;
     long code;
@@ -1023,17 +1025,6 @@ static int residual_at(const Base *s, const double *v, double *out)
     return 0;
 }
 
-/* The residual at each of the m points pts (dim doubles each) into rs, in
-   order: the one loop of residuals and of the locus grid.  -1 with an
-   exception set at the first point that raises. */
-static int residuals_of(const Base *s, const double *pts, Py_ssize_t m, double *rs)
-{
-    for (Py_ssize_t k = 0; k < m; k++)
-        if (residual_at(s, pts + k * s->prog->dim, rs + k) < 0)
-            return -1;
-    return 0;
-}
-
 /* args[0..3) as a relation code, a and b, read as Program.residual reads
    them; -1 with an exception set. */
 static int load_relation(PyObject *const *args, long *code, double *a, double *b)
@@ -1114,61 +1105,60 @@ static PyObject *Program_residual(Program *self, PyObject *const *args, Py_ssize
     return out;
 }
 
-/* Every point of xs is read, its length checked as residual checks v's,
-   before the first residual is taken. */
+/* -- planar loci ---------------------------------------------------------- */
+
+/* The grid of residuals and locus: the ring of s's Program at n points
+   (2 n doubles), then the residual at each (n doubles), in a new buffer
+   the caller frees.  Every point is taken before the first residual, so
+   an error is raised at the same point as the twin's.  NULL with an
+   exception set. */
+static double *residuals_of(const Base *s, Py_ssize_t n)
+{
+    double *xs;
+    /* too many points is a MemoryError */
+    if (n > PY_SSIZE_T_MAX / (Py_ssize_t)(3 * sizeof(double))
+        || (xs = PyMem_Malloc(3 * n * sizeof(double))) == NULL) {
+        PyErr_NoMemory();
+        return NULL;
+    }
+    if (ring(s->prog, n, xs, s->work, NULL, NULL) < 0)
+        goto fail;
+    for (Py_ssize_t j = 0; j < n; j++)
+        if (residual_at(s, xs + 2 * j, xs + 2 * n + j) < 0)
+            goto fail;
+    return xs;
+fail:
+    PyMem_Free(xs);
+    return NULL;
+}
+
 static PyObject *Program_residuals(Program *self, PyObject *const *args, Py_ssize_t nargs)
 {
     if (nargs != 5)
         return PyErr_Format(PyExc_TypeError,
                             "residuals() takes exactly 5 arguments (%zd given)", nargs);
-    Py_ssize_t dim = self->dim, m;
     double stack[STACK_CAP];
-    double *buf = scratch(stack, base_size(self)), *pts = NULL;
+    double *buf = scratch(stack, base_size(self)), *xs = NULL;
     if (buf == NULL)
         return NULL;
     Base s;
-    PyObject *xs = NULL, *out = NULL;
-    if (load_base(self, args, buf, &s) < 0 || (xs = PySequence_Tuple(args[4])) == NULL)
-        goto done;
-    /* the points (dim doubles each), then their residuals */
-    m = PyTuple_GET_SIZE(xs);
-    if (m > PY_SSIZE_T_MAX / (Py_ssize_t)sizeof(double) / (dim + 1)
-        || (pts = PyMem_Malloc(m * (dim + 1) * sizeof(double))) == NULL) {
-        PyErr_NoMemory();
-        goto done;
-    }
-    for (Py_ssize_t k = 0; k < m; k++) {
-        PyObject *x = PyTuple_GET_ITEM(xs, k);
-        Py_ssize_t len = PyObject_Length(x);
-        if (len < 0)
-            goto done;
-        if (len != dim) {
-            PyErr_Format(PyExc_ValueError, "expected %d coordinates, got %d and %zd",
-                         self->dim, self->dim, len);
-            goto done;
+    Py_ssize_t n;
+    PyObject *out = NULL;
+    if (load_base(self, args, buf, &s) == 0 && load_count(args[4], "resolution", 1, &n) == 0
+        && (xs = residuals_of(&s, n)) != NULL && (out = PyList_New(n)) != NULL)
+        for (Py_ssize_t j = 0; j < n; j++) {
+            PyObject *f = PyFloat_FromDouble(xs[2 * n + j]);
+            if (f == NULL) {
+                Py_CLEAR(out);
+                break;
+            }
+            PyList_SET_ITEM(out, j, f);
         }
-        if (load_doubles(x, dim, pts + k * dim) < 0)
-            goto done;
-    }
-    if (residuals_of(&s, pts, m, pts + m * dim) < 0 || (out = PyList_New(m)) == NULL)
-        goto done;
-    for (Py_ssize_t k = 0; k < m; k++) {
-        PyObject *f = PyFloat_FromDouble(pts[m * dim + k]);
-        if (f == NULL) {
-            Py_CLEAR(out);
-            break;
-        }
-        PyList_SET_ITEM(out, k, f);
-    }
-done:
-    Py_XDECREF(xs);
-    PyMem_Free(pts);
+    PyMem_Free(xs);
     if (buf != stack)
         PyMem_Free(buf);
     return out;
 }
-
-/* -- planar loci ---------------------------------------------------------- */
 
 /* residual at circle(theta) into *out, the point into xy (2 doubles); the
    circle's node values go to the work slots.  -1 with an exception set. */
@@ -1257,11 +1247,10 @@ static int sign_change(double r0, double r1)
     return !(r0 == 0.0 || r1 == 0.0 || (r0 > 0.0) == (r1 > 0.0));
 }
 
-/* The sweep of ortho_locus: every circle point at theta_j = j * step,
-   step = 2 pi / resolution, then every residual there through
-   residuals_of (so an error is raised at the same point as the twin's),
-   then one row per point, each strict sign change to the next point
-   (cyclically) bisected and its row spliced in after the point's. */
+/* The sweep of ortho_locus: residuals_of's grid at theta_j = j * step,
+   step = 2 pi / resolution, then one row per point, each strict sign
+   change to the next point (cyclically) bisected and its row spliced in
+   after the point's. */
 static PyObject *Program_locus(Program *self, PyObject *const *args, Py_ssize_t nargs)
 {
     if (nargs != 7)
@@ -1275,7 +1264,6 @@ static PyObject *Program_locus(Program *self, PyObject *const *args, Py_ssize_t 
     Py_ssize_t res;
     double width, *xs = NULL, *rs, step;
     PyObject *point = args[6], *out = NULL;
-    /* too many points is a MemoryError below */
     if (load_base(self, args, buf, &s) < 0 || load_count(args[4], "resolution", 1, &res) < 0)
         goto done;
     width = PyFloat_AsDouble(args[5]);
@@ -1285,16 +1273,10 @@ static PyObject *Program_locus(Program *self, PyObject *const *args, Py_ssize_t 
         PyErr_Format(PyExc_TypeError, "point must be a tuple subclass, got %R", point);
         goto done;
     }
-    /* the circle points (2 doubles each), then the residuals */
-    if (res > PY_SSIZE_T_MAX / (Py_ssize_t)(3 * sizeof(double))
-        || (xs = PyMem_Malloc(3 * res * sizeof(double))) == NULL) {
-        PyErr_NoMemory();
+    if ((xs = residuals_of(&s, res)) == NULL)
         goto done;
-    }
     rs = xs + 2 * res;
     step = 2.0 * PI / (double)res;
-    if (ring(self, res, xs, s.work, NULL, NULL) < 0 || residuals_of(&s, xs, res, rs) < 0)
-        goto done;
     Py_ssize_t rows = res;
     for (Py_ssize_t j = 0; j < res; j++)
         rows += sign_change(rs[j], rs[(j + 1) % res]);
@@ -1411,19 +1393,18 @@ static PyObject *Program_line_min(Program *Py_UNUSED(self), PyObject *const *arg
 
 /* -- planar operator norms ------------------------------------------------ */
 
-/* The gain theta -> N(M circle(theta)) of an n x 2 matrix M.  dom is the
-   compiled Program whose own circle was passed, which then runs inline,
-   or NULL: circle is called and its result read as two floats. */
+/* The gain theta -> N(M circle(theta)) of an n x 2 matrix M: N is the
+   codomain Program cod's, circle the domain Program dom's own, run
+   inline. */
 typedef struct {
     const Program *cod, *dom;
-    PyObject *circle;
     const double *m;             /* M row by row, 2 doubles each */
     double *y, *vals, *dvals;    /* M x (n), cod's node values, dom's */
     double best;                 /* the grid's first largest gain, */
     Py_ssize_t best_j;           /* at point best_j */
 } Planar;
 
-/* The Program whose circle the callable is, or NULL. */
+/* The compiled Program whose bound circle the callable is, or NULL. */
 static const Program *own_circle(PyObject *circle)
 {
     if (!PyCFunction_Check(circle)
@@ -1431,28 +1412,6 @@ static const Program *own_circle(PyObject *circle)
         return NULL;
     PyObject *self = PyCFunction_GET_SELF(circle);
     return self != NULL && Py_IS_TYPE(self, &ProgramType) ? (const Program *)self : NULL;
-}
-
-/* circle(theta) into xy; -1 with an exception set. */
-static int planar_point(const Planar *s, double theta, double *xy)
-{
-    if (s->dom != NULL)
-        return circle_of(s->dom, theta, s->dvals, xy);
-    PyObject *arg = PyFloat_FromDouble(theta), *pt;
-    if (arg == NULL)
-        return -1;
-    pt = PyObject_CallOneArg(s->circle, arg);
-    Py_DECREF(arg);
-    if (pt == NULL)
-        return -1;
-    Py_ssize_t len = PyObject_Length(pt);
-    int rc = -1;
-    if (len == 2)
-        rc = load_doubles(pt, 2, xy);
-    else if (len >= 0)
-        PyErr_Format(PyExc_ValueError, "expected 2 coordinates, got %zd", len);
-    Py_DECREF(pt);
-    return rc;
 }
 
 /* N(M x) into *out for x at xy, each row of M x summed as fsum_row sums
@@ -1486,10 +1445,11 @@ static int grid_gain(void *ctx, Py_ssize_t j, const double *xy)
 
 /* The negated gain at theta, which golden minimizes: negation is exact,
    so it takes the branches maximizing the gain would. */
-static int planar_loss(void *s, double theta, double *out)
+static int planar_loss(void *ctx, double theta, double *out)
 {
+    const Planar *s = ctx;
     double xy[2];
-    if (planar_point(s, theta, xy) < 0 || image_gain(s, xy, out) < 0)
+    if (circle_of(s->dom, theta, s->dvals, xy) < 0 || image_gain(s, xy, out) < 0)
         return -1;
     *out = -*out;
     return 0;
@@ -1522,20 +1482,25 @@ static int load_matrix(const Program *self, PyObject *matrix, double *m)
 }
 
 /* The sweep of the planar operator norm: the gain at theta_j = j * step,
-   step = 2 pi / GRID, on the domain's ring if circle is its own, its first
-   largest value refined by GOLDEN_STEPS of golden over [theta_j - step,
-   theta_j + step], and the larger of the two kept (the refinement on a
-   tie), with circle at its angle. */
+   step = 2 pi / GRID, on the domain's ring, its first largest value
+   refined by GOLDEN_STEPS of golden over [theta_j - step, theta_j +
+   step], and the larger of the two kept (the refinement on a tie), with
+   circle at its angle.  circle must be a compiled Program's own. */
 static PyObject *Program_operator_norm(Program *self, PyObject *const *args, Py_ssize_t nargs)
 {
     enum { GRID = 1024, GOLDEN_STEPS = 80 };
     if (nargs != 2)
         return PyErr_Format(PyExc_TypeError,
                             "operator_norm() takes exactly 2 arguments (%zd given)", nargs);
-    Planar s = {self, own_circle(args[0]), args[0], NULL, NULL, NULL, NULL, -1.0, 0};
+    Planar s = {self, own_circle(args[0]), NULL, NULL, NULL, NULL, -1.0, 0};
+    if (s.dom == NULL) {
+        PyErr_SetString(PyExc_TypeError,
+                        "circle must be the bound circle of a Program of the same backend");
+        return NULL;
+    }
     Py_ssize_t rows = self->dim;
     double stack[STACK_CAP];
-    double *buf = scratch(stack, 3 * rows + self->n + (s.dom != NULL ? s.dom->n + 2 * GRID : 0));
+    double *buf = scratch(stack, 3 * rows + self->n + s.dom->n + 2 * GRID);
     if (buf == NULL)
         return NULL;
     s.m = buf;
@@ -1546,14 +1511,8 @@ static PyObject *Program_operator_norm(Program *self, PyObject *const *args, Py_
     if (load_matrix(self, args[1], buf) < 0)
         goto done;
     double step = 2.0 * PI / GRID, theta, lowest, xy[2];
-    if (s.dom != NULL) {
-        if (ring(s.dom, GRID, s.dvals + s.dom->n, s.dvals, grid_gain, &s) < 0)
-            goto done;
-    } else {
-        for (Py_ssize_t j = 0; j < GRID; j++)
-            if (planar_point(&s, (double)j * step, xy) < 0 || grid_gain(&s, j, xy) < 0)
-                goto done;
-    }
+    if (ring(s.dom, GRID, s.dvals + s.dom->n, s.dvals, grid_gain, &s) < 0)
+        goto done;
     double theta0 = (double)s.best_j * step;
     if (golden(planar_loss, &s, theta0 - step, theta0 + step, GOLDEN_STEPS, &theta, &lowest) < 0)
         goto done;
@@ -1562,7 +1521,7 @@ static PyObject *Program_operator_norm(Program *self, PyObject *const *args, Py_
         value = s.best;
         theta = theta0;
     }
-    if (planar_point(&s, theta, xy) < 0)
+    if (circle_of(s.dom, theta, s.dvals, xy) < 0)
         goto done;
     if ((norm = PyFloat_FromDouble(value)) != NULL && (direction = tuple_of(xy, 2)) != NULL)
         out = PyTuple_Pack(2, norm, direction);
@@ -1706,7 +1665,7 @@ static PyMethodDef Program_methods[] = {
     {"residual", (PyCFunction)(void (*)(void))Program_residual, METH_FASTCALL,
      "Residual of relation code at (u, v); zero (<= 0 for birkhoff) where it holds."},
     {"residuals", (PyCFunction)(void (*)(void))Program_residuals, METH_FASTCALL,
-     "[residual(code, a, b, u, x) for x in xs], with the base pass at u run once."},
+     "The residual of relation code at each point of the planar unit circle's grid."},
     {"crossing", (PyCFunction)(void (*)(void))Program_crossing, METH_FASTCALL,
      "A theta within width of a sign change of the residual on the circle."},
     {"locus", (PyCFunction)(void (*)(void))Program_locus, METH_FASTCALL,

@@ -24,8 +24,9 @@ A Program evaluates one fixed norm expression N through twelve methods:
   3 rho, 4 rho_lambda, 5 rho_ab, 6 isosceles, 7 pythagorean, 8 semi.  a
   is lambda (rho_lambda) or alpha (rho_ab), b is beta (rho_ab); the other
   codes ignore both.
-- `residuals(code, a, b, u, xs)`: `[residual(code, a, b, u, x) for x in
-  xs]`, as the mining scan takes it around one base vector.
+- `residuals(code, a, b, u, resolution)`: `[residual(code, a, b, u,
+  circle(j * 2 pi / resolution)) for j < resolution]`, the grid and loop
+  of locus, as the mining scan takes it around one base vector.
 - `crossing(code, a, b, u, lo, f_lo, hi, width)`: the only copy of the
   crossing bisection, theta -> residual(code, a, b, u, circle(theta))
   bisected to a sign change.
@@ -35,9 +36,9 @@ A Program evaluates one fixed norm expression N through twelve methods:
 - `line_min(phi, lo, hi, iters)`: golden-section search for the minimum
   of a line evaluator phi on [lo, hi], as birkhoff_oracle runs it.
 - `operator_norm(circle, matrix)`: the whole planar operator-norm sweep
-  of explorer.operator_norm, its 1024-point grid (the domain's ring when
-  circle is a Program's own) and its golden-section refinement, for the
-  domain's circle and an n x 2 matrix.
+  of explorer.operator_norm, its 1024-point grid and its golden-section
+  refinement, for an n x 2 matrix and the domain Program's own bound
+  circle, of the same twin; any other circle is a TypeError.
 
 A derivative runs in two passes.  The base pass at u (`value(u, True)`
 here, `base_of` in the C twin) fills every node's value N_i(u) and, for each
@@ -52,13 +53,14 @@ one loop (`residuals_of` in the C twin).
 
 line_min and operator_norm share the one copy of the golden-section
 search (`_golden` here, `golden` in the C twin).  The compiled twin runs a
-compiled line evaluator and a compiled Program's own circle inline; any
-other callable (a tracing proxy's, say) is called, with the same bits.
-Each twin keeps a planar Program's ring of n points, circle(j * step)
-for j < n and step = 2 pi / n, once a sweep has read them all (`_ring`,
-`ring`; a sweep that raises keeps none): one process-wide LRU keyed on
-(Program, n) holds at most 32 rings of at most 1024 points, 2 n doubles
-each, 512 KiB in all.  A key holds its Program, so no other is served it.
+compiled line evaluator inline; line_min calls any other phi (a tracing
+proxy's, say), with the same bits.  Every planar sweep (residuals, locus,
+operator_norm) reads its grid from the Program's ring of n points,
+circle(j * step) for j < n and step = 2 pi / n, kept once a sweep has read
+them all (`_ring`, `ring`; a sweep that raises before then keeps none):
+one process-wide LRU keyed on (Program, n) holds at most 32 rings of at
+most 1024 points, 2 n doubles each, 512 KiB in all.  A key holds its
+Program, so no other is served it.
 The tape (kinds, params, weights, dim) is as `program.compile_ast` gives
 it; each twin derives the nodes' children (`left`, `right`) and weight
 offsets (`woff`) at load, in the one stack pass that checks the tape and
@@ -515,21 +517,15 @@ class Program:
             raise ValueError(f"expected {self.dim} coordinates, got {len(u)}")
         return code, a, b, tuple([_double(c) for c in u])
 
-    def residuals(self, code, a, b, u, xs):
-        """[residual(code, a, b, u, x) for x in xs], with the base pass at u run once.
+    def residuals(self, code, a, b, u, resolution):
+        """The residual of relation code at each point of the planar unit circle's grid.
 
-        code, a, b and u are read as locus reads them.  Every point of xs
-        is read as dim floats, its length checked as residual checks v's,
-        before the first residual is taken.
+        The grid, its residuals and the reading of the arguments are
+        locus's: every ring point is taken before the first residual.
         """
         code, a, b, u = self._sweep_args(code, a, b, u)
-        dim = self.dim
-        pts = []
-        for x in xs:
-            if len(x) != dim:
-                raise ValueError(f"expected {dim} coordinates, got {dim} and {len(x)}")
-            pts.append(tuple([_double(c) for c in x]))
-        return list(map(self._sweep(code, a, b, u), pts))
+        xs = list(_ring(self, _count(resolution, "resolution", 1)))
+        return list(map(self._sweep(code, a, b, u), xs))
 
     def crossing(self, code, a, b, u, lo, f_lo, hi, width) -> float:
         """A theta within width of a sign change of the residual on the circle.
@@ -608,15 +604,18 @@ class Program:
     def operator_norm(self, circle, matrix):
         """(value, direction): the largest N(M x) a sweep of a planar unit circle finds.
 
-        circle(theta) is the domain's unit-circle point at a Euclidean
-        angle, a pair of floats, and matrix M has dim rows of 2 entries,
-        read as floats.  The gain N(M circle(theta)), each row of M x
-        summed as math.fsum sums it, is taken at theta_j = j * step, step =
-        2 pi / 1024; its first largest value is refined by 80 steps of
-        _golden over [theta_j - step, theta_j + step], and the larger of
-        the two is kept (the refinement on a tie), with circle at its
-        angle.
+        circle is the domain Program's own bound circle, of this twin
+        (anything else is a TypeError), and matrix M has dim rows of 2
+        entries, read as floats.  The gain N(M circle(theta)), each row of
+        M x summed as math.fsum sums it, is taken at theta_j = j * step,
+        step = 2 pi / 1024, on the domain's ring; its first largest value
+        is refined by 80 steps of _golden over [theta_j - step, theta_j +
+        step], and the larger of the two is kept (the refinement on a
+        tie), with circle at its angle.
         """
+        if (getattr(circle, "__func__", None) is not Program.circle
+                or not isinstance(circle.__self__, Program)):
+            raise TypeError("circle must be the bound circle of a Program of the same backend")
         if len(matrix) != self.dim:
             raise ValueError(f"expected {self.dim} rows, got {len(matrix)}")
         rows = []
@@ -632,11 +631,9 @@ class Program:
             return value([fsum((r0 * x0, r1 * x1)) for r0, r1 in rows])
 
         step = 2.0 * math.pi / 1024
-        points = (_ring(circle.__self__, 1024) if getattr(circle, "__func__", None) is Program.circle
-                  else (circle(j * step) for j in range(1024)))
         best_j = 0
         best = -1.0
-        for j, x in enumerate(points):
+        for j, x in enumerate(_ring(circle.__self__, 1024)):
             g = gain(x)
             if g > best:
                 best, best_j = g, j

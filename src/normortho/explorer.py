@@ -311,21 +311,20 @@ def _preserver_check(lin: LinearMap, ab: AlphaBeta, cfg: SampleConfig) -> Preser
     )
 
 
-# points of the mining scan around each base vector, at angles _THETAS
+# points of the mining scan around each base vector, j * _STEP for j < _SCAN
 _SCAN = 64
 _STEP = 2.0 * math.pi / _SCAN
-_THETAS = tuple([j * _STEP for j in range(_SCAN)])
 
 
 def _search_direction(prog, rel_hold: Relation, rel_test: Relation,
-                      rng: SplitMix64, budget: int, tol: float, xs: list[Vector]):
+                      rng: SplitMix64, budget: int, tol: float):
     """Look for a pair where rel_hold holds and rel_test fails by more
     than 100 tol.
 
     Returns (witness or None, candidates_used, discarded).  Candidates
     come from zero crossings of rel_hold's residual along unit circles
     around the corners, then random base vectors.  The scan of a base is
-    one Program.residuals call at the circle points xs, at angles _THETAS;
+    one Program.residuals call on the Program's ring of _SCAN points;
     Program.crossing then bisects every interval whose ends do not share
     a strict sign (an exact-zero end included) to within 1e-12.  Each
     candidate costs one unit of budget and is re-verified with _verdict,
@@ -345,7 +344,7 @@ def _search_direction(prog, rel_hold: Relation, rel_test: Relation,
         u = _normalized(prog, base)
         if u is None:
             continue
-        residuals = prog.residuals(*hold_args, u, xs)
+        residuals = prog.residuals(*hold_args, u, _SCAN)
         found_candidate = False
         for j in range(_SCAN):
             if used >= budget:
@@ -354,7 +353,8 @@ def _search_direction(prog, rel_hold: Relation, rel_test: Relation,
             r1 = residuals[(j + 1) % _SCAN]
             if r0 != 0.0 and r1 != 0.0 and (r0 > 0.0) == (r1 > 0.0):
                 continue
-            theta = prog.crossing(*hold_args, u, _THETAS[j], r0, _THETAS[j] + _STEP, 1e-12)
+            lo = j * _STEP
+            theta = prog.crossing(*hold_args, u, lo, r0, lo + _STEP, 1e-12)
             v = circle(theta)
             found_candidate = True
             used += 1
@@ -388,12 +388,10 @@ def mine_incomparability(ast: NormAst, rel_a: Relation, rel_b: Relation,
     prog = get_program(ast)
     root = SplitMix64(cfg.seed)
     half = (cfg.count + 1) // 2
-    # the scan's circle points are the same around every base, both ways
-    xs = list(map(prog.circle, _THETAS))
     w_ab, used_ab, disc_ab = _search_direction(
-        prog, rel_a, rel_b, root.substream(1), half, tol, xs)
+        prog, rel_a, rel_b, root.substream(1), half, tol)
     w_ba, used_ba, disc_ba = _search_direction(
-        prog, rel_b, rel_a, root.substream(2), cfg.count - used_ab, tol, xs)
+        prog, rel_b, rel_a, root.substream(2), cfg.count - used_ab, tol)
     return IncomparabilityReport(
         rel_a, rel_b, w_ab, w_ba, cfg.seed, cfg.count,
         used_ab + used_ba, disc_ab + disc_ba,

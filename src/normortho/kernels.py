@@ -2,8 +2,9 @@
 
 The compiled extension is preferred when it imported cleanly; setting the
 environment variable NORMORTHO_PURE_PYTHON to any non-empty value forces
-the pure Python interpreter.  Both backends expose the same Program
-interface and the same operation order, so results agree to rounding.
+the pure Python twin, which runs generated straight-line code for each
+tape shape.  Both backends expose the same Program interface and run the
+same operations in the same order, so their results agree bit for bit.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ else:
 
 
 def backend_name() -> str:
-    """Which interpreter this process uses: 'compiled' or 'pure-python'."""
+    """Which backend this process uses: 'compiled' or 'pure-python'."""
     return _BACKEND
 
 

@@ -1,9 +1,9 @@
-"""Flatten norm trees into a tape both execution backends interpret.
+"""Flatten norm trees into the tape both execution backends run.
 
 `compile_ast` describes the tape.  Keeping a single canonical
-instruction encoding lets the compiled and pure Python interpreters share
-operation order exactly, which keeps their results within rounding of
-each other.  The R_ constants number the orthogonality relations that
+instruction encoding lets the compiled interpreter and the pure Python
+twin's generated code share operation order exactly, so their results
+agree bit for bit.  The R_ constants number the orthogonality relations that
 `Program.residual` computes, in ortho.RELATION_TAGS order.
 """
 

@@ -414,14 +414,11 @@ class ProgramProxy:
 
 
 class CallingProxy(ProgramProxy):
-    """A ProgramProxy whose circle and line evaluators are Python functions
-    around the real ones, so the kernel's sweeps call them back instead of
+    """A ProgramProxy whose line evaluators are Python functions around the
+    real ones, so the kernel's line search calls them back instead of
     running them inline."""
 
     __slots__ = ()
-
-    def circle(self, theta):
-        return self._prog.circle(theta)
 
     def line_evaluator(self, u, v):
         phi = self._prog.line_evaluator(u, v)

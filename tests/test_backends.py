@@ -360,8 +360,6 @@ def test_generated_passes_match_the_interpreter(part):
             for code in CODES:
                 want = [_outcome(residual_reference, ref, code, 0.3, 0.5, u, v) for v in pts]
                 assert [_outcome(prog.residual, code, 0.3, 0.5, u, v) for v in pts] == want
-                scan = _floats(prog.residuals, code, 0.3, 0.5, u, pts)
-                assert scan == next((w for w in want if isinstance(w, tuple)), want)
         matrix = [draws.vector(3, -2.0, 2.0) for _ in range(dim)]
         for x in [(0.0, 0.0, 0.0), (1.0, -1.0, 0.5), draws.vector(3, -1e300, 1e300)]:
             assert _outcome(prog.image_value, matrix, x) == _outcome(
@@ -369,6 +367,12 @@ def test_generated_passes_match_the_interpreter(part):
         if dim == 2:
             for theta in (0.0, 0.75, math.pi / 4.0, 2.5, -3.0):
                 assert _outcome(prog.circle, theta) == _outcome(circle_reference, ref, theta)
+            ring = [circle_reference(ref, j * 2.0 * math.pi / 16) for j in range(16)]
+            for u in pts[::2]:
+                for code in CODES:
+                    want = [_outcome(residual_reference, ref, code, 0.3, 0.5, u, x) for x in ring]
+                    scan = _floats(prog.residuals, code, 0.3, 0.5, u, 16)
+                    assert scan == next((w for w in want if isinstance(w, tuple)), want)
 
 
 def test_shapes_share_one_factory_and_hold_no_numbers():
@@ -650,16 +654,17 @@ def test_residual_reads_weights_for_every_code(code, a, b, pair):
 
 
 # the norms residuals is checked on: every family and the benchmark's composites
-RESIDUALS_NORMS = FAMILIES + COMPOSITES[:3]
+RESIDUALS_NORMS = FAMILIES + COMPOSITES
 
 # base vectors of residuals: the zero vector, where every leaf reads N at
 # each point, a corner with a zero coordinate, and generic ones
 RESIDUALS_BASES = ((0.0, 0.0), (1.0, 0.0), (0.6, -0.35), (-2.5e-3, 7.0))
 
 
-def _each_residual(prog, code, a, b, u, xs):
-    """[prog.residual(code, a, b, u, x) for x in xs]: what prog.residuals
-    must equal."""
+def _each_residual(prog, code, a, b, u, n):
+    """[prog.residual(code, a, b, u, prog.circle(j * 2 pi / n)) for j < n],
+    every circle point taken first: what prog.residuals must equal."""
+    xs = [prog.circle(j * 2.0 * math.pi / n) for j in range(n)]
     return [prog.residual(code, a, b, u, x) for x in xs]
 
 
@@ -675,45 +680,41 @@ def _floats(call, *args):
 
 @pytest.mark.parametrize("family", RESIDUALS_NORMS)
 def test_residuals_agree_with_residual_bitwise(family, pair):
-    fast, slow = pair(parse_norm(family, 2))
-    xs = [fast.circle(j * 2.0 * math.pi / 24) for j in range(24)]
-    xs += [(0.0, 0.0), (0.0, -1.5), (3.0, 0.0), (1e-300, -2e-300)]
+    # each twin's residuals on a new Program's ring (cold) and on the kept
+    # one (warm), against its own residual at its own circle points
+    ast = parse_norm(family, 2)
     kinds = set()
-    for code in CODES:
-        for u in RESIDUALS_BASES:
-            got = _floats(fast.residuals, code, 0.3, 0.5, u, xs)
-            assert got == _floats(slow.residuals, code, 0.3, 0.5, u, tuple(xs)), (code, u)
-            for prog in (fast, slow):
-                assert got == _floats(_each_residual, prog, code, 0.3, 0.5, u, xs), (code, u)
-            kinds.add(got[0] if isinstance(got, tuple) else "floats")
+    for n in (1, 7, 64):
+        for code in CODES:
+            for u in RESIDUALS_BASES:
+                fast, slow = pair(ast)
+                want = _floats(_each_residual, slow, code, 0.3, 0.5, u, n)
+                assert _floats(_each_residual, fast, code, 0.3, 0.5, u, n) == want
+                for prog in (fast, slow):
+                    for _ in ("cold", "warm"):
+                        assert _floats(prog.residuals, code, 0.3, 0.5, u, n) == want, (n, code, u)
+                kinds.add(want[0] if isinstance(want, tuple) else "floats")
     assert {"floats", "ZeroVectorError"} <= kinds
-    assert fast.residuals(0, 0.0, 0.0, (1.0, 0.0), []) == slow.residuals(0, 0, 0, (1, 0), ()) == []
 
 
 @pytest.mark.parametrize("family", ["lp(3)", "sum(l1, linf)", "max(l2, wlp(1.5; 1, 2, 3))"])
-def test_residuals_take_any_dimension(family, pair):
+def test_residual_takes_any_dimension(family, pair):
     fast, slow = pair(parse_norm(family, 3))
     xs = [(1.0, 0.0, 0.0), (0.0, -2.0, 0.5), (0.3, 0.3, -0.3), (0.0, 0.0, 0.0)]
     for code in CODES:
         for u in ((0.0, 0.0, 0.0), (1.0, 0.0, -1.0), (0.2, -0.7, 1.3)):
-            got = _floats(fast.residuals, code, 0.3, 0.5, u, xs)
-            assert got == _floats(slow.residuals, code, 0.3, 0.5, u, xs)
-            assert got == _floats(_each_residual, slow, code, 0.3, 0.5, u, xs)
-
-
-_CIRCLE48 = [circle_reference(_kernels_py.Program(*compile_ast(parse_norm("l1", 2))),
-                              j * 2.0 * math.pi / 48) for j in range(48)]
+            for x in xs:
+                got = _outcome(fast.residual, code, 0.3, 0.5, u, x)
+                assert got == _outcome(slow.residual, code, 0.3, 0.5, u, x), (code, u, x)
 
 
 @pytest.mark.parametrize("args", [
     # semi at the l1 corner: smooth at theta 0, not at the next point
-    (8, 0.0, 0.0, (1.0, 0.0), _CIRCLE48),
-    (8, 0.0, 0.0, (0.0, 0.0), _CIRCLE48),
-    (3, 0.0, 0.0, (1.0, 0.0), [(0.0, 1.0), (1.0, 2.0, 3.0)]),
-    (3, 0.0, 0.0, (1.0, 0.0), [(1.0,)]),
-    (9, 0.0, 0.0, (1.0, 0.0), [(0.0, 1.0)]),
-    (-1, 0.0, 0.0, (1.0, 0.0), [(0.0, 1.0)]),
-], ids=["semi-kink", "semi-zero", "long-point", "short-point", "code-9", "code-minus-1"])
+    (8, 0.0, 0.0, (1.0, 0.0), 48),
+    (8, 0.0, 0.0, (0.0, 0.0), 48),
+    (9, 0.0, 0.0, (1.0, 0.0), 48),
+    (-1, 0.0, 0.0, (1.0, 0.0), 48),
+], ids=["semi-kink", "semi-zero", "code-9", "code-minus-1"])
 def test_residuals_raise_as_residual_does(args, pair):
     # the error is the one residual gives at the first point that raises
     fast, slow = pair(parse_norm("l1", 2))
@@ -733,7 +734,6 @@ def test_sweeps_evaluate_their_base_vector_once(code, method, monkeypatch):
     # pow coefficients are in the base pass
     prog = _kernels_py.Program(*compile_ast(parse_norm(COMPOSITES[2], 2)))
     u = (0.6, -0.35)
-    xs = [prog.circle(j * 2.0 * math.pi / 48) for j in range(48)]
     seen = []
 
     def counting(run):
@@ -750,7 +750,7 @@ def test_sweeps_evaluate_their_base_vector_once(code, method, monkeypatch):
     elif method == "crossing":
         prog.crossing(code, 0.3, 0.5, u, 0.0, 1.0, math.pi, 1e-10)
     else:
-        assert len(prog.residuals(code, 0.3, 0.5, u, xs)) == 48
+        assert len(prog.residuals(code, 0.3, 0.5, u, 48)) == 48
     assert seen.count(u) == 1
 
 
@@ -961,19 +961,22 @@ _STEP48 = 2.0 * math.pi / 48
      ("ZeroDivisionError", "float division by zero")),
     (_L1_TAPE, "locus", (3, 0.0, 0.0, (1.0, 0.0), 48, 1e-10), "TypeError"),
     (_L1_TAPE, "crossing", (3, 0.0, 0.0, (1.0, 0.0), 0.0, 1.0, 1.0), "TypeError"),
-    # every point is read before the first residual, the kink's included
-    (_L1_TAPE, "residuals", (8, 0.0, 0.0, (1.0, 0.0), [(0.0, 1.0), (1.0, 2.0, 3.0)]),
-     ("ValueError", "expected 2 coordinates, got 2 and 3")),
-    (_L1_TAPE, "residuals", (3, 0.0, 0.0, (1.0,), [(0.0, 1.0)]),
+    # u is read before the resolution, and every ring point before the
+    # first residual, the kink's included
+    (_L1_TAPE, "residuals", (3, 0.0, 0.0, (1.0,), 48.0),
      ("ValueError", "expected 2 coordinates, got 1")),
-    (_L1_TAPE, "residuals", (3, None, 0.0, (1.0, 0.0), [(0.0, 1.0)]),
+    (_L1_TAPE, "residuals", (3, None, 0.0, (1.0, 0.0), 48),
      ("TypeError", "must be real number, not NoneType")),
-    (_L1_TAPE, "residuals", (3, 0.0, 0.0, (1.0, 0.0), 5),
-     ("TypeError", "'int' object is not iterable")),
-    (_L1_TAPE, "residuals", (3, 0.0, 0.0, (1.0, 0.0), [1.0]),
-     ("TypeError", "object of type 'float' has no len()")),
-    (_L1_TAPE, "residuals", (3, 0.0, 0.0, (1.0, 0.0), [(1.0, "a")]),
-     ("TypeError", "must be real number, not str")),
+    (_L1_TAPE, "residuals", (3, 0.0, 0.0, (1.0, 0.0), 48.0),
+     ("TypeError", "'float' object cannot be interpreted as an integer")),
+    (_L1_TAPE, "residuals", (3, 0.0, 0.0, (1.0, 0.0), [(0.0, 1.0)]),
+     ("TypeError", "'list' object cannot be interpreted as an integer")),
+    (_L1_TAPE, "residuals", (3, 0.0, 0.0, (1.0, 0.0), 0),
+     ("ValueError", "resolution must be >= 1, got 0")),
+    (_L2_DIM3, "residuals", (3, 0.0, 0.0, (1.0, 0.0, 0.0), 48),
+     ("ValueError", "circle needs a 2-dimensional norm, got dim 3")),
+    (_ZERO_TAPE, "residuals", (8, 0.0, 0.0, (1.0, 0.0), 48),
+     ("ZeroDivisionError", "float division by zero")),
     (_L1_TAPE, "residuals", (3, 0.0, 0.0, (1.0, 0.0)), "TypeError"),
 ])
 def test_sweep_errors_agree(tape, method, args, error, compiled_kernels):
@@ -1048,8 +1051,7 @@ def _norm_outcome(call, *args):
 
 @pytest.mark.parametrize("i, family", list(enumerate(FAMILIES)))
 def test_operator_norm_agrees_bitwise(i, family, compiled_kernels):
-    # each twin with its own domain circle (inline in the compiled one) and
-    # with the other twin's (called back), against the plain-Python loop;
+    # each twin with its own domain circle, against the plain-Python loop;
     # codomains of 1, 2 and 3 rows
     tape = compile_ast(parse_norm(family, 2))
     doms = compiled_kernels.Program(*tape), _kernels_py.Program(*tape)
@@ -1067,9 +1069,7 @@ def test_operator_norm_agrees_bitwise(i, family, compiled_kernels):
         for _ in range(2):
             matrix = tuple((entry(), entry()) for _ in range(rows))
             got = _norm_outcome(fast.operator_norm, doms[0].circle, matrix)
-            assert got == _norm_outcome(fast.operator_norm, doms[1].circle, matrix), matrix
             assert got == _norm_outcome(slow.operator_norm, doms[1].circle, matrix), matrix
-            assert got == _norm_outcome(slow.operator_norm, doms[0].circle, matrix), matrix
             assert got == _norm_outcome(operator_norm_reference, doms[1].circle, slow,
                                         matrix), matrix
 
@@ -1077,6 +1077,9 @@ def test_operator_norm_agrees_bitwise(i, family, compiled_kernels):
 def _raise_zero_division(theta):
     return 1 / 0
 
+
+# what operator_norm raises, as a TypeError, for a circle not its twin's own
+_OWN_CIRCLE = "circle must be the bound circle of a Program of the same backend"
 
 _L2_TAPE = compile_ast(parse_norm("l2", 2))
 _WIDE_TAPE = compile_ast(parse_norm("scale(0.25, l2)", 2))  # a circle of radius 4
@@ -1091,29 +1094,40 @@ _OK = ((1.0, 0.5), (-0.5, 1.0))
     # rows are checked and read in turn: row 0's entry fails first
     (_L2_TAPE, ((1.0, "a"), (1.0,)), ("TypeError", "must be real number, not str")),
     (_L2_TAPE, ((1.0, 0.5), (None, 1.0)), ("TypeError", "must be real number, not NoneType")),
-    (3, _OK, ("TypeError", "'int' object is not callable")),
-    (_raise_zero_division, _OK, ("ZeroDivisionError", "division by zero")),
     (_L2_DIM3, _OK, ("ValueError", "circle needs a 2-dimensional norm, got dim 3")),
     (_ZERO_TAPE, _OK, ("ZeroDivisionError", "float division by zero")),
     (_L2_TAPE, ((1.7e308, 1.7e308), (0.0, 1.0)),
      ("OverflowError", "intermediate overflow in fsum")),
     (_WIDE_TAPE, ((1e308, -1e308), (0.0, 0.0)), ("ValueError", "-inf + inf in fsum")),
-    (lambda theta: (1.0, 0.0, 0.0), _OK, "ValueError"),
-    (lambda theta: 1.0, _OK, "TypeError"),
 ])
 def test_operator_norm_errors_agree(circle, matrix, error, compiled_kernels):
-    outcomes = []
     for mod in (compiled_kernels, _kernels_py):
         # a tape stands for its own Program's circle in each twin
-        own = mod.Program(*circle).circle if isinstance(circle, tuple) else circle
+        own = mod.Program(*circle).circle
         cod = mod.Program(*_L2_TAPE)
-        outcomes.append(_norm_outcome(cod.operator_norm, own, matrix))
+        assert _norm_outcome(cod.operator_norm, own, matrix) == error
         assert _outcome(cod.operator_norm, own)[0] == "TypeError"
-    if isinstance(error, str):
-        # a circle that gives no pair: each twin words it its own way
-        assert outcomes[0][0] == outcomes[1][0] == error
-    else:
-        assert outcomes == [error, error]
+
+
+@pytest.mark.parametrize("make", [
+    lambda dom, other: (lambda t: dom.circle(t)),
+    lambda dom, other: _raise_zero_division,
+    lambda dom, other: dom.value,
+    lambda dom, other: functools.partial(dom.circle),
+    lambda dom, other: other.Program(*_L1_TAPE).circle,
+    lambda dom, other: 3,
+    lambda dom, other: None,
+], ids=["lambda", "function", "value", "partial", "other-twin", "int", "none"])
+def test_operator_norm_takes_only_its_twins_own_circle(make, compiled_kernels):
+    # anything but the domain Program's own circle, of the same twin: one
+    # text in both twins, raised before the matrix is read
+    twins = (compiled_kernels, _kernels_py)
+    for mod, other in (twins, twins[::-1]):
+        cod, dom = mod.Program(*_L2_TAPE), mod.Program(*_L1_TAPE)
+        for matrix in (_OK, None):
+            got = _norm_outcome(cod.operator_norm, make(dom, other), matrix)
+            assert got == ("TypeError", _OWN_CIRCLE), mod
+        assert _norm_outcome(cod.operator_norm, dom.circle, _OK)[0] != "TypeError"
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -1166,12 +1180,14 @@ def test_compiled_sweeps_hold_memory_flat(compiled_kernels):
         (l1.crossing, 8, 0.0, 0.0, (1.0, 0.0), 0.0, 1.0, math.pi, 1e-10),
         (l1.locus, 3, 0.0, 0.0, (1.0, 0.0), 48, 1e-10, list),
         (l1.locus, 3, 0.0, 0.0, (1.0, "a"), 48, 1e-10, LocusPoint),
+        # the ring's residuals, also raising after the ring is read
+        (l2.residuals, 5, 0.3, 0.5, (0.6, -0.35), 48),
+        (l1.residuals, 8, 0.0, 0.0, (1.0, 0.0), 48),
         # the planar operator norm and the line search, inline and called
-        # back, and raising from the matrix, the callback and the row sums
+        # back, and raising from the circle, the matrix and the row sums
         (l2.operator_norm, l1.circle, _OK),
         (l2.operator_norm, lambda t: l1.circle(t), _OK),
         (l2.operator_norm, l1.circle, ((1.0, "a"), (1.0, 0.5))),
-        (l2.operator_norm, lambda t: (1.0, "a"), _OK),
         (l2.operator_norm, l2.circle, ((1.7e308, 1.7e308), (0.0, 1.0))),
         (l1.line_min, phi, -2.0, 2.0, 200),
         (l1.line_min, lambda t: phi(t), -2.0, 2.0, 200),
@@ -1230,7 +1246,8 @@ def test_rings_keep_the_sweep_bits(backend, family):
 
 def test_warm_sweeps_take_no_circle_point_on_the_grid(monkeypatch):
     # every circle point the pure twin's sweeps take, counted: the ring's
-    # own, and the bisection's, refinement's and direction's
+    # own, and the bisection's, refinement's and direction's; the mining
+    # scan's residuals take none but the ring's
     calls = []
     circle = _kernels_py.Program.circle
 
@@ -1241,14 +1258,16 @@ def test_warm_sweeps_take_no_circle_point_on_the_grid(monkeypatch):
     monkeypatch.setattr(_kernels_py.Program, "circle", counted)
     prog = _kernels_py.Program(*compile_ast(parse_norm(COMPOSITES[3], 2)))
     cod = _kernels_py.Program(*_L2_TAPE)
-    for sweep, n in ((lambda: prog.locus(3, 0.0, 0.0, (0.6, -0.35), 48, 1e-12, tuple), 48),
-                     (lambda: cod.operator_norm(prog.circle, _OK), 1024)):
+    for sweep, n, rest in (
+            (lambda: prog.locus(3, 0.0, 0.0, (0.6, -0.35), 48, 1e-12, tuple), 48, True),
+            (lambda: cod.operator_norm(prog.circle, _OK), 1024, True),
+            (lambda: prog.residuals(3, 0.0, 0.0, (0.6, -0.35), 64), 64, False)):
         counts = []
         for _ in ("cold", "warm"):
             calls.clear()
             sweep()
             counts.append(len(calls))
-        assert counts[1] == counts[0] - n > 0, counts
+        assert counts[0] - counts[1] == n and (counts[1] > 0) == rest, counts
 
 
 @pytest.mark.parametrize("backend", ["_kernels_py", "_kernels"], indirect=True)
@@ -1281,19 +1300,22 @@ def _held():
 
 @pytest.mark.parametrize("backend", ["_kernels_py", "_kernels"], indirect=True)
 def test_rings_hold_bounded_memory(backend):
-    # 32 rings of 1024 points, 16 KiB each, is all a twin keeps; a ring of
-    # more points is not kept at all
+    # 32 rings of 1024 points, 16 KiB each, is all a twin keeps, whichever
+    # sweeps keep them; a ring of more points is not kept at all
     progs = [backend.Program(*compile_ast(parse_norm(f"scale({1 + k / 64}, l2)", 2)))
-             for k in range(41)]
+             for k in range(62)]
     cod = backend.Program(*_L2_TAPE)
     tracemalloc.start()
     try:
-        progs[40].locus(3, 0.0, 0.0, (1.0, 0.0), 1025, 1e-10, tuple)
+        progs[60].locus(3, 0.0, 0.0, (1.0, 0.0), 1025, 1e-10, tuple)
+        progs[61].residuals(3, 0.0, 0.0, (1.0, 0.0), 1025)
         assert _held() < 1024
         for prog in progs[:20]:
             prog.locus(3, 0.0, 0.0, (1.0, 0.0), 1024, 1e-10, tuple)
         for prog in progs[20:40]:
             cod.operator_norm(prog.circle, _OK)
+        for prog in progs[40:60]:
+            prog.residuals(3, 0.0, 0.0, (1.0, 0.0), 1024)
         held = _held()
     finally:
         tracemalloc.stop()

@@ -35,7 +35,7 @@ from normortho.explorer import _apply, _operator_norm
 from normortho.kernels import get_program
 
 from conftest import (
-    COMPOSITES, FAMILIES, CallingProxy, ProgramProxy, ScriptedDraws, circle_reference, hexes,
+    COMPOSITES, FAMILIES, ProgramProxy, ScriptedDraws, circle_reference, hexes,
     operator_norm_reference,
 )
 
@@ -174,8 +174,9 @@ class TestOperatorNorm:
 
 
 class _Reference:
-    """A Program whose circle and image_value are computed from its value,
-    with Python's math and `_apply`, as references for the kernel's."""
+    """A Program whose circle, image_value and planar operator_norm are
+    computed from its value, with Python's math, `_apply` and
+    operator_norm_reference, as references for the kernel's."""
 
     def __init__(self, prog):
         self._prog = prog
@@ -188,6 +189,9 @@ class _Reference:
 
     def image_value(self, matrix, x):
         return self._prog.value(_apply(types.SimpleNamespace(matrix=matrix), x))
+
+    def operator_norm(self, circle, matrix):
+        return operator_norm_reference(circle, self, matrix)
 
 
 class _FailsNarrowly:
@@ -206,10 +210,10 @@ class _FailsNarrowly:
             return self._residual
         return self._prog.residual(code, a, b, u, v)
 
-    def residuals(self, code, a, b, u, xs):
+    def residuals(self, code, a, b, u, resolution):
         if code == self._code:
-            return [self._residual] * len(xs)
-        return self._prog.residuals(code, a, b, u, xs)
+            return [self._residual] * resolution
+        return self._prog.residuals(code, a, b, u, resolution)
 
 
 class _Counting:
@@ -291,13 +295,13 @@ def _pin_maps(i, dom):
 @pytest.mark.parametrize("i, dom", list(enumerate(FAMILIES + COMPOSITES)))
 def test_planar_operator_norm_keeps_its_bits(package_backend, i, dom, monkeypatch):
     # the kernel's sweep against the plain-Python loop it replaced, also
-    # through a proxy like the tracer's and through Python-level circles
+    # through a proxy like the tracer's, which hands out the real circle
     cfg = SampleConfig(seed=1, count=1)
     for lin in _pin_maps(i, dom):
         want = operator_norm_reference(get_program(lin.domain_norm).circle,
                                        get_program(lin.codomain_norm), lin.matrix)
         assert abs(want[0]) < math.inf
-        for wrap in (None, ProgramProxy, CallingProxy):
+        for wrap in (None, ProgramProxy):
             with monkeypatch.context() as m:
                 if wrap is not None:
                     m.setattr(normortho.explorer, "get_program",
@@ -308,7 +312,7 @@ def test_planar_operator_norm_keeps_its_bits(package_backend, i, dom, monkeypatc
 
 
 @BACKENDS
-@pytest.mark.parametrize("wrap", [None, ProgramProxy, CallingProxy])
+@pytest.mark.parametrize("wrap", [None, ProgramProxy])
 def test_planar_operator_norm_errors_keep_their_place(package_backend, wrap, monkeypatch):
     if wrap is not None:
         monkeypatch.setattr(normortho.explorer, "get_program", lambda ast: wrap(get_program(ast)))
@@ -584,9 +588,9 @@ class TestMineIncomparability:
     @pytest.mark.parametrize("rel_a, rel_b", [("birkhoff", "rho"), ("rho", "isosceles")])
     def test_scan_takes_one_residuals_call_per_base(self, rel_a, rel_b, package_backend,
                                                     monkeypatch):
-        # the 64-point grid is built once for both directions, each base is
-        # scanned by one residuals call, and residual is called only by the
-        # verdicts on the k candidates, each at its one circle point
+        # each base is scanned by one residuals call on the Program's ring,
+        # circle is called only at the k crossings, and residual only by
+        # the verdicts on the k candidates, each at its one circle point
         calls = collections.Counter()
         monkeypatch.setattr(normortho.explorer, "get_program",
                             lambda ast: _Counting(get_program(ast), calls))
@@ -602,7 +606,7 @@ class TestMineIncomparability:
                              SampleConfig(seed=3, count=12))
         k = calls["crossing"]
         assert k > 0
-        assert calls["circle"] == 64 + k
+        assert calls["circle"] == k
         assert calls["residual"] == len(verdicts) >= k
         assert calls["residuals"] >= 2
 

@@ -712,18 +712,13 @@ typedef struct {
 } Ring;
 static Ring rings[RINGS];
 
-/* Point j of the ring, its two doubles at xy, to the ring's reader; -1
-   with an exception set stops the sweep. */
-typedef int (*RingVisit)(void *ctx, Py_ssize_t j, const double *xy);
-
 /* The ring of n points of p into xy (2 n doubles): a copy of the kept one,
    or circle_of point by point (vals holds p's n node values), kept if n <=
-   RING_MAX once every point is read; visit, unless NULL, reads each point
-   as it comes.  The only copy of the ring, and the only grid of the planar
-   sweeps: residuals, locus and operator_norm read it.
-   -1 with an exception set at the first point that fails. */
-static int ring(const Program *p, Py_ssize_t n, double *xy, double *vals, RingVisit visit,
-                void *ctx)
+   RING_MAX.  The only copy of the ring, and the only grid of the planar
+   sweeps: residuals, locus and operator_norm read all of it before their
+   first residual or gain.  -1 with an exception set at the first point
+   that fails. */
+static int ring(const Program *p, Py_ssize_t n, double *xy, double *vals)
 {
     int k = 0;
     while (k < RINGS && (rings[k].prog != (PyObject *)p || rings[k].n != n))
@@ -733,13 +728,13 @@ static int ring(const Program *p, Py_ssize_t n, double *xy, double *vals, RingVi
         memmove(rings + 1, rings, k * sizeof(Ring));
         rings[0] = hit;
         memcpy(xy, hit.xy, 2 * n * sizeof(double));
+        return 0;
     }
     double step = 2.0 * PI / (double)n, *kept;
     for (Py_ssize_t j = 0; j < n; j++)
-        if ((k == RINGS && circle_of(p, (double)j * step, vals, xy + 2 * j) < 0)
-            || (visit != NULL && visit(ctx, j, xy + 2 * j) < 0))
+        if (circle_of(p, (double)j * step, vals, xy + 2 * j) < 0)
             return -1;
-    if (k < RINGS || n > RING_MAX || (kept = PyMem_Malloc(2 * n * sizeof(double))) == NULL)
+    if (n > RING_MAX || (kept = PyMem_Malloc(2 * n * sizeof(double))) == NULL)
         return 0;
     memcpy(kept, xy, 2 * n * sizeof(double));
     Ring last = rings[RINGS - 1];
@@ -1121,7 +1116,7 @@ static double *residuals_of(const Base *s, Py_ssize_t n)
         PyErr_NoMemory();
         return NULL;
     }
-    if (ring(s->prog, n, xs, s->work, NULL, NULL) < 0)
+    if (ring(s->prog, n, xs, s->work) < 0)
         goto fail;
     for (Py_ssize_t j = 0; j < n; j++)
         if (residual_at(s, xs + 2 * j, xs + 2 * n + j) < 0)
@@ -1400,8 +1395,6 @@ typedef struct {
     const Program *cod, *dom;
     const double *m;             /* M row by row, 2 doubles each */
     double *y, *vals, *dvals;    /* M x (n), cod's node values, dom's */
-    double best;                 /* the grid's first largest gain, */
-    Py_ssize_t best_j;           /* at point best_j */
 } Planar;
 
 /* The compiled Program whose bound circle the callable is, or NULL. */
@@ -1426,20 +1419,6 @@ static int image_gain(const Planar *s, const double *xy, double *out)
             return -1;
     }
     *out = value_of(s->cod, s->y, s->vals);
-    return 0;
-}
-
-/* The gain at grid point j, x at xy, kept if it is the largest yet. */
-static int grid_gain(void *ctx, Py_ssize_t j, const double *xy)
-{
-    Planar *s = ctx;
-    double gain;
-    if (image_gain(s, xy, &gain) < 0)
-        return -1;
-    if (gain > s->best) {
-        s->best = gain;
-        s->best_j = j;
-    }
     return 0;
 }
 
@@ -1492,7 +1471,7 @@ static PyObject *Program_operator_norm(Program *self, PyObject *const *args, Py_
     if (nargs != 2)
         return PyErr_Format(PyExc_TypeError,
                             "operator_norm() takes exactly 2 arguments (%zd given)", nargs);
-    Planar s = {self, own_circle(args[0]), NULL, NULL, NULL, NULL, -1.0, 0};
+    Planar s = {self, own_circle(args[0]), NULL, NULL, NULL, NULL};
     if (s.dom == NULL) {
         PyErr_SetString(PyExc_TypeError,
                         "circle must be the bound circle of a Program of the same backend");
@@ -1510,15 +1489,26 @@ static PyObject *Program_operator_norm(Program *self, PyObject *const *args, Py_
     PyObject *out = NULL, *norm = NULL, *direction = NULL;
     if (load_matrix(self, args[1], buf) < 0)
         goto done;
-    double step = 2.0 * PI / GRID, theta, lowest, xy[2];
-    if (ring(s.dom, GRID, s.dvals + s.dom->n, s.dvals, grid_gain, &s) < 0)
+    double step = 2.0 * PI / GRID, *xs = s.dvals + s.dom->n, best = -1.0, gain, theta, lowest,
+           xy[2];
+    Py_ssize_t best_j = 0;
+    if (ring(s.dom, GRID, xs, s.dvals) < 0)
         goto done;
-    double theta0 = (double)s.best_j * step;
+    /* the first largest gain */
+    for (Py_ssize_t j = 0; j < GRID; j++) {
+        if (image_gain(&s, xs + 2 * j, &gain) < 0)
+            goto done;
+        if (gain > best) {
+            best = gain;
+            best_j = j;
+        }
+    }
+    double theta0 = (double)best_j * step;
     if (golden(planar_loss, &s, theta0 - step, theta0 + step, GOLDEN_STEPS, &theta, &lowest) < 0)
         goto done;
     double value = -lowest;
-    if (!(value >= s.best)) {
-        value = s.best;
+    if (!(value >= best)) {
+        value = best;
         theta = theta0;
     }
     if (circle_of(s.dom, theta, s.dvals, xy) < 0)

@@ -55,12 +55,11 @@ line_min and operator_norm share the one copy of the golden-section
 search (`_golden` here, `golden` in the C twin).  The compiled twin runs a
 compiled line evaluator inline; line_min calls any other phi (a tracing
 proxy's, say), with the same bits.  Every planar sweep (residuals, locus,
-operator_norm) reads its grid from the Program's ring of n points,
-circle(j * step) for j < n and step = 2 pi / n, kept once a sweep has read
-them all (`_ring`, `ring`; a sweep that raises before then keeps none):
-one process-wide LRU keyed on (Program, n) holds at most 32 rings of at
-most 1024 points, 2 n doubles each, 512 KiB in all.  A key holds its
-Program, so no other is served it.
+operator_norm) takes all of the Program's ring, circle(j * 2 pi / n) for
+j < n, before its first residual or gain (`_ring`, `ring`; kept unless it
+raises).  One process-wide LRU keyed on (Program, n), each key holding its
+Program, keeps at most 32 rings of at most 1024 points (512 KiB), here as
+array('d') columns x and y that the sweeps map over.
 The tape (kinds, params, weights, dim) is as `program.compile_ast` gives
 it; each twin derives the nodes' children (`left`, `right`) and weight
 offsets (`woff`) at load, in the one stack pass that checks the tape and
@@ -90,6 +89,7 @@ import math
 import operator
 from array import array
 from collections import OrderedDict
+from itertools import chain, compress, repeat
 
 from .errors import DimensionMismatchError, NonSmoothPointError, ZeroVectorError
 from .program import (
@@ -524,7 +524,7 @@ class Program:
         locus's: every ring point is taken before the first residual.
         """
         code, a, b, u = self._sweep_args(code, a, b, u)
-        xs = list(_ring(self, _count(resolution, "resolution", 1)))
+        xs = zip(*_ring(self, _count(resolution, "resolution", 1)))
         return list(map(self._sweep(code, a, b, u), xs))
 
     def crossing(self, code, a, b, u, lo, f_lo, hi, width) -> float:
@@ -571,24 +571,23 @@ class Program:
         width = _double(width)
         if not (isinstance(point, type) and issubclass(point, tuple)):
             raise TypeError(f"point must be a tuple subclass, got {point!r}")
-        circle = self.circle
         residual = self._sweep(code, a, b, u)
-        new = tuple.__new__
         step = 2.0 * math.pi / resolution
         thetas = [j * step for j in range(resolution)]
-        xs = list(_ring(self, resolution))
-        residuals = list(map(residual, xs))
-        points = []
-        for j, theta in enumerate(thetas):
-            x = xs[j]
-            res = residuals[j]
-            points.append(new(point, (theta, x[0], x[1], res, res == 0.0)))
-            nxt = residuals[(j + 1) % resolution]
-            if res == 0.0 or nxt == 0.0 or (res > 0.0) == (nxt > 0.0):
-                continue
-            cross = self._bisect(residual, theta, res, theta + step, width)
-            x = circle(cross)
-            points.append(new(point, (cross, x[0], x[1], residual(x), True)))
+        xs, ys = _ring(self, resolution)
+        residuals = list(map(residual, zip(xs, ys)))
+        points = list(map(tuple.__new__, repeat(point), zip(
+            thetas, xs, ys, residuals, map(operator.eq, residuals, repeat(0.0)))))
+        # the strict sign changes to the next point (cyclically), bisected in order
+        above = list(map(operator.gt, residuals, repeat(0.0)))
+        for j in compress(range(resolution), map(operator.ne, above, above[1:] + above[:1])):
+            res, nxt = residuals[j], residuals[(j + 1) % resolution]
+            if res != 0.0 and nxt != 0.0:
+                cross = self._bisect(residual, thetas[j], res, thetas[j] + step, width)
+                x = self.circle(cross)
+                row = tuple.__new__(point, (cross, x[0], x[1], residual(x), True))
+                # after point j's row, past the rows spliced in before it
+                points.insert(len(points) - resolution + j + 1, row)
         return points
 
     # -- golden-section search and planar operator norms ---------------------
@@ -608,10 +607,10 @@ class Program:
         (anything else is a TypeError), and matrix M has dim rows of 2
         entries, read as floats.  The gain N(M circle(theta)), each row of
         M x summed as math.fsum sums it, is taken at theta_j = j * step,
-        step = 2 pi / 1024, on the domain's ring; its first largest value
-        is refined by 80 steps of _golden over [theta_j - step, theta_j +
-        step], and the larger of the two is kept (the refinement on a
-        tie), with circle at its angle.
+        step = 2 pi / 1024, on the domain's ring, taken whole first; its
+        first largest value is refined by 80 steps of _golden over
+        [theta_j - step, theta_j + step], and the larger of the two is kept
+        (the refinement on a tie), with circle at its angle.
         """
         if (getattr(circle, "__func__", None) is not Program.circle
                 or not isinstance(circle.__self__, Program)):
@@ -631,10 +630,14 @@ class Program:
             return value([fsum((r0 * x0, r1 * x1)) for r0, r1 in rows])
 
         step = 2.0 * math.pi / 1024
+        xs, ys = _ring(circle.__self__, 1024)
+        mul = operator.mul
+        # a lazy column per image row: each point's rows, then its gain, as gain takes them
+        images = [map(fsum, zip(map(mul, repeat(r0), xs), map(mul, repeat(r1), ys)))
+                  for r0, r1 in rows]
         best_j = 0
         best = -1.0
-        for j, x in enumerate(_ring(circle.__self__, 1024)):
-            g = gain(x)
+        for j, g in enumerate(map(value, zip(*images))):
             if g > best:
                 best, best_j = g, j
         theta0 = best_j * step
@@ -654,34 +657,31 @@ class Program:
         return self._line([_double(x) for x in u], [_double(x) for x in v])
 
 
-# (Program, n) -> ring as array('d') x0, y0, x1, y1, ...; oldest use first
+# (Program, n) -> ring as its columns (array('d') x, array('d') y), oldest use first
 _RINGS = 32
 _RING_MAX = 1024
 _rings = OrderedDict()
 
 
 def _ring(prog, n):
-    """prog.circle(j * 2 pi / n) for j = 0, ..., n - 1 in turn: from prog's
-    kept ring, or computed, and kept if n <= _RING_MAX once the last point
-    is taken."""
+    """The columns (x, y) of prog.circle(j * 2 pi / n), j = 0, ..., n - 1:
+    prog's kept ring, or computed point by point, and kept if n <=
+    _RING_MAX."""
     key = (prog, n)
-    xy = _rings.pop(key, None)
-    if xy is not None:
-        _rings[key] = xy
-        yield from zip(xy[::2], xy[1::2])
-        return
-    flat = [] if n <= _RING_MAX else None
-    circle, step = prog.circle, 2.0 * math.pi / n
-    for j in range(n):
-        x = circle(j * step)
-        if flat is not None:
-            flat += x
-        yield x
-    if flat is not None:
+    ring = _rings.pop(key, None)
+    if ring is None:
+        step = 2.0 * math.pi / n
+        # each point freed as it is read, so no garbage collection is set off
+        xy = list(chain.from_iterable(map(prog.circle, [j * step for j in range(n)])))
+        ring = xy[0::2], xy[1::2]
+        if n > _RING_MAX:
+            return ring
         if len(_rings) >= _RINGS:
             _rings.popitem(last=False)
-        # from a list, array allocates exactly 2 n doubles
-        _rings[key] = array("d", flat)
+        # from a list, array allocates exactly n doubles
+        ring = array("d", ring[0]), array("d", ring[1])
+    _rings[key] = ring
+    return ring
 
 
 def _double(x) -> float:
@@ -755,6 +755,7 @@ class SplitMix64:
         self._state = seed & _MASK
 
     def next_u64(self) -> int:
+        # vector runs this step, random and uniform inline: change them together
         self._state = (self._state + _GAMMA) & _MASK
         z = self._state
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
@@ -775,7 +776,15 @@ class SplitMix64:
         if dim < 0:
             raise ValueError(f"dim must be >= 0, got {dim}")
         lo, hi = float(lo), float(hi)
-        return tuple([self.uniform(lo, hi) for _ in range(dim)])
+        # next_u64, random and uniform inline, the same operations in order
+        span, state, out = hi - lo, self._state, []
+        for _ in range(dim):
+            state = (state + _GAMMA) & _MASK
+            z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+            out.append(lo + span * (((z ^ (z >> 31)) >> 11) * (2.0 ** -53)))
+        self._state = state
+        return tuple(out)
 
     def substream(self, index: int) -> "SplitMix64":
         """Independent child stream; deterministic in (seed, index)."""

@@ -1074,6 +1074,24 @@ def test_operator_norm_agrees_bitwise(i, family, compiled_kernels):
                                         matrix), matrix
 
 
+@pytest.mark.parametrize("family", ["l1", "linf", "max(l1, l2)"])
+@pytest.mark.parametrize("matrix", [((1.0, 0.0), (0.0, 1.0)), ((0.0, -1.0), (1.0, 0.0)),
+                                    ((0.0, 1.0), (-1.0, 0.0))])
+def test_operator_norm_takes_the_first_of_tied_gains(family, matrix, compiled_kernels):
+    # an isometry of a polyhedral norm: many grid gains are exactly equal,
+    # and both twins refine around the first of them, as the plain loop does
+    tape = compile_ast(parse_norm(family, 2))
+    ref = _kernels_py.Program(*tape)
+    gains = [ref.image_value(matrix, ref.circle(j * 2.0 * math.pi / 1024)) for j in range(1024)]
+    assert gains.count(max(gains)) >= 12
+    want = _norm_outcome(operator_norm_reference, ref.circle, ref, matrix)
+    for mod in (compiled_kernels, _kernels_py):
+        cod, dom = mod.Program(*tape), mod.Program(*tape)
+        # cold, then from the kept ring
+        assert _norm_outcome(cod.operator_norm, dom.circle, matrix) == want, mod
+        assert _norm_outcome(cod.operator_norm, dom.circle, matrix) == want, mod
+
+
 def _raise_zero_division(theta):
     return 1 / 0
 

@@ -56,6 +56,22 @@ def test_vector_is_successive_uniform_draws(twins, lo, hi):
         assert cls(1).vector(3, -3, 3) == cls(1).vector(3, -3.0, 3.0)
 
 
+def test_vector_continues_the_stream_across_mixed_dims(twins):
+    # 10**4 vector calls of dims 0-5 and 17 draw what as many uniform calls
+    # would, bit for bit, and leave the state where next_u64 expects it
+    compiled, pure = twins
+    pick = pure(5)
+    dims = [(0, 1, 2, 3, 4, 5, 17)[int(pick.random() * 7)] for _ in range(10**4)]
+    ref = pure(2024)
+    want = [ref.uniform(-1.5, 4.0).hex() for dim in dims for _ in range(dim)]
+    after = ref.next_u64()
+    for cls in twins:
+        rng = cls(2024)
+        got = [x.hex() for dim in dims for x in rng.vector(dim, -1.5, 4.0)]
+        assert got == want
+        assert rng.next_u64() == after
+
+
 @pytest.mark.parametrize("seed", [1.5, "3", None])
 def test_non_int_seed_is_a_type_error(twins, seed):
     for cls in twins:

@@ -4,8 +4,9 @@
    both twins; when touching a formula here, change the twin identically.
 
    What only this twin has: no a * b + c may become a fused multiply-add
-   (the pragmas below), and the normortho.errors classes that semi and
-   vectors raise are bound at module init.
+   (the pragmas below), the normortho.errors classes that semi and
+   vectors raise are bound at module init, and math.fsum is ported: one
+   row sum, fsum_row, serves image and the planar operator_norm alike.
 
    Build with `python setup.py build_ext`, or directly:
    gcc -O2 -shared -fPIC -I<python include> _kernels.c -o _kernels<EXT_SUFFIX>
@@ -745,29 +746,6 @@ static int ring(const Program *p, Py_ssize_t n, double *xy, double *vals)
     return 0;
 }
 
-/* row[j] * x[j] into *out as `math.fsum(map(operator.mul, row, x))` sees
-   it: two floats multiply in C, anything else through Python's `*` and
-   then the float conversion fsum applies.  -1 with an exception set. */
-static int product(PyObject *row, PyObject *x, Py_ssize_t j, double *out)
-{
-    PyObject *a = item(row, j), *b = NULL, *ab = NULL;
-    int rc = -1;
-    if (a == NULL || (b = item(x, j)) == NULL)
-        goto done;
-    if (PyFloat_CheckExact(a) && PyFloat_CheckExact(b)) {
-        *out = PyFloat_AS_DOUBLE(a) * PyFloat_AS_DOUBLE(b);
-        rc = 0;
-    } else if ((ab = PyNumber_Multiply(a, b)) != NULL) {
-        *out = PyFloat_AsDouble(ab);
-        rc = *out == -1.0 && PyErr_Occurred() ? -1 : 0;
-    }
-done:
-    Py_XDECREF(a);
-    Py_XDECREF(b);
-    Py_XDECREF(ab);
-    return rc;
-}
-
 /* A running math.fsum: Shewchuk's non-overlapping partials ("Adaptive
    precision floating-point arithmetic", DCG 1997) in p, with +-inf and
    NaN summed apart.  Each summand adds at most one partial, so p holds
@@ -854,55 +832,69 @@ static int fsum_result(const FSum *s, double *out)
 }
 
 /* Sum of the cols products row[j] * x[j] into *out, with the value and the
-   errors of math.fsum; p holds cols doubles.  -1 with an exception set. */
-static int fsum_row(PyObject *row, PyObject *x, Py_ssize_t cols, double *p, double *out)
+   errors of math.fsum; p holds cols doubles.  The only row sum: image and
+   the planar gain run it.  -1 with an exception set. */
+static int fsum_row(const double *row, const double *x, Py_ssize_t cols, double *p, double *out)
 {
     FSum s = {p, 0, 0.0, 0.0};
-    double a;
     for (Py_ssize_t j = 0; j < cols; j++)
-        if (product(row, x, j, &a) < 0 || fsum_add(&s, a) < 0)
+        if (fsum_add(&s, row[j] * x[j]) < 0)
             return -1;
     return fsum_result(&s, out);
 }
 
-static PyObject *Program_image_value(Program *self, PyObject *const *args,
-                                     Py_ssize_t nargs)
+/* The rows of matrix, self->dim of them with cols entries each, as doubles
+   into m row by row; -1 with an exception set.  The only matrix reader:
+   image and operator_norm run it. */
+static int load_matrix(const Program *self, PyObject *matrix, Py_ssize_t cols, double *m)
 {
-    if (nargs != 2)
-        return PyErr_Format(PyExc_TypeError,
-                            "image_value() takes exactly 2 arguments (%zd given)", nargs);
-    PyObject *matrix = args[0], *x = args[1];
-    Py_ssize_t rows = PyObject_Length(matrix), cols;
+    Py_ssize_t rows = PyObject_Length(matrix);
     if (rows < 0)
-        return NULL;
-    if (rows != self->dim)
-        return PyErr_Format(PyExc_ValueError, "expected %d rows, got %zd", self->dim, rows);
-    if ((cols = PyObject_Length(x)) < 0)
-        return NULL;
-    /* a __len__ near PY_SSIZE_T_MAX must not wrap the scratch size */
-    if (cols > PY_SSIZE_T_MAX / (Py_ssize_t)sizeof(double) - rows - self->n)
-        return PyErr_NoMemory();
-    double stack[STACK_CAP];
-    double *y = scratch(stack, rows + self->n + cols);
-    if (y == NULL)
-        return NULL;
-    double *vals = y + rows, *partials = vals + self->n;
-    PyObject *out = NULL;
-    Py_ssize_t i = 0;
-    for (; i < rows; i++) {
+        return -1;
+    if (rows != self->dim) {
+        PyErr_Format(PyExc_ValueError, "expected %d rows, got %zd", self->dim, rows);
+        return -1;
+    }
+    for (Py_ssize_t i = 0; i < rows; i++) {
         PyObject *row = item(matrix, i);
         if (row == NULL)
-            break;
+            return -1;
         Py_ssize_t len = PyObject_Length(row);
         if (len >= 0 && len != cols)
             PyErr_Format(PyExc_ValueError, "expected rows of %zd entries, got %zd", cols, len);
-        int rc = len == cols ? fsum_row(row, x, cols, partials, y + i) : -1;
+        int rc = len == cols ? load_doubles(row, cols, m + i * cols) : -1;
         Py_DECREF(row);
         if (rc < 0)
-            break;
+            return -1;
     }
+    return 0;
+}
+
+/* M x as a tuple: x is read first, then the whole matrix (load_matrix),
+   and then each row is summed. */
+static PyObject *Program_image(Program *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs != 2)
+        return PyErr_Format(PyExc_TypeError,
+                            "image() takes exactly 2 arguments (%zd given)", nargs);
+    Py_ssize_t rows = self->dim, cols = PyObject_Length(args[1]);
+    if (cols < 0)
+        return NULL;
+    /* a __len__ near PY_SSIZE_T_MAX must not wrap the scratch size */
+    if (cols > (PY_SSIZE_T_MAX / (Py_ssize_t)sizeof(double) - rows) / (rows + 2))
+        return PyErr_NoMemory();
+    double stack[STACK_CAP];
+    double *y = scratch(stack, rows + (rows + 2) * cols);
+    if (y == NULL)
+        return NULL;
+    double *xs = y + rows, *m = xs + cols, *partials = m + rows * cols;
+    PyObject *out = NULL;
+    Py_ssize_t i = 0;
+    if (load_doubles(args[1], cols, xs) == 0 && load_matrix(self, args[0], cols, m) == 0)
+        while (i < rows && fsum_row(m + i * cols, xs, cols, partials, y + i) == 0)
+            i++;
     if (i == rows)
-        out = PyFloat_FromDouble(value_of(self, y, vals));
+        out = tuple_of(y, rows);
     if (y != stack)
         PyMem_Free(y);
     return out;
@@ -1407,17 +1399,14 @@ static const Program *own_circle(PyObject *circle)
     return self != NULL && Py_IS_TYPE(self, &ProgramType) ? (const Program *)self : NULL;
 }
 
-/* N(M x) into *out for x at xy, each row of M x summed as fsum_row sums
-   it; -1 with an exception set. */
+/* N(M x) into *out for x at xy, each row of M x summed by fsum_row; -1
+   with an exception set. */
 static int image_gain(const Planar *s, const double *xy, double *out)
 {
     double partials[2];
-    for (int i = 0; i < s->cod->dim; i++) {
-        FSum sum = {partials, 0, 0.0, 0.0};
-        if (fsum_add(&sum, s->m[2 * i] * xy[0]) < 0
-            || fsum_add(&sum, s->m[2 * i + 1] * xy[1]) < 0 || fsum_result(&sum, s->y + i) < 0)
+    for (int i = 0; i < s->cod->dim; i++)
+        if (fsum_row(s->m + 2 * i, xy, 2, partials, s->y + i) < 0)
             return -1;
-    }
     *out = value_of(s->cod, s->y, s->vals);
     return 0;
 }
@@ -1431,32 +1420,6 @@ static int planar_loss(void *ctx, double theta, double *out)
     if (circle_of(s->dom, theta, s->dvals, xy) < 0 || image_gain(s, xy, out) < 0)
         return -1;
     *out = -*out;
-    return 0;
-}
-
-/* The rows of matrix, self->dim of them with 2 entries each, as doubles
-   into m; -1 with an exception set. */
-static int load_matrix(const Program *self, PyObject *matrix, double *m)
-{
-    Py_ssize_t rows = PyObject_Length(matrix);
-    if (rows < 0)
-        return -1;
-    if (rows != self->dim) {
-        PyErr_Format(PyExc_ValueError, "expected %d rows, got %zd", self->dim, rows);
-        return -1;
-    }
-    for (Py_ssize_t i = 0; i < rows; i++) {
-        PyObject *row = item(matrix, i);
-        if (row == NULL)
-            return -1;
-        Py_ssize_t len = PyObject_Length(row);
-        if (len >= 0 && len != 2)
-            PyErr_Format(PyExc_ValueError, "expected rows of 2 entries, got %zd", len);
-        int rc = len == 2 ? load_doubles(row, 2, m + 2 * i) : -1;
-        Py_DECREF(row);
-        if (rc < 0)
-            return -1;
-    }
     return 0;
 }
 
@@ -1487,7 +1450,7 @@ static PyObject *Program_operator_norm(Program *self, PyObject *const *args, Py_
     s.vals = s.y + rows;
     s.dvals = s.vals + self->n;
     PyObject *out = NULL, *norm = NULL, *direction = NULL;
-    if (load_matrix(self, args[1], buf) < 0)
+    if (load_matrix(self, args[1], 2, buf) < 0)
         goto done;
     double step = 2.0 * PI / GRID, *xs = s.dvals + s.dom->n, best = -1.0, gain, theta, lowest,
            xy[2];
@@ -1650,8 +1613,8 @@ static PyMethodDef Program_methods[] = {
      "Callable phi with phi(t) = N(u + t v); u and v are read as doubles."},
     {"circle", (PyCFunction)Program_circle, METH_O,
      "(cos theta, sin theta) / N(cos theta, sin theta) of a planar norm."},
-    {"image_value", (PyCFunction)(void (*)(void))Program_image_value, METH_FASTCALL,
-     "N(M x); each row of M x is summed exactly, as math.fsum sums it."},
+    {"image", (PyCFunction)(void (*)(void))Program_image, METH_FASTCALL,
+     "M x as a tuple; each row of M x is summed exactly, as math.fsum sums it."},
     {"residual", (PyCFunction)(void (*)(void))Program_residual, METH_FASTCALL,
      "Residual of relation code at (u, v); zero (<= 0 for birkhoff) where it holds."},
     {"residuals", (PyCFunction)(void (*)(void))Program_residuals, METH_FASTCALL,

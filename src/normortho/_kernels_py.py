@@ -16,8 +16,8 @@ A Program evaluates one fixed norm expression N through twelve methods:
 - `line_evaluator(u, v)`: a callable phi with phi(t) = N(u + t v).
 - `circle(theta)`: the point of a planar norm's unit sphere at a
   Euclidean angle.
-- `image_value(matrix, x)`: N(M x), each row of M x summed exactly, as
-  math.fsum sums it.
+- `image(matrix, x)`: M x as a tuple, each row summed exactly, as
+  math.fsum sums it, every entry of matrix and x read as a double.
 - `residual(code, a, b, u, v)`: the only copy of each orthogonality
   relation's residual.  code is the tag's position in ortho.RELATION_TAGS
   (the R_ constants of `program`): 0 birkhoff, 1 rho_plus, 2 rho_minus,
@@ -436,17 +436,26 @@ class Program:
         r = self._value((d0, d1))
         return (d0 / r, d1 / r)
 
-    def image_value(self, matrix, x) -> float:
-        """N(M x); each row of M x is summed exactly, as math.fsum sums it."""
+    def image(self, matrix, x):
+        """M x as a tuple; each row of M x is summed exactly, as math.fsum sums it.
+
+        Every entry of x and matrix is read as a double: x first, then the
+        whole matrix (_matrix), and then each row is summed.
+        """
+        cols = len(x)
+        x = array("d", tuple(x))
+        return _row_sums(self._matrix(matrix, cols), x)
+
+    def _matrix(self, matrix, cols):
+        """matrix, dim rows of cols entries each, as a list of array('d') rows."""
         if len(matrix) != self.dim:
             raise ValueError(f"expected {self.dim} rows, got {len(matrix)}")
-        cols = len(x)
-        y = []
+        rows = []
         for row in matrix:
             if len(row) != cols:
                 raise ValueError(f"expected rows of {cols} entries, got {len(row)}")
-            y.append(math.fsum(map(operator.mul, row, x)))
-        return self._value(y)
+            rows.append(array("d", tuple(row)))
+        return rows
 
     # -- orthogonality relations ---------------------------------------------
 
@@ -615,25 +624,13 @@ class Program:
         if (getattr(circle, "__func__", None) is not Program.circle
                 or not isinstance(circle.__self__, Program)):
             raise TypeError("circle must be the bound circle of a Program of the same backend")
-        if len(matrix) != self.dim:
-            raise ValueError(f"expected {self.dim} rows, got {len(matrix)}")
-        rows = []
-        for row in matrix:
-            if len(row) != 2:
-                raise ValueError(f"expected rows of 2 entries, got {len(row)}")
-            rows.append((_double(row[0]), _double(row[1])))
+        rows = self._matrix(matrix, 2)
         value = self._value
-        fsum = math.fsum
-
-        def gain(x):
-            x0, x1 = x
-            return value([fsum((r0 * x0, r1 * x1)) for r0, r1 in rows])
-
         step = 2.0 * math.pi / 1024
         xs, ys = _ring(circle.__self__, 1024)
         mul = operator.mul
-        # a lazy column per image row: each point's rows, then its gain, as gain takes them
-        images = [map(fsum, zip(map(mul, repeat(r0), xs), map(mul, repeat(r1), ys)))
+        # a lazy column per image row: each point's rows, then its gain, as _row_sums takes them
+        images = [map(math.fsum, zip(map(mul, repeat(r0), xs), map(mul, repeat(r1), ys)))
                   for r0, r1 in rows]
         best_j = 0
         best = -1.0
@@ -642,7 +639,8 @@ class Program:
                 best, best_j = g, j
         theta0 = best_j * step
         # negation is exact, so minimizing -gain takes the branches maximizing gain would
-        theta, lowest = _golden(lambda t: -gain(circle(t)), theta0 - step, theta0 + step, 80)
+        theta, lowest = _golden(lambda t: -value(_row_sums(rows, circle(t))),
+                                theta0 - step, theta0 + step, 80)
         norm = -lowest
         if not norm >= best:
             norm, theta = best, theta0
@@ -684,9 +682,20 @@ def _ring(prog, n):
     return ring
 
 
+def _row_sums(rows, x) -> tuple:
+    """M x as a tuple, from the rows of M and x already read as doubles, each
+    row summed as math.fsum sums it: the row sum of image and of the
+    operator_norm refinement (the C twin's fsum_row)."""
+    return tuple([math.fsum(map(operator.mul, row, x)) for row in rows])
+
+
 def _double(x) -> float:
     """x as the compiled twin reads a double (PyFloat_AsDouble): a number,
-    never a string or None; ldexp(x, 0) is x."""
+    never a string or None; ldexp(x, 0) is x.
+
+    Its bulk form, which image and _matrix use, is array("d", tuple(seq)):
+    the same values and error texts, and the tuple keeps array from taking
+    a str or bytes whole."""
     return math.ldexp(x, 0)
 
 

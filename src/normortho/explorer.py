@@ -124,10 +124,6 @@ class IncomparabilityReport(NamedTuple):
     discarded: int
 
 
-def _apply(lin: LinearMap, x: Vector) -> Vector:
-    return tuple([math.fsum(map(operator.mul, row, x)) for row in lin.matrix])
-
-
 def apply_map(lin: LinearMap, u) -> Vector:
     """T u, each row summed exactly as math.fsum sums it.
 
@@ -139,7 +135,7 @@ def apply_map(lin: LinearMap, u) -> Vector:
             f"map consumes {lin.domain_norm.dim} coordinates but vector has {len(x)}"
         )
     try:
-        return _apply(lin, x)
+        return get_program(lin.codomain_norm).image(lin.matrix, x)
     except OverflowError:
         raise ValueError("the map's image overflows at this scale") from None
 
@@ -175,7 +171,7 @@ def _operator_norm(lin: LinearMap, cfg: SampleConfig) -> OperatorNormEstimate:
         value, direction = cod.operator_norm(dom.circle, matrix)
         return OperatorNormEstimate(value, direction, "fine")
 
-    image_value = cod.image_value
+    norm, image = cod.value, functools.partial(cod.image, matrix)
     unit = functools.partial(_normalized, dom)
     rng = SplitMix64(cfg.seed)
     best_x: Vector | None = None
@@ -184,7 +180,7 @@ def _operator_norm(lin: LinearMap, cfg: SampleConfig) -> OperatorNormEstimate:
         x = unit(rng.vector(dim, -1.0, 1.0))
         if x is None:
             continue
-        fx = image_value(matrix, x)
+        fx = norm(image(x))
         delta = 0.5
         proposals = 2000  # caps a start whose gains keep trickling in
         while delta > 1e-7 and proposals > 0:
@@ -194,7 +190,7 @@ def _operator_norm(lin: LinearMap, cfg: SampleConfig) -> OperatorNormEstimate:
                 cand = unit(tuple(map(operator.add, x, rng.vector(dim, -delta, delta))))
                 if cand is None:
                     continue
-                fc = image_value(matrix, cand)
+                fc = norm(image(cand))
                 if fc > fx:
                     x, fx = cand, fc
                     moved = True
@@ -246,6 +242,7 @@ def _preserver_check(lin: LinearMap, ab: AlphaBeta, cfg: SampleConfig) -> Preser
     dim = dom_ast.dim
     floor = 1e-12 * cfg.scale * cfg.scale
     root = SplitMix64(cfg.seed)
+    image = functools.partial(cod.image, lin.matrix)
 
     # condition 1: transported orthogonal pairs
     rng = root.substream(1)
@@ -259,8 +256,8 @@ def _preserver_check(lin: LinearMap, ab: AlphaBeta, cfg: SampleConfig) -> Preser
             continue
         _, w = _orthogonalize(dom, u, v, ab)
         built += 1
-        tu = _apply(lin, u)
-        tw = _apply(lin, w)
+        tu = image(u)
+        tw = image(w)
         denom = cod.value(tu) * cod.value(tw)
         if denom < floor:
             continue
@@ -274,10 +271,10 @@ def _preserver_check(lin: LinearMap, ab: AlphaBeta, cfg: SampleConfig) -> Preser
     rng = SplitMix64(root.substream(2).next_u64())
     worst2 = 0.0
     wit2: Vector | None = None
-    image_value = cod.image_value
+    norm = cod.value
     for _ in range(cfg.count):
         x = _unit_vector(rng, dom, dim, cfg.scale)
-        dev = abs(image_value(lin.matrix, x) - opn.value) / opn.value
+        dev = abs(norm(image(x)) - opn.value) / opn.value
         if dev > worst2:
             worst2, wit2 = dev, x
         elif dev != dev:
@@ -295,7 +292,7 @@ def _preserver_check(lin: LinearMap, ab: AlphaBeta, cfg: SampleConfig) -> Preser
         nv = dom.value(v)
         if nu * nv < floor:
             continue
-        gap = abs(_rho_ab(cod, _apply(lin, u), _apply(lin, v), ab)
+        gap = abs(_rho_ab(cod, image(u), image(v), ab)
                   - tsq * _rho_ab(dom, u, v, ab))
         ratio = gap / (ab.total * tsq * nu * nv)
         if ratio > worst3:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass
 
 from .errors import ParseError
@@ -123,6 +124,12 @@ class WLp:
         for w in ws:
             if not (math.isfinite(w) and w > 0):
                 raise ValueError(f"wlp weights must be positive and finite, got {w!r}")
+            # no subnormal weight: N(u) >= w_j^(1/p) |u_j|, so the base pass's
+            # pow(|u_j| / N(u), p - 1) <= max(1, 1 / w_j) < 4.5e307 and no
+            # coefficient w_j pow(...) overflows (1e-320 at p = 40 would)
+            if w < sys.float_info.min:
+                raise ValueError(
+                    f"wlp weights must be at least {sys.float_info.min!r}, got {w!r}")
         object.__setattr__(self, "p", float(p))
         object.__setattr__(self, "weights", ws)
         _seal(self, (self.p, ws))
@@ -308,6 +315,8 @@ class _Parser:
         w, off = self.number()
         if not (math.isfinite(w) and w > 0):
             raise ParseError(f"wlp weights must be positive, got {w}", off)
+        if w < sys.float_info.min:  # as WLp: no subnormal weight
+            raise ParseError(f"wlp weights must be at least {sys.float_info.min}, got {w}", off)
         return w
 
 

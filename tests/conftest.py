@@ -154,14 +154,14 @@ def golden_reference(f, lo, hi, iters):
 def operator_norm_reference(circle, cod, matrix):
     """The planar operator-norm sweep in plain Python, as
     explorer.operator_norm ran it before the kernel took it over: the gain
-    cod.image_value(matrix, circle(theta)) on a 1024-point grid, then
+    cod.value(cod.image(matrix, circle(theta))) on a 1024-point grid, then
     golden_reference with 80 steps around its best point.  What
     cod.operator_norm(circle, matrix) must equal."""
     grid = 1024
     step = 2.0 * math.pi / grid
 
     def f(theta):
-        return cod.image_value(matrix, circle(theta))
+        return cod.value(cod.image(matrix, circle(theta)))
 
     best_j = 0
     best = -1.0

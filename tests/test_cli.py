@@ -55,6 +55,15 @@ class TestExitCodes:
         assert code == 2
         assert err == "normortho: lp exponent must be finite and > 1, got 0.5 (at offset 3)\n"
 
+    @BACKENDS
+    def test_subnormal_wlp_weight_exits_two(self, capsys, package_backend):
+        # a subnormal weight can overflow the derivative's coefficients
+        code, out, err = _run(capsys, "rho", "--norm", "wlp(40; 1e-320, 1)",
+                              "--u", "1,0", "--v", "0,1")
+        assert (code, out) == (2, "")
+        assert err == ("normortho: wlp weights must be at least 2.2250738585072014e-308, "
+                       "got 1e-320 (at offset 8)\n")
+
     def test_trailing_garbage_in_norm(self, capsys):
         code, _, err = _run(capsys, "audit", "--norm", "l1(")
         assert code == 2

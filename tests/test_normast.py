@@ -73,6 +73,8 @@ PARSE_ERRORS = [
     ("wlp(2; 1, -4)", "wlp weights must be positive, got -4.0 (at offset 10)", 10),
     ("wlp(2; 0, 1)", "wlp weights must be positive, got 0.0 (at offset 7)", 7),
     ("wlp(2; 1e999, 1)", "wlp weights must be positive, got inf (at offset 7)", 7),
+    ("wlp(40; 1, 1e-320)",
+     "wlp weights must be at least 2.2250738585072014e-308, got 1e-320 (at offset 11)", 11),
     ("scale(0, l2)", "scale factor must be positive, got 0.0 (at offset 6)", 6),
     ("scale(1e999, l1)", "scale factor must be positive, got inf (at offset 6)", 6),
     # wlp weight count
@@ -204,6 +206,9 @@ class TestNodeValidation:
             WLp(2.0, (1.0, 0.0))
         with pytest.raises(ValueError):
             WLp(2.0, ())
+        with pytest.raises(ValueError, match=r"^wlp weights must be at least "
+                           r"2\.2250738585072014e-308, got 1e-320$"):
+            WLp(40.0, (1e-320, 1.0))
 
     def test_wlp_exponent_domain(self):
         with pytest.raises(ValueError, match=r"^wlp exponent must be >= 1 or inf, got 0\.5$"):

@@ -698,10 +698,14 @@ static PyObject *Program_circle(Program *self, PyObject *arg)
 }
 
 /* The kept rings: the n points circle(j * 2 pi / n) of a planar Program,
-   2 n doubles x0, y0, x1, y1, ..., most recently used first.  At most
-   RINGS rings of at most RING_MAX points (512 KiB in all); each slot holds
-   a strong reference to its Program, so no later Program at the same
-   address is ever served its ring.  The bound covers a curves run's
+   2 n doubles x0, y0, x1, y1, ..., most recently used first, and, once
+   locus has read the ring, each point's theta, x and y boxed as floats
+   (3 n references, theta0, x0, y0, theta1, ...), which its rows share.
+   At most RINGS rings of at most RING_MAX points: 512 KiB of doubles in
+   all, and about 96 B more per boxed point (three floats and their
+   references), so about 3 MiB more when all are locus rings.  Each slot
+   holds a strong reference to its Program, so no later Program at the
+   same address is ever served its ring.  The bound covers a curves run's
    locus and operator-norm rings (12 + 3), the miner's 4 rings of 64
    points and the preserver's 4, and caps what Programs met once leave
    behind. */
@@ -710,8 +714,28 @@ typedef struct {
     PyObject *prog;
     Py_ssize_t n;
     double *xy;
+    PyObject **boxes;
 } Ring;
 static Ring rings[RINGS];
+
+/* The slot of p's kept ring of n points, or RINGS. */
+static int ring_slot(const Program *p, Py_ssize_t n)
+{
+    int k = 0;
+    while (k < RINGS && (rings[k].prog != (PyObject *)p || rings[k].n != n))
+        k++;
+    return k;
+}
+
+/* Drops boxes, the 3 n references of a ring of n points or NULL. */
+static void drop_boxes(PyObject **boxes, Py_ssize_t n)
+{
+    if (boxes == NULL)
+        return;
+    for (Py_ssize_t i = 0; i < 3 * n; i++)
+        Py_XDECREF(boxes[i]);
+    PyMem_Free(boxes);
+}
 
 /* The ring of n points of p into xy (2 n doubles): a copy of the kept one,
    or circle_of point by point (vals holds p's n node values), kept if n <=
@@ -721,9 +745,7 @@ static Ring rings[RINGS];
    that fails. */
 static int ring(const Program *p, Py_ssize_t n, double *xy, double *vals)
 {
-    int k = 0;
-    while (k < RINGS && (rings[k].prog != (PyObject *)p || rings[k].n != n))
-        k++;
+    int k = ring_slot(p, n);
     if (k < RINGS) {
         Ring hit = rings[k];
         memmove(rings + 1, rings, k * sizeof(Ring));
@@ -740,10 +762,38 @@ static int ring(const Program *p, Py_ssize_t n, double *xy, double *vals)
     memcpy(kept, xy, 2 * n * sizeof(double));
     Ring last = rings[RINGS - 1];
     memmove(rings + 1, rings, (RINGS - 1) * sizeof(Ring));
-    rings[0] = (Ring){Py_NewRef((PyObject *)p), n, kept};
+    rings[0] = (Ring){Py_NewRef((PyObject *)p), n, kept, NULL};
     Py_XDECREF(last.prog);
     PyMem_Free(last.xy);
+    drop_boxes(last.boxes, last.n);
     return 0;
+}
+
+/* The boxed theta, x and y of each of the n points of p's ring at xy: the
+   kept ring's, boxed the first time they are asked for, or, for a ring
+   that is not kept, new ones that *own receives and the caller drops.
+   NULL with an exception set. */
+static PyObject **ring_boxes(const Program *p, Py_ssize_t n, const double *xy, PyObject ***own)
+{
+    int k = ring_slot(p, n);
+    *own = NULL;
+    if (k < RINGS && rings[k].boxes != NULL)
+        return rings[k].boxes;
+    PyObject **boxes = PyMem_Calloc(3 * n, sizeof(PyObject *));
+    if (boxes == NULL)
+        return (PyObject **)PyErr_NoMemory();
+    double step = 2.0 * PI / (double)n;
+    for (Py_ssize_t j = 0; j < n; j++) {
+        double f[3] = {(double)j * step, xy[2 * j], xy[2 * j + 1]};
+        for (int i = 0; i < 3; i++)
+            if ((boxes[3 * j + i] = PyFloat_FromDouble(f[i])) == NULL) {
+                drop_boxes(boxes, n);
+                return NULL;
+            }
+    }
+    if (k < RINGS)
+        return rings[k].boxes = boxes;
+    return *own = boxes;
 }
 
 /* A running math.fsum: Shewchuk's non-overlapping partials ("Adaptive
@@ -833,9 +883,24 @@ static int fsum_result(const FSum *s, double *out)
 
 /* Sum of the cols products row[j] * x[j] into *out, with the value and the
    errors of math.fsum; p holds cols doubles.  The only row sum: image and
-   the planar gain run it.  -1 with an exception set. */
+   the planar gain run it.  -1 with an exception set.
+
+   Two products whose sum is finite are summed with one add: IEEE addition
+   of two doubles is already their correctly rounded sum, which is what
+   fsum returns, but for a zero, which fsum returns as +0.0.  This sum must
+   not be contracted into a fused multiply-add, which would skip the
+   rounding of one product (the pragmas above forbid it).  A non-finite
+   sum (an overflow, inf or NaN) goes on to the partials, which raise
+   fsum's errors. */
 static int fsum_row(const double *row, const double *x, Py_ssize_t cols, double *p, double *out)
 {
+    if (cols == 2) {
+        double sum = row[0] * x[0] + row[1] * x[1];
+        if (isfinite(sum)) {
+            *out = sum == 0.0 ? 0.0 : sum;
+            return 0;
+        }
+    }
     FSum s = {p, 0, 0.0, 0.0};
     for (Py_ssize_t j = 0; j < cols; j++)
         if (fsum_add(&s, row[j] * x[j]) < 0)
@@ -1207,12 +1272,19 @@ static PyObject *Program_crossing(Program *self, PyObject *const *args, Py_ssize
     return out;
 }
 
-/* A new point row (theta, x, y, residual, crossing), allocated as
-   tuple.__new__(point, ...) allocates it; NULL with an exception set. */
+/* A new point row of 5 items, allocated as tuple.__new__(point, ...)
+   allocates it; NULL with an exception set. */
+static PyObject *new_row(PyTypeObject *point)
+{
+    return point == &PyTuple_Type ? PyTuple_New(5) : point->tp_alloc(point, 5);
+}
+
+/* A new point row (theta, x, y, residual, crossing) of new floats: a
+   bisected crossing's.  NULL with an exception set. */
 static PyObject *row_of(PyTypeObject *point, double theta, const double *xy, double res,
                         int crossing)
 {
-    PyObject *row = point == &PyTuple_Type ? PyTuple_New(5) : point->tp_alloc(point, 5);
+    PyObject *row = new_row(point);
     if (row == NULL)
         return NULL;
     double f[4] = {theta, xy[0], xy[1], res};
@@ -1228,6 +1300,25 @@ static PyObject *row_of(PyTypeObject *point, double theta, const double *xy, dou
     return row;
 }
 
+/* A new point row (theta, x, y, residual, residual == 0) of a grid point:
+   its theta, x and y are the three ring boxes at box, shared.  NULL with
+   an exception set. */
+static PyObject *grid_row(PyTypeObject *point, PyObject *const *box, double res)
+{
+    PyObject *row = new_row(point), *r;
+    if (row == NULL)
+        return NULL;
+    if ((r = PyFloat_FromDouble(res)) == NULL) {
+        Py_DECREF(row);
+        return NULL;
+    }
+    for (int k = 0; k < 3; k++)
+        PyTuple_SET_ITEM(row, k, Py_NewRef(box[k]));
+    PyTuple_SET_ITEM(row, 3, r);
+    PyTuple_SET_ITEM(row, 4, PyBool_FromLong(res == 0.0));
+    return row;
+}
+
 /* 1 if r0 and r1 have strict, opposite signs: the scan bisects there. */
 static int sign_change(double r0, double r1)
 {
@@ -1235,9 +1326,9 @@ static int sign_change(double r0, double r1)
 }
 
 /* The sweep of ortho_locus: residuals_of's grid at theta_j = j * step,
-   step = 2 pi / resolution, then one row per point, each strict sign
-   change to the next point (cyclically) bisected and its row spliced in
-   after the point's. */
+   step = 2 pi / resolution, then one row per point on the ring's boxes
+   (ring_boxes), each strict sign change to the next point (cyclically)
+   bisected and its row spliced in after the point's. */
 static PyObject *Program_locus(Program *self, PyObject *const *args, Py_ssize_t nargs)
 {
     if (nargs != 7)
@@ -1250,7 +1341,7 @@ static PyObject *Program_locus(Program *self, PyObject *const *args, Py_ssize_t 
     Base s;
     Py_ssize_t res;
     double width, *xs = NULL, *rs, step;
-    PyObject *point = args[6], *out = NULL;
+    PyObject *point = args[6], *out = NULL, **boxes, **own = NULL;
     if (load_base(self, args, buf, &s) < 0 || load_count(args[4], "resolution", 1, &res) < 0)
         goto done;
     width = PyFloat_AsDouble(args[5]);
@@ -1260,7 +1351,8 @@ static PyObject *Program_locus(Program *self, PyObject *const *args, Py_ssize_t 
         PyErr_Format(PyExc_TypeError, "point must be a tuple subclass, got %R", point);
         goto done;
     }
-    if ((xs = residuals_of(&s, res)) == NULL)
+    if ((xs = residuals_of(&s, res)) == NULL
+        || (boxes = ring_boxes(self, res, xs, &own)) == NULL)
         goto done;
     rs = xs + 2 * res;
     step = 2.0 * PI / (double)res;
@@ -1271,7 +1363,7 @@ static PyObject *Program_locus(Program *self, PyObject *const *args, Py_ssize_t 
         goto done;
     for (Py_ssize_t j = 0, k = 0; j < res; j++) {
         double theta = (double)j * step, r = rs[j], nxt = rs[(j + 1) % res], cross, xy[2], rc;
-        PyObject *row = row_of((PyTypeObject *)point, theta, xs + 2 * j, r, r == 0.0);
+        PyObject *row = grid_row((PyTypeObject *)point, boxes + 3 * j, r);
         if (row == NULL)
             goto fail;
         PyList_SET_ITEM(out, k++, row);
@@ -1287,6 +1379,7 @@ static PyObject *Program_locus(Program *self, PyObject *const *args, Py_ssize_t 
 fail:
     Py_CLEAR(out);
 done:
+    drop_boxes(own, res);
     PyMem_Free(xs);
     if (buf != stack)
         PyMem_Free(buf);

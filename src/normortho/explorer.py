@@ -343,13 +343,13 @@ def _search_direction(prog, rel_hold: Relation, rel_test: Relation,
             continue
         residuals = prog.residuals(*hold_args, u, _SCAN)
         found_candidate = False
-        for j in range(_SCAN):
-            if used >= budget:
-                break
-            r0 = residuals[j]
-            r1 = residuals[(j + 1) % _SCAN]
+        # each point with the next (cyclically); the budget, spent only at
+        # a candidate, is checked there
+        for j, r0, r1 in zip(range(_SCAN), residuals, residuals[1:] + residuals[:1]):
             if r0 != 0.0 and r1 != 0.0 and (r0 > 0.0) == (r1 > 0.0):
                 continue
+            if used >= budget:
+                break
             lo = j * _STEP
             theta = prog.crossing(*hold_args, u, lo, r0, lo + _STEP, 1e-12)
             v = circle(theta)

@@ -4,6 +4,7 @@ import decimal
 import fractions
 import functools
 import gc
+import importlib.util
 import math
 import operator
 import os
@@ -468,6 +469,9 @@ def test_circle_nan_and_zero_radius(compiled_kernels):
             "ValueError", "circle needs a 2-dimensional norm, got dim 3")
 
 
+_L2_TAPE = compile_ast(parse_norm("l2", 2))
+_WIDE_TAPE = compile_ast(parse_norm("scale(0.25, l2)", 2))  # a circle of radius 4
+
 # codomain norms for image and operator_norm; l2 on one coordinate is the raw tape
 IMAGE_NORMS = ("l1", "l2", "linf", "lp(3)", "max(l1, l2)", "sum(l1, linf)", "scale(0.7, l2)")
 _L2_DIM1 = ((0,), (0.0,), (), 1)
@@ -558,6 +562,79 @@ def test_image_errors_agree(matrix, x, error, compiled_kernels):
         assert got[0] == "TypeError"
     else:
         assert got == error
+
+
+@pytest.fixture(scope="module")
+def o2_kernels(tmp_path_factory):
+    """_kernels.c built as perfbench/run.py builds it (gcc -O2, no -march),
+    loaded as normortho._kernels without entering it in sys.modules."""
+    reason = _missing_toolchain("gcc")
+    if reason is not None:
+        pytest.skip(reason)
+    path = _build_kernels_c(tmp_path_factory.mktemp("o2"), "-O2")
+    spec = importlib.util.spec_from_file_location("normortho._kernels", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# (row, x) of a two-column row, whose sum the C twin takes with one add
+# when it is finite: zeros it gives as -0.0, half-even ties, subnormal
+# products, and the non-finite sums left to the partials
+_TWO_TERMS = [
+    ((-0.0, -0.0), (1.0, 1.0)),  # -0.0 + -0.0
+    ((-1.0, 1.0), (0.0, -0.0)),  # -0.0 + -0.0 from signed zeros
+    ((1.0, -1.0), (0.1, 0.1)),  # an exact cancellation
+    ((1.0, 1.0), (1.0, 2.0 ** -53)),  # a tie, to even: 1.0
+    ((1.0, 1.0), (1.0 + 2.0 ** -52, 2.0 ** -53)),  # a tie, to even: 1 + 2**-51
+    ((1.0, -1.0), (1.0, 2.0 ** -54)),  # a tie below 1, to even: 1.0
+    ((5e-324, 5e-324), (1.0, 3.0)),  # subnormal products
+    ((1e-300, -1e-300), (1e-10, 3e-11)),  # products rounded to subnormals
+    ((1e-200, -1e-200), (1e-200, 1e-200)),  # products that underflow to zero
+    ((1e308, 1e308), (1.0, 1.0)),  # finite products whose sum overflows
+    ((1e200, 1e200), (1e200, -1e200)),  # inf + -inf
+    ((1e200, 1.0), (1e200, 1.0)),  # a lone inf, from an overflowing product
+    ((math.inf, 1.0), (1.0, -2.0)),  # a lone inf entry
+    ((math.nan, 1.0), (1.0, 1.0)),  # NaN
+    ((math.inf, 1.0), (0.0, 1.0)),  # inf * 0
+]
+
+
+@pytest.mark.parametrize("row, x", _TWO_TERMS)
+def test_two_term_rows_sum_as_fsum(row, x, o2_kernels, compiled_kernels):
+    # as the first row of an image, and as its second behind a plain row
+    for matrix in ((row, (0.5, 0.25)), ((0.5, 0.25), row)):
+        want = _outcome(_image_reference, matrix, x)
+        for mod in (o2_kernels, compiled_kernels, _kernels_py):
+            assert _outcome(mod.Program(*_L2_TAPE).image, matrix, x) == want, (mod, matrix)
+
+
+class _FsumImage:
+    """A codomain Program whose image sums each row with math.fsum."""
+
+    def __init__(self, prog):
+        self.value = prog.value
+
+    image = staticmethod(_image_reference)
+
+
+@pytest.mark.parametrize("domain, matrix", [
+    (_L2_TAPE, ((5e-324, -5e-324), (1e-310, 2e-310))),  # subnormal products
+    (_L2_TAPE, ((-0.0, -0.0), (1.0, 0.5))),  # -0.0 + -0.0 at every point
+    (_L2_TAPE, ((1.0, 2.0 ** -53), (-(2.0 ** -53), 1.0))),  # ulp-sized terms beside 1
+    (_L2_TAPE, ((1.7e308, 1.7e308), (0.0, 1.0))),  # an overflowing sum
+    (_WIDE_TAPE, ((1e308, -1e308), (0.0, 0.0))),  # a lone inf, then inf + -inf
+    (_L2_TAPE, ((math.inf, 0.0), (0.0, 1.0))),  # a lone inf, then inf * 0
+    (_L2_TAPE, ((math.nan, 1.0), (1.0, 1.0))),
+])
+def test_planar_gain_rows_sum_as_fsum(domain, matrix, o2_kernels, compiled_kernels):
+    # the planar operator norm's gain rows against math.fsum's
+    ref = _kernels_py.Program(*_L2_TAPE)
+    want = _norm_outcome(operator_norm_reference, _kernels_py.Program(*domain).circle,
+                         _FsumImage(ref), matrix)
+    for mod in (o2_kernels, compiled_kernels, _kernels_py):
+        cod, dom = mod.Program(*_L2_TAPE), mod.Program(*domain)
+        assert _norm_outcome(cod.operator_norm, dom.circle, matrix) == want, mod
 
 
 class _OwnProduct(float):
@@ -1189,8 +1266,6 @@ def _raise_zero_division(theta):
 # what operator_norm raises, as a TypeError, for a circle not its twin's own
 _OWN_CIRCLE = "circle must be the bound circle of a Program of the same backend"
 
-_L2_TAPE = compile_ast(parse_norm("l2", 2))
-_WIDE_TAPE = compile_ast(parse_norm("scale(0.25, l2)", 2))  # a circle of radius 4
 _OK = ((1.0, 0.5), (-0.5, 1.0))
 
 
@@ -1428,3 +1503,87 @@ def test_rings_hold_bounded_memory(backend):
     finally:
         tracemalloc.stop()
     assert 32 * 16384 <= held <= 32 * (16384 + 512), held
+
+
+def test_locus_rings_hold_bounded_memory(compiled_kernels):
+    # 32 locus rings of 1024 points keep 16 KiB of doubles and 96 KiB of
+    # boxes each: three floats of 24 bytes and their references per point
+    progs = [compiled_kernels.Program(*compile_ast(parse_norm(f"scale({1 + k / 64}, l2)", 2)))
+             for k in range(40)]
+    tracemalloc.start()
+    try:
+        for prog in progs:
+            prog.locus(3, 0.0, 0.0, (1.0, 0.0), 1024, 1e-10, tuple)
+        held = _held()
+    finally:
+        tracemalloc.stop()
+    assert 32 * 1024 * 112 <= held <= 32 * (1024 * 112 + 512), held
+
+
+# -- locus rows on the ring's boxes ---------------------------------------------
+
+def test_locus_rows_outlive_their_ring(compiled_kernels):
+    # a locus's rows share its ring's boxed theta, x and y, and keep their
+    # bits after 33 other rings have evicted that ring
+    tape = compile_ast(parse_norm("max(l1, l2)", 2))
+    args = (5, 0.3, 0.5, (0.6, -0.35), 720, 1e-12, LocusPoint)
+    prog = compiled_kernels.Program(*tape)
+    rows = prog.locus(*args)
+    want = _rows(lambda: rows)
+    assert want == _rows(_kernels_py.Program(*tape).locus, *args)
+    for k in range(33):
+        other = compiled_kernels.Program(*compile_ast(parse_norm(f"scale({1 + k / 64}, l2)", 2)))
+        other.locus(3, 0.0, 0.0, (1.0, 0.0), 48, 1e-10, tuple)
+    del other
+    gc.collect()
+    assert _rows(lambda: rows) == want
+    # the ring and its boxes built again give the same rows
+    assert _rows(prog.locus, *args) == want
+
+
+def test_locus_calls_on_one_ring_share_its_boxes(compiled_kernels):
+    prog = compiled_kernels.Program(*compile_ast(parse_norm("lp(3)", 2)))
+    args = (3, 0.3, 0.5, (0.6, -0.35), 720, 1e-12, LocusPoint)
+    first, second = prog.locus(*args), prog.locus(*args)
+    assert _rows(lambda: first) == _rows(lambda: second)
+    # every grid row's theta, x and y are the same floats; no crossing row's
+    shared = [a[k] is b[k] for a, b in zip(first, second) for k in range(3)]
+    assert len(first) > 720 and shared.count(True) == 3 * 720
+
+
+@pytest.mark.parametrize("resolution", [1024, 2048])
+def test_locus_on_kept_and_unkept_rings_agrees_bitwise(resolution, pair):
+    # 2048 points is past the largest kept ring: boxed for the call only
+    fast, slow = pair(parse_norm("max(l1, l2)", 2))
+    args = (5, 0.3, 0.5, (0.6, -0.35), resolution, 1e-12, LocusPoint)
+    want = _rows(slow.locus, *args)
+    assert len(want) > resolution
+    for _ in ("cold", "warm"):
+        assert _rows(fast.locus, *args) == want
+
+
+def test_warm_locus_calls_hold_nothing(compiled_kernels):
+    # rows dropped give back every float and row they took, and take no
+    # reference to the shared boxes with them; so does a ring not kept
+    prog = compiled_kernels.Program(*compile_ast(parse_norm("l2", 2)))
+    kept = (3, 0.3, 0.5, (0.6, -0.35), 720, 1e-12, LocusPoint)
+    unkept = kept[:4] + (2048,) + kept[5:]
+    boxes = prog.locus(*kept)[0][:3]
+    refs = [sys.getrefcount(box) for box in boxes]
+    for _ in range(20):
+        prog.locus(*kept)
+        prog.locus(*unkept)
+    tracemalloc.start()
+    try:
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(500):
+            prog.locus(*kept)
+        for _ in range(20):
+            prog.locus(*unkept)
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 4096, grown
+    assert [sys.getrefcount(box) for box in boxes] == refs

@@ -1,9 +1,11 @@
 """Linear maps, operator norms, preserver checks, and relation mining."""
 
 import collections
+import functools
 import math
 import operator
 import tracemalloc
+from itertools import chain
 
 import pytest
 
@@ -20,6 +22,7 @@ from normortho import (
     SampleConfig,
     SplitMix64,
     apply_map,
+    corner_vectors,
     eval_norm,
     is_orthogonal,
     mine_incomparability,
@@ -625,3 +628,83 @@ class TestMineIncomparability:
                 Relation("rho"),
                 SampleConfig(seed=1, count=10),
             )
+
+
+def _reference_search_direction(prog, rel_hold, rel_test, rng, budget, tol):
+    """explorer._search_direction as it scanned a base before it walked
+    zipped pairs: index by index, the last point's neighbour wrapped with
+    % _SCAN and the budget checked at every point.  What the scan must
+    equal, witness, budget used and discards alike."""
+    ex = normortho.explorer
+    used = 0
+    discarded = 0
+    hold_args = rel_hold._residual_args
+    draw = functools.partial(rng.vector, 2, -1.0, 1.0)
+    for base in chain(corner_vectors(2), iter(draw, None)):
+        if used >= budget:
+            break
+        u = ex._normalized(prog, base)
+        if u is None:
+            continue
+        residuals = prog.residuals(*hold_args, u, ex._SCAN)
+        found_candidate = False
+        for j in range(ex._SCAN):
+            if used >= budget:
+                break
+            r0 = residuals[j]
+            r1 = residuals[(j + 1) % ex._SCAN]
+            if r0 != 0.0 and r1 != 0.0 and (r0 > 0.0) == (r1 > 0.0):
+                continue
+            lo = j * ex._STEP
+            theta = prog.crossing(*hold_args, u, lo, r0, lo + ex._STEP, 1e-12)
+            v = prog.circle(theta)
+            found_candidate = True
+            used += 1
+            if not ex._verdict(rel_hold, prog, u, v, tol).holds:
+                discarded += 1
+                continue
+            verdict = ex._verdict(rel_test, prog, u, v, tol)
+            if verdict.holds:
+                continue
+            if ex._violation(rel_test, verdict.residual) > 100.0 * tol:
+                return (u, v), used, discarded
+            discarded += 1
+        if not found_candidate:
+            used += 1
+    return None, used, discarded
+
+
+@BACKENDS
+@pytest.mark.parametrize("norm, hold, test, zero_ends, witness", [
+    # corner scans with no crossing, then a witness on the second candidate
+    ("l1", "birkhoff", "rho", False, True),
+    # exact-zero grid points at some corner bases, and discarded candidates
+    ("linf", "rho", "birkhoff", True, False),
+    ("max(l1, l2)", "isosceles", "rho", True, False),
+    # exact zeros at the diagonal corners
+    ("l2", "birkhoff", "rho", True, False),
+    ("l1", "rho_minus", "rho_ab", False, True),
+])
+def test_mining_scan_matches_the_per_index_loop(package_backend, norm, hold, test,
+                                                zero_ends, witness):
+    # budgets 1-8 run out partway through a base's scan of up to 4 candidates
+    prog = get_program(parse_norm(norm, 2))
+    rel_hold = Relation(hold, ab=AlphaBeta(0.3, 0.4)) if hold == "rho_ab" else Relation(hold)
+    rel_test = Relation(test, ab=AlphaBeta(0.3, 0.4)) if test == "rho_ab" else Relation(test)
+    grids = [prog.residuals(*rel_hold._residual_args, normortho.explorer._normalized(prog, c),
+                            normortho.explorer._SCAN) for c in corner_vectors(2)]
+    assert any(0.0 in grid for grid in grids) == zero_ends
+    found = discarded = False
+    for budget in range(1, 9):
+        for seed in (1, 2):
+            rngs = SplitMix64(seed), SplitMix64(seed)
+            got = normortho.explorer._search_direction(prog, rel_hold, rel_test, rngs[0],
+                                                       budget, 1e-7)
+            want = _reference_search_direction(prog, rel_hold, rel_test, rngs[1], budget, 1e-7)
+            assert hexes(got) == hexes(want), (budget, seed)
+            # the random bases drawn are the same too
+            assert rngs[0].next_u64() == rngs[1].next_u64()
+            found |= got[0] is not None
+            discarded |= got[2] > 0
+    assert found == witness
+    assert discarded == (norm in ("linf", "max(l1, l2)"))

@@ -5,8 +5,14 @@ A ledger holds, per workload, the runs of the parent and the change and
 one summary per end-to-end metric of BENCHMARK.json.  The runs come in
 one of two layouts: "pairs" (each side's metrics under "metrics", with
 its "correct" flag and "failed" count) or "runs" (each side's metrics
-themselves).  `past_parent_iqr` is not checked: the ledgers use two
-definitions of it.
+themselves).
+
+`past_parent_iqr`, where a summary has it, reads "the change's median is
+past the parent's quartile in the better direction": above the parent's
+third quartile for a metric where higher is better, below its first
+quartile otherwise.  One older ledger, EITHER_DIRECTION, means by it
+|change median - parent median| > the parent's IQR, in either direction,
+and is checked against that meaning.
 """
 
 import glob
@@ -18,6 +24,10 @@ import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 LEDGERS = sorted(os.path.basename(p) for p in glob.glob(os.path.join(ROOT, "BENCH_*.json")))
+
+# the one ledger whose past_parent_iqr is "moved past the parent's IQR" in
+# either direction: its points p99_us.compiled reads true for a slowdown
+EITHER_DIRECTION = "BENCH_pure_codegen.json"
 
 
 def _load(name):
@@ -32,8 +42,9 @@ def _sides(workload):
     return [(r["parent"], r["change"]) for r in workload["runs"]]
 
 
-def _recomputed(summary, parent, change):
-    """The fields of summary that its runs determine, recomputed from them."""
+def _recomputed(summary, parent, change, either=False):
+    """The fields of summary that its runs determine, recomputed from them;
+    either selects the either-direction meaning of past_parent_iqr."""
     higher = summary["better"] == "higher"
     better = (lambda c, p: c > p) if higher else (lambda c, p: c < p)
     pm, cm = statistics.median(parent), statistics.median(change)
@@ -50,6 +61,9 @@ def _recomputed(summary, parent, change):
         "change_vs_parent": cm / pm,
         "within_bound": cm >= pm * (1 - bound) if higher else cm <= pm * (1 + bound),
     }
+    if "past_parent_iqr" in summary:
+        got["past_parent_iqr"] = (abs(cm - pm) > q3 - q1 if either
+                                  else cm > q3 if higher else cm < q1)
     if "change_q1" in summary:
         got["change_q1"], _, got["change_q3"] = statistics.quantiles(
             change, n=4, method="inclusive")
@@ -70,8 +84,20 @@ def test_summaries_add_up(name):
             where = (workload, metric)
             assert (summary["better"], summary["bound"]) == (
                 metrics[metric]["better"], metrics[metric]["bound"]), where
-            got = _recomputed(summary, [p[metric] for p, _ in runs], [c[metric] for _, c in runs])
+            got = _recomputed(summary, [p[metric] for p, _ in runs], [c[metric] for _, c in runs],
+                              either=name == EITHER_DIRECTION)
             assert {k: summary[k] for k in got} == got, where
+
+
+def test_either_direction_ledger_needs_its_meaning():
+    # the exception names a ledger that exists, and one of its fields reads
+    # true for a slowdown, which the better-direction meaning would not give
+    body = _load(EITHER_DIRECTION)["workloads"]["points"]
+    summary = body["summary"]["p99_us.compiled"]
+    parent, change = zip(*[(p["p99_us.compiled"], c["p99_us.compiled"]) for p, c in _sides(body)])
+    assert summary["past_parent_iqr"] is True
+    assert summary["change_median"] > summary["parent_median"]
+    assert _recomputed(summary, parent, change)["past_parent_iqr"] is False
 
 
 @pytest.mark.parametrize("name", LEDGERS)

@@ -14,7 +14,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice, repeat
 from typing import NamedTuple
 
 from .derivs import AlphaBeta, _rho_ab
@@ -28,7 +28,9 @@ from .space import (
     Vector,
     _check_tol,
     _normalized,
+    _random_pairs,
     _unit_vector,
+    _worst,
     as_vector,
     corner_vectors,
 )
@@ -220,7 +222,8 @@ def preserver_check(lin: LinearMap, ab: AlphaBeta, cfg: SampleConfig) -> Preserv
     floor relative to the sampling scale, so the verdict does not depend
     on it.  Raises ValueError when an image row's exact sum overflows, or
     a condition's ratio is NaN (an image norm, a functional or the
-    operator norm overflowed).
+    operator norm overflowed), as every running worst does
+    (space._worst).
     """
     try:
         return _preserver_check(lin, ab, cfg)
@@ -228,9 +231,10 @@ def preserver_check(lin: LinearMap, ab: AlphaBeta, cfg: SampleConfig) -> Preserv
         raise ValueError(_PRESERVER_OVERFLOW) from None
 
 
-# also raised for a condition's NaN ratio, which no comparison would keep:
-# it comes from an overflowing image norm, functional or operator norm
-_PRESERVER_OVERFLOW = "the preserver check overflows at this scale"
+# a condition's NaN ratio raises this text from space._worst, which names
+# the check _PRESERVER; an image row whose exact sum overflows raises it too
+_PRESERVER = "the preserver check"
+_PRESERVER_OVERFLOW = f"{_PRESERVER} overflows at this scale"
 
 
 def _preserver_check(lin: LinearMap, ab: AlphaBeta, cfg: SampleConfig) -> PreserverReport:
@@ -243,67 +247,52 @@ def _preserver_check(lin: LinearMap, ab: AlphaBeta, cfg: SampleConfig) -> Preser
     floor = 1e-12 * cfg.scale * cfg.scale
     root = SplitMix64(cfg.seed)
     image = functools.partial(cod.image, lin.matrix)
+    norm = cod.value
 
-    # condition 1: transported orthogonal pairs
-    rng = root.substream(1)
-    worst1 = 0.0
-    wit1 = (None, None)
-    built = 0
-    while built < cfg.count:
-        u = rng.vector(dim, -cfg.scale, cfg.scale)
-        v = rng.vector(dim, -cfg.scale, cfg.scale)
-        if dom.value(u) == 0.0:
-            continue
-        _, w = _orthogonalize(dom, u, v, ab)
-        built += 1
+    # condition 1: transported orthogonal pairs (u, w), u redrawn while
+    # its norm is zero
+    def transported(u, w):
         tu = image(u)
         tw = image(w)
-        denom = cod.value(tu) * cod.value(tw)
+        denom = norm(tu) * norm(tw)
         if denom < floor:
-            continue
-        ratio = abs(_rho_ab(cod, tu, tw, ab)) / denom
-        if ratio > worst1:
-            worst1, wit1 = ratio, (u, w)
-        elif ratio != ratio:
-            raise ValueError(_PRESERVER_OVERFLOW)
+            return None
+        return abs(_rho_ab(cod, tu, tw, ab)) / denom
 
-    # condition 2: norm multiplicativity over the unit sphere
+    pairs = ((u, _orthogonalize(dom, u, v, ab)[1])
+             for u, v in _random_pairs(root.substream(1), dim, cfg.scale)
+             if dom.value(u) != 0.0)
+    worst1, wit1, _ = _worst(islice(pairs, cfg.count), transported, _PRESERVER)
+
+    # condition 2: norm multiplicativity over the unit sphere; each sample
+    # is (x, None), the report's witness pair
+    def deviation(x, _):
+        return abs(norm(image(x)) - opn.value) / opn.value
+
     rng = SplitMix64(root.substream(2).next_u64())
-    worst2 = 0.0
-    wit2: Vector | None = None
-    norm = cod.value
-    for _ in range(cfg.count):
-        x = _unit_vector(rng, dom, dim, cfg.scale)
-        dev = abs(norm(image(x)) - opn.value) / opn.value
-        if dev > worst2:
-            worst2, wit2 = dev, x
-        elif dev != dev:
-            raise ValueError(_PRESERVER_OVERFLOW)
+    sphere = iter(functools.partial(_unit_vector, rng, dom, dim, cfg.scale), None)
+    worst2, wit2, _ = _worst(zip(islice(sphere, cfg.count), repeat(None)), deviation,
+                             _PRESERVER)
 
     # condition 3: quadratic scaling of the functional
-    rng = root.substream(3)
     tsq = opn.value * opn.value
-    worst3 = 0.0
-    wit3 = (None, None)
-    for _ in range(cfg.count):
-        u = rng.vector(dim, -cfg.scale, cfg.scale)
-        v = rng.vector(dim, -cfg.scale, cfg.scale)
+
+    def scaling(u, v):
         nu = dom.value(u)
         nv = dom.value(v)
         if nu * nv < floor:
-            continue
+            return None
         gap = abs(_rho_ab(cod, image(u), image(v), ab)
                   - tsq * _rho_ab(dom, u, v, ab))
-        ratio = gap / (ab.total * tsq * nu * nv)
-        if ratio > worst3:
-            worst3, wit3 = ratio, (u, v)
-        elif ratio != ratio:
-            raise ValueError(_PRESERVER_OVERFLOW)
+        return gap / (ab.total * tsq * nu * nv)
+
+    pairs = islice(_random_pairs(root.substream(3), dim, cfg.scale), cfg.count)
+    worst3, wit3, _ = _worst(pairs, scaling, _PRESERVER)
 
     return PreserverReport(
         opn,
         ConditionReport("orthogonality", worst1 <= tol, worst1, *wit1, tol),
-        ConditionReport("norm_multiple", worst2 <= tol, worst2, wit2, None, tol),
+        ConditionReport("norm_multiple", worst2 <= tol, worst2, *wit2, tol),
         ConditionReport("rho_scaling", worst3 <= tol, worst3, *wit3, tol),
     )
 

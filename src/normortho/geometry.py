@@ -9,6 +9,7 @@ asymmetry of rho_ab, and quartic-identity violations.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import sys
@@ -25,7 +26,9 @@ from .space import (
     _check_tol,
     _corner_stream,
     _normalized,
+    _random_pairs,
     _unit_vector,
+    _worst,
 )
 from .rng import SplitMix64
 
@@ -140,13 +143,6 @@ def angle_homogeneity_check(ast: NormAst, u, v, a: float, b: float,
     return abs(lhs - (math.pi - _angle(prog, uu, vv, ab.swapped).theta))
 
 
-def _nonzero_vector(rng: SplitMix64, prog, dim: int, scale: float) -> Vector:
-    while True:
-        x = rng.vector(dim, -scale, scale)
-        if prog.value(x) != 0.0:
-            return x
-
-
 def angular_constant(ast1: NormAst, ast2: NormAst, ab: AlphaBeta,
                      cfg: SampleConfig) -> ExtremeEstimate:
     """Sampled estimate of the constant K in tan(theta_2/2) <= K tan(theta_1/2).
@@ -163,14 +159,11 @@ def angular_constant(ast1: NormAst, ast2: NormAst, ab: AlphaBeta,
         raise ValueError("both norms must share the ambient dimension")
     prog1 = get_program(ast1)
     prog2 = get_program(ast2)
-    rng = SplitMix64(cfg.seed)
-    dim = ast1.dim
+    pairs = _random_pairs(SplitMix64(cfg.seed), ast1.dim, cfg.scale, prog1)
     best = 0.0
     witness = (None, None)
     skipped = 0
-    for used in range(1, cfg.count + 1):
-        u = _nonzero_vector(rng, prog1, dim, cfg.scale)
-        v = _nonzero_vector(rng, prog1, dim, cfg.scale)
+    for used, (u, v) in enumerate(islice(pairs, cfg.count), 1):
         t1 = _angle(prog1, u, v, ab).theta
         t2 = _angle(prog2, u, v, ab).theta
         if t1 < 1e-9:
@@ -194,14 +187,9 @@ def _probe_pairs(prog, dim: int, cfg: SampleConfig):
     """cfg.count pairs: every ordered pair of corner vectors, then random
     pairs of nonzero vectors.  The first cfg.count pairs of the corner
     product use only the first cfg.count corners."""
-    rng = SplitMix64(cfg.seed)
-
-    def draw():
-        u = _nonzero_vector(rng, prog, dim, cfg.scale)
-        return u, _nonzero_vector(rng, prog, dim, cfg.scale)
-
     corners = tuple(islice(_corner_stream(dim), cfg.count))
-    return islice(chain(product(corners, repeat=2), iter(draw, None)), cfg.count)
+    pairs = _random_pairs(SplitMix64(cfg.seed), dim, cfg.scale, prog)
+    return islice(chain(product(corners, repeat=2), pairs), cfg.count)
 
 
 def smoothness_probe(ast: NormAst, cfg: SampleConfig) -> ProbeReport:
@@ -239,16 +227,12 @@ def strict_convexity_probe(ast: NormAst, cfg: SampleConfig,
     if not 0.0 <= min_separation < 2.0:  # false for NaN too
         raise ValueError(f"min_separation must lie in [0, 2), got {min_separation!r}")
     prog = get_program(ast)
-    rng = SplitMix64(cfg.seed)
     dim = ast.dim
-
-    def draw():
-        u = _unit_vector(rng, prog, dim, cfg.scale)
-        return u, _unit_vector(rng, prog, dim, cfg.scale)
-
+    draws = iter(functools.partial(_unit_vector, SplitMix64(cfg.seed), prog, dim, cfg.scale),
+                 None)
     # the first cfg.count corner pairs use only the first cfg.count + 1 corners
     unit_corners = [_normalized(prog, cv) for cv in islice(_corner_stream(dim), cfg.count + 1)]
-    pairs = islice(chain(combinations(unit_corners, 2), iter(draw, None)), cfg.count)
+    pairs = islice(chain(combinations(unit_corners, 2), zip(draws, draws)), cfg.count)
     for used, (u, v) in enumerate(pairs, 1):
         if prog.value(tuple(map(operator.sub, u, v))) <= min_separation:
             continue
@@ -282,16 +266,12 @@ def quartic_identity_residual(ast: NormAst, u, v, ab: AlphaBeta) -> float:
     return lhs - rhs
 
 
-def _symmetry(prog, u: Vector, v: Vector, ab: AlphaBeta) -> float:
-    return _rho_ab(prog, u, v, ab) - _rho_ab(prog, v, u, ab)
-
-
 def symmetry_residual(ast: NormAst, u, v, ab: AlphaBeta) -> float:
     """rho_ab(u, v) - rho_ab(v, u); identically zero iff the norm comes
     from an inner product."""
     prog = get_program(ast)
     uu, vv = prog.vectors(u, v)
-    return _symmetry(prog, uu, vv, ab)
+    return _rho_ab(prog, uu, vv, ab) - _rho_ab(prog, vv, uu, ab)
 
 
 def symmetry_search(ast: NormAst, ab: AlphaBeta, cfg: SampleConfig,
@@ -300,17 +280,17 @@ def symmetry_search(ast: NormAst, ab: AlphaBeta, cfg: SampleConfig,
 
     Reports the largest |rho_ab(u,v) - rho_ab(v,u)| seen; the verdict is
     "witness-found" when it exceeds threshold, which must be finite and
-    nonnegative.
+    nonnegative.  A NaN asymmetry, from rho_ab overflowing at huge scales,
+    raises ValueError.
     """
     _check_tol(threshold, "threshold")
     prog = get_program(ast)
-    worst = 0.0
-    witness = (None, None)
-    for u, v in _probe_pairs(prog, ast.dim, cfg):
-        res = abs(_symmetry(prog, u, v, ab))
-        if res > worst:
-            worst = res
-            witness = (u, v)
+
+    def asymmetry(u, v):
+        return abs(_rho_ab(prog, u, v, ab) - _rho_ab(prog, v, u, ab))
+
+    worst, witness, _ = _worst(_probe_pairs(prog, ast.dim, cfg), asymmetry,
+                               "the symmetry search")
     if worst > threshold:
         return ProbeReport("witness-found", *witness, worst, cfg.count)
     return ProbeReport("pass", None, None, worst, cfg.count)
@@ -324,28 +304,22 @@ def norm_equiv_constant(ast1: NormAst, ast2: NormAst, ab: AlphaBeta,
 
     A sample whose denominator is below 1e-12 scale^2 is skipped and
     counted; the floor is relative to the sampling scale, so the
-    estimate does not depend on it.
+    estimate does not depend on it.  A NaN ratio, from a norm product or
+    rho_ab overflowing at huge scales, raises ValueError.
     """
     if ast1.dim != ast2.dim:
         raise ValueError("both norms must share the ambient dimension")
     prog1 = get_program(ast1)
     prog2 = get_program(ast2)
-    rng = SplitMix64(cfg.seed)
-    dim = ast1.dim
+    value1, value2 = prog1.value, prog2.value
     floor = 1e-12 * cfg.scale * cfg.scale
-    best = 0.0
-    witness = (None, None)
-    skipped = 0
-    for _ in range(cfg.count):
-        u = rng.vector(dim, -cfg.scale, cfg.scale)
-        v = rng.vector(dim, -cfg.scale, cfg.scale)
-        denom = min(prog1.value(u) * prog1.value(v), prog2.value(u) * prog2.value(v))
+
+    def ratio(u, v):
+        denom = min(value1(u) * value1(v), value2(u) * value2(v))
         if denom < floor:
-            skipped += 1
-            continue
-        gap = abs(_rho_ab(prog1, u, v, ab) - _rho_ab(prog2, u, v, ab))
-        ratio = gap / denom
-        if ratio > best:
-            best = ratio
-            witness = (u, v)
+            return None
+        return abs(_rho_ab(prog1, u, v, ab) - _rho_ab(prog2, u, v, ab)) / denom
+
+    pairs = islice(_random_pairs(SplitMix64(cfg.seed), ast1.dim, cfg.scale), cfg.count)
+    best, witness, skipped = _worst(pairs, ratio, "the equivalence constant")
     return ExtremeEstimate(best, *witness, cfg.count, skipped)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -178,6 +179,39 @@ def _unit_vector(rng: SplitMix64, prog, dim: int, scale: float) -> Vector:
         x = _normalized(prog, rng.vector(dim, -scale, scale))
         if x is not None:
             return x
+
+
+def _random_pairs(rng: SplitMix64, dim: int, scale: float, prog=None):
+    """Endless pairs (u, v) of draws in [-scale, scale]^dim, u's first.
+    Given a Program, each draw of norm zero is dropped and drawn again."""
+    draws = iter(functools.partial(rng.vector, dim, -scale, scale), None)
+    if prog is not None:
+        draws = filter(prog.value, draws)
+    return zip(draws, draws)
+
+
+def _worst(samples, measure, name: str):
+    """(worst, witness, skipped): the running worst of measure(u, v) over
+    the pairs (u, v) of samples.
+
+    worst is the first largest positive measure and witness its pair; they
+    start as 0.0 and (None, None).  A measure of None skips its sample and
+    is counted in skipped.  An infinite measure is kept.  A NaN measure,
+    which no comparison would keep, comes from an overflow: it raises
+    ValueError, "<name> overflows at this scale".
+    """
+    worst = 0.0
+    witness = (None, None)
+    skipped = 0
+    for u, v in samples:
+        m = measure(u, v)
+        if m is None:
+            skipped += 1
+        elif m > worst:
+            worst, witness = m, (u, v)
+        elif m != m:
+            raise ValueError(f"{name} overflows at this scale")
+    return worst, witness, skipped
 
 
 def _corner_stream(dim: int):

@@ -494,32 +494,39 @@ def pytest_sessionstart(session):
         pytest.exit(message, returncode=pytest.ExitCode.USAGE_ERROR)
 
 
+def _build_kernels_c(tmp_path, *flags):
+    """Path of _kernels.c built by gcc with flags into tmp_path."""
+    src = os.path.join(_ROOT, "src", "normortho", "_kernels.c")
+    out = tmp_path / ("_kernels" + sysconfig.get_config_var("EXT_SUFFIX"))
+    proc = subprocess.run(
+        ["gcc", *flags, "-shared", "-fPIC", "-I" + sysconfig.get_paths()["include"], src,
+         "-o", str(out)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return out
+
+
 @pytest.fixture(scope="session")
 def compiled_kernels(tmp_path_factory):
     """The compiled interpreter module.
 
     The package's own extension when it imports (pytest_sessionstart has
     stopped a session whose extension is older than _kernels.c); otherwise
-    the committed _kernels.c built by setup.py into a temporary directory
-    and loaded as normortho._kernels (without entering it in sys.modules,
-    so the package's own backend selection is untouched).
+    the committed _kernels.c built as perfbench/run.py builds it (gcc -O2,
+    no -march) into a temporary directory and loaded as normortho._kernels
+    (without entering it in sys.modules, so the package's own backend
+    selection is untouched).
     """
     try:
         from normortho import _kernels
         return _kernels
     except ImportError:
         pass
-    reason = _missing_toolchain()
+    reason = _missing_toolchain("gcc")
     if reason is not None:
         pytest.skip(reason)
-    out = tmp_path_factory.mktemp("kernels")
-    proc = subprocess.run(
-        [sys.executable, "setup.py", "build_ext", "--build-lib", str(out), "--build-temp", str(out)],
-        cwd=_ROOT, capture_output=True, text=True,
-    )
-    if proc.returncode != 0:
-        pytest.fail("building _kernels.c failed:\n" + proc.stdout + proc.stderr)
-    path = out / "normortho" / ("_kernels" + sysconfig.get_config_var("EXT_SUFFIX"))
+    path = _build_kernels_c(tmp_path_factory.mktemp("kernels"), "-O2")
     spec = importlib.util.spec_from_file_location("normortho._kernels", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)

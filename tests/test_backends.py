@@ -4,7 +4,6 @@ import decimal
 import fractions
 import functools
 import gc
-import importlib.util
 import math
 import operator
 import os
@@ -12,7 +11,6 @@ import re
 import shutil
 import subprocess
 import sys
-import sysconfig
 import tracemalloc
 
 import pytest
@@ -25,8 +23,8 @@ from normortho import _kernels_py, program
 from normortho.program import compile_ast
 
 from conftest import (
-    COMPOSITES, FAMILIES, _missing_toolchain, circle_reference, gen_ast, golden_reference,
-    interpreter_reference, operator_norm_reference, tape_reference,
+    COMPOSITES, FAMILIES, _build_kernels_c, _missing_toolchain, circle_reference, gen_ast,
+    golden_reference, interpreter_reference, operator_norm_reference, tape_reference,
 )
 
 # the planar norms the sweeps run on: every family and seeded random trees
@@ -57,19 +55,6 @@ def _outcome(call, *args):
     if isinstance(out, tuple):
         return tuple(x.hex() for x in out)
     return out.hex()
-
-
-def _build_kernels_c(tmp_path, *flags):
-    """Path of _kernels.c built by gcc with flags into tmp_path."""
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src", "normortho", "_kernels.c")
-    out = tmp_path / ("_kernels" + sysconfig.get_config_var("EXT_SUFFIX"))
-    proc = subprocess.run(
-        ["gcc", *flags, "-shared", "-fPIC", "-I" + sysconfig.get_paths()["include"], src,
-         "-o", str(out)],
-        capture_output=True, text=True,
-    )
-    assert proc.returncode == 0, proc.stderr
-    return out
 
 
 def test_kernels_c_builds_without_warnings(tmp_path):
@@ -564,20 +549,6 @@ def test_image_errors_agree(matrix, x, error, compiled_kernels):
         assert got == error
 
 
-@pytest.fixture(scope="module")
-def o2_kernels(tmp_path_factory):
-    """_kernels.c built as perfbench/run.py builds it (gcc -O2, no -march),
-    loaded as normortho._kernels without entering it in sys.modules."""
-    reason = _missing_toolchain("gcc")
-    if reason is not None:
-        pytest.skip(reason)
-    path = _build_kernels_c(tmp_path_factory.mktemp("o2"), "-O2")
-    spec = importlib.util.spec_from_file_location("normortho._kernels", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 # (row, x) of a two-column row, whose sum the C twin takes with one add
 # when it is finite: zeros it gives as -0.0, half-even ties, subnormal
 # products, and the non-finite sums left to the partials
@@ -601,11 +572,11 @@ _TWO_TERMS = [
 
 
 @pytest.mark.parametrize("row, x", _TWO_TERMS)
-def test_two_term_rows_sum_as_fsum(row, x, o2_kernels, compiled_kernels):
+def test_two_term_rows_sum_as_fsum(row, x, compiled_kernels):
     # as the first row of an image, and as its second behind a plain row
     for matrix in ((row, (0.5, 0.25)), ((0.5, 0.25), row)):
         want = _outcome(_image_reference, matrix, x)
-        for mod in (o2_kernels, compiled_kernels, _kernels_py):
+        for mod in (compiled_kernels, _kernels_py):
             assert _outcome(mod.Program(*_L2_TAPE).image, matrix, x) == want, (mod, matrix)
 
 
@@ -627,12 +598,12 @@ class _FsumImage:
     (_L2_TAPE, ((math.inf, 0.0), (0.0, 1.0))),  # a lone inf, then inf * 0
     (_L2_TAPE, ((math.nan, 1.0), (1.0, 1.0))),
 ])
-def test_planar_gain_rows_sum_as_fsum(domain, matrix, o2_kernels, compiled_kernels):
+def test_planar_gain_rows_sum_as_fsum(domain, matrix, compiled_kernels):
     # the planar operator norm's gain rows against math.fsum's
     ref = _kernels_py.Program(*_L2_TAPE)
     want = _norm_outcome(operator_norm_reference, _kernels_py.Program(*domain).circle,
                          _FsumImage(ref), matrix)
-    for mod in (o2_kernels, compiled_kernels, _kernels_py):
+    for mod in (compiled_kernels, _kernels_py):
         cod, dom = mod.Program(*_L2_TAPE), mod.Program(*domain)
         assert _norm_outcome(cod.operator_norm, dom.circle, matrix) == want, mod
 

@@ -111,6 +111,22 @@ class TestExitCodes:
         assert err.startswith("normortho: ") and err.count("\n") == 1
         assert "overflow" in err and "Traceback" not in err
 
+    @BACKENDS
+    @pytest.mark.parametrize("argv, name", [
+        (("probe", "--kind", "symmetry", "--norm", "l1"), "the symmetry search"),
+        (("probe", "--kind", "symmetry", "--norm", "l2"), "the symmetry search"),
+        (("constant", "--kind", "equivalence", "--norm", "l1", "--norm2", "l2"),
+         "the equivalence constant"),
+    ], ids=["symmetry-l1", "symmetry-l2", "equivalence"])
+    def test_nan_running_worst_exits_one_with_one_line(self, package_backend, capsys, argv,
+                                                       name):
+        # rho_ab overflows at this scale, and a NaN asymmetry or ratio, which
+        # no comparison would keep, used to print Infinity, a pass or 0.0
+        code, out, err = _run(capsys, *argv, "--alpha", "0.3", "--beta", "0.4",
+                              "--samples", "300", "--scale", "1e200")
+        assert (code, out) == (1, "")
+        assert err == f"normortho: {name} overflows at this scale\n"
+
     def test_corner_semi_relation_exits_one(self, capsys):
         code, _, err = _run(
             capsys, "ortho", "--norm", "linf", "--u", "1,1", "--v=1,-1",

@@ -6,10 +6,12 @@ import operator
 
 import pytest
 
+import normortho.explorer
 import normortho.geometry
 from normortho import (
     AlphaBeta,
     ExtremeEstimate,
+    LinearMap,
     ProbeReport,
     SampleConfig,
     SplitMix64,
@@ -21,6 +23,7 @@ from normortho import (
     norm_equiv_constant,
     norm_on_line,
     parse_norm,
+    preserver_check,
     quartic_identity_residual,
     random_vector,
     rho_ab,
@@ -29,11 +32,14 @@ from normortho import (
     symmetry_residual,
     symmetry_search,
 )
+from normortho.derivs import _rho_ab
+from normortho.explorer import ConditionReport, PreserverReport, _operator_norm
 from normortho.geometry import _probe_pairs
 from normortho.kernels import get_program
+from normortho.ortho import _orthogonalize
 from normortho.space import corner_vectors
 
-from conftest import FAMILIES, ScriptedDraws, hexes
+from conftest import COMPOSITES, FAMILIES, ScriptedDraws, hexes
 
 L1 = parse_norm("l1", 2)
 L2 = parse_norm("l2", 2)
@@ -42,6 +48,11 @@ LP3 = parse_norm("lp(3)", 2)
 LP15 = parse_norm("lp(1.5)", 2)
 
 AB = AlphaBeta(0.3, 0.3)
+
+BACKENDS = pytest.mark.parametrize("backend", ["_kernels_py", "_kernels"], indirect=True)
+
+# a sampling scale at which rho_ab overflows: NaN asymmetries and ratios
+HUGE = SampleConfig(seed=0, count=300, scale=1e200)
 
 
 class TestAngle:
@@ -336,6 +347,14 @@ class TestSymmetry:
         assert got.verdict == "witness-found"
         assert abs(got.diagnostic - 1.173256725586165) <= 1e-12
 
+    @BACKENDS
+    @pytest.mark.parametrize("ast", [L1, L2], ids=["l1", "l2"])
+    def test_search_raises_on_a_nan_asymmetry(self, ast, package_backend):
+        # the NaN asymmetries were dropped: l1 reported an infinite
+        # diagnostic, l2 a pass with 0.0
+        with pytest.raises(ValueError, match="^the symmetry search overflows at this scale$"):
+            symmetry_search(ast, AlphaBeta(0.3, 0.4), HUGE)
+
 
 class TestNormEquivConstant:
     def test_identical_norms_zero(self):
@@ -373,6 +392,12 @@ class TestNormEquivConstant:
         got = norm_equiv_constant(L1, LINF, AB, SampleConfig(seed=1, count=10000))
         assert not got.unbounded
         assert 0.0 < got.value <= 5.0
+
+    @BACKENDS
+    def test_nan_ratio_raises(self, package_backend):
+        # every ratio was NaN and dropped, and the constant read 0.0
+        with pytest.raises(ValueError, match="^the equivalence constant overflows at this scale$"):
+            norm_equiv_constant(L1, L2, AlphaBeta(0.3, 0.4), HUGE)
 
 
 class TestSmoothnessBirkhoffLink:
@@ -522,3 +547,178 @@ class TestCornerThenRandomStreams:
                 got = (r.verdict, r.witness_u, r.witness_v, r.diagnostic, r.samples_used)
                 want = _reference_strict_convexity(package_backend.SplitMix64, prog, dim, cfg)
                 assert hexes(got) == hexes(want)
+
+
+# The five running-worst loops as they were written before they shared
+# space._worst: the symmetry search, the equivalence constant and the three
+# preserver conditions.  Where every measure is finite, each sampler must
+# reproduce its loop's report bit for bit.
+
+def _reference_symmetry_search(splitmix, ast, ab, cfg, threshold=1e-3):
+    prog = get_program(ast)
+    worst = 0.0
+    witness = (None, None)
+    for u, v in _reference_probe_pairs(splitmix, prog, ast.dim, cfg):
+        res = abs(_rho_ab(prog, u, v, ab) - _rho_ab(prog, v, u, ab))
+        if res > worst:
+            worst = res
+            witness = (u, v)
+    if worst > threshold:
+        return ProbeReport("witness-found", *witness, worst, cfg.count)
+    return ProbeReport("pass", None, None, worst, cfg.count)
+
+
+def _reference_norm_equiv_constant(splitmix, ast1, ast2, ab, cfg):
+    prog1 = get_program(ast1)
+    prog2 = get_program(ast2)
+    rng = splitmix(cfg.seed)
+    dim = ast1.dim
+    floor = 1e-12 * cfg.scale * cfg.scale
+    best = 0.0
+    witness = (None, None)
+    skipped = 0
+    for _ in range(cfg.count):
+        u = rng.vector(dim, -cfg.scale, cfg.scale)
+        v = rng.vector(dim, -cfg.scale, cfg.scale)
+        denom = min(prog1.value(u) * prog1.value(v), prog2.value(u) * prog2.value(v))
+        if denom < floor:
+            skipped += 1
+            continue
+        gap = abs(_rho_ab(prog1, u, v, ab) - _rho_ab(prog2, u, v, ab))
+        ratio = gap / denom
+        if ratio > best:
+            best = ratio
+            witness = (u, v)
+    return ExtremeEstimate(best, *witness, cfg.count, skipped)
+
+
+def _reference_preserver_check(splitmix, lin, ab, cfg):
+    opn = _operator_norm(lin, cfg)
+    tol = 1e-6 if opn.grade == "fine" else 1e-5
+    dom = get_program(lin.domain_norm)
+    cod = get_program(lin.codomain_norm)
+    dim = lin.domain_norm.dim
+    floor = 1e-12 * cfg.scale * cfg.scale
+    root = splitmix(cfg.seed)
+
+    def image(x):
+        return cod.image(lin.matrix, x)
+
+    rng = root.substream(1)
+    worst1 = 0.0
+    wit1 = (None, None)
+    built = 0
+    while built < cfg.count:
+        u = rng.vector(dim, -cfg.scale, cfg.scale)
+        v = rng.vector(dim, -cfg.scale, cfg.scale)
+        if dom.value(u) == 0.0:
+            continue
+        _, w = _orthogonalize(dom, u, v, ab)
+        built += 1
+        tu = image(u)
+        tw = image(w)
+        denom = cod.value(tu) * cod.value(tw)
+        if denom < floor:
+            continue
+        ratio = abs(_rho_ab(cod, tu, tw, ab)) / denom
+        if ratio > worst1:
+            worst1, wit1 = ratio, (u, w)
+
+    rng = splitmix(root.substream(2).next_u64())
+    worst2 = 0.0
+    wit2 = None
+    for _ in range(cfg.count):
+        x = _reference_unit_vector(rng, dom, dim, cfg.scale)
+        dev = abs(cod.value(image(x)) - opn.value) / opn.value
+        if dev > worst2:
+            worst2, wit2 = dev, x
+
+    rng = root.substream(3)
+    tsq = opn.value * opn.value
+    worst3 = 0.0
+    wit3 = (None, None)
+    for _ in range(cfg.count):
+        u = rng.vector(dim, -cfg.scale, cfg.scale)
+        v = rng.vector(dim, -cfg.scale, cfg.scale)
+        nu = dom.value(u)
+        nv = dom.value(v)
+        if nu * nv < floor:
+            continue
+        gap = abs(_rho_ab(cod, image(u), image(v), ab) - tsq * _rho_ab(dom, u, v, ab))
+        ratio = gap / (ab.total * tsq * nu * nv)
+        if ratio > worst3:
+            worst3, wit3 = ratio, (u, v)
+
+    return PreserverReport(
+        opn,
+        ConditionReport("orthogonality", worst1 <= tol, worst1, *wit1, tol),
+        ConditionReport("norm_multiple", worst2 <= tol, worst2, wit2, None, tol),
+        ConditionReport("rho_scaling", worst3 <= tol, worst3, *wit3, tol),
+    )
+
+
+def _assert_same_report(got, want):
+    assert got == want
+    assert hexes(got) == hexes(want)
+
+
+AB_PIN = AlphaBeta(0.3, 0.4)
+SHEAR = ((1.0, 0.4), (-0.3, 1.2))
+
+
+@BACKENDS
+class TestRunningWorstLoops:
+    @pytest.mark.parametrize("family", FAMILIES + COMPOSITES)
+    def test_samplers_match_the_loops(self, family, package_backend):
+        # 100 pairs pass the 64 corner pairs of the plane, so the search
+        # reaches its random pairs
+        splitmix = package_backend.SplitMix64
+        ast = parse_norm(family, 2)
+        lin = LinearMap(SHEAR, ast, ast)
+        for seed in (1, 2, 3):
+            for scale in (1e-150, 1.0, 1e100):
+                cfg = SampleConfig(seed=seed, count=100, scale=scale)
+                _assert_same_report(symmetry_search(ast, AB_PIN, cfg),
+                                    _reference_symmetry_search(splitmix, ast, AB_PIN, cfg))
+                _assert_same_report(norm_equiv_constant(ast, LP3, AB_PIN, cfg),
+                                    _reference_norm_equiv_constant(splitmix, ast, LP3, AB_PIN, cfg))
+                _assert_same_report(preserver_check(lin, AB_PIN, cfg),
+                                    _reference_preserver_check(splitmix, lin, AB_PIN, cfg))
+
+    def test_scripted_draws_match_the_loops(self, package_backend, monkeypatch):
+        # a zero draw redrawn among the symmetry search's random pairs; an
+        # equivalence sample below the floor; a zero u redrawn and samples
+        # below the floor in preserver conditions 1 and 3
+        splitmix = package_backend.SplitMix64
+
+        def scripted(*vectors):
+            return lambda seed: ScriptedDraws(vectors)
+
+        draws = scripted((0.0, 0.0), (1.0, 2.0), (3.0, -1.0))
+        monkeypatch.setattr(normortho.geometry, "SplitMix64", draws)
+        cfg = SampleConfig(seed=1, count=65)
+        _assert_same_report(symmetry_search(L1, AB_PIN, cfg),
+                            _reference_symmetry_search(draws, L1, AB_PIN, cfg))
+
+        draws = scripted((0.0, 0.0), (1.0, 0.0), (1.0, 0.0), (0.0, 1.0))
+        monkeypatch.setattr(normortho.geometry, "SplitMix64", draws)
+        cfg = SampleConfig(seed=1, count=2)
+        got = norm_equiv_constant(L1, LINF, AlphaBeta(0.3, 0.1), cfg)
+        assert got.skipped == 1
+        _assert_same_report(got, _reference_norm_equiv_constant(
+            draws, L1, LINF, AlphaBeta(0.3, 0.1), cfg))
+
+        def root(seed):
+            if seed != 1:
+                return splitmix(seed)
+            return ScriptedDraws(substreams={
+                1: ScriptedDraws([(0.0, 0.0), (5.0, 5.0), (1.0, 0.0), (0.0, 1.0),
+                                  (1.0, 1.0), (0.0, 1.0)]),
+                2: splitmix(2),
+                3: ScriptedDraws([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]),
+            })
+
+        monkeypatch.setattr(normortho.explorer, "SplitMix64", root)
+        lin = LinearMap(((1.0, 0.0), (0.0, 0.0)), L2, L2)
+        _assert_same_report(preserver_check(lin, AB, cfg),
+                            _reference_preserver_check(root, lin, AB, cfg))

@@ -21,6 +21,7 @@ from normortho import (
     random_vector,
     sphere_sample,
 )
+from normortho.space import _worst
 
 from conftest import FAMILIES, ScriptedDraws
 
@@ -208,3 +209,34 @@ class TestAxiomsDirect:
         val = eval_norm(parse_norm("l1", 2), (x, y))
         assert val >= 0.0
         assert (val == 0.0) == (x == 0.0 and y == 0.0)
+
+
+def _worst_of(*measures):
+    """_worst over the pairs ("u0", "v0"), ("u1", "v1"), ..., the i-th of
+    which measures measures[i]."""
+    pairs = [(f"u{i}", f"v{i}") for i in range(len(measures))]
+    table = dict(zip(pairs, measures))
+    return _worst(pairs, lambda u, v: table[u, v], "the scripted check")
+
+
+class TestRunningWorst:
+    def test_a_tie_keeps_the_first_witness(self):
+        assert _worst_of(1.0, 3.0, 2.0, 3.0) == (3.0, ("u1", "v1"), 0)
+
+    def test_no_negative_or_zero_measure_becomes_the_witness(self):
+        assert _worst_of(-1.0, 0.0, -0.0, -math.inf) == (0.0, (None, None), 0)
+        assert _worst_of(-2.0, 0.5, 0.0, -1.0) == (0.5, ("u1", "v1"), 0)
+
+    def test_none_skips_and_is_counted(self):
+        assert _worst_of(None, 1.0, None, None) == (1.0, ("u1", "v1"), 3)
+        assert _worst_of(None, None) == (0.0, (None, None), 2)
+
+    @pytest.mark.parametrize("measures", [(math.nan,), (1.0, math.nan, 2.0),
+                                          (math.inf, math.nan), (None, -1.0, math.nan)],
+                             ids=["first", "after-finite", "after-inf", "after-skip"])
+    def test_nan_raises_with_the_name(self, measures):
+        with pytest.raises(ValueError, match="^the scripted check overflows at this scale$"):
+            _worst_of(*measures)
+
+    def test_an_infinite_measure_is_kept(self):
+        assert _worst_of(1.0, math.inf, 2.0, math.inf) == (math.inf, ("u1", "v1"), 0)

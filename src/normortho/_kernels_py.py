@@ -49,7 +49,7 @@ the rounding of w_j pow(...) v_j.  derivs and residual run one of each;
 residuals, crossing and locus run the base pass once for their base
 vector u and a direction pass per point, so N(u), which pythagorean also
 reads, is evaluated once per call.  residuals and the locus grid share
-one loop (`residuals_of` in the C twin).
+one loop (`residuals_of` in the C twin, `_residual_column` here).
 
 line_min and operator_norm share the one copy of the golden-section
 search (`_golden` here, `golden` in the C twin).  The compiled twin runs a
@@ -59,7 +59,10 @@ operator_norm) takes all of the Program's ring, circle(j * 2 pi / n) for
 j < n, before its first residual or gain (`_ring`, `ring`; kept unless it
 raises).  One process-wide LRU keyed on (Program, n), each key holding its
 Program, keeps at most 32 rings of at most 1024 points (512 KiB), here as
-array('d') columns x and y that the sweeps map over.  The C twin's ring
+array('d') columns x and y that the sweeps map over.  This twin builds a
+ring column by column, with circle's operations in its order: the cos
+and sin columns, one values pass over their points, then the divisions.
+The C twin's ring
 also keeps, once locus has read it, each point's theta, x and y as floats
 that every locus row on it shares (about 96 B more a point, about 3 MiB
 more when all 32 are locus rings of 1024 points).
@@ -77,10 +80,19 @@ Python instead, generated once per tape shape (kinds, dim) and process:
 direction pass and a line evaluator from the per-kind templates `_VALUE`
 and `_DIRECTION`, node by node in tape order, with the coordinates
 unrolled up to dim `_UNROLL` and looped over above it.  Each template
-keeps the C twin's operations in its order.  `_shape` runs the source
-once into a bounded cache, and each Program binds it to its own params
-and weights at load; the text holds only kinds, node indices and dim,
-never a number of the tape.
+keeps the C twin's operations in its order.  For a planar shape it also
+writes two loop passes from the same lines: `values`, N at each of a
+sequence of points, and `directions`, the columns N(u) D- and N(u) D+
+along each point from one base pass; the shape's Programs share them,
+each call reading its Program's params and weights once.  residuals, the
+locus grid, the ring build and operator_norm's 1024 gains each run one
+such loop, and each relation's formula (`_FORMULAS`) is compiled twice,
+for one point and over the columns, so a planar sweep makes no Python
+call per grid point; a crossing bisection and the golden refinement
+still make one per step.  `_shape` runs the source once into a bounded
+cache, and each Program binds its one-point passes to its own params and
+weights at load; the text holds only kinds, node indices and dim, never
+a number of the tape.
 
 SplitMix64 is the seeded random stream; both twins draw the same bits.
 """
@@ -281,12 +293,19 @@ def _lines(template, dim, pad, **fields) -> list:
 
 
 def _source(kinds, dim, left, right, woff) -> str:
-    """The passes of a tape shape, as the source of bind(P, W): P and W
-    are a tape's params and weights, and bind returns its (value, dirs,
-    line).  value(u) is N(u) and value(u, True) the base pass: the node
-    values dirs reads, then each wlp(p) leaf's coefficients (None where
-    the leaf is 0, and everywhere for value(u, False)).  Only kinds, node
-    indices and dim appear in the text."""
+    """The passes of a tape shape, as the source of bind(P, W) and, at dim
+    2, of the loop passes values and directions.  P and W are a tape's
+    params and weights, and bind returns its (value, dirs, line).  value(u)
+    is N(u) and value(u, True) the base pass: the node values dirs reads,
+    then each wlp(p) leaf's coefficients (None where the leaf is 0, and
+    everywhere for value(u, False)).  values(P, W, points) is the list of
+    N at each point, and directions(P, W, value, u, B, points) the columns
+    (rm, rp), N(u) D- and N(u) D+ at each point v, from one base pass B at
+    u, with the bound value for a leaf that is 0 at u.  Each loop pass
+    runs its pass's lines in one loop and reads P and W once per call, so
+    a Program holds no closure of its own for them.  Only the planar
+    sweeps run them, so a shape of another dim compiles no second copy of
+    its passes.  Only kinds, node indices and dim appear in the text."""
     last = len(kinds) - 1
     lazy = [i for i, k in enumerate(kinds) if k in (K_L2, K_WLPINF, K_WLPP)]
     wlpp = [i for i in lazy if kinds[i] == K_WLPP]
@@ -294,44 +313,63 @@ def _source(kinds, dim, left, right, woff) -> str:
     kept = [last] + sorted(set(lazy + [c for i, k in enumerate(kinds) if k == K_MAX
                                        for c in (left[i], right[i])]) - {last})
     held = "".join(f"n{i}, " for i in kept) + "".join(f"C{i}, " for i in wlpp)
-    out = ["def bind(P, W):"]
+    # the tape's numbers, as each pass reads them
+    numbers = []
     for i, k in enumerate(kinds):
         if k in (K_WLPP, K_SCALE):
-            out.append(f"    p{i} = P[{i}]")
+            numbers.append(f"p{i} = P[{i}]")
         if k == K_WLPP:
-            out.append(f"    e{i} = p{i} - 1.0")
+            numbers.append(f"e{i} = p{i} - 1.0")
         if _ARITY[k] == 0 and k != K_L2:
             ws = f"W[{woff[i]}:{woff[i] + dim}]"
-            out.append(f"    {_names(f'w{i}_', dim)} = {ws}" if _unrolled(dim) else f"    W{i} = {ws}")
-    unpack = [f"        {_names(c, dim)} = {s}" for c, s in (("u", "u"), ("x", "v"))
-              if _unrolled(dim)]
-    values = unpack[:1] + [f"        {_names('a', dim)} = {_each('abs({u})', dim)}"]
+            numbers.append(f"{_names(f'w{i}_', dim)} = {ws}" if _unrolled(dim) else f"W{i} = {ws}")
+    unpack = [f"{_names(c, dim)} = {s}" for c, s in (("u", "u"), ("x", "v")) if _unrolled(dim)]
+    # the value pass at u, and the direction pass along v from the base
+    # pass's held values; each is the body of a one-point pass and of a loop
+    value = unpack[:1] + [f"{_names('a', dim)} = {_each('abs({u})', dim)}"]
     if lazy:
-        values += _lines("m = 0.0\n@if {a} > m:\n@    m = {a}", dim, "        ", i=None)
+        value += _lines("m = 0.0\n@if {a} > m:\n@    m = {a}", dim, "", i=None)
     for i, k in enumerate(kinds):
-        values += _lines(_VALUE[k], dim, "        ", i=i, l=left[i], r=right[i])
-    out += ["    def value(u, coefs=None):", *values, "        if coefs is None:",
-            f"            return n{last}"]
+        value += _lines(_VALUE[k], dim, "", i=i, l=left[i], r=right[i])
+    direction = unpack[1:] + (["V = None"] if lazy else [])
+    for i, k in enumerate(kinds):
+        pad = ""
+        if i in lazy:
+            direction += _lines(_ZERO, dim, pad, i=i, k=kept.index(i))
+            pad = "    "
+        direction += _lines(_DIRECTION[k], dim, pad, i=i, l=left[i], r=right[i])
+    out = ["def bind(P, W):", *_indent(numbers, 1), "    def value(u, coefs=None):",
+           *_indent(value, 2), "        if coefs is None:", f"            return n{last}"]
     for i in wlpp:
         coefs = _each("{w} * pow({a} / n{i}, e{i}) if {u} != 0.0 else 0.0", dim).format(i=i)
         out.append(f"        C{i} = {coefs} if coefs and n{i} != 0.0 else None")
-    out += [f"        return {held}", "    def dirs(u, B, v):", *unpack,
-            f"        {held} = B", "        V = None" if lazy else ""]
-    for i, k in enumerate(kinds):
-        pad = "        "
-        if i in lazy:
-            out += _lines(_ZERO, dim, pad, i=i, k=kept.index(i))
-            pad += "    "
-        out += _lines(_DIRECTION[k], dim, pad, i=i, l=left[i], r=right[i])
-    out += [f"        return n{last}, dp{last}, dm{last}", "    def line(u, v):", *unpack,
+    out += [f"        return {held}", "    def dirs(u, B, v):", *_indent(unpack[:1], 2),
+            f"        {held} = B", *_indent(direction, 2),
+            f"        return n{last}, dp{last}, dm{last}",
+            "    def line(u, v):", *_indent(unpack, 2),
             "        def phi(t):", f"            return value({_each('{u} + t * {x}', dim)})",
-            "        return phi", "    return value, dirs, line", ""]
-    return "\n".join(out)
+            "        return phi", "    return value, dirs, line"]
+    if dim == 2:
+        # value[0] unpacks u: the loop unpacks each point instead
+        out += ["def values(P, W, points):", *_indent(numbers, 1), "    out = []",
+                "    push = out.append", f"    for {_names('u', dim)} in points:",
+                *_indent(value[1:], 2), f"        push(n{last})", "    return out",
+                "def directions(P, W, value, u, B, points):", *_indent(numbers, 1),
+                *_indent(unpack[:1], 1), f"    {held} = B", "    rm = []", "    rp = []",
+                "    push_m = rm.append", "    push_p = rp.append", "    for v in points:",
+                *_indent(direction, 2), f"        push_m(n{last} * dm{last})",
+                f"        push_p(n{last} * dp{last})", "    return rm, rp"]
+    return "\n".join(out + [""])
+
+
+def _indent(lines, depth) -> list:
+    return ["    " * depth + ln for ln in lines]
 
 
 @functools.lru_cache(maxsize=256)
 def _shape(kinds, dim):
-    """(weights taken, bind, left, right, woff, source) of a tape shape.
+    """(weights taken, bind, left, right, woff, loops, source) of a tape shape;
+    loops is (values, directions) at dim 2, else None.
 
     One stack pass over the post-order kinds derives each node's children
     and weight offset and checks the tape; _source's text is then run once
@@ -359,11 +397,58 @@ def _shape(kinds, dim):
     source = _source(kinds, dim, left, right, woff)
     namespace = {"sqrt": math.sqrt, "pow": math.pow, "inf": math.inf, "TIE": _TIE}
     exec(compile(source, "<normortho tape>", "exec"), namespace)
-    return used, namespace["bind"], tuple(left), tuple(right), tuple(woff), source
+    loops = (namespace["values"], namespace["directions"]) if dim == 2 else None
+    return used, namespace["bind"], tuple(left), tuple(right), tuple(woff), loops, source
+
+
+# Each relation's residual at a point v: the only copy of its formula, over
+# the names of the two numbers it reads at v, from a and b (residual's) and
+# n = N(u) (None for isosceles).  The relations made of derivatives read
+# rm = N(u) D- and rp = N(u) D+.
+_FORMULAS = {
+    R_BIRKHOFF: ("rm, rp", "max(rm, -rp)"),
+    R_RHO_PLUS: ("rm, rp", "rp"),
+    R_RHO_MINUS: ("rm, rp", "rm"),
+    R_RHO: ("rm, rp", "(rm + rp) / 2.0"),
+    R_RHO_LAMBDA: ("rm, rp", "a * rm + (1.0 - a) * rp"),
+    R_RHO_AB: ("rm, rp", "a * rm + b * rp"),
+    R_ISOSCELES: ("plus, minus", "plus - minus"),  # N(u + v), N(u - v)
+    # N(u - v), N(v); products, not ** 2: float ** raises OverflowError
+    # past ~1.3e154
+    R_PYTHAGOREAN: ("diff, nv", "diff * diff - (n * n + nv * nv)"),
+    # the semi-inner product [v, u] = rho_+(u, v), where smooth
+    R_SEMI: ("rm, rp", "zero() if n == 0.0 else kink(rm, rp) "
+                       "if abs(rp - rm) > SMOOTH * max(abs(rm), abs(rp)) else rp"),
+}
+
+
+def _zero_vector():
+    raise ZeroVectorError("semi-inner product needs a nonzero second argument")
+
+
+def _not_smooth(rm, rp):
+    raise NonSmoothPointError(
+        f"norm is not smooth at this point: rho_+ = {rp!r} differs from rho_- = {rm!r}"
+    )
+
+
+def _relations(form) -> tuple:
+    """Each formula in form, a lambda's text, indexed by relation code;
+    {ins} and {expr} are the formula's names and its text."""
+    names = {"SMOOTH": _SMOOTH_TOL, "zero": _zero_vector, "kink": _not_smooth}
+    return tuple([eval(form.format(ins=ins, expr=expr), names)
+                  for _, (ins, expr) in sorted(_FORMULAS.items())])
+
+
+# (a, b, n, x, y) -> the residual at one point; (a, b, n, X, Y) -> the list
+# of residuals at the points whose numbers are the columns X and Y, in one
+# comprehension, so the first point that raises raises
+_RESIDUAL = _relations("lambda a, b, n, {ins}: {expr}")
+_COLUMN = _relations("lambda a, b, n, X, Y: [{expr} for {ins} in zip(X, Y)]")
 
 
 class Program:
-    __slots__ = ("kinds", "params", "weights", "dim", "_value", "_dirs", "_line")
+    __slots__ = ("kinds", "params", "weights", "dim", "_value", "_dirs", "_line", "_loops")
 
     def __init__(self, kinds, params, weights, dim):
         self.kinds = kinds = tuple(map(operator.index, kinds))
@@ -372,7 +457,7 @@ class Program:
         self.dim = dim = int(dim)
         if not kinds or len(self.params) != len(kinds):
             raise ValueError("kinds and params must have the same length n >= 1")
-        used, bind = _shape(kinds, dim)[:2]
+        used, bind, _, _, _, self._loops, _ = _shape(kinds, dim)
         if len(self.weights) != used:
             raise ValueError(f"the weight pool holds {len(self.weights)}, "
                              f"the weighted leaves take {used}")
@@ -433,7 +518,7 @@ class Program:
     def circle(self, theta):
         """(cos theta, sin theta) / N(cos theta, sin theta) of a planar norm."""
         if self.dim != 2:
-            raise ValueError(f"circle needs a 2-dimensional norm, got dim {self.dim}")
+            raise _not_planar(self.dim)
         d0 = math.cos(theta)
         d1 = math.sin(theta)
         r = self._value((d0, d1))
@@ -482,43 +567,38 @@ class Program:
             return self._value(u)
         return self._value(u, True)
 
-    def _sweep(self, code, a, b, u):
-        """v -> residual(code, a, b, u, v), with the base pass at u run once, now."""
-        return functools.partial(self._residual_at, code, a, b, u, self._relation_base(code, u))
-
     def _residual_at(self, code, a, b, u, base, v) -> float:
         # the direction pass along v, from _relation_base's pass at u
         if code == R_ISOSCELES:
-            plus = self._value(tuple(map(operator.add, u, v)))
-            return plus - self._value(tuple(map(operator.sub, u, v)))
+            return _RESIDUAL[code](a, b, None, self._value(tuple(map(operator.add, u, v))),
+                                   self._value(tuple(map(operator.sub, u, v))))
         if code == R_PYTHAGOREAN:
-            diff = self._value(tuple(map(operator.sub, u, v)))
-            nv = self._value(v)
-            # products, not ** 2: float ** raises OverflowError past ~1.3e154
-            return diff * diff - (base * base + nv * nv)
+            return _RESIDUAL[code](a, b, base, self._value(tuple(map(operator.sub, u, v))),
+                                   self._value(v))
         val, dp, dm = self._dirs(u, base, v)
-        rm = val * dm
-        rp = val * dp
-        if code == R_BIRKHOFF:
-            return max(rm, -rp)
-        if code == R_RHO_PLUS:
-            return rp
-        if code == R_RHO_MINUS:
-            return rm
-        if code == R_RHO:
-            return (rm + rp) / 2.0
-        if code == R_RHO_LAMBDA:
-            return a * rm + (1.0 - a) * rp
-        if code == R_RHO_AB:
-            return a * rm + b * rp
-        # R_SEMI: the semi-inner product [v, u] = rho_+(u, v), where smooth
-        if val == 0.0:
-            raise ZeroVectorError("semi-inner product needs a nonzero second argument")
-        if abs(rp - rm) > _SMOOTH_TOL * max(abs(rm), abs(rp)):
-            raise NonSmoothPointError(
-                f"norm is not smooth at this point: rho_+ = {rp!r} differs from rho_- = {rm!r}"
-            )
-        return rp
+        return _RESIDUAL[code](a, b, val, val * dm, val * dp)
+
+    def _values(self, points) -> list:
+        """N at each point: one loop at dim 2, value at each point elsewhere."""
+        if self._loops is None:
+            return list(map(self._value, points))
+        return self._loops[0](self.params, self.weights, points)
+
+    def _directions(self, u, base, points):
+        """The columns (N(u) D-, N(u) D+) along each point, from base, the
+        base pass at u of a planar Program, in one loop."""
+        return self._loops[1](self.params, self.weights, self._value, u, base, points)
+
+    def _residual_column(self, code, a, b, u, base, xs, ys) -> list:
+        """_residual_at at each point (xs[j], ys[j]), each pass run once in
+        one loop over the points."""
+        if code == R_ISOSCELES:
+            return _COLUMN[code](a, b, None, self._values(_shifted(operator.add, u, xs, ys)),
+                                 self._values(_shifted(operator.sub, u, xs, ys)))
+        if code == R_PYTHAGOREAN:
+            return _COLUMN[code](a, b, base, self._values(_shifted(operator.sub, u, xs, ys)),
+                                 self._values(zip(xs, ys)))
+        return _COLUMN[code](a, b, base[0], *self._directions(u, base, zip(xs, ys)))
 
     # -- planar loci ---------------------------------------------------------
 
@@ -536,8 +616,8 @@ class Program:
         locus's: every ring point is taken before the first residual.
         """
         code, a, b, u = self._sweep_args(code, a, b, u)
-        xs = zip(*_ring(self, _count(resolution, "resolution", 1)))
-        return list(map(self._sweep(code, a, b, u), xs))
+        xs, ys = _ring(self, _count(resolution, "resolution", 1))
+        return self._residual_column(code, a, b, u, self._relation_base(code, u), xs, ys)
 
     def crossing(self, code, a, b, u, lo, f_lo, hi, width) -> float:
         """A theta within width of a sign change of the residual on the circle.
@@ -551,10 +631,13 @@ class Program:
         """
         code, a, b, u = self._sweep_args(code, a, b, u)
         lo, f_lo, hi, width = _double(lo), _double(f_lo), _double(hi), _double(width)
-        return self._bisect(self._sweep(code, a, b, u), lo, f_lo, hi, width)
+        residual = functools.partial(self._residual_at, code, a, b, u,
+                                     self._relation_base(code, u))
+        return self._bisect(residual, lo, f_lo, hi, width)
 
     def _bisect(self, residual, lo, f_lo, hi, width) -> float:
-        # crossing's bisection; residual is _sweep's v -> residual(..., v)
+        # crossing's bisection; residual is v -> _residual_at(..., v) with
+        # the base pass at u already run
         while hi - lo > width:
             mid = 0.5 * (lo + hi)
             if not lo < mid < hi:
@@ -583,11 +666,12 @@ class Program:
         width = _double(width)
         if not (isinstance(point, type) and issubclass(point, tuple)):
             raise TypeError(f"point must be a tuple subclass, got {point!r}")
-        residual = self._sweep(code, a, b, u)
+        base = self._relation_base(code, u)
+        residual = functools.partial(self._residual_at, code, a, b, u, base)
         step = 2.0 * math.pi / resolution
-        thetas = [j * step for j in range(resolution)]
+        thetas = list(map(operator.mul, range(resolution), repeat(step)))
         xs, ys = _ring(self, resolution)
-        residuals = list(map(residual, zip(xs, ys)))
+        residuals = self._residual_column(code, a, b, u, base, xs, ys)
         points = list(map(tuple.__new__, repeat(point), zip(
             thetas, xs, ys, residuals, map(operator.eq, residuals, repeat(0.0)))))
         # the strict sign changes to the next point (cyclically), bisected in order
@@ -631,15 +715,20 @@ class Program:
         value = self._value
         step = 2.0 * math.pi / 1024
         xs, ys = _ring(circle.__self__, 1024)
-        mul = operator.mul
-        # a lazy column per image row: each point's rows, then its gain, as _row_sums takes them
-        images = [map(math.fsum, zip(map(mul, repeat(r0), xs), map(mul, repeat(r1), ys)))
-                  for r0, r1 in rows]
-        best_j = 0
-        best = -1.0
-        for j, g in enumerate(map(value, zip(*images))):
-            if g > best:
-                best, best_j = g, j
+        # each image row as a column: one add per point, the exact sum
+        # where it is finite (only the sign of a zero sum can differ from
+        # fsum's +0.0, and N reads each coordinate through abs or a
+        # square); else every row through fsum, point by point, as
+        # _row_sums takes them, so the first point that raises raises
+        cols = [[r0 * x + r1 * y for x, y in zip(xs, ys)] for r0, r1 in rows]
+        if not all(map(math.isfinite, map(sum, cols))):
+            mul = operator.mul
+            cols = [map(math.fsum, zip(map(mul, repeat(r0), xs), map(mul, repeat(r1), ys)))
+                    for r0, r1 in rows]
+        gains = self._values(zip(*cols))
+        # the first largest gain above -1.0 (a NaN gain is never taken)
+        best = max(chain((-1.0,), gains))
+        best_j = gains.index(best) if best != -1.0 else 0
         theta0 = best_j * step
         # negation is exact, so minimizing -gain takes the branches maximizing gain would
         theta, lowest = _golden(lambda t: -value(_row_sums(rows, circle(t))),
@@ -666,23 +755,37 @@ _rings = OrderedDict()
 
 def _ring(prog, n):
     """The columns (x, y) of prog.circle(j * 2 pi / n), j = 0, ..., n - 1:
-    prog's kept ring, or computed point by point, and kept if n <=
-    _RING_MAX."""
+    prog's kept ring, or computed column by column, circle's operations
+    in its order, and kept if n <= _RING_MAX."""
     key = (prog, n)
     ring = _rings.pop(key, None)
     if ring is None:
-        step = 2.0 * math.pi / n
-        # each point freed as it is read, so no garbage collection is set off
-        xy = list(chain.from_iterable(map(prog.circle, [j * step for j in range(n)])))
-        ring = xy[0::2], xy[1::2]
+        if prog.dim != 2:
+            raise _not_planar(prog.dim)
+        thetas = list(map(operator.mul, range(n), repeat(2.0 * math.pi / n)))
+        cs = list(map(math.cos, thetas))
+        ss = list(map(math.sin, thetas))
+        del thetas
+        radii = prog._values(zip(cs, ss))
+        columns = [map(operator.truediv, c, radii) for c in (cs, ss)]
         if n > _RING_MAX:
-            return ring
+            return tuple(map(list, columns))
         if len(_rings) >= _RINGS:
             _rings.popitem(last=False)
-        # from a list, array allocates exactly n doubles
-        ring = array("d", ring[0]), array("d", ring[1])
+        # from a list, array allocates exactly n doubles; each column's
+        # list is freed before the next is made
+        ring = tuple([array("d", list(col)) for col in columns])
     _rings[key] = ring
     return ring
+
+
+def _not_planar(dim) -> ValueError:
+    return ValueError(f"circle needs a 2-dimensional norm, got dim {dim}")
+
+
+def _shifted(op, u, xs, ys):
+    """The points (op(u_0, x), op(u_1, y)) of the columns xs and ys."""
+    return zip(map(op, repeat(u[0]), xs), map(op, repeat(u[1]), ys))
 
 
 def _row_sums(rows, x) -> tuple:

@@ -454,8 +454,10 @@ def _cmd_preserver(args) -> dict:
     rows = len(args.matrix)
     cols = len(args.matrix[0])
     domain = parse_norm(args.norm, cols)
-    codomain = parse_norm(args.norm2 if args.norm2 is not None else args.norm,
-                          rows)
+    if args.norm2 is None and rows == cols:
+        codomain = domain
+    else:
+        codomain = parse_norm(args.norm2 if args.norm2 is not None else args.norm, rows)
     lin = LinearMap(args.matrix, domain, codomain)
     report = preserver_check(lin, _ab(args), _cfg(args))
     return {"matrix": args.matrix, "norm": print_norm(domain),

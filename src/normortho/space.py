@@ -194,11 +194,10 @@ def _worst(samples, measure, name: str):
     """(worst, witness, skipped): the running worst of measure(u, v) over
     the pairs (u, v) of samples.
 
-    worst is the first largest positive measure and witness its pair; they
-    start as 0.0 and (None, None).  A measure of None skips its sample and
-    is counted in skipped.  An infinite measure is kept.  A NaN measure,
-    which no comparison would keep, comes from an overflow: it raises
-    ValueError, "<name> overflows at this scale".
+    worst is the first largest positive finite measure and witness its
+    pair; they start as 0.0 and (None, None).  A measure of None skips its
+    sample and is counted in skipped.  A NaN or +inf measure comes from an
+    overflow: it raises ValueError, "<name> overflows at this scale".
     """
     worst = 0.0
     witness = (None, None)
@@ -207,9 +206,10 @@ def _worst(samples, measure, name: str):
         m = measure(u, v)
         if m is None:
             skipped += 1
-        elif m > worst:
+        elif m > worst and m < math.inf:
             worst, witness = m, (u, v)
-        elif m != m:
+        elif m != m or m > worst:
+            # NaN, which no comparison keeps, or +inf
             raise ValueError(f"{name} overflows at this scale")
     return worst, witness, skipped
 

@@ -16,8 +16,8 @@ import tracemalloc
 import pytest
 
 from normortho import (
-    L1, LInf, LocusPoint, Lp, NonSmoothPointError, RELATION_TAGS, SplitMix64, Sum,
-    ZeroVectorError, backend_name, corner_vectors, parse_norm, print_norm,
+    L1, LInf, LocusPoint, Lp, Max, NonSmoothPointError, RELATION_TAGS, Scale, SplitMix64,
+    Sum, ZeroVectorError, backend_name, corner_vectors, parse_norm, print_norm,
 )
 from normortho import _kernels_py, program
 from normortho.program import compile_ast
@@ -891,6 +891,70 @@ def test_sweeps_evaluate_their_base_vector_once(code, method, monkeypatch):
     assert seen.count(u) == 1
 
 
+# every family and composite, and 240 seeded random trees, all planar
+_LOOP_TREES = ([parse_norm(f, 2) for f in FAMILIES + COMPOSITES]
+               + [gen_ast(SplitMix64(seed), 2, 4) for seed in range(240)])
+# the zero vector, whose every leaf takes the zero-leaf path at every point;
+# a zero coordinate each, for the wlp(1) and wlp(inf) kinks; and one base
+# off both axes
+_LOOP_BASES = ((0.0, 0.0), (1.0, 0.0), (0.0, -0.7), (0.6, -0.35))
+
+
+def _loop_points(prog):
+    """A 48-point ring, then points on and off the axes, the origin included."""
+    return ([prog.circle(j * 2.0 * math.pi / 48) for j in range(48)]
+            + [(0.0, 0.0), (1.0, 0.0), (0.0, -2.0), (1e-13, 1.0), (-3.5, 2.25)])
+
+
+def _loops_agree(prog, bases):
+    # the loop passes, against the one-point passes at each point
+    points = _loop_points(prog)
+    want = [prog._value(x).hex() for x in points]
+    assert [g.hex() for g in prog._values(iter(points))] == want
+    for u in bases:
+        base = prog._value(u, True)
+        rm, rp = prog._directions(u, base, iter(points))
+        want = []
+        for x in points:
+            val, dp, dm = prog._dirs(u, base, x)
+            want.append(((val * dm).hex(), (val * dp).hex()))
+        assert list(zip(map(float.hex, rm), map(float.hex, rp))) == want, u
+
+
+def test_loop_passes_agree_bitwise_with_the_one_point_passes():
+    for ast in _LOOP_TREES:
+        _loops_agree(_kernels_py.Program(*compile_ast(ast)), _LOOP_BASES)
+
+
+def test_loop_passes_agree_bitwise_inside_a_max_tie_band():
+    # max(a, scale(c, b)) with c = a(u) / b(u): at u the two children tie
+    # to within a rounding, far inside the max node's TIE band, so the
+    # direction pass takes the tied branch
+    u = (0.6, -0.35)
+    trees = [(parse_norm(f, 2), parse_norm(g, 2)) for f, g in (
+        ("l1", "l2"), ("linf", "lp(3)"), ("wlp(inf; 1, 2)", "wlp(1.5; 2, 1)"))]
+    trees += [(gen_ast(SplitMix64(seed), 2, 3), gen_ast(SplitMix64(seed + 1000), 2, 3))
+              for seed in range(40)]
+    for a, b in trees:
+        na = _kernels_py.Program(*compile_ast(a)).value(u)
+        nb = _kernels_py.Program(*compile_ast(b)).value(u)
+        tied = Max(a, Scale(na / nb, b))
+        prog = _kernels_py.Program(*compile_ast(tied))
+        right = _kernels_py.Program(*compile_ast(Scale(na / nb, b))).value(u)
+        assert abs(na - right) <= _kernels_py._TIE * max(na, right), print_norm(tied)
+        _loops_agree(prog, [u])
+
+
+def test_only_planar_shapes_have_loop_passes():
+    # another dim's shape compiles none, and its values maps value
+    for dim in (3, 5, 6):
+        prog = _kernels_py.Program(*compile_ast(gen_ast(SplitMix64(dim), dim, 3)))
+        points = [tuple(0.5 * j - k for j in range(dim)) for k in range(4)]
+        assert prog._loops is None
+        assert prog._values(iter(points)) == [prog.value(x) for x in points]
+        assert "def values" not in _kernels_py._shape(prog.kinds, dim)[-1]
+
+
 # -- planar loci ---------------------------------------------------------------
 
 def bisect_reference(f, lo, f_lo, hi, width):
@@ -1400,8 +1464,9 @@ def test_rings_keep_the_sweep_bits(backend, family):
 
 def test_warm_sweeps_take_no_circle_point_on_the_grid(monkeypatch):
     # every circle point the pure twin's sweeps take, counted: the ring's
-    # own, and the bisection's, refinement's and direction's; the mining
-    # scan's residuals take none but the ring's
+    # own, which its build takes as the points (cos, sin) of its one values
+    # pass, and the bisection's, refinement's and direction's, each a
+    # circle call; the mining scan's residuals take none but the ring's
     calls = []
     circle = _kernels_py.Program.circle
 
@@ -1412,6 +1477,17 @@ def test_warm_sweeps_take_no_circle_point_on_the_grid(monkeypatch):
     monkeypatch.setattr(_kernels_py.Program, "circle", counted)
     prog = _kernels_py.Program(*compile_ast(parse_norm(COMPOSITES[3], 2)))
     cod = _kernels_py.Program(*_L2_TAPE)
+    values = _kernels_py.Program._values
+
+    def ring_points(self, points):
+        points = list(points)
+        if self is prog:
+            calls.extend(points)
+        return values(self, points)
+
+    # the sweeps below read no other values pass of prog: rho is made of
+    # derivatives, and the gains are cod's
+    monkeypatch.setattr(_kernels_py.Program, "_values", ring_points)
     for sweep, n, rest in (
             (lambda: prog.locus(3, 0.0, 0.0, (0.6, -0.35), 48, 1e-12, tuple), 48, True),
             (lambda: cod.operator_norm(prog.circle, _OK), 1024, True),

@@ -127,6 +127,16 @@ class TestExitCodes:
         assert (code, out) == (1, "")
         assert err == f"normortho: {name} overflows at this scale\n"
 
+    @BACKENDS
+    def test_infinite_running_worst_exits_one_with_one_line(self, package_backend, capsys):
+        # an infinite asymmetry, met before any NaN one, used to print a
+        # bare Infinity, which JSON does not allow, with exit 0
+        code, out, err = _run(capsys, "probe", "--kind", "symmetry", "--norm", "l1",
+                              "--alpha", "0.3", "--beta", "0.4", "--samples", "65",
+                              "--seed", "1", "--scale", "2e154")
+        assert (code, out) == (1, "")
+        assert err == "normortho: the symmetry search overflows at this scale\n"
+
     def test_corner_semi_relation_exits_one(self, capsys):
         code, _, err = _run(
             capsys, "ortho", "--norm", "linf", "--u", "1,1", "--v=1,-1",
@@ -422,6 +432,29 @@ class TestPreserverCommand:
                               "--norm", norm)
         assert (code, out) == (1, "")
         assert err == "normortho: the preserver check overflows at this scale\n"
+
+    def test_square_map_parses_its_norm_once(self, capsys, monkeypatch):
+        # without --norm2 a square map's codomain is its domain, parsed once;
+        # a non-square map's codomain, or --norm2's, is a second parse
+        import normortho.cli as cli
+        texts = []
+
+        def counted(text, dim):
+            texts.append((text, dim))
+            return parse_norm(text, dim)
+
+        monkeypatch.setattr(cli, "parse_norm", counted)
+        argv = ("preserver", "--matrix", "1,1;0,1", "--alpha", "0.3", "--beta", "0.5",
+                "--samples", "8", "--seed", "2")
+        once = _run(capsys, *argv, "--norm", "linf")
+        assert texts == [("linf", 2)]
+        # the same bytes as with the codomain parsed apart
+        assert _run(capsys, *argv, "--norm", "linf", "--norm2", "linf") == once
+        assert once[0] == 0 and texts[1:] == [("linf", 2), ("linf", 2)]
+        texts.clear()
+        assert _run(capsys, "preserver", "--matrix", "1,1;0,1;1,0", "--norm", "l2",
+                    "--alpha", "0.3", "--beta", "0.5", "--samples", "8")[0] == 0
+        assert texts == [("l2", 2), ("l2", 3)]
 
     def test_bad_matrix_literal(self, capsys):
         assert _run(capsys, "preserver", "--matrix", "1,1;0", "--norm", "l2")[0] == 2

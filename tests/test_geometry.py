@@ -355,6 +355,13 @@ class TestSymmetry:
         with pytest.raises(ValueError, match="^the symmetry search overflows at this scale$"):
             symmetry_search(ast, AlphaBeta(0.3, 0.4), HUGE)
 
+    @BACKENDS
+    def test_search_raises_on_an_infinite_asymmetry(self, package_backend):
+        # on l1 at this seed and scale an asymmetry is +inf before any is
+        # NaN: it was kept and reported as the diagnostic
+        with pytest.raises(ValueError, match="^the symmetry search overflows at this scale$"):
+            symmetry_search(L1, AlphaBeta(0.3, 0.4), SampleConfig(seed=1, count=65, scale=2e154))
+
 
 class TestNormEquivConstant:
     def test_identical_norms_zero(self):

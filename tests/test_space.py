@@ -238,5 +238,11 @@ class TestRunningWorst:
         with pytest.raises(ValueError, match="^the scripted check overflows at this scale$"):
             _worst_of(*measures)
 
-    def test_an_infinite_measure_is_kept(self):
-        assert _worst_of(1.0, math.inf, 2.0, math.inf) == (math.inf, ("u1", "v1"), 0)
+    @pytest.mark.parametrize("measures", [(math.inf,), (1.0, math.inf, 2.0, math.inf),
+                                          (None, math.inf)],
+                             ids=["first", "after-finite", "after-skip"])
+    def test_an_infinite_measure_raises_with_the_name(self, measures):
+        # an infinite worst is an overflow, as a NaN one is; -inf, a
+        # negative measure, is never the worst (see above)
+        with pytest.raises(ValueError, match="^the scripted check overflows at this scale$"):
+            _worst_of(*measures)

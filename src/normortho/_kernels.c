@@ -4,9 +4,10 @@
    both twins; when touching a formula here, change the twin identically.
 
    What only this twin has: no a * b + c may become a fused multiply-add
-   (the pragmas below), the normortho.errors classes that semi and
-   vectors raise are bound at module init, and math.fsum is ported: one
-   row sum, fsum_row, serves image and the planar operator_norm alike.
+   (the pragmas below), and the normortho.errors classes that semi and
+   vectors raise are bound at module init, with math.fsum.  One row sum,
+   fsum_row, serves image and the planar operator_norm alike: one add for
+   two finite products, else math.fsum itself on the rounded products.
 
    Build with `python setup.py build_ext`, or directly:
    gcc -O2 -shared -fPIC -I<python include> _kernels.c -o _kernels<EXT_SUFFIX>
@@ -28,6 +29,11 @@
 #pragma GCC optimize("fp-contract=off")
 #endif
 
+/* Python.h defines Py_NO_INLINE from 3.11 on */
+#ifndef Py_NO_INLINE
+#define Py_NO_INLINE
+#endif
+
 /* tape kinds and relation codes, numbered as in program.py */
 enum { K_L2, K_WLP1, K_WLPINF, K_WLPP, K_MAX, K_SUM, K_SCALE };
 enum {
@@ -41,8 +47,9 @@ static const double TIE = 1e-12;
 /* |rho_+ - rho_-| band, relative to the larger, treated as smooth by semi */
 static const double SMOOTH_TOL = 1e-12;
 
-/* normortho.errors classes semi and vectors raise, bound at module init */
-static PyObject *ZeroVectorError, *NonSmoothPointError, *DimensionMismatchError;
+/* normortho.errors classes semi and vectors raise, and math.fsum, which
+   sums every row fsum_row does not, bound at module init */
+static PyObject *ZeroVectorError, *NonSmoothPointError, *DimensionMismatchError, *math_fsum;
 
 /* pi as math.pi gives it (the C standard defines no M_PI) */
 static const double PI = 3.141592653589793;
@@ -796,103 +803,44 @@ static PyObject **ring_boxes(const Program *p, Py_ssize_t n, const double *xy, P
     return *own = boxes;
 }
 
-/* A running math.fsum: Shewchuk's non-overlapping partials ("Adaptive
-   precision floating-point arithmetic", DCG 1997) in p, with +-inf and
-   NaN summed apart.  Each summand adds at most one partial, so p holds
-   as many doubles as there are summands. */
-typedef struct {
-    double *p;
-    Py_ssize_t n;
-    double special, inf_sum;
-} FSum;
-
-/* Adds a to the sum; -1 with OverflowError set, as fsum raises it, when
-   finite summands overflow. */
-static int fsum_add(FSum *s, double a)
+/* math.fsum of the cols products row[j] * x[j] into *out, called on a
+   tuple of the rounded products; -1 with fsum's error set.  Never inlined:
+   fsum_row's one-add path, inlined into the planar gain loop, then saves
+   no registers for this call. */
+static Py_NO_INLINE int fsum_products(const double *row, const double *x, Py_ssize_t cols,
+                                      double *out)
 {
-    double saved = a, b, t, hi, lo;
-    Py_ssize_t i = 0;
-    for (Py_ssize_t k = 0; k < s->n; k++) {
-        b = s->p[k];
-        if (fabs(a) < fabs(b)) {
-            t = a;
-            a = b;
-            b = t;
-        }
-        hi = a + b;
-        lo = b - (hi - a);
-        if (lo != 0.0)
-            s->p[i++] = lo;
-        a = hi;
+    PyObject *terms = PyTuple_New(cols), *sum = NULL;
+    for (Py_ssize_t j = 0; j < cols && terms != NULL; j++) {
+        PyObject *f = PyFloat_FromDouble(row[j] * x[j]);
+        if (f == NULL)
+            Py_CLEAR(terms);
+        else
+            PyTuple_SET_ITEM(terms, j, f);
     }
-    s->n = i;
-    if (a == 0.0)
-        return 0;
-    if (isfinite(a)) {
-        s->p[s->n++] = a;
-    } else if (isfinite(saved)) {
-        PyErr_SetString(PyExc_OverflowError, "intermediate overflow in fsum");
+    if (terms != NULL) {
+        sum = PyObject_CallOneArg(math_fsum, terms);
+        Py_DECREF(terms);
+    }
+    if (sum == NULL)
         return -1;
-    } else {
-        if (isinf(saved))
-            s->inf_sum += saved;
-        s->special += saved;
-        s->n = 0;
-    }
-    return 0;
-}
-
-/* The correctly rounded sum into *out, with fsum's half-even fix-up
-   across partials; -1 with ValueError set for -inf + inf. */
-static int fsum_result(const FSum *s, double *out)
-{
-    const double *p = s->p;
-    double a, b, hi = 0.0, lo = 0.0;
-    Py_ssize_t n = s->n;
-    if (s->special != 0.0) {
-        if (isnan(s->inf_sum)) {
-            PyErr_SetString(PyExc_ValueError, "-inf + inf in fsum");
-            return -1;
-        }
-        *out = s->special;
-        return 0;
-    }
-    if (n > 0) {
-        hi = p[--n];
-        /* add from the top while the sums stay exact */
-        while (n > 0) {
-            a = hi;
-            b = p[--n];
-            hi = a + b;
-            lo = b - (hi - a);
-            if (lo != 0.0)
-                break;
-        }
-        /* round half-even across partials: a remainder of the same sign
-           below lo can make lo, doubled, worth one more ulp */
-        if (n > 0 && ((lo < 0.0 && p[n - 1] < 0.0) || (lo > 0.0 && p[n - 1] > 0.0))) {
-            b = lo * 2.0;
-            a = hi + b;
-            if (b == a - hi)
-                hi = a;
-        }
-    }
-    *out = hi;
+    *out = PyFloat_AS_DOUBLE(sum);
+    Py_DECREF(sum);
     return 0;
 }
 
 /* Sum of the cols products row[j] * x[j] into *out, with the value and the
-   errors of math.fsum; p holds cols doubles.  The only row sum: image and
-   the planar gain run it.  -1 with an exception set.
+   errors of math.fsum.  The only row sum: image and the planar gain run
+   it.  -1 with an exception set.
 
    Two products whose sum is finite are summed with one add: IEEE addition
    of two doubles is already their correctly rounded sum, which is what
    fsum returns, but for a zero, which fsum returns as +0.0.  This sum must
    not be contracted into a fused multiply-add, which would skip the
-   rounding of one product (the pragmas above forbid it).  A non-finite
-   sum (an overflow, inf or NaN) goes on to the partials, which raise
-   fsum's errors. */
-static int fsum_row(const double *row, const double *x, Py_ssize_t cols, double *p, double *out)
+   rounding of one product (the pragmas above forbid it).  Every other row
+   (one column, three or more, or a non-finite two-term sum) goes to
+   math.fsum itself, so its value and its errors are fsum's own. */
+static int fsum_row(const double *row, const double *x, Py_ssize_t cols, double *out)
 {
     if (cols == 2) {
         double sum = row[0] * x[0] + row[1] * x[1];
@@ -901,11 +849,7 @@ static int fsum_row(const double *row, const double *x, Py_ssize_t cols, double 
             return 0;
         }
     }
-    FSum s = {p, 0, 0.0, 0.0};
-    for (Py_ssize_t j = 0; j < cols; j++)
-        if (fsum_add(&s, row[j] * x[j]) < 0)
-            return -1;
-    return fsum_result(&s, out);
+    return fsum_products(row, x, cols, out);
 }
 
 /* The rows of matrix, self->dim of them with cols entries each, as doubles
@@ -946,17 +890,17 @@ static PyObject *Program_image(Program *self, PyObject *const *args, Py_ssize_t 
     if (cols < 0)
         return NULL;
     /* a __len__ near PY_SSIZE_T_MAX must not wrap the scratch size */
-    if (cols > (PY_SSIZE_T_MAX / (Py_ssize_t)sizeof(double) - rows) / (rows + 2))
+    if (cols > (PY_SSIZE_T_MAX / (Py_ssize_t)sizeof(double) - rows) / (rows + 1))
         return PyErr_NoMemory();
     double stack[STACK_CAP];
-    double *y = scratch(stack, rows + (rows + 2) * cols);
+    double *y = scratch(stack, rows + (rows + 1) * cols);
     if (y == NULL)
         return NULL;
-    double *xs = y + rows, *m = xs + cols, *partials = m + rows * cols;
+    double *xs = y + rows, *m = xs + cols;
     PyObject *out = NULL;
     Py_ssize_t i = 0;
     if (load_doubles(args[1], cols, xs) == 0 && load_matrix(self, args[0], cols, m) == 0)
-        while (i < rows && fsum_row(m + i * cols, xs, cols, partials, y + i) == 0)
+        while (i < rows && fsum_row(m + i * cols, xs, cols, y + i) == 0)
             i++;
     if (i == rows)
         out = tuple_of(y, rows);
@@ -1496,9 +1440,8 @@ static const Program *own_circle(PyObject *circle)
    with an exception set. */
 static int image_gain(const Planar *s, const double *xy, double *out)
 {
-    double partials[2];
     for (int i = 0; i < s->cod->dim; i++)
-        if (fsum_row(s->m + 2 * i, xy, 2, partials, s->y + i) < 0)
+        if (fsum_row(s->m + 2 * i, xy, 2, s->y + i) < 0)
             return -1;
     *out = value_of(s->cod, s->y, s->vals);
     return 0;
@@ -1782,24 +1725,30 @@ static struct PyModuleDef kernels_module = {
     .m_size = -1,
 };
 
-/* errors imports nothing, so importing it here cannot cycle back. */
-static int bind_errors(void)
+/* module.name into *slot; -1 with an exception set.  Neither
+   normortho.errors nor math imports this module, so this cannot cycle
+   back. */
+static int bind(PyObject **slot, const char *module, const char *name)
 {
-    PyObject *errors = PyImport_ImportModule("normortho.errors");
-    if (errors == NULL)
+    PyObject *m = PyImport_ImportModule(module);
+    if (m == NULL)
         return -1;
-    Py_XSETREF(ZeroVectorError, PyObject_GetAttrString(errors, "ZeroVectorError"));
-    Py_XSETREF(NonSmoothPointError, PyObject_GetAttrString(errors, "NonSmoothPointError"));
-    Py_XSETREF(DimensionMismatchError,
-               PyObject_GetAttrString(errors, "DimensionMismatchError"));
-    Py_DECREF(errors);
-    return ZeroVectorError != NULL && NonSmoothPointError != NULL
-        && DimensionMismatchError != NULL ? 0 : -1;
+    Py_XSETREF(*slot, PyObject_GetAttrString(m, name));
+    Py_DECREF(m);
+    return *slot != NULL ? 0 : -1;
+}
+
+static int bind_imports(void)
+{
+    return bind(&ZeroVectorError, "normortho.errors", "ZeroVectorError") < 0
+        || bind(&NonSmoothPointError, "normortho.errors", "NonSmoothPointError") < 0
+        || bind(&DimensionMismatchError, "normortho.errors", "DimensionMismatchError") < 0
+        || bind(&math_fsum, "math", "fsum") < 0 ? -1 : 0;
 }
 
 PyMODINIT_FUNC PyInit__kernels(void)
 {
-    if (bind_errors() < 0 || PyType_Ready(&ProgramType) < 0
+    if (bind_imports() < 0 || PyType_Ready(&ProgramType) < 0
         || PyType_Ready(&LineEvaluatorType) < 0)
         return NULL;
     PyObject *m = PyModule_Create(&kernels_module);

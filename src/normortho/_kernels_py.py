@@ -790,8 +790,9 @@ def _shifted(op, u, xs, ys):
 
 def _row_sums(rows, x) -> tuple:
     """M x as a tuple, from the rows of M and x already read as doubles, each
-    row summed as math.fsum sums it: the row sum of image and of the
-    operator_norm refinement (the C twin's fsum_row)."""
+    row summed by math.fsum: the row sum of image and of the operator_norm
+    refinement.  The C twin's fsum_row calls the same math.fsum, but for a
+    finite two-term sum, which it takes with one add (the same double)."""
     return tuple([math.fsum(map(operator.mul, row, x)) for row in rows])
 
 

@@ -43,7 +43,7 @@ from .ortho import (
     is_orthogonal,
     ortho_locus,
 )
-from .space import SampleConfig, as_vector, audit_norm
+from .space import MAX_SCALE, SampleConfig, as_vector, audit_norm
 
 __all__ = ["run", "main"]
 
@@ -300,6 +300,8 @@ def _cfg(args) -> SampleConfig:
         raise _Usage("--samples must be positive")
     if not (math.isfinite(args.scale) and args.scale > 0.0):
         raise _Usage("--scale must be positive and finite")
+    if args.scale > MAX_SCALE:
+        raise _Usage(f"--scale must be at most {MAX_SCALE!r}")
     if not 0 <= args.seed < 2 ** 64:
         raise _Usage("--seed must fit in 64 bits")
     return SampleConfig(seed=args.seed, count=args.samples, scale=args.scale)

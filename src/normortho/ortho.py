@@ -195,15 +195,16 @@ def birkhoff_t_interval(ast: NormAst, u, v) -> tuple[float, float]:
     The shift identity moves rho_+- by t norm(u)^2, so the chain
     rho_-(u, tu+v) <= 0 <= rho_+(u, tu+v) holds exactly for
     t in [-rho_+(u,v)/norm(u)^2, -rho_-(u,v)/norm(u)^2]; nonempty since
-    rho_- <= rho_+.
+    rho_- <= rho_+.  As rho_+- = norm(u) D+-, the ends are -D+-/norm(u):
+    one norm(u) cancels, so no end forms norm(u)^2, which would overflow
+    or underflow at scales where the interval itself is representable.
     """
     prog = get_program(ast)
     uu, vv = prog.vectors(u, v)
     val, dp, dm = prog.derivs(uu, vv)
     if val == 0.0:
         raise ZeroVectorError("interval needs a nonzero u")
-    nsq = val * val
-    return (-(val * dp) / nsq, -(val * dm) / nsq)
+    return (-dp / val, -dm / val)
 
 
 def ortho_locus(ast: NormAst, u, rel: Relation, resolution: int = 720) -> list[LocusPoint]:

@@ -6,6 +6,7 @@ import functools
 import itertools
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -15,6 +16,7 @@ from .rng import SplitMix64
 
 __all__ = [
     "AUDIT_TOL",
+    "MAX_SCALE",
     "Vector",
     "SampleConfig",
     "NormAudit",
@@ -33,6 +35,9 @@ Vector = tuple[float, ...]
 # involved; composed norms accumulate a few ulps per node
 AUDIT_TOL = 1e-10
 
+# the largest SampleConfig scale: half the largest float
+MAX_SCALE = sys.float_info.max / 2
+
 
 @dataclass(frozen=True)
 class SampleConfig:
@@ -50,6 +55,9 @@ class SampleConfig:
         _check_count(self.count, "count")
         if isinstance(self.scale, bool) or not (math.isfinite(self.scale) and self.scale > 0):
             raise ValueError(f"scale must be positive and finite, got {self.scale!r}")
+        if self.scale > MAX_SCALE:
+            # a draw in [-scale, scale] spans 2 * scale, which must be finite
+            raise ValueError(f"scale must be at most {MAX_SCALE!r}, got {self.scale!r}")
 
 
 class NormAudit(NamedTuple):
@@ -117,7 +125,9 @@ def audit_norm(ast: NormAst, cfg: SampleConfig, tol: float = AUDIT_TOL) -> NormA
 
     Draws cfg.count triples (u, v, t) and records the worst defect seen.
     The positivity check is skipped for the zero vector, which the axiom
-    does not constrain.  tol must be finite and nonnegative.
+    does not constrain.  tol must be finite and nonnegative.  A NaN or +inf
+    homogeneity or triangle defect comes from an overflow at huge scales:
+    it raises ValueError, "the norm audit overflows at this scale".
     """
     _check_tol(tol)
     prog = get_program(ast)
@@ -128,6 +138,9 @@ def audit_norm(ast: NormAst, cfg: SampleConfig, tol: float = AUDIT_TOL) -> NormA
 
     def record(kind, defect, u, v, t):
         nonlocal violations, worst
+        if not defect < math.inf:
+            # NaN, which no bound keeps, or +inf: an overflow
+            raise ValueError("the norm audit overflows at this scale")
         violations += 1
         if defect > worst[1]:
             worst = (kind, defect, u, v, t)
@@ -141,12 +154,12 @@ def audit_norm(ast: NormAst, cfg: SampleConfig, tol: float = AUDIT_TOL) -> NormA
 
         tu = tuple([t * c for c in u])
         defect = abs(prog.value(tu) - abs(t) * nu)
-        if defect > tol * nu:
+        if not defect <= tol * nu:
             record("homogeneity", defect, u, None, t)
 
         uv = tuple(map(operator.add, u, v))
         defect = prog.value(uv) - (nu + nv)
-        if defect > tol * (nu + nv):
+        if not defect <= tol * (nu + nv):
             record("triangle", defect, u, v, None)
 
         if nu <= 0.0 and any(u):

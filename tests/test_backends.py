@@ -497,6 +497,43 @@ def test_image_agrees_bitwise(rows, compiled_kernels):
     assert kinds == {False, True, "OverflowError", "ValueError"}
 
 
+@pytest.mark.parametrize("rows", [2, 3])
+@pytest.mark.parametrize("cols", [100, 300])
+def test_long_image_rows_agree_bitwise(rows, cols, compiled_kernels):
+    # the compiled scratch, rows + (rows + 1) * cols doubles, is past
+    # STACK_CAP and on the heap, and every row of more than two columns
+    # goes to math.fsum itself
+    rng = SplitMix64(200 + rows + cols)
+    tape = compile_ast(parse_norm("l1", rows))
+    fast, slow = compiled_kernels.Program(*tape), _kernels_py.Program(*tape)
+
+    def draws(n):
+        return tuple(rng.uniform(-4.0, 4.0) for _ in range(n))
+
+    ones = (1.0,) * cols
+    # runs of 1e16, 1, -1e16, which a left-to-right sum loses every 1 of
+    cancelling = (1e16, 1.0, -1e16) * (cols // 3) + (1.0,) * (cols % 3)
+    plain = tuple(draws(cols) for _ in range(rows - 1))
+    cases = [
+        (tuple(draws(cols) for _ in range(rows)), draws(cols)),
+        ((cancelling, *plain), ones),
+        ((*plain, cancelling), ones),
+        # finite products whose sum overflows, in the last row
+        ((*plain, (1e308, 1e308) + draws(cols - 2)), ones),
+        # an inf and a -inf product, in the last row
+        ((*plain, (1e200, -1e200) + draws(cols - 2)), (1e200, 1e200) + draws(cols - 2)),
+    ]
+    got = []
+    for matrix, x in cases:
+        out = _outcome(fast.image, matrix, x)
+        assert out == _outcome(slow.image, matrix, x), (rows, cols)
+        assert out == _outcome(_image_reference, matrix, x), (rows, cols)
+        got.append(out)
+    assert got[1][0] == got[2][-1] == float(cols // 3 + cols % 3).hex()
+    assert got[3] == ("OverflowError", "intermediate overflow in fsum")
+    assert got[4] == ("ValueError", "-inf + inf in fsum")
+
+
 @pytest.mark.parametrize("matrix, x, want", [
     # a left-to-right sum gives 0.0, fsum the exact 1.0
     (((1e16, 1.0, -1e16), (0.0, 0.0, 0.0)), (1.0, 1.0, 1.0), (1.0, 0.0)),
@@ -551,7 +588,7 @@ def test_image_errors_agree(matrix, x, error, compiled_kernels):
 
 # (row, x) of a two-column row, whose sum the C twin takes with one add
 # when it is finite: zeros it gives as -0.0, half-even ties, subnormal
-# products, and the non-finite sums left to the partials
+# products, and the non-finite sums it hands to math.fsum
 _TWO_TERMS = [
     ((-0.0, -0.0), (1.0, 1.0)),  # -0.0 + -0.0
     ((-1.0, 1.0), (0.0, -0.0)),  # -0.0 + -0.0 from signed zeros

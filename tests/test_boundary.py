@@ -349,6 +349,9 @@ SAMPLE_CONFIG_CASES = {
                    "seed must be an unsigned 64-bit integer, got 18446744073709551616"),
     "count-true": ({"count": True}, POSITIVE.format("count", "True")),
     "scale-true": ({"scale": True}, "scale must be positive and finite, got True"),
+    # a draw in [-1e308, 1e308] spans +inf: every coordinate drawn was inf
+    "scale-1e308": ({"scale": 1e308},
+                    "scale must be at most 8.988465674311579e+307, got 1e+308"),
 }
 
 

@@ -137,6 +137,24 @@ class TestExitCodes:
         assert (code, out) == (1, "")
         assert err == "normortho: the symmetry search overflows at this scale\n"
 
+    @BACKENDS
+    def test_overflowing_audit_exits_one_with_one_line(self, package_backend, capsys):
+        # most samples overflow a homogeneity or triangle defect to NaN or
+        # +inf, which no bound keeps, and the audit used to report 0
+        # violations
+        code, out, err = _run(capsys, "audit", "--norm", "l1", "--scale", "8e307",
+                              "--samples", "50")
+        assert (code, out) == (1, "")
+        assert err == "normortho: the norm audit overflows at this scale\n"
+
+    @BACKENDS
+    @pytest.mark.parametrize("s", ["1e200", "1e-200"])
+    def test_interval_at_far_scales_is_the_unit_interval(self, package_backend, capsys, s):
+        # N(u)^2 used to overflow to a NaN interval at 1e200, which is not
+        # JSON, and underflow to a ZeroDivisionError at 1e-200
+        got = _run_json(capsys, "interval", "--norm", "linf", f"--u={s},{s}", f"--v={s},-{s}")
+        assert (got["t_lo"], got["t_hi"], got["width"]) == (-1.0, 1.0, 2.0)
+
     def test_corner_semi_relation_exits_one(self, capsys):
         code, _, err = _run(
             capsys, "ortho", "--norm", "linf", "--u", "1,1", "--v=1,-1",
@@ -165,13 +183,15 @@ class TestExitCodes:
           "--tol", "nan"), "--tol must be positive and finite"),
         (("audit", "--norm", "l2", "--scale", "0"), "--scale must be positive and finite"),
         (("audit", "--norm", "l2", "--scale", "inf"), "--scale must be positive and finite"),
+        (("audit", "--norm", "l2", "--scale", "1e308"),
+         "--scale must be at most 8.988465674311579e+307"),
         (("audit", "--norm", "l2", "--seed", "-1"), "--seed must fit in 64 bits"),
         (("audit", "--norm", "l2", "--seed", "18446744073709551616"),
          "--seed must fit in 64 bits"),
         (("rho", "--norm", "l2", "--u", "1,0", "--v", "0,1", "--lambda", "1.5"),
          "lambda must lie in [0, 1], got 1.5"),
-    ], ids=["dim-1", "tol-0", "tol-nan", "scale-0", "scale-inf", "seed-negative",
-            "seed-2**64", "lambda-1.5"])
+    ], ids=["dim-1", "tol-0", "tol-nan", "scale-0", "scale-inf", "scale-1e308",
+            "seed-negative", "seed-2**64", "lambda-1.5"])
     def test_bad_flag_values_are_usage_errors(self, capsys, argv, message):
         assert _run(capsys, *argv) == (2, "", f"normortho: {message}\n")
 

@@ -7,6 +7,7 @@ The corpus runs once per backend: its tape interpreter and its SplitMix64.
 
 import json
 import os
+import shlex
 
 import pytest
 
@@ -24,7 +25,8 @@ def test_cli_output_matches_golden_corpus(package_backend):
     assert len({e["argv"][0] for e in entries}) == 12
     changed = [e["argv"] for e in entries
                if run_one(e["argv"]) != (e["exit"], e["stdout_sha256"])]
-    assert not changed, f"{len(changed)} of {len(entries)} commands changed, first: {changed[0]}"
+    assert not changed, f"{len(changed)} of {len(entries)} commands changed: " + "; ".join(
+        map(shlex.join, changed))
 
 
 def test_corpus_covers_every_relation():

@@ -341,6 +341,24 @@ class TestInterval:
         lo, hi = birkhoff_t_interval(L2, (1.0, 2.0), (0.0, 0.0))
         assert lo == 0.0 and hi == 0.0
 
+    # norms whose one-sided derivatives form no degree-2 intermediate (an
+    # l2 leaf's sums u_j v_j, which overflow or underflow on their own)
+    @BACKENDS
+    @pytest.mark.parametrize("s", [2.0 ** -990, 1e-200, 1e200, 2.0 ** 990])
+    @pytest.mark.parametrize("family", ["l1", "linf", "lp(3)", "lp(1.5)", "wlp(2; 1, 4)",
+                                        "sum(l1, linf)", COMPOSITES[0]])
+    def test_interval_is_scale_free(self, package_backend, family, s):
+        # the ends are of degree 0, so scaling u and v by s moves them by a
+        # few ulps at most, where N(u)^2 overflows or underflows
+        ast = parse_norm(family, 2)
+        for u, v in [((1.0, 0.5), (-0.25, 1.0)), ((0.6, -0.8), (0.3, 0.7)),
+                     ((1.0, 1.0), (1.0, -1.0)), ((-1.0, 1.0), (1.0, 0.0)),
+                     ((0.3, 2.0), (1.5, -0.4))]:
+            want = birkhoff_t_interval(ast, u, v)
+            got = birkhoff_t_interval(ast, (s * u[0], s * u[1]), (s * v[0], s * v[1]))
+            for g, w in zip(got, want):
+                assert abs(g - w) <= 8 * math.ulp(w), (u, v, got, want)
+
     @pytest.mark.parametrize("family", ["l1", "l2", "linf", "lp(1.5)"])
     def test_interval_characterizes_membership(self, family):
         """u birkhoff-orthogonal to t u + v exactly for t inside the interval."""

@@ -1,6 +1,7 @@
 """Norm evaluation, axiom audits, and sampling tests."""
 
 import math
+import sys
 
 import pytest
 from hypothesis import given
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 import normortho.space
 from normortho import (
+    MAX_SCALE,
     DimensionMismatchError,
     NormAudit,
     SampleConfig,
@@ -118,6 +120,19 @@ class TestAudit:
         report = audit_norm(parse_norm("l2", 2), SampleConfig(seed=1, count=count))
         assert report == NormAudit(*want)
 
+    @pytest.mark.parametrize("values", [
+        # norm(u) overflows: |norm(3 u) - 3 norm(u)| is inf - inf, a NaN
+        {(1.0, 0.0): math.inf, (0.0, 1.0): 1.0, (3.0, 0.0): math.inf},
+        # norm(u + v) overflows alone: a triangle defect of +inf
+        {(1.0, 0.0): 1.0, (0.0, 1.0): 1.0, (3.0, 0.0): 3.0, (1.0, 1.0): math.inf},
+    ], ids=["nan-homogeneity", "inf-triangle"])
+    def test_a_non_finite_defect_raises(self, monkeypatch, values):
+        draws = ScriptedDraws([(1.0, 0.0), (0.0, 1.0)], [3.0])
+        monkeypatch.setattr(normortho.space, "get_program", lambda ast: _Table(values))
+        monkeypatch.setattr(normortho.space, "SplitMix64", lambda seed: draws)
+        with pytest.raises(ValueError, match="^the norm audit overflows at this scale$"):
+            audit_norm(parse_norm("l2", 2), SampleConfig(seed=1, count=1))
+
     def test_audit_dim3(self):
         ast = parse_norm("max(l1, scale(2, l2))", 3)
         report = audit_norm(ast, SampleConfig(seed=4, count=500))
@@ -178,6 +193,15 @@ class TestValidation:
     def test_sample_config_rejects(self, kwargs):
         with pytest.raises(ValueError):
             SampleConfig(**kwargs)
+
+    def test_the_largest_scale_draws_finite_coordinates(self):
+        # a draw in [-scale, scale] spans 2 * scale, which is finite up to
+        # MAX_SCALE and +inf past it, where every coordinate drawn was +inf
+        assert MAX_SCALE == sys.float_info.max / 2
+        assert SampleConfig(scale=MAX_SCALE).scale == MAX_SCALE
+        rng = SplitMix64(0)
+        assert all(map(math.isfinite, rng.vector(64, -MAX_SCALE, MAX_SCALE)))
+        assert SplitMix64(0).vector(2, -1e308, 1e308) == (math.inf, math.inf)
 
 
 class TestAxiomsDirect:

@@ -83,16 +83,25 @@ unrolled up to dim `_UNROLL` and looped over above it.  Each template
 keeps the C twin's operations in its order.  For a planar shape it also
 writes two loop passes from the same lines: `values`, N at each of a
 sequence of points, and `directions`, the columns N(u) D- and N(u) D+
-along each point from one base pass; the shape's Programs share them,
-each call reading its Program's params and weights once.  residuals, the
-locus grid, the ring build and operator_norm's 1024 gains each run one
-such loop, and each relation's formula (`_FORMULAS`) is compiled twice,
-for one point and over the columns, so a planar sweep makes no Python
-call per grid point; a crossing bisection and the golden refinement
-still make one per step.  `_shape` runs the source once into a bounded
-cache, and each Program binds its one-point passes to its own params and
-weights at load; the text holds only kinds, node indices and dim, never
-a number of the tape.
+along each point from one base pass.  residuals, the locus grid, the ring
+build and operator_norm's 1024 gains each run one such loop, and each
+relation's formula (`_FORMULAS`) is compiled twice, for one point and
+over the columns, so a planar sweep makes no Python call per grid point.
+It writes two step evaluators too, each a function of the shape that
+returns an at(theta) closure, built once per search call: for a planar
+shape `circle_residual`, the residual at circle(theta) with circle's
+value pass and the direction pass inline (isosceles and pythagorean make
+one values call), which the crossing bisection (`_bisect`) steps on; and
+for a codomain of any dim `gain`, -N(M circle(theta)) with the image's
+value pass inline, which operator_norm's golden refinement steps on.  So
+each step is one generated frame.  The shape's Programs share every pass,
+each call reading its Program's params and weights once.  `_shape` runs
+bind's source once into a bounded cache, and each Program binds its
+one-point passes to its own params and weights at load; every other pass
+is compiled at its first use by any Program of the shape
+(`Program._pass`), so a process that only takes values and derivatives
+compiles none of them.  The text holds only kinds, node indices, dim and
+two relation codes, never a number of the tape.
 
 SplitMix64 is the seeded random stream; both twins draw the same bits.
 """
@@ -219,10 +228,10 @@ dm{i} = p{i} * dm{l}""",
 }
 # A leaf that is 0 at u has N(u + t v) = |t| N(v), so D+- = +-N(v).  V is
 # the base pass's node values at v, run at the first such leaf; {k} is the
-# leaf's place in them.
+# leaf's place in them and {v} the direction.
 _ZERO = """
 if n{i} == 0.0:
-    V = V or value(v, False)
+    V = V or value({v}, False)
     dp{i} = V[{k}]
     dm{i} = -V[{k}]
 else:"""
@@ -239,33 +248,34 @@ def _names(col, dim) -> str:
     return "".join(f"{col}{j}, " for j in range(dim)).rstrip() if _unrolled(dim) else col
 
 
-def _loop(text) -> str:
-    """The `for` clause over the coordinate columns text reads."""
+def _loop(text, point) -> str:
+    """The `for` clause over the coordinate columns text reads, the {u}
+    column read from the sequence point."""
     cols = [c for c in _SEQS if "{" + c + "}" in text]
-    seqs = [_SEQS[c] for c in cols]
-    return (", ".join(c + "j" for c in cols) + " in "
+    seqs = [point if c == "u" else _SEQS[c] for c in cols]
+    return (", ".join((point if c == "u" else c) + "j" for c in cols) + " in "
             + (seqs[0] if len(seqs) == 1 else f"zip({', '.join(seqs)})"))
 
 
-def _coords(text, dim) -> list:
+def _coords(text, dim, point="u") -> list:
     """text with its columns named at each coordinate, or as a loop's
-    variables; {i} is left to fill."""
+    variables, {u} as the coordinates of point; {i} is left to fill."""
     if _unrolled(dim):
-        return [text.format(i="{i}", u=f"u{j}", a=f"a{j}", x=f"x{j}", w=f"w{{i}}_{j}",
+        return [text.format(i="{i}", u=f"{point}{j}", a=f"a{j}", x=f"x{j}", w=f"w{{i}}_{j}",
                             c=f"C{{i}}[{j}]") for j in range(dim)]
-    return [text.format(i="{i}", **{c: c + "j" for c in _SEQS})]
+    return [text.format(i="{i}", **{c: (point if c == "u" else c) + "j" for c in _SEQS})]
 
 
-def _each(expr, dim) -> str:
+def _each(expr, dim, point="u") -> str:
     """expr at every coordinate: a tuple display, or a list comprehension."""
     if _unrolled(dim):
-        return "(" + "".join(e + ", " for e in _coords(expr, dim)) + ")"
-    return f"[{_coords(expr, dim)[0]} for {_loop(expr)}]"
+        return "(" + "".join(e + ", " for e in _coords(expr, dim, point)) + ")"
+    return f"[{_coords(expr, dim, point)[0]} for {_loop(expr, point)}]"
 
 
-def _expand(template, dim) -> str:
+def _expand(template, dim, point="u") -> str:
     """template with each run of @ lines once per coordinate, unrolled or
-    in a loop; {i}, {l}, {r} and {k} are left to fill."""
+    in a loop; {i}, {l}, {r}, {k} and {v} are left to fill."""
     out = []
     lines = template.strip("\n").split("\n")
     while lines:
@@ -280,32 +290,47 @@ def _expand(template, dim) -> str:
             run.append(lines.pop(0).lstrip()[1:])
         text = "\n".join(run)
         if not _unrolled(dim):
-            out.append(f"{indent}for {_loop(text)}:")
+            out.append(f"{indent}for {_loop(text, point)}:")
             indent += "    "
-        for block in _coords(text, dim):
+        for block in _coords(text, dim, point):
             out += [indent + ln for ln in block.split("\n")]
     return "\n".join(out)
 
 
-def _lines(template, dim, pad, **fields) -> list:
-    """template's lines for one node, each indented by pad."""
-    return [pad + ln for ln in _expand(template, dim).format(**fields).split("\n")]
+def _lines(template, dim, point="u", **fields) -> list:
+    """template's lines for one node, {u} the coordinates of point."""
+    return _expand(template, dim, point).format(**fields).split("\n")
 
 
-def _source(kinds, dim, left, right, woff) -> str:
-    """The passes of a tape shape, as the source of bind(P, W) and, at dim
-    2, of the loop passes values and directions.  P and W are a tape's
-    params and weights, and bind returns its (value, dirs, line).  value(u)
-    is N(u) and value(u, True) the base pass: the node values dirs reads,
-    then each wlp(p) leaf's coefficients (None where the leaf is 0, and
-    everywhere for value(u, False)).  values(P, W, points) is the list of
-    N at each point, and directions(P, W, value, u, B, points) the columns
-    (rm, rp), N(u) D- and N(u) D+ at each point v, from one base pass B at
-    u, with the bound value for a leaf that is 0 at u.  Each loop pass
-    runs its pass's lines in one loop and reads P and W once per call, so
-    a Program holds no closure of its own for them.  Only the planar
-    sweeps run them, so a shape of another dim compiles no second copy of
-    its passes.  Only kinds, node indices and dim appear in the text."""
+def _source(kinds, dim, left, right, woff, name) -> str:
+    """The source of the pass name of a tape shape: bind or gain at any
+    dim, values, directions or circle_residual at dim 2 (the planar loop
+    passes and step evaluator).  _shape compiles bind, and Program._pass
+    each other pass at its first use.  P and W are a tape's params and
+    weights; each pass reads them once per call,
+    so a Program holds no closure of its own for the loop passes and the
+    step evaluators.  Only kinds, node indices, dim and the relation codes
+    R_ISOSCELES and R_PYTHAGOREAN appear in the text.
+
+    - bind(P, W) returns a tape's (value, dirs, line).  value(u) is N(u)
+      and value(u, True) the base pass: the node values dirs reads, then
+      each wlp(p) leaf's coefficients (None where the leaf is 0, and
+      everywhere for value(u, False)).
+    - values(P, W, points) is the list of N at each point, in one loop.
+    - directions(P, W, value, u, B, points) is the columns (rm, rp),
+      N(u) D- and N(u) D+ at each point v, from one base pass B at u, with
+      the bound value for a leaf that is 0 at u, in one loop.
+    - circle_residual(P, W, value, u, B, formula, a, b, kind) returns
+      at(theta), the residual of relation kind at circle(theta) from B,
+      _relation_base's pass at u: formula (a _RESIDUAL lambda) of the
+      numbers the relation reads there, with circle's and the direction
+      pass's operations in their order.  isosceles and pythagorean read N
+      at their two points with one values call.
+    - gain(P, W, dvalue, rows) returns at(theta), -N(M x) at x, the
+      domain circle's point (dvalue is the domain's bound value), each
+      row (r0, r1) of M summed with one add while every row of M x sums
+      finitely, else with math.fsum, row by row.
+    """
     last = len(kinds) - 1
     lazy = [i for i, k in enumerate(kinds) if k in (K_L2, K_WLPINF, K_WLPP)]
     wlpp = [i for i in lazy if kinds[i] == K_WLPP]
@@ -324,41 +349,80 @@ def _source(kinds, dim, left, right, woff) -> str:
             ws = f"W[{woff[i]}:{woff[i] + dim}]"
             numbers.append(f"{_names(f'w{i}_', dim)} = {ws}" if _unrolled(dim) else f"W{i} = {ws}")
     unpack = [f"{_names(c, dim)} = {s}" for c, s in (("u", "u"), ("x", "v")) if _unrolled(dim)]
-    # the value pass at u, and the direction pass along v from the base
-    # pass's held values; each is the body of a one-point pass and of a loop
-    value = unpack[:1] + [f"{_names('a', dim)} = {_each('abs({u})', dim)}"]
-    if lazy:
-        value += _lines("m = 0.0\n@if {a} > m:\n@    m = {a}", dim, "", i=None)
-    for i, k in enumerate(kinds):
-        value += _lines(_VALUE[k], dim, "", i=i, l=left[i], r=right[i])
-    direction = unpack[1:] + (["V = None"] if lazy else [])
-    for i, k in enumerate(kinds):
-        pad = ""
-        if i in lazy:
-            direction += _lines(_ZERO, dim, pad, i=i, k=kept.index(i))
-            pad = "    "
-        direction += _lines(_DIRECTION[k], dim, pad, i=i, l=left[i], r=right[i])
-    out = ["def bind(P, W):", *_indent(numbers, 1), "    def value(u, coefs=None):",
-           *_indent(value, 2), "        if coefs is None:", f"            return n{last}"]
-    for i in wlpp:
-        coefs = _each("{w} * pow({a} / n{i}, e{i}) if {u} != 0.0 else 0.0", dim).format(i=i)
-        out.append(f"        C{i} = {coefs} if coefs and n{i} != 0.0 else None")
-    out += [f"        return {held}", "    def dirs(u, B, v):", *_indent(unpack[:1], 2),
-            f"        {held} = B", *_indent(direction, 2),
-            f"        return n{last}, dp{last}, dm{last}",
-            "    def line(u, v):", *_indent(unpack, 2),
-            "        def phi(t):", f"            return value({_each('{u} + t * {x}', dim)})",
-            "        return phi", "    return value, dirs, line"]
-    if dim == 2:
-        # value[0] unpacks u: the loop unpacks each point instead
-        out += ["def values(P, W, points):", *_indent(numbers, 1), "    out = []",
-                "    push = out.append", f"    for {_names('u', dim)} in points:",
-                *_indent(value[1:], 2), f"        push(n{last})", "    return out",
-                "def directions(P, W, value, u, B, points):", *_indent(numbers, 1),
-                *_indent(unpack[:1], 1), f"    {held} = B", "    rm = []", "    rp = []",
-                "    push_m = rm.append", "    push_p = rp.append", "    for v in points:",
-                *_indent(direction, 2), f"        push_m(n{last} * dm{last})",
-                f"        push_p(n{last} * dp{last})", "    return rm, rp"]
+
+    def value(point):
+        # the value pass at point, into n{i}
+        lines = [f"{_names('a', dim)} = {_each('abs({u})', dim, point)}"]
+        if lazy:
+            lines += _lines("m = 0.0\n@if {a} > m:\n@    m = {a}", dim, point, i=None)
+        for i, k in enumerate(kinds):
+            lines += _lines(_VALUE[k], dim, point, i=i, l=left[i], r=right[i])
+        return lines
+
+    def direction(v):
+        # the direction pass along v from the base pass's held values
+        lines = ["V = None"] if lazy else []
+        for i, k in enumerate(kinds):
+            if i in lazy:
+                lines += _lines(_ZERO, dim, i=i, k=kept.index(i), v=v)
+            lines += _indent(_lines(_DIRECTION[k], dim, i=i, l=left[i], r=right[i]),
+                             int(i in lazy))
+        return lines
+
+    # x0, x1: the point of the planar unit circle at theta, as circle takes it
+    circle = ["c0 = cos(theta)", "c1 = sin(theta)"]
+    if name == "bind":
+        out = ["def bind(P, W):", *_indent(numbers, 1), "    def value(u, coefs=None):",
+               *_indent(unpack[:1] + value("u"), 2), "        if coefs is None:",
+               f"            return n{last}"]
+        for i in wlpp:
+            coefs = _each("{w} * pow({a} / n{i}, e{i}) if {u} != 0.0 else 0.0", dim).format(i=i)
+            out.append(f"        C{i} = {coefs} if coefs and n{i} != 0.0 else None")
+        out += [f"        return {held}", "    def dirs(u, B, v):", *_indent(unpack[:1], 2),
+                f"        {held} = B", *_indent(unpack[1:] + direction("v"), 2),
+                f"        return n{last}, dp{last}, dm{last}",
+                "    def line(u, v):", *_indent(unpack, 2),
+                "        def phi(t):", f"            return value({_each('{u} + t * {x}', dim)})",
+                "        return phi", "    return value, dirs, line"]
+    elif name == "gain":
+        # row i of M x into u{i}, or the list u above _UNROLL
+        if _unrolled(dim):
+            sums = [f"u{i} = M{i}_0 * x0 + M{i}_1 * x1" for i in range(dim)]
+            exact = [f"u{i} = fsum((M{i}_0 * x0, M{i}_1 * x1))" for i in range(dim)]
+            total = " + ".join(f"u{i}" for i in range(dim))
+            head = ["".join(f"(M{i}_0, M{i}_1), " for i in range(dim)) + "= rows"]
+        else:
+            sums = ["u = [r0 * x0 + r1 * x1 for r0, r1 in rows]"]
+            exact = ["u = [fsum((r0 * x0, r1 * x1)) for r0, r1 in rows]"]
+            total, head = "sum(u)", []
+        out = ["def gain(P, W, dvalue, rows):", *_indent(numbers + head, 1),
+               "    def at(theta):", *_indent(circle, 2), "        r = dvalue((c0, c1))",
+               "        x0 = c0 / r", "        x1 = c1 / r", *_indent(sums, 2),
+               f"        if not isfinite({total}):", *_indent(exact, 3),
+               *_indent(value("u"), 2), f"        return -n{last}", "    return at"]
+    elif name == "values":
+        out = ["def values(P, W, points):", *_indent(numbers, 1), "    out = []",
+               "    push = out.append", f"    for {_names('u', dim)} in points:",
+               *_indent(value("u"), 2), f"        push(n{last})", "    return out"]
+    elif name == "directions":
+        out = ["def directions(P, W, value, u, B, points):", *_indent(numbers, 1),
+               *_indent(unpack[:1], 1), f"    {held} = B", "    rm = []", "    rp = []",
+               "    push_m = rm.append", "    push_p = rp.append", "    for v in points:",
+               *_indent(unpack[1:] + direction("v"), 2), f"        push_m(n{last} * dm{last})",
+               f"        push_p(n{last} * dp{last})", "    return rm, rp"]
+    else:
+        out = ["def circle_residual(P, W, value, u, B, formula, a, b, kind):",
+               *_indent(numbers + unpack[:1], 1), "    def at(theta):",
+               *_indent(circle + value("c"), 2),
+               f"        x0 = c0 / n{last}", f"        x1 = c1 / n{last}",
+               f"        if kind == {R_ISOSCELES}:",
+               "            return formula(a, b, B, *values(P, W, ((u0 + x0, u1 + x1), "
+               "(u0 - x0, u1 - x1))))",
+               f"        if kind == {R_PYTHAGOREAN}:",
+               "            return formula(a, b, B, *values(P, W, ((u0 - x0, u1 - x1), (x0, x1))))",
+               f"        {held} = B", *_indent(direction("(x0, x1)"), 2),
+               f"        return formula(a, b, n{last}, n{last} * dm{last}, n{last} * dp{last})",
+               "    return at"]
     return "\n".join(out + [""])
 
 
@@ -368,11 +432,12 @@ def _indent(lines, depth) -> list:
 
 @functools.lru_cache(maxsize=256)
 def _shape(kinds, dim):
-    """(weights taken, bind, left, right, woff, loops, source) of a tape shape;
-    loops is (values, directions) at dim 2, else None.
+    """(weights taken, bind, left, right, woff, passes) of a tape shape;
+    passes holds the shape's other passes, each compiled at its first use
+    (Program._pass).
 
     One stack pass over the post-order kinds derives each node's children
-    and weight offset and checks the tape; _source's text is then run once
+    and weight offset and checks the tape; bind's source is then run once
     per shape and process, and bind binds it to one tape's numbers.
     """
     n = len(kinds)
@@ -394,11 +459,19 @@ def _shape(kinds, dim):
         stack.append(i)
     if len(stack) != 1:
         raise ValueError(f"tape ends with {len(stack)} values on the stack, not 1")
-    source = _source(kinds, dim, left, right, woff)
-    namespace = {"sqrt": math.sqrt, "pow": math.pow, "inf": math.inf, "TIE": _TIE}
+    left, right, woff = tuple(left), tuple(right), tuple(woff)
+    return used, _compiled(kinds, dim, left, right, woff, "bind"), left, right, woff, {}
+
+
+def _compiled(kinds, dim, left, right, woff, name, **names):
+    """Pass name of a tape shape, its source run with names bound besides
+    the math it calls."""
+    namespace = {"sqrt": math.sqrt, "pow": math.pow, "inf": math.inf, "TIE": _TIE,
+                 "cos": math.cos, "sin": math.sin, "fsum": math.fsum,
+                 "isfinite": math.isfinite, **names}
+    source = _source(kinds, dim, left, right, woff, name)
     exec(compile(source, "<normortho tape>", "exec"), namespace)
-    loops = (namespace["values"], namespace["directions"]) if dim == 2 else None
-    return used, namespace["bind"], tuple(left), tuple(right), tuple(woff), loops, source
+    return namespace[name]
 
 
 # Each relation's residual at a point v: the only copy of its formula, over
@@ -448,7 +521,7 @@ _COLUMN = _relations("lambda a, b, n, X, Y: [{expr} for {ins} in zip(X, Y)]")
 
 
 class Program:
-    __slots__ = ("kinds", "params", "weights", "dim", "_value", "_dirs", "_line", "_loops")
+    __slots__ = ("kinds", "params", "weights", "dim", "_value", "_dirs", "_line", "_passes")
 
     def __init__(self, kinds, params, weights, dim):
         self.kinds = kinds = tuple(map(operator.index, kinds))
@@ -457,7 +530,7 @@ class Program:
         self.dim = dim = int(dim)
         if not kinds or len(self.params) != len(kinds):
             raise ValueError("kinds and params must have the same length n >= 1")
-        used, bind, _, _, _, self._loops, _ = _shape(kinds, dim)
+        used, bind, _, _, _, self._passes = _shape(kinds, dim)
         if len(self.weights) != used:
             raise ValueError(f"the weight pool holds {len(self.weights)}, "
                              f"the weighted leaves take {used}")
@@ -555,7 +628,15 @@ class Program:
             raise ValueError(
                 f"expected {self.dim} coordinates, got {len(u)} and {len(v)}"
             )
-        return self._residual_at(code, a, b, u, self._relation_base(code, u), v)
+        # _relation_base's pass at u, then the relation's numbers at v
+        if code == R_ISOSCELES:
+            return _RESIDUAL[code](a, b, None, self._value(tuple(map(operator.add, u, v))),
+                                   self._value(tuple(map(operator.sub, u, v))))
+        if code == R_PYTHAGOREAN:
+            return _RESIDUAL[code](a, b, self._value(u),
+                                   self._value(tuple(map(operator.sub, u, v))), self._value(v))
+        val, dp, dm = self._dirs(u, self._value(u, True), v)
+        return _RESIDUAL[code](a, b, val, val * dm, val * dp)
 
     def _relation_base(self, code, u):
         """The base pass of relation code at u: the base pass for the
@@ -567,31 +648,44 @@ class Program:
             return self._value(u)
         return self._value(u, True)
 
-    def _residual_at(self, code, a, b, u, base, v) -> float:
-        # the direction pass along v, from _relation_base's pass at u
-        if code == R_ISOSCELES:
-            return _RESIDUAL[code](a, b, None, self._value(tuple(map(operator.add, u, v))),
-                                   self._value(tuple(map(operator.sub, u, v))))
-        if code == R_PYTHAGOREAN:
-            return _RESIDUAL[code](a, b, base, self._value(tuple(map(operator.sub, u, v))),
-                                   self._value(v))
-        val, dp, dm = self._dirs(u, base, v)
-        return _RESIDUAL[code](a, b, val, val * dm, val * dp)
+    def _pass(self, name):
+        """Pass name of this Program's tape shape (see _source), compiled
+        at its first use by any Program of the shape."""
+        passes = self._passes
+        fn = passes.get(name)
+        if fn is None:
+            kinds, dim = self.kinds, self.dim
+            _, _, left, right, woff, _ = _shape(kinds, dim)
+            # circle_residual reads N at two points through values
+            names = {"values": self._pass("values")} if name == "circle_residual" else {}
+            fn = passes[name] = _compiled(kinds, dim, left, right, woff, name, **names)
+        return fn
 
     def _values(self, points) -> list:
         """N at each point: one loop at dim 2, value at each point elsewhere."""
-        if self._loops is None:
+        if self.dim != 2:
             return list(map(self._value, points))
-        return self._loops[0](self.params, self.weights, points)
+        return self._pass("values")(self.params, self.weights, points)
 
     def _directions(self, u, base, points):
         """The columns (N(u) D-, N(u) D+) along each point, from base, the
         base pass at u of a planar Program, in one loop."""
-        return self._loops[1](self.params, self.weights, self._value, u, base, points)
+        return self._pass("directions")(self.params, self.weights, self._value, u, base, points)
+
+    def _circle_residual(self, code, a, b, u, base):
+        """theta -> residual(code, a, b, u, circle(theta)) from base,
+        _relation_base's pass at u, one generated frame a step; a Program
+        of another dim gets its circle, which raises at the first step, as
+        circle does."""
+        if self.dim != 2:
+            return self.circle
+        return self._pass("circle_residual")(self.params, self.weights, self._value, u, base,
+                                             _RESIDUAL[code], a, b, code)
 
     def _residual_column(self, code, a, b, u, base, xs, ys) -> list:
-        """_residual_at at each point (xs[j], ys[j]), each pass run once in
-        one loop over the points."""
+        """residual(code, a, b, u, (xs[j], ys[j])) at each point from base,
+        _relation_base's pass at u, each pass run once in one loop over the
+        points."""
         if code == R_ISOSCELES:
             return _COLUMN[code](a, b, None, self._values(_shifted(operator.add, u, xs, ys)),
                                  self._values(_shifted(operator.sub, u, xs, ys)))
@@ -631,25 +725,8 @@ class Program:
         """
         code, a, b, u = self._sweep_args(code, a, b, u)
         lo, f_lo, hi, width = _double(lo), _double(f_lo), _double(hi), _double(width)
-        residual = functools.partial(self._residual_at, code, a, b, u,
-                                     self._relation_base(code, u))
-        return self._bisect(residual, lo, f_lo, hi, width)
-
-    def _bisect(self, residual, lo, f_lo, hi, width) -> float:
-        # crossing's bisection; residual is v -> _residual_at(..., v) with
-        # the base pass at u already run
-        while hi - lo > width:
-            mid = 0.5 * (lo + hi)
-            if not lo < mid < hi:
-                break
-            f_mid = residual(self.circle(mid))
-            if f_mid == 0.0:
-                return mid
-            if (f_mid > 0.0) == (f_lo > 0.0):
-                lo, f_lo = mid, f_mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
+        at = self._circle_residual(code, a, b, u, self._relation_base(code, u))
+        return _bisect(at, lo, f_lo, hi, width)
 
     def locus(self, code, a, b, u, resolution, width, point):
         """Rows (theta, x, y, residual, is_zero_crossing) along the planar unit circle.
@@ -667,7 +744,7 @@ class Program:
         if not (isinstance(point, type) and issubclass(point, tuple)):
             raise TypeError(f"point must be a tuple subclass, got {point!r}")
         base = self._relation_base(code, u)
-        residual = functools.partial(self._residual_at, code, a, b, u, base)
+        at = None
         step = 2.0 * math.pi / resolution
         thetas = list(map(operator.mul, range(resolution), repeat(step)))
         xs, ys = _ring(self, resolution)
@@ -679,9 +756,10 @@ class Program:
         for j in compress(range(resolution), map(operator.ne, above, above[1:] + above[:1])):
             res, nxt = residuals[j], residuals[(j + 1) % resolution]
             if res != 0.0 and nxt != 0.0:
-                cross = self._bisect(residual, thetas[j], res, thetas[j] + step, width)
+                at = at or self._circle_residual(code, a, b, u, base)
+                cross = _bisect(at, thetas[j], res, thetas[j] + step, width)
                 x = self.circle(cross)
-                row = tuple.__new__(point, (cross, x[0], x[1], residual(x), True))
+                row = tuple.__new__(point, (cross, x[0], x[1], at(cross), True))
                 # after point j's row, past the rows spliced in before it
                 points.insert(len(points) - resolution + j + 1, row)
         return points
@@ -712,7 +790,6 @@ class Program:
                 or not isinstance(circle.__self__, Program)):
             raise TypeError("circle must be the bound circle of a Program of the same backend")
         rows = self._matrix(matrix, 2)
-        value = self._value
         step = 2.0 * math.pi / 1024
         xs, ys = _ring(circle.__self__, 1024)
         # each image row as a column: one add per point, the exact sum
@@ -731,8 +808,8 @@ class Program:
         best_j = gains.index(best) if best != -1.0 else 0
         theta0 = best_j * step
         # negation is exact, so minimizing -gain takes the branches maximizing gain would
-        theta, lowest = _golden(lambda t: -value(_row_sums(rows, circle(t))),
-                                theta0 - step, theta0 + step, 80)
+        loss = self._pass("gain")(self.params, self.weights, circle.__self__._value, rows)
+        theta, lowest = _golden(loss, theta0 - step, theta0 + step, 80)
         norm = -lowest
         if not norm >= best:
             norm, theta = best, theta0
@@ -790,10 +867,27 @@ def _shifted(op, u, xs, ys):
 
 def _row_sums(rows, x) -> tuple:
     """M x as a tuple, from the rows of M and x already read as doubles, each
-    row summed by math.fsum: the row sum of image and of the operator_norm
-    refinement.  The C twin's fsum_row calls the same math.fsum, but for a
-    finite two-term sum, which it takes with one add (the same double)."""
+    row summed by math.fsum: image's row sum.  The C twin's fsum_row calls
+    the same math.fsum, but for a finite two-term sum, which it takes with
+    one add (the same double)."""
     return tuple([math.fsum(map(operator.mul, row, x)) for row in rows])
+
+
+def _bisect(at, lo, f_lo, hi, width) -> float:
+    """The only copy of the crossing bisection (see crossing), at the
+    residual at circle(theta), one call a step."""
+    while hi - lo > width:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        f_mid = at(mid)
+        if f_mid == 0.0:
+            return mid
+        if (f_mid > 0.0) == (f_lo > 0.0):
+            lo, f_lo = mid, f_mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def _double(x) -> float:

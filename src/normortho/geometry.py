@@ -198,13 +198,19 @@ def smoothness_probe(ast: NormAst, cfg: SampleConfig) -> ProbeReport:
     Deterministic corner pairs run first because non-smooth sets have
     measure zero and random draws never land on them; random pairs fill
     the remaining budget.  A witness is a pair with
-    rho_+ - rho_- > 1e-7 norm(u) norm(v).
+    rho_+ - rho_- > 1e-7 norm(u) norm(v).  A NaN or infinite gap or
+    threshold comes from an overflow at huge scales: it raises ValueError,
+    "the smoothness probe overflows at this scale".
     """
     prog = get_program(ast)
     for used, (u, v) in enumerate(_probe_pairs(prog, ast.dim, cfg), 1):
         rm, rp = _rho_pair(prog, u, v)
         gap = rp - rm
-        if gap > 1e-7 * prog.value(u) * prog.value(v):
+        threshold = 1e-7 * prog.value(u) * prog.value(v)
+        # one test for a passing pair: false for a witness and for NaN or inf
+        if not gap <= threshold < math.inf:
+            if not (math.isfinite(gap) and math.isfinite(threshold)):
+                raise ValueError("the smoothness probe overflows at this scale")
             return ProbeReport("witness-found", u, v, gap, used)
     return ProbeReport("pass", None, None, None, cfg.count)
 

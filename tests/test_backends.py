@@ -364,9 +364,14 @@ def test_generated_passes_match_the_interpreter(part):
                     assert scan == next((w for w in want if isinstance(w, tuple)), want)
 
 
+# the passes _kernels_py._source writes for a planar shape
+_PASSES = ("bind", "gain", "values", "directions", "circle_residual")
+
+
 def test_shapes_share_one_factory_and_hold_no_numbers():
     # two tapes of one shape, every parameter and weight distinct: one
-    # cached factory, one source, and no number of either tape in it
+    # cached factory, one copy of each pass, and no number of either tape
+    # in any pass's source
     one = parse_norm("max(sum(wlp(1.5; 1.1234567, 2.7654321), l1), scale(0.6180339, l2))", 2)
     two = parse_norm("max(sum(wlp(3.25; 0.3141592, 9.8765432), l1), scale(1.4142135, l2))", 2)
     (kinds, params, weights, dim), tape = compile_ast(one), compile_ast(two)
@@ -374,12 +379,38 @@ def test_shapes_share_one_factory_and_hold_no_numbers():
     first, second = _kernels_py.Program(kinds, params, weights, dim), _kernels_py.Program(*tape)
     for name in ("_value", "_dirs", "_line"):
         assert getattr(first, name).__code__ is getattr(second, name).__code__
-    source = _kernels_py._shape(kinds, dim)[-1]
-    assert _kernels_py._shape(tape[0], dim)[-1] is source
+    shape = _kernels_py._shape(kinds, dim)
+    assert _kernels_py._shape(tape[0], dim) is shape
+    for name in _PASSES[1:]:
+        assert first._pass(name) is second._pass(name) is shape[-1][name], name
     numbers = {x for x in params + weights + tape[1] + tape[2] if x not in (0.0, 1.0)}
     assert len(numbers) == 8
-    for x in numbers:
-        assert repr(x) not in source and str(x)[:5] not in source
+    for name in _PASSES:
+        source = _kernels_py._source(kinds, dim, *shape[2:5], name)
+        assert f"def {name}(" in source
+        for x in numbers:
+            assert repr(x) not in source and str(x)[:5] not in source, name
+
+
+def test_a_shape_compiles_each_pass_at_its_first_use():
+    # a new shape compiles bind alone; a value or a derivative compiles
+    # nothing more, and each sweep or search its own passes, once
+    _kernels_py._shape.cache_clear()
+    prog = _kernels_py.Program(*compile_ast(gen_ast(SplitMix64(77), 2, 3)))
+    prog.value((0.5, -1.0))
+    prog.derivs((0.5, -1.0), (1.0, 0.25))
+    prog.residual(3, 0.0, 0.0, (0.5, -1.0), (1.0, 0.25))
+    assert prog._passes == {}
+    u = (0.6, -0.35)
+    prog.residuals(3, 0.0, 0.0, u, 16)
+    assert set(prog._passes) == {"values", "directions"}
+    prog.crossing(3, 0.0, 0.0, u, 0.0, 1.0, 1.0, 1e-3)
+    assert set(prog._passes) == {"values", "directions", "circle_residual"}
+    passes = dict(prog._passes)
+    prog.operator_norm(prog.circle, ((1.0, 0.5), (-0.5, 1.0)))
+    assert set(prog._passes) == {"values", "directions", "circle_residual", "gain"}
+    prog.crossing(3, 0.0, 0.0, u, 0.0, 1.0, 1.0, 1e-3)
+    assert all(prog._passes[name] is fn for name, fn in passes.items())
 
 
 @pytest.mark.parametrize("backend", ["_kernels_py", "_kernels"], indirect=True)
@@ -987,9 +1018,8 @@ def test_only_planar_shapes_have_loop_passes():
     for dim in (3, 5, 6):
         prog = _kernels_py.Program(*compile_ast(gen_ast(SplitMix64(dim), dim, 3)))
         points = [tuple(0.5 * j - k for j in range(dim)) for k in range(4)]
-        assert prog._loops is None
         assert prog._values(iter(points)) == [prog.value(x) for x in points]
-        assert "def values" not in _kernels_py._shape(prog.kinds, dim)[-1]
+        assert not {"values", "directions"} & set(prog._passes)
 
 
 # -- planar loci ---------------------------------------------------------------
@@ -1133,6 +1163,159 @@ def test_crossing_ends_on_an_exact_zero_midpoint(backend):
     f_lo = prog.residual(program.R_RHO, 0.0, 0.0, u, prog.circle(-1.0))
     assert f_lo < 0.0
     assert prog.crossing(program.R_RHO, 0.0, 0.0, u, -1.0, f_lo, 1.0, 1e-12) == 0.0
+
+
+# -- the step evaluators, against the per-step chains they replaced ------------
+
+def crossing_reference(ref, code, a, b, u, lo, f_lo, hi, width):
+    """Program.crossing as the pure twin took each step before it had step
+    evaluators, in plain Python on ref, an interpreter_reference:
+    circle_reference at the midpoint, then residual_reference there, and
+    the stop at a midpoint that is not strictly inside."""
+    while hi - lo > width:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        f_mid = residual_reference(ref, code, a, b, u, circle_reference(ref, mid))
+        if f_mid == 0.0:
+            return mid
+        if (f_mid > 0.0) == (f_lo > 0.0):
+            lo, f_lo = mid, f_mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+class _ChainProgram:
+    """circle and residual of the per-step chain, on an
+    interpreter_reference: what locus_reference reads."""
+
+    def __init__(self, ref):
+        self.ref = ref
+        self.value = ref.value
+
+    def circle(self, theta):
+        return circle_reference(self.ref, theta)
+
+    def residual(self, code, a, b, u, v):
+        return residual_reference(self.ref, code, a, b, u, v)
+
+
+# the planar trees the step evaluators are pinned on: every family and
+# composite, and seeded random trees
+_STEP_TREES = ([parse_norm(f, 2) for f in FAMILIES + COMPOSITES]
+               + [gen_ast(SplitMix64(500 + seed), 2, 4) for seed in range(12)])
+# the origin (semi's zero vector), the axis points of the l1 and linf kinks
+# (and (0, 1), where rho towards the circle point at theta 0 is an exact
+# zero on every norm symmetric in y), and one off both axes
+_STEP_BASES = ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (0.6, -0.35))
+_STEP = 2.0 * math.pi / 8
+# brackets: each eighth of the circle, the bracket of [-1, 1] whose first
+# midpoint is 0, and brackets of adjacent doubles and of doubles two apart
+_BRACKETS = ([(j * _STEP, (j + 1) * _STEP) for j in range(8)]
+             + [(-1.0, 1.0), (1.0, math.nextafter(1.0, 2.0)),
+                (1.0, math.nextafter(math.nextafter(1.0, 2.0), 2.0))])
+
+
+@pytest.mark.parametrize("part", range(4))
+def test_step_residuals_keep_the_per_step_chains_bits(part):
+    # the pure twin's crossing and its step evaluator, for every relation
+    # code, bit for bit and error for error (semi's texts and order
+    # included) against the chain circle -> residual it replaced
+    errors = set()
+    for ast in _STEP_TREES[part::4]:
+        prog = _kernels_py.Program(*compile_ast(ast))
+        ref = interpreter_reference(*tape_reference(ast))
+        for code in CODES:
+            for u in _STEP_BASES:
+                at = prog._circle_residual(code, 0.3, 0.5, u, prog._relation_base(code, u))
+                for lo, hi in _BRACKETS:
+                    for theta in (lo, 0.5 * (lo + hi)):
+                        want = _outcome(residual_reference, ref, code, 0.3, 0.5, u,
+                                        circle_reference(ref, theta))
+                        assert _outcome(at, theta) == want, (print_norm(ast), code, u, theta)
+                    for f_lo, width in ((1.0, 1e-12), (-1.0, 0.0)):
+                        args = (code, 0.3, 0.5, u, lo, f_lo, hi, width)
+                        got = _outcome(prog.crossing, *args)
+                        assert got == _outcome(crossing_reference, ref, *args), (print_norm(ast), args)
+                        if isinstance(got, tuple):
+                            errors.add(got[0])
+    assert errors == {"NonSmoothPointError", "ZeroVectorError"}, errors
+
+
+@pytest.mark.parametrize("part", range(2))
+def test_locus_crossings_keep_the_per_step_chains_bits(part):
+    # each crossing row's theta, point and residual, against the chain
+    crossings = 0
+    for ast in _STEP_TREES[part::2]:
+        prog = _kernels_py.Program(*compile_ast(ast))
+        chain = _ChainProgram(interpreter_reference(*tape_reference(ast)))
+        for code in CODES:
+            for u in _STEP_BASES[1:]:
+                args = (code, 0.3, 0.5, u, 24, 1e-12)
+                got = _rows(prog.locus, *args, LocusPoint)
+                want = _rows(lambda: [LocusPoint._make(r) for r in locus_reference(chain, *args)])
+                assert got == want, (print_norm(ast), args)
+                crossings += len(got) - 24 if isinstance(got, list) else 0
+    assert crossings > 0
+
+
+class _ChainImage:
+    """A codomain as the refinement's per-step chain read it: an
+    interpreter_reference's value, and each row of M x summed by fsum."""
+
+    def __init__(self, columns):
+        self.value = interpreter_reference(*columns).value
+
+    image = staticmethod(_image_reference)
+
+
+# codomains of 1, 2, 3 and 4 rows, whose gain is unrolled, and of 5 and 6
+# rows, whose gain loops over them
+_GAIN_DIMS = (1, 2, 3, 4, 5, 6)
+# rows whose products or sums overflow, so that the refinement's rows reach
+# fsum: an overflowing sum, inf + -inf, a lone inf, inf * 0 and NaN
+_FSUM_ROWS = ((1.7e308, 1.7e308), (1e308, -1e308), (1e200, 1.0), (math.inf, 0.0),
+              (math.nan, 1.0))
+
+
+def _gain_matrices(dim, draws):
+    """Random matrices of dim rows, some with a row of _FSUM_ROWS, first or last."""
+    out = [tuple(draws.vector(2, -3.0, 3.0) for _ in range(dim)) for _ in range(2)]
+    for row in _FSUM_ROWS:
+        rest = [draws.vector(2, -3.0, 3.0) for _ in range(dim - 1)]
+        out += [tuple([row] + rest), tuple(rest + [row])]
+    return out
+
+
+@pytest.mark.parametrize("dim", _GAIN_DIMS)
+def test_operator_norm_gain_keeps_the_per_step_chains_bits(dim):
+    # the refinement's gain evaluator at the grid's and golden's thetas and
+    # the whole pure operator_norm, bit for bit and error for error, against
+    # the chain -cod.value(fsum rows of circle(theta)) it replaced
+    draws = SplitMix64(60 + dim)
+    doms = _STEP_TREES[dim::3]
+    # l2 on one coordinate is the raw tape: no norm expression has dim 1
+    cods = ([(_L2_DIM1, ((0,), (0.0,), (0,), (), (-1,), (-1,), 1))] if dim == 1 else
+            [(compile_ast(ast), tape_reference(ast)) for ast in
+             [parse_norm("l2", dim), parse_norm("max(l1, linf)", dim)]
+             + [gen_ast(SplitMix64(700 + dim * 10 + k), dim, 3) for k in range(2)]])
+    for k, (tape, columns) in enumerate(cods):
+        cod = _kernels_py.Program(*tape)
+        chain = _ChainImage(columns)
+        for dom_ast in doms[k::len(cods)] + [parse_norm("l2", 2)]:
+            dom = _kernels_py.Program(*compile_ast(dom_ast))
+            dom_ref = interpreter_reference(*tape_reference(dom_ast))
+            circle = functools.partial(circle_reference, dom_ref)
+            for matrix in _gain_matrices(dim, draws):
+                rows = [tuple(map(float, row)) for row in matrix]
+                gain = cod._pass("gain")(cod.params, cod.weights, dom._value, rows)
+                for theta in (0.0, 0.7, 2.0, -1.25, 4.5):
+                    want = _outcome(lambda t: -chain.value(chain.image(matrix, circle(t))), theta)
+                    assert _outcome(gain, theta) == want, (tape, matrix, theta)
+                assert (_norm_outcome(cod.operator_norm, dom.circle, matrix)
+                        == _norm_outcome(operator_norm_reference, circle, chain, matrix)), (
+                    tape, print_norm(dom_ast), matrix)
 
 
 class _Row(tuple):

@@ -138,6 +138,14 @@ class TestExitCodes:
         assert err == "normortho: the symmetry search overflows at this scale\n"
 
     @BACKENDS
+    def test_overflowing_smoothness_probe_exits_one_with_one_line(self, package_backend, capsys):
+        # 236 of the 300 gaps are NaN here, and the probe used to print a pass
+        code, out, err = _run(capsys, "probe", "--kind", "smoothness", "--norm", "l2",
+                              "--samples", "300", "--scale", "1e200")
+        assert (code, out) == (1, "")
+        assert err == "normortho: the smoothness probe overflows at this scale\n"
+
+    @BACKENDS
     def test_overflowing_audit_exits_one_with_one_line(self, package_backend, capsys):
         # most samples overflow a homogeneity or triangle defect to NaN or
         # +inf, which no bound keeps, and the audit used to report 0

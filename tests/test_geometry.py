@@ -231,6 +231,24 @@ class TestSmoothnessProbe:
         assert got.verdict == "witness-found"
         assert got.samples_used <= 80
 
+    @BACKENDS
+    @pytest.mark.parametrize("family", ["l2", "lp(3)", "wlp(2; 1, 4)", "scale(0.7, l2)"])
+    def test_overflow_raises(self, package_backend, family):
+        # at this scale most random pairs' gap or threshold is NaN or inf,
+        # which no comparison keeps: the probe used to report a pass
+        cfg = SampleConfig(seed=0, count=300, scale=1e200)
+        with pytest.raises(ValueError, match="^the smoothness probe overflows at this scale$"):
+            smoothness_probe(parse_norm(family, 2), cfg)
+
+    @BACKENDS
+    def test_finite_gaps_keep_their_verdicts_at_large_scales(self, package_backend):
+        # a witness among the unit corners is found before any huge draw,
+        # and draws whose products stay finite still pass
+        cfg = SampleConfig(seed=0, count=300, scale=1e200)
+        assert smoothness_probe(parse_norm("l1", 2), cfg).verdict == "witness-found"
+        cfg = SampleConfig(seed=0, count=300, scale=1e100)
+        assert smoothness_probe(parse_norm("l2", 2), cfg).verdict == "pass"
+
 
 class TestStrictConvexityProbe:
     @pytest.mark.parametrize("family", ["l2", "lp(3)", "lp(1.5)", "lp(4)"])

@@ -1217,10 +1217,18 @@ static PyObject *Program_crossing(Program *self, PyObject *const *args, Py_ssize
 }
 
 /* A new point row of 5 items, allocated as tuple.__new__(point, ...)
-   allocates it; NULL with an exception set. */
+   allocates it; NULL with an exception set.  The row is untracked by the
+   cyclic GC: its items are floats and bools, so no cycle can pass through
+   it, and CPython never untracks a tuple subclass's row (such as a named
+   tuple's) itself, so every collection would traverse every live row.  A
+   point type with an instance __dict__ (tp_dictoffset != 0) keeps its
+   rows tracked: an attribute set later could close a cycle through one. */
 static PyObject *new_row(PyTypeObject *point)
 {
-    return point == &PyTuple_Type ? PyTuple_New(5) : point->tp_alloc(point, 5);
+    PyObject *row = point == &PyTuple_Type ? PyTuple_New(5) : point->tp_alloc(point, 5);
+    if (row != NULL && point->tp_dictoffset == 0)
+        PyObject_GC_UnTrack(row);
+    return row;
 }
 
 /* A new point row (theta, x, y, residual, crossing) of new floats: a

@@ -737,6 +737,12 @@ class Program:
         direction pass per point as residuals takes them; each strict sign
         change to the next point (cyclically) is bisected by crossing's
         search to within width and its row spliced in after the point's.
+
+        The rows stay tracked by the cyclic GC: Python has no call that
+        untracks an object, and CPython untracks only an exact tuple's, at
+        its first collection.  The compiled twin untracks each row whose
+        point type has no instance __dict__ when it builds it, so
+        gc.is_tracked is the only way the twins' rows differ.
         """
         code, a, b, u = self._sweep_args(code, a, b, u)
         resolution = _count(resolution, "resolution", 1)

@@ -80,7 +80,9 @@ class ExtremeEstimate(NamedTuple):
     unbounded: bool = False
 
 
-def _angle(prog, u: Vector, v: Vector, ab: AlphaBeta) -> AngleResult:
+def _angle(prog, u: Vector, v: Vector, ab: AlphaBeta) -> tuple[float, float]:
+    """(theta, raw cosine argument); the samplers read theta alone, so the
+    AngleResult record is built only where it is returned."""
     val, dp, dm = prog.derivs(u, v)
     nv = prog.value(v)
     if val == 0.0 or nv == 0.0:
@@ -93,7 +95,7 @@ def _angle(prog, u: Vector, v: Vector, ab: AlphaBeta) -> AngleResult:
                              "overflow at this scale")
         raise EngineError(f"cosine argument {raw!r} is out of range beyond roundoff")
     clamped = min(1.0, max(-1.0, raw))
-    return AngleResult(math.acos(clamped), raw)
+    return math.acos(clamped), raw
 
 
 def angle_ab(ast: NormAst, u, v, ab: AlphaBeta) -> AngleResult:
@@ -107,7 +109,7 @@ def angle_ab(ast: NormAst, u, v, ab: AlphaBeta) -> AngleResult:
     """
     prog = get_program(ast)
     uu, vv = prog.vectors(u, v)
-    return _angle(prog, uu, vv, ab)
+    return AngleResult._make(_angle(prog, uu, vv, ab))
 
 
 # smallest positive normal double: below it a product keeps fewer bits
@@ -137,10 +139,10 @@ def angle_homogeneity_check(ast: NormAst, u, v, a: float, b: float,
             if c != 0.0 and not _NORMAL_MIN <= abs(s) < math.inf:
                 raise ValueError(f"{name} = {factor!r} scales a coordinate out of the "
                                  f"normal float range")
-    lhs = _angle(prog, scaled_u, scaled_v, ab).theta
+    lhs = _angle(prog, scaled_u, scaled_v, ab)[0]
     if a * b > 0.0:
-        return abs(lhs - _angle(prog, uu, vv, ab).theta)
-    return abs(lhs - (math.pi - _angle(prog, uu, vv, ab.swapped).theta))
+        return abs(lhs - _angle(prog, uu, vv, ab)[0])
+    return abs(lhs - (math.pi - _angle(prog, uu, vv, ab.swapped)[0]))
 
 
 def angular_constant(ast1: NormAst, ast2: NormAst, ab: AlphaBeta,
@@ -164,8 +166,8 @@ def angular_constant(ast1: NormAst, ast2: NormAst, ab: AlphaBeta,
     witness = (None, None)
     skipped = 0
     for used, (u, v) in enumerate(islice(pairs, cfg.count), 1):
-        t1 = _angle(prog1, u, v, ab).theta
-        t2 = _angle(prog2, u, v, ab).theta
+        t1 = _angle(prog1, u, v, ab)[0]
+        t2 = _angle(prog2, u, v, ab)[0]
         if t1 < 1e-9:
             if t2 >= 1e-6:
                 return ExtremeEstimate(math.inf, u, v, used, skipped, unbounded=True)

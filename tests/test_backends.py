@@ -1837,6 +1837,7 @@ def test_warm_locus_calls_hold_nothing(compiled_kernels):
     unkept = kept[:4] + (2048,) + kept[5:]
     boxes = prog.locus(*kept)[0][:3]
     refs = [sys.getrefcount(box) for box in boxes]
+    point_refs = sys.getrefcount(LocusPoint)
     for _ in range(20):
         prog.locus(*kept)
         prog.locus(*unkept)
@@ -1854,3 +1855,26 @@ def test_warm_locus_calls_hold_nothing(compiled_kernels):
         tracemalloc.stop()
     assert grown < 4096, grown
     assert [sys.getrefcount(box) for box in boxes] == refs
+    # each named-tuple row holds its type; untracked rows give it back too
+    assert sys.getrefcount(LocusPoint) == point_refs
+
+
+class _Attributed(tuple):
+    """A point type whose rows have an instance __dict__."""
+
+
+@pytest.mark.parametrize("point", [LocusPoint, tuple, _Attributed],
+                         ids=["LocusPoint", "tuple", "dict"])
+def test_locus_rows_are_untracked_unless_they_have_a_dict(point, pair):
+    # grid and crossing rows hold only floats and bools, so no cycle can
+    # pass through them and the compiled twin untracks them from the cyclic
+    # GC; a row with a __dict__ could close one through an attribute set
+    # later, so it stays tracked.  The bits are the pure twin's either way
+    fast, slow = pair(parse_norm(COMPOSITES[3], 2))
+    args = (3, 0.3, 0.5, (0.6, -0.35), 720, 1e-12, point)
+    rows = fast.locus(*args)
+    assert len(rows) > 720  # 720 grid rows and a bisected crossing's
+    for _ in ("built", "collected"):
+        assert {gc.is_tracked(row) for row in rows} == {point is _Attributed}
+        gc.collect()
+    assert _rows(lambda: rows) == _rows(slow.locus, *args)

@@ -75,33 +75,49 @@ lp unit weights).  `_VALUE` here and `value_of` in the C twin hold the
 only copy of each leaf formula.
 
 The C twin interprets the tape node by node.  This twin runs straight-line
-Python instead, generated once per tape shape (kinds, dim) and process:
-`_source` writes the value pass, which with coefs is the base pass, the
-direction pass and a line evaluator from the per-kind templates `_VALUE`
-and `_DIRECTION`, node by node in tape order, with the coordinates
-unrolled up to dim `_UNROLL` and looped over above it.  Each template
-keeps the C twin's operations in its order.  For a planar shape it also
-writes two loop passes from the same lines: `values`, N at each of a
-sequence of points, and `directions`, the columns N(u) D- and N(u) D+
-along each point from one base pass.  residuals, the locus grid, the ring
-build and operator_norm's 1024 gains each run one such loop, and each
-relation's formula (`_FORMULAS`) is compiled twice, for one point and
-over the columns, so a planar sweep makes no Python call per grid point.
-It writes two step evaluators too, each a function of the shape that
-returns an at(theta) closure, built once per search call: for a planar
-shape `circle_residual`, the residual at circle(theta) with circle's
-value pass and the direction pass inline (isosceles and pythagorean make
-one values call), which the crossing bisection (`_bisect`) steps on; and
-for a codomain of any dim `gain`, -N(M circle(theta)) with the image's
-value pass inline, which operator_norm's golden refinement steps on.  So
-each step is one generated frame.  The shape's Programs share every pass,
-each call reading its Program's params and weights once.  `_shape` runs
-bind's source once into a bounded cache, and each Program binds its
-one-point passes to its own params and weights at load; every other pass
-is compiled at its first use by any Program of the shape
-(`Program._pass`), so a process that only takes values and derivatives
-compiles none of them.  The text holds only kinds, node indices, dim and
-two relation codes, never a number of the tape.
+Python instead, generated once per tape shape (kinds, dim) and process by a
+`_Shape`, which the bounded cache `_shape` holds.  Its constructor runs the
+stack pass and writes, from the per-kind templates `_VALUE` and
+`_DIRECTION`, node by node in tape order, the text every pass shares, once:
+the value pass at a point z (N_i(z) into n{i}), the direction pass along x
+from a base pass at u, the node values that base pass holds, and the tape
+numbers each piece reads.  The coordinates are unrolled up to dim `_UNROLL`
+and looped over above it, and each template keeps the C twin's operations
+in its order.  Each pass is a head, the pieces it runs and a tail; P and W
+are a tape's params and weights, which it reads once per call:
+
+- `bind(P, W)`: a tape's (value, dirs, line).  value(z) is N(z) and
+  value(z, True) the base pass: the node values dirs reads, then each
+  wlp(p) leaf's coefficients (None where the leaf is 0, and everywhere
+  for value(z, False)).  dirs(u, B, x) is derivs from B, the base pass at
+  u, and line(u, x) is line_evaluator's phi.
+- `values(P, W, points)`: the list of N at each point, in one loop.
+- `directions(P, W, value, u, B, points)`: the columns (N(u) D-, N(u) D+)
+  along each point from one base pass B at u, with the bound value for a
+  leaf that is 0 at u, in one loop.
+- `circle_residual(P, W, value, u, B, formula, a, b, kind)`, planar:
+  at(theta), the residual of relation kind at circle(theta) from B,
+  `_relation_base`'s pass at u: formula (a `_RESIDUAL` lambda) of the
+  numbers the relation reads there, with circle's value pass and the
+  direction pass inline (isosceles and pythagorean read N at their two
+  points with one values call).  at(theta, True) is (residual, x, y),
+  (x, y) = circle(theta): a crossing row's numbers, from one value pass.
+- `gain(P, W, dvalue, rows)`: at(theta), -N(M x) at x, the domain circle's
+  point (dvalue is the domain's bound value), each row (r0, r1) of M
+  summed with one add while every row of M x sums finitely, else with
+  math.fsum, row by row.
+
+residuals, the locus grid, the ring build and operator_norm's 1024 gains
+each run one loop pass, and each relation's formula (`_FORMULAS`) is
+compiled twice, for one point and over the columns, so a planar sweep makes
+no Python call per grid point.  The crossing bisection (`_bisect`) steps on
+circle_residual and operator_norm's golden refinement on gain, so each step
+is one generated frame.  The shape's constructor compiles bind, which each
+Program binds to its own params and weights at load; every other pass is
+compiled at its first use by any Program of the shape, into the shape's one
+namespace, so a process that only takes values and derivatives compiles
+none of them.  The text holds only kinds, node indices, dim and two
+relation codes, never a number of the tape.
 
 SplitMix64 is the seeded random stream; both twins draw the same bits.
 """
@@ -236,7 +252,7 @@ if n{i} == 0.0:
     dm{i} = -V[{k}]
 else:"""
 # the sequence each coordinate column is read from in a loop
-_SEQS = {"u": "u", "a": "a", "x": "v", "w": "W{i}", "c": "C{i}"}
+_SEQS = {"u": "u", "a": "a", "x": "x", "w": "W{i}", "c": "C{i}"}
 
 
 def _unrolled(dim) -> bool:
@@ -302,176 +318,156 @@ def _lines(template, dim, point="u", **fields) -> list:
     return _expand(template, dim, point).format(**fields).split("\n")
 
 
-def _source(kinds, dim, left, right, woff, name) -> str:
-    """The source of the pass name of a tape shape: bind or gain at any
-    dim, values, directions or circle_residual at dim 2 (the planar loop
-    passes and step evaluator).  _shape compiles bind, and Program._pass
-    each other pass at its first use.  P and W are a tape's params and
-    weights; each pass reads them once per call,
-    so a Program holds no closure of its own for the loop passes and the
-    step evaluators.  Only kinds, node indices, dim and the relation codes
-    R_ISOSCELES and R_PYTHAGOREAN appear in the text.
-
-    - bind(P, W) returns a tape's (value, dirs, line).  value(u) is N(u)
-      and value(u, True) the base pass: the node values dirs reads, then
-      each wlp(p) leaf's coefficients (None where the leaf is 0, and
-      everywhere for value(u, False)).
-    - values(P, W, points) is the list of N at each point, in one loop.
-    - directions(P, W, value, u, B, points) is the columns (rm, rp),
-      N(u) D- and N(u) D+ at each point v, from one base pass B at u, with
-      the bound value for a leaf that is 0 at u, in one loop.
-    - circle_residual(P, W, value, u, B, formula, a, b, kind) returns
-      at(theta), the residual of relation kind at circle(theta) from B,
-      _relation_base's pass at u: formula (a _RESIDUAL lambda) of the
-      numbers the relation reads there, with circle's and the direction
-      pass's operations in their order.  isosceles and pythagorean read N
-      at their two points with one values call.
-    - gain(P, W, dvalue, rows) returns at(theta), -N(M x) at x, the
-      domain circle's point (dvalue is the domain's bound value), each
-      row (r0, r1) of M summed with one add while every row of M x sums
-      finitely, else with math.fsum, row by row.
-    """
-    last = len(kinds) - 1
-    lazy = [i for i, k in enumerate(kinds) if k in (K_L2, K_WLPINF, K_WLPP)]
-    wlpp = [i for i in lazy if kinds[i] == K_WLPP]
-    # the node values dirs reads, the root first, then the pow coefficients
-    kept = [last] + sorted(set(lazy + [c for i, k in enumerate(kinds) if k == K_MAX
-                                       for c in (left[i], right[i])]) - {last})
-    held = "".join(f"n{i}, " for i in kept) + "".join(f"C{i}, " for i in wlpp)
-    # the tape's numbers, as each pass reads them
-    numbers = []
-    for i, k in enumerate(kinds):
-        if k in (K_WLPP, K_SCALE):
-            numbers.append(f"p{i} = P[{i}]")
-        if k == K_WLPP:
-            numbers.append(f"e{i} = p{i} - 1.0")
-        if _ARITY[k] == 0 and k != K_L2:
-            ws = f"W[{woff[i]}:{woff[i] + dim}]"
-            numbers.append(f"{_names(f'w{i}_', dim)} = {ws}" if _unrolled(dim) else f"W{i} = {ws}")
-    unpack = [f"{_names(c, dim)} = {s}" for c, s in (("u", "u"), ("x", "v")) if _unrolled(dim)]
-
-    def value(point):
-        # the value pass at point, into n{i}
-        lines = [f"{_names('a', dim)} = {_each('abs({u})', dim, point)}"]
-        if lazy:
-            lines += _lines("m = 0.0\n@if {a} > m:\n@    m = {a}", dim, point, i=None)
-        for i, k in enumerate(kinds):
-            lines += _lines(_VALUE[k], dim, point, i=i, l=left[i], r=right[i])
-        return lines
-
-    def direction(v):
-        # the direction pass along v from the base pass's held values
-        lines = ["V = None"] if lazy else []
-        for i, k in enumerate(kinds):
-            if i in lazy:
-                lines += _lines(_ZERO, dim, i=i, k=kept.index(i), v=v)
-            lines += _indent(_lines(_DIRECTION[k], dim, i=i, l=left[i], r=right[i]),
-                             int(i in lazy))
-        return lines
-
-    # x0, x1: the point of the planar unit circle at theta, as circle takes it
-    circle = ["c0 = cos(theta)", "c1 = sin(theta)"]
-    if name == "bind":
-        out = ["def bind(P, W):", *_indent(numbers, 1), "    def value(u, coefs=None):",
-               *_indent(unpack[:1] + value("u"), 2), "        if coefs is None:",
-               f"            return n{last}"]
-        for i in wlpp:
-            coefs = _each("{w} * pow({a} / n{i}, e{i}) if {u} != 0.0 else 0.0", dim).format(i=i)
-            out.append(f"        C{i} = {coefs} if coefs and n{i} != 0.0 else None")
-        out += [f"        return {held}", "    def dirs(u, B, v):", *_indent(unpack[:1], 2),
-                f"        {held} = B", *_indent(unpack[1:] + direction("v"), 2),
-                f"        return n{last}, dp{last}, dm{last}",
-                "    def line(u, v):", *_indent(unpack, 2),
-                "        def phi(t):", f"            return value({_each('{u} + t * {x}', dim)})",
-                "        return phi", "    return value, dirs, line"]
-    elif name == "gain":
-        # row i of M x into u{i}, or the list u above _UNROLL
-        if _unrolled(dim):
-            sums = [f"u{i} = M{i}_0 * x0 + M{i}_1 * x1" for i in range(dim)]
-            exact = [f"u{i} = fsum((M{i}_0 * x0, M{i}_1 * x1))" for i in range(dim)]
-            total = " + ".join(f"u{i}" for i in range(dim))
-            head = ["".join(f"(M{i}_0, M{i}_1), " for i in range(dim)) + "= rows"]
-        else:
-            sums = ["u = [r0 * x0 + r1 * x1 for r0, r1 in rows]"]
-            exact = ["u = [fsum((r0 * x0, r1 * x1)) for r0, r1 in rows]"]
-            total, head = "sum(u)", []
-        out = ["def gain(P, W, dvalue, rows):", *_indent(numbers + head, 1),
-               "    def at(theta):", *_indent(circle, 2), "        r = dvalue((c0, c1))",
-               "        x0 = c0 / r", "        x1 = c1 / r", *_indent(sums, 2),
-               f"        if not isfinite({total}):", *_indent(exact, 3),
-               *_indent(value("u"), 2), f"        return -n{last}", "    return at"]
-    elif name == "values":
-        out = ["def values(P, W, points):", *_indent(numbers, 1), "    out = []",
-               "    push = out.append", f"    for {_names('u', dim)} in points:",
-               *_indent(value("u"), 2), f"        push(n{last})", "    return out"]
-    elif name == "directions":
-        out = ["def directions(P, W, value, u, B, points):", *_indent(numbers, 1),
-               *_indent(unpack[:1], 1), f"    {held} = B", "    rm = []", "    rp = []",
-               "    push_m = rm.append", "    push_p = rp.append", "    for v in points:",
-               *_indent(unpack[1:] + direction("v"), 2), f"        push_m(n{last} * dm{last})",
-               f"        push_p(n{last} * dp{last})", "    return rm, rp"]
-    else:
-        out = ["def circle_residual(P, W, value, u, B, formula, a, b, kind):",
-               *_indent(numbers + unpack[:1], 1), "    def at(theta):",
-               *_indent(circle + value("c"), 2),
-               f"        x0 = c0 / n{last}", f"        x1 = c1 / n{last}",
-               f"        if kind == {R_ISOSCELES}:",
-               "            return formula(a, b, B, *values(P, W, ((u0 + x0, u1 + x1), "
-               "(u0 - x0, u1 - x1))))",
-               f"        if kind == {R_PYTHAGOREAN}:",
-               "            return formula(a, b, B, *values(P, W, ((u0 - x0, u1 - x1), (x0, x1))))",
-               f"        {held} = B", *_indent(direction("(x0, x1)"), 2),
-               f"        return formula(a, b, n{last}, n{last} * dm{last}, n{last} * dp{last})",
-               "    return at"]
-    return "\n".join(out + [""])
-
-
 def _indent(lines, depth) -> list:
     return ["    " * depth + ln for ln in lines]
 
 
-@functools.lru_cache(maxsize=256)
-def _shape(kinds, dim):
-    """(weights taken, bind, left, right, woff, passes) of a tape shape;
-    passes holds the shape's other passes, each compiled at its first use
-    (Program._pass).
-
-    One stack pass over the post-order kinds derives each node's children
-    and weight offset and checks the tape; bind's source is then run once
-    per shape and process, and bind binds it to one tape's numbers.
+class _Shape:
+    """A tape shape (kinds, dim), checked, and its passes (see the module
+    docstring): the weights its tapes take (used), each node's children
+    (left, right) and weight offset (woff), and the text its passes share.
     """
-    n = len(kinds)
-    left, right, woff, stack, used = [-1] * n, [-1] * n, [0] * n, [], 0
-    for i, k in enumerate(kinds):
-        if not K_L2 <= k <= K_SCALE:
-            raise ValueError(f"tape node {i}: unknown kind {k}")
-        arity = _ARITY[k]
-        if len(stack) < arity:
-            raise ValueError(f"tape node {i}: kind {k} pops {arity}, "
-                             f"the stack holds {len(stack)}")
-        if arity == 2:
-            right[i] = stack.pop()
-        if arity:
-            left[i] = stack.pop()
-        elif k != K_L2:
-            woff[i] = used
-            used += dim
-        stack.append(i)
-    if len(stack) != 1:
-        raise ValueError(f"tape ends with {len(stack)} values on the stack, not 1")
-    left, right, woff = tuple(left), tuple(right), tuple(woff)
-    return used, _compiled(kinds, dim, left, right, woff, "bind"), left, right, woff, {}
+
+    def __init__(self, kinds, dim):
+        n = len(kinds)
+        left, right, woff, stack, used = [-1] * n, [-1] * n, [0] * n, [], 0
+        for i, k in enumerate(kinds):
+            if not K_L2 <= k <= K_SCALE:
+                raise ValueError(f"tape node {i}: unknown kind {k}")
+            arity = _ARITY[k]
+            if len(stack) < arity:
+                raise ValueError(f"tape node {i}: kind {k} pops {arity}, "
+                                 f"the stack holds {len(stack)}")
+            if arity == 2:
+                right[i] = stack.pop()
+            if arity:
+                left[i] = stack.pop()
+            elif k != K_L2:
+                woff[i] = used
+                used += dim
+            stack.append(i)
+        if len(stack) != 1:
+            raise ValueError(f"tape ends with {len(stack)} values on the stack, not 1")
+        last = n - 1
+        self.used, self.dim, self.last = used, dim, last
+        self.left, self.right, self.woff = tuple(left), tuple(right), tuple(woff)
+        lazy = [i for i, k in enumerate(kinds) if k in (K_L2, K_WLPINF, K_WLPP)]
+        wlpp = [i for i in lazy if kinds[i] == K_WLPP]
+        # the node values dirs reads, the root first, then the pow coefficients
+        kept = [last] + sorted(set(lazy + [c for i, k in enumerate(kinds) if k == K_MAX
+                                           for c in (left[i], right[i])]) - {last})
+        self.held = "".join(f"n{i}, " for i in kept) + "".join(f"C{i}, " for i in wlpp)
+        # the tape's numbers: the value pass reads every p{i} and weight,
+        # the direction pass those of the other kinds than wlp(p), and
+        # bind's coefficients the exponents e{i}
+        self.numbers, self.dir_numbers, exps = [], [], []
+        for i, k in enumerate(kinds):
+            lines = [f"p{i} = P[{i}]"] if k in (K_WLPP, K_SCALE) else []
+            if _ARITY[k] == 0 and k != K_L2:
+                ws = f"W[{woff[i]}:{woff[i] + dim}]"
+                lines.append(f"{_names(f'w{i}_', dim) if _unrolled(dim) else f'W{i}'} = {ws}")
+            self.numbers += lines
+            if k == K_WLPP:
+                exps.append(f"e{i} = p{i} - 1.0")
+            else:
+                self.dir_numbers += lines
+        self.bind_numbers = self.numbers + exps
+        # the value pass at z, into n{i}
+        self.value = [f"{_names('a', dim)} = {_each('abs({u})', dim, 'z')}"]
+        if lazy:
+            self.value += _lines("m = 0.0\n@if {a} > m:\n@    m = {a}", dim, "z", i=None)
+        for i, k in enumerate(kinds):
+            self.value += _lines(_VALUE[k], dim, "z", i=i, l=left[i], r=right[i])
+        # the direction pass along x from the held values
+        x = f"({_names('x', dim)})" if _unrolled(dim) else "x"
+        self.direction = ["V = None"] if lazy else []
+        for i, k in enumerate(kinds):
+            if i in lazy:
+                self.direction += _lines(_ZERO, dim, i=i, k=kept.index(i), v=x)
+            self.direction += _indent(_lines(_DIRECTION[k], dim, i=i, l=left[i], r=right[i]),
+                                      int(i in lazy))
+        coefs = "{w} * pow({a} / n{i}, e{i}) if {u} != 0.0 else 0.0"
+        self.coefs = [f"C{i} = {_each(coefs, dim, 'z').format(i=i)} if coefs and n{i} != 0.0"
+                      " else None" for i in wlpp]
+        self.namespace = {"sqrt": math.sqrt, "pow": math.pow, "inf": math.inf, "TIE": _TIE,
+                          "cos": math.cos, "sin": math.sin, "fsum": math.fsum,
+                          "isfinite": math.isfinite}
+        self.bind = self.compiled("bind")
+
+    def compiled(self, name):
+        """Pass name, run into the shape's one namespace at its first use;
+        circle_residual reads values from it."""
+        fn = self.namespace.get(name)
+        if fn is None:
+            if name == "circle_residual":
+                self.compiled("values")
+            exec(compile(self.source(name), "<normortho tape>", "exec"), self.namespace)
+            fn = self.namespace[name]
+        return fn
+
+    def source(self, name) -> str:
+        """Pass name's text: its head, the shared text it runs, its tail."""
+        dim, last, held = self.dim, self.last, self.held
+        value, direction = self.value, self.direction
+        # the coordinates of z, u and x as locals, where unrolled
+        z, u, x = ([f"{_names(c, dim)} = {c}"] if _unrolled(dim) else [] for c in "zux")
+        if name == "bind":
+            out = ["def bind(P, W):", *_indent(self.bind_numbers, 1),
+                   "    def value(z, coefs=None):", *_indent(z + value, 2),
+                   "        if coefs is None:", f"            return n{last}",
+                   *_indent(self.coefs, 2), f"        return {held}",
+                   "    def dirs(u, B, x):", *_indent(u + [f"{held} = B"] + x + direction, 2),
+                   f"        return n{last}, dp{last}, dm{last}",
+                   "    def line(u, x):", *_indent(u + x, 2), "        def phi(t):",
+                   f"            return value({_each('{u} + t * {x}', dim)})", "        return phi",
+                   "    return value, dirs, line"]
+        elif name == "values":
+            out = ["def values(P, W, points):", *_indent(self.numbers, 1), "    out = []",
+                   "    push = out.append", f"    for {_names('z', dim)} in points:",
+                   *_indent(value, 2), f"        push(n{last})", "    return out"]
+        elif name == "directions":
+            out = ["def directions(P, W, value, u, B, points):",
+                   *_indent(self.dir_numbers + u + [f"{held} = B"], 1), "    rm = []",
+                   "    rp = []", "    push_m = rm.append", "    push_p = rp.append",
+                   f"    for {_names('x', dim)} in points:", *_indent(direction, 2),
+                   f"        push_m(n{last} * dm{last})", f"        push_p(n{last} * dp{last})",
+                   "    return rm, rp"]
+        elif name == "circle_residual":
+            out = ["def circle_residual(P, W, value, u, B, formula, a, b, kind):",
+                   *_indent(self.numbers + u, 1), "    def at(theta, row=False):",
+                   "        z0 = cos(theta)", "        z1 = sin(theta)", *_indent(value, 2),
+                   f"        x0 = z0 / n{last}", f"        x1 = z1 / n{last}",
+                   f"        if kind == {R_ISOSCELES}:",
+                   "            r = formula(a, b, B, *values(P, W, ((u0 + x0, u1 + x1), "
+                   "(u0 - x0, u1 - x1))))",
+                   f"        elif kind == {R_PYTHAGOREAN}:",
+                   "            r = formula(a, b, B, *values(P, W, ((u0 - x0, u1 - x1), "
+                   "(x0, x1))))",
+                   "        else:", f"            {held} = B", *_indent(direction, 3),
+                   f"            r = formula(a, b, n{last}, n{last} * dm{last}, "
+                   f"n{last} * dp{last})",
+                   "        return (r, x0, x1) if row else r", "    return at"]
+        else:
+            # row i of M x into z{i}, or the list z above _UNROLL
+            if _unrolled(dim):
+                sums = [f"z{i} = M{i}_0 * x0 + M{i}_1 * x1" for i in range(dim)]
+                exact = [f"z{i} = fsum((M{i}_0 * x0, M{i}_1 * x1))" for i in range(dim)]
+                total = " + ".join(f"z{i}" for i in range(dim))
+                head = ["".join(f"(M{i}_0, M{i}_1), " for i in range(dim)) + "= rows"]
+            else:
+                sums = ["z = [r0 * x0 + r1 * x1 for r0, r1 in rows]"]
+                exact = ["z = [fsum((r0 * x0, r1 * x1)) for r0, r1 in rows]"]
+                total, head = "sum(z)", []
+            out = ["def gain(P, W, dvalue, rows):", *_indent(self.numbers + head, 1),
+                   "    def at(theta):", "        c0 = cos(theta)", "        c1 = sin(theta)",
+                   "        r = dvalue((c0, c1))", "        x0 = c0 / r", "        x1 = c1 / r",
+                   *_indent(sums, 2), f"        if not isfinite({total}):", *_indent(exact, 3),
+                   *_indent(value, 2), f"        return -n{last}", "    return at"]
+        return "\n".join(out + [""])
 
 
-def _compiled(kinds, dim, left, right, woff, name, **names):
-    """Pass name of a tape shape, its source run with names bound besides
-    the math it calls."""
-    namespace = {"sqrt": math.sqrt, "pow": math.pow, "inf": math.inf, "TIE": _TIE,
-                 "cos": math.cos, "sin": math.sin, "fsum": math.fsum,
-                 "isfinite": math.isfinite, **names}
-    source = _source(kinds, dim, left, right, woff, name)
-    exec(compile(source, "<normortho tape>", "exec"), namespace)
-    return namespace[name]
+# the tape shapes, each read once per process while it is kept
+_shape = functools.lru_cache(maxsize=256)(_Shape)
 
 
 # Each relation's residual at a point v: the only copy of its formula, over
@@ -521,7 +517,7 @@ _COLUMN = _relations("lambda a, b, n, X, Y: [{expr} for {ins} in zip(X, Y)]")
 
 
 class Program:
-    __slots__ = ("kinds", "params", "weights", "dim", "_value", "_dirs", "_line", "_passes")
+    __slots__ = ("kinds", "params", "weights", "dim", "_value", "_dirs", "_line", "_shape")
 
     def __init__(self, kinds, params, weights, dim):
         self.kinds = kinds = tuple(map(operator.index, kinds))
@@ -530,11 +526,11 @@ class Program:
         self.dim = dim = int(dim)
         if not kinds or len(self.params) != len(kinds):
             raise ValueError("kinds and params must have the same length n >= 1")
-        used, bind, _, _, _, self._passes = _shape(kinds, dim)
-        if len(self.weights) != used:
+        self._shape = shape = _shape(kinds, dim)
+        if len(self.weights) != shape.used:
             raise ValueError(f"the weight pool holds {len(self.weights)}, "
-                             f"the weighted leaves take {used}")
-        self._value, self._dirs, self._line = bind(self.params, self.weights)
+                             f"the weighted leaves take {shape.used}")
+        self._value, self._dirs, self._line = shape.bind(self.params, self.weights)
 
     # -- boundary ------------------------------------------------------------
 
@@ -570,15 +566,8 @@ class Program:
 
     # -- one-sided derivatives ----------------------------------------------
 
-    def _check_pair(self, u, v) -> None:
-        if len(u) != self.dim or len(v) != self.dim:
-            raise ValueError(
-                f"expected {self.dim} coordinates, got {len(u)} and {len(v)}"
-            )
-
     def derivs(self, u, v):
         """(N(u), D+, D-) of t -> N(u + t v) at t = 0."""
-        # _check_pair inline: this is the hot path
         if len(u) != self.dim or len(v) != self.dim:
             raise ValueError(
                 f"expected {self.dim} coordinates, got {len(u)} and {len(v)}"
@@ -623,7 +612,6 @@ class Program:
     def residual(self, code, a, b, u, v) -> float:
         """Residual of relation code at (u, v); zero (<= 0 for birkhoff) where it holds."""
         code, a, b = _relation(code, a, b)
-        # _check_pair inline: this is the hot path
         if len(u) != self.dim or len(v) != self.dim:
             raise ValueError(
                 f"expected {self.dim} coordinates, got {len(u)} and {len(v)}"
@@ -648,39 +636,26 @@ class Program:
             return self._value(u)
         return self._value(u, True)
 
-    def _pass(self, name):
-        """Pass name of this Program's tape shape (see _source), compiled
-        at its first use by any Program of the shape."""
-        passes = self._passes
-        fn = passes.get(name)
-        if fn is None:
-            kinds, dim = self.kinds, self.dim
-            _, _, left, right, woff, _ = _shape(kinds, dim)
-            # circle_residual reads N at two points through values
-            names = {"values": self._pass("values")} if name == "circle_residual" else {}
-            fn = passes[name] = _compiled(kinds, dim, left, right, woff, name, **names)
-        return fn
-
     def _values(self, points) -> list:
-        """N at each point: one loop at dim 2, value at each point elsewhere."""
-        if self.dim != 2:
-            return list(map(self._value, points))
-        return self._pass("values")(self.params, self.weights, points)
+        """N at each point, in one loop."""
+        return self._shape.compiled("values")(self.params, self.weights, points)
 
     def _directions(self, u, base, points):
         """The columns (N(u) D-, N(u) D+) along each point, from base, the
         base pass at u of a planar Program, in one loop."""
-        return self._pass("directions")(self.params, self.weights, self._value, u, base, points)
+        return self._shape.compiled("directions")(self.params, self.weights, self._value, u,
+                                                  base, points)
 
     def _circle_residual(self, code, a, b, u, base):
         """theta -> residual(code, a, b, u, circle(theta)) from base,
-        _relation_base's pass at u, one generated frame a step; a Program
-        of another dim gets its circle, which raises at the first step, as
+        _relation_base's pass at u, one generated frame a step, and
+        (theta, True) -> (that residual, *circle(theta)); a Program of
+        another dim gets its circle, which raises at the first step, as
         circle does."""
         if self.dim != 2:
             return self.circle
-        return self._pass("circle_residual")(self.params, self.weights, self._value, u, base,
-                                             _RESIDUAL[code], a, b, code)
+        return self._shape.compiled("circle_residual")(self.params, self.weights, self._value,
+                                                       u, base, _RESIDUAL[code], a, b, code)
 
     def _residual_column(self, code, a, b, u, base, xs, ys) -> list:
         """residual(code, a, b, u, (xs[j], ys[j])) at each point from base,
@@ -764,8 +739,8 @@ class Program:
             if res != 0.0 and nxt != 0.0:
                 at = at or self._circle_residual(code, a, b, u, base)
                 cross = _bisect(at, thetas[j], res, thetas[j] + step, width)
-                x = self.circle(cross)
-                row = tuple.__new__(point, (cross, x[0], x[1], at(cross), True))
+                r, x0, x1 = at(cross, True)
+                row = tuple.__new__(point, (cross, x0, x1, r, True))
                 # after point j's row, past the rows spliced in before it
                 points.insert(len(points) - resolution + j + 1, row)
         return points
@@ -814,7 +789,8 @@ class Program:
         best_j = gains.index(best) if best != -1.0 else 0
         theta0 = best_j * step
         # negation is exact, so minimizing -gain takes the branches maximizing gain would
-        loss = self._pass("gain")(self.params, self.weights, circle.__self__._value, rows)
+        loss = self._shape.compiled("gain")(self.params, self.weights, circle.__self__._value,
+                                            rows)
         theta, lowest = _golden(loss, theta0 - step, theta0 + step, 80)
         norm = -lowest
         if not norm >= best:
@@ -826,7 +802,10 @@ class Program:
 
     def line_evaluator(self, u, v):
         """Callable phi with phi(t) = N(u + t v); u and v are read as doubles."""
-        self._check_pair(u, v)
+        if len(u) != self.dim or len(v) != self.dim:
+            raise ValueError(
+                f"expected {self.dim} coordinates, got {len(u)} and {len(v)}"
+            )
         return self._line([_double(x) for x in u], [_double(x) for x in v])
 
 

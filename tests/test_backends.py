@@ -1,5 +1,6 @@
 """Agreement and selection tests for the two evaluation backends."""
 
+import ast as python_ast
 import decimal
 import fractions
 import functools
@@ -290,8 +291,8 @@ def test_loaded_tape_matches_the_reference_compiler():
         kinds, params, woff, weights, left, right, dim = tape_reference(ast)
         prog = _kernels_py.Program(*compile_ast(ast))
         assert (prog.kinds, prog.params, prog.weights, prog.dim) == (kinds, params, weights, dim)
-        derived = _kernels_py._shape(kinds, dim)[2:5]
-        assert derived == (left, right, woff), print_norm(ast)
+        shape = _kernels_py._shape(kinds, dim)
+        assert (shape.left, shape.right, shape.woff) == (left, right, woff), print_norm(ast)
 
 
 def test_loaded_tapes_agree_bitwise_across_backends(pair):
@@ -364,7 +365,7 @@ def test_generated_passes_match_the_interpreter(part):
                     assert scan == next((w for w in want if isinstance(w, tuple)), want)
 
 
-# the passes _kernels_py._source writes for a planar shape
+# the passes a planar _kernels_py._Shape writes
 _PASSES = ("bind", "gain", "values", "directions", "circle_residual")
 
 
@@ -382,11 +383,12 @@ def test_shapes_share_one_factory_and_hold_no_numbers():
     shape = _kernels_py._shape(kinds, dim)
     assert _kernels_py._shape(tape[0], dim) is shape
     for name in _PASSES[1:]:
-        assert first._pass(name) is second._pass(name) is shape[-1][name], name
+        assert (first._shape.compiled(name) is second._shape.compiled(name)
+                is shape.namespace[name]), name
     numbers = {x for x in params + weights + tape[1] + tape[2] if x not in (0.0, 1.0)}
     assert len(numbers) == 8
     for name in _PASSES:
-        source = _kernels_py._source(kinds, dim, *shape[2:5], name)
+        source = shape.source(name)
         assert f"def {name}(" in source
         for x in numbers:
             assert repr(x) not in source and str(x)[:5] not in source, name
@@ -397,20 +399,74 @@ def test_a_shape_compiles_each_pass_at_its_first_use():
     # nothing more, and each sweep or search its own passes, once
     _kernels_py._shape.cache_clear()
     prog = _kernels_py.Program(*compile_ast(gen_ast(SplitMix64(77), 2, 3)))
+
+    def passes():
+        return {name: fn for name, fn in prog._shape.namespace.items() if name in _PASSES}
+
     prog.value((0.5, -1.0))
     prog.derivs((0.5, -1.0), (1.0, 0.25))
     prog.residual(3, 0.0, 0.0, (0.5, -1.0), (1.0, 0.25))
-    assert prog._passes == {}
+    assert set(passes()) == {"bind"}
     u = (0.6, -0.35)
     prog.residuals(3, 0.0, 0.0, u, 16)
-    assert set(prog._passes) == {"values", "directions"}
+    assert set(passes()) == {"bind", "values", "directions"}
     prog.crossing(3, 0.0, 0.0, u, 0.0, 1.0, 1.0, 1e-3)
-    assert set(prog._passes) == {"values", "directions", "circle_residual"}
-    passes = dict(prog._passes)
+    assert set(passes()) == {"bind", "values", "directions", "circle_residual"}
+    before = passes()
     prog.operator_norm(prog.circle, ((1.0, 0.5), (-0.5, 1.0)))
-    assert set(prog._passes) == {"values", "directions", "circle_residual", "gain"}
+    assert set(passes()) == set(_PASSES)
     prog.crossing(3, 0.0, 0.0, u, 0.0, 1.0, 1.0, 1e-3)
-    assert all(prog._passes[name] is fn for name, fn in passes.items())
+    assert all(passes()[name] is fn for name, fn in before.items())
+
+
+# every family and composite, and seeded random trees at dims 2-6
+_SOURCE_TREES = ([parse_norm(f, 2) for f in FAMILIES + COMPOSITES]
+                 + [gen_ast(SplitMix64(300 + seed), 2 + seed % 5, 4) for seed in range(120)])
+
+
+def test_every_name_a_pass_assigns_is_read():
+    # each pass binds only the tape numbers, and computes only the names,
+    # that its text reads; circle_residual is planar only
+    for tree in _SOURCE_TREES:
+        kinds, _, _, dim = compile_ast(tree)
+        shape = _kernels_py._shape(kinds, dim)
+        for name in _PASSES if dim == 2 else _PASSES[:-1]:
+            stored, loaded = set(), set()
+            for node in python_ast.walk(python_ast.parse(shape.source(name))):
+                if isinstance(node, python_ast.Name):
+                    (stored if isinstance(node.ctx, python_ast.Store) else loaded).add(node.id)
+            assert stored <= loaded, (print_norm(tree), name, sorted(stored - loaded))
+
+
+@pytest.mark.parametrize("text, dim", [(COMPOSITES[1], 2), ("max(lp(3), sum(l1, linf))", 6)])
+def test_a_loaded_shape_expands_no_template_for_its_other_passes(text, dim, monkeypatch):
+    # a shape writes its shared text at load; each other pass is written
+    # from it, not from the templates again
+    calls = []
+    expand = _kernels_py._expand
+    monkeypatch.setattr(_kernels_py, "_expand", lambda *args: calls.append(args) or expand(*args))
+    kinds, _, _, dim = compile_ast(parse_norm(text, dim))
+    shape = _kernels_py._Shape(kinds, dim)
+    assert calls
+    calls.clear()
+    for name in _PASSES[1:] if dim == 2 else _PASSES[1:-1]:
+        shape.compiled(name)
+    assert calls == []
+
+
+def test_a_pure_locus_takes_no_circle_call(monkeypatch):
+    # each crossing row takes its point from the bisection's evaluator, in
+    # the value pass that gives its residual
+    calls = []
+    circle = _kernels_py.Program.circle
+    monkeypatch.setattr(_kernels_py.Program, "circle",
+                        lambda self, theta: calls.append(theta) or circle(self, theta))
+    crossings = 0
+    for text in COMPOSITES:
+        prog = _kernels_py.Program(*compile_ast(parse_norm(text, 2)))
+        for code in (0, 3, 5, 6, 7):
+            crossings += len(prog.locus(code, 0.3, 0.5, (0.6, -0.35), 48, 1e-12, tuple)) - 48
+    assert crossings > 0 and calls == []
 
 
 @pytest.mark.parametrize("backend", ["_kernels_py", "_kernels"], indirect=True)
@@ -1013,13 +1069,16 @@ def test_loop_passes_agree_bitwise_inside_a_max_tie_band():
         _loops_agree(prog, [u])
 
 
-def test_only_planar_shapes_have_loop_passes():
-    # another dim's shape compiles none, and its values maps value
-    for dim in (3, 5, 6):
-        prog = _kernels_py.Program(*compile_ast(gen_ast(SplitMix64(dim), dim, 3)))
-        points = [tuple(0.5 * j - k for j in range(dim)) for k in range(4)]
-        assert prog._values(iter(points)) == [prog.value(x) for x in points]
-        assert not {"values", "directions"} & set(prog._passes)
+def test_values_pass_agrees_bitwise_above_the_plane():
+    # the values loop at dims 3 and 4, unrolled, and 5 and 6, looped,
+    # against value at each point
+    for dim in (3, 4, 5, 6):
+        for seed in range(dim, 60, 4):
+            prog = _kernels_py.Program(*compile_ast(gen_ast(SplitMix64(seed), dim, 3)))
+            points = [tuple(0.5 * j - k for j in range(dim)) for k in range(4)]
+            points += _codegen_points(dim, SplitMix64(seed))
+            want = [prog.value(x).hex() for x in points]
+            assert [g.hex() for g in prog._values(iter(points))] == want, dim
 
 
 # -- planar loci ---------------------------------------------------------------
@@ -1234,6 +1293,10 @@ def test_step_residuals_keep_the_per_step_chains_bits(part):
                         want = _outcome(residual_reference, ref, code, 0.3, 0.5, u,
                                         circle_reference(ref, theta))
                         assert _outcome(at, theta) == want, (print_norm(ast), code, u, theta)
+                        # and with its point, as a locus row takes it
+                        row = (want if isinstance(want, tuple)
+                               else (want, *_outcome(circle_reference, ref, theta)))
+                        assert _outcome(at, theta, True) == row, (print_norm(ast), code, u, theta)
                     for f_lo, width in ((1.0, 1e-12), (-1.0, 0.0)):
                         args = (code, 0.3, 0.5, u, lo, f_lo, hi, width)
                         got = _outcome(prog.crossing, *args)
@@ -1309,7 +1372,7 @@ def test_operator_norm_gain_keeps_the_per_step_chains_bits(dim):
             circle = functools.partial(circle_reference, dom_ref)
             for matrix in _gain_matrices(dim, draws):
                 rows = [tuple(map(float, row)) for row in matrix]
-                gain = cod._pass("gain")(cod.params, cod.weights, dom._value, rows)
+                gain = cod._shape.compiled("gain")(cod.params, cod.weights, dom._value, rows)
                 for theta in (0.0, 0.7, 2.0, -1.25, 4.5):
                     want = _outcome(lambda t: -chain.value(chain.image(matrix, circle(t))), theta)
                     assert _outcome(gain, theta) == want, (tape, matrix, theta)
@@ -1685,8 +1748,9 @@ def test_rings_keep_the_sweep_bits(backend, family):
 def test_warm_sweeps_take_no_circle_point_on_the_grid(monkeypatch):
     # every circle point the pure twin's sweeps take, counted: the ring's
     # own, which its build takes as the points (cos, sin) of its one values
-    # pass, and the bisection's, refinement's and direction's, each a
-    # circle call; the mining scan's residuals take none but the ring's
+    # pass, and operator_norm's direction, a circle call; a locus takes its
+    # crossing rows' points from the bisection's evaluator, so it and the
+    # mining scan's residuals take none but the ring's
     calls = []
     circle = _kernels_py.Program.circle
 
@@ -1709,7 +1773,7 @@ def test_warm_sweeps_take_no_circle_point_on_the_grid(monkeypatch):
     # derivatives, and the gains are cod's
     monkeypatch.setattr(_kernels_py.Program, "_values", ring_points)
     for sweep, n, rest in (
-            (lambda: prog.locus(3, 0.0, 0.0, (0.6, -0.35), 48, 1e-12, tuple), 48, True),
+            (lambda: prog.locus(3, 0.0, 0.0, (0.6, -0.35), 48, 1e-12, tuple), 48, False),
             (lambda: cod.operator_norm(prog.circle, _OK), 1024, True),
             (lambda: prog.residuals(3, 0.0, 0.0, (0.6, -0.35), 64), 64, False)):
         counts = []

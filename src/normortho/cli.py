@@ -5,6 +5,17 @@ optionally a key/value table or CSV) built only from the flags and the
 seed, so repeated runs are byte-identical.  Floats are rendered with 17
 significant digits, enough to round-trip doubles exactly.
 
+Arguments: one argparse parser, ``_PARSER``, declares every flag with its
+type, choices, default and help.  An argv of the plain shape, the command
+name and then exact long flags, each as ``--flag=value`` or as
+``--flag value`` with a value that does not start with ``-``, is read
+straight from that parser's flag table by ``_read_plain``: each value goes
+through the flag's own type and choices, and the result is the Namespace
+argparse would build.  Every other argv (an abbreviated flag, ``-h``,
+``--``, a value starting with ``-``, a missing value, an extra positional,
+a bad value) goes to ``_PARSER.parse_args`` unchanged, so help, usage and
+error texts, their order and their exit codes all come from argparse.
+
 Exit codes: 0 on success, 2 for usage problems including norm-expression
 parse errors and non-finite vector coordinates, 1 for domain errors (zero
 vectors where forbidden, dimension mismatches, non-smooth evaluation
@@ -15,8 +26,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
+import operator
 import sys
 
 from .derivs import AlphaBeta, Lambda, rho_ab, rho_lambda, rho_pair, rho_pm_numeric
@@ -139,24 +152,42 @@ def _build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 # deterministic rendering
 
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
 def _fmt_float(x: float) -> str:
-    if math.isnan(x):
-        return "NaN"
-    if math.isinf(x):
-        return "Infinity" if x > 0 else "-Infinity"
-    s = f"{x:.17g}"
-    if "." not in s and "e" not in s and "E" not in s:
-        s += ".0"
-    return s
+    s = "%.17g" % x
+    if "." in s or "e" in s:
+        return s
+    # nan, inf, -inf, or an integral value such as -0
+    return _NON_FINITE.get(s) or s + ".0"
+
+
+def _jlist(obj) -> str:
+    return "[" + ", ".join(map(_jdump, obj)) + "]"
+
+
+def _jdict(obj) -> str:
+    return "{" + ", ".join(f"{json.dumps(k)}: {_jdump(v)}" for k, v in obj.items()) + "}"
+
+
+# the renderer of each exact type; subclasses take _jdump's isinstance chain
+_JSON = {
+    type(None): lambda obj: "null",
+    bool: lambda obj: "true" if obj else "false",
+    float: _fmt_float,
+    int: int.__repr__,
+    str: json.dumps,
+    list: _jlist,
+    tuple: _jlist,
+    dict: _jdict,
+}
 
 
 def _jdump(obj) -> str:
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
+    render = _JSON.get(type(obj))
+    if render is not None:
+        return render(obj)
     if isinstance(obj, float):
         return _fmt_float(obj)
     if isinstance(obj, int):
@@ -164,10 +195,9 @@ def _jdump(obj) -> str:
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(_jdump(x) for x in obj) + "]"
+        return _jlist(obj)
     if isinstance(obj, dict):
-        return "{" + ", ".join(f"{json.dumps(k)}: {_jdump(v)}"
-                               for k, v in obj.items()) + "}"
+        return _jdict(obj)
     raise TypeError(f"cannot render {type(obj).__name__}")
 
 
@@ -210,15 +240,50 @@ def _write_payload(payload: dict, fmt: str, out) -> None:
         out.writelines(f"{k:<{width}}  {v}\n" for k, v in pairs)
 
 
+def _write_json_rows(rows: list, out) -> None:
+    """Write each record as its _jdump JSON line.
+
+    A line is one % operation on a template built from the record's
+    _fields and the first row's value types: %.17g for a float field, and
+    for a bool field a %.0s, which prints nothing, then its JSON word, so
+    there is one template per value of the bool fields.  A row with a
+    float that is integral or not finite, the values _fmt_float fixes up,
+    takes _jdump: x % 1.0 is then 0 or NaN, and lies in (0, 1) for every
+    other float.  So do all rows if a field of the first is neither a
+    float nor a bool.
+    """
+    first = rows[0]
+    heads = [json.dumps(k) + ": " for k in first._fields]
+    is_float = [type(v) is float for v in first]
+    flags = [i for i, v in enumerate(first) if type(v) is bool]
+    typed = sum(is_float) + len(flags) == len(first)
+    templates = {}
+    for values in itertools.product((False, True), repeat=len(flags)):
+        cells = ["%.17g"] * len(first)
+        for i, flag in zip(flags, values):
+            cells[i] = "%.0s" + ("true" if flag else "false")
+        # the key is what key_of returns: one bool itself, several a tuple
+        templates[values[0] if len(flags) == 1 else values] = (
+            "{" + ", ".join(map(operator.add, heads, cells)) + "}\n")
+    key_of = operator.itemgetter(*flags) if flags else lambda row: ()
+    mod = operator.mod
+    ones = itertools.repeat(1.0)
+    write = out.write
+    for row in rows:
+        if typed and math.prod(map(mod, itertools.compress(row, is_float), ones)) > 0.0:
+            write(templates[key_of(row)] % row)
+        else:
+            write(_jdict(row._asdict()) + "\n")
+
+
 def _write_rows(rows: list, fmt: str, out) -> None:
     """Write records of one NamedTuple type, each line as soon as it is
     rendered."""
-    keys = rows[0]._fields
     if fmt == "json":
-        heads = [json.dumps(k) + ": " for k in keys]
-        for row in rows:
-            out.write("{" + ", ".join([h + _jdump(v) for h, v in zip(heads, row)]) + "}\n")
-    elif fmt == "csv":
+        _write_json_rows(rows, out)
+        return
+    keys = rows[0]._fields
+    if fmt == "csv":
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(keys)
         writer.writerows(map(_scalar_text, row) for row in rows)
@@ -520,19 +585,62 @@ _COMMANDS = {
 }
 
 _PARSER = _build_parser()
+# every flag that takes one value, by its long option string (not --help)
+_FLAGS = {flag: action for action in _PARSER._actions if action.nargs is None
+          for flag in action.option_strings}
+# what argparse puts in a Namespace before it reads an argument
+_DEFAULTS = {action.dest: action.default for action in _PARSER._actions
+             if action.default is not argparse.SUPPRESS}
+
+
+def _read_plain(argv: list):
+    """The Namespace _PARSER.parse_args(argv) returns, for an argv of the
+    command name and then exact long flags, each as --flag=value or as
+    --flag value where value does not start with "-"; None for any other
+    argv, and for a value the flag's type or choices reject."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    values = dict(_DEFAULTS, command=argv[0])
+    i = 1
+    while i < len(argv):
+        flag, eq, value = argv[i].partition("=")
+        action = _FLAGS.get(flag)
+        if action is None:
+            return None
+        if not eq:
+            i += 1
+            if i == len(argv) or argv[i].startswith("-"):
+                return None
+            value = argv[i]
+        elif value == "--":
+            return None  # argparse drops a "--" value and stores []
+        i += 1
+        if action.type is not None:
+            try:
+                value = action.type(value)
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+    return argparse.Namespace(**values)
 
 
 # ---------------------------------------------------------------------------
 # entry points
 
 def run(argv=None) -> int:
-    try:
-        args = _PARSER.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code
-        if code is None:
-            return 0
-        return code if isinstance(code, int) else 2
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _read_plain(argv)
+    if args is None:
+        try:
+            args = _PARSER.parse_args(argv)
+        except SystemExit as exc:
+            code = exc.code
+            if code is None:
+                return 0
+            return code if isinstance(code, int) else 2
     try:
         result = _COMMANDS[args.command][0](args)
     except (ParseError, _Usage) as exc:

@@ -126,6 +126,16 @@ def corpus() -> list[list[str]]:
     return [list(c) for c in cmds]
 
 
+def equals_spelling(argv: list[str]) -> list[str]:
+    """argv with each "--flag value" pair written as one "--flag=value",
+    the spelling the benchmark's cli workload sends."""
+    out = argv[:1]
+    rest = iter(argv[1:])
+    for arg in rest:
+        out.append(arg if "=" in arg else f"{arg}={next(rest)}")
+    return out
+
+
 def run_one(argv: list[str]) -> tuple[int, str]:
     """(exit code, sha256 of stdout) of one in-process CLI run."""
     from normortho import cli

@@ -1,5 +1,6 @@
 """Command-line interface tests: exit codes, schemas, determinism."""
 
+import contextlib
 import csv
 import errno
 import importlib
@@ -11,12 +12,18 @@ import shutil
 import subprocess
 import sys
 import tracemalloc
+from typing import NamedTuple
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from normortho import Relation, ortho_locus, parse_norm
+from normortho import Relation, cli, ortho_locus, parse_norm
 from normortho.cli import run
 from normortho.kernels import get_program
+
+from make_cli_golden import corpus, equals_spelling
 
 BACKENDS = pytest.mark.parametrize("backend", ["_kernels_py", "_kernels"], indirect=True)
 
@@ -730,3 +737,290 @@ class TestEntryPoint:
         )
         assert out.returncode == 0
         assert json.loads(out.stdout)["rho"] == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the plain-argv reader against argparse
+
+
+def _outcome(argv):
+    """(exit code, stdout, stderr) of one run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _argparse_outcome(argv):
+    """What run gives when argparse reads argv, as it did before the reader."""
+    with mock.patch.object(cli, "_read_plain", lambda argv: None):
+        return _outcome(argv)
+
+
+def _fields(ns):
+    # by repr, so that a NaN value compares equal to itself
+    return repr(sorted(vars(ns).items()))
+
+
+def _echo(args):
+    # a usage error, so run writes no --out file; its text is the Namespace
+    raise cli._Usage(_fields(args))
+
+
+@contextlib.contextmanager
+def _echoing_commands():
+    with mock.patch.dict(cli._COMMANDS,
+                         {name: (_echo, text) for name, (_, text) in cli._COMMANDS.items()}):
+        yield
+
+
+def _check_reader(argv):
+    """Either the reader's Namespace is argparse's, or it declines; either
+    way run gives argparse's exit code, stdout and stderr.  Whether it read
+    argv itself."""
+    read = cli._read_plain(list(argv))
+    if read is not None:
+        assert _fields(read) == _fields(cli._PARSER.parse_args(list(argv))), argv
+    assert _outcome(list(argv)) == _argparse_outcome(list(argv)), argv
+    return read is not None
+
+
+_UV = ("--u=1,0", "--v=0,1")
+
+# argv, and whether the reader takes it (True) or leaves it to argparse
+_EDGES = [
+    (("rho", "--res=48", *_UV), False),
+    (("locus", "--resolution=48", "--u=1,0", "--relation=rho"), True),
+    (("constant", "--norm", "l1", "--norm2", "l2", "--kind", "angular",
+      "--alpha", "0.3", "--beta", "0.4", "--samples", "8"), True),
+    (("constant", "--norm=l1", "--norm2=l2", "--kind=angular", "--alpha=0.3",
+      "--beta=0.4", "--samples=8"), True),
+    (("mine", "--norm=l2", "--relation=rho", "--relation2=birkhoff", "--samples=4"), True),
+    (("mine", "--norm=l2", "--relation", "rho", "--relation2", "birkhoff",
+      "--samples", "4"), True),
+    (("mine", "--norm=l2", "--rel=rho", "--relation2=birkhoff"), False),
+    (("mine", "--norm=l2", "--relation=rho", "--relation2=bogus"), False),
+    (("rho", "--no=l1", *_UV), False),
+    (("rho", "--norm", "l1", "--norm", "linf", "--norm=lp(3)", *_UV), True),
+    (("rho", "--u=5,5", "--u=1,0", "--v=0,1"), True),
+    (("rho", "--u=1;0", "--u=1,0", "--v=0,1"), False),
+    (("rho", "--", "--norm=l1", *_UV), False),
+    (("rho", "--norm=l1", "--", *_UV), False),
+    (("rho", "--norm=--", *_UV), False),
+    (("rho", "--norm", "--", *_UV), False),
+    (("-h",), False),
+    (("--help",), False),
+    (("rho", "-h"), False),
+    (("rho", "--help"), False),
+    (("rho", "--help=x"), False),
+    (("--norm=l1", "rho", *_UV), False),
+    (("--norm", "l1", "rho", *_UV), False),
+    (("rho", *_UV, "extra"), False),
+    (("rho", "rho", *_UV), False),
+    (("frobnicate", *_UV), False),
+    (("rho", "--frob=1", *_UV), False),
+    (("rho", "--frob", "1", *_UV), False),
+    (("rho", "--u=", "--v=0,1"), False),
+    (("rho", "--u=1,0", "--v="), False),
+    (("rho", "--norm=", *_UV), True),
+    (("rho", "--norm", "", *_UV), True),
+    (("rho", *_UV, "--alpha", "-0.3", "--beta", "0.4"), False),
+    (("rho", *_UV, "--alpha=-0.3", "--beta=0.4"), True),
+    (("rho", "--u=1,0", "--v", "-1,0"), False),
+    (("rho", "--u=1,0", "--v=-1,0"), True),
+    (("rho", "--norm", "max(l1, l2)", *_UV), True),
+    (("rho", "--norm=max(l1, l2)", *_UV), True),
+    (("rho", "--norm", " l2", *_UV), True),
+    (("rho", "--dim=x", *_UV), False),
+    (("rho", "--dim", "2.5", *_UV), False),
+    (("rho", "--dim", "3", *_UV), True),
+    (("rho", "--alpha=x", *_UV), False),
+    (("rho", "--tol", "1e-", *_UV), False),
+    (("rho", "--tol", "1e-7", *_UV), True),
+    (("rho", "--method=fast", *_UV), False),
+    (("rho", "--method=numeric", *_UV), True),
+    (("rho", "--format", "xml", *_UV), False),
+    (("ortho", "--relation=nope", *_UV), False),
+    (("preserver", "--matrix=1,0;0", "--alpha=0.3", "--beta=0.4"), False),
+    (("preserver", "--matrix=1,0;0,1", "--alpha=0.3", "--beta=0.4", "--samples=4"), True),
+    (("rho", *_UV, "--dim"), False),
+    (("rho", *_UV, "--alpha"), False),
+    (("rho",), True),
+    (("audit", "--samples", "8"), True),
+    ((), False),
+]
+
+
+@pytest.mark.parametrize("argv, read", _EDGES, ids=[" ".join(a) or "(empty)" for a, _ in _EDGES])
+def test_reader_edges_match_argparse(argv, read):
+    with _echoing_commands():
+        assert _check_reader(argv) is read
+
+
+def test_reader_writes_out_as_argparse_does(tmp_path):
+    target = tmp_path / "rho.json"
+    argv = ["rho", f"--out={target}", *_UV]
+    assert _check_reader(argv)
+    assert target.read_text() == _outcome(argv[:1] + argv[2:])[1]
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_reader_defaults_are_argparse_defaults(command):
+    with _echoing_commands():
+        assert _check_reader([command])
+
+
+def test_reader_matches_argparse_on_the_golden_argv():
+    argvs = corpus()
+    with _echoing_commands():
+        for argv in argvs:
+            assert _check_reader(argv)
+            assert _check_reader(equals_spelling(argv))
+
+
+@pytest.mark.parametrize("argv", [
+    ["normortho", "rho", "--norm=l1", *_UV],
+    ["normortho", "rho", "--norm", "l1", "--u", "1,0", "--v", "-1,0"],
+    ["normortho", "--help"],
+], ids=["read", "declined", "help"])
+def test_run_without_argv_reads_sys_argv(monkeypatch, argv):
+    want = _outcome(argv[1:])
+    monkeypatch.setattr(sys, "argv", argv)
+    assert _outcome(None) == want
+
+
+_FLAG_VALUES = ("1,0", "0.6,-0.8", "-1,0", "3", "-2", "0.25", "-0.3", "1e-7", "nan", "inf",
+                "abc", "", " 2", "l1", "max(l1, l2)", "rho_ab", "birkhoff_oracle", "json",
+                "csv", "numeric", "angular", "0,-1;1,0", "1,2;3", "1,0;0,inf", "--", "-h",
+                "a=b", "x y")
+_ODD_TOKENS = ("--", "-h", "--help", "--res", "--norm2", "--rel", "rho", "extra", "-x",
+               "--help=x", "--=1", "=")
+
+
+@st.composite
+def _argvs(draw):
+    argv = [draw(st.sampled_from([*cli._COMMANDS, "frobnicate", "--u=1,0"]))]
+    for _ in range(draw(st.integers(0, 6))):
+        flag = draw(st.sampled_from(sorted(cli._FLAGS)))
+        value = draw(st.sampled_from(_FLAG_VALUES))
+        shape = draw(st.integers(0, 4))
+        if shape == 0:
+            argv.append(f"{flag}={value}")
+        elif shape == 1:
+            argv += [flag, value]
+        elif shape == 2:
+            argv.append(flag)
+        elif shape == 3:
+            argv.append(draw(st.sampled_from(_ODD_TOKENS)))
+        else:
+            argv.insert(draw(st.integers(0, len(argv))), f"{flag}={value}")
+    return argv
+
+
+@settings(max_examples=400)
+@given(_argvs())
+def test_reader_matches_argparse_on_drawn_argv(argv):
+    with _echoing_commands():
+        _check_reader(argv)
+
+
+# ---------------------------------------------------------------------------
+# rendering
+
+
+def _fmt_float_reference(x):
+    """_fmt_float as it was before it formatted once."""
+    if math.isnan(x):
+        return "NaN"
+    if math.isinf(x):
+        return "Infinity" if x > 0 else "-Infinity"
+    s = f"{x:.17g}"
+    if "." not in s and "e" not in s and "E" not in s:
+        s += ".0"
+    return s
+
+
+_EDGE_FLOATS = (0.0, -0.0, 1.0, -1.0, 2.5, 0.1, -1e-20, 1e-320, 5e-324, 1e16, 1e17, -1e17,
+                2.0 ** 53, 2.0 ** 53 - 1.0, 0.5 + 2.0 ** 51, 1.7976931348623157e308,
+                math.nan, -math.nan, math.inf, -math.inf)
+
+
+@given(st.floats(allow_nan=True, allow_infinity=True))
+def test_fmt_float_matches_its_reference(x):
+    assert cli._fmt_float(x) == _fmt_float_reference(x)
+
+
+def test_fmt_float_matches_its_reference_at_the_edges():
+    assert [cli._fmt_float(x) for x in _EDGE_FLOATS] == list(map(_fmt_float_reference,
+                                                               _EDGE_FLOATS))
+
+
+class _Pair(NamedTuple):
+    a: float
+    b: float
+
+
+class _Flags(NamedTuple):
+    x: float
+    up: bool
+    down: bool
+
+
+class _Flag(NamedTuple):
+    on: bool
+
+
+class _Named(NamedTuple):
+    name: str
+    x: float
+
+
+class _Counted(NamedTuple):
+    x: float
+    n: int
+
+
+class _Sub(float):
+    pass
+
+
+def _reference_line(row):
+    """A record's JSON line as _jdump writes its fields one by one."""
+    return "{" + ", ".join(f"{json.dumps(k)}: {cli._jdump(v)}"
+                           for k, v in zip(row._fields, row)) + "}\n"
+
+
+@pytest.mark.parametrize("rows", [
+    [_Pair(a, b) for a in _EDGE_FLOATS for b in (0.3, -7.25e-9, a)],
+    [_Flags(x, up, down) for x in _EDGE_FLOATS for up in (False, True) for down in (True, False)],
+    [_Flag(True), _Flag(False)],
+    [_Named("l1", 0.5), _Named('a "b"', math.nan)],
+    [_Counted(0.5, 3), _Counted(1.0, -2)],
+    [_Pair(0.5, 0.25), _Pair(2, 0.25), _Pair(_Sub(0.5), 0.25)],
+], ids=["floats", "two-bools", "one-bool", "str-field", "int-field", "int-in-float-field"])
+def test_json_rows_match_jdump(rows):
+    out = io.StringIO()
+    cli._write_rows(rows, "json", out)
+    assert out.getvalue() == "".join(map(_reference_line, rows))
+    for line in out.getvalue().splitlines():
+        json.loads(line)
+
+
+class _Count(int):
+    pass
+
+
+class _Text(str):
+    pass
+
+
+class _Map(dict):
+    pass
+
+
+@pytest.mark.parametrize("obj, base", [
+    (_Sub(2.0), 2.0), (_Sub(math.inf), math.inf), (_Count(7), 7), (_Text("a\nb"), "a\nb"),
+    (_Pair(0.5, -1.0), (0.5, -1.0)), (_Map(k=[1, None, True]), {"k": [1, None, True]}),
+], ids=["float", "inf", "int", "str", "tuple", "dict"])
+def test_jdump_renders_a_subclass_as_its_base(obj, base):
+    assert cli._jdump(obj) == cli._jdump(base)

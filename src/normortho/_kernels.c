@@ -47,9 +47,11 @@ static const double TIE = 1e-12;
 /* |rho_+ - rho_-| band, relative to the larger, treated as smooth by semi */
 static const double SMOOTH_TOL = 1e-12;
 
-/* normortho.errors classes semi and vectors raise, and math.fsum, which
-   sums every row fsum_row does not, bound at module init */
-static PyObject *ZeroVectorError, *NonSmoothPointError, *DimensionMismatchError, *math_fsum;
+/* normortho.errors classes semi and vectors raise, math.fsum, which sums
+   every row fsum_row does not, and normortho.program.LocusPoint, the type
+   of every locus row, bound at module init */
+static PyObject *ZeroVectorError, *NonSmoothPointError, *DimensionMismatchError, *math_fsum,
+    *LocusPoint;
 
 /* pi as math.pi gives it (the C standard defines no M_PI) */
 static const double PI = 3.141592653589793;
@@ -1216,27 +1218,26 @@ static PyObject *Program_crossing(Program *self, PyObject *const *args, Py_ssize
     return out;
 }
 
-/* A new point row of 5 items, allocated as tuple.__new__(point, ...)
-   allocates it; NULL with an exception set.  The row is untracked by the
-   cyclic GC: its items are floats and bools, so no cycle can pass through
-   it, and CPython never untracks a tuple subclass's row (such as a named
-   tuple's) itself, so every collection would traverse every live row.  A
-   point type with an instance __dict__ (tp_dictoffset != 0) keeps its
-   rows tracked: an attribute set later could close a cycle through one. */
-static PyObject *new_row(PyTypeObject *point)
+/* A new LocusPoint row of 5 items, allocated as tuple.__new__(LocusPoint,
+   ...) allocates it; NULL with an exception set.  The row is untracked by
+   the cyclic GC: its items are floats and bools and LocusPoint has no
+   instance __dict__ (bind_imports checks), so no cycle can pass through
+   it, and CPython never untracks a tuple subclass's row itself, so every
+   collection would traverse every live row. */
+static PyObject *new_row(void)
 {
-    PyObject *row = point == &PyTuple_Type ? PyTuple_New(5) : point->tp_alloc(point, 5);
-    if (row != NULL && point->tp_dictoffset == 0)
+    PyTypeObject *point = (PyTypeObject *)LocusPoint;
+    PyObject *row = point->tp_alloc(point, 5);
+    if (row != NULL)
         PyObject_GC_UnTrack(row);
     return row;
 }
 
 /* A new point row (theta, x, y, residual, crossing) of new floats: a
    bisected crossing's.  NULL with an exception set. */
-static PyObject *row_of(PyTypeObject *point, double theta, const double *xy, double res,
-                        int crossing)
+static PyObject *row_of(double theta, const double *xy, double res, int crossing)
 {
-    PyObject *row = new_row(point);
+    PyObject *row = new_row();
     if (row == NULL)
         return NULL;
     double f[4] = {theta, xy[0], xy[1], res};
@@ -1255,9 +1256,9 @@ static PyObject *row_of(PyTypeObject *point, double theta, const double *xy, dou
 /* A new point row (theta, x, y, residual, residual == 0) of a grid point:
    its theta, x and y are the three ring boxes at box, shared.  NULL with
    an exception set. */
-static PyObject *grid_row(PyTypeObject *point, PyObject *const *box, double res)
+static PyObject *grid_row(PyObject *const *box, double res)
 {
-    PyObject *row = new_row(point), *r;
+    PyObject *row = new_row(), *r;
     if (row == NULL)
         return NULL;
     if ((r = PyFloat_FromDouble(res)) == NULL) {
@@ -1283,9 +1284,9 @@ static int sign_change(double r0, double r1)
    bisected and its row spliced in after the point's. */
 static PyObject *Program_locus(Program *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    if (nargs != 7)
+    if (nargs != 6)
         return PyErr_Format(PyExc_TypeError,
-                            "locus() takes exactly 7 arguments (%zd given)", nargs);
+                            "locus() takes exactly 6 arguments (%zd given)", nargs);
     double stack[STACK_CAP];
     double *buf = scratch(stack, base_size(self));
     if (buf == NULL)
@@ -1293,16 +1294,12 @@ static PyObject *Program_locus(Program *self, PyObject *const *args, Py_ssize_t 
     Base s;
     Py_ssize_t res;
     double width, *xs = NULL, *rs, step;
-    PyObject *point = args[6], *out = NULL, **boxes, **own = NULL;
+    PyObject *out = NULL, **boxes, **own = NULL;
     if (load_base(self, args, buf, &s) < 0 || load_count(args[4], "resolution", 1, &res) < 0)
         goto done;
     width = PyFloat_AsDouble(args[5]);
     if (width == -1.0 && PyErr_Occurred())
         goto done;
-    if (!PyType_Check(point) || !PyType_IsSubtype((PyTypeObject *)point, &PyTuple_Type)) {
-        PyErr_Format(PyExc_TypeError, "point must be a tuple subclass, got %R", point);
-        goto done;
-    }
     if ((xs = residuals_of(&s, res)) == NULL
         || (boxes = ring_boxes(self, res, xs, &own)) == NULL)
         goto done;
@@ -1315,7 +1312,7 @@ static PyObject *Program_locus(Program *self, PyObject *const *args, Py_ssize_t 
         goto done;
     for (Py_ssize_t j = 0, k = 0; j < res; j++) {
         double theta = (double)j * step, r = rs[j], nxt = rs[(j + 1) % res], cross, xy[2], rc;
-        PyObject *row = grid_row((PyTypeObject *)point, boxes + 3 * j, r);
+        PyObject *row = grid_row(boxes + 3 * j, r);
         if (row == NULL)
             goto fail;
         PyList_SET_ITEM(out, k++, row);
@@ -1323,7 +1320,7 @@ static PyObject *Program_locus(Program *self, PyObject *const *args, Py_ssize_t 
             continue;
         if (bisect(&s, theta, r, theta + step, width, &cross) < 0
             || sweep_residual(&s, cross, xy, &rc) < 0
-            || (row = row_of((PyTypeObject *)point, cross, xy, rc, 1)) == NULL)
+            || (row = row_of(cross, xy, rc, 1)) == NULL)
             goto fail;
         PyList_SET_ITEM(out, k++, row);
     }
@@ -1733,9 +1730,9 @@ static struct PyModuleDef kernels_module = {
     .m_size = -1,
 };
 
-/* module.name into *slot; -1 with an exception set.  Neither
-   normortho.errors nor math imports this module, so this cannot cycle
-   back. */
+/* module.name into *slot; -1 with an exception set.  None of
+   normortho.errors, normortho.program and math imports this module, so
+   this cannot cycle back. */
 static int bind(PyObject **slot, const char *module, const char *name)
 {
     PyObject *m = PyImport_ImportModule(module);
@@ -1746,12 +1743,23 @@ static int bind(PyObject **slot, const char *module, const char *name)
     return *slot != NULL ? 0 : -1;
 }
 
+/* new_row allocates LocusPoint rows as tuples and untracks them, so
+   LocusPoint must be a tuple subclass without an instance __dict__. */
 static int bind_imports(void)
 {
-    return bind(&ZeroVectorError, "normortho.errors", "ZeroVectorError") < 0
+    if (bind(&ZeroVectorError, "normortho.errors", "ZeroVectorError") < 0
         || bind(&NonSmoothPointError, "normortho.errors", "NonSmoothPointError") < 0
         || bind(&DimensionMismatchError, "normortho.errors", "DimensionMismatchError") < 0
-        || bind(&math_fsum, "math", "fsum") < 0 ? -1 : 0;
+        || bind(&math_fsum, "math", "fsum") < 0
+        || bind(&LocusPoint, "normortho.program", "LocusPoint") < 0)
+        return -1;
+    PyTypeObject *point = (PyTypeObject *)LocusPoint;
+    if (PyType_Check(LocusPoint) && PyType_IsSubtype(point, &PyTuple_Type)
+        && point->tp_dictoffset == 0)
+        return 0;
+    PyErr_Format(PyExc_TypeError, "LocusPoint must be a tuple subclass without a __dict__, got %R",
+                 LocusPoint);
+    return -1;
 }
 
 PyMODINIT_FUNC PyInit__kernels(void)

@@ -19,20 +19,20 @@ A Program evaluates one fixed norm expression N through twelve methods:
 - `image(matrix, x)`: M x as a tuple, each row summed exactly, as
   math.fsum sums it, every entry of matrix and x read as a double.
 - `residual(code, a, b, u, v)`: the only copy of each orthogonality
-  relation's residual.  code is the tag's position in ortho.RELATION_TAGS
-  (the R_ constants of `program`): 0 birkhoff, 1 rho_plus, 2 rho_minus,
-  3 rho, 4 rho_lambda, 5 rho_ab, 6 isosceles, 7 pythagorean, 8 semi.  a
-  is lambda (rho_lambda) or alpha (rho_ab), b is beta (rho_ab); the other
-  codes ignore both.
+  relation's residual.  code is the tag's position in
+  program.RELATION_TAGS (the R_ constants): 0 birkhoff, 1 rho_plus,
+  2 rho_minus, 3 rho, 4 rho_lambda, 5 rho_ab, 6 isosceles,
+  7 pythagorean, 8 semi.  a is lambda (rho_lambda) or alpha (rho_ab), b
+  is beta (rho_ab); the other codes ignore both.
 - `residuals(code, a, b, u, resolution)`: `[residual(code, a, b, u,
   circle(j * 2 pi / resolution)) for j < resolution]`, the grid and loop
   of locus, as the mining scan takes it around one base vector.
 - `crossing(code, a, b, u, lo, f_lo, hi, width)`: the only copy of the
   crossing bisection, theta -> residual(code, a, b, u, circle(theta))
   bisected to a sign change.
-- `locus(code, a, b, u, resolution, width, point)`: the whole
-  ortho_locus sweep, its grid read from the Program's ring, each row
-  built as tuple.__new__(point, ...).
+- `locus(code, a, b, u, resolution, width)`: the whole ortho_locus
+  sweep, its grid read from the Program's ring, each row a
+  program.LocusPoint.
 - `line_min(phi, lo, hi, iters)`: golden-section search for the minimum
   of a line evaluator phi on [lo, hi], as birkhoff_oracle runs it.
 - `operator_norm(circle, matrix)`: the whole planar operator-norm sweep
@@ -133,7 +133,7 @@ from itertools import chain, compress, repeat
 
 from .errors import DimensionMismatchError, NonSmoothPointError, ZeroVectorError
 from .program import (
-    K_L2, K_WLP1, K_WLPINF, K_WLPP, K_MAX, K_SUM, K_SCALE,
+    K_L2, K_WLP1, K_WLPINF, K_WLPP, K_MAX, K_SUM, K_SCALE, LocusPoint,
     R_BIRKHOFF, R_RHO_PLUS, R_RHO_MINUS, R_RHO, R_RHO_LAMBDA, R_RHO_AB,
     R_ISOSCELES, R_PYTHAGOREAN, R_SEMI,
 )
@@ -703,10 +703,10 @@ class Program:
         at = self._circle_residual(code, a, b, u, self._relation_base(code, u))
         return _bisect(at, lo, f_lo, hi, width)
 
-    def locus(self, code, a, b, u, resolution, width, point):
+    def locus(self, code, a, b, u, resolution, width):
         """Rows (theta, x, y, residual, is_zero_crossing) along the planar unit circle.
 
-        Each row is relation code's, built as tuple.__new__(point, ...).
+        Each row is relation code's, a LocusPoint built as tuple.__new__.
         The circle points at theta_j = j * step, step = 2 pi / resolution,
         come first, then every residual there, one base pass and a
         direction pass per point as residuals takes them; each strict sign
@@ -715,22 +715,19 @@ class Program:
 
         The rows stay tracked by the cyclic GC: Python has no call that
         untracks an object, and CPython untracks only an exact tuple's, at
-        its first collection.  The compiled twin untracks each row whose
-        point type has no instance __dict__ when it builds it, so
-        gc.is_tracked is the only way the twins' rows differ.
+        its first collection.  The compiled twin untracks each row when it
+        builds it, so gc.is_tracked is the only way the twins' rows differ.
         """
         code, a, b, u = self._sweep_args(code, a, b, u)
         resolution = _count(resolution, "resolution", 1)
         width = _double(width)
-        if not (isinstance(point, type) and issubclass(point, tuple)):
-            raise TypeError(f"point must be a tuple subclass, got {point!r}")
         base = self._relation_base(code, u)
         at = None
         step = 2.0 * math.pi / resolution
         thetas = list(map(operator.mul, range(resolution), repeat(step)))
         xs, ys = _ring(self, resolution)
         residuals = self._residual_column(code, a, b, u, base, xs, ys)
-        points = list(map(tuple.__new__, repeat(point), zip(
+        points = list(map(tuple.__new__, repeat(LocusPoint), zip(
             thetas, xs, ys, residuals, map(operator.eq, residuals, repeat(0.0)))))
         # the strict sign changes to the next point (cyclically), bisected in order
         above = list(map(operator.gt, residuals, repeat(0.0)))
@@ -740,7 +737,7 @@ class Program:
                 at = at or self._circle_residual(code, a, b, u, base)
                 cross = _bisect(at, thetas[j], res, thetas[j] + step, width)
                 r, x0, x1 = at(cross, True)
-                row = tuple.__new__(point, (cross, x0, x1, r, True))
+                row = tuple.__new__(LocusPoint, (cross, x0, x1, r, True))
                 # after point j's row, past the rows spliced in before it
                 points.insert(len(points) - resolution + j + 1, row)
         return points

@@ -14,7 +14,9 @@ through the flag's own type and choices, and the result is the Namespace
 argparse would build.  Every other argv (an abbreviated flag, ``-h``,
 ``--``, a value starting with ``-``, a missing value, an extra positional,
 a bad value) goes to ``_PARSER.parse_args`` unchanged, so help, usage and
-error texts, their order and their exit codes all come from argparse.
+error texts, their order and their exit codes all come from argparse.  A
+``--flag=--`` value, which argparse stores as an empty list, is reported
+as argparse reports a missing value.
 
 Exit codes: 0 on success, 2 for usage problems including norm-expression
 parse errors and non-finite vector coordinates, 1 for domain errors (zero
@@ -26,10 +28,8 @@ from __future__ import annotations
 
 import argparse
 import csv
-import itertools
 import json
 import math
-import operator
 import sys
 
 from .derivs import AlphaBeta, Lambda, rho_ab, rho_lambda, rho_pair, rho_pm_numeric
@@ -240,38 +240,25 @@ def _write_payload(payload: dict, fmt: str, out) -> None:
         out.writelines(f"{k:<{width}}  {v}\n" for k, v in pairs)
 
 
-def _write_json_rows(rows: list, out) -> None:
-    """Write each record as its _jdump JSON line.
+# A LocusPoint row's JSON line, one per value of its bool: %.0s prints
+# nothing, then the bool's word.  %.17g is _fmt_float's text for every
+# float that is neither integral nor non-finite.
+_LOCUS_JSON = tuple('{"theta": %.17g, "x": %.17g, "y": %.17g, "residual": %.17g, '
+                    '"is_zero_crossing": %.0s' + word + '}\n' for word in ("false", "true"))
 
-    A line is one % operation on a template built from the record's
-    _fields and the first row's value types: %.17g for a float field, and
-    for a bool field a %.0s, which prints nothing, then its JSON word, so
-    there is one template per value of the bool fields.  A row with a
-    float that is integral or not finite, the values _fmt_float fixes up,
-    takes _jdump: x % 1.0 is then 0 or NaN, and lies in (0, 1) for every
-    other float.  So do all rows if a field of the first is neither a
-    float nor a bool.
+
+def _write_json_rows(rows: list, out) -> None:
+    """Write each LocusPoint row as its _jdump JSON line.
+
+    A line is one % on _LOCUS_JSON.  A row with a float that is integral
+    or not finite, the values _fmt_float fixes up, takes _jdump: x % 1.0
+    is then 0 or NaN, and lies in (0, 1] for every other float.
     """
-    first = rows[0]
-    heads = [json.dumps(k) + ": " for k in first._fields]
-    is_float = [type(v) is float for v in first]
-    flags = [i for i, v in enumerate(first) if type(v) is bool]
-    typed = sum(is_float) + len(flags) == len(first)
-    templates = {}
-    for values in itertools.product((False, True), repeat=len(flags)):
-        cells = ["%.17g"] * len(first)
-        for i, flag in zip(flags, values):
-            cells[i] = "%.0s" + ("true" if flag else "false")
-        # the key is what key_of returns: one bool itself, several a tuple
-        templates[values[0] if len(flags) == 1 else values] = (
-            "{" + ", ".join(map(operator.add, heads, cells)) + "}\n")
-    key_of = operator.itemgetter(*flags) if flags else lambda row: ()
-    mod = operator.mod
-    ones = itertools.repeat(1.0)
     write = out.write
     for row in rows:
-        if typed and math.prod(map(mod, itertools.compress(row, is_float), ones)) > 0.0:
-            write(templates[key_of(row)] % row)
+        theta, x, y, residual, crossing = row
+        if theta % 1.0 * (x % 1.0) * (y % 1.0) * (residual % 1.0) > 0.0:
+            write(_LOCUS_JSON[crossing] % row)
         else:
             write(_jdict(row._asdict()) + "\n")
 
@@ -636,6 +623,10 @@ def run(argv=None) -> int:
     if args is None:
         try:
             args = _PARSER.parse_args(argv)
+            for flag, action in _FLAGS.items():
+                # argparse stores a --flag=-- value as [], past type and choices
+                if getattr(args, action.dest) == []:
+                    _PARSER.error(f"argument {flag}: expected one argument")
         except SystemExit as exc:
             code = exc.code
             if code is None:

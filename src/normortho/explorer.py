@@ -235,6 +235,8 @@ def preserver_check(lin: LinearMap, ab: AlphaBeta, cfg: SampleConfig) -> Preserv
 # the check _PRESERVER; an image row whose exact sum overflows raises it too
 _PRESERVER = "the preserver check"
 _PRESERVER_OVERFLOW = f"{_PRESERVER} overflows at this scale"
+# a condition's zero denominator, once the scale floor is 0 too
+_PRESERVER_UNDERFLOW = f"{_PRESERVER} underflows at this scale"
 
 
 def _preserver_check(lin: LinearMap, ab: AlphaBeta, cfg: SampleConfig) -> PreserverReport:
@@ -257,6 +259,8 @@ def _preserver_check(lin: LinearMap, ab: AlphaBeta, cfg: SampleConfig) -> Preser
         denom = norm(tu) * norm(tw)
         if denom < floor:
             return None
+        if denom == 0.0:
+            raise ValueError(_PRESERVER_UNDERFLOW)
         return abs(_rho_ab(cod, tu, tw, ab)) / denom
 
     pairs = ((u, _orthogonalize(dom, u, v, ab)[1])
@@ -282,9 +286,12 @@ def _preserver_check(lin: LinearMap, ab: AlphaBeta, cfg: SampleConfig) -> Preser
         nv = dom.value(v)
         if nu * nv < floor:
             return None
+        denom = ab.total * tsq * nu * nv
+        if denom == 0.0:
+            raise ValueError(_PRESERVER_UNDERFLOW)
         gap = abs(_rho_ab(cod, image(u), image(v), ab)
                   - tsq * _rho_ab(dom, u, v, ab))
-        return gap / (ab.total * tsq * nu * nv)
+        return gap / denom
 
     pairs = islice(_random_pairs(root.substream(3), dim, cfg.scale), cfg.count)
     worst3, wit3, _ = _worst(pairs, scaling, _PRESERVER)

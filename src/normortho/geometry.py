@@ -88,7 +88,10 @@ def _angle(prog, u: Vector, v: Vector, ab: AlphaBeta) -> tuple[float, float]:
     if val == 0.0 or nv == 0.0:
         raise ZeroVectorError("angle needs nonzero u and v")
     r_ab = ab.alpha * (val * dm) + ab.beta * (val * dp)
-    raw = r_ab / (ab.total * val * nv)
+    denom = ab.total * val * nv
+    if denom == 0.0:
+        raise ValueError("the angle underflows at this scale")
+    raw = r_ab / denom
     if not abs(raw) <= 1.0 + _CLAMP_BAND:
         if not math.isfinite(raw):
             raise ValueError(f"cosine argument {raw!r} is not finite: rho_ab or the norms "
@@ -326,6 +329,8 @@ def norm_equiv_constant(ast1: NormAst, ast2: NormAst, ab: AlphaBeta,
         denom = min(value1(u) * value1(v), value2(u) * value2(v))
         if denom < floor:
             return None
+        if denom == 0.0:
+            raise ValueError("the equivalence constant underflows at this scale")
         return abs(_rho_ab(prog1, u, v, ab) - _rho_ab(prog2, u, v, ab)) / denom
 
     pairs = islice(_random_pairs(SplitMix64(cfg.seed), ast1.dim, cfg.scale), cfg.count)

@@ -17,6 +17,7 @@ from .derivs import AlphaBeta, Lambda
 from .errors import DimensionMismatchError, ZeroVectorError
 from .kernels import get_program
 from .normast import NormAst
+from .program import RELATION_TAGS, LocusPoint
 from .space import Vector, _check_count, _check_tol
 
 __all__ = [
@@ -31,19 +32,6 @@ __all__ = [
     "birkhoff_t_interval",
     "ortho_locus",
 ]
-
-# a tag's position here is its Program.residual code (program.R_*)
-RELATION_TAGS = (
-    "birkhoff",
-    "rho_plus",
-    "rho_minus",
-    "rho",
-    "rho_lambda",
-    "rho_ab",
-    "isosceles",
-    "pythagorean",
-    "semi",
-)
 
 # largest locus sweep; the sweep holds all its points at once, and 2**20
 # of them take about 270 MB
@@ -89,14 +77,6 @@ class OrthoVerdict(NamedTuple):
     holds: bool
     residual: float
     tol: float
-
-
-class LocusPoint(NamedTuple):
-    theta: float
-    x: float
-    y: float
-    residual: float
-    is_zero_crossing: bool
 
 
 def relation_residual(rel: Relation, ast: NormAst, u, v) -> float:
@@ -171,7 +151,10 @@ def _orthogonalize(prog, u: Vector, v: Vector, ab: AlphaBeta) -> tuple[float, Ve
     if val == 0.0:
         raise ZeroVectorError("orthogonalizer needs a nonzero u")
     r_ab = ab.alpha * (val * dm) + ab.beta * (val * dp)
-    s = -r_ab / (ab.total * val * val)
+    denom = ab.total * val * val
+    if denom == 0.0:
+        raise ValueError("the orthogonalizer underflows at this scale")
+    s = -r_ab / denom
     w = tuple([s * a + b for a, b in zip(u, v)])
     return s, w
 
@@ -229,4 +212,4 @@ def ortho_locus(ast: NormAst, u, rel: Relation, resolution: int = 720) -> list[L
     (uu,) = prog.vectors(u)
     if prog.value(uu) == 0.0:
         raise ZeroVectorError("locus needs a nonzero base vector")
-    return prog.locus(*rel._residual_args, uu, resolution, 1e-10, LocusPoint)
+    return prog.locus(*rel._residual_args, uu, resolution, 1e-10)

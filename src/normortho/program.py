@@ -4,12 +4,17 @@
 instruction encoding lets the compiled interpreter and the pure Python
 twin's generated code share operation order exactly, so their results
 agree bit for bit.  The R_ constants number the orthogonality relations that
-`Program.residual` computes, in ortho.RELATION_TAGS order.
+`Program.residual` computes, in RELATION_TAGS order, and `Program.locus`
+builds every row as a LocusPoint.  `ortho` exports both names.
+
+The compiled twin imports this module when it loads, so it imports
+nothing of the package but `normast` and `errors`.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 from . import normast
 
@@ -35,10 +40,29 @@ __all__ = [
 
 K_L2, K_WLP1, K_WLPINF, K_WLPP, K_MAX, K_SUM, K_SCALE = range(7)
 
-# relation codes of Program.residual: each tag's position in
-# ortho.RELATION_TAGS
+# a tag's position here is its Program.residual code (R_*)
+RELATION_TAGS = (
+    "birkhoff",
+    "rho_plus",
+    "rho_minus",
+    "rho",
+    "rho_lambda",
+    "rho_ab",
+    "isosceles",
+    "pythagorean",
+    "semi",
+)
+
 (R_BIRKHOFF, R_RHO_PLUS, R_RHO_MINUS, R_RHO, R_RHO_LAMBDA, R_RHO_AB,
  R_ISOSCELES, R_PYTHAGOREAN, R_SEMI) = range(9)
+
+
+class LocusPoint(NamedTuple):
+    theta: float
+    x: float
+    y: float
+    residual: float
+    is_zero_crossing: bool
 
 
 def compile_ast(ast: normast.NormAst):

@@ -123,6 +123,13 @@ def corpus() -> list[list[str]]:
                 ("mine", *n, "--relation", "birkhoff", "--relation2", "isosceles",
                  "--samples", "6", "--seed", "1", "--tol", "1e-7", *f),
             ]
+    # a --flag=-- value, which argparse reads as an empty list: usage errors
+    cmds += [
+        ("rho", "--norm=--", "--u=1,0", "--v=0,1"),
+        ("audit", "--dim=--"),
+        ("preserver", "--matrix=--", "--alpha=0.3", "--beta=0.4"),
+        ("rho", "--format=--", "--u=1,0", "--v=0,1"),
+    ]
     return [list(c) for c in cmds]
 
 

@@ -65,6 +65,30 @@ def test_kernels_c_builds_without_warnings(tmp_path):
     _build_kernels_c(tmp_path, "-O2", "-Wall", "-Wextra", "-Werror")
 
 
+@pytest.mark.parametrize("point, shown", [
+    ("Attributed", "<class '__main__.Attributed'>"), ("list", "<class 'list'>"), ("None", "None")],
+    ids=["dict", "list", "None"])
+def test_kernels_load_only_with_a_tuple_locus_point(point, shown, compiled_kernels):
+    # each locus row is allocated as a tuple and untracked from the cyclic
+    # GC, so the extension loads only if LocusPoint is a tuple subclass
+    # without an instance __dict__
+    code = (
+        "import importlib.util, sys\n"
+        "from normortho import program\n"
+        "class Attributed(tuple):\n"
+        "    pass\n"
+        f"program.LocusPoint = {point}\n"
+        "spec = importlib.util.spec_from_file_location('normortho._kernels', sys.argv[1])\n"
+        "try:\n"
+        "    importlib.util.module_from_spec(spec)\n"
+        "except TypeError as exc:\n"
+        "    print(exc)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code, compiled_kernels.__file__],
+                         capture_output=True, text=True, check=True)
+    assert out.stdout == f"LocusPoint must be a tuple subclass without a __dict__, got {shown}\n"
+
+
 def test_kernels_c_holds_no_fused_multiply_add(tmp_path):
     # The twin rounds every product before adding it.  A target with FMA
     # (here -mfma; aarch64 or -march=native elsewhere) must not fuse them.
@@ -465,7 +489,7 @@ def test_a_pure_locus_takes_no_circle_call(monkeypatch):
     for text in COMPOSITES:
         prog = _kernels_py.Program(*compile_ast(parse_norm(text, 2)))
         for code in (0, 3, 5, 6, 7):
-            crossings += len(prog.locus(code, 0.3, 0.5, (0.6, -0.35), 48, 1e-12, tuple)) - 48
+            crossings += len(prog.locus(code, 0.3, 0.5, (0.6, -0.35), 48, 1e-12)) - 48
     assert crossings > 0 and calls == []
 
 
@@ -1007,7 +1031,7 @@ def test_sweeps_evaluate_their_base_vector_once(code, method, monkeypatch):
     # included
     monkeypatch.setattr(prog, "_value", counting(prog._value))
     if method == "locus":
-        prog.locus(code, 0.3, 0.5, u, 48, 1e-10, tuple)
+        prog.locus(code, 0.3, 0.5, u, 48, 1e-10)
     elif method == "crossing":
         prog.crossing(code, 0.3, 0.5, u, 0.0, 1.0, math.pi, 1e-10)
     else:
@@ -1147,11 +1171,11 @@ def test_locus_agrees_bitwise(family, pair):
     for code in CODES:
         for u, resolution in runs:
             for width in (1e-10, 1e-12):
-                args = (code, 0.3, 0.5, u, resolution, width, LocusPoint)
+                args = (code, 0.3, 0.5, u, resolution, width)
                 got = _rows(fast.locus, *args)
                 assert got == _rows(slow.locus, *args), args
                 want = _rows(lambda: [LocusPoint._make(r) for r in
-                                      locus_reference(fast, *args[:6])])
+                                      locus_reference(fast, *args)])
                 assert got == want, args
                 if isinstance(got, tuple):
                     kinds.add(got[0])
@@ -1316,7 +1340,7 @@ def test_locus_crossings_keep_the_per_step_chains_bits(part):
         for code in CODES:
             for u in _STEP_BASES[1:]:
                 args = (code, 0.3, 0.5, u, 24, 1e-12)
-                got = _rows(prog.locus, *args, LocusPoint)
+                got = _rows(prog.locus, *args)
                 want = _rows(lambda: [LocusPoint._make(r) for r in locus_reference(chain, *args)])
                 assert got == want, (print_norm(ast), args)
                 crossings += len(got) - 24 if isinstance(got, list) else 0
@@ -1381,10 +1405,6 @@ def test_operator_norm_gain_keeps_the_per_step_chains_bits(dim):
                     tape, print_norm(dom_ast), matrix)
 
 
-class _Row(tuple):
-    pass
-
-
 _L1 = parse_norm("l1", 2)
 _L1_TAPE = compile_ast(_L1)
 _L2_DIM3 = compile_ast(parse_norm("l2", 3))
@@ -1394,40 +1414,34 @@ _STEP48 = 2.0 * math.pi / 48
 
 @pytest.mark.parametrize("tape, method, args, error", [
     # semi at the l1 corner: smooth at theta 0, not at the next point
-    (_L1_TAPE, "locus", (8, 0.0, 0.0, (1.0, 0.0), 48, 1e-10, LocusPoint), "NonSmoothPointError"),
+    (_L1_TAPE, "locus", (8, 0.0, 0.0, (1.0, 0.0), 48, 1e-10), "NonSmoothPointError"),
     # two points, both smooth, whose sign change is bisected at pi / 2
-    (_L1_TAPE, "locus", (8, 0.0, 0.0, (1.0, 0.0), 2, 1e-10, LocusPoint), "NonSmoothPointError"),
+    (_L1_TAPE, "locus", (8, 0.0, 0.0, (1.0, 0.0), 2, 1e-10), "NonSmoothPointError"),
     (_L1_TAPE, "crossing", (8, 0.0, 0.0, (1.0, 0.0), 0.0, 1.0, math.pi, 1e-10),
      "NonSmoothPointError"),
-    (_L1_TAPE, "locus", (8, 0.0, 0.0, (0.0, 0.0), 48, 1e-10, LocusPoint),
+    (_L1_TAPE, "locus", (8, 0.0, 0.0, (0.0, 0.0), 48, 1e-10),
      ("ZeroVectorError", "semi-inner product needs a nonzero second argument")),
-    (_L1_TAPE, "locus", (3, 0.0, 0.0, (1.0, 0.0), 48, 1e-10, list),
-     ("TypeError", "point must be a tuple subclass, got <class 'list'>")),
-    (_L1_TAPE, "locus", (3, 0.0, 0.0, (1.0, 0.0), 48, 1e-10, (1.0,)),
-     ("TypeError", "point must be a tuple subclass, got (1.0,)")),
-    (_L1_TAPE, "locus", (3, 0.0, 0.0, (1.0, 0.0), 48, 1e-10, None),
-     ("TypeError", "point must be a tuple subclass, got None")),
-    (_L1_TAPE, "locus", (3, 0.0, 0.0, (1.0, 0.0), 0, 1e-10, LocusPoint),
+    (_L1_TAPE, "locus", (3, 0.0, 0.0, (1.0, 0.0), 0, 1e-10),
      ("ValueError", "resolution must be >= 1, got 0")),
-    (_L1_TAPE, "locus", (3, 0.0, 0.0, (1.0, 0.0), -48, 1e-10, LocusPoint),
+    (_L1_TAPE, "locus", (3, 0.0, 0.0, (1.0, 0.0), -48, 1e-10),
      ("ValueError", "resolution must be >= 1, got -48")),
-    (_L1_TAPE, "locus", (3, 0.0, 0.0, (1.0, 0.0), -2 ** 70, 1e-10, LocusPoint),
+    (_L1_TAPE, "locus", (3, 0.0, 0.0, (1.0, 0.0), -2 ** 70, 1e-10),
      ("ValueError", f"resolution must be >= 1, got {-2 ** 70}")),
-    (_L1_TAPE, "locus", (3, 0.0, 0.0, (1.0, 0.0), 48.0, 1e-10, LocusPoint),
+    (_L1_TAPE, "locus", (3, 0.0, 0.0, (1.0, 0.0), 48.0, 1e-10),
      ("TypeError", "'float' object cannot be interpreted as an integer")),
-    (_L1_TAPE, "locus", (3, 0.0, 0.0, (1.0, 0.0), "48", 1e-10, LocusPoint),
+    (_L1_TAPE, "locus", (3, 0.0, 0.0, (1.0, 0.0), "48", 1e-10),
      ("TypeError", "'str' object cannot be interpreted as an integer")),
-    (_L1_TAPE, "locus", (3, 0.0, 0.0, (1.0, 0.0), 48, "1e-10", LocusPoint),
+    (_L1_TAPE, "locus", (3, 0.0, 0.0, (1.0, 0.0), 48, "1e-10"),
      ("TypeError", "must be real number, not str")),
-    (_L1_TAPE, "locus", (3, 0.0, 0.0, (1.0,), 48, 1e-10, LocusPoint),
+    (_L1_TAPE, "locus", (3, 0.0, 0.0, (1.0,), 48, 1e-10),
      ("ValueError", "expected 2 coordinates, got 1")),
-    (_L1_TAPE, "locus", (3, 0.0, 0.0, (1.0, 0.0, 0.0), 48, 1e-10, LocusPoint),
+    (_L1_TAPE, "locus", (3, 0.0, 0.0, (1.0, 0.0, 0.0), 48, 1e-10),
      ("ValueError", "expected 2 coordinates, got 3")),
-    (_L1_TAPE, "locus", (3, 0.0, 0.0, (1.0, "a"), 48, 1e-10, LocusPoint),
+    (_L1_TAPE, "locus", (3, 0.0, 0.0, (1.0, "a"), 48, 1e-10),
      ("TypeError", "must be real number, not str")),
-    (_L1_TAPE, "locus", (9, 0.0, 0.0, (1.0, 0.0), 48, 1e-10, LocusPoint),
+    (_L1_TAPE, "locus", (9, 0.0, 0.0, (1.0, 0.0), 48, 1e-10),
      ("ValueError", "unknown relation code 9")),
-    (_L1_TAPE, "locus", (3, None, 0.0, (1.0, 0.0), 48, 1e-10, LocusPoint),
+    (_L1_TAPE, "locus", (3, None, 0.0, (1.0, 0.0), 48, 1e-10),
      ("TypeError", "must be real number, not NoneType")),
     (_L1_TAPE, "crossing", (3, 0.0, 0.0, (1.0,), 0.0, 1.0, 1.0, 1e-10),
      ("ValueError", "expected 2 coordinates, got 1")),
@@ -1437,13 +1451,14 @@ _STEP48 = 2.0 * math.pi / 48
      ("TypeError", "must be real number, not NoneType")),
     (_L1_TAPE, "crossing", (-1, 0.0, 0.0, (1.0, 0.0), 0.0, 1.0, 1.0, 1e-10),
      ("ValueError", "unknown relation code -1")),
-    (_L2_DIM3, "locus", (3, 0.0, 0.0, (1.0, 0.0, 0.0), 48, 1e-10, LocusPoint),
+    (_L2_DIM3, "locus", (3, 0.0, 0.0, (1.0, 0.0, 0.0), 48, 1e-10),
      ("ValueError", "circle needs a 2-dimensional norm, got dim 3")),
     (_L2_DIM3, "crossing", (3, 0.0, 0.0, (1.0, 0.0, 0.0), 0.0, 1.0, 1.0, 1e-10),
      ("ValueError", "circle needs a 2-dimensional norm, got dim 3")),
-    (_ZERO_TAPE, "locus", (3, 0.0, 0.0, (1.0, 0.0), 48, 1e-10, LocusPoint),
+    (_ZERO_TAPE, "locus", (3, 0.0, 0.0, (1.0, 0.0), 48, 1e-10),
      ("ZeroDivisionError", "float division by zero")),
-    (_L1_TAPE, "locus", (3, 0.0, 0.0, (1.0, 0.0), 48, 1e-10), "TypeError"),
+    (_L1_TAPE, "locus", (3, 0.0, 0.0, (1.0, 0.0), 48), "TypeError"),
+    (_L1_TAPE, "locus", (3, 0.0, 0.0, (1.0, 0.0), 48, 1e-10, LocusPoint), "TypeError"),
     (_L1_TAPE, "crossing", (3, 0.0, 0.0, (1.0, 0.0), 0.0, 1.0, 1.0), "TypeError"),
     # u is read before the resolution, and every ring point before the
     # first residual, the kink's included
@@ -1481,7 +1496,7 @@ def test_sweep_errors_agree(tape, method, args, error, compiled_kernels):
 def test_locus_rejects_a_resolution_no_buffer_holds(compiled_kernels):
     prog = compiled_kernels.Program(*_L1_TAPE)
     with pytest.raises(MemoryError):
-        prog.locus(3, 0.0, 0.0, (1.0, 0.0), 2 ** 70, 1e-10, LocusPoint)
+        prog.locus(3, 0.0, 0.0, (1.0, 0.0), 2 ** 70, 1e-10)
 
 
 def test_locus_raises_where_semi_fails(pair):
@@ -1490,19 +1505,18 @@ def test_locus_raises_where_semi_fails(pair):
     want = _outcome(slow.residual, 8, 0.0, 0.0, (1.0, 0.0), slow.circle(_STEP48))
     assert want[0] == "NonSmoothPointError"
     for prog in (fast, slow):
-        assert _rows(prog.locus, 8, 0.0, 0.0, (1.0, 0.0), 48, 1e-10, LocusPoint) == want
+        assert _rows(prog.locus, 8, 0.0, 0.0, (1.0, 0.0), 48, 1e-10) == want
     want = _outcome(slow.residual, 8, 0.0, 0.0, (1.0, 0.0), slow.circle(0.5 * math.pi))
     for prog in (fast, slow):
-        assert _rows(prog.locus, 8, 0.0, 0.0, (1.0, 0.0), 2, 1e-10, LocusPoint) == want
+        assert _rows(prog.locus, 8, 0.0, 0.0, (1.0, 0.0), 2, 1e-10) == want
 
 
-@pytest.mark.parametrize("point", [LocusPoint, tuple, _Row])
-def test_locus_rows_take_the_point_type(point, pair):
+def test_locus_rows_are_locus_points(pair):
     fast, slow = pair(parse_norm("l2", 2))
-    rows = [prog.locus(3, 0.0, 0.0, (1.0, 0.0), 8, 1e-10, point) for prog in (fast, slow)]
+    rows = [prog.locus(3, 0.0, 0.0, (1.0, 0.0), 8, 1e-10) for prog in (fast, slow)]
     assert _rows(lambda: rows[0]) == _rows(lambda: rows[1])
     for row in rows[0] + rows[1]:
-        assert type(row) is point
+        assert type(row) is LocusPoint is program.LocusPoint
         assert len(row) == 5 and type(row[4]) is bool
     assert len(rows[0]) == 10  # 8 points, 2 crossings
 
@@ -1672,15 +1686,14 @@ def test_compiled_sweeps_hold_memory_flat(compiled_kernels):
     l2 = compiled_kernels.Program(*compile_ast(parse_norm("l2", 2)))
     phi = l2.line_evaluator((1.0, 0.0), (0.3, 1.0))
     calls = [
-        (l2.locus, 5, 0.3, 0.5, (0.6, -0.35), 48, 1e-10, LocusPoint),
-        (l2.locus, 3, 0.0, 0.0, (1.0, 0.0), 8, 1e-12, _Row),
+        (l2.locus, 5, 0.3, 0.5, (0.6, -0.35), 48, 1e-10),
+        (l2.locus, 3, 0.0, 0.0, (1.0, 0.0), 8, 1e-12),
         (l2.crossing, 3, 0.0, 0.0, (1.0, 0.0), 1.5, 1.0, 1.7, 1e-12),
         # raising after the buffers, and after some rows, are allocated
-        (l1.locus, 8, 0.0, 0.0, (1.0, 0.0), 48, 1e-10, LocusPoint),
-        (l1.locus, 8, 0.0, 0.0, (1.0, 0.0), 2, 1e-10, LocusPoint),
+        (l1.locus, 8, 0.0, 0.0, (1.0, 0.0), 48, 1e-10),
+        (l1.locus, 8, 0.0, 0.0, (1.0, 0.0), 2, 1e-10),
         (l1.crossing, 8, 0.0, 0.0, (1.0, 0.0), 0.0, 1.0, math.pi, 1e-10),
-        (l1.locus, 3, 0.0, 0.0, (1.0, 0.0), 48, 1e-10, list),
-        (l1.locus, 3, 0.0, 0.0, (1.0, "a"), 48, 1e-10, LocusPoint),
+        (l1.locus, 3, 0.0, 0.0, (1.0, "a"), 48, 1e-10),
         # the ring's residuals, also raising after the ring is read
         (l2.residuals, 5, 0.3, 0.5, (0.6, -0.35), 48),
         (l1.residuals, 8, 0.0, 0.0, (1.0, 0.0), 48),
@@ -1736,7 +1749,7 @@ def test_rings_keep_the_sweep_bits(backend, family):
             args = (code, 0.3, 0.5, u, resolution, width)
             want = _rows(lambda: [LocusPoint._make(r) for r in locus_reference(prog, *args)])
             for _ in ("cold", "warm"):
-                assert _rows(prog.locus, *args, LocusPoint) == want, args
+                assert _rows(prog.locus, *args) == want, args
     rng = SplitMix64(71)
     for _ in range(3):
         matrix = tuple((rng.uniform(-4.0, 4.0), rng.uniform(-4.0, 4.0)) for _ in range(3))
@@ -1773,7 +1786,7 @@ def test_warm_sweeps_take_no_circle_point_on_the_grid(monkeypatch):
     # derivatives, and the gains are cod's
     monkeypatch.setattr(_kernels_py.Program, "_values", ring_points)
     for sweep, n, rest in (
-            (lambda: prog.locus(3, 0.0, 0.0, (0.6, -0.35), 48, 1e-12, tuple), 48, False),
+            (lambda: prog.locus(3, 0.0, 0.0, (0.6, -0.35), 48, 1e-12), 48, False),
             (lambda: cod.operator_norm(prog.circle, _OK), 1024, True),
             (lambda: prog.residuals(3, 0.0, 0.0, (0.6, -0.35), 64), 64, False)):
         counts = []
@@ -1793,14 +1806,14 @@ def test_rings_are_never_served_to_another_program(backend):
     others = ("scale(0.5, l2)", "lp(4)", "wlp(2; 4, 1)", "max(linf, l2)", "l1", COMPOSITES[0])
     for text in texts:
         prog = backend.Program(*compile_ast(parse_norm(text, 2)))
-        prog.locus(*args, tuple)
+        prog.locus(*args)
         del prog
         gc.collect()
         for other in texts + others:
             fresh = backend.Program(*compile_ast(parse_norm(other, 2)))
-            want = _rows(lambda: locus_reference(_kernels_py.Program(*compile_ast(
-                parse_norm(other, 2))), *args))
-            assert _rows(fresh.locus, *args, tuple) == want, (text, other)
+            want = _rows(lambda: [LocusPoint._make(r) for r in locus_reference(
+                _kernels_py.Program(*compile_ast(parse_norm(other, 2))), *args)])
+            assert _rows(fresh.locus, *args) == want, (text, other)
 
 
 def _held():
@@ -1821,11 +1834,11 @@ def test_rings_hold_bounded_memory(backend):
     cod = backend.Program(*_L2_TAPE)
     tracemalloc.start()
     try:
-        progs[60].locus(3, 0.0, 0.0, (1.0, 0.0), 1025, 1e-10, tuple)
+        progs[60].locus(3, 0.0, 0.0, (1.0, 0.0), 1025, 1e-10)
         progs[61].residuals(3, 0.0, 0.0, (1.0, 0.0), 1025)
         assert _held() < 1024
         for prog in progs[:20]:
-            prog.locus(3, 0.0, 0.0, (1.0, 0.0), 1024, 1e-10, tuple)
+            prog.locus(3, 0.0, 0.0, (1.0, 0.0), 1024, 1e-10)
         for prog in progs[20:40]:
             cod.operator_norm(prog.circle, _OK)
         for prog in progs[40:60]:
@@ -1844,7 +1857,7 @@ def test_locus_rings_hold_bounded_memory(compiled_kernels):
     tracemalloc.start()
     try:
         for prog in progs:
-            prog.locus(3, 0.0, 0.0, (1.0, 0.0), 1024, 1e-10, tuple)
+            prog.locus(3, 0.0, 0.0, (1.0, 0.0), 1024, 1e-10)
         held = _held()
     finally:
         tracemalloc.stop()
@@ -1857,14 +1870,14 @@ def test_locus_rows_outlive_their_ring(compiled_kernels):
     # a locus's rows share its ring's boxed theta, x and y, and keep their
     # bits after 33 other rings have evicted that ring
     tape = compile_ast(parse_norm("max(l1, l2)", 2))
-    args = (5, 0.3, 0.5, (0.6, -0.35), 720, 1e-12, LocusPoint)
+    args = (5, 0.3, 0.5, (0.6, -0.35), 720, 1e-12)
     prog = compiled_kernels.Program(*tape)
     rows = prog.locus(*args)
     want = _rows(lambda: rows)
     assert want == _rows(_kernels_py.Program(*tape).locus, *args)
     for k in range(33):
         other = compiled_kernels.Program(*compile_ast(parse_norm(f"scale({1 + k / 64}, l2)", 2)))
-        other.locus(3, 0.0, 0.0, (1.0, 0.0), 48, 1e-10, tuple)
+        other.locus(3, 0.0, 0.0, (1.0, 0.0), 48, 1e-10)
     del other
     gc.collect()
     assert _rows(lambda: rows) == want
@@ -1874,7 +1887,7 @@ def test_locus_rows_outlive_their_ring(compiled_kernels):
 
 def test_locus_calls_on_one_ring_share_its_boxes(compiled_kernels):
     prog = compiled_kernels.Program(*compile_ast(parse_norm("lp(3)", 2)))
-    args = (3, 0.3, 0.5, (0.6, -0.35), 720, 1e-12, LocusPoint)
+    args = (3, 0.3, 0.5, (0.6, -0.35), 720, 1e-12)
     first, second = prog.locus(*args), prog.locus(*args)
     assert _rows(lambda: first) == _rows(lambda: second)
     # every grid row's theta, x and y are the same floats; no crossing row's
@@ -1886,7 +1899,7 @@ def test_locus_calls_on_one_ring_share_its_boxes(compiled_kernels):
 def test_locus_on_kept_and_unkept_rings_agrees_bitwise(resolution, pair):
     # 2048 points is past the largest kept ring: boxed for the call only
     fast, slow = pair(parse_norm("max(l1, l2)", 2))
-    args = (5, 0.3, 0.5, (0.6, -0.35), resolution, 1e-12, LocusPoint)
+    args = (5, 0.3, 0.5, (0.6, -0.35), resolution, 1e-12)
     want = _rows(slow.locus, *args)
     assert len(want) > resolution
     for _ in ("cold", "warm"):
@@ -1897,7 +1910,7 @@ def test_warm_locus_calls_hold_nothing(compiled_kernels):
     # rows dropped give back every float and row they took, and take no
     # reference to the shared boxes with them; so does a ring not kept
     prog = compiled_kernels.Program(*compile_ast(parse_norm("l2", 2)))
-    kept = (3, 0.3, 0.5, (0.6, -0.35), 720, 1e-12, LocusPoint)
+    kept = (3, 0.3, 0.5, (0.6, -0.35), 720, 1e-12)
     unkept = kept[:4] + (2048,) + kept[5:]
     boxes = prog.locus(*kept)[0][:3]
     refs = [sys.getrefcount(box) for box in boxes]
@@ -1923,22 +1936,15 @@ def test_warm_locus_calls_hold_nothing(compiled_kernels):
     assert sys.getrefcount(LocusPoint) == point_refs
 
 
-class _Attributed(tuple):
-    """A point type whose rows have an instance __dict__."""
-
-
-@pytest.mark.parametrize("point", [LocusPoint, tuple, _Attributed],
-                         ids=["LocusPoint", "tuple", "dict"])
-def test_locus_rows_are_untracked_unless_they_have_a_dict(point, pair):
-    # grid and crossing rows hold only floats and bools, so no cycle can
-    # pass through them and the compiled twin untracks them from the cyclic
-    # GC; a row with a __dict__ could close one through an attribute set
-    # later, so it stays tracked.  The bits are the pure twin's either way
+def test_locus_rows_are_untracked(pair):
+    # grid and crossing rows hold only floats and bools, and LocusPoint has
+    # no __dict__, so no cycle can pass through them and the compiled twin
+    # untracks them from the cyclic GC.  The bits are the pure twin's
     fast, slow = pair(parse_norm(COMPOSITES[3], 2))
-    args = (3, 0.3, 0.5, (0.6, -0.35), 720, 1e-12, point)
+    args = (3, 0.3, 0.5, (0.6, -0.35), 720, 1e-12)
     rows = fast.locus(*args)
     assert len(rows) > 720  # 720 grid rows and a bisected crossing's
     for _ in ("built", "collected"):
-        assert {gc.is_tracked(row) for row in rows} == {point is _Attributed}
+        assert not any(map(gc.is_tracked, rows))
         gc.collect()
     assert _rows(lambda: rows) == _rows(slow.locus, *args)

@@ -5,7 +5,8 @@ says how to regenerate cli_golden.jsonl when such a change is intended.
 The corpus runs once per backend: its tape interpreter and its SplitMix64.
 It runs again, as written and in the benchmark's --flag=value spelling,
 with argparse's parse_args out of reach: the CLI reads every corpus argv
-from the flag table itself.
+from the flag table itself, but for the usage errors of a --flag=-- value,
+which only argparse reports.
 """
 
 import json
@@ -58,7 +59,8 @@ def _no_argparse(*args, **kwargs):
 def test_corpus_is_read_without_argparse(package_backend, monkeypatch, spelling):
     # every corpus argv with no value after a bare flag starting with "-"
     # is a command and exact long flags, the shape the CLI reads itself
-    entries = _entries()
+    entries = [e for e in _entries() if not any(arg.endswith("=--") for arg in e["argv"])]
+    assert len(entries) == len(_entries()) - 4
     if spelling == "equals":
         cases = [(equals_spelling(e["argv"]), e) for e in entries]
     else:

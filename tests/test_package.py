@@ -10,8 +10,10 @@ import dataclasses
 import importlib
 import pathlib
 import pkgutil
+import sys
 
 import normortho
+from normortho import program
 
 INTERNAL = ("cli", "program")
 
@@ -124,3 +126,31 @@ def test_every_private_top_level_name_is_referenced():
                 if private and ident not in referenced:
                     dead.append(f"{name}: {ident}")
     assert not dead
+
+
+def test_program_imports_nothing_that_imports_the_kernels():
+    # the compiled twin imports program when it loads; an import from
+    # program that led back to kernels would close an import cycle
+    tree = _parsed()["program.py"]
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.level:
+                imported.update([node.module] if node.module else
+                                (alias.name for alias in node.names))
+            else:
+                imported.add(node.module.split(".")[0])
+    package = imported - sys.stdlib_module_names
+    assert imported and package <= {"normast", "errors"}, package
+
+
+def test_locus_point_has_the_row_layout_the_compiled_twin_builds():
+    # the compiled twin allocates each row as a tuple and untracks it from
+    # the cyclic GC, which holds only for a tuple subclass without a __dict__
+    assert issubclass(program.LocusPoint, tuple)
+    assert program.LocusPoint.__dictoffset__ == 0
+    assert normortho.LocusPoint is normortho.ortho.LocusPoint is program.LocusPoint
+    assert normortho.RELATION_TAGS is program.RELATION_TAGS
+    assert not {"LocusPoint", "RELATION_TAGS"} & set(program.__all__)
